@@ -203,52 +203,84 @@ def mask_plan(config: EnvConfig, z: int, t: int, length: int) -> tuple[bool, ...
     return tuple(seeds.unit_uniform(z, t, "PartialObs", i) < inten for i in range(length))
 
 
+def sample_task_spec(config: EnvConfig, task_id: int) -> TaskSpec:
+    """Task layout drawn from (rng_seed, task id); resampled until solvable
+    within the horizon.
+
+    Path lengths are kept in a narrow band so task difficulty is roughly
+    homogeneous and episode risk is driven by the perturbation seed.
+    """
+    rng = seeds.stream(config.rng_seed, "task", task_id)
+    max_k = min(MAX_SUBGOALS, config.state_count - 2)
+    hi = max(2, config.horizon - 4)
+    lo = max(2, config.horizon - 7)
+    fallback = None
+    for _ in range(512):
+        k = 1 + int(rng.integers(max_k))
+        picks = rng.choice(config.state_count, size=k + 2, replace=False)
+        start, *subs, term = (int(v) for v in picks)
+        task = TaskSpec(task_id, start, tuple(subs), term)
+        if task.path_length() > hi:
+            continue
+        if task.path_length() >= lo:
+            return task
+        if fallback is None or task.path_length() > fallback.path_length():
+            fallback = task
+    if fallback is not None:
+        return fallback
+    # tiny horizons: interact twice at the start cell
+    return TaskSpec(task_id, 0, (0,), 0)
+
+
 @dataclass(frozen=True)
 class HazardChainEnv:
-    """Cheap value object; rollouts across (task, seed) pairs can run in parallel."""
+    """Value object over a frozen config; rollouts across (task, seed) pairs
+    can run in parallel.
+
+    Two memos make a step O(1) in the values that do not change within a run:
+    the layout of each task id (`task_spec`), and the corruption ops of each
+    seed z (storm severity times base intensity, per enabled family). Both are
+    keyed only on an int and derived from the config as it was at
+    construction, so they can never go stale; a fresh env recomputes the same
+    values bit for bit.
+    """
 
     config: EnvConfig
     task_count: int
     tokens: TokenMap = field(init=False)
+    _base_intensities: tuple[tuple[str, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _tasks: dict = field(init=False, repr=False, compare=False)
+    _ops: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.task_count < 1:
             raise ConfigError("task_count must be positive")
+        cfg = self.config
+        object.__setattr__(
+            self, "tokens", TokenMap(cfg.state_count, cfg.goal_vocab_size)
+        )
         object.__setattr__(
             self,
-            "tokens",
-            TokenMap(self.config.state_count, self.config.goal_vocab_size),
+            "_base_intensities",
+            tuple(
+                (fam, cfg.intensity(fam))
+                for fam in FAMILY_ORDER
+                if fam in cfg.perturbation_families
+            ),
         )
+        object.__setattr__(self, "_tasks", {})
+        object.__setattr__(self, "_ops", {})
 
     # --- tasks ---------------------------------------------------------------
 
     def task_spec(self, task_id: int) -> TaskSpec:
-        """Deterministic task layout; resampled until solvable within horizon.
-
-        Path lengths are kept in a narrow band so task difficulty is roughly
-        homogeneous and episode risk is driven by the perturbation seed.
-        """
-        cfg = self.config
-        rng = seeds.stream(cfg.rng_seed, "task", task_id)
-        max_k = min(MAX_SUBGOALS, cfg.state_count - 2)
-        hi = max(2, cfg.horizon - 4)
-        lo = max(2, cfg.horizon - 7)
-        fallback = None
-        for _ in range(512):
-            k = 1 + int(rng.integers(max_k))
-            picks = rng.choice(cfg.state_count, size=k + 2, replace=False)
-            start, *subs, term = (int(v) for v in picks)
-            task = TaskSpec(task_id, start, tuple(subs), term)
-            if task.path_length() > hi:
-                continue
-            if task.path_length() >= lo:
-                return task
-            if fallback is None or task.path_length() > fallback.path_length():
-                fallback = task
-        if fallback is not None:
-            return fallback
-        # tiny horizons: interact twice at the start cell
-        return TaskSpec(task_id, 0, (0,), 0)
+        """Deterministic task layout, sampled once per task id and memoized."""
+        task = self._tasks.get(task_id)
+        if task is None:
+            task = self._tasks[task_id] = sample_task_spec(self.config, task_id)
+        return task
 
     def goal_tokens(self, task: TaskSpec) -> tuple[int, ...]:
         base = self.tokens.goal_base
@@ -331,14 +363,25 @@ class HazardChainEnv:
             tm.prog_base + done,
         )
 
+    def perturbation_ops(self, z: int) -> tuple[PerturbationOp, ...]:
+        """The enabled families at seed z's effective intensity, in
+        FAMILY_ORDER, zero-intensity ones dropped; memoized per z."""
+        ops = self._ops.get(z)
+        if ops is None:
+            severity = seed_severity(self.config, z)
+            ops = tuple(
+                PerturbationOp(fam, inten)
+                for fam, base in self._base_intensities
+                if (inten := min(1.0, base * severity)) > 0.0
+            )
+            self._ops[z] = ops
+        return ops
+
     def corrupt(self, obs: tuple[int, ...], z: int, t: int) -> tuple[int, ...]:
         """Chain enabled families in fixed order (composite perturbation),
         at the seed's effective intensity."""
-        for fam in FAMILY_ORDER:
-            if fam in self.config.perturbation_families:
-                inten = effective_intensity(self.config, fam, z)
-                if inten > 0.0:
-                    obs = apply_perturbation(obs, PerturbationOp(fam, inten), z, t, self.tokens)
+        for op in self.perturbation_ops(z):
+            obs = apply_perturbation(obs, op, z, t, self.tokens)
         return obs
 
     # --- public episode interface ---------------------------------------------

@@ -63,47 +63,63 @@ def extract(
     scores,
     limits: FeatureLimits,
 ) -> np.ndarray:
-    """Deterministic feature vector for one step; layout as documented above."""
-    if len(candidates) < 2:
+    """Deterministic feature vector for one step; layout as documented above.
+
+    `action_probs` is the distribution the candidates were drawn from; the
+    rollout loop computes it once per step and passes it here. Candidate
+    log-probs and verifier scores are stacked into one (2, K) array and
+    reduced along rows, bit-equal to reducing each 1-D array. Candidate
+    actions are tallied in ascending action order, the order the consistency
+    and semantic-entropy sums must keep to stay bit-identical.
+    """
+    k = len(candidates)
+    if k < 2:
         raise ValueError("feature extraction needs K >= 2 candidates")
-    if len(candidates) != len(scores):
+    if k != len(scores):
         raise ValueError("candidates and scores must align")
     probs = np.asarray(action_probs, dtype=float)
-    k = len(candidates)
 
     nz = probs[probs > 0.0]
-    entropy = min(1.0, -float(np.sum(nz * np.log(nz))) / math.log(len(probs)))
+    entropy = min(1.0, -float(np.add.reduce(nz * np.log(nz))) / math.log(len(probs)))
 
-    logps = np.clip([lp for _, lp in candidates], limits.logprob_floor, 0.0)
-    s = np.asarray(scores, dtype=float)
+    # row 0: clipped candidate log-probs, row 1: verifier scores; mean and std
+    # spelled out as ndarray.mean/std compute them
+    rows = np.array([[lp for _, lp in candidates], scores], dtype=float)
+    np.clip(rows[0], limits.logprob_floor, 0.0, out=rows[0])
+    mean = np.add.reduce(rows, axis=1, keepdims=True) / k
+    dev = rows - mean
+    std = np.sqrt(np.add.reduce(dev * dev, axis=1) / k)
+    hi = rows[1].max()
+    lo = rows[1].min()
 
-    actions = np.array([a for a, _ in candidates])
-    _, counts = np.unique(actions, return_counts=True)
-    modal_fraction = counts.max() / k
-    q = counts / k
-    semantic_entropy = min(1.0, -float(np.sum(q * np.log(q))) / math.log(k))
+    tally: dict[int, int] = {}
+    for a, _ in candidates:
+        tally[a] = tally.get(a, 0) + 1
+    counts = [tally[a] for a in sorted(tally)]
+    q = np.array(counts, dtype=float) / k
+    semantic_entropy = min(1.0, -float(np.add.reduce(q * np.log(q))) / math.log(k))
 
     t = ctx.step_index
     f = np.array(
         [
             entropy,
-            float(logps.mean()),
-            float(logps.std()),
-            float(s.mean()),
-            float(s.std()),
-            float(s.max() - s.min()),
-            float(s.max()),
-            float(s.min()),
-            float(modal_fraction),
+            mean[0, 0],
+            std[0],
+            mean[1, 0],
+            std[1],
+            hi - lo,
+            hi,
+            lo,
+            max(counts) / k,
             semantic_entropy,
             t / limits.horizon,
             t / limits.horizon_max,
             min(1.0, ctx.tokens_seen() / limits.max_context_tokens),
             min(1.0, len(ctx.goal) / limits.max_goal_len),
-            pseudo_entropy(s),
+            pseudo_entropy(rows[1]),
         ]
     )
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("non-finite feature extracted")
     return f
 

@@ -227,6 +227,33 @@ def validate_config(cfg: dict) -> None:
     fr = cfg["split"]["fractions"]
     if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError("split fractions must be a triple summing to 1")
+    _validate_eval(cfg["eval"], cfg["env"]["task_count"])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_eval(e: dict, task_count: int) -> None:
+    seeds_per_task = e["eval_seeds_per_task"]
+    if not _is_int(seeds_per_task) or seeds_per_task < 1:
+        raise ConfigError(
+            f"eval.eval_seeds_per_task must be a positive integer, got {seeds_per_task!r}"
+        )
+    ids = e["task_ids"]
+    if ids is None:
+        return
+    if not isinstance(ids, list) or not ids or not all(_is_int(i) for i in ids):
+        raise ConfigError(
+            f"eval.task_ids must be null or a non-empty list of integers, got {ids!r}"
+        )
+    bad = sorted(i for i in ids if not 0 <= i < task_count)
+    if bad:
+        raise ConfigError(
+            f"eval.task_ids {bad} outside [0, {task_count}) (env.task_count={task_count})"
+        )
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"eval.task_ids repeats a task id: {ids}")
 
 
 def config_hash(cfg: dict) -> str:

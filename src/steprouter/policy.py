@@ -64,6 +64,21 @@ class PolicyFeaturizer:
         return np.stack([self(c) for c in contexts]) if contexts else np.zeros((0, self.dim))
 
 
+def probabilities(logp: np.ndarray) -> np.ndarray:
+    """The distribution behind a log-distribution, renormalized after exp."""
+    p = np.exp(logp)
+    return p / p.sum()
+
+
+def draw_candidates(logp: np.ndarray, probs: np.ndarray, k: int,
+                    rng: np.random.Generator):
+    """K i.i.d. draws from probs, each paired with its log-probability."""
+    if k < 1:
+        raise ValueError("need at least one candidate")
+    draws = rng.choice(len(probs), size=k, p=probs)
+    return [(int(a), float(logp[a])) for a in draws]
+
+
 @dataclass
 class SoftmaxPolicy:
     """pi(a|x) = softmax(theta^T phi(x) / temperature); stage tags provenance."""
@@ -92,18 +107,12 @@ class SoftmaxPolicy:
         return z - np.log(np.exp(z).sum())
 
     def action_distribution(self, ctx: Context) -> np.ndarray:
-        p = np.exp(self.log_distribution(ctx))
-        return p / p.sum()
+        return probabilities(self.log_distribution(ctx))
 
     def sample_candidates(self, ctx: Context, k: int, rng: np.random.Generator):
         """K i.i.d. draws with their log-probabilities."""
-        if k < 1:
-            raise ValueError("need at least one candidate")
         logp = self.log_distribution(ctx)
-        probs = np.exp(logp)
-        probs = probs / probs.sum()
-        draws = rng.choice(self.featurizer.action_count, size=k, p=probs)
-        return [(int(a), float(logp[a])) for a in draws]
+        return draw_candidates(logp, probabilities(logp), k, rng)
 
     def param_hash(self) -> str:
         h = hashlib.sha256()

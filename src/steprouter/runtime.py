@@ -27,7 +27,7 @@ from .domain import (
 )
 from .env import HazardChainEnv
 from .features import FeatureLimits, FeatureMask, apply_mask, extract
-from .policy import SoftmaxPolicy, TeacherPolicy
+from .policy import SoftmaxPolicy, TeacherPolicy, draw_candidates, probabilities
 from .router import RouterNet, route_surrogate, threshold_grid
 from .verifier import VerifierSpec, score_candidates
 
@@ -134,7 +134,15 @@ def run_episode(
     limits: FeatureLimits | None = None,
     salt: int | str = 0,
 ) -> PerturbedEpisode:
-    """One routed rollout; a pure function of (config, task, z, salt)."""
+    """One routed rollout; a pure function of (config, task, z, salt).
+
+    Each step runs one featurize + matmul + softmax: `probs` (read by the
+    features) and the K candidate draws both come from the same
+    log-distribution, which is bit-identical to what `action_distribution`
+    and `sample_candidates` would each recompute. Task layouts and the
+    seed's corruption ops come from the env's memos, so a step does no work
+    that is constant within the run.
+    """
     limits = limits or feature_limits(env)
     seed = PerturbationSeed(z)
     base = env.config.rng_seed
@@ -148,8 +156,9 @@ def run_episode(
     llm_calls = 0
     success = False
     for t in range(env.config.horizon):
-        probs = slm.action_distribution(ctx)
-        cands = slm.sample_candidates(ctx, k, rng_cand)
+        logp = slm.log_distribution(ctx)
+        probs = probabilities(logp)
+        cands = draw_candidates(logp, probs, k, rng_cand)
         scores = score_candidates(vspec, ctx, [a for a, _ in cands], rng_ver)
         best = int(np.argmax(scores))
         f_raw = extract(ctx, probs, cands, scores, limits)
@@ -172,10 +181,10 @@ def run_episode(
             StepRecord(
                 context=ctx,
                 candidates=tuple(cands),
-                verifier_scores=tuple(float(s) for s in scores),
+                verifier_scores=tuple(scores.tolist()),
                 chosen_action=action,
                 executor=executor,
-                features=tuple(float(v) for v in f_raw),
+                features=tuple(f_raw.tolist()),
                 router_prob=p,
                 decision=decision,
                 budget_remaining=remaining,

@@ -7,6 +7,7 @@ and parallel workers never share rng state.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -23,12 +24,19 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+@functools.lru_cache(maxsize=4096)
+def _fold_str(part: str) -> int:
+    """First 8 bytes of sha256(part), little-endian; memoized, since a run
+    keys its streams with a few fixed tags."""
+    return int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+
+
 def mix(*parts: int | str) -> int:
     """Fold key parts into a 64-bit value. Strings are hashed, ints folded."""
     h = 0x243F6A8885A308D3
     for part in parts:
         if isinstance(part, str):
-            part = int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+            part = _fold_str(part)
         h = splitmix64(h ^ (int(part) & _MASK64))
     return h
 

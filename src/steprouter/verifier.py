@@ -94,9 +94,16 @@ def score(spec: VerifierSpec, ctx: Context, action: int, rng: np.random.Generato
 def score_candidates(
     spec: VerifierSpec, ctx: Context, actions, rng: np.random.Generator
 ) -> np.ndarray:
-    """Scores for a candidate list; one independent jitter draw per candidate."""
-    base = np.asarray(spec.quality(ctx), dtype=float)
-    return np.array([_score_from_base(float(base[a]), spec.eta_v, rng) for a in actions])
+    """Scores for a candidate list; one independent jitter draw per candidate.
+
+    The K draws come from one vector call, which consumes the rng exactly as
+    K scalar draws would and yields the same values.
+    """
+    base = np.asarray(spec.quality(ctx), dtype=float)[list(actions)]
+    w = jitter_width(spec.eta_v)
+    if w != 0.0:
+        base = base + rng.uniform(-w, w, size=len(base))
+    return np.clip(base, 0.0, 1.0)
 
 
 def best_of_k(spec: VerifierSpec, ctx: Context, candidates, rng: np.random.Generator):

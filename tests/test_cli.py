@@ -63,6 +63,29 @@ class TestConfig:
         assert main(["gen-tasks", "--workdir", str(tmp_path),
                      "--set", "env.horizon=1"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("raw", ["[a,b]", "[0,99]", "[-1]", "[]", "[1,1]",
+                                     "[0.5]", "[true]", "3", '"0,1"'])
+    def test_eval_task_ids_rejected(self, raw):
+        with pytest.raises(ConfigError, match="eval.task_ids"):
+            pipeline.load_config(overrides=[f"eval.task_ids={raw}"], environ={})
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "1.5", "null"])
+    def test_eval_seeds_per_task_rejected(self, raw):
+        with pytest.raises(ConfigError, match="eval_seeds_per_task"):
+            pipeline.load_config(overrides=[f"eval.eval_seeds_per_task={raw}"],
+                                 environ={})
+
+    def test_eval_task_ids_accepted(self):
+        cfg = pipeline.load_config(overrides=["eval.task_ids=[0,23]"], environ={})
+        assert cfg["eval"]["task_ids"] == [0, 23]
+
+    @pytest.mark.parametrize("tasks", ["a,b", "0,99"])
+    def test_rollout_bad_tasks_exit_code(self, tmp_path, capsys, tasks):
+        rc = main(["rollout", "--workdir", str(tmp_path), "--variant", "slm",
+                   "--workers", "1", "--tasks", tasks])
+        assert rc == EXIT_CONFIG
+        assert "eval.task_ids" in capsys.readouterr().err
+
 
 class TestStageOrder:
     def test_distill_before_train_bc_fails(self, tmp_path):

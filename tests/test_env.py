@@ -7,6 +7,7 @@ from steprouter.env import (
     ACTION_HAZARD,
     ACTION_LEFT,
     ACTION_RIGHT,
+    FAMILY_ORDER,
     HazardChainEnv,
     LatentState,
     PerturbationOp,
@@ -15,6 +16,7 @@ from steprouter.env import (
     corruption_plan,
     effective_intensity,
     mask_plan,
+    sample_task_spec,
 )
 
 
@@ -250,3 +252,51 @@ class TestTasks:
             actions.append(a)
             state, _ = env.transition(task, state, a)
         assert env.replay(task, actions) == state
+
+
+class TestMemos:
+    """Memoized task layouts and corruption ops must equal fresh computation."""
+
+    NOISY = {"ToolFlaky": 0.3, "PartialObs": 0.4, "Injection": 0.3, "Distractor": 0.3}
+
+    def test_task_spec_matches_fresh_env(self):
+        env = make_env()
+        for task_id in reversed(range(env.task_count)):
+            env.task_spec(task_id)
+        for task_id in range(env.task_count):
+            fresh = make_env()
+            assert env.task_spec(task_id) == fresh.task_spec(task_id)
+            assert env.task_spec(task_id) == sample_task_spec(env.config, task_id)
+
+    def test_envs_with_different_seeds_do_not_share_layouts(self):
+        a, b = make_env(rng_seed=42), make_env(rng_seed=7)
+        layouts_a = [a.task_spec(i) for i in range(a.task_count)]
+        layouts_b = [b.task_spec(i) for i in range(b.task_count)]
+        assert layouts_b == [sample_task_spec(b.config, i) for i in range(b.task_count)]
+        assert layouts_a != layouts_b
+        assert make_env(rng_seed=42).task_spec(0) == layouts_a[0]
+
+    def test_clean_variant_corrupt_is_identity(self):
+        env = make_env({fam: 1.0 for fam in self.NOISY}, storm_fraction=1.0)
+        obs = (5, 6, 7, 8)
+        assert env.corrupt(obs, 3, 1) != obs  # warm the noisy env's memo first
+        clean = env.clean_variant()
+        for z, t in itertools.product(range(30), range(5)):
+            assert clean.corrupt(obs, z, t) == obs
+
+    def test_corrupt_independent_of_seed_visit_order(self):
+        obs = (5, 6, 7, 8)
+        zs = [3, 17, 99, 1 << 40, 5, 123456789]
+        forward, backward = make_env(self.NOISY, storm_fraction=0.5), make_env(
+            self.NOISY, storm_fraction=0.5)
+        seen_fwd = {(z, t): forward.corrupt(obs, z, t) for t in range(6) for z in zs}
+        seen_bwd = {(z, t): backward.corrupt(obs, z, t)
+                    for z in reversed(zs) for t in reversed(range(6))}
+        assert seen_fwd == seen_bwd
+        tokens = forward.tokens
+        for (z, t), out in seen_fwd.items():
+            expected = obs
+            for fam in FAMILY_ORDER:
+                inten = effective_intensity(forward.config, fam, z)
+                expected = apply_perturbation(expected, PerturbationOp(fam, inten), z, t, tokens)
+            assert out == expected

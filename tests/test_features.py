@@ -117,6 +117,45 @@ class TestExtract:
             extract(ctx_at(), probs, [(0, -1.0)], [0.5], LIMITS)
 
 
+def reference_extract(ctx, action_probs, candidates, scores, limits):
+    """Per-array reductions and np.unique: the layout's direct definition."""
+    probs = np.asarray(action_probs, dtype=float)
+    k = len(candidates)
+    nz = probs[probs > 0.0]
+    entropy = min(1.0, -float(np.sum(nz * np.log(nz))) / math.log(len(probs)))
+    logps = np.clip([lp for _, lp in candidates], limits.logprob_floor, 0.0)
+    s = np.asarray(scores, dtype=float)
+    _, counts = np.unique([a for a, _ in candidates], return_counts=True)
+    q = counts / k
+    t = ctx.step_index
+    return np.array([
+        entropy, logps.mean(), logps.std(), s.mean(), s.std(), s.max() - s.min(),
+        s.max(), s.min(), counts.max() / k,
+        min(1.0, -float(np.sum(q * np.log(q))) / math.log(k)),
+        t / limits.horizon, t / limits.horizon_max,
+        min(1.0, ctx.tokens_seen() / limits.max_context_tokens),
+        min(1.0, len(ctx.goal) / limits.max_goal_len),
+        pseudo_entropy(s),
+    ])
+
+
+class TestExtractMatchesReference:
+    def test_bit_equal_on_random_steps(self):
+        rng = seeds.stream("extract-reference")
+        for _ in range(3000):
+            k = int(rng.integers(2, 12))
+            logits = rng.normal(size=6) * rng.uniform(0.1, 40.0)
+            logp = logits - logits.max()
+            logp -= np.log(np.exp(logp).sum())
+            probs = np.exp(logp) / np.exp(logp).sum()
+            cands = [(int(a), float(logp[a])) for a in rng.choice(6, size=k, p=probs)]
+            scores = rng.uniform(0.0, 1.0, size=k)
+            ctx = ctx_at(t=int(rng.integers(0, 20)))
+            got = extract(ctx, probs, cands, scores, LIMITS)
+            want = reference_extract(ctx, probs, cands, scores, LIMITS)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMasks:
     def full_vector(self):
         probs, cands, scores = hand_built_step()

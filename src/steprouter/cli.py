@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         if name == "rollout":
             p.add_argument("--variant", required=True,
-                           choices=["slm", "llm", "entropy", "heuristic", "r2v", "oracle"])
+                           choices=pipeline.VARIANT_ORDER)
             p.add_argument("--budget", type=int, default=None,
                            help="per-episode LLM call cap (overrides config)")
             p.add_argument("--tasks", default=None,

@@ -19,7 +19,8 @@ import numpy as np
 from . import seeds
 from .domain import Context
 from .env import HazardChainEnv
-from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy
+from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, param_digest
+from .router import sigmoid
 from .verifier import VerifierSpec, score_candidates
 
 SOURCE_VERIFIER = "VerifierRanked"
@@ -174,26 +175,6 @@ def dpo_margin(
     )
 
 
-def dpo_loss(
-    policy: SoftmaxPolicy, ref: FrozenReference, pair: PreferencePair, beta: float
-) -> float:
-    """-log sigmoid(u) for one pair; equals log 2 at zero margin."""
-    phi = policy.featurizer(pair.context)
-    u = dpo_margin(policy.theta, policy.bias, ref, phi, pair.a_plus, pair.a_minus, beta)
-    return float(np.logaddexp(0.0, -u))
-
-
-def consistency_loss(policy: SoftmaxPolicy, view_pairs) -> float:
-    """Mean Jensen-Shannon divergence (natural log) across paired views."""
-    if not view_pairs:
-        return 0.0
-    x_a = policy.featurizer.matrix([a for a, _ in view_pairs])
-    x_b = policy.featurizer.matrix([b for _, b in view_pairs])
-    return float(
-        _batched_jsd(policy.theta, policy.bias, x_a, x_b, policy.temperature)[0].mean()
-    )
-
-
 def jsd(p, q) -> float:
     """Jensen-Shannon divergence between two probability vectors, natural log."""
     p = np.asarray(p, dtype=float)
@@ -239,7 +220,7 @@ def _objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margi
         u = beta * ((logits[rows, plus_idx] - logits[rows, minus_idx]) - ref_margin)
         total += float(np.logaddexp(0.0, -u).mean())
         # d/du of mean -log sigmoid(u) is -sigmoid(-u)/n
-        coef = -_sigmoid(-u) * beta / n_pairs
+        coef = -sigmoid(-u) * beta / n_pairs
         dlogits = np.zeros_like(logits)
         np.add.at(dlogits, (rows, plus_idx), coef)
         np.add.at(dlogits, (rows, minus_idx), -coef)
@@ -260,11 +241,6 @@ def _objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margi
         g_bias += scale * (dlogit_p.sum(axis=0) + dlogit_q.sum(axis=0))
 
     return total, g_theta, g_bias
-
-
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def train_recovery(
@@ -322,7 +298,7 @@ def train_recovery(
         if math.sqrt((g_theta**2).sum() + (g_bias**2).sum()) < config.grad_tol:
             break
 
-    if ref.current_hash() != ref.param_hash:
+    if param_digest(ref.theta, ref.bias) != ref.param_hash:
         raise RuntimeError("frozen reference mutated during recovery training")
     policy.theta, policy.bias = theta, bias
     report = {

@@ -38,18 +38,12 @@ class RecordFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EnvConfig:
-    """Simulator configuration: the POMDP tuple plus perturbation knobs.
-
-    The discount is stored for completeness but no implemented objective
-    uses it past episode grading.
-    """
+    """Simulator configuration: the POMDP tuple plus perturbation knobs."""
 
     state_count: int = 12
     action_count: int = 6
     horizon: int = 20
     goal_vocab_size: int = 64
-    reward_success: float = 1.0
-    discount: float = 1.0
     perturbation_families: tuple[str, ...] = PERTURBATION_FAMILIES
     family_intensities: dict[str, float] = field(
         default_factory=lambda: {f: 0.0 for f in PERTURBATION_FAMILIES}
@@ -68,8 +62,6 @@ class EnvConfig:
             raise ConfigError("action_count must be at least 4")
         if self.horizon < 2:
             raise ConfigError("horizon must be at least 2")
-        if not (0.0 < self.discount <= 1.0):
-            raise ConfigError("discount must lie in (0, 1]")
         for fam in self.perturbation_families:
             if fam not in PERTURBATION_FAMILIES:
                 raise ConfigError(f"unknown perturbation family {fam!r}")
@@ -363,29 +355,6 @@ def episode_from_dict(d: dict) -> PerturbedEpisode:
         budget_limit=None if d["budget_limit"] is None else int(d["budget_limit"]),
         kind=d.get("kind", ""),
     )
-
-
-def serialize_episode(episode: PerturbedEpisode) -> bytes:
-    """One episode as one JSON line; floats round-trip bit-exactly."""
-    return (json.dumps(episode_to_dict(episode), sort_keys=True) + "\n").encode()
-
-
-def deserialize_episode(data: bytes, offset_base: int = 0) -> PerturbedEpisode:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise RecordFormatError(f"malformed episode record: {exc.msg}",
-                                offset=offset_base + exc.pos) from exc
-    except UnicodeDecodeError as exc:
-        raise RecordFormatError("episode record is not valid UTF-8",
-                                offset=offset_base + exc.start) from exc
-    try:
-        return episode_from_dict(payload)
-    except RecordFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RecordFormatError(f"invalid episode record: {exc}",
-                                offset=offset_base) from exc
 
 
 def routing_example_to_dict(example: RoutingExample) -> dict:

@@ -17,7 +17,7 @@ Action ids: 0 = move left, 1 = move right, 2 = interact, 3 = hazard,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import seeds
 from .domain import ConfigError, Context, EnvConfig, PerturbationSeed
@@ -178,29 +178,6 @@ def seed_severity(config: EnvConfig, z: int) -> float:
     if seeds.unit_uniform(z, "severity") < config.storm_fraction:
         return config.storm_boost
     return 1.0
-
-
-def effective_intensity(config: EnvConfig, family: str, z: int) -> float:
-    return min(1.0, config.intensity(family) * seed_severity(config, z))
-
-
-def corruption_plan(config: EnvConfig, z: int) -> tuple[dict, ...]:
-    """Per-step fire decisions; regenerating from z is bitwise identical."""
-    plan = []
-    for t in range(config.horizon + 1):
-        plan.append(
-            {
-                fam: seeds.unit_uniform(z, t, fam) < effective_intensity(config, fam, z)
-                for fam in ("ToolFlaky", "Injection", "Distractor")
-            }
-        )
-    return tuple(plan)
-
-
-def mask_plan(config: EnvConfig, z: int, t: int, length: int) -> tuple[bool, ...]:
-    """Which token positions PartialObs masks at step t."""
-    inten = effective_intensity(config, "PartialObs", z)
-    return tuple(seeds.unit_uniform(z, t, "PartialObs", i) < inten for i in range(length))
 
 
 def sample_task_spec(config: EnvConfig, task_id: int) -> TaskSpec:
@@ -410,28 +387,10 @@ class HazardChainEnv:
             obs = (self.tokens.invalid,) + obs
         return state2, obs, terminal, success
 
-    def paired_views(
-        self, state: LatentState, z: int, z_prime: int, t: int
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Two observations of the identical latent state under different seeds."""
-        task = self.task_spec(state.task_id)
-        clean = self.clean_observation(task, state)
-        return self.corrupt(clean, z, t), self.corrupt(clean, z_prime, t)
-
     def clean_variant(self) -> "HazardChainEnv":
         """Same tasks, all corruption intensities zeroed."""
         cfg = self.config
-        clean_cfg = EnvConfig(
-            state_count=cfg.state_count,
-            action_count=cfg.action_count,
-            horizon=cfg.horizon,
-            goal_vocab_size=cfg.goal_vocab_size,
-            reward_success=cfg.reward_success,
-            discount=cfg.discount,
-            perturbation_families=cfg.perturbation_families,
-            family_intensities={f: 0.0 for f in cfg.perturbation_families},
-            rng_seed=cfg.rng_seed,
-            storm_fraction=cfg.storm_fraction,
-            storm_boost=cfg.storm_boost,
+        clean_cfg = replace(
+            cfg, family_intensities={f: 0.0 for f in cfg.perturbation_families}
         )
         return HazardChainEnv(clean_cfg, self.task_count)

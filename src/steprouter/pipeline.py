@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,6 +26,7 @@ from .domain import (
     CostSpec,
     CVaRSpec,
     EnvConfig,
+    RecordFormatError,
     StageOrderError,
     derive_splits,
     episode_from_dict,
@@ -42,6 +44,7 @@ from .features import FeatureMask
 from .policy import PolicyFeaturizer, SoftmaxPolicy, TeacherPolicy, collect_teacher_trajectories, train_bc
 from .router import RouterNet, TrainSpec, fit_temperature, select_threshold, train_router
 from .runtime import (
+    VARIANTS,
     RoutingPolicy,
     calibrate_entropy_threshold,
     calibrate_heuristic_threshold,
@@ -60,8 +63,6 @@ DEFAULT_CONFIG: dict = {
         "action_count": 6,
         "horizon": 20,
         "goal_vocab_size": 64,
-        "reward_success": 1.0,
-        "discount": 1.0,
         "perturbation_families": ["ToolFlaky", "PartialObs", "Injection", "Distractor"],
         "family_intensities": {
             "ToolFlaky": 0.15,
@@ -76,7 +77,6 @@ DEFAULT_CONFIG: dict = {
     },
     "policy": {
         "teacher_error_rate": 0.02,
-        "temperature": 1.0,
         "bc_epochs": 80,
         "bc_lr": 4.0,
         "pert_seeds_per_task": 5,
@@ -120,7 +120,7 @@ DEFAULT_CONFIG: dict = {
 
 VERIFIER_REGIMES = {"low": 0.05, "high": 0.25}
 
-VARIANT_ORDER = ("slm", "llm", "entropy", "heuristic", "r2v", "oracle")
+VARIANT_ORDER = VARIANTS
 
 CVAR_ABLATION_GRID = [
     (0.05, 0.02), (0.05, 0.10), (0.10, 0.02), (0.10, 0.10),
@@ -209,7 +209,26 @@ def load_config(path: str | None = None, overrides=(), environ=None) -> dict:
     return cfg
 
 
+# counts that stages loop or index over: (block, key, smallest valid value)
+COUNT_KEYS = (
+    ("policy", "bc_epochs", 1),
+    ("policy", "pert_seeds_per_task", 0),
+    ("distill", "epochs", 0),
+    ("router", "epochs", 1),
+    ("router", "batch_steps", 1),
+    ("runtime", "k_candidates", 2),  # candidates are ranked against each other
+    ("runtime", "routing_seeds_per_task", 1),
+    ("eval", "eval_seeds_per_task", 1),
+)
+
+
 def validate_config(cfg: dict) -> None:
+    for block, key, least in COUNT_KEYS:
+        value = cfg[block][key]
+        if not _is_int(value) or value < least:
+            raise ConfigError(
+                f"{block}.{key} must be an integer >= {least}, got {value!r}"
+            )
     make_env(cfg)
     make_cost_spec(cfg)
     make_cvar_spec(cfg)
@@ -235,11 +254,6 @@ def _is_int(value) -> bool:
 
 
 def _validate_eval(e: dict, task_count: int) -> None:
-    seeds_per_task = e["eval_seeds_per_task"]
-    if not _is_int(seeds_per_task) or seeds_per_task < 1:
-        raise ConfigError(
-            f"eval.eval_seeds_per_task must be a positive integer, got {seeds_per_task!r}"
-        )
     ids = e["task_ids"]
     if ids is None:
         return
@@ -262,23 +276,13 @@ def config_hash(cfg: dict) -> str:
 
 
 def make_env(cfg: dict) -> HazardChainEnv:
-    e = cfg["env"]
+    e = dict(cfg["env"])
+    task_count = e.pop("task_count")
     try:
-        env_cfg = EnvConfig(
-            state_count=e["state_count"],
-            action_count=e["action_count"],
-            horizon=e["horizon"],
-            goal_vocab_size=e["goal_vocab_size"],
-            reward_success=e["reward_success"],
-            discount=e["discount"],
-            perturbation_families=tuple(e["perturbation_families"]),
-            family_intensities=dict(e["family_intensities"]),
-            rng_seed=e["rng_seed"],
-            storm_fraction=e["storm_fraction"],
-            storm_boost=e["storm_boost"],
-        )
-        return HazardChainEnv(env_cfg, task_count=e["task_count"])
-    except (ValueError, KeyError) as exc:
+        e["perturbation_families"] = tuple(e["perturbation_families"])
+        e["family_intensities"] = dict(e["family_intensities"])
+        return HazardChainEnv(EnvConfig(**e), task_count=task_count)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid env config: {exc}") from exc
 
 
@@ -312,14 +316,8 @@ def make_cvar_spec(cfg: dict) -> CVaRSpec:
 def make_train_spec(cfg: dict, alpha: float | None = None,
                     epsilon: float | None = None) -> TrainSpec:
     r = cfg["router"]
-    cv = make_cvar_spec(cfg)
-    if alpha is not None or epsilon is not None:
-        cv = CVaRSpec(
-            alpha=cv.alpha if alpha is None else alpha,
-            epsilon=cv.epsilon if epsilon is None else epsilon,
-            lambda_b=cv.lambda_b,
-            lambda_init=cv.lambda_init,
-        )
+    overrides = {k: v for k, v in (("alpha", alpha), ("epsilon", epsilon)) if v is not None}
+    cv = dataclasses.replace(make_cvar_spec(cfg), **overrides)
     return TrainSpec(
         costs=make_cost_spec(cfg),
         cvar=cv,
@@ -486,10 +484,13 @@ def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
 
 def load_episodes(path: Path):
     episodes = []
-    for _, rec in read_rljson(path):
+    for offset, rec in read_rljson(path):
         if "stage" in rec and "schema" in rec and "steps" not in rec:
             continue  # header record
-        episodes.append(episode_from_dict(rec))
+        try:
+            episodes.append(episode_from_dict(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecordFormatError(f"invalid episode record: {exc!r}", offset) from exc
     return episodes
 
 
@@ -596,9 +597,7 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
 
 
 def _routing_job(args):
-    cfg, task_ids, split_name, offset = args
-    workdir = Path(cfg["_workdir"])
-    cfg = {k: v for k, v in cfg.items() if k != "_workdir"}
+    cfg, workdir, task_ids, split_name, offset = args
     env = make_env(cfg)
     slm = SoftmaxPolicy.load(artifact_path(workdir, "distill"))
     salt = cfg["runtime"]["harness_salt"]
@@ -623,12 +622,10 @@ def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     split = load_split(cfg, workdir)
     per_task = cfg["runtime"]["routing_seeds_per_task"]
     jobs = []
-    cfg_with_wd = dict(cfg)
-    cfg_with_wd["_workdir"] = str(workdir)
     offset = 0
     for split_name in ("train", "valid"):
         for tid in split[split_name]:
-            jobs.append((cfg_with_wd, [tid], split_name, offset))
+            jobs.append((cfg, Path(workdir), [tid], split_name, offset))
             offset += per_task
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
@@ -734,9 +731,7 @@ def _build_routing_policy(cfg: dict, workdir: Path, variant: str,
 
 
 def _rollout_job(args):
-    cfg, variant, grid_chunk, router_name, mask_name = args
-    workdir = Path(cfg["_workdir"])
-    cfg = {k: v for k, v in cfg.items() if k != "_workdir"}
+    cfg, workdir, variant, grid_chunk, router_name, mask_name = args
     env = make_env(cfg)
     slm = SoftmaxPolicy.load(artifact_path(workdir, "distill"))
     teacher = make_teacher(cfg)
@@ -761,13 +756,11 @@ def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1,
     if variant in ("entropy", "heuristic", "r2v"):
         require_stage(workdir, "train-router", h)
     grid = eval_grid(cfg, workdir)
-    cfg_with_wd = dict(cfg)
-    cfg_with_wd["_workdir"] = str(workdir)
     n_chunks = max(1, min(workers, len(grid))) if workers > 1 else 1
     chunks = [grid[i::n_chunks] for i in range(n_chunks)]
     results = _parallel_map(
         _rollout_job,
-        [(cfg_with_wd, variant, chunk, router_name, mask_name) for chunk in chunks],
+        [(cfg, Path(workdir), variant, chunk, router_name, mask_name) for chunk in chunks],
         workers,
     )
     by_key = {}

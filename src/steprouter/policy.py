@@ -64,6 +64,14 @@ class PolicyFeaturizer:
         return np.stack([self(c) for c in contexts]) if contexts else np.zeros((0, self.dim))
 
 
+def param_digest(theta: np.ndarray, bias: np.ndarray) -> str:
+    """sha256 over the raw parameter bytes, theta then bias."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(theta).tobytes())
+    h.update(np.ascontiguousarray(bias).tobytes())
+    return h.hexdigest()
+
+
 def probabilities(logp: np.ndarray) -> np.ndarray:
     """The distribution behind a log-distribution, renormalized after exp."""
     p = np.exp(logp)
@@ -115,10 +123,7 @@ class SoftmaxPolicy:
         return draw_candidates(logp, probabilities(logp), k, rng)
 
     def param_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.theta).tobytes())
-        h.update(np.ascontiguousarray(self.bias).tobytes())
-        return h.hexdigest()
+        return param_digest(self.theta, self.bias)
 
     def clone(self, stage: str | None = None) -> "SoftmaxPolicy":
         return SoftmaxPolicy(
@@ -189,12 +194,6 @@ class FrozenReference:
     theta: np.ndarray
     bias: np.ndarray
     param_hash: str
-
-    def current_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.theta).tobytes())
-        h.update(np.ascontiguousarray(self.bias).tobytes())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import seeds
-from .domain import CostSpec, CVaRSpec, RoutingExample
+from .domain import CostSpec, CVaRSpec
 from .evaluation import ece
 
 ROUTER_SCHEMA = "router@1"
@@ -44,9 +44,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return gelu_parts(x)[0]
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    if cdf is None:
-        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU derivative, given the CDF that `gelu_parts` returned for x."""
     return cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
@@ -94,17 +93,6 @@ class RouterNet:
             run_mean2=np.zeros(h2),
             run_var2=np.ones(h2),
         )
-
-    @classmethod
-    def zeros(cls, in_dim: int = 15, h1: int = 128, h2: int = 64) -> "RouterNet":
-        net = cls.init(np.random.default_rng(0), in_dim, h1, h2)
-        for name in ("w1", "w2", "w3"):
-            net.params[name][:] = 0.0
-        return net
-
-    @property
-    def n_params(self) -> int:
-        return sum(v.size for v in self.params.values())
 
     def logits_eval(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -166,20 +154,6 @@ class RouterNet:
             dropout=header["dropout"],
         )
         return net, header
-
-
-def forward(net: RouterNet, f, mode: str = "eval", rng: np.random.Generator | None = None):
-    """Router probability for a feature batch; train mode uses batch statistics."""
-    x = np.atleast_2d(np.asarray(f, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("router input must be finite")
-    if mode == "eval":
-        return net.predict(x)
-    if mode != "train":
-        raise ValueError("mode must be 'train' or 'eval'")
-    masks = make_dropout_masks(net, len(x), rng or np.random.default_rng(0))
-    logit, _ = logits_train(net, x, masks)
-    return sigmoid(logit / net.temperature)
 
 
 def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator):
@@ -288,31 +262,18 @@ def brier_mean(p, y) -> float:
     return float(np.mean(brier(p, y)))
 
 
-def cvar(values, alpha: float) -> float:
-    """Empirical CVaR: mean of the worst ceil(alpha*n) values (alpha = tail mass)."""
+def cvar(values, alpha: float) -> tuple[float, np.ndarray]:
+    """Empirical CVaR: mean of the worst ceil(alpha*n) values (alpha = tail
+    mass), and the indices of that tail, worst first; ties go to the lower
+    index."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("CVaR of an empty list is undefined")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     m = max(1, math.ceil(alpha * v.size - 1e-9))
-    tail = np.sort(v)[::-1][:m]
-    return float(tail.mean())
-
-
-def seed_risk(examples, net: RouterNet, costs: CostSpec) -> dict[int, float]:
-    """Per-seed mean routing surrogate under the net's eval-mode predictions."""
-    groups: dict[int, list[RoutingExample]] = {}
-    for ex in examples:
-        groups.setdefault(ex.seed_id, []).append(ex)
-    table = {}
-    for sid in sorted(groups):
-        block = groups[sid]
-        x = np.array([ex.features for ex in block], dtype=float)
-        y = np.array([ex.label for ex in block], dtype=float)
-        p = net.predict(x)
-        table[sid] = float(np.mean(route_surrogate(p, y, costs)))
-    return table
+    tail = np.lexsort((np.arange(v.size), -v))[:m]
+    return float(v[tail].mean()), tail
 
 
 # --- training -----------------------------------------------------------------
@@ -365,11 +326,7 @@ def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, ma
     counts = np.bincount(seed_index, minlength=n_seeds).astype(float)
     risks = np.bincount(seed_index, weights=losses, minlength=n_seeds) / counts
     mean_risk = float(risks.mean())
-
-    m = max(1, math.ceil(cv.alpha * n_seeds - 1e-9))
-    order = np.lexsort((np.arange(n_seeds), -risks))
-    tail = order[:m]
-    cvar_value = float(risks[tail].mean())
+    cvar_value, tail = cvar(risks, cv.alpha)
     brier_value = brier_mean(p, y)
     loss = mean_risk + lam * (cvar_value - cv.epsilon) + cv.lambda_b * brier_value
 
@@ -385,7 +342,7 @@ def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, ma
 
     in_tail = np.zeros(n_seeds)
     in_tail[tail] = 1.0
-    seed_w = (1.0 / n_seeds + lam * in_tail / m) / counts
+    seed_w = (1.0 / n_seeds + lam * in_tail / len(tail)) / counts
     dldp = seed_w[seed_index] * (costs.c_llm - costs.c_slm - costs.kappa * y)
     dldp = dldp + cv.lambda_b * 2.0 * (p - y) / len(y)
     dlogit = dldp * p * (1.0 - p)
@@ -539,22 +496,19 @@ def bayes_threshold(costs: CostSpec) -> float:
     return float(min(1.0, max(0.0, (costs.c_llm - costs.c_slm) / costs.kappa)))
 
 
-def threshold_grid() -> np.ndarray:
-    return np.arange(1, 100) / 100.0
-
-
-def hard_surrogate_mean(p, y, costs: CostSpec, tau: float) -> float:
-    d = (np.asarray(p, dtype=float) >= tau).astype(float)
-    return float(np.mean(route_surrogate(d, y, costs)))
-
-
-def sweep_threshold(p, y, costs: CostSpec) -> float:
-    """Grid-search tau in {0.01..0.99} minimizing the hard routing surrogate.
-
-    Ties break toward the lowest threshold.
+def sweep_threshold(values, labels, costs: CostSpec,
+                    escalate_when_ge: bool = True) -> float:
+    """Grid-search tau in {0.01..0.99} minimizing the hard routing surrogate
+    of escalating where value >= tau (or value < tau when escalate_when_ge is
+    False). Ties break toward the lowest threshold.
     """
-    grid = threshold_grid()
-    cost_per_tau = np.array([hard_surrogate_mean(p, y, costs, t) for t in grid])
+    v = np.asarray(values, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    grid = np.arange(1, 100) / 100.0
+    cost_per_tau = []
+    for tau in grid:
+        d = (v >= tau) if escalate_when_ge else (v < tau)
+        cost_per_tau.append(float(np.mean(route_surrogate(d.astype(float), y, costs))))
     return float(grid[int(np.argmin(cost_per_tau))])
 
 
@@ -564,6 +518,5 @@ def select_threshold(net: RouterNet, x_val, y_val, costs: CostSpec,
     if mode == "bayes":
         return bayes_threshold(costs)
     if mode == "sweep":
-        p = net.predict(np.asarray(x_val, dtype=float))
-        return sweep_threshold(p, np.asarray(y_val, dtype=float), costs)
+        return sweep_threshold(net.predict(np.asarray(x_val, dtype=float)), y_val, costs)
     raise ValueError("mode must be 'bayes' or 'sweep'")

@@ -28,7 +28,7 @@ from .domain import (
 from .env import HazardChainEnv
 from .features import FeatureLimits, FeatureMask, apply_mask, extract
 from .policy import SoftmaxPolicy, TeacherPolicy, draw_candidates, probabilities
-from .router import RouterNet, route_surrogate, threshold_grid
+from .router import RouterNet, sweep_threshold
 from .verifier import VerifierSpec, score_candidates
 
 VARIANTS = ("slm", "llm", "entropy", "heuristic", "r2v", "oracle")
@@ -271,29 +271,15 @@ def hindsight_table(episodes) -> dict:
     return {(ep.task_id, ep.seed.z): ep.success for ep in episodes}
 
 
-def calibrate_scalar_threshold(
-    values, labels, costs: CostSpec, escalate_when_ge: bool
-) -> float:
-    """Sweep a scalar decision threshold minimizing the hard routing surrogate."""
-    v = np.asarray(values, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    grid = threshold_grid()
-    costs_per_tau = []
-    for tau in grid:
-        d = (v >= tau) if escalate_when_ge else (v < tau)
-        costs_per_tau.append(float(np.mean(route_surrogate(d.astype(float), y, costs))))
-    return float(grid[int(np.argmin(costs_per_tau))])
-
-
 def calibrate_entropy_threshold(examples, costs: CostSpec) -> float:
     """Validation-calibrated entropy cutoff for the entropy baseline."""
     values = [ex.features[0] for ex in examples]
     labels = [ex.label for ex in examples]
-    return calibrate_scalar_threshold(values, labels, costs, escalate_when_ge=True)
+    return sweep_threshold(values, labels, costs)
 
 
 def calibrate_heuristic_threshold(examples, costs: CostSpec) -> float:
     """Validation-calibrated best-score cutoff for the heuristic baseline."""
     values = [ex.features[6] for ex in examples]  # slot 6 = verifier best score
     labels = [ex.label for ex in examples]
-    return calibrate_scalar_threshold(values, labels, costs, escalate_when_ge=False)
+    return sweep_threshold(values, labels, costs, escalate_when_ge=False)

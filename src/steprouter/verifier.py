@@ -1,4 +1,4 @@
-"""Process verifier: noisy [0,1] action scores, best-of-K, pseudo-entropy.
+"""Process verifier: noisy [0,1] action scores and pseudo-entropy.
 
 The base quality oracle peeks at the latent state (a test-only privilege: the
 latent state is reconstructible from the context because latent dynamics are
@@ -77,20 +77,6 @@ class VerifierSpec:
                    gamma_threshold=gamma_threshold)
 
 
-def _score_from_base(base: float, eta_v: float, rng: np.random.Generator) -> float:
-    w = jitter_width(eta_v)
-    value = base if w == 0.0 else base + rng.uniform(-w, w)
-    return float(min(1.0, max(0.0, value)))
-
-
-def score(spec: VerifierSpec, ctx: Context, action: int, rng: np.random.Generator) -> float:
-    """Noisy score for one action; deterministic given the rng state."""
-    base = np.asarray(spec.quality(ctx), dtype=float)
-    if not (0 <= action < len(base)):
-        raise ValueError(f"action {action} outside the scored range")
-    return _score_from_base(float(base[action]), spec.eta_v, rng)
-
-
 def score_candidates(
     spec: VerifierSpec, ctx: Context, actions, rng: np.random.Generator
 ) -> np.ndarray:
@@ -104,15 +90,6 @@ def score_candidates(
     if w != 0.0:
         base = base + rng.uniform(-w, w, size=len(base))
     return np.clip(base, 0.0, 1.0)
-
-
-def best_of_k(spec: VerifierSpec, ctx: Context, candidates, rng: np.random.Generator):
-    """argmax-by-score selection; ties break toward the lowest candidate index."""
-    if len(candidates) < 1:
-        raise ValueError("need at least one candidate")
-    scores = score_candidates(spec, ctx, [a for a, _ in candidates], rng)
-    idx = int(np.argmax(scores))
-    return candidates[idx][0], float(scores[idx]), scores
 
 
 def pseudo_entropy(scores) -> float:

@@ -40,6 +40,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             pipeline.load_config(overrides=["router.nonsense=1"])
 
+    @pytest.mark.parametrize("key", ["env.discount", "env.reward_success",
+                                     "policy.temperature"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, key):
+        with pytest.raises(ConfigError, match="unknown config path"):
+            pipeline.load_config(overrides=[f"{key}=1.0"], environ={})
+        block, name = key.split(".")
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({block: {name: 1.0}}))
+        assert main(["gen-tasks", "--workdir", str(tmp_path),
+                     "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
     def test_env_var_override(self):
         cfg = pipeline.load_config(environ={"STEPROUTER_ROUTER__EPOCHS": "7"})
         assert cfg["router"]["epochs"] == 7
@@ -74,6 +86,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="eval_seeds_per_task"):
             pipeline.load_config(overrides=[f"eval.eval_seeds_per_task={raw}"],
                                  environ={})
+
+    @pytest.mark.parametrize("key,raw", [
+        ("router.epochs", "abc"),
+        ("policy.bc_epochs", '"x"'),
+        ("router.batch_steps", "0"),
+        ("runtime.k_candidates", "0"),
+        ("runtime.k_candidates", "1"),
+        ("runtime.routing_seeds_per_task", "0"),
+        ("router.epochs", "2.5"),
+        ("router.epochs", "true"),
+        ("distill.epochs", "-1"),
+        ("policy.pert_seeds_per_task", "null"),
+    ])
+    def test_count_keys_rejected(self, tmp_path, capsys, key, raw):
+        with pytest.raises(ConfigError, match=key):
+            pipeline.load_config(overrides=[f"{key}={raw}"], environ={})
+        rc = main(["rollout", "--workdir", str(tmp_path), "--variant", "slm",
+                   "--workers", "1", "--set", f"{key}={raw}"])
+        assert rc == EXIT_CONFIG
+        assert f"config error: {key}" in capsys.readouterr().err
 
     def test_eval_task_ids_accepted(self):
         cfg = pipeline.load_config(overrides=["eval.task_ids=[0,23]"], environ={})

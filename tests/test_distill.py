@@ -9,9 +9,8 @@ from steprouter.distill import (
     PreferencePair,
     SOURCE_TEACHER,
     SOURCE_VERIFIER,
+    _objective_and_grad,
     build_preferences,
-    consistency_loss,
-    dpo_loss,
     dpo_margin,
     jsd,
     total_variation,
@@ -48,6 +47,29 @@ def simple_context():
 def two_action_world():
     feat = PolicyFeaturizer(vocab_size=4, action_count=2, horizon=2, prog_base=3)
     return feat, simple_context()
+
+
+def objective(policy, ref, pairs, views, beta=1.0, lambda_cons=0.0):
+    """The trained DPO + consistency objective at the policy's parameters."""
+    feat = policy.featurizer
+    pair_x = feat.matrix([p.context for p in pairs])
+    plus = np.array([p.a_plus for p in pairs], dtype=int)
+    minus = np.array([p.a_minus for p in pairs], dtype=int)
+    ref_logits = pair_x @ ref.theta + ref.bias
+    rows = np.arange(len(pairs))
+    ref_margin = ref_logits[rows, plus] - ref_logits[rows, minus]
+    cons_a = feat.matrix([a for a, _ in views])
+    cons_b = feat.matrix([b for _, b in views])
+    loss, _, _ = _objective_and_grad(
+        policy.theta, policy.bias, ref, pair_x, plus, minus, ref_margin, beta,
+        lambda_cons, cons_a, cons_b, policy.temperature,
+    )
+    return loss
+
+
+def mean_jsd(policy, views):
+    """The consistency term alone: mean JSD across the paired views."""
+    return objective(policy, policy.frozen_reference(), [], views, lambda_cons=1.0)
 
 
 class TestBuildPreferences:
@@ -97,7 +119,7 @@ class TestDpoLoss:
         bc = SoftmaxPolicy.zeros(feat, stage="bc")
         ref = bc.frozen_reference()
         pair = PreferencePair(ctx, 0, 1, SOURCE_VERIFIER)
-        assert dpo_loss(bc, ref, pair, beta=0.1) == pytest.approx(math.log(2), abs=1e-12)
+        assert objective(bc, ref, [pair], [], beta=0.1) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_large_margin_vanishes(self):
         feat, ctx = two_action_world()
@@ -106,7 +128,7 @@ class TestDpoLoss:
         policy = bc.clone()
         policy.bias[0] = 400.0  # huge preferred-action logit
         pair = PreferencePair(ctx, 0, 1, SOURCE_VERIFIER)
-        assert dpo_loss(policy, ref, pair, beta=1.0) < 1e-12
+        assert objective(policy, ref, [pair], [], beta=1.0) < 1e-12
 
     def test_margin_accounts_for_reference(self):
         feat, ctx = two_action_world()
@@ -123,7 +145,7 @@ class TestConsistencyLoss:
         env = make_env()
         bc, pool, _ = trained_bc(env)
         views = [(pool[0].steps[0].context, pool[0].steps[0].context)]
-        assert consistency_loss(bc, views) == pytest.approx(0.0, abs=1e-12)
+        assert mean_jsd(bc, views) == pytest.approx(0.0, abs=1e-12)
 
     def test_disjoint_supports_log_two(self):
         assert jsd([1.0, 0.0], [0.0, 1.0]) == pytest.approx(math.log(2), abs=1e-12)
@@ -177,7 +199,7 @@ class TestTrainRecovery:
         policy, _ = train_recovery(
             bc, pairs, views, DistillConfig(beta=2.0, lambda_cons=1e3, epochs=120, lr=4.0)
         )
-        assert consistency_loss(policy, views) < 0.01
+        assert mean_jsd(policy, views) < 0.01
 
     def test_reference_hash_unchanged(self):
         env = make_env({"PartialObs": 0.4})

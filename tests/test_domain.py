@@ -14,9 +14,12 @@ from steprouter.domain import (
     RoutingExample,
     StepRecord,
     derive_splits,
-    deserialize_episode,
-    serialize_episode,
+    episode_from_dict,
+    episode_to_dict,
+    read_rljson,
+    write_rljson,
 )
+from steprouter.pipeline import load_episodes
 
 
 def make_context(t=0):
@@ -92,35 +95,52 @@ class TestSplits:
         assert all_ids == list(range(23))
 
 
+def round_trip(episodes, path):
+    """Episodes through the artifact path: to_dict, write_rljson, read_rljson,
+    from_dict."""
+    write_rljson(path, [episode_to_dict(ep) for ep in episodes])
+    return [episode_from_dict(rec) for _, rec in read_rljson(path)]
+
+
 class TestSerialization:
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         ep = make_episode()
-        assert deserialize_episode(serialize_episode(ep)) == ep
+        assert round_trip([ep], tmp_path / "eps.rljson") == [ep]
 
-    def test_round_trip_bit_exact_floats(self):
-        ep = make_episode()
-        twice = serialize_episode(deserialize_episode(serialize_episode(ep)))
-        assert twice == serialize_episode(ep)
+    def test_round_trip_bit_exact_floats(self, tmp_path):
+        eps = [make_episode(), make_episode(n_steps=5, success=False, llm_steps=())]
+        first, second = tmp_path / "a.rljson", tmp_path / "b.rljson"
+        write_rljson(first, [episode_to_dict(ep) for ep in eps])
+        write_rljson(second, [episode_to_dict(ep) for ep in round_trip(eps, first)])
+        assert second.read_bytes() == first.read_bytes()
 
-    def test_empty_steps_round_trip(self):
+    def test_empty_steps_round_trip(self, tmp_path):
         ep = PerturbedEpisode(
             task_id=0, seed=PerturbationSeed(1), steps=(), success=True, llm_calls=0
         )
-        assert deserialize_episode(serialize_episode(ep)) == ep
+        assert round_trip([ep], tmp_path / "eps.rljson") == [ep]
 
-    def test_truncated_stream_errors_with_offset(self):
-        data = serialize_episode(make_episode())[: len(serialize_episode(make_episode())) // 2]
+    def test_truncated_stream_errors_with_offset(self, tmp_path):
+        path = tmp_path / "eps.rljson"
+        write_rljson(path, [episode_to_dict(make_episode())] * 2)
+        data = path.read_bytes()
+        second = data.index(b"\n") + 1
+        path.write_bytes(data[: second + (len(data) - second) // 2])
         with pytest.raises(RecordFormatError) as err:
-            deserialize_episode(data, offset_base=100)
-        assert err.value.offset >= 100
+            load_episodes(path)
+        assert err.value.offset >= second
 
-    def test_garbage_is_rejected(self):
+    def test_garbage_is_rejected(self, tmp_path):
+        path = tmp_path / "eps.rljson"
+        write_rljson(path, [episode_to_dict(make_episode()),
+                            {"schema": "episode@1", "task_id": 1}])
+        with pytest.raises(RecordFormatError) as err:
+            load_episodes(path)
+        assert err.value.offset == path.read_bytes().index(b"\n") + 1
         with pytest.raises(RecordFormatError):
-            deserialize_episode(b"{\"schema\": \"episode@1\", \"task_id\": 1}")
+            episode_from_dict({**episode_to_dict(make_episode()), "schema": "other@1"})
 
     def test_rljson_stream_reports_byte_offset(self, tmp_path):
-        from steprouter.domain import read_rljson, write_rljson
-
         path = tmp_path / "records.rljson"
         write_rljson(path, [{"a": 1}, {"b": 2}])
         good = list(read_rljson(path))
@@ -180,9 +200,14 @@ class TestInvariants:
         with pytest.raises(ValueError):
             EnvConfig(horizon=1)
         with pytest.raises(ValueError):
-            EnvConfig(discount=0.0)
+            EnvConfig(storm_boost=0.5)
         with pytest.raises(ValueError):
             EnvConfig(family_intensities={"ToolFlaky": 1.5})
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("serialization") / "eps.rljson"
 
 
 @settings(max_examples=50, deadline=None)
@@ -191,7 +216,7 @@ class TestInvariants:
     n_steps=st.integers(min_value=0, max_value=6),
     z=st.integers(min_value=0, max_value=2**63),
 )
-def test_serialization_round_trip_property(success, n_steps, z):
+def test_serialization_round_trip_property(scratch_file, success, n_steps, z):
     steps = tuple(
         StepRecord(
             context=make_context(t),
@@ -205,4 +230,4 @@ def test_serialization_round_trip_property(success, n_steps, z):
     ep = PerturbedEpisode(
         task_id=1, seed=PerturbationSeed(z), steps=steps, success=success, llm_calls=0
     )
-    assert deserialize_episode(serialize_episode(ep)) == ep
+    assert round_trip([ep], scratch_file) == [ep]

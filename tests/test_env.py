@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from steprouter import seeds
 from steprouter.domain import EnvConfig, PerturbationSeed
 from steprouter.env import (
     ACTION_HAZARD,
@@ -13,10 +14,8 @@ from steprouter.env import (
     PerturbationOp,
     TokenMap,
     apply_perturbation,
-    corruption_plan,
-    effective_intensity,
-    mask_plan,
     sample_task_spec,
+    seed_severity,
 )
 
 
@@ -86,18 +85,30 @@ class TestPerturbations:
         assert len(outs) > 1
 
     def test_plan_reproducibility(self):
-        cfg = make_env({"ToolFlaky": 0.3, "Injection": 0.4, "Distractor": 0.2}).config
-        assert corruption_plan(cfg, 99) == corruption_plan(cfg, 99)
+        # a seed's corruption over a whole episode regenerates bit for bit
+        intensities = {"ToolFlaky": 0.3, "Injection": 0.4, "Distractor": 0.2}
+        env = make_env(intensities, storm_fraction=0.5)
+        obs = (5, 6, 7, 8)
+        run = [env.corrupt(obs, 99, t) for t in range(env.config.horizon + 1)]
+        assert run == [env.corrupt(obs, 99, t) for t in range(env.config.horizon + 1)]
+        fresh = make_env(intensities, storm_fraction=0.5)
+        assert run == [fresh.corrupt(obs, 99, t) for t in range(fresh.config.horizon + 1)]
+        assert len(set(run)) > 1
 
     def test_effective_intensity_storm_boost(self):
-        cfg = EnvConfig(
-            family_intensities={"PartialObs": 0.3},
-            storm_fraction=1.0,
-            storm_boost=2.0,
+        # storm seeds get min(1, base * boost), calm seeds the base intensity
+        base = {"PartialObs": 0.3, "Injection": 0.6}
+        storm = HazardChainEnv(
+            EnvConfig(family_intensities=base, storm_fraction=1.0, storm_boost=2.0), 4
         )
-        assert effective_intensity(cfg, "PartialObs", 1) == pytest.approx(0.6)
-        calm = EnvConfig(family_intensities={"PartialObs": 0.3}, storm_fraction=0.0)
-        assert effective_intensity(calm, "PartialObs", 1) == pytest.approx(0.3)
+        calm = HazardChainEnv(EnvConfig(family_intensities=base, storm_fraction=0.0), 4)
+        for z in (1, 2, 3):
+            assert storm.perturbation_ops(z) == (
+                PerturbationOp("PartialObs", 0.6), PerturbationOp("Injection", 1.0)
+            )
+            assert calm.perturbation_ops(z) == (
+                PerturbationOp("PartialObs", 0.3), PerturbationOp("Injection", 0.6)
+            )
 
 
 class TestResetAndStep:
@@ -186,38 +197,51 @@ class TestResetAndStep:
         assert terminal
 
 
+def clean_obs(env, task_id=0):
+    state, _ = env.reset(task_id, PerturbationSeed(0))
+    return env.clean_observation(env.task_spec(task_id), state)
+
+
 class TestPairedViews:
+    """Two seeds' views of one latent state, as the consistency pairs use them."""
+
     def test_zero_intensity_views_identical(self):
         env = make_env()
-        state, _ = env.reset(0, PerturbationSeed(0))
-        a, b = env.paired_views(state, 3, 4, 1)
-        assert a == b
+        clean = clean_obs(env)
+        assert env.corrupt(clean, 3, 1) == env.corrupt(clean, 4, 1) == clean
 
     def test_same_seed_reflexive(self):
         env = make_env({"PartialObs": 0.6})
-        state, _ = env.reset(0, PerturbationSeed(0))
-        a, b = env.paired_views(state, 5, 5, 1)
-        assert a == b
+        clean = clean_obs(env)
+        assert env.corrupt(clean, 5, 1) == env.corrupt(clean, 5, 1)
 
     def test_plan_inversion_oracle(self):
-        # with only PartialObs active, the mask plan explains every token:
-        # unmasked positions carry the clean value, masked carry MASK
-        env = make_env({"PartialObs": 0.5})
-        state, _ = env.reset(0, PerturbationSeed(0))
-        task = env.task_spec(0)
-        clean = env.clean_observation(task, state)
-        for z in (11, 23):
-            view = env.corrupt(clean, z, 4)
-            plan = mask_plan(env.config, z, 4, len(clean))
-            for tok_clean, tok_seen, masked in zip(clean, view, plan):
-                assert tok_seen == (env.tokens.mask if masked else tok_clean)
+        # with only PartialObs active, the seed's intensity and the per-token
+        # uniforms explain every token: MASK where the draw falls below the
+        # intensity, the clean value elsewhere
+        cfg = EnvConfig(family_intensities={"PartialObs": 0.4}, storm_fraction=0.5,
+                        storm_boost=1.5)
+        env = HazardChainEnv(cfg, task_count=12)
+        clean = clean_obs(env)
+        intensities = set()
+        for z in range(10):
+            (op,) = env.perturbation_ops(z)
+            assert op.family == "PartialObs"
+            intensities.add(op.intensity)
+            for t in range(3):
+                view = env.corrupt(clean, z, t)
+                for i, (tok_clean, tok_seen) in enumerate(zip(clean, view)):
+                    masked = seeds.unit_uniform(z, t, "PartialObs", i) < op.intensity
+                    assert tok_seen == (env.tokens.mask if masked else tok_clean)
+        assert len(intensities) == 2  # both calm and storm seeds were checked
 
     def test_views_share_latent_state(self):
         # two seeds corrupt the same underlying observation differently for
         # at least some (z, z') pairs
         env = make_env({"PartialObs": 0.5, "Injection": 0.5})
-        state, _ = env.reset(1, PerturbationSeed(0))
-        views = [env.paired_views(state, 100 + i, 200 + i, 0) for i in range(10)]
+        clean = clean_obs(env, 1)
+        views = [(env.corrupt(clean, 100 + i, 0), env.corrupt(clean, 200 + i, 0))
+                 for i in range(10)]
         assert any(a != b for a, b in views)
 
 
@@ -297,6 +321,7 @@ class TestMemos:
         for (z, t), out in seen_fwd.items():
             expected = obs
             for fam in FAMILY_ORDER:
-                inten = effective_intensity(forward.config, fam, z)
+                cfg = forward.config
+                inten = min(1.0, cfg.intensity(fam) * seed_severity(cfg, z))
                 expected = apply_perturbation(expected, PerturbationOp(fam, inten), z, t, tokens)
             assert out == expected

@@ -26,15 +26,15 @@ GOLDEN_CONFIG = (
 )
 
 GOLDEN_SHA256 = {
-    "summary.json": "54b3fc74b828c861a2f4ac466291fc0473471d37968310f633b95489ffb6c0a1",
+    "summary.json": "096ca55ebe263c00efcfac9a2614268e26ae062ea48814805b3254e4cb4e84a3",
     "metrics.csv": "83c144cf5a7a75d3916e963e23967d02b75f81b8856555662a67a2410ddb22ba",
-    "routing.rljson": "39fcca933b99f8cfe7c5af2ba52bb3580c03e1de1c3798e5c59c795d567bda9b",
-    "eval_entropy.rljson": "376aa850d3d66b9d99a2065a35ff7caea9241a191d98336969b67eb9b1e298ff",
-    "eval_heuristic.rljson": "1ba6ce0a2bae63940546f7f3c2bfaebf6331d8c9c879d1eee4e224f10338ae27",
-    "eval_llm.rljson": "626128c95ed41abfefcb1b1eb5f289588d32d3eb568966f566c64d0689180ab3",
-    "eval_oracle.rljson": "3c53048fd25edea19cc8ae9671a229d71406e211df6abc1f3166fcecc3fc8fd9",
-    "eval_r2v.rljson": "84dad2e67a82ae0f785e3d774b615abbfda55a13834007f5c459f060fda1a39c",
-    "eval_slm.rljson": "88b69f5e40d597208472b18a5c26c5219607276500d9e76563b0f05dfa63ec73",
+    "routing.rljson": "805f7ffa1b9493e7210f92fb6cdd712c51c401361f379fa541d916a78509b9f7",
+    "eval_entropy.rljson": "8fefce413862d403e8851ff93110b49df3e32fac7c7b07b9b0de8ca66e4f0ad0",
+    "eval_heuristic.rljson": "62d50cd5dec14de0e5da9b3fb64d295281b068e10bf3b4b608e8002a33f15187",
+    "eval_llm.rljson": "5dbd364e95d65bc3a849a969db73095a5fd620219f2427335dce62ee923ea89e",
+    "eval_oracle.rljson": "f62b3e0708af3436851cef9c50cddfcf0820699e705aeced908f18f28e2c9975",
+    "eval_r2v.rljson": "5c61fcdf60269103f191d825a7166883ed58678df013d802f7176e53bdeced43",
+    "eval_slm.rljson": "6eccd29f91bb357ac8d57778e2380611c353f10752c7eb20fcacc939121b23f3",
 }
 
 

@@ -132,14 +132,16 @@ class TestTeacherCollection:
         assert sum(1 for ep in pool if ep.kind == "pert") == 5 * 8
         assert sum(1 for ep in pool if ep.kind == "exp") == 8
 
-    def test_collection_byte_identical(self):
-        from steprouter.domain import serialize_episode
+    def test_collection_byte_identical(self, tmp_path):
+        from steprouter.domain import episode_to_dict, write_rljson
 
         env = make_env({"PartialObs": 0.4, "ToolFlaky": 0.2})
         teacher = TeacherPolicy(0.05)
-        a = collect_teacher_trajectories(env, teacher, range(4), 3)
-        b = collect_teacher_trajectories(env, teacher, range(4), 3)
-        assert [serialize_episode(x) for x in a] == [serialize_episode(x) for x in b]
+        paths = [tmp_path / "a.rljson", tmp_path / "b.rljson"]
+        for path in paths:
+            pool = collect_teacher_trajectories(env, teacher, range(4), 3)
+            write_rljson(path, [episode_to_dict(ep) for ep in pool])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_teacher_steps_are_llm(self):
         env = make_env()

@@ -17,12 +17,10 @@ from steprouter.router import (
     cvar,
     fit_temperature,
     fit_temperature_logits,
-    forward,
     gelu,
     logits_train,
     make_dropout_masks,
     route_surrogate,
-    seed_risk,
     select_threshold,
     sigmoid,
     sweep_threshold,
@@ -44,10 +42,19 @@ def example_batch(n=64, n_seeds=4, seed=0, p_fail=0.5):
     ]
 
 
+def seed_objective(net, examples, costs, alpha, want_grads=False):
+    """batch_objective over whole seeds with unit dropout masks."""
+    x = np.array([ex.features for ex in examples], dtype=float)
+    y = np.array([ex.label for ex in examples], dtype=float)
+    sid = np.array([ex.seed_id for ex in examples])
+    masks = tuple(np.ones((len(x), net.params[b].size)) for b in ("b1", "b2"))
+    return batch_objective(net, x, y, sid, int(sid.max()) + 1, costs,
+                           CVaRSpec(alpha=alpha), 1.0, masks, want_grads=want_grads)
+
+
 class TestForward:
-    def test_zero_net_gives_half(self):
-        net = RouterNet.zeros()
-        assert forward(net, np.zeros(15))[0] == pytest.approx(0.5, abs=1e-12)
+    def test_zero_net_gives_half(self, zero_router):
+        assert zero_router.predict(np.zeros(15))[0] == 0.5
 
     def test_large_temperature_flattens(self):
         net = RouterNet.init(seeds.stream("fw1"))
@@ -100,16 +107,15 @@ class TestForward:
             expected = 1.0 / (1.0 + math.exp(-logit / net.temperature))
             assert net.predict(x)[0] == pytest.approx(expected, abs=1e-6)
 
-    def test_rejects_non_finite(self):
-        net = RouterNet.zeros()
+    def test_rejects_non_finite(self, zero_router):
         bad = np.zeros(15)
         bad[3] = np.inf
         with pytest.raises(ValueError):
-            net.predict(bad)
+            zero_router.predict(bad)
 
     def test_parameter_count_scale(self):
         net = RouterNet.init(seeds.stream("fw9"))
-        assert 9_000 <= net.n_params <= 12_000
+        assert 9_000 <= sum(v.size for v in net.params.values()) <= 12_000
 
     def test_checkpoint_round_trip(self, tmp_path):
         net = RouterNet.init(seeds.stream("fw10"))
@@ -147,34 +153,39 @@ class TestLosses:
                               method="bounded")
         assert res.x == pytest.approx(y.mean(), abs=1e-6)
 
-    def test_seed_risk_hand_arithmetic(self):
-        net = RouterNet.zeros()  # predicts exactly 0.5
+    def test_seed_risk_hand_arithmetic(self, zero_router):
+        # the zero net predicts exactly 0.5 in train mode too
         examples = [
-            RoutingExample((0.0,) * 15, 1, seed_id=0, step_index=0),
-            RoutingExample((0.0,) * 15, 0, seed_id=0, step_index=1),
-            RoutingExample((0.0,) * 15, 0, seed_id=1, step_index=0),
+            RoutingExample((0.3,) * 15, 1, seed_id=0, step_index=0),
+            RoutingExample((0.1,) * 15, 0, seed_id=0, step_index=1),
+            RoutingExample((0.2,) * 15, 0, seed_id=1, step_index=0),
         ]
-        table = seed_risk(examples, net, CostSpec(1, 50, 98))
         # p = 0.5: base cost 0.5 + 25 = 25.5, plus kappa/2 when y = 1
-        assert table[0] == pytest.approx((25.5 + 49 + 25.5) / 2)
-        assert table[1] == pytest.approx(25.5)
+        seed0, seed1 = (25.5 + 49 + 25.5) / 2, 25.5
+        out = seed_objective(zero_router, examples, CostSpec(1, 50, 98), alpha=0.5)
+        assert out["cvar"] == pytest.approx(seed0)  # the worse of two seeds
+        assert out["mean_risk"] == pytest.approx((seed0 + seed1) / 2)
+        assert out["brier"] == pytest.approx(0.25)
+        assert "grads" not in out
 
-    def test_seed_risk_duplication_invariant(self):
-        net = RouterNet.zeros()
+    def test_seed_risk_duplication_invariant(self, zero_router):
         ex = RoutingExample((0.0,) * 15, 1, seed_id=0, step_index=0)
         other = RoutingExample((0.0,) * 15, 0, seed_id=1, step_index=0)
-        once = seed_risk([ex, other], net, CANONICAL)
-        thrice = seed_risk([ex, ex, ex, other], net, CANONICAL)
-        assert once[0] == pytest.approx(thrice[0])
+        once = seed_objective(zero_router, [ex, other], CANONICAL, alpha=0.5)
+        thrice = seed_objective(zero_router, [ex, ex, ex, other], CANONICAL, alpha=0.5)
+        assert once["cvar"] == pytest.approx(thrice["cvar"])
+        assert once["mean_risk"] == pytest.approx(thrice["mean_risk"])
 
 
 class TestCVaR:
     def test_definition_example(self):
-        assert cvar(list(range(1, 11)), 0.2) == pytest.approx(9.5)
+        value, tail = cvar(list(range(1, 11)), 0.2)
+        assert value == pytest.approx(9.5)
+        assert tail.tolist() == [9, 8]
 
     def test_alpha_one_is_mean(self):
         v = [3.0, 1.0, 7.0]
-        assert cvar(v, 1.0) == pytest.approx(np.mean(v))
+        assert cvar(v, 1.0)[0] == pytest.approx(np.mean(v))
 
     def test_matches_rockafellar_uryasev_oracle(self):
         # RU form: min_nu nu + mean((v - nu)+) / alpha, grid + refine
@@ -187,16 +198,21 @@ class TestCVaR:
 
         grid = np.linspace(v.min() - 1, v.max() + 1, 20001)
         coarse = min(ru(nu) for nu in grid)
-        assert cvar(v, alpha) == pytest.approx(coarse, abs=1e-6)
+        assert cvar(v, alpha)[0] == pytest.approx(coarse, abs=1e-6)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cvar([], 0.5)
 
+    def test_ties_go_to_lower_index(self):
+        value, tail = cvar([2.0, 5.0, 5.0, 1.0, 5.0], 0.4)
+        assert value == 5.0
+        assert tail.tolist() == [1, 2]
+
     def test_monotone_in_alpha(self):
         v = seeds.stream("cv-mono").normal(size=50)
         alphas = [0.1, 0.3, 0.6, 1.0]
-        vals = [cvar(v, a) for a in alphas]
+        vals = [cvar(v, a)[0] for a in alphas]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -323,9 +339,8 @@ class TestThresholds:
     def test_bayes_clamp_high(self):
         assert bayes_threshold(CostSpec(1, 50, 10)) == 1.0
 
-    def test_select_threshold_bayes_mode(self):
-        net = RouterNet.zeros()
-        assert select_threshold(net, None, None, CostSpec(1, 50, 98), "bayes") == 0.5
+    def test_select_threshold_bayes_mode(self, zero_router):
+        assert select_threshold(zero_router, None, None, CostSpec(1, 50, 98), "bayes") == 0.5
 
     def test_sweep_matches_bayes_on_calibrated_predictions(self):
         # planted-model consistency: p = q*, sweep lands near the Bayes cut
@@ -349,6 +364,16 @@ class TestThresholds:
         # every threshold above 0.5 gives identical (zero escalation) cost
         tau = sweep_threshold(p, y, CostSpec(1, 50, 98))
         assert tau == pytest.approx(0.51)
+
+    def test_sweep_below_direction_matches_grid_oracle(self):
+        # escalate_when_ge=False escalates where v < tau (the heuristic baseline)
+        rng = seeds.stream("sweep-dir")
+        v = rng.uniform(size=400)
+        y = (rng.random(400) < v).astype(float)
+        tau = sweep_threshold(v, y, CANONICAL, escalate_when_ge=False)
+        grid = np.arange(1, 100) / 100.0
+        costs = [np.mean(route_surrogate((v < t).astype(float), y, CANONICAL)) for t in grid]
+        assert tau == grid[int(np.argmin(costs))]
 
     def test_inclusive_comparison_at_tau_one(self):
         from steprouter.runtime import router_decision

@@ -10,7 +10,6 @@ from steprouter.policy import (
     collect_teacher_trajectories,
     train_bc,
 )
-from steprouter.router import RouterNet
 from steprouter.runtime import (
     RoutingPolicy,
     calibrate_entropy_threshold,
@@ -80,12 +79,11 @@ class TestRunEpisode:
         assert ep.llm_calls == len(ep.steps)
         assert all(s.executor == "LLM" for s in ep.steps)
 
-    def test_budget_trace_hand_checked(self, world):
+    def test_budget_trace_hand_checked(self, world, zero_router):
         # tau = 0: every step requests escalation; budget 3 gives exactly
         # three teacher steps then local execution
         env, teacher, slm, vspec = world
-        net = RouterNet.zeros()
-        routing = RoutingPolicy.r2v(net, tau_route=0.0, budget_limit=3)
+        routing = RoutingPolicy.r2v(zero_router, tau_route=0.0, budget_limit=3)
         ep = run_episode(env, 1, 123, slm, teacher, vspec, routing)
         assert ep.llm_calls == min(3, len(ep.steps))
         executors = [s.executor for s in ep.steps]
@@ -93,10 +91,9 @@ class TestRunEpisode:
         assert all(e == "SLM" for e in executors[3:])
         assert all(s.decision for s in ep.steps)  # decision fires even when gated
 
-    def test_budget_never_exceeded_randomized(self, world):
+    def test_budget_never_exceeded_randomized(self, world, zero_router):
         env, teacher, slm, vspec = world
         rng = seeds.stream("budget-fuzz")
-        net = RouterNet.zeros()
         for trial in range(60):
             budget = int(rng.integers(0, 5))
             variant = ["llm", "entropy", "heuristic", "r2v"][trial % 4]
@@ -107,7 +104,8 @@ class TestRunEpisode:
             elif variant == "heuristic":
                 routing = RoutingPolicy.heuristic_router(float(rng.random()), budget)
             else:
-                routing = RoutingPolicy.r2v(net, float(rng.random()), budget_limit=budget)
+                routing = RoutingPolicy.r2v(zero_router, float(rng.random()),
+                                            budget_limit=budget)
             ep = run_episode(env, int(rng.integers(6)), int(rng.integers(1000)),
                              slm, teacher, vspec, routing)
             assert ep.llm_calls <= budget
@@ -133,10 +131,9 @@ class TestRunEpisode:
             ep = run_episode(env, task, 55, slm, teacher, vspec, routing)
             assert ep.llm_calls == 0
 
-    def test_r2v_records_probability(self, world):
+    def test_r2v_records_probability(self, world, zero_router):
         env, teacher, slm, vspec = world
-        net = RouterNet.zeros()
-        ep = run_episode(env, 0, 3, slm, teacher, vspec, RoutingPolicy.r2v(net, 0.5))
+        ep = run_episode(env, 0, 3, slm, teacher, vspec, RoutingPolicy.r2v(zero_router, 0.5))
         assert all(s.router_prob is not None for s in ep.steps)
         assert all(s.features is not None and len(s.features) == 15 for s in ep.steps)
 

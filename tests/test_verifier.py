@@ -13,10 +13,8 @@ from steprouter.verifier import (
     BASE_OPTIMAL,
     PAIR_GAP,
     VerifierSpec,
-    best_of_k,
     jitter_width,
     pseudo_entropy,
-    score,
     score_candidates,
 )
 
@@ -31,6 +29,16 @@ def fixed_quality(vec):
     return lambda ctx: arr
 
 
+def score_one(spec, ctx, action, rng):
+    return float(score_candidates(spec, ctx, [action], rng)[0])
+
+
+def choose(spec, ctx, cands, rng):
+    """The rollout's local choice: verifier argmax over the K candidates."""
+    scores = score_candidates(spec, ctx, [a for a, _ in cands], rng)
+    return cands[int(np.argmax(scores))][0], scores
+
+
 class TestScore:
     def test_noiseless_optimal_clears_threshold(self):
         env, spec = env_and_spec(eta_v=0.0)
@@ -38,19 +46,19 @@ class TestScore:
         task = env.task_spec(0)
         state = env.replay(task, ctx.actions)
         opt = env.optimal_action(task, state)
-        s = score(spec, ctx, opt, seeds.stream("v0"))
+        s = score_one(spec, ctx, opt, seeds.stream("v0"))
         assert s >= spec.gamma_threshold
 
     def test_noiseless_hazard_below_threshold(self):
         env, spec = env_and_spec(eta_v=0.0)
         _, ctx = env.reset(0, PerturbationSeed(0))
-        s = score(spec, ctx, ACTION_HAZARD, seeds.stream("v1"))
+        s = score_one(spec, ctx, ACTION_HAZARD, seeds.stream("v1"))
         assert s < spec.gamma_threshold
 
     def test_scores_clipped_to_unit_interval(self):
         spec = VerifierSpec(quality=fixed_quality([0.99, 0.01]), eta_v=0.45)
         rng = seeds.stream("v2")
-        vals = [score(spec, None, a, rng) for a in (0, 1) for _ in range(500)]
+        vals = [score_one(spec, None, a, rng) for a in (0, 1) for _ in range(500)]
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_misrank_rate_bounded_at_eta(self):
@@ -63,8 +71,8 @@ class TestScore:
         n = 100_000
         mis = 0
         for _ in range(n):
-            good = score(spec, None, 0, rng)
-            bad = score(spec, None, 1, rng)
+            good = score_one(spec, None, 0, rng)
+            bad = score_one(spec, None, 1, rng)
             mis += bad >= good
         assert mis / n <= eta + 0.01
 
@@ -82,7 +90,7 @@ class TestScore:
         spec = VerifierSpec(quality=fixed_quality([0.6, 0.5, 0.4]), eta_v=0.2)
         batch = score_candidates(spec, None, [0, 1, 2, 0], seeds.stream("v4"))
         rng = seeds.stream("v4")
-        sequential = [score(spec, None, a, rng) for a in [0, 1, 2, 0]]
+        sequential = [score_one(spec, None, a, rng) for a in [0, 1, 2, 0]]
         assert batch.tolist() == sequential  # one vector draw == K scalar draws
 
 
@@ -90,14 +98,12 @@ class TestBestOfK:
     def test_single_candidate(self):
         env, spec = env_and_spec()
         _, ctx = env.reset(0, PerturbationSeed(0))
-        action, s, scores = best_of_k(spec, ctx, [(1, -0.1)], seeds.stream("b0"))
+        action, scores = choose(spec, ctx, [(1, -0.1)], seeds.stream("b0"))
         assert action == 1 and len(scores) == 1
 
     def test_tie_breaks_lowest_index(self):
         spec = VerifierSpec(quality=fixed_quality([0.5, 0.5, 0.5]), eta_v=0.0)
-        action, _, _ = best_of_k(
-            spec, None, [(2, -0.1), (0, -0.2), (1, -0.3)], seeds.stream("b1")
-        )
+        action, _ = choose(spec, None, [(2, -0.1), (0, -0.2), (1, -0.3)], seeds.stream("b1"))
         assert action == 2  # first in candidate order
 
     def test_noiseless_prefers_optimal(self):
@@ -106,7 +112,7 @@ class TestBestOfK:
         task = env.task_spec(1)
         opt = env.optimal_action(task, env.replay(task, ctx.actions))
         cands = [(a, -1.0) for a in range(env.config.action_count)]
-        action, _, _ = best_of_k(spec, ctx, cands, seeds.stream("b2"))
+        action, _ = choose(spec, ctx, cands, seeds.stream("b2"))
         assert action == opt
 
     def test_selection_bound_spot_cell(self):
@@ -119,7 +125,7 @@ class TestBestOfK:
         hits = 0
         for _ in range(trials):
             cands = [(0 if rng.random() < 0.5 else 1, -1.0) for _ in range(5)]
-            chosen, _, _ = best_of_k(spec, None, cands, rng)
+            chosen, _ = choose(spec, None, cands, rng)
             hits += chosen == 0
         emp = hits / trials
         bound = 1 - 0.5**5

@@ -4,8 +4,8 @@ Subcommands mirror the pipeline stage order; every stage reads one structured
 config file (JSON) with flag and environment overrides, and writes artifacts
 tagged with the config hash into the working directory.
 
-Exit codes: 0 success, 2 config error, 3 stage-order error, 4 theory-suite
-failure.
+Exit codes: 0 success, 2 config error, 3 missing or unreadable stage artifact
+(rerun the stage that produced it), 4 theory-suite failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline, theory
-from .domain import ConfigError, StageOrderError
+from .domain import ConfigError, RecordFormatError, StageOrderError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,6 +121,9 @@ def main(argv=None) -> int:
         out = STAGE_COMMANDS[args.command](cfg, workdir, args)
     except StageOrderError as exc:
         print(f"stage-order error: {exc}", file=sys.stderr)
+        return EXIT_STAGE_ORDER
+    except RecordFormatError as exc:
+        print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_STAGE_ORDER
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from .verifier import VerifierSpec, score_candidates
 
 SOURCE_VERIFIER = "VerifierRanked"
 SOURCE_TEACHER = "TeacherRecovered"
+CONS_PAIRS_PER_TASK = 4
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ def build_preferences(
     teacher: TeacherPolicy,
     env: HazardChainEnv,
     k: int = 5,
-    cons_pairs_per_task: int = 4,
 ):
     """Construct (preference pairs, consistency view pairs, counters) from the pool.
 
@@ -107,11 +107,11 @@ def build_preferences(
                     PreferencePair(ctx, recovered, actions[best], SOURCE_TEACHER)
                 )
                 counters["teacher_recovered"] += 1
-    views = build_consistency_views(pool, env, pairs_per_task=cons_pairs_per_task)
+    views = build_consistency_views(pool, env)
     return pairs, views, counters
 
 
-def build_consistency_views(pool, env: HazardChainEnv, pairs_per_task: int = 4):
+def build_consistency_views(pool, env: HazardChainEnv):
     """Paired contexts under different seeds for identical latent trajectories.
 
     Each pair replays the task's clean expert action sequence under two
@@ -133,7 +133,7 @@ def build_consistency_views(pool, env: HazardChainEnv, pairs_per_task: int = 4):
         actions = [s.chosen_action for s in clean_ep.steps]
         contexts = {z: _replay_contexts(env, task_id, actions, z) for z in zs}
         z_pairs = [(zs[i], zs[(i + 1) % len(zs)]) for i in range(len(zs))]
-        for z_a, z_b in z_pairs[:pairs_per_task]:
+        for z_a, z_b in z_pairs[:CONS_PAIRS_PER_TASK]:
             views.extend(zip(contexts[z_a], contexts[z_b]))
     return views
 
@@ -198,16 +198,16 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _batched_jsd(theta, bias, x_a, x_b, temperature):
-    p = _softmax_rows((x_a @ theta + bias) / temperature)
-    q = _softmax_rows((x_b @ theta + bias) / temperature)
+def _batched_jsd(theta, bias, x_a, x_b):
+    p = _softmax_rows(x_a @ theta + bias)
+    q = _softmax_rows(x_b @ theta + bias)
     m = 0.5 * (p + q)
     rows = 0.5 * np.sum(p * np.log(p / m), axis=1) + 0.5 * np.sum(q * np.log(q / m), axis=1)
     return rows, p, q, m
 
 
 def _objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
-                        beta, lambda_cons, cons_a, cons_b, temperature):
+                        beta, lambda_cons, cons_a, cons_b):
     """Combined DPO + consistency objective with its exact gradient."""
     g_theta = np.zeros_like(theta)
     g_bias = np.zeros_like(bias)
@@ -229,14 +229,14 @@ def _objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margi
 
     n_views = len(cons_a)
     if lambda_cons > 0.0 and n_views:
-        rows_jsd, p, q, m = _batched_jsd(theta, bias, cons_a, cons_b, temperature)
+        rows_jsd, p, q, m = _batched_jsd(theta, bias, cons_a, cons_b)
         total += lambda_cons * float(rows_jsd.mean())
         # dJSD/dP_a = 0.5 log(P_a / M_a); chain through both softmax heads
         gp = 0.5 * np.log(p / m)
         gq = 0.5 * np.log(q / m)
         dlogit_p = p * (gp - np.sum(gp * p, axis=1, keepdims=True))
         dlogit_q = q * (gq - np.sum(gq * q, axis=1, keepdims=True))
-        scale = lambda_cons / (n_views * temperature)
+        scale = lambda_cons / n_views
         g_theta += scale * (cons_a.T @ dlogit_p + cons_b.T @ dlogit_q)
         g_bias += scale * (dlogit_p.sum(axis=0) + dlogit_q.sum(axis=0))
 
@@ -273,7 +273,7 @@ def train_recovery(
     theta, bias = policy.theta, policy.bias
     loss, g_theta, g_bias = _objective_and_grad(
         theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
-        config.beta, config.lambda_cons, cons_a, cons_b, policy.temperature,
+        config.beta, config.lambda_cons, cons_a, cons_b,
     )
     trace = [loss]
     for _ in range(config.epochs):
@@ -284,7 +284,7 @@ def train_recovery(
             bias2 = bias - step * g_bias
             loss2, g_theta2, g_bias2 = _objective_and_grad(
                 theta2, bias2, ref, pair_x, plus_idx, minus_idx, ref_margin,
-                config.beta, config.lambda_cons, cons_a, cons_b, policy.temperature,
+                config.beta, config.lambda_cons, cons_a, cons_b,
             )
             if loss2 <= loss:
                 theta, bias = theta2, bias2

@@ -1,16 +1,22 @@
-"""Shared data model: configs, contexts, episodes, routing examples, splits.
+"""Shared data model: configs, contexts, episodes, routing examples, splits,
+and the one module that reads and writes artifact files.
 
 All containers are immutable value objects after construction and can be
 shared read-only across parallel workers. Episode and routing records
-serialize to line-delimited JSON ("rljson": one self-describing record per
-line) so datasets stream and diff cleanly.
+serialize to line-delimited JSON ("rljson": a header line, then one
+self-describing record per line) so datasets stream and diff cleanly.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -32,8 +38,11 @@ class RecordFormatError(ValueError):
     """Malformed serialized record; carries the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)  # a worker re-raises it from these args
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 @dataclass(frozen=True)
@@ -380,26 +389,156 @@ def routing_example_from_dict(d: dict) -> RoutingExample:
     )
 
 
-def write_rljson(path, records, header: dict | None = None) -> None:
-    """Write one JSON object per line; optional header record goes first."""
-    with open(path, "wb") as fh:
-        if header is not None:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+# --- artifact files ------------------------------------------------------------
+#
+# A write goes to a temp file beside the target and is renamed over it, so a
+# crash mid-write leaves the old file or none, never a torn one. Every reader
+# checks the layout before it trusts a byte.
+
+
+@contextmanager
+def _atomic_write(path):
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
+def _json_line(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True) + "\n").encode()
+
+
+def _parse(data: bytes, offset: int, path) -> dict:
+    try:
+        rec = json.loads(data)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise RecordFormatError(f"{path}: malformed record: {getattr(exc, 'msg', exc)}",
+                                offset + getattr(exc, "pos", 0)) from exc
+    if not isinstance(rec, dict):
+        raise RecordFormatError(f"{path}: record is not a JSON object", offset)
+    return rec
+
+
+class _Header(dict):
+    """A parsed artifact header; reading a field it lacks is a format error."""
+
+    def __init__(self, fields: dict, path):
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, key):
+        raise RecordFormatError(f"{self.path}: header lacks {key!r}")
+
+
+def read_header(path) -> dict:
+    """An artifact's header: the whole of a `.json` file, else its first line."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        data = fh.read() if path.suffix == ".json" else fh.readline()
+    return _Header(_parse(data, 0, path), path)
+
+
+def write_json(path, payload: dict) -> None:
+    with _atomic_write(path) as fh:
+        fh.write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+
+
+def write_csv(path, rows: list[dict], columns: list[str]) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([columns] + [[_csv_cell(r.get(k)) for k in columns] for r in rows])
+    with _atomic_write(path) as fh:
+        fh.write(buf.getvalue().encode())
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def write_rljson(path, records, header: dict) -> None:
+    """Header line (stamped with the record `count`), then one JSON object per
+    record."""
+    with _atomic_write(path) as fh:
+        fh.write(_json_line({**header, "count": len(records)}))
         for rec in records:
-            fh.write((json.dumps(rec, sort_keys=True) + "\n").encode())
+            fh.write(_json_line(rec))
 
 
 def read_rljson(path):
-    """Yield (byte_offset, dict) per line; malformed lines raise with offset."""
-    offset = 0
+    """Yield (byte_offset, dict) per record; the header line is not yielded.
+
+    A malformed line raises RecordFormatError at its offset, and so does a
+    record count that differs from the header's `count`.
+    """
     with open(path, "rb") as fh:
+        first = fh.readline()
+        count = _parse(first, 0, path).get("count")
+        offset, seen = len(first), 0
         for raw in fh:
             line = raw.rstrip(b"\n")
             if line:
-                try:
-                    yield offset, json.loads(line.decode("utf-8"))
-                except json.JSONDecodeError as exc:
-                    raise RecordFormatError(
-                        f"malformed record: {exc.msg}", offset=offset + exc.pos
-                    ) from exc
+                yield offset, _parse(line, offset, path)
+                seen += 1
             offset += len(raw)
+    if seen != count:
+        raise RecordFormatError(f"{path}: header count is {count!r}, file holds {seen} records",
+                                offset)
+
+
+def decode_records(path, decode) -> list:
+    """`decode` applied to every record of an rljson file; a record it
+    rejects raises RecordFormatError at that record's offset."""
+    out = []
+    for offset, rec in read_rljson(path):
+        try:
+            out.append(decode(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RecordFormatError(f"{path}: invalid record: {exc!r}", offset) from exc
+    return out
+
+
+def write_arrays(path, header: dict, arrays: dict) -> None:
+    """Checkpoint: a JSON header line naming each array's shape, then the
+    arrays as little-endian float64 bytes in name order."""
+    names = sorted(arrays)
+    with _atomic_write(path) as fh:
+        fh.write(_json_line({**header, "arrays": {k: list(np.shape(arrays[k])) for k in names}}))
+        for k in names:
+            fh.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
+
+
+def read_arrays(path, schema: str, names) -> tuple[dict, dict]:
+    """(header, name -> array) of a `write_arrays` checkpoint.
+
+    The schema tag, the array names and shapes and the exact body length are
+    checked before any body byte is interpreted.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        body = fh.read()
+    header = _Header(_parse(first, 0, path), path)
+    if header.get("schema") != schema:
+        raise RecordFormatError(f"{path}: not a {schema} checkpoint")
+    shapes = header.get("arrays")
+    if (not isinstance(shapes, dict) or sorted(shapes) != sorted(names) or not all(
+            isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
+            for s in shapes.values())):
+        raise RecordFormatError(f"{path}: header does not describe arrays {sorted(names)}")
+    size = 8 * sum(math.prod(s) for s in shapes.values())
+    if len(body) != size:
+        raise RecordFormatError(f"{path}: body holds {len(body)} bytes, header promises {size}",
+                                len(first) + min(len(body), size))
+    arrays, pos = {}, 0
+    for k in sorted(shapes):
+        n = math.prod(shapes[k])
+        arrays[k] = np.frombuffer(body, dtype="<f8", count=n, offset=pos).reshape(shapes[k]).copy()
+        pos += 8 * n
+    return header, arrays

@@ -9,7 +9,6 @@ out-of-order invocation fails loudly and hash drift across stages warns.
 from __future__ import annotations
 
 import copy
-import csv
 import dataclasses
 import hashlib
 import json
@@ -26,14 +25,16 @@ from .domain import (
     CostSpec,
     CVaRSpec,
     EnvConfig,
-    RecordFormatError,
     StageOrderError,
+    decode_records,
     derive_splits,
     episode_from_dict,
     episode_to_dict,
-    read_rljson,
+    read_header,
     routing_example_from_dict,
     routing_example_to_dict,
+    write_csv,
+    write_json,
     write_rljson,
     _context_from_dict,
     _context_to_dict,
@@ -364,37 +365,6 @@ def require_stage(workdir: Path, stage: str, cfg_hash: str) -> Path:
     return path
 
 
-def read_header(path: Path) -> dict:
-    path = Path(path)
-    if path.suffix == ".json":
-        with open(path) as fh:
-            return json.load(fh)
-    with open(path, "rb") as fh:
-        return json.loads(fh.readline().decode())
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in columns})
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
-
-
 # --- stages ----------------------------------------------------------------------
 
 
@@ -405,17 +375,9 @@ def stage_gen_tasks(cfg: dict, workdir: Path) -> Path:
         fractions=tuple(cfg["split"]["fractions"]),
         seed=cfg["split"]["seed"],
     )
-    tasks = []
-    for task_id in range(env.task_count):
-        spec = env.task_spec(task_id)
-        tasks.append(
-            {
-                "id": task_id,
-                "start": spec.start,
-                "subgoals": list(spec.subgoals),
-                "terminal": spec.terminal,
-            }
-        )
+    specs = [env.task_spec(t) for t in range(env.task_count)]
+    tasks = [{"id": t, "start": s.start, "subgoals": list(s.subgoals), "terminal": s.terminal}
+             for t, s in enumerate(specs)]
     split_payload = {
         "train": list(split.train),
         "valid": list(split.valid),
@@ -429,8 +391,8 @@ def stage_gen_tasks(cfg: dict, workdir: Path) -> Path:
         "split": split_payload,
     }
     out = artifact_path(workdir, "gen-tasks")
-    _write_json(out, payload)
-    _write_json(
+    write_json(out, payload)
+    write_json(
         Path(workdir) / "split.json",
         {
             "schema": "split@1",
@@ -444,9 +406,7 @@ def stage_gen_tasks(cfg: dict, workdir: Path) -> Path:
 
 
 def load_split(cfg: dict, workdir: Path) -> dict:
-    path = require_stage(workdir, "gen-tasks", config_hash(cfg))
-    with open(path) as fh:
-        return json.load(fh)["split"]
+    return read_header(require_stage(workdir, "gen-tasks", config_hash(cfg)))["split"]
 
 
 def _collect_job(args):
@@ -473,25 +433,13 @@ def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     results = _parallel_map(_collect_job, [(cfg, chunk) for chunk in chunks], workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect")
-    write_rljson(
-        out,
-        records,
-        header={"schema": "episodes@1", "stage": "collect",
-                "config_hash": config_hash(cfg), "count": len(records)},
-    )
+    write_rljson(out, records, {"schema": "episodes@1", "stage": "collect",
+                                "config_hash": config_hash(cfg)})
     return out
 
 
 def load_episodes(path: Path):
-    episodes = []
-    for offset, rec in read_rljson(path):
-        if "stage" in rec and "schema" in rec and "steps" not in rec:
-            continue  # header record
-        try:
-            episodes.append(episode_from_dict(rec))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RecordFormatError(f"invalid episode record: {exc!r}", offset) from exc
-    return episodes
+    return decode_records(path, episode_from_dict)
 
 
 def stage_train_bc(cfg: dict, workdir: Path) -> Path:
@@ -539,33 +487,24 @@ def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
         for a, b in views
     ]
     out = artifact_path(workdir, "build-pairs")
-    write_rljson(
-        out,
-        records,
-        header={"schema": "pairs@1", "stage": "build-pairs", "config_hash": h,
-                "counters": counters},
-    )
+    write_rljson(out, records, {"schema": "pairs@1", "stage": "build-pairs",
+                                "config_hash": h, "counters": counters})
     return out
 
 
+def _pair_from_dict(rec: dict):
+    if rec["kind"] == "pair":
+        return PreferencePair(_context_from_dict(rec["context"]), int(rec["a_plus"]),
+                              int(rec["a_minus"]), rec["source"])
+    if rec["kind"] == "cons":
+        return _context_from_dict(rec["context_a"]), _context_from_dict(rec["context_b"])
+    raise ValueError(f"unknown pair record kind {rec['kind']!r}")
+
+
 def load_pairs(path: Path):
-    pairs, views = [], []
-    for _, rec in read_rljson(path):
-        kind = rec.get("kind")
-        if kind == "pair":
-            pairs.append(
-                PreferencePair(
-                    context=_context_from_dict(rec["context"]),
-                    a_plus=int(rec["a_plus"]),
-                    a_minus=int(rec["a_minus"]),
-                    source=rec["source"],
-                )
-            )
-        elif kind == "cons":
-            views.append(
-                (_context_from_dict(rec["context_a"]), _context_from_dict(rec["context_b"]))
-            )
-    return pairs, views
+    records = decode_records(path, _pair_from_dict)
+    return ([r for r in records if isinstance(r, PreferencePair)],
+            [r for r in records if isinstance(r, tuple)])
 
 
 def stage_distill(cfg: dict, workdir: Path) -> Path:
@@ -581,7 +520,7 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
     )
     out = artifact_path(workdir, "distill")
     distilled.save(out, extra={"config_hash": h, "reference_hash": report["reference_hash"]})
-    _write_json(
+    write_json(
         Path(workdir) / "distill_report.json",
         {
             "schema": "distill-report@1",
@@ -630,35 +569,24 @@ def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect-routing")
-    write_rljson(
-        out,
-        records,
-        header={"schema": "routing@1", "stage": "collect-routing",
-                "config_hash": h, "count": len(records)},
-    )
+    write_rljson(out, records, {"schema": "routing@1", "stage": "collect-routing",
+                                "config_hash": h})
     return out
 
 
 def load_routing_examples(path: Path):
-    examples = []
-    for _, rec in read_rljson(path):
-        if "stage" in rec and "features" not in rec:
-            continue
-        examples.append(routing_example_from_dict(rec))
-    return examples
+    return decode_records(path, routing_example_from_dict)
 
 
 def stage_train_router(cfg: dict, workdir: Path,
                        alpha: float | None = None, epsilon: float | None = None,
-                       train_seed: int | None = None,
                        out_name: str | None = None) -> Path:
     h = config_hash(cfg)
     examples = load_routing_examples(require_stage(workdir, "collect-routing", h))
     train_examples = [ex for ex in examples if ex.split == "train"]
     valid_examples = [ex for ex in examples if ex.split == "valid"] or train_examples
     spec = make_train_spec(cfg, alpha=alpha, epsilon=epsilon)
-    seed = cfg["router"]["train_seed"] if train_seed is None else train_seed
-    seed = seed + 1000 * cfg["runtime"]["harness_salt"]
+    seed = cfg["router"]["train_seed"] + 1000 * cfg["runtime"]["harness_salt"]
     net, report = train_router(train_examples, spec, seed=seed)
 
     x_val = np.array([ex.features for ex in valid_examples], dtype=float)
@@ -682,7 +610,7 @@ def stage_train_router(cfg: dict, workdir: Path,
         },
     )
     if out_name is None:
-        _write_csv(
+        write_csv(
             Path(workdir) / "router_report.csv",
             report,
             ["epoch", "mean_risk", "cvar", "brier", "lam"],
@@ -769,12 +697,8 @@ def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1,
             by_key[(rec["task_id"], rec["z"])] = rec
     records = [by_key[key] for key in grid]
     out = Path(workdir) / (out_name or f"eval_{variant}.rljson")
-    write_rljson(
-        out,
-        records,
-        header={"schema": "episodes@1", "stage": "rollout", "variant": variant,
-                "config_hash": h, "count": len(records)},
-    )
+    write_rljson(out, records, {"schema": "episodes@1", "stage": "rollout",
+                                "variant": variant, "config_hash": h})
     return out
 
 
@@ -806,35 +730,19 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
 
     columns = ["variant", "success_rate", "llm_rate", "ci_low", "ci_high",
                "ece", "brier", "auroc", "n_episodes", "n_steps"]
-    _write_csv(workdir / "metrics.csv", rows, columns)
-    _write_csv(
-        workdir / "pareto.csv",
-        [
-            {
-                "variant": r["variant"],
-                "llm_rate": r["llm_rate"],
-                "success_rate": r["success_rate"],
-                "ci_low": r["ci_low"],
-                "ci_high": r["ci_high"],
-            }
-            for r in rows
-        ],
-        ["variant", "llm_rate", "success_rate", "ci_low", "ci_high"],
-    )
+    write_csv(workdir / "metrics.csv", rows, columns)
+    write_csv(workdir / "pareto.csv", rows,
+              ["variant", "llm_rate", "success_rate", "ci_low", "ci_high"])
     router_header = read_header(workdir / ARTIFACTS["train-router"])
     summary = {
         "schema": "summary@1",
         "config_hash": h,
         "variants": summary_variants,
-        "thresholds": {
-            "tau_route": router_header.get("tau_route"),
-            "tau_h": router_header.get("tau_h"),
-            "theta_v": router_header.get("theta_v"),
-            "temperature": router_header.get("temperature"),
-        },
+        "thresholds": {k: router_header[k]
+                       for k in ("tau_route", "tau_h", "theta_v", "temperature")},
     }
     out = workdir / "summary.json"
-    _write_json(out, summary)
+    write_json(out, summary)
     return out
 
 
@@ -857,7 +765,7 @@ def stage_ablate(cfg: dict, workdir: Path, kind: str, workers: int = 1) -> Path:
     columns = columns_lead + ["success_rate", "llm_rate", "ci_low", "ci_high",
                               "ece", "brier", "auroc", "n_episodes", "n_steps"]
     out = workdir / f"ablate_{kind}.csv"
-    _write_csv(out, rows, columns)
+    write_csv(out, rows, columns)
     return out
 
 

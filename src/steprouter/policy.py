@@ -11,16 +11,23 @@ makes the per-epoch training loss non-increasing by construction.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import seeds
-from .domain import Context, PerturbedEpisode, PerturbationSeed, StepRecord
+from .domain import (
+    Context,
+    PerturbedEpisode,
+    PerturbationSeed,
+    RecordFormatError,
+    StepRecord,
+    read_arrays,
+    write_arrays,
+)
 from .env import MAX_SUBGOALS, HazardChainEnv
 
-POLICY_SCHEMA = "policy@1"
+POLICY_SCHEMA = "policy@2"  # @1 stored theta then bias with no array shapes
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,11 @@ def draw_candidates(logp: np.ndarray, probs: np.ndarray, k: int,
 
 @dataclass
 class SoftmaxPolicy:
-    """pi(a|x) = softmax(theta^T phi(x) / temperature); stage tags provenance."""
+    """pi(a|x) = softmax(theta^T phi(x) + bias); stage tags provenance."""
 
     theta: np.ndarray
     bias: np.ndarray
     featurizer: PolicyFeaturizer
-    temperature: float = 1.0
     stage: str = "init"
 
     @classmethod
@@ -110,7 +116,7 @@ class SoftmaxPolicy:
         return self.featurizer(ctx) @ self.theta + self.bias
 
     def log_distribution(self, ctx: Context) -> np.ndarray:
-        z = self.logits(ctx) / self.temperature
+        z = self.logits(ctx)
         z = z - z.max()
         return z - np.log(np.exp(z).sum())
 
@@ -130,7 +136,6 @@ class SoftmaxPolicy:
             theta=self.theta.copy(),
             bias=self.bias.copy(),
             featurizer=self.featurizer,
-            temperature=self.temperature,
             stage=self.stage if stage is None else stage,
         )
 
@@ -141,49 +146,18 @@ class SoftmaxPolicy:
         bias.setflags(write=False)
         return FrozenReference(theta=theta, bias=bias, param_hash=self.param_hash())
 
-    # checkpoint: one JSON header line + raw float64 parameter bytes
     def save(self, path, extra: dict | None = None) -> None:
-        flat = np.concatenate([self.theta.ravel(), self.bias.ravel()])
-        header = {
-            "schema": POLICY_SCHEMA,
-            "feature_dim": self.featurizer.dim,
-            "action_count": self.featurizer.action_count,
-            "vocab_size": self.featurizer.vocab_size,
-            "horizon": self.featurizer.horizon,
-            "prog_base": self.featurizer.prog_base,
-            "temperature": self.temperature,
-            "stage": self.stage,
-            "hash": self.param_hash(),
-        }
-        if extra:
-            header.update(extra)
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-            fh.write(flat.astype("<f8").tobytes())
+        header = {"schema": POLICY_SCHEMA, "stage": self.stage, "hash": self.param_hash(),
+                  **asdict(self.featurizer), **(extra or {})}
+        write_arrays(path, header, {"theta": self.theta, "bias": self.bias})
 
     @classmethod
     def load(cls, path) -> "SoftmaxPolicy":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            if header.get("schema") != POLICY_SCHEMA:
-                raise ValueError(f"not a policy checkpoint: {path}")
-            flat = np.frombuffer(fh.read(), dtype="<f8")
-        featurizer = PolicyFeaturizer(
-            vocab_size=header["vocab_size"],
-            action_count=header["action_count"],
-            horizon=header["horizon"],
-            prog_base=header["prog_base"],
-        )
-        dim, a = header["feature_dim"], header["action_count"]
-        policy = cls(
-            theta=flat[: dim * a].reshape(dim, a).copy(),
-            bias=flat[dim * a :].copy(),
-            featurizer=featurizer,
-            temperature=header["temperature"],
-            stage=header["stage"],
-        )
+        header, arrays = read_arrays(path, POLICY_SCHEMA, ("bias", "theta"))
+        featurizer = PolicyFeaturizer(**{f.name: header[f.name] for f in fields(PolicyFeaturizer)})
+        policy = cls(arrays["theta"], arrays["bias"], featurizer, stage=header["stage"])
         if policy.param_hash() != header["hash"]:
-            raise ValueError("policy checkpoint hash mismatch")
+            raise RecordFormatError(f"{path}: parameter hash mismatch")
         return policy
 
 
@@ -300,7 +274,6 @@ def train_bc(
     featurizer: PolicyFeaturizer,
     epochs: int = 80,
     lr: float = 4.0,
-    tol: float = 0.0,
 ) -> tuple[SoftmaxPolicy, list[float]]:
     """Full-batch descent on the success-only subset; loss never increases.
 
@@ -330,8 +303,5 @@ def train_bc(
             step /= 2.0
         trace.append(loss)
         if not accepted:
-            break
-        grad_norm = np.sqrt((g_theta**2).sum() + (g_bias**2).sum())
-        if grad_norm < tol:
             break
     return SoftmaxPolicy(theta, bias, featurizer, stage="bc"), trace

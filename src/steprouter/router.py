@@ -16,7 +16,6 @@ through the selected tail seeds.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,13 +24,15 @@ import numpy as np
 from scipy.special import erf
 
 from . import seeds
-from .domain import CostSpec, CVaRSpec
+from .domain import CostSpec, CVaRSpec, read_arrays, write_arrays
 from .evaluation import ece
 
 ROUTER_SCHEMA = "router@1"
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 _PARAM_NAMES = ("w1", "b1", "g1", "be1", "w2", "b2", "g2", "be2", "w3", "b3")
+_STAT_NAMES = ("run_mean1", "run_var1", "run_mean2", "run_var2")
 
 
 def gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,44 +112,22 @@ class RouterNet:
         return sigmoid(self.logits_eval(x) / self.temperature)
 
     def save(self, path, extra: dict | None = None) -> None:
-        arrays = dict(self.params)
-        arrays.update(
-            run_mean1=self.run_mean1, run_var1=self.run_var1,
-            run_mean2=self.run_mean2, run_var2=self.run_var2,
-        )
-        order = sorted(arrays)
         header = {
             "schema": ROUTER_SCHEMA,
             "temperature": self.temperature,
             "tau_route": self.tau_route,
             "dropout": self.dropout,
-            "arrays": {k: list(arrays[k].shape) for k in order},
+            **(extra or {}),
         }
-        if extra:
-            header.update(extra)
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-            for k in order:
-                fh.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
+        stats = {k: getattr(self, k) for k in _STAT_NAMES}
+        write_arrays(path, header, {**self.params, **stats})
 
     @classmethod
     def load(cls, path) -> tuple["RouterNet", dict]:
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            if header.get("schema") != ROUTER_SCHEMA:
-                raise ValueError(f"not a router checkpoint: {path}")
-            blob = np.frombuffer(fh.read(), dtype="<f8")
-        arrays = {}
-        pos = 0
-        for k in sorted(header["arrays"]):
-            shape = tuple(header["arrays"][k])
-            n = int(np.prod(shape)) if shape else 1
-            arrays[k] = blob[pos : pos + n].reshape(shape).copy()
-            pos += n
+        header, arrays = read_arrays(path, ROUTER_SCHEMA, _PARAM_NAMES + _STAT_NAMES)
         net = cls(
             params={k: arrays[k] for k in _PARAM_NAMES},
-            run_mean1=arrays["run_mean1"], run_var1=arrays["run_var1"],
-            run_mean2=arrays["run_mean2"], run_var2=arrays["run_var2"],
+            **{k: arrays[k] for k in _STAT_NAMES},
             temperature=header["temperature"],
             tau_route=header["tau_route"],
             dropout=header["dropout"],
@@ -232,11 +211,12 @@ def backward(net: RouterNet, cache: dict, dlogit: np.ndarray) -> dict[str, np.nd
     return grads
 
 
-def update_running_stats(net: RouterNet, cache: dict, momentum: float = 0.1) -> None:
-    net.run_mean1 = (1 - momentum) * net.run_mean1 + momentum * cache["mu1"]
-    net.run_var1 = (1 - momentum) * net.run_var1 + momentum * cache["var1"]
-    net.run_mean2 = (1 - momentum) * net.run_mean2 + momentum * cache["mu2"]
-    net.run_var2 = (1 - momentum) * net.run_var2 + momentum * cache["var2"]
+def update_running_stats(net: RouterNet, cache: dict) -> None:
+    m = BN_MOMENTUM
+    net.run_mean1 = (1 - m) * net.run_mean1 + m * cache["mu1"]
+    net.run_var1 = (1 - m) * net.run_var1 + m * cache["var1"]
+    net.run_mean2 = (1 - m) * net.run_mean2 + m * cache["mu2"]
+    net.run_var2 = (1 - m) * net.run_var2 + m * cache["var2"]
 
 
 # --- losses -------------------------------------------------------------------
@@ -291,7 +271,6 @@ class TrainSpec:
     epochs: int = 20
     batch_steps: int = 4096
     dropout: float = 0.2
-    bn_momentum: float = 0.1
 
 
 class _Adam:
@@ -418,7 +397,7 @@ def train_router(
             for k, d in directions.items():
                 net.params[k] *= 1.0 - lr_t * spec.weight_decay
                 net.params[k] -= lr_t * d
-            update_running_stats(net, out["cache"], spec.bn_momentum)
+            update_running_stats(net, out["cache"])
             # dual: Adam ascent on log(lambda) with the constraint violation
             g = out["cvar"] - spec.cvar.epsilon
             log_lam += spec.dual_lr * dual.step({"u": np.asarray(g)})["u"]

@@ -131,7 +131,6 @@ def run_episode(
     vspec: VerifierSpec,
     routing: RoutingPolicy,
     k: int = 5,
-    limits: FeatureLimits | None = None,
     salt: int | str = 0,
 ) -> PerturbedEpisode:
     """One routed rollout; a pure function of (config, task, z, salt).
@@ -143,7 +142,7 @@ def run_episode(
     seed's corruption ops come from the env's memos, so a step does no work
     that is constant within the run.
     """
-    limits = limits or feature_limits(env)
+    limits = feature_limits(env)
     seed = PerturbationSeed(z)
     base = env.config.rng_seed
     rng_cand = seeds.stream(base, "cand", task_id, z, salt)

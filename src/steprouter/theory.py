@@ -452,14 +452,12 @@ def distill_gradient_error(n_points: int = 20, seed: int = 12) -> float:
         theta = rng.normal(size=(dim, n_act))
         bias = rng.normal(size=n_act)
         _, g_theta, g_bias = _objective_and_grad(
-            theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam,
-            cons_a, cons_b, 1.0,
+            theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
         )
 
         def loss():
             return _objective_and_grad(
-                theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam,
-                cons_a, cons_b, 1.0,
+                theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
             )[0]
 
         coords = [((i, j), g_theta[i, j]) for i in range(dim) for j in range(n_act)]

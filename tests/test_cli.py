@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -136,6 +137,85 @@ class TestStageOrder:
         assert rc == EXIT_STAGE_ORDER
 
 
+def _half_the_lines(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[: len(lines) // 2])
+
+
+def _cut_mid_line(data: bytes) -> bytes:
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    return data[: last + (len(data) - last) // 2]
+
+
+def _edit_record(pick, edit):
+    """Rewrite the first record (after the header line) that `pick` selects."""
+    def corrupt(data: bytes) -> bytes:
+        lines = data.splitlines(keepends=True)
+        for i, line in enumerate(lines[1:], start=1):
+            rec = json.loads(line)
+            if pick(rec):
+                edit(rec)
+                lines[i] = (json.dumps(rec, sort_keys=True) + "\n").encode()
+                return b"".join(lines)
+        raise AssertionError("no record to corrupt")
+    return corrupt
+
+
+def _is_pair(rec):
+    return rec.get("kind") == "pair"
+
+
+def _drop_header_field(key):
+    def corrupt(data: bytes) -> bytes:
+        first, rest = data.split(b"\n", 1)
+        header = json.loads(first)
+        del header[key]
+        return json.dumps(header, sort_keys=True).encode() + b"\n" + rest
+    return corrupt
+
+
+R2V = ("rollout", "--variant", "r2v")
+
+# (artifact, corruption, command that reads it): a torn, padded or malformed
+# artifact must stop the command with exit 3 and one line, never run on
+BAD_ARTIFACTS = {
+    "router-short-8": ("router.bin", lambda b: b[:-8], R2V),
+    "router-padded-16": ("router.bin", lambda b: b + bytes(16), R2V),
+    "router-padded-3": ("router.bin", lambda b: b + bytes(3), R2V),
+    "policy-short-8": ("policy_distilled.bin", lambda b: b[:-8], ("collect-routing",)),
+    "episodes-half-lines": ("episodes.rljson", _half_the_lines, ("train-bc",)),
+    "routing-half-lines": ("routing.rljson", _half_the_lines, ("train-router",)),
+    "episodes-cut-mid-line": ("episodes.rljson", _cut_mid_line, ("train-bc",)),
+    "tasks-cut-in-half": ("tasks.json", lambda b: b[: len(b) // 2], ("collect",)),
+    "routing-no-label": ("routing.rljson",
+                         _edit_record(lambda rec: True, lambda rec: rec.pop("label")),
+                         ("train-router",)),
+    "pair-no-a_plus": ("pairs.rljson", _edit_record(_is_pair, lambda rec: rec.pop("a_plus")),
+                       ("distill",)),
+    "pair-unknown-kind": ("pairs.rljson",
+                          _edit_record(_is_pair, lambda rec: rec.update(kind="pari")),
+                          ("distill",)),
+    "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
+                               ("rollout", "--variant", "entropy")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
+def test_bad_artifact_exits_3(finished_run, tmp_path, capsys, case):
+    name, corrupt, command = BAD_ARTIFACTS[case]
+    wd = tmp_path / "run"
+    shutil.copytree(finished_run, wd)
+    path = wd / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    capsys.readouterr()
+    rc = main([*command, "--workdir", str(wd), "--workers", "1",
+               *[f"--set={o}" for o in TINY]])
+    err = capsys.readouterr().err
+    assert rc == EXIT_STAGE_ORDER
+    assert len(err.splitlines()) == 1 and err.startswith(f"artifact error: {path}: ")
+    assert "Traceback" not in err
+
+
 class TestPipelineArtifacts:
     def test_evaluate_emits_all_variants(self, finished_run):
         summary = json.loads((finished_run / "summary.json").read_text())
@@ -144,6 +224,7 @@ class TestPipelineArtifacts:
         assert (finished_run / "metrics.csv").exists()
         assert (finished_run / "pareto.csv").exists()
         assert (finished_run / "router_report.csv").exists()
+        assert not list(finished_run.glob(".*.tmp"))
 
     def test_metrics_csv_has_rows(self, finished_run):
         lines = (finished_run / "metrics.csv").read_text().strip().splitlines()

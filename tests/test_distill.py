@@ -62,7 +62,7 @@ def objective(policy, ref, pairs, views, beta=1.0, lambda_cons=0.0):
     cons_b = feat.matrix([b for _, b in views])
     loss, _, _ = _objective_and_grad(
         policy.theta, policy.bias, ref, pair_x, plus, minus, ref_margin, beta,
-        lambda_cons, cons_a, cons_b, policy.temperature,
+        lambda_cons, cons_a, cons_b,
     )
     return loss
 

@@ -95,10 +95,21 @@ class TestSplits:
         assert all_ids == list(range(23))
 
 
+HEADER = {"schema": "episodes@1", "stage": "test"}
+
+
+def line_start(data: bytes, n: int) -> int:
+    """Byte offset of line n (0 = the header line)."""
+    offset = 0
+    for _ in range(n):
+        offset = data.index(b"\n", offset) + 1
+    return offset
+
+
 def round_trip(episodes, path):
     """Episodes through the artifact path: to_dict, write_rljson, read_rljson,
     from_dict."""
-    write_rljson(path, [episode_to_dict(ep) for ep in episodes])
+    write_rljson(path, [episode_to_dict(ep) for ep in episodes], HEADER)
     return [episode_from_dict(rec) for _, rec in read_rljson(path)]
 
 
@@ -110,8 +121,8 @@ class TestSerialization:
     def test_round_trip_bit_exact_floats(self, tmp_path):
         eps = [make_episode(), make_episode(n_steps=5, success=False, llm_steps=())]
         first, second = tmp_path / "a.rljson", tmp_path / "b.rljson"
-        write_rljson(first, [episode_to_dict(ep) for ep in eps])
-        write_rljson(second, [episode_to_dict(ep) for ep in round_trip(eps, first)])
+        write_rljson(first, [episode_to_dict(ep) for ep in eps], HEADER)
+        write_rljson(second, [episode_to_dict(ep) for ep in round_trip(eps, first)], HEADER)
         assert second.read_bytes() == first.read_bytes()
 
     def test_empty_steps_round_trip(self, tmp_path):
@@ -122,9 +133,9 @@ class TestSerialization:
 
     def test_truncated_stream_errors_with_offset(self, tmp_path):
         path = tmp_path / "eps.rljson"
-        write_rljson(path, [episode_to_dict(make_episode())] * 2)
+        write_rljson(path, [episode_to_dict(make_episode())] * 2, HEADER)
         data = path.read_bytes()
-        second = data.index(b"\n") + 1
+        second = line_start(data, 2)
         path.write_bytes(data[: second + (len(data) - second) // 2])
         with pytest.raises(RecordFormatError) as err:
             load_episodes(path)
@@ -133,24 +144,42 @@ class TestSerialization:
     def test_garbage_is_rejected(self, tmp_path):
         path = tmp_path / "eps.rljson"
         write_rljson(path, [episode_to_dict(make_episode()),
-                            {"schema": "episode@1", "task_id": 1}])
+                            {"schema": "episode@1", "task_id": 1}], HEADER)
         with pytest.raises(RecordFormatError) as err:
             load_episodes(path)
-        assert err.value.offset == path.read_bytes().index(b"\n") + 1
+        assert err.value.offset == line_start(path.read_bytes(), 2)
         with pytest.raises(RecordFormatError):
             episode_from_dict({**episode_to_dict(make_episode()), "schema": "other@1"})
 
     def test_rljson_stream_reports_byte_offset(self, tmp_path):
         path = tmp_path / "records.rljson"
-        write_rljson(path, [{"a": 1}, {"b": 2}])
+        write_rljson(path, [{"a": 1}, {"b": 2}], HEADER)
         good = list(read_rljson(path))
         assert [rec for _, rec in good] == [{"a": 1}, {"b": 2}]
-        assert good[1][0] == len(b'{"a": 1}\n')
+        assert good[1][0] == line_start(path.read_bytes(), 1) + len(b'{"a": 1}\n')
         with open(path, "ab") as fh:
             fh.write(b'{"broken": \n')
         with pytest.raises(RecordFormatError) as err:
             list(read_rljson(path))
         assert err.value.offset >= good[1][0]
+
+    def test_header_count_checked(self, tmp_path):
+        path = tmp_path / "records.rljson"
+        write_rljson(path, [{"a": 1}, {"b": 2}], HEADER)
+        data = path.read_bytes()
+        assert data.startswith(b'{"count": 2, ')
+        path.write_bytes(data[: line_start(data, 2)])
+        with pytest.raises(RecordFormatError, match="header count is 2, file holds 1"):
+            list(read_rljson(path))
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "records.rljson"
+        write_rljson(path, [{"a": 1}], HEADER)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_rljson(path, [{"a": 2}, {"b": object()}, {"c": 3}], HEADER)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.rljson"]
 
 
 class TestInvariants:

@@ -49,14 +49,14 @@ class TestActionDistribution:
             assert np.all(np.isfinite(np.log(probs + 1e-300)))
 
     def test_high_temperature_limit_uniform(self):
+        # logits scaled by 1e-4: the softmax at temperature 1e4
         env = make_env()
         rng = seeds.stream("temp-test")
         feat = PolicyFeaturizer.for_env(env)
         policy = SoftmaxPolicy(
-            rng.normal(size=(feat.dim, feat.action_count)),
-            rng.normal(size=feat.action_count),
+            rng.normal(size=(feat.dim, feat.action_count)) * 1e-4,
+            rng.normal(size=feat.action_count) * 1e-4,
             feat,
-            temperature=1e4,
         )
         probs = policy.action_distribution(sample_context(env))
         assert np.max(np.abs(probs - 1.0 / env.config.action_count)) < 1e-3
@@ -140,7 +140,7 @@ class TestTeacherCollection:
         paths = [tmp_path / "a.rljson", tmp_path / "b.rljson"]
         for path in paths:
             pool = collect_teacher_trajectories(env, teacher, range(4), 3)
-            write_rljson(path, [episode_to_dict(ep) for ep in pool])
+            write_rljson(path, [episode_to_dict(ep) for ep in pool], {"schema": "episodes@1"})
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_teacher_steps_are_llm(self):

@@ -434,6 +434,15 @@ class _Header(dict):
     def __missing__(self, key):
         raise RecordFormatError(f"{self.path}: header lacks {key!r}")
 
+    def typed(self, key, *types):
+        """The field `key`, whose type must be one of `types` exactly, so a
+        bool is not taken for an int."""
+        value = self[key]
+        if type(value) not in types:
+            raise RecordFormatError(f"{self.path}: header field {key!r} is {value!r}, not "
+                                    + " or ".join(t.__name__ for t in types))
+        return value
+
 
 def read_header(path) -> dict:
     """An artifact's header: the whole of a `.json` file, else its first line."""

@@ -640,9 +640,9 @@ def _build_routing_policy(cfg: dict, workdir: Path, variant: str,
     router_file = router_path or require_stage(workdir, "train-router", h)
     header = read_header(router_file)
     if variant == "entropy":
-        return RoutingPolicy.entropy_router(header["tau_h"], budget)
+        return RoutingPolicy.entropy_router(header.typed("tau_h", float, int), budget)
     if variant == "heuristic":
-        return RoutingPolicy.heuristic_router(header["theta_v"], budget)
+        return RoutingPolicy.heuristic_router(header.typed("theta_v", float, int), budget)
     if variant == "r2v":
         net, _ = RouterNet.load(router_file)
         mask = mask or FeatureMask(cfg["features"]["mask"])

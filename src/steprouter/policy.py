@@ -154,7 +154,8 @@ class SoftmaxPolicy:
     @classmethod
     def load(cls, path) -> "SoftmaxPolicy":
         header, arrays = read_arrays(path, POLICY_SCHEMA, ("bias", "theta"))
-        featurizer = PolicyFeaturizer(**{f.name: header[f.name] for f in fields(PolicyFeaturizer)})
+        featurizer = PolicyFeaturizer(**{f.name: header.typed(f.name, int)
+                                         for f in fields(PolicyFeaturizer)})
         policy = cls(arrays["theta"], arrays["bias"], featurizer, stage=header["stage"])
         if policy.param_hash() != header["hash"]:
             raise RecordFormatError(f"{path}: parameter hash mismatch")

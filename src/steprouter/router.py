@@ -35,19 +35,33 @@ _PARAM_NAMES = ("w1", "b1", "g1", "be1", "w2", "b2", "g2", "be2", "w3", "b3")
 _STAT_NAMES = ("run_mean1", "run_var1", "run_mean2", "run_var2")
 
 
-def gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gelu(x), standard-normal CDF of x); the CDF is reused by backward."""
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    return x * cdf, cdf
+def gelu_parts(x: np.ndarray, cdf: np.ndarray | None = None,
+               act: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(gelu(x), standard-normal CDF of x), written into act and cdf if given;
+    the CDF is reused by backward."""
+    if cdf is None:
+        cdf = np.empty(np.shape(x))
+    np.divide(x, math.sqrt(2.0), out=cdf)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return np.multiply(x, cdf, out=act), cdf
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     return gelu_parts(x)[0]
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """GELU derivative, given the CDF that `gelu_parts` returned for x."""
-    return cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU derivative written into `out`, given the CDF that `gelu_parts`
+    returned for x."""
+    np.multiply(x, -0.5, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= x
+    out /= math.sqrt(2.0 * math.pi)
+    out += cdf
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -128,86 +142,124 @@ class RouterNet:
         net = cls(
             params={k: arrays[k] for k in _PARAM_NAMES},
             **{k: arrays[k] for k in _STAT_NAMES},
-            temperature=header["temperature"],
-            tau_route=header["tau_route"],
-            dropout=header["dropout"],
+            temperature=header.typed("temperature", float, int),
+            tau_route=header.typed("tau_route", float, int, type(None)),
+            dropout=header.typed("dropout", float, int),
         )
         return net, header
 
 
-def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator):
-    """Inverted-dropout masks, values in {0, 1/(1-rate)}."""
+class StepBuffers:
+    """Named float64 arrays that train-mode steps write into.
+
+    `take(name, n, width)` returns an (n, width) view of the first n * width
+    elements of the named buffer and allocates only when a batch is larger
+    than any before it. A training loop that keeps one instance allocates no
+    batch-sized arrays once its largest batch has been seen; a fresh instance
+    per call gives fresh arrays.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, width: int) -> np.ndarray:
+        size = n * width
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(n, width)
+
+
+def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
+                       buffers: StepBuffers | None = None):
+    """Inverted-dropout masks, values in {0, 1/(1-rate)}.
+
+    Both masks come from one draw of n*h1 then n*h2 uniforms, the same
+    stream as two draws of shape (n, h1) and (n, h2).
+    """
     rate = net.dropout
     h1 = net.params["b1"].size
     h2 = net.params["b2"].size
+    flat = (buffers or StepBuffers()).take("masks", n, h1 + h2).reshape(-1)
     if rate <= 0.0:
-        return np.ones((n, h1)), np.ones((n, h2))
-    keep = 1.0 - rate
-    return (
-        (rng.random((n, h1)) >= rate).astype(float) / keep,
-        (rng.random((n, h2)) >= rate).astype(float) / keep,
-    )
+        flat.fill(1.0)
+    else:
+        rng.random(out=flat)
+        np.greater_equal(flat, rate, out=flat)
+        flat /= 1.0 - rate
+    return flat[: n * h1].reshape(n, h1), flat[n * h1:].reshape(n, h2)
 
 
-def logits_train(net: RouterNet, x: np.ndarray, masks) -> tuple[np.ndarray, dict]:
+def logits_train(net: RouterNet, x: np.ndarray, masks,
+                 buffers: StepBuffers | None = None) -> tuple[np.ndarray, dict]:
     """Train-mode forward: batch-stat normalization + dropout.
 
     Pure in (params, x, masks): finite differences through this path are what
-    the gradient check compares against.
+    the gradient check compares against. The (n, width) arrays of the cache
+    are views into `buffers`, valid until its next step.
     """
+    buffers = buffers or StepBuffers()
     p = net.params
     m1, m2 = masks
+    n = len(x)
     cache: dict = {"x": x, "m1": m1, "m2": m2}
+    h = x
+    for i, mask in (("1", m1), ("2", m2)):
+        width = p["b" + i].size
+        xhat, z, cdf, act = (buffers.take(k + i, n, width) for k in ("xhat", "z", "cdf", "h"))
+        np.matmul(h, p["w" + i], out=xhat)
+        xhat += p["b" + i]  # the pre-activation a, centred and scaled in place
+        mu = xhat.mean(axis=0)
+        xhat -= mu
+        var = np.square(xhat, out=z).mean(axis=0)  # z is scratch until the affine step
+        std = np.sqrt(var + BN_EPS)
+        xhat /= std
+        np.multiply(p["g" + i], xhat, out=z)
+        z += p["be" + i]
+        gelu_parts(z, cdf=cdf, act=act)
+        act *= mask
+        cache.update({"mu" + i: mu, "var" + i: var, "std" + i: std, "xhat" + i: xhat,
+                      "z" + i: z, "cdf" + i: cdf, "h" + i: act})
+        h = act
 
-    a1 = x @ p["w1"] + p["b1"]
-    mu1 = a1.mean(axis=0)
-    var1 = a1.var(axis=0)
-    std1 = np.sqrt(var1 + BN_EPS)
-    xhat1 = (a1 - mu1) / std1
-    z1 = p["g1"] * xhat1 + p["be1"]
-    act1, cdf1 = gelu_parts(z1)
-    h1 = act1 * m1
-    cache.update(mu1=mu1, var1=var1, std1=std1, xhat1=xhat1, z1=z1, cdf1=cdf1, h1=h1)
-
-    a2 = h1 @ p["w2"] + p["b2"]
-    mu2 = a2.mean(axis=0)
-    var2 = a2.var(axis=0)
-    std2 = np.sqrt(var2 + BN_EPS)
-    xhat2 = (a2 - mu2) / std2
-    z2 = p["g2"] * xhat2 + p["be2"]
-    act2, cdf2 = gelu_parts(z2)
-    h2 = act2 * m2
-    cache.update(mu2=mu2, var2=var2, std2=std2, xhat2=xhat2, z2=z2, cdf2=cdf2, h2=h2)
-
-    logit = (h2 @ p["w3"] + p["b3"]).ravel()
+    logit = (h @ p["w3"] + p["b3"]).ravel()
     return logit, cache
 
 
-def _bn_backward(dz, xhat, std, gamma):
-    n = dz.shape[0]
-    dxhat = dz * gamma
-    return (
-        dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
-    ) / std, (dz * xhat).sum(axis=0), dz.sum(axis=0)
+def _bn_backward(d, xhat, std, gamma, tmp):
+    """Batch-norm backward in place: d enters as d loss / dz and leaves as
+    d loss / d pre-activation; tmp is scratch. Returns (dgamma, dbeta)."""
+    dgamma = np.multiply(d, xhat, out=tmp).sum(axis=0)
+    dbeta = d.sum(axis=0)
+    d *= gamma
+    dxhat_mean = d.mean(axis=0)
+    dxhat_xhat_mean = np.multiply(d, xhat, out=tmp).mean(axis=0)
+    d -= dxhat_mean
+    d -= np.multiply(xhat, dxhat_xhat_mean, out=tmp)
+    d /= std
+    return dgamma, dbeta
 
 
-def backward(net: RouterNet, cache: dict, dlogit: np.ndarray) -> dict[str, np.ndarray]:
+def backward(net: RouterNet, cache: dict, dlogit: np.ndarray,
+             buffers: StepBuffers | None = None) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss wrt all parameters given d loss / d logit."""
+    buffers = buffers or StepBuffers()
     p = net.params
     dlogit = dlogit.reshape(-1, 1)
+    n = len(dlogit)
     grads = {"w3": cache["h2"].T @ dlogit, "b3": dlogit.sum(axis=0)}
 
-    dh2 = (dlogit @ p["w3"].T) * cache["m2"]
-    dz2 = dh2 * gelu_grad(cache["z2"], cache["cdf2"])
-    da2, grads["g2"], grads["be2"] = _bn_backward(dz2, cache["xhat2"], cache["std2"], p["g2"])
-    grads["w2"] = cache["h1"].T @ da2
-    grads["b2"] = da2.sum(axis=0)
-
-    dh1 = (da2 @ p["w2"].T) * cache["m1"]
-    dz1 = dh1 * gelu_grad(cache["z1"], cache["cdf1"])
-    da1, grads["g1"], grads["be1"] = _bn_backward(dz1, cache["xhat1"], cache["std1"], p["g1"])
-    grads["w1"] = cache["x"].T @ da1
-    grads["b1"] = da1.sum(axis=0)
+    d, w_out = dlogit, p["w3"]
+    for i in ("2", "1"):
+        d_next = np.matmul(d, w_out.T, out=buffers.take("d" + i, n, w_out.shape[0]))
+        d_next *= cache["m" + i]
+        tmp = buffers.take("tmp", n, w_out.shape[0])
+        d_next *= gelu_grad(cache["z" + i], cache["cdf" + i], out=tmp)
+        grads["g" + i], grads["be" + i] = _bn_backward(
+            d_next, cache["xhat" + i], cache["std" + i], p["g" + i], tmp)
+        grads["w" + i] = cache["h1" if i == "2" else "x"].T @ d_next
+        grads["b" + i] = d_next.sum(axis=0)
+        d, w_out = d_next, p["w" + i]
     return grads
 
 
@@ -293,13 +345,15 @@ class _Adam:
 
 
 def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, masks,
-                    want_grads: bool = True):
+                    want_grads: bool = True, buffers: StepBuffers | None = None):
     """Train-mode Lagrangian on one minibatch of whole seeds.
 
     seed_index maps each row to a local seed slot in [0, n_seeds); returns the
-    loss, its components, and (optionally) parameter gradients.
+    loss, its components, and (optionally) parameter gradients. The forward
+    and backward write into `buffers` (fresh ones when None).
     """
-    logit, cache = logits_train(net, x, masks)
+    buffers = buffers or StepBuffers()
+    logit, cache = logits_train(net, x, masks, buffers)
     p = sigmoid(logit)
     losses = route_surrogate(p, y, costs)
     counts = np.bincount(seed_index, minlength=n_seeds).astype(float)
@@ -325,7 +379,7 @@ def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, ma
     dldp = seed_w[seed_index] * (costs.c_llm - costs.c_slm - costs.kappa * y)
     dldp = dldp + cv.lambda_b * 2.0 * (p - y) / len(y)
     dlogit = dldp * p * (1.0 - p)
-    result["grads"] = backward(net, cache, dlogit)
+    result["grads"] = backward(net, cache, dlogit, buffers)
     return result
 
 
@@ -355,6 +409,7 @@ def train_router(
     net.dropout = spec.dropout
 
     rows_by_seed = {int(s): np.flatnonzero(seed_ids == s) for s in uniq}
+    buffers = StepBuffers()  # sized by the largest chunk, not the data set
     primal = _Adam({k: v.shape for k, v in net.params.items()})
     dual = _Adam({"u": ()})
     log_lam = math.log(max(spec.cvar.lambda_init, 1e-8))
@@ -381,15 +436,13 @@ def train_router(
         epoch_stats = []
         for chunk in chunks:
             rows = np.concatenate([rows_by_seed[s] for s in chunk])
-            local = np.concatenate(
-                [np.full(rows_by_seed[s].size, i) for i, s in enumerate(chunk)]
-            )
-            xb, yb = x_all[rows], y_all[rows]
-            masks = make_dropout_masks(net, len(rows), rng)
+            local = np.repeat(np.arange(len(chunk)), [rows_by_seed[s].size for s in chunk])
+            xb = np.take(x_all, rows, axis=0, out=buffers.take("x", rows.size, x_all.shape[1]))
+            yb = y_all[rows]
+            masks = make_dropout_masks(net, rows.size, rng, buffers)
             lam = math.exp(log_lam)
-            out = batch_objective(
-                net, xb, yb, local, len(chunk), spec.costs, spec.cvar, lam, masks
-            )
+            out = batch_objective(net, xb, yb, local, len(chunk), spec.costs, spec.cvar,
+                                  lam, masks, buffers=buffers)
             # primal: AdamW with cosine-annealed lr, weight decay decoupled
             frac = min(1.0, step_count / total_steps)
             lr_t = spec.lr * 0.5 * (1.0 + math.cos(math.pi * frac))

@@ -165,13 +165,21 @@ def _is_pair(rec):
     return rec.get("kind") == "pair"
 
 
-def _drop_header_field(key):
+def _edit_header(edit):
     def corrupt(data: bytes) -> bytes:
         first, rest = data.split(b"\n", 1)
         header = json.loads(first)
-        del header[key]
+        edit(header)
         return json.dumps(header, sort_keys=True).encode() + b"\n" + rest
     return corrupt
+
+
+def _drop_header_field(key):
+    return _edit_header(lambda header: header.pop(key))
+
+
+def _set_header_field(key, value):
+    return _edit_header(lambda header: header.update({key: value}))
 
 
 R2V = ("rollout", "--variant", "r2v")
@@ -197,6 +205,18 @@ BAD_ARTIFACTS = {
                           ("distill",)),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
+    # a header field of the wrong type is as malformed as a missing one
+    "router-tau_route-str": ("router.bin", _set_header_field("tau_route", "0.5"), R2V),
+    "router-temperature-str": ("router.bin", _set_header_field("temperature", "1.0"), R2V),
+    "router-dropout-list": ("router.bin", _set_header_field("dropout", [0.2]), R2V),
+    "router-tau_h-str": ("router.bin", _set_header_field("tau_h", "0.5"),
+                         ("rollout", "--variant", "entropy")),
+    "router-theta_v-bool": ("router.bin", _set_header_field("theta_v", True),
+                            ("rollout", "--variant", "heuristic")),
+    "policy-horizon-str": ("policy_distilled.bin", _set_header_field("horizon", "20"),
+                           ("collect-routing",)),
+    "policy-vocab_size-float": ("policy_distilled.bin", _set_header_field("vocab_size", 64.0),
+                                ("collect-routing",)),
 }
 
 

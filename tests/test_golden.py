@@ -1,8 +1,8 @@
 """Golden-bytes guard: a tiny end-to-end run must keep writing the same bytes.
 
-Speed work on the rollout path must not change results, so this test pins the
-sha256 of the evaluation outputs of one small config run through
-`evaluate`. A change that alters a single output bit fails here; if the change
+Speed work on the rollout path and the router trainer must not change
+results, so this test pins the sha256 of the trained router and of the
+evaluation outputs of one small config run through `evaluate`. A change that alters a single output bit fails here; if the change
 is meant to alter results, re-pin the digests and say why in CHANGES.md.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
@@ -35,6 +35,8 @@ GOLDEN_SHA256 = {
     "eval_oracle.rljson": "f62b3e0708af3436851cef9c50cddfcf0820699e705aeced908f18f28e2c9975",
     "eval_r2v.rljson": "5c61fcdf60269103f191d825a7166883ed58678df013d802f7176e53bdeced43",
     "eval_slm.rljson": "6eccd29f91bb357ac8d57778e2380611c353f10752c7eb20fcacc939121b23f3",
+    "router.bin": "95babaa35ab97f02360dc780c738c0a3bf9ea1cf2d0e7e2c46a1ee1f910e85e6",
+    "router_report.csv": "f63ccc44e75fce20ca84b6889cf89f357541eb158c08dd8390352c0c1038d28c",
 }
 
 
@@ -45,7 +47,7 @@ def _sha256(path) -> str:
 def test_evaluate_outputs_are_byte_identical(tmp_path):
     cfg = pipeline.load_config(overrides=GOLDEN_CONFIG, environ={})
     pipeline.run_pipeline(cfg, tmp_path, workers=1)
-    names = ["summary.json", "metrics.csv", "routing.rljson"]
+    names = ["summary.json", "metrics.csv", "routing.rljson", "router.bin", "router_report.csv"]
     names += sorted(p.name for p in tmp_path.glob("eval_*.rljson"))
     got = {name: _sha256(tmp_path / name) for name in names}
     assert got == GOLDEN_SHA256

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from steprouter.domain import CostSpec, CVaRSpec, RoutingExample
 from steprouter.evaluation import ece
 from steprouter.router import (
     RouterNet,
+    StepBuffers,
     TrainSpec,
     batch_objective,
     bayes_threshold,
@@ -285,6 +287,85 @@ class TestTrainRouter:
             risks.append(float(np.mean(route_surrogate(p[sel], y[sel], CANONICAL))))
         assert out["cvar"] == pytest.approx(max(risks))
         assert out["mean_risk"] == pytest.approx(np.mean(risks))
+
+
+class TestStepBuffers:
+    """A training loop reuses one StepBuffers across steps; the results must be
+    the bits that fresh arrays give, whatever batch came before."""
+
+    @staticmethod
+    def step(net, n, draw_seed, buffers=None):
+        rng = seeds.stream("buffers-data", n)
+        x = rng.normal(size=(n, 15))
+        y = (rng.random(n) < 0.4).astype(float)
+        sid = np.arange(n) % 8
+        masks = make_dropout_masks(net, n, seeds.stream("buffers-masks", draw_seed), buffers)
+        logit, _ = logits_train(net, x, masks, buffers)
+        logit = logit.copy()  # the next call may write into the same buffers
+        out = batch_objective(net, x, y, sid, 8, CANONICAL, CVaRSpec(alpha=0.25), 0.7,
+                              masks, buffers=buffers)
+        return logit, out
+
+    def test_warm_step_allocates_no_batch_sized_array(self):
+        net = RouterNet.init(seeds.stream("buffers-net"))
+        n = 1024
+        buffers = StepBuffers()
+        self.step(net, n, 0, buffers)  # warm-up: the buffers reach their size
+        rng = seeds.stream("buffers-data", n)
+        x = rng.normal(size=(n, 15))
+        y = (rng.random(n) < 0.4).astype(float)
+        sid = np.arange(n) % 8
+        draw = seeds.stream("buffers-masks", 1)
+        tracemalloc.start()
+        try:
+            masks = make_dropout_masks(net, n, draw, buffers)
+            batch_objective(net, x, y, sid, 8, CANONICAL, CVaRSpec(alpha=0.25), 0.7,
+                            masks, buffers=buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 128 * 8
+
+    def test_reused_buffers_match_fresh_across_batch_sizes(self):
+        net = RouterNet.init(seeds.stream("buffers-net"))
+        buffers = StepBuffers()
+        for i, n in enumerate((96, 40, 96, 17)):  # large, small, large again
+            logit, out = self.step(net, n, i, buffers)
+            ref_logit, ref = self.step(net, n, i)
+            assert logit.tobytes() == ref_logit.tobytes()
+            assert out["loss"] == ref["loss"]
+            assert (out["mean_risk"], out["cvar"], out["brier"]) == (
+                ref["mean_risk"], ref["cvar"], ref["brier"])
+            assert list(out["grads"]) == list(ref["grads"])
+            for k, g in ref["grads"].items():
+                assert out["grads"][k].tobytes() == g.tobytes(), k
+
+    def test_masks_match_two_separate_draws(self):
+        net = RouterNet.init(seeds.stream("buffers-net"))
+        m1, m2 = make_dropout_masks(net, 50, seeds.stream("buffers-draw"), StepBuffers())
+        rng = seeds.stream("buffers-draw")
+        keep = 1.0 - net.dropout
+        assert np.array_equal(m1, (rng.random((50, 128)) >= net.dropout) / keep)
+        assert np.array_equal(m2, (rng.random((50, 64)) >= net.dropout) / keep)
+
+    def test_train_router_memory_bounded_by_chunk(self):
+        # 2,000 rows in chunks of at most 249: buffers sized by the data set
+        # would alone take about ten (2000, 128) float64 arrays
+        examples = example_batch(n=2000, n_seeds=40)
+        tracemalloc.start()
+        try:
+            train_router(examples, TrainSpec(epochs=2, batch_steps=200), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2000 * 128 * 8
+
+    def test_buffers_grow_only_for_larger_batches(self):
+        buffers = StepBuffers()
+        big = buffers.take("a", 10, 4)
+        small = buffers.take("a", 3, 4)
+        assert small.shape == (3, 4) and np.shares_memory(big, small)
+        assert not np.shares_memory(buffers.take("a", 11, 4), big)
 
 
 class TestTemperature:

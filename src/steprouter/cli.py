@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stage order; every stage reads one structured
-config file (JSON) with flag and environment overrides, and writes artifacts
-tagged with the config hash into the working directory.
+One subcommand per row of `pipeline.STAGES`, in stage order; every stage
+reads one structured config file (JSON) with flag and environment overrides,
+and writes artifacts whose headers hash the config values and inputs they
+were built from into the working directory.
 
-Exit codes: 0 success, 2 config error, 3 missing or unreadable stage artifact
-(rerun the stage that produced it), 4 theory-suite failure.
+Exit codes: 0 success, 2 config error, 3 stage artifact missing, unreadable
+or stale (built from other inputs than the current config gives; rerun the
+stage that produced it), 4 theory-suite failure.
 """
 
 from __future__ import annotations
@@ -23,24 +25,8 @@ EXIT_CONFIG = 2
 EXIT_STAGE_ORDER = 3
 EXIT_THEORY = 4
 
-STAGE_COMMANDS = {
-    "gen-tasks": lambda cfg, wd, args: pipeline.stage_gen_tasks(cfg, wd),
-    "collect": lambda cfg, wd, args: pipeline.stage_collect(cfg, wd, args.workers),
-    "train-bc": lambda cfg, wd, args: pipeline.stage_train_bc(cfg, wd),
-    "build-pairs": lambda cfg, wd, args: pipeline.stage_build_pairs(cfg, wd),
-    "distill": lambda cfg, wd, args: pipeline.stage_distill(cfg, wd),
-    "collect-routing": lambda cfg, wd, args: pipeline.stage_collect_routing(
-        cfg, wd, args.workers
-    ),
-    "train-router": lambda cfg, wd, args: pipeline.stage_train_router(cfg, wd),
-    "rollout": lambda cfg, wd, args: pipeline.stage_rollout(
-        cfg, wd, args.variant, workers=args.workers, out_name=args.out
-    ),
-    "evaluate": lambda cfg, wd, args: pipeline.stage_evaluate(cfg, wd, args.workers),
-    "ablate": lambda cfg, wd, args: pipeline.stage_ablate(
-        cfg, wd, args.grid, workers=args.workers
-    ),
-}
+# the option that sets a stage's parameter
+PARAM_FLAGS = {"variant": "--variant", "kind": "--grid"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,31 +35,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Risk-calibrated step routing pipeline on synthetic perturbed tasks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for row in pipeline.STAGES:
+        p = sub.add_parser(row.name)
         p.add_argument("--workdir", default="run", help="artifact directory")
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="BLOCK.KEY=VALUE",
-            help="config override (repeatable)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="parallel workers for rollout-style stages",
-        )
-
-    for name in STAGE_COMMANDS:
-        p = sub.add_parser(name)
-        common(p)
-        if name == "rollout":
-            p.add_argument("--variant", required=True,
-                           choices=pipeline.VARIANT_ORDER)
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="BLOCK.KEY=VALUE", help="config override (repeatable)")
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="parallel workers for rollout-style stages")
+        p.set_defaults(value=None)
+        if row.param:
+            p.add_argument(PARAM_FLAGS[row.param], dest="value", required=True,
+                           choices=row.over)
+        if row.name == "rollout":
             p.add_argument("--budget", type=int, default=None,
                            help="per-episode LLM call cap (overrides config)")
             p.add_argument("--tasks", default=None,
@@ -82,9 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="perturbation seeds per task (overrides config)")
             p.add_argument("--out", default=None,
                            help="output file name (default eval_<variant>.rljson)")
-        if name == "ablate":
-            p.add_argument("--grid", required=True,
-                           choices=["features", "cvar", "lambda"])
 
     p = sub.add_parser("verify-theory",
                        help="run the property/oracle suite and print pass/fail lines")
@@ -102,7 +73,9 @@ def main(argv=None) -> int:
         return EXIT_OK if all(c.passed for c in checks) else EXIT_THEORY
 
     overrides = list(args.overrides)
+    options = {}
     if args.command == "rollout":
+        options["out_name"] = args.out
         if args.budget is not None:
             overrides.append(f"runtime.budget_limit={args.budget}")
         if args.seeds is not None:
@@ -118,7 +91,8 @@ def main(argv=None) -> int:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        out = STAGE_COMMANDS[args.command](cfg, workdir, args)
+        out = pipeline.run_stage(cfg, workdir, args.command, args.value, args.workers,
+                                 **options)
     except StageOrderError as exc:
         print(f"stage-order error: {exc}", file=sys.stderr)
         return EXIT_STAGE_ORDER

@@ -1,20 +1,21 @@
-"""Pipeline orchestration: config handling, stage artifacts, stage functions.
+"""Pipeline orchestration: config handling, the stage table, stage functions.
 
-Stages mirror the training pipeline's order (teacher collection -> BC ->
-pairs -> recovery distillation -> routing data -> router -> rollouts ->
-evaluation) and each artifact records its stage tag and the config hash, so
-out-of-order invocation fails loudly and hash drift across stages warns.
+`STAGES` lists the stages in run order (teacher collection -> BC -> pairs ->
+recovery distillation -> routing data -> router -> rollouts -> evaluation)
+with the artifacts and config keys each reads. Every artifact header records
+`inputs_hash`, a hash of what its stage read, so a stage stops on an input
+that is missing or was built from other inputs than the config now gives.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
+import functools
 import hashlib
 import json
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .domain import (
     _context_to_dict,
 )
 from .env import HazardChainEnv
-from .evaluation import compute_metrics, sweep
+from .evaluation import RunMetrics, compute_metrics, sweep
 from .features import FeatureMask
 from .policy import PolicyFeaturizer, SoftmaxPolicy, TeacherPolicy, collect_teacher_trajectories, train_bc
 from .router import RouterNet, TrainSpec, fit_temperature, select_threshold, train_router
@@ -314,55 +315,136 @@ def make_cvar_spec(cfg: dict) -> CVaRSpec:
         raise ConfigError(f"invalid CVaR spec: {exc}") from exc
 
 
-def make_train_spec(cfg: dict, alpha: float | None = None,
-                    epsilon: float | None = None) -> TrainSpec:
-    r = cfg["router"]
-    overrides = {k: v for k, v in (("alpha", alpha), ("epsilon", epsilon)) if v is not None}
-    cv = dataclasses.replace(make_cvar_spec(cfg), **overrides)
-    return TrainSpec(
-        costs=make_cost_spec(cfg),
-        cvar=cv,
-        lr=r["lr"],
-        weight_decay=r["weight_decay"],
-        dual_lr=r["dual_lr"],
-        epochs=r["epochs"],
-        batch_steps=r["batch_steps"],
-        dropout=r["dropout"],
-    )
+def make_train_spec(cfg: dict) -> TrainSpec:
+    keys = ("lr", "weight_decay", "dual_lr", "epochs", "batch_steps", "dropout")
+    return TrainSpec(costs=make_cost_spec(cfg), cvar=make_cvar_spec(cfg),
+                     **{k: cfg["router"][k] for k in keys})
 
 
-# --- artifacts -----------------------------------------------------------------
+# --- the stage table ------------------------------------------------------------
 
 
-ARTIFACTS = {
-    "gen-tasks": "tasks.json",
-    "collect": "episodes.rljson",
-    "train-bc": "policy_bc.bin",
-    "build-pairs": "pairs.rljson",
-    "distill": "policy_distilled.bin",
-    "collect-routing": "routing.rljson",
-    "train-router": "router.bin",
-}
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table.
+
+    The subcommand `name` runs `stage_<name>`, which writes `output` ("{}" is
+    the parameter value) and reads the artifacts of `inputs` ("rollout:slm"
+    names one variant's rollout) and the config `keys` (a block name stands
+    for the whole block). A stage with a `param` runs once per value in
+    `over`; `extra` maps a value to the (inputs, keys) it adds.
+    """
+
+    name: str
+    output: str
+    inputs: tuple = ()
+    keys: tuple = ()
+    workers: bool = False
+    param: str | None = None
+    over: tuple = ()
+    extra: dict = field(default_factory=dict)
 
 
-def artifact_path(workdir: Path, stage: str) -> Path:
-    return Path(workdir) / ARTIFACTS[stage]
+_ROLLOUT_KEYS = ("env", "policy.teacher_error_rate", "verifier", "runtime.k_candidates",
+                 "runtime.harness_salt")
+_BUDGET = ("runtime.budget_limit",)
+_ROUTER = ("train-router",)
+
+STAGES = (
+    Stage("gen-tasks", "tasks.json", keys=("env", "split")),
+    Stage("collect", "episodes.rljson", ("gen-tasks",),
+          ("env", "policy.teacher_error_rate", "policy.pert_seeds_per_task"), workers=True),
+    Stage("train-bc", "policy_bc.bin", ("collect",), ("env", "policy.bc_epochs", "policy.bc_lr")),
+    Stage("build-pairs", "pairs.rljson", ("collect", "train-bc"),
+          ("env", "policy.teacher_error_rate", "verifier", "runtime.k_candidates")),
+    Stage("distill", "policy_distilled.bin", ("train-bc", "build-pairs"), ("distill",)),
+    Stage("collect-routing", "routing.rljson", ("gen-tasks", "distill"),
+          _ROLLOUT_KEYS + ("runtime.routing_seeds_per_task",), workers=True),
+    Stage("train-router", "router.bin", ("collect-routing",),
+          ("router", "runtime.harness_salt", "eval.ece_bins")),
+    Stage("rollout", "eval_{}.rljson", ("gen-tasks", "distill"),
+          _ROLLOUT_KEYS + ("eval.task_ids", "eval.eval_seeds_per_task"), workers=True,
+          param="variant", over=VARIANT_ORDER,
+          extra={"llm": ((), _BUDGET), "entropy": (_ROUTER, _BUDGET),
+                 "heuristic": (_ROUTER, _BUDGET), "r2v": (_ROUTER, _BUDGET + ("features.mask",)),
+                 "oracle": (("rollout:slm",), _BUDGET)}),
+    Stage("evaluate", "summary.json", ("train-router", *(f"rollout:{v}" for v in VARIANT_ORDER)),
+          ("eval.bootstrap_resamples", "eval.level", "eval.ece_bins", "eval.bootstrap_seed"),
+          workers=True),
+    # every grid point runs stages that check their own inputs
+    Stage("ablate", "ablate_{}.csv", workers=True, param="kind",
+          over=("features", "cvar", "lambda")),
+)
+STAGE = {row.name: row for row in STAGES}
+
+# the one-file artifacts that later stages read, by the stage that writes them
+ARTIFACTS = {row.name: row.output for row in STAGES
+             if any(row.name in other.inputs for other in STAGES)}
+
+METRIC_COLUMNS = [f.name for f in fields(RunMetrics)]
 
 
-def require_stage(workdir: Path, stage: str, cfg_hash: str) -> Path:
-    path = artifact_path(workdir, stage)
+def stage_reads(ref: str) -> tuple[tuple, tuple]:
+    """(input artifacts, config keys) of a stage, or of one parameter value
+    of it ("rollout:r2v")."""
+    name, _, value = ref.partition(":")
+    row = STAGE[name]
+    if row.param and value not in row.over:
+        raise ConfigError(f"unknown {row.param} {value!r}")
+    inputs, keys = row.extra.get(value, ((), ()))
+    return row.inputs + inputs, row.keys + keys
+
+
+def inputs_hash(cfg: dict, ref: str) -> str:
+    """The hash of the config values `ref` reads and of its inputs' own
+    inputs_hash: what its artifact header holds when built under `cfg`."""
+    inputs, keys = stage_reads(ref)
+    return config_hash({
+        "stage": ref,
+        "keys": {key: functools.reduce(dict.__getitem__, key.split("."), cfg) for key in keys},
+        "inputs": {i: inputs_hash(cfg, i) for i in inputs},
+    })
+
+
+def _stamp(cfg: dict, ref: str) -> dict:
+    return {"config_hash": config_hash(cfg), "inputs_hash": inputs_hash(cfg, ref)}
+
+
+def artifact_path(workdir: Path, ref: str) -> Path:
+    name, _, value = ref.partition(":")
+    return Path(workdir) / STAGE[name].output.format(value)
+
+
+def require_stage(cfg: dict, workdir: Path, ref: str, path: Path | None = None) -> Path:
+    """The artifact of `ref` (at `path` if given), checked to exist and to
+    hold the inputs_hash that `cfg` gives it."""
+    path = Path(path or artifact_path(workdir, ref))
+    name, _, value = ref.partition(":")
+    rerun = f"{name} --{STAGE[name].param} {value}" if value else name
     if not path.exists():
-        raise StageOrderError(
-            f"missing stage {stage!r} artifact ({path.name}); run `{stage}` first"
-        )
-    header = read_header(path)
-    if header.get("config_hash") not in (None, cfg_hash):
-        print(
-            f"warning: {path.name} was built under config hash "
-            f"{header.get('config_hash')} but the current hash is {cfg_hash}",
-            file=sys.stderr,
-        )
+        raise StageOrderError(f"missing stage {ref!r} artifact ({path.name}); run `{rerun}` first")
+    if read_header(path).typed("inputs_hash", str) != inputs_hash(cfg, ref):
+        raise StageOrderError(f"{path.name} is stale: it was built from other inputs or "
+                              f"config values than the current ones; rerun `{rerun}`")
     return path
+
+
+def require_inputs(cfg: dict, workdir: Path, ref: str, moved: dict | None = None) -> dict:
+    """Input ref -> checked path of every artifact `ref` reads; `moved` gives
+    an input a path other than its own."""
+    moved = moved or {}
+    return {i: require_stage(cfg, workdir, i, moved.get(i)) for i in stage_reads(ref)[0]}
+
+
+def run_stage(cfg: dict, workdir: Path, name: str, value=None, workers: int = 1,
+              **options) -> Path:
+    """Run the stage `name`; its function is looked up by name at call time."""
+    row = STAGE[name]
+    if row.param:
+        options[row.param] = value
+    if row.workers:
+        options["workers"] = workers
+    return globals()["stage_" + name.replace("-", "_")](cfg, Path(workdir), **options)
 
 
 # --- stages ----------------------------------------------------------------------
@@ -386,7 +468,7 @@ def stage_gen_tasks(cfg: dict, workdir: Path) -> Path:
     payload = {
         "schema": "tasks@1",
         "stage": "gen-tasks",
-        "config_hash": config_hash(cfg),
+        **_stamp(cfg, "gen-tasks"),
         "tasks": tasks,
         "split": split_payload,
     }
@@ -406,7 +488,7 @@ def stage_gen_tasks(cfg: dict, workdir: Path) -> Path:
 
 
 def load_split(cfg: dict, workdir: Path) -> dict:
-    return read_header(require_stage(workdir, "gen-tasks", config_hash(cfg)))["split"]
+    return read_header(require_stage(cfg, workdir, "gen-tasks"))["split"]
 
 
 def _collect_job(args):
@@ -427,14 +509,13 @@ def _parallel_map(fn, jobs, workers: int):
 
 
 def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
-    split = load_split(cfg, workdir)
-    train_ids = split["train"]
+    train_ids = load_split(cfg, workdir)["train"]
     chunks = [[tid] for tid in train_ids]
     results = _parallel_map(_collect_job, [(cfg, chunk) for chunk in chunks], workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect")
     write_rljson(out, records, {"schema": "episodes@1", "stage": "collect",
-                                "config_hash": config_hash(cfg)})
+                                **_stamp(cfg, "collect")})
     return out
 
 
@@ -443,8 +524,7 @@ def load_episodes(path: Path):
 
 
 def stage_train_bc(cfg: dict, workdir: Path) -> Path:
-    h = config_hash(cfg)
-    pool = load_episodes(require_stage(workdir, "collect", h))
+    pool = load_episodes(require_inputs(cfg, workdir, "train-bc")["collect"])
     env = make_env(cfg)
     policy, trace = train_bc(
         pool,
@@ -453,14 +533,14 @@ def stage_train_bc(cfg: dict, workdir: Path) -> Path:
         lr=cfg["policy"]["bc_lr"],
     )
     out = artifact_path(workdir, "train-bc")
-    policy.save(out, extra={"config_hash": h, "final_loss": trace[-1]})
+    policy.save(out, extra={**_stamp(cfg, "train-bc"), "final_loss": trace[-1]})
     return out
 
 
 def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
-    h = config_hash(cfg)
-    pool = load_episodes(require_stage(workdir, "collect", h))
-    bc_policy = SoftmaxPolicy.load(require_stage(workdir, "train-bc", h))
+    paths = require_inputs(cfg, workdir, "build-pairs")
+    pool = load_episodes(paths["collect"])
+    bc_policy = SoftmaxPolicy.load(paths["train-bc"])
     if bc_policy.stage != "bc":
         raise StageOrderError("train-bc artifact does not hold a BC-stage policy")
     env = make_env(cfg)
@@ -488,7 +568,7 @@ def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
     ]
     out = artifact_path(workdir, "build-pairs")
     write_rljson(out, records, {"schema": "pairs@1", "stage": "build-pairs",
-                                "config_hash": h, "counters": counters})
+                                **_stamp(cfg, "build-pairs"), "counters": counters})
     return out
 
 
@@ -508,10 +588,9 @@ def load_pairs(path: Path):
 
 
 def stage_distill(cfg: dict, workdir: Path) -> Path:
-    h = config_hash(cfg)
-    bc_policy = SoftmaxPolicy.load(require_stage(workdir, "train-bc", h))
-    pairs_path = require_stage(workdir, "build-pairs", h)
-    pairs, views = load_pairs(pairs_path)
+    paths = require_inputs(cfg, workdir, "distill")
+    bc_policy = SoftmaxPolicy.load(paths["train-bc"])
+    pairs, views = load_pairs(paths["build-pairs"])
     d = cfg["distill"]
     distilled, report = train_recovery(
         bc_policy, pairs, views,
@@ -519,14 +598,15 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
                       epochs=d["epochs"], lr=d["lr"]),
     )
     out = artifact_path(workdir, "distill")
-    distilled.save(out, extra={"config_hash": h, "reference_hash": report["reference_hash"]})
+    distilled.save(out, extra={**_stamp(cfg, "distill"),
+                               "reference_hash": report["reference_hash"]})
     write_json(
         Path(workdir) / "distill_report.json",
         {
             "schema": "distill-report@1",
-            "config_hash": h,
+            "config_hash": config_hash(cfg),
             "pair_count": report["pair_count"],
-            "pair_counts_by_source": read_header(pairs_path).get("counters", {}),
+            "pair_counts_by_source": read_header(paths["build-pairs"]).get("counters", {}),
             "view_count": report["view_count"],
             "final_loss": report["final_loss"],
             "reference_hash": report["reference_hash"],
@@ -536,41 +616,33 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
 
 
 def _routing_job(args):
-    cfg, workdir, task_ids, split_name, offset = args
+    cfg, policy_path, task_ids, split_name, offset = args
     env = make_env(cfg)
-    slm = SoftmaxPolicy.load(artifact_path(workdir, "distill"))
+    slm = SoftmaxPolicy.load(policy_path)
     salt = cfg["runtime"]["harness_salt"]
-    examples, episodes = collect_routing_dataset(
-        env,
-        slm,
-        make_teacher(cfg),
-        make_verifier(cfg, env),
-        task_ids,
-        cfg["runtime"]["routing_seeds_per_task"],
-        k=cfg["runtime"]["k_candidates"],
-        tag=f"routing-{split_name}-{salt}",
-        split=split_name,
-        seed_id_offset=offset,
+    examples, _ = collect_routing_dataset(
+        env, slm, make_teacher(cfg), make_verifier(cfg, env), task_ids,
+        cfg["runtime"]["routing_seeds_per_task"], k=cfg["runtime"]["k_candidates"],
+        tag=f"routing-{split_name}-{salt}", split=split_name, seed_id_offset=offset,
     )
     return [routing_example_to_dict(ex) for ex in examples]
 
 
 def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
-    h = config_hash(cfg)
-    require_stage(workdir, "distill", h)
-    split = load_split(cfg, workdir)
+    paths = require_inputs(cfg, workdir, "collect-routing")
+    split = read_header(paths["gen-tasks"])["split"]
     per_task = cfg["runtime"]["routing_seeds_per_task"]
     jobs = []
     offset = 0
     for split_name in ("train", "valid"):
         for tid in split[split_name]:
-            jobs.append((cfg, Path(workdir), [tid], split_name, offset))
+            jobs.append((cfg, paths["distill"], [tid], split_name, offset))
             offset += per_task
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect-routing")
     write_rljson(out, records, {"schema": "routing@1", "stage": "collect-routing",
-                                "config_hash": h})
+                                **_stamp(cfg, "collect-routing")})
     return out
 
 
@@ -578,14 +650,12 @@ def load_routing_examples(path: Path):
     return decode_records(path, routing_example_from_dict)
 
 
-def stage_train_router(cfg: dict, workdir: Path,
-                       alpha: float | None = None, epsilon: float | None = None,
-                       out_name: str | None = None) -> Path:
-    h = config_hash(cfg)
-    examples = load_routing_examples(require_stage(workdir, "collect-routing", h))
+def stage_train_router(cfg: dict, workdir: Path, out_name: str | None = None) -> Path:
+    examples = load_routing_examples(
+        require_inputs(cfg, workdir, "train-router")["collect-routing"])
     train_examples = [ex for ex in examples if ex.split == "train"]
     valid_examples = [ex for ex in examples if ex.split == "valid"] or train_examples
-    spec = make_train_spec(cfg, alpha=alpha, epsilon=epsilon)
+    spec = make_train_spec(cfg)
     seed = cfg["router"]["train_seed"] + 1000 * cfg["runtime"]["harness_salt"]
     net, report = train_router(train_examples, spec, seed=seed)
 
@@ -599,22 +669,11 @@ def stage_train_router(cfg: dict, workdir: Path,
     theta_v = calibrate_heuristic_threshold(valid_examples, costs)
 
     out = Path(workdir) / (out_name or ARTIFACTS["train-router"])
-    net.save(
-        out,
-        extra={
-            "stage": "train-router",
-            "config_hash": h,
-            "tau_h": tau_h,
-            "theta_v": theta_v,
-            "fitted_temperature": temperature,
-        },
-    )
+    net.save(out, extra={"stage": "train-router", **_stamp(cfg, "train-router"), "tau_h": tau_h,
+                         "theta_v": theta_v, "fitted_temperature": temperature})
     if out_name is None:
-        write_csv(
-            Path(workdir) / "router_report.csv",
-            report,
-            ["epoch", "mean_risk", "cvar", "brier", "lam"],
-        )
+        write_csv(Path(workdir) / "router_report.csv", report,
+                  ["epoch", "mean_risk", "cvar", "brier", "lam"])
     return out
 
 
@@ -628,45 +687,32 @@ def eval_grid(cfg: dict, workdir: Path):
                         f"eval-{salt}")
 
 
-def _build_routing_policy(cfg: dict, workdir: Path, variant: str,
-                          router_path: Path | None = None,
-                          mask: FeatureMask | None = None) -> RoutingPolicy:
-    h = config_hash(cfg)
+def _build_routing_policy(cfg: dict, variant: str, paths: dict) -> RoutingPolicy:
     budget = cfg["runtime"]["budget_limit"]
     if variant == "slm":
         return RoutingPolicy.slm_only()
     if variant == "llm":
         return RoutingPolicy.llm_only(budget)
-    router_file = router_path or require_stage(workdir, "train-router", h)
-    header = read_header(router_file)
+    if variant == "oracle":
+        table = hindsight_table(load_episodes(paths["rollout:slm"]))
+        return RoutingPolicy.oracle_router(table, budget)
+    header = read_header(paths["train-router"])
     if variant == "entropy":
         return RoutingPolicy.entropy_router(header.typed("tau_h", float, int), budget)
     if variant == "heuristic":
         return RoutingPolicy.heuristic_router(header.typed("theta_v", float, int), budget)
-    if variant == "r2v":
-        net, _ = RouterNet.load(router_file)
-        mask = mask or FeatureMask(cfg["features"]["mask"])
-        return RoutingPolicy.r2v(net, net.tau_route, mask=mask, budget_limit=budget)
-    if variant == "oracle":
-        slm_path = Path(workdir) / "eval_slm.rljson"
-        if not slm_path.exists():
-            raise StageOrderError(
-                "oracle rollout needs the SLM-only rollout artifact (eval_slm.rljson)"
-            )
-        table = hindsight_table(load_episodes(slm_path))
-        return RoutingPolicy.oracle_router(table, budget)
-    raise ConfigError(f"unknown variant {variant!r}")
+    net, _ = RouterNet.load(paths["train-router"])
+    return RoutingPolicy.r2v(net, net.tau_route, mask=FeatureMask(cfg["features"]["mask"]),
+                             budget_limit=budget)
 
 
 def _rollout_job(args):
-    cfg, workdir, variant, grid_chunk, router_name, mask_name = args
+    cfg, variant, grid_chunk, paths = args
     env = make_env(cfg)
-    slm = SoftmaxPolicy.load(artifact_path(workdir, "distill"))
+    slm = SoftmaxPolicy.load(paths["distill"])
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
-    router_path = workdir / router_name if router_name else None
-    mask = FeatureMask(mask_name) if mask_name else None
-    routing = _build_routing_policy(cfg, workdir, variant, router_path, mask)
+    routing = _build_routing_policy(cfg, variant, paths)
     salt = cfg["runtime"]["harness_salt"]
     out = []
     for task_id, z in grid_chunk:
@@ -677,28 +723,24 @@ def _rollout_job(args):
 
 
 def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1,
-                  router_name: str | None = None, mask_name: str | None = None,
-                  out_name: str | None = None) -> Path:
-    h = config_hash(cfg)
-    require_stage(workdir, "distill", h)
-    if variant in ("entropy", "heuristic", "r2v"):
-        require_stage(workdir, "train-router", h)
+                  router_name: str | None = None, out_name: str | None = None) -> Path:
+    workdir = Path(workdir)
+    ref = f"rollout:{variant}"
+    paths = require_inputs(cfg, workdir, ref,
+                           {"train-router": workdir / router_name} if router_name else None)
     grid = eval_grid(cfg, workdir)
     n_chunks = max(1, min(workers, len(grid))) if workers > 1 else 1
     chunks = [grid[i::n_chunks] for i in range(n_chunks)]
-    results = _parallel_map(
-        _rollout_job,
-        [(cfg, Path(workdir), variant, chunk, router_name, mask_name) for chunk in chunks],
-        workers,
-    )
+    results = _parallel_map(_rollout_job, [(cfg, variant, chunk, paths) for chunk in chunks],
+                            workers)
     by_key = {}
     for block in results:
         for rec in block:
             by_key[(rec["task_id"], rec["z"])] = rec
     records = [by_key[key] for key in grid]
-    out = Path(workdir) / (out_name or f"eval_{variant}.rljson")
+    out = workdir / out_name if out_name else artifact_path(workdir, ref)
     write_rljson(out, records, {"schema": "episodes@1", "stage": "rollout",
-                                "variant": variant, "config_hash": h})
+                                "variant": variant, **_stamp(cfg, ref)})
     return out
 
 
@@ -714,29 +756,22 @@ def _metrics_for(cfg: dict, episodes):
 
 
 def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
-    h = config_hash(cfg)
     workdir = Path(workdir)
-    rows = []
+    router_header = read_header(require_stage(cfg, workdir, "train-router"))
     summary_variants = {}
-    for variant in VARIANT_ORDER:
-        path = workdir / f"eval_{variant}.rljson"
-        if not path.exists():
-            stage_rollout(cfg, workdir, variant, workers=workers)
-        metrics = _metrics_for(cfg, load_episodes(path))
-        row = {"variant": variant}
-        row.update(metrics.to_dict())
-        rows.append(row)
-        summary_variants[variant] = metrics.to_dict()
-
-    columns = ["variant", "success_rate", "llm_rate", "ci_low", "ci_high",
-               "ece", "brier", "auroc", "n_episodes", "n_steps"]
-    write_csv(workdir / "metrics.csv", rows, columns)
+    for variant in VARIANT_ORDER:  # slm comes before the oracle that reads it
+        try:
+            path = require_stage(cfg, workdir, f"rollout:{variant}")
+        except StageOrderError:  # missing or stale: roll it out again
+            path = stage_rollout(cfg, workdir, variant, workers=workers)
+        summary_variants[variant] = _metrics_for(cfg, load_episodes(path)).to_dict()
+    rows = [{"variant": variant, **m} for variant, m in summary_variants.items()]
+    write_csv(workdir / "metrics.csv", rows, ["variant"] + METRIC_COLUMNS)
     write_csv(workdir / "pareto.csv", rows,
               ["variant", "llm_rate", "success_rate", "ci_low", "ci_high"])
-    router_header = read_header(workdir / ARTIFACTS["train-router"])
     summary = {
         "schema": "summary@1",
-        "config_hash": h,
+        "config_hash": config_hash(cfg),
         "variants": summary_variants,
         "thresholds": {k: router_header[k]
                        for k in ("tau_route", "tau_h", "theta_v", "temperature")},
@@ -747,86 +782,72 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
 
 
 # --- ablations -----------------------------------------------------------------
+# Each grid point runs its stages under a copy of the config holding the
+# point's values, so its artifacts' hashes describe what they hold.
 
 
 def stage_ablate(cfg: dict, workdir: Path, kind: str, workers: int = 1) -> Path:
     workdir = Path(workdir)
     if kind == "features":
         rows = _ablate_masks(cfg, workdir, workers)
-        columns_lead = ["mask"]
     elif kind == "cvar":
         rows = _ablate_cvar(cfg, workdir, workers)
-        columns_lead = ["alpha", "epsilon"]
     elif kind == "lambda":
         rows = _ablate_lambda(cfg, workdir, workers)
-        columns_lead = ["lambda_cons"]
     else:
         raise ConfigError(f"unknown ablation kind {kind!r}")
-    columns = columns_lead + ["success_rate", "llm_rate", "ci_low", "ci_high",
-                              "ece", "brier", "auroc", "n_episodes", "n_steps"]
     out = workdir / f"ablate_{kind}.csv"
-    write_csv(out, rows, columns)
+    write_csv(out, rows, [k for k in rows[0] if k not in METRIC_COLUMNS] + METRIC_COLUMNS)
+    return out
+
+
+def _with(cfg: dict, block: str, point: dict) -> dict:
+    out = copy.deepcopy(cfg)
+    out[block].update(point)
     return out
 
 
 def _ablate_masks(cfg: dict, workdir: Path, workers: int):
     def run(point):
-        name = point["mask"]
-        path = stage_rollout(cfg, workdir, "r2v", workers=workers,
-                             mask_name=name, out_name=f"eval_r2v_mask_{name}.rljson")
-        return _metrics_for(cfg, load_episodes(path))
+        sub = _with(cfg, "features", point)
+        path = stage_rollout(sub, workdir, "r2v", workers=workers,
+                             out_name=f"eval_r2v_mask_{point['mask']}.rljson")
+        return _metrics_for(sub, load_episodes(path))
 
     return sweep([{"mask": m.value} for m in FeatureMask], run)
 
 
 def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
     def run(point):
+        sub = _with(cfg, "router", point)
         tag = f"a{point['alpha']}_e{point['epsilon']}".replace(".", "")
         router_name = f"router_{tag}.bin"
-        stage_train_router(cfg, workdir, alpha=point["alpha"], epsilon=point["epsilon"],
-                           out_name=router_name)
-        path = stage_rollout(cfg, workdir, "r2v", workers=workers,
-                             router_name=router_name,
+        stage_train_router(sub, workdir, out_name=router_name)
+        path = stage_rollout(sub, workdir, "r2v", workers=workers, router_name=router_name,
                              out_name=f"eval_r2v_{tag}.rljson")
-        return _metrics_for(cfg, load_episodes(path))
+        return _metrics_for(sub, load_episodes(path))
 
     return sweep([{"alpha": a, "epsilon": e} for a, e in CVAR_ABLATION_GRID], run)
 
 
 def _ablate_lambda(cfg: dict, workdir: Path, workers: int):
     def run(point):
-        lam = point["lambda_cons"]
-        sub_cfg = copy.deepcopy(cfg)
-        sub_cfg["distill"]["lambda_cons"] = lam
-        sub_wd = workdir / f"lambda_{str(lam).replace('.', '')}"
-        sub_wd.mkdir(parents=True, exist_ok=True)
-        run_pipeline(sub_cfg, sub_wd, workers=workers, through="evaluate",
-                     variants=("r2v",))
-        return _metrics_for(sub_cfg, load_episodes(sub_wd / "eval_r2v.rljson"))
+        sub = _with(cfg, "distill", point)
+        sub_wd = workdir / f"lambda_{str(point['lambda_cons']).replace('.', '')}"
+        run_pipeline(sub, sub_wd, workers=workers, through="train-router")
+        return _metrics_for(sub, load_episodes(stage_rollout(sub, sub_wd, "r2v", workers)))
 
     return sweep([{"lambda_cons": lam} for lam in LAMBDA_CONS_GRID], run)
 
 
-def run_pipeline(cfg: dict, workdir: Path, workers: int = 1,
-                 through: str = "evaluate", variants=VARIANT_ORDER) -> None:
-    """Run stages in order up to `through` (used by tests and ablations)."""
+def run_pipeline(cfg: dict, workdir: Path, workers: int = 1, through: str = "evaluate") -> None:
+    """Run the table's stages in order through `through`; a stage with a
+    parameter runs once per value (every rollout variant, every ablation)."""
+    names = [row.name for row in STAGES]
+    if through not in names:
+        raise ConfigError(f"unknown stage {through!r}; the stages are {names}")
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    stage_gen_tasks(cfg, workdir)
-    stage_collect(cfg, workdir, workers)
-    stage_train_bc(cfg, workdir)
-    stage_build_pairs(cfg, workdir)
-    stage_distill(cfg, workdir)
-    if through == "distill":
-        return
-    stage_collect_routing(cfg, workdir, workers)
-    stage_train_router(cfg, workdir)
-    if through == "train-router":
-        return
-    if through == "evaluate" and tuple(variants) == tuple(VARIANT_ORDER):
-        stage_evaluate(cfg, workdir, workers)
-    else:
-        for variant in variants:
-            if variant == "oracle" and not (workdir / "eval_slm.rljson").exists():
-                stage_rollout(cfg, workdir, "slm", workers=workers)
-            stage_rollout(cfg, workdir, variant, workers=workers)
+    for row in STAGES[: names.index(through) + 1]:
+        for value in row.over or (None,):
+            run_stage(cfg, workdir, row.name, value, workers)

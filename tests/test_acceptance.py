@@ -202,8 +202,7 @@ def test_criterion_11_pareto_battery(tmp_path):
 
 
 def test_criterion_12_determinism_and_speed(tmp_path):
-    stages = ["gen-tasks", "collect", "train-bc", "build-pairs", "distill",
-              "collect-routing", "train-router", "evaluate"]
+    stages = [row.name for row in pipeline.STAGES if row.param is None]
     elapsed = []
     for run in ("a", "b"):
         wd = tmp_path / run

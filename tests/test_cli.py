@@ -17,6 +17,10 @@ TINY = [
     "eval.bootstrap_resamples=200",
 ]
 
+# the stages a full run invokes one after another, in table order
+PIPELINE = [row.name for row in pipeline.STAGES if row.param is None]
+THROUGH_ROUTER = PIPELINE[: PIPELINE.index("train-router") + 1]
+
 
 def run_stage(stage, workdir, extra=()):
     return main([stage, "--workdir", str(workdir), "--workers", "1",
@@ -26,8 +30,7 @@ def run_stage(stage, workdir, extra=()):
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     wd = tmp_path_factory.mktemp("cli-run")
-    for stage in ("gen-tasks", "collect", "train-bc", "build-pairs", "distill",
-                  "collect-routing", "train-router", "evaluate"):
+    for stage in PIPELINE:
         assert run_stage(stage, wd) == EXIT_OK
     return wd
 
@@ -129,8 +132,7 @@ class TestStageOrder:
         assert run_stage("collect", tmp_path) == EXIT_STAGE_ORDER
 
     def test_oracle_rollout_requires_slm_artifact(self, tmp_path):
-        for stage in ("gen-tasks", "collect", "train-bc", "build-pairs", "distill",
-                      "collect-routing", "train-router"):
+        for stage in THROUGH_ROUTER:
             assert run_stage(stage, tmp_path) == EXIT_OK
         rc = main(["rollout", "--workdir", str(tmp_path), "--variant", "oracle",
                    "--workers", "1", *[f"--set={o}" for o in TINY]])
@@ -217,6 +219,14 @@ BAD_ARTIFACTS = {
                            ("collect-routing",)),
     "policy-vocab_size-float": ("policy_distilled.bin", _set_header_field("vocab_size", 64.0),
                                 ("collect-routing",)),
+    # the input hash every stage checks before it reads an artifact
+    "episodes-no-inputs_hash": ("episodes.rljson", _drop_header_field("inputs_hash"),
+                                ("train-bc",)),
+    "router-inputs_hash-int": ("router.bin", _set_header_field("inputs_hash", 7), R2V),
+    "policy-inputs_hash-list": ("policy_distilled.bin", _set_header_field("inputs_hash", ["x"]),
+                                ("collect-routing",)),
+    "eval_slm-inputs_hash-null": ("eval_slm.rljson", _set_header_field("inputs_hash", None),
+                                  ("rollout", "--variant", "oracle")),
 }
 
 
@@ -258,8 +268,7 @@ class TestPipelineArtifacts:
     def test_rerun_is_bit_identical(self, finished_run, tmp_path):
         wd2 = tmp_path / "rerun"
         wd2.mkdir()
-        for stage in ("gen-tasks", "collect", "train-bc", "build-pairs", "distill",
-                      "collect-routing", "train-router", "evaluate"):
+        for stage in PIPELINE:
             assert run_stage(stage, wd2) == EXIT_OK
         assert (wd2 / "summary.json").read_bytes() == (
             finished_run / "summary.json"
@@ -294,8 +303,7 @@ class TestPipelineArtifacts:
     def test_workers_do_not_change_artifacts(self, finished_run, tmp_path):
         wd2 = tmp_path / "parallel"
         wd2.mkdir()
-        for stage in ("gen-tasks", "collect", "train-bc", "build-pairs", "distill",
-                      "collect-routing", "train-router"):
+        for stage in THROUGH_ROUTER:
             assert main([stage, "--workdir", str(wd2), "--workers", "2",
                          *[f"--set={o}" for o in TINY]]) == EXIT_OK
         assert (wd2 / "routing.rljson").read_bytes() == (
@@ -324,11 +332,57 @@ class TestVerifyTheoryCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestConfigHashDrift:
-    def test_mismatched_hash_warns(self, tmp_path, capsys):
+def _copy_run(finished_run, tmp_path):
+    wd = tmp_path / "run"
+    shutil.copytree(finished_run, wd)
+    return wd
+
+
+class TestStaleInputs:
+    """Each artifact header holds the hash of the config values and inputs its
+    stage read; a stage stops on an input whose hash the config does not give."""
+
+    def test_unread_key_change_is_silent(self, tmp_path, capsys):
         assert run_stage("gen-tasks", tmp_path) == EXIT_OK
-        # rerun the next stage under a different config: artifact hash differs
-        rc = main(["collect", "--workdir", str(tmp_path), "--workers", "1",
-                   *[f"--set={o}" for o in TINY], "--set", "policy.bc_epochs=31"])
-        assert rc == EXIT_OK
-        assert "config hash" in capsys.readouterr().err
+        capsys.readouterr()
+        # collect reads tasks.json, and gen-tasks does not read policy.bc_epochs
+        assert run_stage("collect", tmp_path, ["policy.bc_epochs=31"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_changed_input_config_exits_3(self, tmp_path, capsys):
+        assert run_stage("gen-tasks", tmp_path) == EXIT_OK
+        capsys.readouterr()
+        assert run_stage("collect", tmp_path, ["env.task_count=9"]) == EXIT_STAGE_ORDER
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "tasks.json" in err and "`gen-tasks`" in err
+
+    def test_evaluate_rerolls_after_router_change(self, finished_run, tmp_path):
+        changed = ["router.threshold_mode=bayes", "router.epochs=3"]
+        wd = _copy_run(finished_run, tmp_path)
+        before = (wd / "eval_r2v.rljson").read_bytes()
+        for stage in ("train-router", "evaluate"):
+            assert run_stage(stage, wd, changed) == EXIT_OK
+        assert (wd / "eval_r2v.rljson").read_bytes() != before
+        fresh = tmp_path / "fresh"
+        for stage in PIPELINE:
+            assert run_stage(stage, fresh, changed) == EXIT_OK
+        assert (wd / "metrics.csv").read_bytes() == (fresh / "metrics.csv").read_bytes()
+        assert (wd / "summary.json").read_bytes() == (fresh / "summary.json").read_bytes()
+
+    def test_evaluate_rerolls_after_budget_rollout(self, finished_run, tmp_path):
+        wd = _copy_run(finished_run, tmp_path)
+        assert main(["rollout", "--variant", "llm", "--budget", "1", "--workdir", str(wd),
+                     "--workers", "1", *[f"--set={o}" for o in TINY]]) == EXIT_OK
+        assert run_stage("evaluate", wd) == EXIT_OK
+        summary = json.loads((wd / "summary.json").read_text())
+        assert summary["variants"]["llm"]["llm_rate"] == 1.0
+        assert (wd / "metrics.csv").read_bytes() == (finished_run / "metrics.csv").read_bytes()
+
+    def test_stale_router_stops_evaluate(self, finished_run, tmp_path, capsys):
+        wd = _copy_run(finished_run, tmp_path)
+        capsys.readouterr()
+        assert run_stage("evaluate", wd, ["router.epochs=3"]) == EXIT_STAGE_ORDER
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "router.bin is stale" in err and "`train-router`" in err

@@ -2,8 +2,11 @@
 
 Speed work on the rollout path and the router trainer must not change
 results, so this test pins the sha256 of the trained router and of the
-evaluation outputs of one small config run through `evaluate`. A change that alters a single output bit fails here; if the change
-is meant to alter results, re-pin the digests and say why in CHANGES.md.
+evaluation outputs of one small config run through `evaluate`. A change that
+alters a single output bit fails here; if the change is meant to alter
+results, re-pin the digests and say why in CHANGES.md. The artifact headers
+hold `inputs_hash`, so a change to the stage table's declared reads moves
+the digests of every artifact downstream of it.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -28,14 +31,14 @@ GOLDEN_CONFIG = (
 GOLDEN_SHA256 = {
     "summary.json": "096ca55ebe263c00efcfac9a2614268e26ae062ea48814805b3254e4cb4e84a3",
     "metrics.csv": "83c144cf5a7a75d3916e963e23967d02b75f81b8856555662a67a2410ddb22ba",
-    "routing.rljson": "805f7ffa1b9493e7210f92fb6cdd712c51c401361f379fa541d916a78509b9f7",
-    "eval_entropy.rljson": "8fefce413862d403e8851ff93110b49df3e32fac7c7b07b9b0de8ca66e4f0ad0",
-    "eval_heuristic.rljson": "62d50cd5dec14de0e5da9b3fb64d295281b068e10bf3b4b608e8002a33f15187",
-    "eval_llm.rljson": "5dbd364e95d65bc3a849a969db73095a5fd620219f2427335dce62ee923ea89e",
-    "eval_oracle.rljson": "f62b3e0708af3436851cef9c50cddfcf0820699e705aeced908f18f28e2c9975",
-    "eval_r2v.rljson": "5c61fcdf60269103f191d825a7166883ed58678df013d802f7176e53bdeced43",
-    "eval_slm.rljson": "6eccd29f91bb357ac8d57778e2380611c353f10752c7eb20fcacc939121b23f3",
-    "router.bin": "95babaa35ab97f02360dc780c738c0a3bf9ea1cf2d0e7e2c46a1ee1f910e85e6",
+    "routing.rljson": "e48f63b6a1cf834b1a26e5fd0049a7c34bb279c275c4afd95489fee18594a492",
+    "eval_entropy.rljson": "bfaaa1f33e3f62a5d62113ecc9a4b722625ad66a0157e8089dd263ff7307de7a",
+    "eval_heuristic.rljson": "1ccbe09f6f09777c0dd151d51ca259410202429d45f14b574e5075301af99198",
+    "eval_llm.rljson": "29e653ef6aa3ec8cfdeced6a1a7dce7e6e0d7166bb331285d2b3a0ae5d614196",
+    "eval_oracle.rljson": "65c1fb52b165ce20cbb8c91520e267274c36613fcaed5c1df87f6fc4b9d33831",
+    "eval_r2v.rljson": "db836195ca84b2366e230b5a309d25daedb6f00edba1c0678a75b7e7f66a8fca",
+    "eval_slm.rljson": "71ab19d0173a8f572aaac32fb720b422e72349983fdcf6c6bef99afeb54d4d1d",
+    "router.bin": "1ca855c09310267e75131b4201a129f1098ff714a3fbb671f045a63531836369",
     "router_report.csv": "f63ccc44e75fce20ca84b6889cf89f357541eb158c08dd8390352c0c1038d28c",
 }
 

@@ -59,18 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theory",
                        help="run the property/oracle suite and print pass/fail lines")
-    p.add_argument("--skip-slow", action="store_true",
-                   help="skip the trained-model checks (calibration, transfer)")
+    slow = ", ".join(row.name for row in theory.CRITERIA if row.slow)
+    p.add_argument("--skip-slow", action="store_true", help=f"skip the slow checks ({slow})")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify-theory":
-        checks = theory.run_all(include_slow=not args.skip_slow)
-        for check in checks:
-            print(check.line())
-        return EXIT_OK if all(c.passed for c in checks) else EXIT_THEORY
+        results = theory.run_all(include_slow=not args.skip_slow)
+        for row, passed, detail in results:
+            print(f"{'PASS' if passed else 'FAIL'}  {row.name}: {detail}")
+        return EXIT_OK if all(passed for _, passed, _ in results) else EXIT_THEORY
 
     overrides = list(args.overrides)
     options = {}

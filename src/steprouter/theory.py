@@ -5,7 +5,9 @@ Brier-trained calibration on a planted model, the clamped cost threshold,
 the miscalibration regret bound, TV <= sqrt(2 JSD), the best-of-K selection
 bound under bounded pairwise verifier noise, sign consistency of
 label-noised preference training, the cross-seed consistency transfer bound,
-and finite-difference gradient checks for every hand-written gradient.
+finite-difference gradient checks for every hand-written gradient, and the
+direction of the CVaR escalation knob. `CRITERIA` lists them once, with
+their tolerances and caps; `verify-theory` and the acceptance tests run it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,16 +50,6 @@ from .router import (
     train_router,
 )
 from .verifier import BASE_NEUTRAL, BASE_OPTIMAL, VerifierSpec, jitter_width
-
-
-@dataclass(frozen=True)
-class TheoryCheck:
-    name: str
-    passed: bool
-    detail: str
-
-    def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
 # --- planted 1-D model ----------------------------------------------------------
@@ -118,20 +111,10 @@ def train_planted_router(
     return net, float(np.mean(np.abs(r - planted_truth(f_test))))
 
 
-def check_brier_calibration(n: int = 100_000, seed: int = 0,
-                            epochs: int = 20) -> tuple[TheoryCheck, RouterNet]:
-    start = time.time()
-    net, err = train_planted_router(n=n, seed=seed, epochs=epochs)
-    elapsed = time.time() - start
-    passed = err <= 0.05 and elapsed <= 60.0
-    return (
-        TheoryCheck(
-            "brier-calibration",
-            passed,
-            f"E|r - q*| = {err:.4f} (tol 0.05), {elapsed:.1f}s (cap 60s)",
-        ),
-        net,
-    )
+def check_brier_calibration(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
+    net, err = train_planted_router()
+    trained.append(net)
+    return err <= tol, f"E|r - q*| = {err:.4f} (tol {tol:g})"
 
 
 def _threshold_cost_specs():
@@ -144,10 +127,10 @@ def _threshold_cost_specs():
     ]
 
 
-def check_threshold_optimality(n: int = 4000, seed: int = 1) -> TheoryCheck:
-    """Exhaustive grid over thresholds attains its minimum at the clamped
-    Bayes value, for cost specs spanning both clamp regimes."""
-    f, q, _ = planted_dataset(n, seed=seed)
+def check_threshold_optimality(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
+    """Exhaustive grid over thresholds attains its minimum within `tol` of
+    the clamped Bayes value, for cost specs spanning both clamp regimes."""
+    f, q, _ = planted_dataset(4000, seed=1)
     grid = np.arange(0, 101) / 100.0
     details = []
     ok = True
@@ -160,24 +143,22 @@ def check_threshold_optimality(n: int = 4000, seed: int = 1) -> TheoryCheck:
             ]
         )
         best = cost_at.min()
-        near = np.abs(grid - tau_star) <= 0.01 + 1e-12
+        near = np.abs(grid - tau_star) <= tol + 1e-12
         attained = cost_at[near].min() <= best + 1e-12
         ok &= attained
         details.append(f"tau*={tau_star:.2f}:{'ok' if attained else 'MISS'}")
-    return TheoryCheck("threshold-optimality", ok, ", ".join(details))
+    return ok, ", ".join(details) + f" (tol {tol:g})"
 
 
-def check_regret_bound(trained_net: RouterNet | None, n: int = 4000,
-                       seed: int = 2) -> TheoryCheck:
-    """Excess cost of the plug-in hard router <= kappa * E|r - q*|."""
-    f, q, _ = planted_dataset(n, seed=seed)
+def check_regret_bound(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
+    """Excess cost of the plug-in hard router <= kappa * E|r - q*|, over 20
+    random nets and the routers earlier rows trained."""
+    f, q, _ = planted_dataset(4000, seed=2)
     x = planted_features(f)
     costs = CostSpec(1.0, 50.0, 98.0)
     tau = bayes_threshold(costs)
-    rng = seeds.stream("regret-nets", seed)
-    nets = [RouterNet.init(rng) for _ in range(20)]
-    if trained_net is not None:
-        nets.append(trained_net)
+    rng = seeds.stream("regret-nets", 2)
+    nets = [RouterNet.init(rng) for _ in range(20)] + trained
     worst = -math.inf
     for net in nets:
         r = net.predict(x)
@@ -186,16 +167,13 @@ def check_regret_bound(trained_net: RouterNet | None, n: int = 4000,
         excess = float(np.mean(risk_hat - risk_star))
         bound = costs.kappa * float(np.mean(np.abs(r - q)))
         worst = max(worst, excess - bound)
-    return TheoryCheck(
-        "regret-bound",
-        worst <= 1e-9,
-        f"max(excess - bound) = {worst:.3e} over {len(nets)} nets (tol 1e-9)",
-    )
+    return worst <= tol, f"max(excess - bound) = {worst:.3e} over {len(nets)} nets (tol {tol:g})"
 
 
-def check_tv_jsd(n_pairs: int = 10_000, seed: int = 3) -> TheoryCheck:
+def check_tv_jsd(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
     """TV(P, Q) <= sqrt(2 JSD(P||Q)) over random distribution pairs."""
-    rng = seeds.stream("tv-jsd", seed)
+    n_pairs = 10_000
+    rng = seeds.stream("tv-jsd", 3)
     worst = -math.inf
     for _ in range(n_pairs):
         dim = int(rng.integers(2, 11))
@@ -206,11 +184,9 @@ def check_tv_jsd(n_pairs: int = 10_000, seed: int = 3) -> TheoryCheck:
     spot_tv = total_variation([1.0, 0.0], [0.0, 1.0])
     spot_bound = math.sqrt(2.0 * jsd([1.0, 0.0], [0.0, 1.0]))
     spot_ok = abs(spot_tv - 1.0) < 1e-12 and abs(spot_bound - math.sqrt(2 * math.log(2))) < 1e-12
-    passed = worst <= 1e-9 and spot_ok
-    return TheoryCheck(
-        "tv-jsd-lemma",
-        passed,
-        f"max(TV - sqrt(2 JSD)) = {worst:.3e} over {n_pairs} pairs; "
+    return (
+        worst <= tol and spot_ok,
+        f"max(TV - sqrt(2 JSD)) = {worst:.3e} over {n_pairs} pairs (tol {tol:g}); "
         f"disjoint spot check {'ok' if spot_ok else 'failed'}",
     )
 
@@ -222,14 +198,15 @@ BEST_OF_K_GRID = {
 }
 
 
-def check_best_of_k(trials: int = 100_000, seed: int = 4) -> TheoryCheck:
+def check_best_of_k(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
     """Monte Carlo selection probability against the union bound
-    1 - (1-mu)^K - K(K-1)/2 * eta, minus three MC sigmas.
+    1 - (1-mu)^K - K(K-1)/2 * eta, minus `tol` MC sigmas.
 
     Uses the verifier's own jitter model at the minimal good/bad score gap,
     where the pairwise misrank probability equals eta exactly.
     """
-    rng = seeds.stream("best-of-k", seed)
+    trials = 100_000
+    rng = seeds.stream("best-of-k", 4)
     failures = []
     for mu in BEST_OF_K_GRID["mu"]:
         for k in BEST_OF_K_GRID["k"]:
@@ -243,12 +220,11 @@ def check_best_of_k(trials: int = 100_000, seed: int = 4) -> TheoryCheck:
                 emp = float(hit.mean())
                 bound = 1.0 - (1.0 - mu) ** k - k * (k - 1) / 2.0 * eta
                 sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials)
-                if emp < bound - 3.0 * sigma:
+                if emp < bound - tol * sigma:
                     failures.append(f"(mu={mu},K={k},eta={eta}): {emp:.4f} < {bound:.4f}")
-    return TheoryCheck(
-        "best-of-k-bound",
-        not failures,
-        "all 36 grid cells above the bound" if not failures else "; ".join(failures),
+    return not failures, (
+        f"all 36 grid cells above the bound (tol {tol:g} sigma)" if not failures
+        else "; ".join(failures)
     )
 
 
@@ -278,10 +254,10 @@ def noisy_margin(eta: float, n_pairs: int = 200, true_sign: int = +1,
     return dpo_margin(policy.theta, policy.bias, ref, phi, plus, minus, beta)
 
 
-def check_noisy_dpo(etas=(0.05, 0.1, 0.2, 0.3, 0.4), tol: float = 1e-2) -> TheoryCheck:
+def check_noisy_dpo(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
     details = []
     ok = True
-    for eta in etas:
+    for eta in (0.05, 0.1, 0.2, 0.3, 0.4):
         u = noisy_margin(eta)
         target = math.log((1.0 - eta) / eta)
         good = u > 0 and abs(u - target) <= tol
@@ -289,26 +265,26 @@ def check_noisy_dpo(etas=(0.05, 0.1, 0.2, 0.3, 0.4), tol: float = 1e-2) -> Theor
         details.append(f"eta={eta}: u={u:.4f} vs {target:.4f}")
     u_neg = noisy_margin(0.1, true_sign=-1)
     ok &= u_neg > 0  # margin is measured along the true preference direction
-    return TheoryCheck("noisy-dpo-sign", ok, "; ".join(details))
+    return ok, "; ".join(details) + f" (tol {tol:g})"
 
 
 # --- consistency transfer ---------------------------------------------------------
 
 
-def _mini_env(seed: int = 7, intensities=None) -> HazardChainEnv:
+def _mini_env(seed: int) -> HazardChainEnv:
     cfg = EnvConfig(
         state_count=10,
         action_count=6,
         horizon=16,
         goal_vocab_size=64,
-        family_intensities=intensities
-        or {"ToolFlaky": 0.15, "PartialObs": 0.3, "Injection": 0.2, "Distractor": 0.2},
+        family_intensities={"ToolFlaky": 0.15, "PartialObs": 0.3, "Injection": 0.2,
+                            "Distractor": 0.2},
         rng_seed=seed,
     )
     return HazardChainEnv(cfg, task_count=10)
 
 
-def distilled_pair_for_transfer(seed: int = 7):
+def distilled_pair_for_transfer(seed: int):
     """Two distilled policies (lambda_cons = 0.2 and 0.0) from one mini pipeline."""
     env = _mini_env(seed)
     teacher = TeacherPolicy(error_rate=0.02)
@@ -356,10 +332,10 @@ def surrogate_risk_and_jsd(env: HazardChainEnv, policy: SoftmaxPolicy, task_id: 
     return risks, pair_jsd
 
 
-def check_consistency_transfer(seed: int = 7) -> TheoryCheck:
-    """Per-pair transfer bound |R_z - R_z'| <= H sqrt(2 L_cons) + 1e-6, and the
+def check_consistency_transfer(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
+    """Per-pair transfer bound |R_z - R_z'| <= H sqrt(2 L_cons) + tol, and the
     regularized policy shows strictly lower mean cross-seed JSD."""
-    env, teacher, with_cons, without_cons = distilled_pair_for_transfer(seed)
+    env, teacher, with_cons, without_cons = distilled_pair_for_transfer(7)
     h = env.config.horizon
     worst = -math.inf
     jsd_with, jsd_without = [], []
@@ -368,17 +344,16 @@ def check_consistency_transfer(seed: int = 7) -> TheoryCheck:
         risks, pair_jsd = surrogate_risk_and_jsd(env, with_cons, task_id, z_list)
         for (z_a, z_b), val in pair_jsd.items():
             gap = abs(risks[z_a] - risks[z_b])
-            worst = max(worst, gap - (h * math.sqrt(2.0 * val) + 1e-6))
+            worst = max(worst, gap - (h * math.sqrt(2.0 * val) + tol))
             jsd_with.append(val)
         _, pair_jsd0 = surrogate_risk_and_jsd(env, without_cons, task_id, z_list)
         jsd_without.extend(pair_jsd0.values())
     bound_ok = worst <= 0.0
     direction_ok = float(np.mean(jsd_with)) < float(np.mean(jsd_without))
-    return TheoryCheck(
-        "consistency-transfer",
+    return (
         bound_ok and direction_ok,
-        f"max bound violation {worst:.3e}; mean JSD {np.mean(jsd_with):.4f} (reg) vs "
-        f"{np.mean(jsd_without):.4f} (unreg)",
+        f"max bound violation {worst:.3e} (tol {tol:g}); mean JSD {np.mean(jsd_with):.4f} "
+        f"(reg) vs {np.mean(jsd_without):.4f} (unreg)",
     )
 
 
@@ -404,6 +379,15 @@ def _fd_check(loss_fn, get, setv, coords, h_scale: float = 1e-6):
     return worst
 
 
+def _fd_arrays(loss_fn, arrays, grads) -> float:
+    """`_fd_check` over every entry of each array, perturbed in place."""
+    return max(
+        _fd_check(loss_fn, lambda c, a=a: a[c], lambda c, v, a=a: a.__setitem__(c, v),
+                  [(c, g[c]) for c in np.ndindex(a.shape)])
+        for a, g in zip(arrays, grads)
+    )
+
+
 def bc_gradient_error(n_points: int = 20, seed: int = 11) -> float:
     rng = seeds.stream("gradcheck-bc", seed)
     dim, n_act, n = 9, 4, 24
@@ -418,12 +402,7 @@ def bc_gradient_error(n_points: int = 20, seed: int = 11) -> float:
         def loss():
             return bc_loss_and_grad(theta, bias, x, y)[0]
 
-        coords = [((i, j), g_theta[i, j]) for i in range(dim) for j in range(n_act)]
-        worst = max(worst, _fd_check(loss, lambda c: theta[c],
-                                     lambda c, v: theta.__setitem__(c, v), coords))
-        coords_b = [((j,), g_bias[j]) for j in range(n_act)]
-        worst = max(worst, _fd_check(loss, lambda c: bias[c[0]],
-                                     lambda c, v: bias.__setitem__(c[0], v), coords_b))
+        worst = max(worst, _fd_arrays(loss, (theta, bias), (g_theta, g_bias)))
     return worst
 
 
@@ -460,12 +439,7 @@ def distill_gradient_error(n_points: int = 20, seed: int = 12) -> float:
                 theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
             )[0]
 
-        coords = [((i, j), g_theta[i, j]) for i in range(dim) for j in range(n_act)]
-        worst = max(worst, _fd_check(loss, lambda c: theta[c],
-                                     lambda c, v: theta.__setitem__(c, v), coords))
-        coords_b = [((j,), g_bias[j]) for j in range(n_act)]
-        worst = max(worst, _fd_check(loss, lambda c: bias[c[0]],
-                                     lambda c, v: bias.__setitem__(c[0], v), coords_b))
+        worst = max(worst, _fd_arrays(loss, (theta, bias), (g_theta, g_bias)))
     return worst
 
 
@@ -541,9 +515,9 @@ def planted_seed_world(n_seeds: int = 250, steps_per_seed: int = 30,
 CVAR_KNOB_CELLS = ((0.05, 0.02), (0.20, 0.10), (0.20, 0.15))
 
 
-def check_cvar_knob(train_seeds=(0, 1, 2), epochs: int = 40) -> TheoryCheck:
-    """Tightening the CVaR budget weakly increases the escalation rate on a
-    fixed evaluation set (conservative -> canonical -> relaxed ordering).
+def check_cvar_knob(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
+    """Tightening the CVaR budget increases the escalation rate, up to `tol`,
+    on a fixed evaluation set (conservative -> canonical -> relaxed ordering).
 
     Cost units are scaled (ratio 50, interior threshold preserved) so the
     per-seed risks are commensurate with the epsilon grid; at the literal
@@ -557,19 +531,18 @@ def check_cvar_knob(train_seeds=(0, 1, 2), epochs: int = 40) -> TheoryCheck:
     details = []
     for alpha, eps in CVAR_KNOB_CELLS:
         rates = []
-        for s in train_seeds:
+        for s in (0, 1, 2):
             spec = TrainSpec(costs=costs, cvar=CVaRSpec(alpha=alpha, epsilon=eps),
-                             epochs=epochs)
+                             epochs=40)
             net, _ = train_router(examples, spec, seed=s)
             rates.append(float(np.mean(net.predict(x_eval) >= tau)))
         means.append(float(np.mean(rates)))
         details.append(f"({alpha},{eps}): {means[-1]:.4f}")
-    ok = means[0] >= means[1] >= means[2]
-    return TheoryCheck("cvar-knob-direction", ok,
-                       "escalation " + " >= ".join(details))
+    ok = means[0] >= means[1] - tol and means[1] >= means[2] - tol
+    return ok, "escalation " + " >= ".join(details) + f" (tol {tol:g})"
 
 
-def check_gradients(tol: float = 1e-5) -> TheoryCheck:
+def check_gradients(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
     errs = {
         "bc": bc_gradient_error(),
         "dpo+cons": distill_gradient_error(),
@@ -577,22 +550,48 @@ def check_gradients(tol: float = 1e-5) -> TheoryCheck:
     }
     ok = all(v <= tol for v in errs.values())
     detail = ", ".join(f"{k}: {v:.2e}" for k, v in errs.items()) + f" (tol {tol:g})"
-    return TheoryCheck("gradient-checks", ok, detail)
+    return ok, detail
 
 
-def run_all(include_slow: bool = True) -> list[TheoryCheck]:
-    checks = [
-        check_tv_jsd(),
-        check_best_of_k(),
-        check_threshold_optimality(),
-        check_gradients(),
-        check_noisy_dpo(),
-    ]
-    if include_slow:
-        brier_check, net = check_brier_calibration()
-        checks.append(brier_check)
-        checks.append(check_regret_bound(net))
-        checks.append(check_consistency_transfer())
-    else:
-        checks.append(check_regret_bound(None))
-    return checks
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion. Its check takes the row's tolerance and the
+    routers earlier rows of the run trained (criterion 3 reuses criterion
+    1's), and returns its pass flag and a detail that prints the tolerance."""
+
+    number: int
+    name: str
+    check: Callable[[float, list[RouterNet]], tuple[bool, str]]
+    tol: float
+    cap_s: float | None  # wall-clock cap in seconds
+    slow: bool  # left out by `verify-theory --skip-slow`
+
+    def run(self, trained: list[RouterNet]) -> tuple[bool, str]:
+        """Run the check at the row's tolerance; over its cap, the row fails."""
+        start = time.perf_counter()
+        passed, detail = self.check(self.tol, trained)
+        if self.cap_s is not None:
+            elapsed = time.perf_counter() - start
+            passed = passed and elapsed <= self.cap_s
+            detail += f", {elapsed:.1f}s (cap {self.cap_s:g}s)"
+        return passed, detail
+
+
+CRITERIA = (
+    Criterion(1, "brier-calibration", check_brier_calibration, 0.05, 60.0, True),
+    Criterion(2, "threshold-optimality", check_threshold_optimality, 0.01, None, False),
+    Criterion(3, "regret-bound", check_regret_bound, 1e-9, None, False),
+    Criterion(4, "tv-jsd-lemma", check_tv_jsd, 1e-9, None, False),
+    Criterion(5, "best-of-k-bound", check_best_of_k, 3.0, 60.0, False),
+    Criterion(6, "noisy-dpo-sign", check_noisy_dpo, 1e-2, None, False),
+    Criterion(7, "consistency-transfer", check_consistency_transfer, 1e-6, None, True),
+    Criterion(8, "gradient-checks", check_gradients, 1e-5, None, False),
+    Criterion(10, "cvar-knob-direction", check_cvar_knob, 0.0, None, True),
+)
+
+
+def run_all(include_slow: bool) -> list[tuple[Criterion, bool, str]]:
+    """Each row of `CRITERIA` in order, the slow ones only if asked, with its
+    pass flag and detail."""
+    trained: list[RouterNet] = []
+    return [(row, *row.run(trained)) for row in CRITERIA if include_slow or not row.slow]

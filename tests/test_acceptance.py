@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Monte Carlo and trained-model checks live in steprouter.theory; this module
-drives them at the agreed tolerances and adds the pipeline-level checks
-(invariants, ablation direction, Pareto battery, determinism and speed).
+Criteria 1-8 and 10 are the rows of `theory.CRITERIA`, run by one
+parametrized test through the same driver as `steprouter verify-theory`, at
+the tolerances and caps the table holds; criterion 3 adds the router that
+criterion 1 trained to its nets. This module adds the pipeline-level
+criteria: invariants (9), the Pareto battery (11), determinism and speed (12).
 """
 
 import json
@@ -31,55 +33,15 @@ def report(criterion: str, passed: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def planted_router():
-    """Criterion 1 artifact, reused by criterion 3."""
-    start = time.time()
-    check, net = theory.check_brier_calibration()
-    return check, net, time.time() - start
+def trained():
+    """Routers the rows train, so criterion 3 reuses criterion 1's."""
+    return []
 
 
-def test_criterion_01_calibration_recovery(planted_router):
-    check, _, _ = planted_router
-    report("1 calibration-recovery", check.passed, check.detail)
-
-
-def test_criterion_02_threshold_optimality():
-    check = theory.check_threshold_optimality()
-    report("2 threshold-optimality", check.passed, check.detail)
-
-
-def test_criterion_03_regret_bound(planted_router):
-    _, net, _ = planted_router
-    check = theory.check_regret_bound(net)
-    report("3 regret-bound", check.passed, check.detail)
-
-
-def test_criterion_04_tv_jsd_lemma():
-    check = theory.check_tv_jsd()
-    report("4 tv-jsd-lemma", check.passed, check.detail)
-
-
-def test_criterion_05_best_of_k_bound():
-    start = time.time()
-    check = theory.check_best_of_k()
-    elapsed = time.time() - start
-    report("5 best-of-k-bound", check.passed and elapsed <= 60.0,
-           f"{check.detail}; {elapsed:.1f}s (cap 60s)")
-
-
-def test_criterion_06_noisy_dpo_sign():
-    check = theory.check_noisy_dpo()
-    report("6 noisy-dpo-sign", check.passed, check.detail)
-
-
-def test_criterion_07_consistency_transfer():
-    check = theory.check_consistency_transfer()
-    report("7 consistency-transfer", check.passed, check.detail)
-
-
-def test_criterion_08_gradient_checks():
-    check = theory.check_gradients()
-    report("8 gradient-checks", check.passed, check.detail)
+@pytest.mark.parametrize("row", theory.CRITERIA, ids=lambda r: f"{r.number:02d}-{r.name}")
+def test_criterion(row, trained):
+    passed, detail = row.run(trained)
+    report(f"{row.number} {row.name}", passed, detail)
 
 
 @pytest.fixture(scope="module")
@@ -153,11 +115,6 @@ class TestCriterion09PipelineInvariants:
         ok &= len(examples) == sum(len(ep.steps) for ep in episodes)
         report("9d label-recount", ok,
                f"{len(examples)} labels match episode outcomes exactly")
-
-
-def test_criterion_10_cvar_knob_direction():
-    check = theory.check_cvar_knob()
-    report("10 cvar-knob-direction", check.passed, check.detail)
 
 
 def _pareto_clauses(variants):

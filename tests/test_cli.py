@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import shutil
+import time
 
 import pytest
 
-from steprouter import pipeline
+from steprouter import pipeline, theory
 from steprouter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE_ORDER, main
 from steprouter.domain import ConfigError
 
@@ -311,6 +313,13 @@ class TestPipelineArtifacts:
         ).read_bytes()
 
 
+def stub_row(passed=True, cap_s=None, sleep_s=0.0):
+    def check(tol, trained):
+        time.sleep(sleep_s)
+        return passed, f"stub (tol {tol:g})"
+    return theory.Criterion(99, "stub", check, 0.0, cap_s, slow=False)
+
+
 class TestVerifyTheoryCommand:
     def test_fast_suite_passes(self, capsys):
         rc = main(["verify-theory", "--skip-slow"])
@@ -318,18 +327,49 @@ class TestVerifyTheoryCommand:
         assert rc == EXIT_OK
         assert "PASS" in out
         assert "FAIL" not in out
+        assert "over 20 nets" in out  # no router trained, none reused
+
+    def test_table_is_pinned(self):
+        assert [(r.number, r.name, r.tol, r.cap_s, r.slow) for r in theory.CRITERIA] == [
+            (1, "brier-calibration", 0.05, 60.0, True),
+            (2, "threshold-optimality", 0.01, None, False),
+            (3, "regret-bound", 1e-9, None, False),
+            (4, "tv-jsd-lemma", 1e-9, None, False),
+            (5, "best-of-k-bound", 3.0, 60.0, False),
+            (6, "noisy-dpo-sign", 1e-2, None, False),
+            (7, "consistency-transfer", 1e-6, None, True),
+            (8, "gradient-checks", 1e-5, None, False),
+            (10, "cvar-knob-direction", 0.0, None, True),
+        ]
 
     def test_violation_exits_nonzero(self, capsys, monkeypatch):
-        from steprouter import theory
-
-        monkeypatch.setattr(
-            theory,
-            "run_all",
-            lambda include_slow=True: [theory.TheoryCheck("stub", False, "forced")],
-        )
+        monkeypatch.setattr(theory, "CRITERIA", (stub_row(passed=False),))
         rc = main(["verify-theory", "--skip-slow"])
         assert rc == 4
-        assert "FAIL" in capsys.readouterr().out
+        assert "FAIL  stub: stub (tol 0)" in capsys.readouterr().out
+
+    def test_row_over_its_cap_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(theory, "CRITERIA", (stub_row(cap_s=0.01, sleep_s=0.05),))
+        rc = main(["verify-theory"])
+        assert rc == 4
+        assert "FAIL  stub: stub (tol 0), " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--skip-slow"]])
+    def test_runs_the_rows_the_flags_select(self, capsys, monkeypatch, flags):
+        ran = []
+
+        def stub(row):
+            def check(tol, trained):
+                ran.append(row.number)
+                return True, "stub"
+            return dataclasses.replace(row, check=check)
+
+        monkeypatch.setattr(theory, "CRITERIA", tuple(map(stub, theory.CRITERIA)))
+        assert main(["verify-theory", *flags]) == EXIT_OK
+        want = [r for r in theory.CRITERIA if not (flags and r.slow)]
+        assert ran == [r.number for r in want]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS  {r.name}" for r in want]
 
 
 def _copy_run(finished_run, tmp_path):

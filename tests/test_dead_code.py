@@ -5,8 +5,8 @@ A name counts as used when some module (its own included) refers to it
 outside its own `def`/`class` statement: as a bare name, an attribute, an
 imported name, or a string literal equal to the name (perfbench patches
 layers by their string names). Tests do not count, so a helper that only
-tests call fails here. `theory.py` is the oracle battery and is exempt as a
-definer, but its references count.
+tests call fails here; that includes a theory check that `theory.CRITERIA`
+does not list.
 """
 
 import ast
@@ -14,7 +14,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steprouter"
-EXEMPT = {"theory.py"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -48,7 +47,6 @@ def test_no_public_definition_is_unused():
     unused = [
         f"{path.name}:{name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name not in EXEMPT
         for name in _public_definitions(_parse(path))
         if name not in referenced
     ]

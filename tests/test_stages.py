@@ -4,9 +4,11 @@ Every artifact header holds `inputs_hash`: a hash of the config keys its
 stage row declares and of its inputs' own hashes. The scheme is only right if
 the declared keys are complete, so one test reruns each stage on the same
 input files with every undeclared config key changed and requires the same
-output. A read whose effect does not show on this small run goes unseen:
-`eval.ece_bins` only decides the temperature fallback of train-router, which
-this run never takes.
+output. A read whose effect does not show on this small run goes unseen, so
+the run trains its router for 40 epochs: at 10, every `eval.ece_bins` gave
+the clipped temperature e^3, while at 40 the default 15 bins take the ECE
+fallback (T = 1) and the perturbed 10 bins fit T = 3.45, so train-router's
+read of `eval.ece_bins` shows.
 """
 
 import copy
@@ -23,7 +25,7 @@ SMALL = (
     "policy.pert_seeds_per_task=2",
     "policy.bc_epochs=20",
     "distill.epochs=10",
-    "router.epochs=10",
+    "router.epochs=40",
     "runtime.routing_seeds_per_task=3",
     "eval.task_ids=[0,3,5,8]",
     "eval.eval_seeds_per_task=3",

@@ -67,10 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify-theory":
-        results = theory.run_all(include_slow=not args.skip_slow)
-        for row, passed, detail in results:
-            print(f"{'PASS' if passed else 'FAIL'}  {row.name}: {detail}")
-        return EXIT_OK if all(passed for _, passed, _ in results) else EXIT_THEORY
+        all_passed = True
+        for row, passed, detail in theory.run_all(include_slow=not args.skip_slow):
+            print(f"{'PASS' if passed else 'FAIL'}  {row.name}: {detail}", flush=True)
+            all_passed = all_passed and passed
+        return EXIT_OK if all_passed else EXIT_THEORY
 
     overrides = list(args.overrides)
     options = {}

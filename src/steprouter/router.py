@@ -1,8 +1,10 @@
 """Residual-risk router.
 
-A 15 -> 128 -> 64 -> 1 feed-forward scorer (GELU, per-layer batch
-normalization with tracked running statistics, dropout 0.2, sigmoid output,
-post-hoc temperature) trained on the CVaR-constrained Lagrangian
+A 15 -> 128 -> 64 -> 1 feed-forward scorer (tanh-form GELU 0.5*x*(1 +
+tanh(sqrt(2/pi)*(x + 0.044715*x^3))) of Hendrycks & Gimpel, 2016, in train and
+eval mode alike; per-layer batch normalization with tracked running
+statistics, dropout 0.2, sigmoid output, post-hoc temperature) trained on the
+CVaR-constrained Lagrangian
 
     min_psi max_{lam>=0}  E_z[R(z)] + lam * (CVaR_alpha(R(z)) - eps) + lam_B * Brier
 
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from . import seeds
 from .domain import CostSpec, CVaRSpec, read_arrays, write_arrays
@@ -33,35 +34,45 @@ BN_MOMENTUM = 0.1
 
 _PARAM_NAMES = ("w1", "b1", "g1", "be1", "w2", "b2", "g2", "be2", "w3", "b3")
 _STAT_NAMES = ("run_mean1", "run_var1", "run_mean2", "run_var2")
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
-def gelu_parts(x: np.ndarray, cdf: np.ndarray | None = None,
+def gelu_parts(x: np.ndarray, s: np.ndarray | None = None,
                act: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(gelu(x), standard-normal CDF of x), written into act and cdf if given;
-    the CDF is reused by backward."""
-    if cdf is None:
-        cdf = np.empty(np.shape(x))
-    np.divide(x, math.sqrt(2.0), out=cdf)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return np.multiply(x, cdf, out=act), cdf
+    """(gelu(x), smooth step s = 0.5*(1 + tanh(u))), written into act and s if
+    given; s is reused by backward."""
+    if s is None:
+        s = np.empty(np.shape(x))
+    np.multiply(x, x, out=s)
+    s *= _GELU_C * _GELU_A
+    s += _GELU_C
+    s *= x  # u = sqrt(2/pi) * (x + 0.044715 x^3)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return np.multiply(x, s, out=act), s
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     return gelu_parts(x)[0]
 
 
-def gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """GELU derivative written into `out`, given the CDF that `gelu_parts`
-    returned for x."""
-    np.multiply(x, -0.5, out=out)
-    out *= x
-    np.exp(out, out=out)
-    out *= x
-    out /= math.sqrt(2.0 * math.pi)
-    out += cdf
-    return out
+def gelu_grad(x: np.ndarray, s: np.ndarray, d: np.ndarray,
+              tmp: np.ndarray) -> np.ndarray:
+    """Multiply d in place by the GELU derivative s + x * 2s(1-s) * du/dx,
+    given the smooth step s that `gelu_parts` returned for x; tmp is
+    scratch."""
+    np.multiply(x, x, out=tmp)
+    tmp *= 6.0 * _GELU_C * _GELU_A
+    tmp += 2.0 * _GELU_C  # 2 du/dx
+    tmp *= x
+    d *= s
+    tmp *= d
+    d += tmp
+    tmp *= s
+    d -= tmp  # d * (s + x * 2 du/dx * s * (1 - s))
+    return d
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -206,7 +217,7 @@ def logits_train(net: RouterNet, x: np.ndarray, masks,
     h = x
     for i, mask in (("1", m1), ("2", m2)):
         width = p["b" + i].size
-        xhat, z, cdf, act = (buffers.take(k + i, n, width) for k in ("xhat", "z", "cdf", "h"))
+        xhat, z, s, act = (buffers.take(k + i, n, width) for k in ("xhat", "z", "s", "h"))
         np.matmul(h, p["w" + i], out=xhat)
         xhat += p["b" + i]  # the pre-activation a, centred and scaled in place
         mu = xhat.mean(axis=0)
@@ -216,10 +227,10 @@ def logits_train(net: RouterNet, x: np.ndarray, masks,
         xhat /= std
         np.multiply(p["g" + i], xhat, out=z)
         z += p["be" + i]
-        gelu_parts(z, cdf=cdf, act=act)
+        gelu_parts(z, s=s, act=act)
         act *= mask
         cache.update({"mu" + i: mu, "var" + i: var, "std" + i: std, "xhat" + i: xhat,
-                      "z" + i: z, "cdf" + i: cdf, "h" + i: act})
+                      "z" + i: z, "s" + i: s, "h" + i: act})
         h = act
 
     logit = (h @ p["w3"] + p["b3"]).ravel()
@@ -254,7 +265,7 @@ def backward(net: RouterNet, cache: dict, dlogit: np.ndarray,
         d_next = np.matmul(d, w_out.T, out=buffers.take("d" + i, n, w_out.shape[0]))
         d_next *= cache["m" + i]
         tmp = buffers.take("tmp", n, w_out.shape[0])
-        d_next *= gelu_grad(cache["z" + i], cache["cdf" + i], out=tmp)
+        gelu_grad(cache["z" + i], cache["s" + i], d_next, tmp)
         grads["g" + i], grads["be" + i] = _bn_backward(
             d_next, cache["xhat" + i], cache["std" + i], p["g" + i], tmp)
         grads["w" + i] = cache["h1" if i == "2" else "x"].T @ d_next
@@ -479,7 +490,8 @@ def fit_temperature_logits(logits, labels, ece_bins: int = 15) -> float:
     """1-D golden-section search on log T in [-3, 3] minimizing validation NLL.
 
     Falls back to T = 1 when labels are degenerate or when scaling would
-    worsen ECE by more than 0.005 on the same set.
+    worsen ECE by more than 0.005 on the same set, and warns when it returns
+    a temperature clipped at the bound e^-3 or e^3.
     """
     z = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -507,11 +519,14 @@ def fit_temperature_logits(logits, labels, ece_bins: int = 15) -> float:
             fd = nll(d)
         if hi - lo < 1e-10:
             break
-    t_cand = math.exp(0.5 * (lo + hi))
+    log_t = 0.5 * (lo + hi)
+    t_cand = math.exp(log_t)
     before = ece(sigmoid(z), y, bins=ece_bins)
     after = ece(sigmoid(z / t_cand), y, bins=ece_bins)
     if after > before + 0.005:
         return 1.0
+    if abs(log_t) >= 3.0 - 1e-6:
+        warnings.warn(f"temperature search hit its bound; temperature clipped at {t_cand:g}")
     return t_cand
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -590,8 +590,10 @@ CRITERIA = (
 )
 
 
-def run_all(include_slow: bool) -> list[tuple[Criterion, bool, str]]:
+def run_all(include_slow: bool) -> Iterator[tuple[Criterion, bool, str]]:
     """Each row of `CRITERIA` in order, the slow ones only if asked, with its
-    pass flag and detail."""
+    pass flag and detail, yielded as soon as the row has run."""
     trained: list[RouterNet] = []
-    return [(row, *row.run(trained)) for row in CRITERIA if include_slow or not row.slow]
+    for row in CRITERIA:
+        if include_slow or not row.slow:
+            yield (row, *row.run(trained))

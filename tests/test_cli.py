@@ -354,6 +354,15 @@ class TestVerifyTheoryCommand:
         assert rc == 4
         assert "FAIL  stub: stub (tol 0), " in capsys.readouterr().out
 
+    def test_prints_each_row_as_it_finishes(self, capsys, monkeypatch):
+        def second(tol, trained):
+            assert capsys.readouterr().out == "PASS  stub: stub (tol 0)\n"
+            return False, "second"
+        rows = (stub_row(), theory.Criterion(98, "second", second, 0.0, None, slow=False))
+        monkeypatch.setattr(theory, "CRITERIA", rows)
+        assert main(["verify-theory"]) == 4
+        assert capsys.readouterr().out == "FAIL  second: second\n"
+
     @pytest.mark.parametrize("flags", [[], ["--skip-slow"]])
     def test_runs_the_rows_the_flags_select(self, capsys, monkeypatch, flags):
         ran = []

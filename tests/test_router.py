@@ -20,6 +20,8 @@ from steprouter.router import (
     fit_temperature,
     fit_temperature_logits,
     gelu,
+    gelu_grad,
+    gelu_parts,
     logits_train,
     make_dropout_masks,
     route_surrogate,
@@ -130,6 +132,28 @@ class TestForward:
         assert np.array_equal(loaded.predict(f), net.predict(f))
         assert header["stage"] == "train-router"
         assert loaded.tau_route == 0.43
+
+
+class TestGelu:
+    """The activation is the tanh form of GELU (Hendrycks & Gimpel, 2016)."""
+
+    X = np.linspace(-6.0, 6.0, 12001)
+
+    def test_matches_tanh_closed_form(self):
+        want = [0.5 * v * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)))
+                for v in self.X]
+        np.testing.assert_allclose(gelu(self.X), want, rtol=1e-15, atol=1e-15)
+
+    def test_close_to_exact_gelu(self):
+        exact = [0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in self.X]
+        assert np.max(np.abs(gelu(self.X) - exact)) <= 5e-4
+
+    def test_grad_matches_central_differences(self):
+        h = 1e-5
+        numeric = (gelu(self.X + h) - gelu(self.X - h)) / (2.0 * h)
+        s = gelu_parts(self.X)[1]
+        grad = gelu_grad(self.X, s, np.ones_like(self.X), np.empty_like(self.X))
+        np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
 
 
 class TestLosses:

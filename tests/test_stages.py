@@ -13,6 +13,7 @@ read of `eval.ece_bins` shows.
 
 import copy
 import json
+import math
 import shutil
 
 import pytest
@@ -181,6 +182,16 @@ def test_run_pipeline_stops_after_through(tmp_path):
         "episodes.rljson", "split.json", "tasks.json"]
     with pytest.raises(ConfigError, match="unknown stage"):
         pipeline.run_pipeline(cfg, tmp_path, workers=1, through="colect")
+
+
+def test_clipped_temperature_warns(tmp_path):
+    # at 10 router epochs the small run's temperature search ends on its bound
+    cfg = pipeline.load_config(overrides=(*SMALL, "router.epochs=10"), environ={})
+    pipeline.run_pipeline(cfg, tmp_path, workers=1, through="collect-routing")
+    with pytest.warns(UserWarning, match="temperature search hit its bound") as caught:
+        out = pipeline.run_stage(cfg, tmp_path, "train-router")
+    assert len(caught) == 1
+    assert pipeline.read_header(out)["temperature"] == pytest.approx(math.exp(3.0))
 
 
 def test_expected_hash_matches_written_headers(small_run):

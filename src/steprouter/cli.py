@@ -48,12 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(PARAM_FLAGS[row.param], dest="value", required=True,
                            choices=row.over)
         if row.name == "rollout":
-            p.add_argument("--budget", type=int, default=None,
-                           help="per-episode LLM call cap (overrides config)")
-            p.add_argument("--tasks", default=None,
-                           help="comma-separated task ids (default: test split)")
-            p.add_argument("--seeds", type=int, default=None,
-                           help="perturbation seeds per task (overrides config)")
             p.add_argument("--out", default=None,
                            help="output file name (default eval_<variant>.rljson)")
 
@@ -73,18 +67,9 @@ def main(argv=None) -> int:
             all_passed = all_passed and passed
         return EXIT_OK if all_passed else EXIT_THEORY
 
-    overrides = list(args.overrides)
-    options = {}
-    if args.command == "rollout":
-        options["out_name"] = args.out
-        if args.budget is not None:
-            overrides.append(f"runtime.budget_limit={args.budget}")
-        if args.seeds is not None:
-            overrides.append(f"eval.eval_seeds_per_task={args.seeds}")
-        if args.tasks is not None:
-            overrides.append(f"eval.task_ids=[{args.tasks}]")
+    options = {"out_name": args.out} if args.command == "rollout" else {}
     try:
-        cfg = pipeline.load_config(args.config, overrides=overrides)
+        cfg = pipeline.load_config(args.config, overrides=args.overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

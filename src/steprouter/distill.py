@@ -11,7 +11,6 @@ same latent state by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import seeds
 from .domain import Context
 from .env import HazardChainEnv
-from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, param_digest
+from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, descend, param_digest
 from .router import sigmoid
 from .verifier import VerifierSpec, score_candidates
 
@@ -270,39 +269,20 @@ def train_recovery(
     cons_a = featurizer.matrix([a for a, _ in view_pairs])
     cons_b = featurizer.matrix([b for _, b in view_pairs])
 
-    theta, bias = policy.theta, policy.bias
-    loss, g_theta, g_bias = _objective_and_grad(
-        theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
-        config.beta, config.lambda_cons, cons_a, cons_b,
+    theta, bias, trace = descend(
+        lambda theta, bias: _objective_and_grad(
+            theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
+            config.beta, config.lambda_cons, cons_a, cons_b,
+        ),
+        policy.theta, policy.bias, config.epochs, config.lr, halvings=60,
+        grad_tol=config.grad_tol,
     )
-    trace = [loss]
-    for _ in range(config.epochs):
-        step = config.lr
-        accepted = False
-        for _ in range(60):
-            theta2 = theta - step * g_theta
-            bias2 = bias - step * g_bias
-            loss2, g_theta2, g_bias2 = _objective_and_grad(
-                theta2, bias2, ref, pair_x, plus_idx, minus_idx, ref_margin,
-                config.beta, config.lambda_cons, cons_a, cons_b,
-            )
-            if loss2 <= loss:
-                theta, bias = theta2, bias2
-                loss, g_theta, g_bias = loss2, g_theta2, g_bias2
-                accepted = True
-                break
-            step /= 2.0
-        trace.append(loss)
-        if not accepted:
-            break
-        if math.sqrt((g_theta**2).sum() + (g_bias**2).sum()) < config.grad_tol:
-            break
 
     if param_digest(ref.theta, ref.bias) != ref.param_hash:
         raise RuntimeError("frozen reference mutated during recovery training")
     policy.theta, policy.bias = theta, bias
     report = {
-        "final_loss": loss,
+        "final_loss": trace[-1],
         "loss_trace": trace,
         "pair_count": len(pairs),
         "view_count": len(view_pairs),

@@ -53,7 +53,6 @@ class EnvConfig:
     action_count: int = 6
     horizon: int = 20
     goal_vocab_size: int = 64
-    perturbation_families: tuple[str, ...] = PERTURBATION_FAMILIES
     family_intensities: dict[str, float] = field(
         default_factory=lambda: {f: 0.0 for f in PERTURBATION_FAMILIES}
     )
@@ -71,9 +70,6 @@ class EnvConfig:
             raise ConfigError("action_count must be at least 4")
         if self.horizon < 2:
             raise ConfigError("horizon must be at least 2")
-        for fam in self.perturbation_families:
-            if fam not in PERTURBATION_FAMILIES:
-                raise ConfigError(f"unknown perturbation family {fam!r}")
         for fam, inten in self.family_intensities.items():
             if fam not in PERTURBATION_FAMILIES:
                 raise ConfigError(f"unknown perturbation family {fam!r}")

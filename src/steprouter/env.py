@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import seeds
-from .domain import ConfigError, Context, EnvConfig, PerturbationSeed
+from .domain import PERTURBATION_FAMILIES, ConfigError, Context, EnvConfig, PerturbationSeed
 
 ACTION_LEFT = 0
 ACTION_RIGHT = 1
@@ -28,8 +28,6 @@ ACTION_INTERACT = 2
 ACTION_HAZARD = 3
 
 MAX_SUBGOALS = 3
-
-FAMILY_ORDER = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class PerturbationOp:
     intensity: float
 
     def __post_init__(self):
-        if self.family not in FAMILY_ORDER:
+        if self.family not in PERTURBATION_FAMILIES:
             raise ValueError(f"unknown perturbation family {self.family!r}")
         if not (0.0 <= self.intensity <= 1.0):
             raise ValueError("intensity must lie in [0, 1]")
@@ -216,7 +214,7 @@ class HazardChainEnv:
 
     Two memos make a step O(1) in the values that do not change within a run:
     the layout of each task id (`task_spec`), and the corruption ops of each
-    seed z (storm severity times base intensity, per enabled family). Both are
+    seed z (storm severity times base intensity, per family). Both are
     keyed only on an int and derived from the config as it was at
     construction, so they can never go stale; a fresh env recomputes the same
     values bit for bit.
@@ -241,11 +239,7 @@ class HazardChainEnv:
         object.__setattr__(
             self,
             "_base_intensities",
-            tuple(
-                (fam, cfg.intensity(fam))
-                for fam in FAMILY_ORDER
-                if fam in cfg.perturbation_families
-            ),
+            tuple((fam, cfg.intensity(fam)) for fam in PERTURBATION_FAMILIES),
         )
         object.__setattr__(self, "_tasks", {})
         object.__setattr__(self, "_ops", {})
@@ -341,8 +335,8 @@ class HazardChainEnv:
         )
 
     def perturbation_ops(self, z: int) -> tuple[PerturbationOp, ...]:
-        """The enabled families at seed z's effective intensity, in
-        FAMILY_ORDER, zero-intensity ones dropped; memoized per z."""
+        """The families at seed z's effective intensity, in
+        PERTURBATION_FAMILIES order, zero-intensity ones dropped; memoized per z."""
         ops = self._ops.get(z)
         if ops is None:
             severity = seed_severity(self.config, z)
@@ -355,8 +349,8 @@ class HazardChainEnv:
         return ops
 
     def corrupt(self, obs: tuple[int, ...], z: int, t: int) -> tuple[int, ...]:
-        """Chain enabled families in fixed order (composite perturbation),
-        at the seed's effective intensity."""
+        """Chain the nonzero-intensity families in fixed order (composite
+        perturbation), at the seed's effective intensity."""
         for op in self.perturbation_ops(z):
             obs = apply_perturbation(obs, op, z, t, self.tokens)
         return obs
@@ -390,7 +384,5 @@ class HazardChainEnv:
     def clean_variant(self) -> "HazardChainEnv":
         """Same tasks, all corruption intensities zeroed."""
         cfg = self.config
-        clean_cfg = replace(
-            cfg, family_intensities={f: 0.0 for f in cfg.perturbation_families}
-        )
+        clean_cfg = replace(cfg, family_intensities={f: 0.0 for f in PERTURBATION_FAMILIES})
         return HazardChainEnv(clean_cfg, self.task_count)

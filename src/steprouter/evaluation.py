@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.stats import rankdata
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -43,6 +43,19 @@ def ece(predictions, labels, bins: int = 15) -> float:
     return float(total / p.size)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of `values`; each group of ties gets the mean of the
+    ranks it spans."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC with tie correction (ties share average ranks)."""
     s = np.asarray(scores, dtype=float)
@@ -51,7 +64,7 @@ def auroc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both labels present")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

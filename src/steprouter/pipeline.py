@@ -65,7 +65,6 @@ DEFAULT_CONFIG: dict = {
         "action_count": 6,
         "horizon": 20,
         "goal_vocab_size": 64,
-        "perturbation_families": ["ToolFlaky", "PartialObs", "Injection", "Distractor"],
         "family_intensities": {
             "ToolFlaky": 0.15,
             "PartialObs": 0.30,
@@ -83,7 +82,7 @@ DEFAULT_CONFIG: dict = {
         "bc_lr": 4.0,
         "pert_seeds_per_task": 5,
     },
-    "verifier": {"eta_v": 0.2, "gamma_threshold": 0.55, "regime": None},
+    "verifier": {"eta_v": 0.2, "gamma_threshold": 0.55},
     "distill": {"beta": 2.0, "lambda_cons": 0.20, "epochs": 60, "lr": 4.0},
     "features": {"mask": "Full"},
     "router": {
@@ -100,8 +99,6 @@ DEFAULT_CONFIG: dict = {
         "c_slm": 1.0,
         "c_llm": 50.0,
         "kappa": 98.0,
-        "threshold_mode": "sweep",
-        "train_seed": 0,
     },
     "runtime": {
         "k_candidates": 5,
@@ -119,8 +116,6 @@ DEFAULT_CONFIG: dict = {
     },
     "split": {"fractions": [0.70, 0.15, 0.15], "seed": 42},
 }
-
-VERIFIER_REGIMES = {"low": 0.05, "high": 0.25}
 
 VARIANT_ORDER = VARIANTS
 
@@ -239,12 +234,6 @@ def validate_config(cfg: dict) -> None:
         FeatureMask(mask_name)
     except ValueError as exc:
         raise ConfigError(f"unknown feature mask {mask_name!r}") from exc
-    regime = cfg["verifier"]["regime"]
-    if regime is not None and regime not in VERIFIER_REGIMES:
-        raise ConfigError(f"unknown verifier regime {regime!r}")
-    mode = cfg["router"]["threshold_mode"]
-    if mode not in ("bayes", "sweep"):
-        raise ConfigError(f"unknown threshold mode {mode!r}")
     fr = cfg["split"]["fractions"]
     if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError("split fractions must be a triple summing to 1")
@@ -281,7 +270,6 @@ def make_env(cfg: dict) -> HazardChainEnv:
     e = dict(cfg["env"])
     task_count = e.pop("task_count")
     try:
-        e["perturbation_families"] = tuple(e["perturbation_families"])
         e["family_intensities"] = dict(e["family_intensities"])
         return HazardChainEnv(EnvConfig(**e), task_count=task_count)
     except (ValueError, TypeError) as exc:
@@ -294,8 +282,7 @@ def make_teacher(cfg: dict) -> TeacherPolicy:
 
 def make_verifier(cfg: dict, env: HazardChainEnv) -> VerifierSpec:
     v = cfg["verifier"]
-    eta = VERIFIER_REGIMES[v["regime"]] if v["regime"] else v["eta_v"]
-    return VerifierSpec.for_env(env, eta_v=eta, gamma_threshold=v["gamma_threshold"])
+    return VerifierSpec.for_env(env, eta_v=v["eta_v"], gamma_threshold=v["gamma_threshold"])
 
 
 def make_cost_spec(cfg: dict) -> CostSpec:
@@ -656,15 +643,13 @@ def stage_train_router(cfg: dict, workdir: Path, out_name: str | None = None) ->
     train_examples = [ex for ex in examples if ex.split == "train"]
     valid_examples = [ex for ex in examples if ex.split == "valid"] or train_examples
     spec = make_train_spec(cfg)
-    seed = cfg["router"]["train_seed"] + 1000 * cfg["runtime"]["harness_salt"]
-    net, report = train_router(train_examples, spec, seed=seed)
+    net, report = train_router(train_examples, spec, seed=1000 * cfg["runtime"]["harness_salt"])
 
     x_val = np.array([ex.features for ex in valid_examples], dtype=float)
     y_val = np.array([ex.label for ex in valid_examples], dtype=float)
     temperature = fit_temperature(net, x_val, y_val, ece_bins=cfg["eval"]["ece_bins"])
     costs = spec.costs
-    net.tau_route = select_threshold(net, x_val, y_val, costs,
-                                     mode=cfg["router"]["threshold_mode"])
+    net.tau_route = select_threshold(net, x_val, y_val, costs)
     tau_h = calibrate_entropy_threshold(valid_examples, costs)
     theta_v = calibrate_heuristic_threshold(valid_examples, costs)
 

@@ -285,17 +285,34 @@ def train_bc(
         raise ValueError(
             "behavioral cloning needs at least one successful episode in the pool"
         )
-    theta = np.zeros((featurizer.dim, featurizer.action_count))
-    bias = np.zeros(featurizer.action_count)
-    loss, g_theta, g_bias = bc_loss_and_grad(theta, bias, x, y)
+    theta, bias, trace = descend(
+        lambda theta, bias: bc_loss_and_grad(theta, bias, x, y),
+        np.zeros((featurizer.dim, featurizer.action_count)),
+        np.zeros(featurizer.action_count),
+        epochs, lr, halvings=50,
+    )
+    return SoftmaxPolicy(theta, bias, featurizer, stage="bc"), trace
+
+
+def descend(objective, theta, bias, epochs: int, lr: float, halvings: int,
+            grad_tol: float = 0.0):
+    """Full-batch gradient descent with a backtracking line search.
+
+    `objective(theta, bias)` returns (loss, g_theta, g_bias). Each epoch
+    tries steps lr, lr/2, ... (at most `halvings` tries) and takes the first
+    whose loss is no higher, so the loss never increases. Stops after an
+    epoch that finds no such step, or whose gradient norm is below
+    `grad_tol`. Returns (theta, bias, per-epoch loss trace).
+    """
+    loss, g_theta, g_bias = objective(theta, bias)
     trace = [loss]
     for _ in range(epochs):
         step = lr
         accepted = False
-        for _ in range(50):
+        for _ in range(halvings):
             theta2 = theta - step * g_theta
             bias2 = bias - step * g_bias
-            loss2, g_theta2, g_bias2 = bc_loss_and_grad(theta2, bias2, x, y)
+            loss2, g_theta2, g_bias2 = objective(theta2, bias2)
             if loss2 <= loss:
                 theta, bias = theta2, bias2
                 loss, g_theta, g_bias = loss2, g_theta2, g_bias2
@@ -305,4 +322,6 @@ def train_bc(
         trace.append(loss)
         if not accepted:
             break
-    return SoftmaxPolicy(theta, bias, featurizer, stage="bc"), trace
+        if np.sqrt((g_theta**2).sum() + (g_bias**2).sum()) < grad_tol:
+            break
+    return theta, bias, trace

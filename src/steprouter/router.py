@@ -559,11 +559,6 @@ def sweep_threshold(values, labels, costs: CostSpec,
     return float(grid[int(np.argmin(cost_per_tau))])
 
 
-def select_threshold(net: RouterNet, x_val, y_val, costs: CostSpec,
-                     mode: str = "bayes") -> float:
-    """Routing threshold: the Bayes formula or a validation sweep."""
-    if mode == "bayes":
-        return bayes_threshold(costs)
-    if mode == "sweep":
-        return sweep_threshold(net.predict(np.asarray(x_val, dtype=float)), y_val, costs)
-    raise ValueError("mode must be 'bayes' or 'sweep'")
+def select_threshold(net: RouterNet, x_val, y_val, costs: CostSpec) -> float:
+    """Routing threshold: the sweep over the net's validation predictions."""
+    return sweep_threshold(net.predict(np.asarray(x_val, dtype=float)), y_val, costs)

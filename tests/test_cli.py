@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +51,9 @@ class TestConfig:
             pipeline.load_config(overrides=["router.nonsense=1"])
 
     @pytest.mark.parametrize("key", ["env.discount", "env.reward_success",
-                                     "policy.temperature"])
+                                     "policy.temperature", "verifier.regime",
+                                     "env.perturbation_families", "router.threshold_mode",
+                                     "router.train_seed"])
     def test_removed_keys_rejected(self, tmp_path, capsys, key):
         with pytest.raises(ConfigError, match="unknown config path"):
             pipeline.load_config(overrides=[f"{key}=1.0"], environ={})
@@ -120,9 +126,27 @@ class TestConfig:
     @pytest.mark.parametrize("tasks", ["a,b", "0,99"])
     def test_rollout_bad_tasks_exit_code(self, tmp_path, capsys, tasks):
         rc = main(["rollout", "--workdir", str(tmp_path), "--variant", "slm",
-                   "--workers", "1", "--tasks", tasks])
+                   "--workers", "1", "--set", f"eval.task_ids=[{tasks}]"])
         assert rc == EXIT_CONFIG
         assert "eval.task_ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--budget", "--seeds", "--tasks"])
+    def test_removed_rollout_flags_rejected(self, tmp_path, capsys, flag):
+        # each only re-set a config key that --set reaches
+        with pytest.raises(SystemExit) as exc:
+            main(["rollout", "--workdir", str(tmp_path), "--variant", "slm", flag, "1"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, steprouter.pipeline, steprouter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestStageOrder:
@@ -321,13 +345,11 @@ def stub_row(passed=True, cap_s=None, sleep_s=0.0):
 
 
 class TestVerifyTheoryCommand:
-    def test_fast_suite_passes(self, capsys):
-        rc = main(["verify-theory", "--skip-slow"])
-        out = capsys.readouterr().out
-        assert rc == EXIT_OK
-        assert "PASS" in out
-        assert "FAIL" not in out
-        assert "over 20 nets" in out  # no router trained, none reused
+    def test_regret_bound_without_trained_routers(self):
+        # under --skip-slow no row trains a router, so only the random nets count
+        passed, detail = theory.check_regret_bound(1e-9, [])
+        assert passed
+        assert "over 20 nets" in detail
 
     def test_table_is_pinned(self):
         assert [(r.number, r.name, r.tol, r.cap_s, r.slow) for r in theory.CRITERIA] == [
@@ -407,7 +429,7 @@ class TestStaleInputs:
         assert "tasks.json" in err and "`gen-tasks`" in err
 
     def test_evaluate_rerolls_after_router_change(self, finished_run, tmp_path):
-        changed = ["router.threshold_mode=bayes", "router.epochs=3"]
+        changed = ["router.kappa=60.0", "router.epochs=3"]
         wd = _copy_run(finished_run, tmp_path)
         before = (wd / "eval_r2v.rljson").read_bytes()
         for stage in ("train-router", "evaluate"):
@@ -421,8 +443,8 @@ class TestStaleInputs:
 
     def test_evaluate_rerolls_after_budget_rollout(self, finished_run, tmp_path):
         wd = _copy_run(finished_run, tmp_path)
-        assert main(["rollout", "--variant", "llm", "--budget", "1", "--workdir", str(wd),
-                     "--workers", "1", *[f"--set={o}" for o in TINY]]) == EXIT_OK
+        assert main(["rollout", "--variant", "llm", "--workdir", str(wd), "--workers", "1",
+                     *[f"--set={o}" for o in (*TINY, "runtime.budget_limit=1")]]) == EXIT_OK
         assert run_stage("evaluate", wd) == EXIT_OK
         summary = json.loads((wd / "summary.json").read_text())
         assert summary["variants"]["llm"]["llm_rate"] == 1.0

@@ -3,12 +3,11 @@ import itertools
 import pytest
 
 from steprouter import seeds
-from steprouter.domain import EnvConfig, PerturbationSeed
+from steprouter.domain import PERTURBATION_FAMILIES, EnvConfig, PerturbationSeed
 from steprouter.env import (
     ACTION_HAZARD,
     ACTION_LEFT,
     ACTION_RIGHT,
-    FAMILY_ORDER,
     HazardChainEnv,
     LatentState,
     PerturbationOp,
@@ -320,7 +319,7 @@ class TestMemos:
         tokens = forward.tokens
         for (z, t), out in seen_fwd.items():
             expected = obs
-            for fam in FAMILY_ORDER:
+            for fam in PERTURBATION_FAMILIES:
                 cfg = forward.config
                 inten = min(1.0, cfg.intensity(fam) * seed_severity(cfg, z))
                 expected = apply_perturbation(expected, PerturbationOp(fam, inten), z, t, tokens)

@@ -5,7 +5,9 @@ import pytest
 
 from steprouter import seeds
 from steprouter.domain import Context, PerturbationSeed, PerturbedEpisode, StepRecord
-from steprouter.evaluation import auroc, bootstrap_ci, compute_metrics, ece, sweep
+from steprouter.evaluation import (
+    _average_ranks, auroc, bootstrap_ci, compute_metrics, ece, sweep,
+)
 
 
 def episode(success, executors, probs=None, task=0, z=0):
@@ -139,6 +141,15 @@ class TestAuroc:
     def test_rejects_single_label(self):
         with pytest.raises(ValueError):
             auroc([0.1, 0.9], [1, 1])
+
+    def test_average_ranks_match_counting_reference(self):
+        # rank = values below + the mean of the tie group's ranks; every rank
+        # is an integer or a half, so equality is exact
+        rng = seeds.stream("average-ranks")
+        for n in (1, 2, 7, 150):
+            v = rng.integers(0, 6, size=n) / 4.0
+            expected = [float((v < x).sum()) + ((v == x).sum() + 1) / 2.0 for x in v]
+            assert _average_ranks(v).tolist() == expected
 
 
 class TestBootstrap:

@@ -9,7 +9,13 @@ far: the router's activation became the tanh form of GELU, which moved
 `router.bin`, `router_report.csv`, `eval_r2v.rljson`, `summary.json` and
 `metrics.csv` and left every other pinned file byte-identical. The artifact
 headers hold `inputs_hash`, so a change to the stage table's declared reads
-moves the digests of every artifact downstream of it.
+moves the digests of every artifact downstream of it. One header-only change
+so far: removing the config keys `env.perturbation_families`,
+`verifier.regime`, `router.threshold_mode` and `router.train_seed` moved the
+`config_hash` and `inputs_hash` in the headers of `summary.json`,
+`routing.rljson`, `router.bin` and the six `eval_*.rljson`; every file of
+the run is equal to its earlier form once those two hashes are dropped, and
+`metrics.csv` and `router_report.csv` kept their bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -32,16 +38,16 @@ GOLDEN_CONFIG = (
 )
 
 GOLDEN_SHA256 = {
-    "summary.json": "66d7fe25a9de8aee7ffc859c80a89c510bc319120f37549594eeb3e7c3bb0d56",
+    "summary.json": "d6f63158701cb576a5f635a70fdad3b41382d038b430c34a9a89a6faf7045862",
     "metrics.csv": "a1ce4eec4e9633677daa8a957e238bc445c8181c5856f477e2ba2a0dc82b46fd",
-    "routing.rljson": "e48f63b6a1cf834b1a26e5fd0049a7c34bb279c275c4afd95489fee18594a492",
-    "eval_entropy.rljson": "bfaaa1f33e3f62a5d62113ecc9a4b722625ad66a0157e8089dd263ff7307de7a",
-    "eval_heuristic.rljson": "1ccbe09f6f09777c0dd151d51ca259410202429d45f14b574e5075301af99198",
-    "eval_llm.rljson": "29e653ef6aa3ec8cfdeced6a1a7dce7e6e0d7166bb331285d2b3a0ae5d614196",
-    "eval_oracle.rljson": "65c1fb52b165ce20cbb8c91520e267274c36613fcaed5c1df87f6fc4b9d33831",
-    "eval_r2v.rljson": "a33d5e4a952e4a0fd52abb7585b7e7098b107f2e97d1a10a6fe458b2c36a5e17",
-    "eval_slm.rljson": "71ab19d0173a8f572aaac32fb720b422e72349983fdcf6c6bef99afeb54d4d1d",
-    "router.bin": "6dcff300265f0f353c0a37968b537920f7651e5213062f65fe886b72398015c8",
+    "routing.rljson": "215da59064e5e8def127baed7b7d0ab64f73816bc2461bc9e3bcc2c041499475",
+    "eval_entropy.rljson": "5571944938a5577dbb250056fe935567b57a56c158c829a7faa54ec661937435",
+    "eval_heuristic.rljson": "f2ff3c0cd673b7ca85df0d8776ed08c0df451b5c6da440c6171f023972988db0",
+    "eval_llm.rljson": "733a3611408c3dede2f05aff5861cf9dceae6777b474d46431a7208b93e894aa",
+    "eval_oracle.rljson": "5ad64fcb2719cb38d1691d8b5c01d36d8eb72add54ce27ad6316d7275bc6cb55",
+    "eval_r2v.rljson": "d8e293746828f667d9a225dbc5ab3c5f8f6b06646a6b46638da471a68dc4145c",
+    "eval_slm.rljson": "d0797d3fff0bddd275147548d8fea5f9637903036a2e33bd15ee41971c241cb2",
+    "router.bin": "e9da312e187a6e3adcc3029beedf17d36d9e77b5f10461d5d1326afa888dafa5",
     "router_report.csv": "6a279b76ae59d8dfde1e23ed9af8d91690c493df8a15ce58428f76fae784ff48",
 }
 

@@ -39,7 +39,6 @@ PERTURB = {
     "env.action_count": 7,
     "env.horizon": 14,
     "env.goal_vocab_size": 72,
-    "env.perturbation_families": ["ToolFlaky", "PartialObs"],
     "env.family_intensities": {"ToolFlaky": 0.3, "PartialObs": 0.1, "Injection": 0.0,
                                "Distractor": 0.25},
     "env.rng_seed": 7,
@@ -52,7 +51,6 @@ PERTURB = {
     "policy.pert_seeds_per_task": 3,
     "verifier.eta_v": 0.1,
     "verifier.gamma_threshold": 0.7,
-    "verifier.regime": "high",
     "distill.beta": 1.0,
     "distill.lambda_cons": 0.5,
     "distill.epochs": 12,
@@ -71,8 +69,6 @@ PERTURB = {
     "router.c_slm": 2.0,
     "router.c_llm": 40.0,
     "router.kappa": 80.0,
-    "router.threshold_mode": "bayes",
-    "router.train_seed": 1,
     "runtime.k_candidates": 4,
     "runtime.budget_limit": 2,
     "runtime.routing_seeds_per_task": 4,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .domain import Context
+from .domain import Context, PerturbationSeed
 from .env import HazardChainEnv
 from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, descend, param_digest
 from .router import sigmoid
@@ -130,17 +130,15 @@ def build_consistency_views(pool, env: HazardChainEnv):
         if len(zs) < 2:
             continue
         actions = [s.chosen_action for s in clean_ep.steps]
-        contexts = {z: _replay_contexts(env, task_id, actions, z) for z in zs}
+        contexts = {z: replay_contexts(env, task_id, actions, z) for z in zs}
         z_pairs = [(zs[i], zs[(i + 1) % len(zs)]) for i in range(len(zs))]
         for z_a, z_b in z_pairs[:CONS_PAIRS_PER_TASK]:
             views.extend(zip(contexts[z_a], contexts[z_b]))
     return views
 
 
-def _replay_contexts(env: HazardChainEnv, task_id: int, actions, z: int):
+def replay_contexts(env: HazardChainEnv, task_id: int, actions, z: int):
     """Contexts visited when replaying a fixed action sequence under seed z."""
-    from .domain import PerturbationSeed
-
     seed = PerturbationSeed(z)
     state, ctx = env.reset(task_id, seed)
     out = [ctx]

@@ -22,7 +22,7 @@ import numpy as np
 
 PERTURBATION_FAMILIES = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 
-EPISODE_SCHEMA = "episode@1"
+EPISODE_SCHEMA = "episode@2"
 ROUTING_SCHEMA = "routing-example@1"
 
 
@@ -86,33 +86,26 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class Context:
-    """Observable history at one step: goal, observations so far, past actions."""
+    """What the agent sees at one step: goal, this step's observation, past
+    actions, and the running count of goal and observation tokens seen."""
 
     goal: tuple[int, ...]
-    observations: tuple[tuple[int, ...], ...]
+    observation: tuple[int, ...]
     actions: tuple[int, ...]
-    step_index: int
+    tokens_seen: int
 
     def __post_init__(self):
-        if len(self.observations) != self.step_index + 1:
-            raise ValueError("context must hold exactly step_index + 1 observations")
-        if len(self.actions) != self.step_index:
-            raise ValueError("context must hold exactly step_index past actions")
+        if self.tokens_seen < len(self.goal) + len(self.observation):
+            raise ValueError("tokens_seen is less than the goal and observation hold")
 
     @property
-    def last_observation(self) -> tuple[int, ...]:
-        return self.observations[-1]
-
-    def tokens_seen(self) -> int:
-        return len(self.goal) + sum(len(o) for o in self.observations)
+    def step_index(self) -> int:
+        return len(self.actions)
 
     def advanced(self, action: int, observation: tuple[int, ...]) -> "Context":
-        return Context(
-            goal=self.goal,
-            observations=self.observations + (tuple(observation),),
-            actions=self.actions + (int(action),),
-            step_index=self.step_index + 1,
-        )
+        return Context(goal=self.goal, observation=observation,
+                       actions=self.actions + (int(action),),
+                       tokens_seen=self.tokens_seen + len(observation))
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ class StepRecord:
 
     Teacher demonstration steps carry empty candidate/score lists; routed
     steps record everything the router saw, making the record the unit of
-    evaluation and audit.
+    evaluation and audit. Its context holds only this step's observation.
     """
 
     context: Context
@@ -292,18 +285,18 @@ def derive_splits(
 def _context_to_dict(ctx: Context) -> dict:
     return {
         "goal": list(ctx.goal),
-        "observations": [list(o) for o in ctx.observations],
+        "observation": list(ctx.observation),
         "actions": list(ctx.actions),
-        "step_index": ctx.step_index,
+        "tokens_seen": ctx.tokens_seen,
     }
 
 
 def _context_from_dict(d: dict) -> Context:
     return Context(
         goal=tuple(d["goal"]),
-        observations=tuple(tuple(o) for o in d["observations"]),
+        observation=tuple(d["observation"]),
         actions=tuple(d["actions"]),
-        step_index=int(d["step_index"]),
+        tokens_seen=int(d["tokens_seen"]),
     )
 
 
@@ -330,8 +323,8 @@ def _step_from_dict(d: dict) -> StepRecord:
         executor=d["executor"],
         features=None if d["features"] is None else tuple(float(v) for v in d["features"]),
         router_prob=None if d["router_prob"] is None else float(d["router_prob"]),
-        decision=d.get("decision"),
-        budget_remaining=d.get("budget_remaining"),
+        decision=d["decision"],
+        budget_remaining=d["budget_remaining"],
     )
 
 
@@ -358,7 +351,7 @@ def episode_from_dict(d: dict) -> PerturbedEpisode:
         success=bool(d["success"]),
         llm_calls=int(d["llm_calls"]),
         budget_limit=None if d["budget_limit"] is None else int(d["budget_limit"]),
-        kind=d.get("kind", ""),
+        kind=d["kind"],
     )
 
 
@@ -381,7 +374,7 @@ def routing_example_from_dict(d: dict) -> RoutingExample:
         label=int(d["label"]),
         seed_id=int(d["seed_id"]),
         step_index=int(d["step_index"]),
-        split=d.get("split", "train"),
+        split=d["split"],
     )
 
 

@@ -363,8 +363,9 @@ class HazardChainEnv:
         task = self.task_spec(task_id)
         state = LatentState(task_id, task.start, 0, 0)
         obs = self.corrupt(self.clean_observation(task, state), seed.z, 0)
-        ctx = Context(goal=self.goal_tokens(task), observations=(obs,), actions=(), step_index=0)
-        return state, ctx
+        goal = self.goal_tokens(task)
+        return state, Context(goal=goal, observation=obs, actions=(),
+                              tokens_seen=len(goal) + len(obs))
 
     def step(
         self, state: LatentState, action: int, seed: PerturbationSeed, t: int

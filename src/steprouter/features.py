@@ -114,7 +114,7 @@ def extract(
             semantic_entropy,
             t / limits.horizon,
             t / limits.horizon_max,
-            min(1.0, ctx.tokens_seen() / limits.max_context_tokens),
+            min(1.0, ctx.tokens_seen / limits.max_context_tokens),
             min(1.0, len(ctx.goal) / limits.max_goal_len),
             pseudo_entropy(rows[1]),
         ]

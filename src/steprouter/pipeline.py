@@ -26,6 +26,7 @@ from .domain import (
     CostSpec,
     CVaRSpec,
     EnvConfig,
+    RecordFormatError,
     StageOrderError,
     decode_records,
     derive_splits,
@@ -58,6 +59,7 @@ from .runtime import (
 from .verifier import VerifierSpec
 
 ENV_PREFIX = "STEPROUTER_"
+PAIRS_SCHEMA = "pairs@2"
 
 DEFAULT_CONFIG: dict = {
     "env": {
@@ -554,7 +556,7 @@ def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
         for a, b in views
     ]
     out = artifact_path(workdir, "build-pairs")
-    write_rljson(out, records, {"schema": "pairs@1", "stage": "build-pairs",
+    write_rljson(out, records, {"schema": PAIRS_SCHEMA, "stage": "build-pairs",
                                 **_stamp(cfg, "build-pairs"), "counters": counters})
     return out
 
@@ -569,6 +571,8 @@ def _pair_from_dict(rec: dict):
 
 
 def load_pairs(path: Path):
+    if read_header(path).get("schema") != PAIRS_SCHEMA:
+        raise RecordFormatError(f"{path}: not a {PAIRS_SCHEMA} file")
     records = decode_records(path, _pair_from_dict)
     return ([r for r in records if isinstance(r, PreferencePair)],
             [r for r in records if isinstance(r, tuple)])

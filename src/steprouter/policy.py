@@ -55,7 +55,7 @@ class PolicyFeaturizer:
 
     def __call__(self, ctx: Context) -> np.ndarray:
         x = np.zeros(self.dim)
-        for tok in ctx.last_observation:
+        for tok in ctx.observation:
             if 0 <= tok < self.vocab_size:
                 x[tok] = 1.0
             if self.prog_base <= tok <= self.prog_base + MAX_SUBGOALS:

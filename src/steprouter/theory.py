@@ -27,12 +27,14 @@ from .distill import (
     build_preferences,
     dpo_margin,
     jsd,
+    replay_contexts,
     total_variation,
     train_recovery,
 )
 from .domain import Context, CostSpec, CVaRSpec, EnvConfig, RoutingExample
 from .env import HazardChainEnv, LatentState
 from .policy import (
+    FrozenReference,
     PolicyFeaturizer,
     SoftmaxPolicy,
     TeacherPolicy,
@@ -65,7 +67,7 @@ def planted_features(f: np.ndarray) -> np.ndarray:
     return x
 
 
-def planted_dataset(n: int, n_seeds: int = 50, seed: int = 0):
+def planted_dataset(n: int, seed: int = 0):
     """1-D planted model: q*(f) = clip(f, 0.05, 0.95), y ~ Bernoulli(q*)."""
     rng = seeds.stream("planted", seed)
     f = rng.uniform(0.0, 1.0, n)
@@ -102,11 +104,11 @@ def train_planted_router(
     n: int = 100_000, n_seeds: int = 50, seed: int = 0, epochs: int = 20
 ) -> tuple[RouterNet, float]:
     """Train on the planted model and report E|r - q*| on a fresh sample."""
-    f, _, y = planted_dataset(n, n_seeds=n_seeds, seed=seed)
+    f, _, y = planted_dataset(n, seed=seed)
     net, _ = train_router(planted_examples(f, y, n_seeds), calibration_train_spec(epochs), seed=seed)
-    f_val, _, y_val = planted_dataset(max(2000, n // 5), n_seeds=n_seeds, seed=seed + 1)
+    f_val, _, y_val = planted_dataset(max(2000, n // 5), seed=seed + 1)
     fit_temperature(net, planted_features(f_val), y_val)
-    f_test, q_test, _ = planted_dataset(max(2000, n // 10), n_seeds=n_seeds, seed=seed + 2)
+    f_test, q_test, _ = planted_dataset(max(2000, n // 10), seed=seed + 2)
     r = net.predict(planted_features(f_test))
     return net, float(np.mean(np.abs(r - planted_truth(f_test))))
 
@@ -233,7 +235,7 @@ def check_best_of_k(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
 
 def _two_action_world():
     featurizer = PolicyFeaturizer(vocab_size=4, action_count=2, horizon=2, prog_base=3)
-    ctx = Context(goal=(0,), observations=((1,),), actions=(), step_index=0)
+    ctx = Context(goal=(0,), observation=(1,), actions=(), tokens_seen=2)
     return featurizer, ctx
 
 
@@ -302,8 +304,6 @@ def surrogate_risk_and_jsd(env: HazardChainEnv, policy: SoftmaxPolicy, task_id: 
                            z_list) -> tuple[dict, dict]:
     """Per-seed episodic risk sum_t (1 - P(a*_t)) and per-pair mean JSD along
     the clean optimal trajectory replayed under each seed."""
-    from .distill import _replay_contexts
-
     task = env.task_spec(task_id)
     state = LatentState(task_id, task.start, 0, 0)
     actions = []
@@ -314,7 +314,7 @@ def surrogate_risk_and_jsd(env: HazardChainEnv, policy: SoftmaxPolicy, task_id: 
         if success:
             break
     optimal = actions
-    contexts = {z: _replay_contexts(env, task_id, actions, z) for z in z_list}
+    contexts = {z: replay_contexts(env, task_id, actions, z) for z in z_list}
     risks = {}
     dists = {}
     for z in z_list:
@@ -417,8 +417,6 @@ def distill_gradient_error(n_points: int = 20, seed: int = 12) -> float:
     cons_a = rng.normal(size=(n_views, dim))
     cons_b = rng.normal(size=(n_views, dim))
     beta, lam = 0.3, 0.7
-
-    from .policy import FrozenReference
 
     worst = 0.0
     for _ in range(n_points):

@@ -193,6 +193,21 @@ def _is_pair(rec):
     return rec.get("kind") == "pair"
 
 
+def _drop_record_key(key):
+    return _edit_record(lambda rec: True, lambda rec: rec.pop(key))
+
+
+def _drop_step_key(key):
+    """Drop `key` from the first step of the first episode that has steps."""
+    return _edit_record(lambda rec: rec["steps"], lambda rec: rec["steps"][0].pop(key))
+
+
+def _episode_schema_1(data: bytes) -> bytes:
+    """Every record tagged with the earlier episode schema, header untouched."""
+    header, rest = data.split(b"\n", 1)
+    return header + b"\n" + rest.replace(b'"schema": "episode@2"', b'"schema": "episode@1"')
+
+
 def _edit_header(edit):
     def corrupt(data: bytes) -> bytes:
         first, rest = data.split(b"\n", 1)
@@ -231,6 +246,18 @@ BAD_ARTIFACTS = {
     "pair-unknown-kind": ("pairs.rljson",
                           _edit_record(_is_pair, lambda rec: rec.update(kind="pari")),
                           ("distill",)),
+    # an earlier record format is named as such, never read as the present one
+    "eval_slm-episode@1": ("eval_slm.rljson", _episode_schema_1, ("evaluate",)),
+    "pairs-header-pairs@1": ("pairs.rljson", _set_header_field("schema", "pairs@1"),
+                             ("distill",)),
+    # every writer writes these keys, so a record without one is malformed,
+    # not an SLM-only step, an episode of no kind or a training example
+    "eval_slm-no-decision": ("eval_slm.rljson", _drop_step_key("decision"), ("evaluate",)),
+    "eval_slm-no-kind": ("eval_slm.rljson", _drop_record_key("kind"), ("evaluate",)),
+    "episodes-no-kind": ("episodes.rljson", _drop_record_key("kind"), ("train-bc",)),
+    "episodes-no-budget_remaining": ("episodes.rljson", _drop_step_key("budget_remaining"),
+                                     ("train-bc",)),
+    "routing-no-split": ("routing.rljson", _drop_record_key("split"), ("train-router",)),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
     # a header field of the wrong type is as malformed as a missing one

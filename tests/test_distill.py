@@ -41,7 +41,7 @@ def trained_bc(env, pert=4):
 
 
 def simple_context():
-    return Context(goal=(0,), observations=((1,),), actions=(), step_index=0)
+    return Context(goal=(0,), observation=(1,), actions=(), tokens_seen=2)
 
 
 def two_action_world():

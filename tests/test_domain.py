@@ -25,9 +25,9 @@ from steprouter.pipeline import load_episodes
 def make_context(t=0):
     return Context(
         goal=(35, 36, 40),
-        observations=tuple((4 + i, 16, 29, 31) for i in range(t + 1)),
+        observation=(4 + t, 16, 29, 31),
         actions=tuple(1 for _ in range(t)),
-        step_index=t,
+        tokens_seen=3 + 4 * (t + 1),
     )
 
 
@@ -144,12 +144,21 @@ class TestSerialization:
     def test_garbage_is_rejected(self, tmp_path):
         path = tmp_path / "eps.rljson"
         write_rljson(path, [episode_to_dict(make_episode()),
-                            {"schema": "episode@1", "task_id": 1}], HEADER)
+                            {"schema": "episode@2", "task_id": 1}], HEADER)
         with pytest.raises(RecordFormatError) as err:
             load_episodes(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
         with pytest.raises(RecordFormatError):
             episode_from_dict({**episode_to_dict(make_episode()), "schema": "other@1"})
+
+    def test_context_tokens_seen_below_its_tokens_rejected(self, tmp_path):
+        path = tmp_path / "eps.rljson"
+        rec = episode_to_dict(make_episode())
+        assert rec["steps"][0]["context"]["tokens_seen"] == 3 + 4
+        rec["steps"][0]["context"]["tokens_seen"] = 3 + 4 - 1
+        write_rljson(path, [rec], HEADER)
+        with pytest.raises(RecordFormatError, match="tokens_seen"):
+            load_episodes(path)
 
     def test_rljson_stream_reports_byte_offset(self, tmp_path):
         path = tmp_path / "records.rljson"
@@ -206,10 +215,6 @@ class TestInvariants:
                 chosen_action=0,
                 executor="SLM",
             )
-
-    def test_context_shape_invariants(self):
-        with pytest.raises(ValueError):
-            Context(goal=(1,), observations=((1,),), actions=(0,), step_index=0)
 
     def test_routing_example_label_domain(self):
         with pytest.raises(ValueError):

@@ -121,15 +121,15 @@ class TestResetAndStep:
         env = make_env()
         state, ctx = env.reset(2, PerturbationSeed(5))
         task = env.task_spec(2)
-        assert ctx.last_observation == env.clean_observation(task, state)
+        assert ctx.observation == env.clean_observation(task, state)
 
     def test_reset_full_masking_rate(self):
         # plan enumeration over 100 seeds; full intensity must mask every token
         env = make_env({"PartialObs": 1.0})
         for z in range(100):
             _, ctx = env.reset(0, PerturbationSeed(z))
-            masked = sum(tok == env.tokens.mask for tok in ctx.last_observation)
-            assert masked / len(ctx.last_observation) >= 1.0 - 0.1
+            masked = sum(tok == env.tokens.mask for tok in ctx.observation)
+            assert masked / len(ctx.observation) >= 1.0 - 0.1
             assert masked >= 1
 
     def test_reset_rejects_unknown_task(self):

@@ -15,9 +15,9 @@ def episode(success, executors, probs=None, task=0, z=0):
     for t, executor in enumerate(executors):
         ctx = Context(
             goal=(35,),
-            observations=tuple((4,) for _ in range(t + 1)),
+            observation=(4,),
             actions=tuple(0 for _ in range(t)),
-            step_index=t,
+            tokens_seen=1 + (t + 1),
         )
         steps.append(
             StepRecord(

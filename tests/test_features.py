@@ -20,9 +20,9 @@ LIMITS = FeatureLimits(horizon=20, horizon_max=64, max_context_tokens=256, max_g
 def ctx_at(t=4, goal_len=3):
     return Context(
         goal=tuple(35 + i for i in range(goal_len)),
-        observations=tuple((4, 16, 29, 31) for _ in range(t + 1)),
+        observation=(4, 16, 29, 31),
         actions=tuple(1 for _ in range(t)),
-        step_index=t,
+        tokens_seen=goal_len + 4 * (t + 1),
     )
 
 
@@ -72,7 +72,7 @@ class TestExtract:
         f = extract(ctx, probs, cands, scores, LIMITS)
         assert f[10] == pytest.approx(t / 20)
         assert f[11] == pytest.approx(t / 64)
-        assert f[12] == pytest.approx(ctx.tokens_seen() / 256)
+        assert f[12] == pytest.approx((3 + 4 * (t + 1)) / 256)
         assert f[13] == pytest.approx(3 / 5)
 
     def test_logprob_stats_clipped(self):
@@ -133,7 +133,7 @@ def reference_extract(ctx, action_probs, candidates, scores, limits):
         s.max(), s.min(), counts.max() / k,
         min(1.0, -float(np.sum(q * np.log(q))) / math.log(k)),
         t / limits.horizon, t / limits.horizon_max,
-        min(1.0, ctx.tokens_seen() / limits.max_context_tokens),
+        min(1.0, ctx.tokens_seen / limits.max_context_tokens),
         min(1.0, len(ctx.goal) / limits.max_goal_len),
         pseudo_entropy(s),
     ])

@@ -15,7 +15,13 @@ so far: removing the config keys `env.perturbation_families`,
 `config_hash` and `inputs_hash` in the headers of `summary.json`,
 `routing.rljson`, `router.bin` and the six `eval_*.rljson`; every file of
 the run is equal to its earlier form once those two hashes are dropped, and
-`metrics.csv` and `router_report.csv` kept their bytes.
+`metrics.csv` and `router_report.csv` kept their bytes. A second deliberate
+change, format only: a step record's context holds that step's observation
+and a running `tokens_seen` count instead of every observation so far
+(record schema `episode@2`). It moved the six `eval_*.rljson`; mapping each
+earlier context to (goal, last observation, actions, goal plus observation
+token count) makes every record equal to its earlier form, and every other
+pinned file kept its bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -41,12 +47,12 @@ GOLDEN_SHA256 = {
     "summary.json": "d6f63158701cb576a5f635a70fdad3b41382d038b430c34a9a89a6faf7045862",
     "metrics.csv": "a1ce4eec4e9633677daa8a957e238bc445c8181c5856f477e2ba2a0dc82b46fd",
     "routing.rljson": "215da59064e5e8def127baed7b7d0ab64f73816bc2461bc9e3bcc2c041499475",
-    "eval_entropy.rljson": "5571944938a5577dbb250056fe935567b57a56c158c829a7faa54ec661937435",
-    "eval_heuristic.rljson": "f2ff3c0cd673b7ca85df0d8776ed08c0df451b5c6da440c6171f023972988db0",
-    "eval_llm.rljson": "733a3611408c3dede2f05aff5861cf9dceae6777b474d46431a7208b93e894aa",
-    "eval_oracle.rljson": "5ad64fcb2719cb38d1691d8b5c01d36d8eb72add54ce27ad6316d7275bc6cb55",
-    "eval_r2v.rljson": "d8e293746828f667d9a225dbc5ab3c5f8f6b06646a6b46638da471a68dc4145c",
-    "eval_slm.rljson": "d0797d3fff0bddd275147548d8fea5f9637903036a2e33bd15ee41971c241cb2",
+    "eval_entropy.rljson": "dee77ca147072d862b9accbcc592c9011dc99e6b5055283935c740190683f6ff",
+    "eval_heuristic.rljson": "125232b1fbf3476155967f5d5774077bce6729b262d31264508ef769cb630da1",
+    "eval_llm.rljson": "e18b183dccd4e15173c13b5e34cf94841de4702c1aae652d20cc2d0562a12344",
+    "eval_oracle.rljson": "edccd15b8c75ca3474e2fedbe50ac00e9a59816c9e0334b623bac54fcbc74e46",
+    "eval_r2v.rljson": "4b28affad7612db50442c7a12fd87b79036fa3061c0c8a52d2b547fe1a4a6cfd",
+    "eval_slm.rljson": "8d0240bbc6402f9e1a7bbb663054af2e5d47e5d463fa658fd83cd445f883d684",
     "router.bin": "e9da312e187a6e3adcc3029beedf17d36d9e77b5f10461d5d1326afa888dafa5",
     "router_report.csv": "6a279b76ae59d8dfde1e23ed9af8d91690c493df8a15ce58428f76fae784ff48",
 }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from steprouter import seeds
-from steprouter.domain import CostSpec, EnvConfig, RoutingExample
+from steprouter.domain import CostSpec, EnvConfig, RoutingExample, episode_to_dict
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
     PolicyFeaturizer,
@@ -130,6 +130,33 @@ class TestRunEpisode:
         for task in range(3):
             ep = run_episode(env, task, 55, slm, teacher, vspec, routing)
             assert ep.llm_calls == 0
+
+    def test_step_context_holds_one_observation(self, world):
+        # a horizon-20 episode: each stored context holds the observation of
+        # its own step, and tokens_seen counts the goal and every observation
+        # the episode has shown up to that step
+        _, teacher, _, _ = world
+        env = HazardChainEnv(EnvConfig(family_intensities={"PartialObs": 0.45,
+                                                           "Distractor": 0.2}, rng_seed=11),
+                             task_count=6)
+        assert env.config.horizon == 20
+        slm = train_bc(collect_teacher_trajectories(env, teacher, range(6), 2),
+                       PolicyFeaturizer.for_env(env), epochs=30, lr=4.0)[0]
+        slm = slm.clone(stage="distilled")
+        vspec = VerifierSpec.for_env(env, eta_v=0.2)
+        longest = 0
+        for task in range(6):
+            ep = run_episode(env, task, 5, slm, teacher, vspec, RoutingPolicy.slm_only())
+            steps = [s["context"] for s in episode_to_dict(ep)["steps"]]
+            longest = max(longest, len(steps))
+            seen = len(steps[0]["goal"])
+            for t, ctx in enumerate(steps):
+                assert sorted(ctx) == ["actions", "goal", "observation", "tokens_seen"]
+                assert all(type(tok) is int for tok in ctx["observation"])
+                assert len(ctx["actions"]) == t
+                seen += len(ctx["observation"])
+                assert ctx["tokens_seen"] == seen
+        assert longest == 20
 
     def test_r2v_records_probability(self, world, zero_router):
         env, teacher, slm, vspec = world

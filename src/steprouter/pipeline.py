@@ -49,6 +49,7 @@ from .router import RouterNet, TrainSpec, fit_temperature, select_threshold, tra
 from .runtime import (
     VARIANTS,
     RoutingPolicy,
+    StepTree,
     calibrate_entropy_threshold,
     calibrate_heuristic_threshold,
     collect_routing_dataset,
@@ -696,40 +697,56 @@ def _build_routing_policy(cfg: dict, variant: str, paths: dict) -> RoutingPolicy
 
 
 def _rollout_job(args):
-    cfg, variant, grid_chunk, paths = args
+    cfg, policies, grid_chunk, distill_path, tree = args
     env = make_env(cfg)
-    slm = SoftmaxPolicy.load(paths["distill"])
+    slm = SoftmaxPolicy.load(distill_path)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
-    routing = _build_routing_policy(cfg, variant, paths)
-    salt = cfg["runtime"]["harness_salt"]
-    out = []
-    for task_id, z in grid_chunk:
-        ep = run_episode(env, task_id, z, slm, teacher, vspec, routing,
-                         k=cfg["runtime"]["k_candidates"], salt=f"eval-{salt}")
-        out.append(episode_to_dict(ep))
-    return out
+    k = cfg["runtime"]["k_candidates"]
+    salt = f"eval-{cfg['runtime']['harness_salt']}"
+    return [[run_episode(env, task_id, z, slm, teacher, vspec, routing, k=k, salt=salt, tree=tree)
+             for task_id, z in grid_chunk]
+            for routing in policies]
+
+
+def _roll_out(workdir: Path, rollouts, workers: int, tree: StepTree | None = None,
+              moved: dict | None = None) -> list[list]:
+    """Roll each (config, variant, output path) of `rollouts` over the eval
+    grid, write each episodes file stamped from its own config, and return
+    each one's episodes in grid order.
+
+    Every rollout steps through `tree` (a private tree per episode when
+    None), so the configs may differ only in what the routing reads: the
+    env, SLM, verifier and grid come from the first. With workers > 1 each
+    grid chunk carries every policy, and each worker fills its own copy of
+    the tree.
+    """
+    cfg = rollouts[0][0]
+    paths = {}
+    for sub, variant, _ in rollouts:
+        paths.update(require_inputs(sub, workdir, f"rollout:{variant}", moved))
+    policies = [_build_routing_policy(sub, variant, paths) for sub, variant, _ in rollouts]
+    grid = eval_grid(cfg, workdir)
+    n_chunks = max(1, min(workers, len(grid))) if workers > 1 else 1
+    jobs = [(cfg, policies, grid[i::n_chunks], paths["distill"], tree) for i in range(n_chunks)]
+    results = _parallel_map(_rollout_job, jobs, workers)
+    rolled = []
+    for i, (sub, variant, out) in enumerate(rollouts):
+        by_key = {(ep.task_id, ep.seed.z): ep for block in results for ep in block[i]}
+        episodes = [by_key[key] for key in grid]
+        write_rljson(out, [episode_to_dict(ep) for ep in episodes],
+                     {"schema": "episodes@1", "stage": "rollout", "variant": variant,
+                      **_stamp(sub, f"rollout:{variant}")})
+        rolled.append(episodes)
+    return rolled
 
 
 def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1,
                   router_name: str | None = None, out_name: str | None = None) -> Path:
     workdir = Path(workdir)
-    ref = f"rollout:{variant}"
-    paths = require_inputs(cfg, workdir, ref,
-                           {"train-router": workdir / router_name} if router_name else None)
-    grid = eval_grid(cfg, workdir)
-    n_chunks = max(1, min(workers, len(grid))) if workers > 1 else 1
-    chunks = [grid[i::n_chunks] for i in range(n_chunks)]
-    results = _parallel_map(_rollout_job, [(cfg, variant, chunk, paths) for chunk in chunks],
-                            workers)
-    by_key = {}
-    for block in results:
-        for rec in block:
-            by_key[(rec["task_id"], rec["z"])] = rec
-    records = [by_key[key] for key in grid]
-    out = workdir / out_name if out_name else artifact_path(workdir, ref)
-    write_rljson(out, records, {"schema": "episodes@1", "stage": "rollout",
-                                "variant": variant, **_stamp(cfg, ref)})
+    out = workdir / out_name if out_name else artifact_path(workdir, f"rollout:{variant}")
+    _roll_out(workdir, [(cfg, variant, out)], workers,
+              moved={"train-router": workdir / router_name} if router_name else None)
     return out
 
 
@@ -745,15 +762,24 @@ def _metrics_for(cfg: dict, episodes):
 
 
 def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
+    """Metrics of every variant; the variants whose rollout is missing or
+    stale roll out again together, through one step tree."""
     workdir = Path(workdir)
     router_header = read_header(require_stage(cfg, workdir, "train-router"))
-    summary_variants = {}
-    for variant in VARIANT_ORDER:  # slm comes before the oracle that reads it
+    episodes = {}
+    stale = []
+    for variant in VARIANT_ORDER:
         try:
-            path = require_stage(cfg, workdir, f"rollout:{variant}")
-        except StageOrderError:  # missing or stale: roll it out again
-            path = stage_rollout(cfg, workdir, variant, workers=workers)
-        summary_variants[variant] = _metrics_for(cfg, load_episodes(path)).to_dict()
+            episodes[variant] = load_episodes(require_stage(cfg, workdir, f"rollout:{variant}"))
+        except StageOrderError:
+            stale.append(variant)
+    tree = StepTree()
+    # the oracle reads the slm outcomes, so it rolls after they are written
+    for group in ([v for v in stale if v != "oracle"], [v for v in stale if v == "oracle"]):
+        if group:
+            rollouts = [(cfg, v, artifact_path(workdir, f"rollout:{v}")) for v in group]
+            episodes.update(zip(group, _roll_out(workdir, rollouts, workers, tree)))
+    summary_variants = {v: _metrics_for(cfg, episodes[v]).to_dict() for v in VARIANT_ORDER}
     rows = [{"variant": variant, **m} for variant, m in summary_variants.items()]
     write_csv(workdir / "metrics.csv", rows, ["variant"] + METRIC_COLUMNS)
     write_csv(workdir / "pareto.csv", rows,
@@ -797,13 +823,13 @@ def _with(cfg: dict, block: str, point: dict) -> dict:
 
 
 def _ablate_masks(cfg: dict, workdir: Path, workers: int):
-    def run(point):
-        sub = _with(cfg, "features", point)
-        path = stage_rollout(sub, workdir, "r2v", workers=workers,
-                             out_name=f"eval_r2v_mask_{point['mask']}.rljson")
-        return _metrics_for(sub, load_episodes(path))
-
-    return sweep([{"mask": m.value} for m in FeatureMask], run)
+    # every mask rolls r2v over the same grid, so they share one step tree
+    subs = {m.value: _with(cfg, "features", {"mask": m.value}) for m in FeatureMask}
+    rollouts = [(sub, "r2v", workdir / f"eval_r2v_mask_{mask}.rljson")
+                for mask, sub in subs.items()]
+    episodes = dict(zip(subs, _roll_out(workdir, rollouts, workers, StepTree())))
+    return sweep([{"mask": mask} for mask in subs],
+                  lambda point: _metrics_for(subs[point["mask"]], episodes[point["mask"]]))
 
 
 def _ablate_cvar(cfg: dict, workdir: Path, workers: int):

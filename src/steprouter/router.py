@@ -96,6 +96,8 @@ class RouterNet:
     temperature: float = 1.0
     tau_route: float | None = None
     dropout: float = 0.2
+    # (run_var1, run_var2, their batch-norm denominators), see bn_std
+    _bn_std: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def init(cls, rng: np.random.Generator, in_dim: int = 15,
@@ -120,13 +122,27 @@ class RouterNet:
             run_var2=np.ones(h2),
         )
 
+    def bn_std(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(run_var + BN_EPS) of both layers, computed once per pair of
+        running variances. Training replaces the variance arrays, which
+        recomputes them; the cached arrays are made read-only, so an
+        in-place write raises instead of leaving the cache stale."""
+        cache = self._bn_std
+        if not cache or cache[0] is not self.run_var1 or cache[1] is not self.run_var2:
+            self.run_var1.flags.writeable = self.run_var2.flags.writeable = False
+            cache = self._bn_std = (self.run_var1, self.run_var2,
+                                    np.sqrt(self.run_var1 + BN_EPS),
+                                    np.sqrt(self.run_var2 + BN_EPS))
+        return cache[2], cache[3]
+
     def logits_eval(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         p = self.params
+        std1, std2 = self.bn_std()
         a1 = x @ p["w1"] + p["b1"]
-        h1 = gelu(p["g1"] * (a1 - self.run_mean1) / np.sqrt(self.run_var1 + BN_EPS) + p["be1"])
+        h1 = gelu(p["g1"] * (a1 - self.run_mean1) / std1 + p["be1"])
         a2 = h1 @ p["w2"] + p["b2"]
-        h2 = gelu(p["g2"] * (a2 - self.run_mean2) / np.sqrt(self.run_var2 + BN_EPS) + p["be2"])
+        h2 = gelu(p["g2"] * (a2 - self.run_mean2) / std2 + p["be2"])
         return (h2 @ p["w3"] + p["b3"]).ravel()
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ extract risk features, then ask the variant for an escalation decision. The
 decision only takes effect while per-episode budget remains; on escalation
 the teacher acts directly (its action is not re-ranked by the verifier).
 
+Everything before the decision depends on (task, z, action prefix) alone, so
+policies rolled over one grid share it through a `StepTree`: each distinct
+prefix is sampled, scored, featurized and stepped once, and every policy
+still gets the episode it would get rolled alone.
+
 The hindsight oracle is structurally offline: it needs a table of SLM-only
 episode outcomes over the same (task, seed) grid, which the online loop has
 no way to construct.
@@ -19,6 +24,7 @@ import numpy as np
 
 from . import seeds
 from .domain import (
+    Context,
     CostSpec,
     PerturbationSeed,
     PerturbedEpisode,
@@ -122,6 +128,79 @@ def _decide(routing: RoutingPolicy, f_masked, scores, task_id, z):
     return None, oracle_decision(task_id, z, routing.hindsight)
 
 
+class _Node:
+    """One distinct action prefix of one (task, z).
+
+    `state` and `ctx` are where the prefix leads; `terminal` and `success`
+    are what `env.step` returned on the last action (False at the root). The
+    first policy to step from the node fills the rest: the local proposal
+    (verifier argmax), the verifier scores and raw features with the tuple
+    forms a StepRecord stores, in a shared tree the states of the cand and
+    verif streams after the step's draws, and `children`, one node per
+    executed action.
+    """
+
+    __slots__ = ("state", "ctx", "terminal", "success", "slm_action", "f_raw",
+                 "candidates", "score_record", "feature_record", "streams", "children")
+
+    def __init__(self, state, ctx: Context, terminal: bool = False, success: bool = False):
+        self.state = state
+        self.ctx = ctx
+        self.terminal = terminal
+        self.success = success
+        self.children = None  # None until the node's step is computed
+
+    def expand(self, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
+               limits: FeatureLimits, rng_cand, rng_ver, keep_streams: bool) -> None:
+        """Sample K candidates, score them and extract the raw features."""
+        logp = slm.log_distribution(self.ctx)
+        probs = probabilities(logp)
+        cands = draw_candidates(logp, probs, k, rng_cand)
+        scores = score_candidates(vspec, self.ctx, [a for a, _ in cands], rng_ver)
+        self.f_raw = extract(self.ctx, probs, cands, scores, limits)
+        self.slm_action = cands[int(np.argmax(scores))][0]
+        self.candidates = tuple(cands)
+        self.score_record = tuple(scores.tolist())
+        self.feature_record = tuple(self.f_raw.tolist())
+        if keep_streams:
+            self.streams = (rng_cand.bit_generator.state, rng_ver.bit_generator.state)
+        self.children = {}
+
+    def child(self, env: HazardChainEnv, action: int, seed: PerturbationSeed,
+              t: int) -> "_Node":
+        """The node `action` leads to, stepping the env the first time."""
+        node = self.children.get(action)
+        if node is None:
+            state, obs, terminal, success = env.step(self.state, action, seed, t)
+            node = self.children[action] = _Node(state, self.ctx.advanced(action, obs),
+                                                 terminal, success)
+        return node
+
+
+class StepTree:
+    """The routing-independent half of the steps of one grid of rollouts.
+
+    Candidates, verifier scores, risk features and env transitions are a
+    pure function of (task, z, action prefix), not of the routing policy, so
+    policies rolled over the same grid share them: `run_episode` computes a
+    step the first time any policy reaches its prefix and reads it back
+    after that. A tree serves one env, SLM and verifier; its roots are keyed
+    by (task, z, k, salt). The caller owns it and drops it when its grid is
+    done.
+    """
+
+    def __init__(self):
+        self._roots: dict = {}
+
+    def root(self, env: HazardChainEnv, task_id: int, seed: PerturbationSeed,
+             k: int, salt) -> _Node:
+        key = (task_id, seed.z, k, salt)
+        node = self._roots.get(key)
+        if node is None:
+            node = self._roots[key] = _Node(*env.reset(task_id, seed))
+        return node
+
+
 def run_episode(
     env: HazardChainEnv,
     task_id: int,
@@ -132,16 +211,23 @@ def run_episode(
     routing: RoutingPolicy,
     k: int = 5,
     salt: int | str = 0,
+    tree: StepTree | None = None,
 ) -> PerturbedEpisode:
     """One routed rollout; a pure function of (config, task, z, salt).
 
-    Each step runs one featurize + matmul + softmax: `probs` (read by the
-    features) and the K candidate draws both come from the same
-    log-distribution, which is bit-identical to what `action_distribution`
-    and `sample_candidates` would each recompute. Task layouts and the
-    seed's corruption ops come from the env's memos, so a step does no work
-    that is constant within the run.
+    Each step reads its prefix's node in `tree` (a private tree when None),
+    computing it on the first visit: one featurize + matmul + softmax, whose
+    `probs` feed the features and whose K candidate draws come from the same
+    log-distribution, then verifier scores and raw features. A visited node
+    draws nothing; before the first new node after a run of visited ones,
+    the cand and verif streams are set to the states the last visited node
+    saved, so every draw matches a rollout of this policy alone. The teacher
+    stream, the budget, the feature mask, the decision and the record are
+    this policy's own.
     """
+    # a private tree is never visited again, so it keeps no stream states
+    keep_streams = tree is not None
+    tree = StepTree() if tree is None else tree
     limits = feature_limits(env)
     seed = PerturbationSeed(z)
     base = env.config.rng_seed
@@ -149,54 +235,54 @@ def run_episode(
     rng_ver = seeds.stream(base, "verif", task_id, z, salt)
     rng_teach = seeds.stream(base, "escalate", task_id, z, salt)
 
-    state, ctx = env.reset(task_id, seed)
+    node = tree.root(env, task_id, seed, k, salt)
+    restore = None  # stream states to set before the next new node draws
     remaining = routing.budget_limit
     steps = []
     llm_calls = 0
-    success = False
     for t in range(env.config.horizon):
-        logp = slm.log_distribution(ctx)
-        probs = probabilities(logp)
-        cands = draw_candidates(logp, probs, k, rng_cand)
-        scores = score_candidates(vspec, ctx, [a for a, _ in cands], rng_ver)
-        best = int(np.argmax(scores))
-        f_raw = extract(ctx, probs, cands, scores, limits)
-        f_masked = apply_mask(f_raw, routing.mask)
-        p, decision = _decide(routing, f_masked, scores, task_id, z)
+        if node.children is None:
+            if restore is not None:
+                rng_cand.bit_generator.state, rng_ver.bit_generator.state = restore
+                restore = None
+            node.expand(slm, vspec, k, limits, rng_cand, rng_ver, keep_streams)
+        else:
+            restore = node.streams
+        f_masked = apply_mask(node.f_raw, routing.mask)
+        p, decision = _decide(routing, f_masked, node.score_record, task_id, z)
 
         escalate = decision and (remaining is None or remaining > 0)
         if escalate:
-            action = teacher.act(env, state, rng_teach)
+            action = teacher.act(env, node.state, rng_teach)
             executor = "LLM"
             llm_calls += 1
             if remaining is not None:
                 remaining -= 1
         else:
-            action = cands[best][0]
+            action = node.slm_action
             executor = "SLM"
 
-        state, obs, terminal, success = env.step(state, action, seed, t)
         steps.append(
             StepRecord(
-                context=ctx,
-                candidates=tuple(cands),
-                verifier_scores=tuple(scores.tolist()),
+                context=node.ctx,
+                candidates=node.candidates,
+                verifier_scores=node.score_record,
                 chosen_action=action,
                 executor=executor,
-                features=tuple(f_raw.tolist()),
+                features=node.feature_record,
                 router_prob=p,
                 decision=decision,
                 budget_remaining=remaining,
             )
         )
-        ctx = ctx.advanced(action, obs)
-        if terminal:
+        node = node.child(env, action, seed, t)
+        if node.terminal:
             break
     return PerturbedEpisode(
         task_id=task_id,
         seed=seed,
         steps=tuple(steps),
-        success=success,
+        success=node.success,
         llm_calls=llm_calls,
         budget_limit=routing.budget_limit,
         kind=routing.variant,

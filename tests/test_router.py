@@ -28,6 +28,7 @@ from steprouter.router import (
     sigmoid,
     sweep_threshold,
     train_router,
+    update_running_stats,
 )
 
 CANONICAL = CostSpec(1.0, 50.0, 98.0)
@@ -109,6 +110,22 @@ class TestForward:
             logit = float(h2 @ p["w3"][:, 0] + p["b3"][0])
             expected = 1.0 / (1.0 + math.exp(-logit / net.temperature))
             assert net.predict(x)[0] == pytest.approx(expected, abs=1e-6)
+
+    def test_bn_denominators_follow_the_running_variances(self):
+        # predict caches sqrt(run_var + eps); a training update replaces the
+        # variances and must be seen, and an in-place write must not pass
+        net = RouterNet.init(seeds.stream("fw12"))
+        f = seeds.stream("fw13").normal(size=(4, 15))
+        before = net.predict(f)
+        rng = seeds.stream("fw14")
+        update_running_stats(net, {"mu1": rng.normal(size=128), "var1": 3.0 * rng.random(128),
+                                   "mu2": rng.normal(size=64), "var2": 3.0 * rng.random(64)})
+        fresh = RouterNet(params=net.params, run_mean1=net.run_mean1, run_mean2=net.run_mean2,
+                          run_var1=net.run_var1.copy(), run_var2=net.run_var2.copy())
+        assert np.array_equal(net.predict(f), fresh.predict(f))
+        assert not np.array_equal(net.predict(f), before)
+        with pytest.raises(ValueError, match="read-only"):
+            net.run_var1[0] = 2.0
 
     def test_rejects_non_finite(self, zero_router):
         bad = np.zeros(15)

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from steprouter import seeds
+from steprouter import runtime, seeds
 from steprouter.domain import CostSpec, EnvConfig, RoutingExample, episode_to_dict
 from steprouter.env import HazardChainEnv
+from steprouter.features import FeatureMask
 from steprouter.policy import (
     PolicyFeaturizer,
     TeacherPolicy,
     collect_teacher_trajectories,
     train_bc,
 )
+from steprouter.router import RouterNet
 from steprouter.runtime import (
     RoutingPolicy,
+    StepTree,
     calibrate_entropy_threshold,
     calibrate_heuristic_threshold,
     collect_routing_dataset,
@@ -196,6 +199,60 @@ class TestOracleRouter:
                 assert ep.llm_calls == 0
             else:
                 assert ep.llm_calls == len(ep.steps)
+
+
+class TestStepTree:
+    GRID = [(t, 300 + 11 * t + j) for t in range(6) for j in range(3)]
+
+    def policies(self, world):
+        env, teacher, slm, vspec = world
+        table = hindsight_table(
+            run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only())
+            for t, z in self.GRID)
+        net = RouterNet.init(np.random.default_rng(5))
+        return [
+            RoutingPolicy.slm_only(),
+            RoutingPolicy.llm_only(budget_limit=2),
+            RoutingPolicy.entropy_router(0.5, budget_limit=4),
+            RoutingPolicy.heuristic_router(0.55),
+            RoutingPolicy.oracle_router(table),
+            *(RoutingPolicy.r2v(net, 0.45, mask=mask, budget_limit=3)
+              for mask in (FeatureMask.FULL, FeatureMask.VERIFIER_ONLY,
+                           FeatureMask.STEP_CONTEXT_ONLY, FeatureMask.NO_ENTROPY)),
+        ]
+
+    def test_shared_tree_equals_solo_rollouts(self, world):
+        env, teacher, slm, vspec = world
+        policies = self.policies(world)
+        tree = StepTree()
+        seen = set()
+        later_divergence = redraw_after_hits = False
+        for task, z in self.GRID:
+            for routing in policies:
+                shared = run_episode(env, task, z, slm, teacher, vspec, routing, tree=tree)
+                solo = run_episode(env, task, z, slm, teacher, vspec, routing)
+                assert episode_to_dict(shared) == episode_to_dict(solo), (routing.variant, task, z)
+                # a node is one action prefix; a step on a prefix no earlier
+                # policy reached, right after one it did reach, diverged at
+                # t > 0 and re-drew from the restored streams
+                hits = [(task, z, s.context.actions) in seen for s in shared.steps]
+                later_divergence |= not all(hits) and hits[0]
+                redraw_after_hits |= any(a and not b for a, b in zip(hits, hits[1:]))
+                seen.update((task, z, s.context.actions) for s in shared.steps)
+        assert later_divergence and redraw_after_hits
+
+    def test_policies_on_one_grid_share_steps(self, world, monkeypatch):
+        env, teacher, slm, vspec = world
+        policies = self.policies(world)
+        calls = []
+        real_extract = runtime.extract
+        monkeypatch.setattr(runtime, "extract",
+                            lambda *a: calls.append(1) or real_extract(*a))
+        tree = StepTree()
+        eps = [run_episode(env, t, z, slm, teacher, vspec, routing, tree=tree)
+               for t, z in self.GRID for routing in policies]
+        distinct = {(ep.task_id, ep.seed.z, s.context.actions) for ep in eps for s in ep.steps}
+        assert len(calls) == len(distinct) < sum(len(ep.steps) for ep in eps)
 
 
 class TestRoutingDataset:

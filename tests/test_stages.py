@@ -18,8 +18,9 @@ import shutil
 
 import pytest
 
-from steprouter import pipeline
-from steprouter.domain import ConfigError
+from steprouter import pipeline, runtime
+from steprouter.domain import ConfigError, write_csv
+from steprouter.features import FeatureMask
 
 SMALL = (
     "env.task_count=10",
@@ -195,3 +196,57 @@ def test_expected_hash_matches_written_headers(small_run):
     for ref in REFS[:-1]:
         header = pipeline.read_header(pipeline.artifact_path(wd, ref))
         assert header["inputs_hash"] == pipeline.inputs_hash(cfg, ref), ref
+
+
+def _mask_cfg(cfg: dict, mask: str) -> dict:
+    sub = copy.deepcopy(cfg)
+    sub["features"]["mask"] = mask
+    return sub
+
+
+MASKS = [m.value for m in FeatureMask]
+SHARED_OUTPUTS = [*(f"eval_{v}.rljson" for v in pipeline.VARIANT_ORDER),
+                  *(f"eval_r2v_mask_{m}.rljson" for m in MASKS),
+                  "ablate_features.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_path, workers):
+    cfg, base_wd = small_run
+    # reference: one stage_rollout call per variant (as run_pipeline makes
+    # them, which is how small_run was built) and per mask
+    ref = tmp_path / "per-variant"
+    shutil.copytree(base_wd, ref)
+    rows = []
+    for mask in MASKS:
+        sub = _mask_cfg(cfg, mask)
+        path = pipeline.stage_rollout(sub, ref, "r2v", out_name=f"eval_r2v_mask_{mask}.rljson")
+        metrics = pipeline._metrics_for(sub, pipeline.load_episodes(path))
+        rows.append({"mask": mask, **metrics.to_dict()})
+    write_csv(ref / "ablate_features.csv", rows, ["mask"] + pipeline.METRIC_COLUMNS)
+
+    shared = tmp_path / "shared"
+    shutil.copytree(base_wd, shared)
+    for path in shared.glob("eval_*.rljson"):
+        path.unlink()
+    pipeline.stage_evaluate(cfg, shared, workers=workers)
+    pipeline.stage_ablate(cfg, shared, "features", workers=workers)
+    for name in SHARED_OUTPUTS:
+        assert (shared / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_each_ablation_call_builds_its_own_tree(small_run, tmp_path, monkeypatch):
+    cfg, base_wd = small_run
+    wd = tmp_path / "run"
+    shutil.copytree(base_wd, wd)
+    calls = []
+    real_extract = runtime.extract
+    monkeypatch.setattr(runtime, "extract", lambda *a: calls.append(1) or real_extract(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        pipeline.stage_ablate(cfg, wd, "features", workers=1)
+        counts.append(len(calls))
+    steps = sum(len(ep.steps) for m in MASKS
+                for ep in pipeline.load_episodes(wd / f"eval_r2v_mask_{m}.rljson"))
+    assert counts[0] == counts[1] < steps

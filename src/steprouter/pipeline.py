@@ -643,16 +643,18 @@ def load_routing_examples(path: Path):
 
 
 def stage_train_router(cfg: dict, workdir: Path, out_name: str | None = None) -> Path:
-    examples = load_routing_examples(
-        require_inputs(cfg, workdir, "train-router")["collect-routing"])
+    path = require_inputs(cfg, workdir, "train-router")["collect-routing"]
+    examples = load_routing_examples(path)
     train_examples = [ex for ex in examples if ex.split == "train"]
-    valid_examples = [ex for ex in examples if ex.split == "valid"] or train_examples
+    valid_examples = [ex for ex in examples if ex.split == "valid"]
+    if not train_examples or not valid_examples:  # derive_splits keeps both nonempty
+        raise RecordFormatError(f"{path}: the router needs train-split and valid-split rows")
     spec = make_train_spec(cfg)
     net, report = train_router(train_examples, spec, seed=1000 * cfg["runtime"]["harness_salt"])
 
     x_val = np.array([ex.features for ex in valid_examples], dtype=float)
     y_val = np.array([ex.label for ex in valid_examples], dtype=float)
-    temperature = fit_temperature(net, x_val, y_val, ece_bins=cfg["eval"]["ece_bins"])
+    fit_temperature(net, x_val, y_val, ece_bins=cfg["eval"]["ece_bins"])
     costs = spec.costs
     net.tau_route = select_threshold(net, x_val, y_val, costs)
     tau_h = calibrate_entropy_threshold(valid_examples, costs)
@@ -660,7 +662,7 @@ def stage_train_router(cfg: dict, workdir: Path, out_name: str | None = None) ->
 
     out = Path(workdir) / (out_name or ARTIFACTS["train-router"])
     net.save(out, extra={"stage": "train-router", **_stamp(cfg, "train-router"), "tau_h": tau_h,
-                         "theta_v": theta_v, "fitted_temperature": temperature})
+                         "theta_v": theta_v})
     if out_name is None:
         write_csv(Path(workdir) / "router_report.csv", report,
                   ["epoch", "mean_risk", "cvar", "brier", "lam"])

@@ -14,6 +14,10 @@ uses AdamW with cosine annealing, the dual does Adam ascent on log(lam), so
 lam >= 0 holds structurally. Empirical CVaR is the mean of the worst
 ceil(alpha*n) values (alpha is the tail mass), with the subgradient flowing
 through the selected tail seeds.
+
+The hidden layers carry no bias, since batch norm would subtract it again and
+its beta carries the shift (Ioffe & Szegedy, 2015); eval mode folds each batch
+norm into a per-unit scale and shift on every call.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from . import seeds
 from .domain import CostSpec, CVaRSpec, read_arrays, write_arrays
 from .evaluation import ece
 
-ROUTER_SCHEMA = "router@1"
+ROUTER_SCHEMA = "router@2"
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-_PARAM_NAMES = ("w1", "b1", "g1", "be1", "w2", "b2", "g2", "be2", "w3", "b3")
+_PARAM_NAMES = ("w1", "g1", "be1", "w2", "g2", "be2", "w3", "b3")
 _STAT_NAMES = ("run_mean1", "run_var1", "run_mean2", "run_var2")
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -96,19 +100,15 @@ class RouterNet:
     temperature: float = 1.0
     tau_route: float | None = None
     dropout: float = 0.2
-    # (run_var1, run_var2, their batch-norm denominators), see bn_std
-    _bn_std: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def init(cls, rng: np.random.Generator, in_dim: int = 15,
              h1: int = 128, h2: int = 64) -> "RouterNet":
         params = {
             "w1": rng.normal(0.0, math.sqrt(2.0 / in_dim), size=(in_dim, h1)),
-            "b1": np.zeros(h1),
             "g1": np.ones(h1),
             "be1": np.zeros(h1),
             "w2": rng.normal(0.0, math.sqrt(2.0 / h1), size=(h1, h2)),
-            "b2": np.zeros(h2),
             "g2": np.ones(h2),
             "be2": np.zeros(h2),
             "w3": rng.normal(0.0, math.sqrt(2.0 / h2), size=(h2, 1)),
@@ -122,28 +122,14 @@ class RouterNet:
             run_var2=np.ones(h2),
         )
 
-    def bn_std(self) -> tuple[np.ndarray, np.ndarray]:
-        """sqrt(run_var + BN_EPS) of both layers, computed once per pair of
-        running variances. Training replaces the variance arrays, which
-        recomputes them; the cached arrays are made read-only, so an
-        in-place write raises instead of leaving the cache stale."""
-        cache = self._bn_std
-        if not cache or cache[0] is not self.run_var1 or cache[1] is not self.run_var2:
-            self.run_var1.flags.writeable = self.run_var2.flags.writeable = False
-            cache = self._bn_std = (self.run_var1, self.run_var2,
-                                    np.sqrt(self.run_var1 + BN_EPS),
-                                    np.sqrt(self.run_var2 + BN_EPS))
-        return cache[2], cache[3]
-
     def logits_eval(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        h = np.atleast_2d(np.asarray(x, dtype=float))
         p = self.params
-        std1, std2 = self.bn_std()
-        a1 = x @ p["w1"] + p["b1"]
-        h1 = gelu(p["g1"] * (a1 - self.run_mean1) / std1 + p["be1"])
-        a2 = h1 @ p["w2"] + p["b2"]
-        h2 = gelu(p["g2"] * (a2 - self.run_mean2) / std2 + p["be2"])
-        return (h2 @ p["w3"] + p["b3"]).ravel()
+        for i, mean, var in (("1", self.run_mean1, self.run_var1),
+                             ("2", self.run_mean2, self.run_var2)):
+            scale = p["g" + i] / np.sqrt(var + BN_EPS)
+            h = gelu(h @ p["w" + i] * scale + (p["be" + i] - mean * scale))
+        return (h @ p["w3"] + p["b3"]).ravel()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with the post-hoc temperature applied."""
@@ -205,8 +191,8 @@ def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
     stream as two draws of shape (n, h1) and (n, h2).
     """
     rate = net.dropout
-    h1 = net.params["b1"].size
-    h2 = net.params["b2"].size
+    h1 = net.params["g1"].size
+    h2 = net.params["g2"].size
     flat = (buffers or StepBuffers()).take("masks", n, h1 + h2).reshape(-1)
     if rate <= 0.0:
         flat.fill(1.0)
@@ -232,10 +218,9 @@ def logits_train(net: RouterNet, x: np.ndarray, masks,
     cache: dict = {"x": x, "m1": m1, "m2": m2}
     h = x
     for i, mask in (("1", m1), ("2", m2)):
-        width = p["b" + i].size
+        width = p["g" + i].size
         xhat, z, s, act = (buffers.take(k + i, n, width) for k in ("xhat", "z", "s", "h"))
-        np.matmul(h, p["w" + i], out=xhat)
-        xhat += p["b" + i]  # the pre-activation a, centred and scaled in place
+        np.matmul(h, p["w" + i], out=xhat)  # the pre-activation, centred and scaled in place
         mu = xhat.mean(axis=0)
         xhat -= mu
         var = np.square(xhat, out=z).mean(axis=0)  # z is scratch until the affine step
@@ -255,15 +240,17 @@ def logits_train(net: RouterNet, x: np.ndarray, masks,
 
 def _bn_backward(d, xhat, std, gamma, tmp):
     """Batch-norm backward in place: d enters as d loss / dz and leaves as
-    d loss / d pre-activation; tmp is scratch. Returns (dgamma, dbeta)."""
+    d loss / d pre-activation; tmp is scratch. Returns (dgamma, dbeta).
+
+    With dxhat = gamma * d, the batch means the textbook form takes are
+    mean(dxhat) = gamma * dbeta / n and mean(dxhat * xhat) = gamma * dgamma / n,
+    so d leaves as gamma / std * (d - dbeta / n - xhat * dgamma / n)."""
     dgamma = np.multiply(d, xhat, out=tmp).sum(axis=0)
     dbeta = d.sum(axis=0)
-    d *= gamma
-    dxhat_mean = d.mean(axis=0)
-    dxhat_xhat_mean = np.multiply(d, xhat, out=tmp).mean(axis=0)
-    d -= dxhat_mean
-    d -= np.multiply(xhat, dxhat_xhat_mean, out=tmp)
-    d /= std
+    n = len(d)
+    d -= dbeta / n
+    d -= np.multiply(xhat, dgamma / n, out=tmp)
+    d *= gamma / std
     return dgamma, dbeta
 
 
@@ -285,7 +272,6 @@ def backward(net: RouterNet, cache: dict, dlogit: np.ndarray,
         grads["g" + i], grads["be" + i] = _bn_backward(
             d_next, cache["xhat" + i], cache["std" + i], p["g" + i], tmp)
         grads["w" + i] = cache["h1" if i == "2" else "x"].T @ d_next
-        grads["b" + i] = d_next.sum(axis=0)
         d, w_out = d_next, p["w" + i]
     return grads
 
@@ -353,20 +339,20 @@ class TrainSpec:
 
 
 class _Adam:
-    def __init__(self, shapes: dict[str, tuple], b1=0.9, b2=0.999, eps=1e-8):
+    def __init__(self, shapes: dict[str, tuple], beta1=0.9, beta2=0.999, eps=1e-8):
         self.m = {k: np.zeros(s) for k, s in shapes.items()}
         self.v = {k: np.zeros(s) for k, s in shapes.items()}
-        self.b1, self.b2, self.eps = b1, b2, eps
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         self.t += 1
         out = {}
         for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            mhat = self.m[k] / (1 - self.b1**self.t)
-            vhat = self.v[k] / (1 - self.b2**self.t)
+            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
+            mhat = self.m[k] / (1 - self.beta1**self.t)
+            vhat = self.v[k] / (1 - self.beta2**self.t)
             out[k] = mhat / (np.sqrt(vhat) + self.eps)
         return out
 

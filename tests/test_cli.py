@@ -250,6 +250,7 @@ BAD_ARTIFACTS = {
     "eval_slm-episode@1": ("eval_slm.rljson", _episode_schema_1, ("evaluate",)),
     "pairs-header-pairs@1": ("pairs.rljson", _set_header_field("schema", "pairs@1"),
                              ("distill",)),
+    "router-header-router@1": ("router.bin", _set_header_field("schema", "router@1"), R2V),
     # every writer writes these keys, so a record without one is malformed,
     # not an SLM-only step, an episode of no kind or a training example
     "eval_slm-no-decision": ("eval_slm.rljson", _drop_step_key("decision"), ("evaluate",)),
@@ -258,6 +259,13 @@ BAD_ARTIFACTS = {
     "episodes-no-budget_remaining": ("episodes.rljson", _drop_step_key("budget_remaining"),
                                      ("train-bc",)),
     "routing-no-split": ("routing.rljson", _drop_record_key("split"), ("train-router",)),
+    # the router is calibrated on valid-split rows, never on its training rows
+    "routing-no-valid-rows": ("routing.rljson",
+                              lambda b: b.replace(b'"split": "valid"', b'"split": "train"'),
+                              ("train-router",)),
+    "routing-no-train-rows": ("routing.rljson",
+                              lambda b: b.replace(b'"split": "train"', b'"split": "valid"'),
+                              ("train-router",)),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
     # a header field of the wrong type is as malformed as a missing one

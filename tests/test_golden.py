@@ -21,7 +21,14 @@ and a running `tokens_seen` count instead of every observation so far
 (record schema `episode@2`). It moved the six `eval_*.rljson`; mapping each
 earlier context to (goal, last observation, actions, goal plus observation
 token count) makes every record equal to its earlier form, and every other
-pinned file kept its bytes.
+pinned file kept its bytes. A third deliberate change: the router became
+batch-norm aware (checkpoint schema `router@2`). The hidden layers lost their
+pre-batch-norm biases, the batch-norm backward reuses the sums dgamma and
+dbeta, eval mode folds each batch norm into one scale and shift per call, and
+the checkpoint header lost `fitted_temperature`. It moved `router.bin`,
+`router_report.csv`, `eval_r2v.rljson`, `summary.json` and `metrics.csv`.
+None of the 203 r2v escalation decisions changed, the largest `router_prob`
+shift was 1.0e-11, and every other pinned file kept its bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -44,17 +51,17 @@ GOLDEN_CONFIG = (
 )
 
 GOLDEN_SHA256 = {
-    "summary.json": "d6f63158701cb576a5f635a70fdad3b41382d038b430c34a9a89a6faf7045862",
-    "metrics.csv": "a1ce4eec4e9633677daa8a957e238bc445c8181c5856f477e2ba2a0dc82b46fd",
+    "summary.json": "d06071a59b8709fda93eee3385888ab961298377dd395701e06e785f0882b96b",
+    "metrics.csv": "f15f9ef0294c149e8cf537be6f4962c3835a510c763960df06eb36778f0a6427",
     "routing.rljson": "215da59064e5e8def127baed7b7d0ab64f73816bc2461bc9e3bcc2c041499475",
     "eval_entropy.rljson": "dee77ca147072d862b9accbcc592c9011dc99e6b5055283935c740190683f6ff",
     "eval_heuristic.rljson": "125232b1fbf3476155967f5d5774077bce6729b262d31264508ef769cb630da1",
     "eval_llm.rljson": "e18b183dccd4e15173c13b5e34cf94841de4702c1aae652d20cc2d0562a12344",
     "eval_oracle.rljson": "edccd15b8c75ca3474e2fedbe50ac00e9a59816c9e0334b623bac54fcbc74e46",
-    "eval_r2v.rljson": "4b28affad7612db50442c7a12fd87b79036fa3061c0c8a52d2b547fe1a4a6cfd",
+    "eval_r2v.rljson": "314f86e66a4d89202432ce3cb49c1dbaa21a45795ccf60b65753fecf27571a5a",
     "eval_slm.rljson": "8d0240bbc6402f9e1a7bbb663054af2e5d47e5d463fa658fd83cd445f883d684",
-    "router.bin": "e9da312e187a6e3adcc3029beedf17d36d9e77b5f10461d5d1326afa888dafa5",
-    "router_report.csv": "6a279b76ae59d8dfde1e23ed9af8d91690c493df8a15ce58428f76fae784ff48",
+    "router.bin": "3540a15edf0d3fc4b0387a99bd144e8c23b1d6df7631d16e460930758ecef1a2",
+    "router_report.csv": "aeec308e09e1ed817158d0027427752e90cf2fa995a24ee448ee9fa95f3b00e6",
 }
 
 

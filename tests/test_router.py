@@ -12,6 +12,7 @@ from steprouter.router import (
     RouterNet,
     StepBuffers,
     TrainSpec,
+    _bn_backward,
     batch_objective,
     bayes_threshold,
     brier,
@@ -51,7 +52,7 @@ def seed_objective(net, examples, costs, alpha, want_grads=False):
     x = np.array([ex.features for ex in examples], dtype=float)
     y = np.array([ex.label for ex in examples], dtype=float)
     sid = np.array([ex.seed_id for ex in examples])
-    masks = tuple(np.ones((len(x), net.params[b].size)) for b in ("b1", "b2"))
+    masks = tuple(np.ones((len(x), net.params[g].size)) for g in ("g1", "g2"))
     return batch_objective(net, x, y, sid, int(sid.max()) + 1, costs,
                            CVaRSpec(alpha=alpha), 1.0, masks, want_grads=want_grads)
 
@@ -79,7 +80,7 @@ class TestForward:
         xs = seeds.stream("fw8").normal(size=(6, 15))
         p = net.params
         for x in xs:
-            a1 = np.array([x @ p["w1"][:, j] + p["b1"][j] for j in range(128)])
+            a1 = np.array([x @ p["w1"][:, j] for j in range(128)])
             h1 = np.array(
                 [
                     gelu(
@@ -93,7 +94,7 @@ class TestForward:
                     for j in range(128)
                 ]
             )
-            a2 = np.array([h1 @ p["w2"][:, j] + p["b2"][j] for j in range(64)])
+            a2 = np.array([h1 @ p["w2"][:, j] for j in range(64)])
             h2 = np.array(
                 [
                     gelu(
@@ -111,21 +112,31 @@ class TestForward:
             expected = 1.0 / (1.0 + math.exp(-logit / net.temperature))
             assert net.predict(x)[0] == pytest.approx(expected, abs=1e-6)
 
-    def test_bn_denominators_follow_the_running_variances(self):
-        # predict caches sqrt(run_var + eps); a training update replaces the
-        # variances and must be seen, and an in-place write must not pass
+    def test_predict_follows_every_update_of_the_net(self):
+        # eval mode folds batch norm on each call: an in-place write to a
+        # running variance or a parameter, and a training update, all show
         net = RouterNet.init(seeds.stream("fw12"))
         f = seeds.stream("fw13").normal(size=(4, 15))
-        before = net.predict(f)
         rng = seeds.stream("fw14")
+        seen = [net.predict(f)]
+
+        def assert_predict_follows():
+            rebuilt = RouterNet(params={k: v.copy() for k, v in net.params.items()},
+                                run_mean1=net.run_mean1.copy(), run_var1=net.run_var1.copy(),
+                                run_mean2=net.run_mean2.copy(), run_var2=net.run_var2.copy())
+            after = net.predict(f)
+            assert np.array_equal(after, rebuilt.predict(f))
+            assert not np.array_equal(after, seen[-1])
+            assert net.run_var1.flags.writeable
+            seen.append(after)
+
+        net.run_var1[:] = 3.0 * rng.random(128)  # predict left it writeable
+        assert_predict_follows()
+        net.params["g1"][:] = rng.random(128)
+        assert_predict_follows()
         update_running_stats(net, {"mu1": rng.normal(size=128), "var1": 3.0 * rng.random(128),
                                    "mu2": rng.normal(size=64), "var2": 3.0 * rng.random(64)})
-        fresh = RouterNet(params=net.params, run_mean1=net.run_mean1, run_mean2=net.run_mean2,
-                          run_var1=net.run_var1.copy(), run_var2=net.run_var2.copy())
-        assert np.array_equal(net.predict(f), fresh.predict(f))
-        assert not np.array_equal(net.predict(f), before)
-        with pytest.raises(ValueError, match="read-only"):
-            net.run_var1[0] = 2.0
+        assert_predict_follows()
 
     def test_rejects_non_finite(self, zero_router):
         bad = np.zeros(15)
@@ -170,6 +181,23 @@ class TestGelu:
         s = gelu_parts(self.X)[1]
         grad = gelu_grad(self.X, s, np.ones_like(self.X), np.empty_like(self.X))
         np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
+
+
+class TestBatchNormBackward:
+    def test_matches_the_two_mean_formula(self):
+        # the textbook form: dxhat = gamma * d, then
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
+        rng = seeds.stream("bn-backward")
+        for n in (2, 37, 1000):
+            d, xhat = rng.normal(size=(n, 128)), rng.normal(size=(n, 128))
+            std, gamma = 0.1 + rng.random(128), rng.normal(size=128)
+            dxhat = gamma * d
+            want = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+            got = d.copy()
+            dgamma, dbeta = _bn_backward(got, xhat, std, gamma, np.empty_like(d))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            np.testing.assert_allclose(dgamma, (d * xhat).sum(axis=0), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(dbeta, d.sum(axis=0), rtol=1e-12, atol=0)
 
 
 class TestLosses:

@@ -124,34 +124,27 @@ def extract(
     return f
 
 
+def _only(*slots) -> np.ndarray:
+    return np.setdiff1d(np.arange(FEATURE_DIM), slots)
+
+
+# the slots each mask zeroes; PseudoEntropy also copies slot 14 into slot 0
+_ZEROED = {
+    FeatureMask.FULL: np.array([], dtype=np.intp),
+    FeatureMask.NO_ENTROPY: np.array(_ENTROPY_SLOTS),
+    FeatureMask.PSEUDO_ENTROPY: np.array([1, 2, 9]),
+    FeatureMask.VERIFIER_ONLY: _only(*_VERIFIER_SLOTS),
+    FeatureMask.ENTROPY_ONLY: _only(0, 9),
+    FeatureMask.LOGPROB_ONLY: _only(1, 2),
+    FeatureMask.STEP_CONTEXT_ONLY: _only(10, 11, 12, 13),
+    FeatureMask.NO_VERIFIER: np.array(_VERIFIER_SLOTS),
+}
+
+
 def apply_mask(features, mask: FeatureMask) -> np.ndarray:
     """Inference-time ablation of feature groups; idempotent for every variant."""
     f = np.array(features, dtype=float, copy=True)
-    if mask is FeatureMask.FULL:
-        return f
-    if mask is FeatureMask.NO_ENTROPY:
-        f[list(_ENTROPY_SLOTS)] = 0.0
-    elif mask is FeatureMask.PSEUDO_ENTROPY:
-        f[[1, 2, 9]] = 0.0
+    f[_ZEROED[mask]] = 0.0
+    if mask is FeatureMask.PSEUDO_ENTROPY:
         f[0] = f[14]
-    elif mask is FeatureMask.VERIFIER_ONLY:
-        keep = np.zeros(FEATURE_DIM, dtype=bool)
-        keep[list(_VERIFIER_SLOTS)] = True
-        f[~keep] = 0.0
-    elif mask is FeatureMask.ENTROPY_ONLY:
-        keep = np.zeros(FEATURE_DIM, dtype=bool)
-        keep[[0, 9]] = True
-        f[~keep] = 0.0
-    elif mask is FeatureMask.LOGPROB_ONLY:
-        keep = np.zeros(FEATURE_DIM, dtype=bool)
-        keep[[1, 2]] = True
-        f[~keep] = 0.0
-    elif mask is FeatureMask.STEP_CONTEXT_ONLY:
-        keep = np.zeros(FEATURE_DIM, dtype=bool)
-        keep[[10, 11, 12, 13]] = True
-        f[~keep] = 0.0
-    elif mask is FeatureMask.NO_VERIFIER:
-        f[list(_VERIFIER_SLOTS)] = 0.0
-    else:
-        raise ValueError(f"unknown mask variant {mask!r}")
     return f

@@ -351,7 +351,7 @@ STAGES = (
     Stage("collect-routing", "routing.rljson", ("gen-tasks", "distill"),
           _ROLLOUT_KEYS + ("runtime.routing_seeds_per_task",), workers=True),
     Stage("train-router", "router.bin", ("collect-routing",),
-          ("router", "runtime.harness_salt", "eval.ece_bins")),
+          ("router", "runtime.harness_salt")),
     Stage("rollout", "eval_{}.rljson", ("gen-tasks", "distill"),
           _ROLLOUT_KEYS + ("eval.task_ids", "eval.eval_seeds_per_task"), workers=True,
           param="variant", over=VARIANT_ORDER,
@@ -654,7 +654,7 @@ def stage_train_router(cfg: dict, workdir: Path, out_name: str | None = None) ->
 
     x_val = np.array([ex.features for ex in valid_examples], dtype=float)
     y_val = np.array([ex.label for ex in valid_examples], dtype=float)
-    fit_temperature(net, x_val, y_val, ece_bins=cfg["eval"]["ece_bins"])
+    fit_temperature(net, x_val, y_val)
     costs = spec.costs
     net.tau_route = select_threshold(net, x_val, y_val, costs)
     tau_h = calibrate_entropy_threshold(valid_examples, costs)

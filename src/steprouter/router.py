@@ -3,8 +3,8 @@
 A 15 -> 128 -> 64 -> 1 feed-forward scorer (tanh-form GELU 0.5*x*(1 +
 tanh(sqrt(2/pi)*(x + 0.044715*x^3))) of Hendrycks & Gimpel, 2016, in train and
 eval mode alike; per-layer batch normalization with tracked running
-statistics, dropout 0.2, sigmoid output, post-hoc temperature) trained on the
-CVaR-constrained Lagrangian
+statistics, dropout 0.2, sigmoid output, post-hoc Platt map of Platt, 1999)
+trained on the CVaR-constrained Lagrangian
 
     min_psi max_{lam>=0}  E_z[R(z)] + lam * (CVaR_alpha(R(z)) - eps) + lam_B * Brier
 
@@ -30,7 +30,6 @@ import numpy as np
 
 from . import seeds
 from .domain import CostSpec, CVaRSpec, read_arrays, write_arrays
-from .evaluation import ece
 
 ROUTER_SCHEMA = "router@2"
 BN_EPS = 1e-5
@@ -488,56 +487,54 @@ def train_router(
 # --- calibration and thresholds -------------------------------------------------
 
 
-def fit_temperature_logits(logits, labels, ece_bins: int = 15) -> float:
-    """1-D golden-section search on log T in [-3, 3] minimizing validation NLL.
+def fit_platt_logits(logits, labels) -> tuple[float, float]:
+    """Platt map (a, b) minimizing the validation NLL of sigmoid(a*z + b).
 
-    Falls back to T = 1 when labels are degenerate or when scaling would
-    worsen ECE by more than 0.005 on the same set, and warns when it returns
-    a temperature clipped at the bound e^-3 or e^3.
+    Newton steps from the identity (1, 0), each halved until the NLL does not
+    rise; the NLL is convex in (a, b), so there is no bound to hit. Keeps the
+    identity and warns when the labels or the logits take one value, or when
+    the fitted slope a <= 0 (the logits do not rank the validation labels).
     """
     z = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if len(np.unique(y)) < 2:
-        warnings.warn("degenerate validation labels; temperature left at 1")
-        return 1.0
+    if len(np.unique(y)) < 2 or len(np.unique(z)) < 2:
+        warnings.warn("degenerate validation labels or logits; calibration left at the identity")
+        return 1.0, 0.0
 
-    def nll(log_t: float) -> float:
-        zz = z / math.exp(log_t)
-        return float(np.mean(np.logaddexp(0.0, zz) - y * zz))
+    def nll(a: float, b: float) -> float:
+        s = a * z + b
+        return float(np.mean(np.logaddexp(0.0, s) - y * s))
 
-    lo, hi = -3.0, 3.0
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - ratio * (hi - lo)
-    d = lo + ratio * (hi - lo)
-    fc, fd = nll(c), nll(d)
-    for _ in range(200):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - ratio * (hi - lo)
-            fc = nll(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + ratio * (hi - lo)
-            fd = nll(d)
-        if hi - lo < 1e-10:
+    a, b = 1.0, 0.0
+    for _ in range(50):
+        p = sigmoid(a * z + b)
+        w, r = p * (1.0 - p), p - y
+        # the Newton step solves [[w.zz, w.z], [w.z, sum w]] step = [r.z, sum r]
+        haa, hab, hbb, ga, gb = w @ (z * z), w @ z, w.sum(), r @ z, r.sum()
+        det = haa * hbb - hab * hab
+        if not det > 0.0:
             break
-    log_t = 0.5 * (lo + hi)
-    t_cand = math.exp(log_t)
-    before = ece(sigmoid(z), y, bins=ece_bins)
-    after = ece(sigmoid(z / t_cand), y, bins=ece_bins)
-    if after > before + 0.005:
-        return 1.0
-    if abs(log_t) >= 3.0 - 1e-6:
-        warnings.warn(f"temperature search hit its bound; temperature clipped at {t_cand:g}")
-    return t_cand
+        da, db = (hbb * ga - hab * gb) / det, (haa * gb - hab * ga) / det
+        if ga * da + gb * db < 1e-24 * len(z):  # the Newton decrement: converged
+            break
+        t, f = 1.0, nll(a, b)
+        while nll(a - t * da, b - t * db) > f and t > 1e-10:
+            t *= 0.5
+        a, b = a - t * da, b - t * db
+    if a <= 0.0:
+        warnings.warn(f"Platt slope a = {a:g} <= 0; calibration left at the identity")
+        return 1.0, 0.0
+    return float(a), float(b)
 
 
-def fit_temperature(net: RouterNet, x_val, y_val, ece_bins: int = 15) -> float:
-    """Fit and install the post-hoc temperature from validation data."""
-    t = fit_temperature_logits(net.logits_eval(np.asarray(x_val, dtype=float)),
-                               y_val, ece_bins=ece_bins)
-    net.temperature = t
-    return t
+def fit_temperature(net: RouterNet, x_val, y_val) -> float:
+    """Fit the Platt map on validation data and install it as temperature 1/a
+    and output bias b3 + b/a, so that `predict` gives sigmoid(a*z + b) on the
+    logits z of the net as it was. Returns the temperature."""
+    a, b = fit_platt_logits(net.logits_eval(np.asarray(x_val, dtype=float)), y_val)
+    net.temperature = 1.0 / a
+    net.params["b3"] = net.params["b3"] + b / a
+    return net.temperature
 
 
 def bayes_threshold(costs: CostSpec) -> float:

@@ -149,6 +149,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")])
+def test_cli_defaults_to_one_blas_thread(given, seen):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = "import os, steprouter.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == seen
+
+
 class TestStageOrder:
     def test_distill_before_train_bc_fails(self, tmp_path):
         assert run_stage("gen-tasks", tmp_path) == EXIT_OK

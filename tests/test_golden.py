@@ -29,6 +29,15 @@ the checkpoint header lost `fitted_temperature`. It moved `router.bin`,
 `router_report.csv`, `eval_r2v.rljson`, `summary.json` and `metrics.csv`.
 None of the 203 r2v escalation decisions changed, the largest `router_prob`
 shift was 1.0e-11, and every other pinned file kept its bytes.
+A fourth deliberate change: post-hoc calibration became a Platt map
+sigmoid(a*z + b) fitted by Newton steps, in place of a bounded temperature
+search that clipped at e^3 on this run, and train-router stopped reading
+`eval.ece_bins`. It moved `router.bin` (temperature 20.09 -> 1.447 and the
+output bias), `eval_r2v.rljson` (only `router_prob` and the header),
+`summary.json` and `metrics.csv`. It moved only the header `inputs_hash` of
+`eval_entropy.rljson` and `eval_heuristic.rljson`, whose records kept their
+bytes. None of the 203 r2v escalation decisions changed, and every other
+pinned file, `router_report.csv` included, kept its bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -51,16 +60,16 @@ GOLDEN_CONFIG = (
 )
 
 GOLDEN_SHA256 = {
-    "summary.json": "d06071a59b8709fda93eee3385888ab961298377dd395701e06e785f0882b96b",
-    "metrics.csv": "f15f9ef0294c149e8cf537be6f4962c3835a510c763960df06eb36778f0a6427",
+    "summary.json": "4af3c8545c9ca63cbe19b23ae50f31e1eefec12b5875a5876885aedd8727e715",
+    "metrics.csv": "98a5fc4db9d88d8e039813aad1ea64178d76fb288f064f7d502139f656f990cd",
     "routing.rljson": "215da59064e5e8def127baed7b7d0ab64f73816bc2461bc9e3bcc2c041499475",
-    "eval_entropy.rljson": "dee77ca147072d862b9accbcc592c9011dc99e6b5055283935c740190683f6ff",
-    "eval_heuristic.rljson": "125232b1fbf3476155967f5d5774077bce6729b262d31264508ef769cb630da1",
+    "eval_entropy.rljson": "41aab262bb07328aac42e44e10458167bdc878f257e897d6c4b370f9a6617990",
+    "eval_heuristic.rljson": "0c822ac478e270510f28f76169ba9642c70626b5d9685373bb9555611a2dd918",
     "eval_llm.rljson": "e18b183dccd4e15173c13b5e34cf94841de4702c1aae652d20cc2d0562a12344",
     "eval_oracle.rljson": "edccd15b8c75ca3474e2fedbe50ac00e9a59816c9e0334b623bac54fcbc74e46",
-    "eval_r2v.rljson": "314f86e66a4d89202432ce3cb49c1dbaa21a45795ccf60b65753fecf27571a5a",
+    "eval_r2v.rljson": "16dff612013c426463f1b19082edcf6311559aed0070830cc99135ead213ab11",
     "eval_slm.rljson": "8d0240bbc6402f9e1a7bbb663054af2e5d47e5d463fa658fd83cd445f883d684",
-    "router.bin": "3540a15edf0d3fc4b0387a99bd144e8c23b1d6df7631d16e460930758ecef1a2",
+    "router.bin": "720b8d79190fa689868ba1a7a7ce964dcba2309fadd130b56ac400b2e22d3ba7",
     "router_report.csv": "aeec308e09e1ed817158d0027427752e90cf2fa995a24ee448ee9fa95f3b00e6",
 }
 

@@ -1,13 +1,11 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from steprouter import seeds
 from steprouter.domain import CostSpec, CVaRSpec, RoutingExample
-from steprouter.evaluation import ece
 from steprouter.router import (
     RouterNet,
     StepBuffers,
@@ -17,8 +15,8 @@ from steprouter.router import (
     bayes_threshold,
     brier,
     cvar,
+    fit_platt_logits,
     fit_temperature,
-    fit_temperature_logits,
     gelu,
     gelu_grad,
     gelu_parts,
@@ -437,46 +435,71 @@ class TestStepBuffers:
         assert not np.shares_memory(buffers.take("a", 11, 4), big)
 
 
+def planted_platt(name, n=20000, a=0.6, b=-1.2):
+    """Logits z and labels drawn from sigmoid(a*z + b)."""
+    rng = seeds.stream(name)
+    z = rng.normal(0.0, 2.0, size=n)
+    return z, (rng.random(n) < sigmoid(a * z + b)).astype(float)
+
+
+def platt_nll(z, y, a, b):
+    s = a * z + b
+    return float(np.mean(np.logaddexp(0.0, s) - y * s))
+
+
 class TestTemperature:
+    def test_recovers_a_planted_map(self):
+        a, b = fit_platt_logits(*planted_platt("platt-planted"))
+        assert a == pytest.approx(0.6, abs=0.05)
+        assert b == pytest.approx(-1.2, abs=0.05)
+
     def test_calibrated_logits_keep_unit_temperature(self):
         rng = seeds.stream("temp-cal")
         q = np.clip(rng.uniform(size=20000), 0.02, 0.98)
         logits = np.log(q / (1 - q))
         y = (rng.random(20000) < q).astype(float)
-        t = fit_temperature_logits(logits, y)
-        assert abs(t - 1.0) <= 0.05
+        a, b = fit_platt_logits(logits, y)
+        assert a == pytest.approx(1.0, abs=0.05)
+        assert b == pytest.approx(0.0, abs=0.05)
 
     def test_overconfident_logits_recover_scale(self):
         rng = seeds.stream("temp-over")
         q = np.clip(rng.uniform(size=20000), 0.02, 0.98)
         logits = np.log(q / (1 - q))
         y = (rng.random(20000) < q).astype(float)
-        t = fit_temperature_logits(logits * 5.0, y)
-        assert abs(t - 5.0) / 5.0 <= 0.10
+        a, b = fit_platt_logits(logits * 5.0, y)
+        assert abs(1.0 / a - 5.0) / 5.0 <= 0.10
+        assert b == pytest.approx(0.0, abs=0.05)
+
+    def test_fit_minimizes_the_nll_on_a_grid_around_it(self):
+        z, y = planted_platt("platt-grid", n=3000)
+        a, b = fit_platt_logits(z, y)
+        best = platt_nll(z, y, a, b)
+        for da in np.linspace(-0.2, 0.2, 9):
+            for db in np.linspace(-0.2, 0.2, 9):
+                assert best <= platt_nll(z, y, a + da, b + db)
 
     def test_degenerate_labels_warn_and_unit(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            t = fit_temperature_logits(np.array([0.2, 0.4]), np.array([1.0, 1.0]))
-        assert t == 1.0
-        assert any("degenerate" in str(w.message) for w in caught)
+        with pytest.warns(UserWarning, match="degenerate"):
+            assert fit_platt_logits(np.array([0.2, 0.4]), np.array([1.0, 1.0])) == (1.0, 0.0)
 
-    def test_ece_never_worsens_beyond_tolerance(self):
-        rng = seeds.stream("temp-ece")
-        for trial in range(5):
-            logits = rng.normal(size=3000) * (1 + trial)
-            y = (rng.random(3000) < sigmoid(logits * 0.7)).astype(float)
-            t = fit_temperature_logits(logits, y)
-            before = ece(sigmoid(logits), y)
-            after = ece(sigmoid(logits / t), y)
-            assert after <= before + 0.005
+    @pytest.mark.parametrize("logits, labels, message", [
+        ([0.3, 0.3, 0.3], [0.0, 1.0, 1.0], "degenerate"),
+        ([-2.0, -1.0, 1.0, 2.0], [1.0, 1.0, 0.0, 0.0], "slope"),
+    ], ids=["constant-logits", "anti-correlated"])
+    def test_no_signal_keeps_the_identity_and_warns(self, logits, labels, message):
+        with pytest.warns(UserWarning, match=message):
+            assert fit_platt_logits(np.array(logits), np.array(labels)) == (1.0, 0.0)
 
     def test_fit_temperature_installs_on_net(self):
         net = RouterNet.init(seeds.stream("temp-net"))
         x = seeds.stream("temp-x").normal(size=(500, 15))
-        y = (seeds.stream("temp-y").random(500) < 0.5).astype(float)
+        z = net.logits_eval(x)
+        y = (seeds.stream("temp-y").random(500) < sigmoid(0.5 * z - 1.0)).astype(float)
+        a, b = fit_platt_logits(z, y)
         t = fit_temperature(net, x, y)
-        assert net.temperature == t > 0
+        assert net.temperature == t == pytest.approx(1.0 / a) and a > 0
+        np.testing.assert_allclose(net.predict(x), sigmoid(a * z + b), rtol=0, atol=1e-12)
 
 
 class TestThresholds:

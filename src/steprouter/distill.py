@@ -2,11 +2,11 @@
 frozen reference, and cross-seed consistency regularization.
 
 Pairing rule: sample K candidates from the BC policy at every pooled context
-and score them. If the best candidate clears the verifier threshold the pair
-is (best, worst); otherwise the teacher is queried and the pair is (teacher
-action, best candidate). Consistency pairs replay the clean expert action
-sequence under two different perturbation seeds, so both contexts share the
-same latent state by construction.
+and score them at the pooled episode's latent state. If the best candidate
+clears the verifier threshold the pair is (best, worst); otherwise the teacher
+acts at that state and the pair is (teacher action, best candidate).
+Consistency pairs replay the clean expert action sequence under two distinct
+perturbation seeds, so both contexts share one latent state by construction.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ def build_preferences(
     for ep in pool:
         for step in ep.steps:
             ctx = step.context
+            state = env.replay(env.task_spec(ep.task_id), ctx.actions)
             cands = bc_policy.sample_candidates(ctx, k, rng_cand)
             actions = [a for a, _ in cands]
-            scores = score_candidates(spec, ctx, actions, rng_score)
+            scores = score_candidates(spec, state, actions, rng_score)
             best = int(np.argmax(scores))
             worst = int(np.argmin(scores))
             if scores[best] >= spec.gamma_threshold:
@@ -96,8 +97,6 @@ def build_preferences(
                 )
                 counters["verifier_ranked"] += 1
             else:
-                task = env.parse_goal(ctx.goal)
-                state = env.replay(task, ctx.actions)
                 recovered = teacher.act(env, state, rng_teacher)
                 if recovered == actions[best]:
                     counters["skipped"] += 1

@@ -247,25 +247,17 @@ class HazardChainEnv:
     # --- tasks ---------------------------------------------------------------
 
     def task_spec(self, task_id: int) -> TaskSpec:
-        """Deterministic task layout, sampled once per task id and memoized."""
+        """Deterministic task layout, memoized per id; an unknown id raises ValueError."""
         task = self._tasks.get(task_id)
         if task is None:
+            if not (0 <= task_id < self.task_count):
+                raise ValueError(f"unknown task id {task_id}")
             task = self._tasks[task_id] = sample_task_spec(self.config, task_id)
         return task
 
     def goal_tokens(self, task: TaskSpec) -> tuple[int, ...]:
         base = self.tokens.goal_base
         return (base + task.start, *(base + g for g in task.subgoals), base + task.terminal)
-
-    def parse_goal(self, goal: tuple[int, ...]) -> TaskSpec:
-        """Recover the task layout from goal tokens (start, subgoals, terminal)."""
-        base = self.tokens.goal_base
-        positions = [tok - base for tok in goal]
-        if len(positions) < 2 or any(
-            not (0 <= p < self.config.state_count) for p in positions
-        ):
-            raise ValueError("goal tokens do not encode a task layout")
-        return TaskSpec(-1, positions[0], tuple(positions[1:-1]), positions[-1])
 
     # --- latent dynamics -------------------------------------------------------
 
@@ -358,8 +350,6 @@ class HazardChainEnv:
     # --- public episode interface ---------------------------------------------
 
     def reset(self, task_id: int, seed: PerturbationSeed) -> tuple[LatentState, Context]:
-        if not (0 <= task_id < self.task_count):
-            raise ValueError(f"unknown task id {task_id}")
         task = self.task_spec(task_id)
         state = LatentState(task_id, task.start, 0, 0)
         obs = self.corrupt(self.clean_observation(task, state), seed.z, 0)

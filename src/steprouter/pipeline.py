@@ -219,6 +219,8 @@ COUNT_KEYS = (
     ("runtime", "k_candidates", 2),  # candidates are ranked against each other
     ("runtime", "routing_seeds_per_task", 1),
     ("eval", "eval_seeds_per_task", 1),
+    ("eval", "bootstrap_resamples", 1),
+    ("eval", "ece_bins", 1),
 )
 
 
@@ -229,14 +231,13 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(
                 f"{block}.{key} must be an integer >= {least}, got {value!r}"
             )
-    make_env(cfg)
-    make_cost_spec(cfg)
-    make_cvar_spec(cfg)
-    mask_name = cfg["features"]["mask"]
-    try:
-        FeatureMask(mask_name)
-    except ValueError as exc:
-        raise ConfigError(f"unknown feature mask {mask_name!r}") from exc
+    env = make_env(cfg)
+    make_teacher(cfg)
+    make_verifier(cfg, env)
+    make_distill_config(cfg)
+    make_train_spec(cfg)
+    _built("runtime.budget_limit", RoutingPolicy.llm_only, cfg["runtime"]["budget_limit"])
+    _built("features.mask", FeatureMask, cfg["features"]["mask"])
     fr = cfg["split"]["fractions"]
     if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError("split fractions must be a triple summing to 1")
@@ -248,6 +249,8 @@ def _is_int(value) -> bool:
 
 
 def _validate_eval(e: dict, task_count: int) -> None:
+    if type(e["level"]) not in (int, float) or not 0 < e["level"] < 1:
+        raise ConfigError(f"eval.level must lie in (0, 1), got {e['level']!r}")
     ids = e["task_ids"]
     if ids is None:
         return
@@ -279,36 +282,45 @@ def make_env(cfg: dict) -> HazardChainEnv:
         raise ConfigError(f"invalid env config: {exc}") from exc
 
 
+def _built(label: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError or TypeError raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 def make_teacher(cfg: dict) -> TeacherPolicy:
-    return TeacherPolicy(error_rate=cfg["policy"]["teacher_error_rate"])
+    return _built("policy.teacher_error_rate", TeacherPolicy,
+                  error_rate=cfg["policy"]["teacher_error_rate"])
 
 
 def make_verifier(cfg: dict, env: HazardChainEnv) -> VerifierSpec:
     v = cfg["verifier"]
-    return VerifierSpec.for_env(env, eta_v=v["eta_v"], gamma_threshold=v["gamma_threshold"])
+    return _built("verifier", VerifierSpec.for_env, env, eta_v=v["eta_v"],
+                  gamma_threshold=v["gamma_threshold"])
+
+
+def make_distill_config(cfg: dict) -> DistillConfig:
+    return _built("distill", DistillConfig, **cfg["distill"])
 
 
 def make_cost_spec(cfg: dict) -> CostSpec:
     r = cfg["router"]
-    try:
-        return CostSpec(c_slm=r["c_slm"], c_llm=r["c_llm"], kappa=r["kappa"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid cost spec: {exc}") from exc
+    return _built("invalid cost spec", CostSpec, c_slm=r["c_slm"], c_llm=r["c_llm"],
+                  kappa=r["kappa"])
 
 
 def make_cvar_spec(cfg: dict) -> CVaRSpec:
     r = cfg["router"]
-    try:
-        return CVaRSpec(alpha=r["alpha"], epsilon=r["epsilon"],
-                        lambda_b=r["lambda_b"], lambda_init=r["lambda_init"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid CVaR spec: {exc}") from exc
+    return _built("invalid CVaR spec", CVaRSpec, alpha=r["alpha"], epsilon=r["epsilon"],
+                  lambda_b=r["lambda_b"], lambda_init=r["lambda_init"])
 
 
 def make_train_spec(cfg: dict) -> TrainSpec:
     keys = ("lr", "weight_decay", "dual_lr", "epochs", "batch_steps", "dropout")
-    return TrainSpec(costs=make_cost_spec(cfg), cvar=make_cvar_spec(cfg),
-                     **{k: cfg["router"][k] for k in keys})
+    return _built("router", TrainSpec, costs=make_cost_spec(cfg), cvar=make_cvar_spec(cfg),
+                  **{k: cfg["router"][k] for k in keys})
 
 
 # --- the stage table ------------------------------------------------------------
@@ -583,12 +595,7 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
     paths = require_inputs(cfg, workdir, "distill")
     bc_policy = SoftmaxPolicy.load(paths["train-bc"])
     pairs, views = load_pairs(paths["build-pairs"])
-    d = cfg["distill"]
-    distilled, report = train_recovery(
-        bc_policy, pairs, views,
-        DistillConfig(beta=d["beta"], lambda_cons=d["lambda_cons"],
-                      epochs=d["epochs"], lr=d["lr"]),
-    )
+    distilled, report = train_recovery(bc_policy, pairs, views, make_distill_config(cfg))
     out = artifact_path(workdir, "distill")
     distilled.save(out, extra={**_stamp(cfg, "distill"),
                                "reference_hash": report["reference_hash"]})

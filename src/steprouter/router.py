@@ -336,6 +336,10 @@ class TrainSpec:
     batch_steps: int = 4096
     dropout: float = 0.2
 
+    def __post_init__(self):
+        if not (0.0 <= self.dropout < 1.0):
+            raise ValueError("dropout must lie in [0, 1)")
+
 
 class _Adam:
     def __init__(self, shapes: dict[str, tuple], beta1=0.9, beta2=0.999, eps=1e-8):

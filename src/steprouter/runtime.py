@@ -56,8 +56,9 @@ class RoutingPolicy:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown routing variant {self.variant!r}")
-        if self.budget_limit is not None and self.budget_limit < 0:
-            raise ValueError("budget must be nonnegative")
+        budget = self.budget_limit
+        if budget is not None and (type(budget) is not int or budget < 0):
+            raise ValueError("budget must be None (unlimited) or an integer >= 0")
 
     @classmethod
     def slm_only(cls) -> "RoutingPolicy":
@@ -156,7 +157,7 @@ class _Node:
         logp = slm.log_distribution(self.ctx)
         probs = probabilities(logp)
         cands = draw_candidates(logp, probs, k, rng_cand)
-        scores = score_candidates(vspec, self.ctx, [a for a, _ in cands], rng_ver)
+        scores = score_candidates(vspec, self.state, [a for a, _ in cands], rng_ver)
         self.f_raw = extract(self.ctx, probs, cands, scores, limits)
         self.slm_action = cands[int(np.argmax(scores))][0]
         self.candidates = tuple(cands)

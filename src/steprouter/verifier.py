@@ -1,12 +1,12 @@
 """Process verifier: noisy [0,1] action scores and pseudo-entropy.
 
-The base quality oracle peeks at the latent state (a test-only privilege: the
-latent state is reconstructible from the context because latent dynamics are
-deterministic) and is then corrupted with per-candidate additive uniform
-jitter. The jitter width is calibrated so that any good/bad pair is misranked
-with probability at most eta_v: for independent U(-w, w) jitter the misrank
-probability of a pair with base-score gap d is (2w - d)^2 / (8 w^2), so
-solving for the minimal gap gives w = gap / (2 (1 - sqrt(2 eta_v))).
+The base quality oracle reads the latent state, a privilege it shares with
+the teacher: the caller passes the state its rollout already holds. The base
+scores are then corrupted with per-candidate additive uniform jitter, whose
+width is calibrated so that any good/bad pair is misranked with probability
+at most eta_v: for independent U(-w, w) jitter the misrank probability of a
+pair with base-score gap d is (2w - d)^2 / (8 w^2), so solving for the
+minimal gap gives w = gap / (2 (1 - sqrt(2 eta_v))).
 
 Base scores sit in a narrow band around 0.5 so the jitter never hits the
 [0, 1] clip for eta_v <= 0.3; inside that range the pairwise misrank bound is
@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import Context
-from .env import ACTION_HAZARD, HazardChainEnv
+from .env import ACTION_HAZARD, HazardChainEnv, LatentState
 
 BASE_OPTIMAL = 0.62
 BASE_NEUTRAL = 0.50
@@ -43,13 +42,12 @@ def jitter_width(eta_v: float, gap: float = PAIR_GAP) -> float:
 
 @dataclass(frozen=True)
 class EnvActionQuality:
-    """Latent-state-aware base scores for every action at a context."""
+    """Base scores for every action at a latent state."""
 
     env: HazardChainEnv
 
-    def __call__(self, ctx: Context) -> np.ndarray:
-        task = self.env.parse_goal(ctx.goal)
-        state = self.env.replay(task, ctx.actions)
+    def __call__(self, state: LatentState) -> np.ndarray:
+        task = self.env.task_spec(state.task_id)
         base = np.full(self.env.config.action_count, BASE_NEUTRAL)
         base[self.env.optimal_action(task, state)] = BASE_OPTIMAL
         base[ACTION_HAZARD] = BASE_HAZARD
@@ -60,7 +58,7 @@ class EnvActionQuality:
 class VerifierSpec:
     """Quality oracle + pairwise noise level + good-set threshold."""
 
-    quality: Callable[[Context], np.ndarray]
+    quality: Callable[[LatentState], np.ndarray]
     eta_v: float = 0.05
     gamma_threshold: float = 0.55
 
@@ -78,14 +76,14 @@ class VerifierSpec:
 
 
 def score_candidates(
-    spec: VerifierSpec, ctx: Context, actions, rng: np.random.Generator
+    spec: VerifierSpec, state: LatentState, actions, rng: np.random.Generator
 ) -> np.ndarray:
     """Scores for a candidate list; one independent jitter draw per candidate.
 
     The K draws come from one vector call, which consumes the rng exactly as
     K scalar draws would and yields the same values.
     """
-    base = np.asarray(spec.quality(ctx), dtype=float)[list(actions)]
+    base = np.asarray(spec.quality(state), dtype=float)[list(actions)]
     w = jitter_width(spec.eta_v)
     if w != 0.0:
         base = base + rng.uniform(-w, w, size=len(base))

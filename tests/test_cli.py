@@ -110,6 +110,8 @@ class TestConfig:
         ("router.epochs", "true"),
         ("distill.epochs", "-1"),
         ("policy.pert_seeds_per_task", "null"),
+        ("eval.bootstrap_resamples", "0"),
+        ("eval.ece_bins", "0"),
     ])
     def test_count_keys_rejected(self, tmp_path, capsys, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -118,6 +120,28 @@ class TestConfig:
                    "--workers", "1", "--set", f"{key}={raw}"])
         assert rc == EXIT_CONFIG
         assert f"config error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,raw", [
+        ("policy.teacher_error_rate", "1.5"),
+        ("eval.level", "1.5"),
+        ("eval.level", "0"),
+        ("router.dropout", "1.0"),
+        ("runtime.budget_limit", "-1"),
+        ("runtime.budget_limit", "2.5"),
+        ("verifier.eta_v", "0.5"),
+        ("distill.beta", "0"),
+    ])
+    def test_values_a_stage_would_crash_on_rejected(self, tmp_path, capsys, key, raw):
+        # each value would fail the stage that reads it, so even gen-tasks,
+        # which reads none of them, refuses it with one line
+        with pytest.raises(ConfigError, match=key.split(".")[-1]):
+            pipeline.load_config(overrides=[f"{key}={raw}"], environ={})
+        assert main(["gen-tasks", "--workdir", str(tmp_path),
+                     "--set", f"{key}={raw}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
 
     def test_eval_task_ids_accepted(self):
         cfg = pipeline.load_config(overrides=["eval.task_ids=[0,23]"], environ={})

@@ -1,5 +1,6 @@
 """Dead-code guard: every public top-level function or class in
-`src/steprouter` must be used by the package or by `perfbench/`.
+`src/steprouter`, and every public method of a top-level class, must be used
+by the package or by `perfbench/`.
 
 A name counts as used when some module (its own included) refers to it
 outside its own `def`/`class` statement: as a bare name, an attribute, an
@@ -20,11 +21,19 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+
+
 def _public_definitions(tree: ast.Module):
+    """Public top-level names, then `Class.method` for each public method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                yield node.name
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, FUNCTIONS) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member.name
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -45,9 +54,9 @@ def test_no_public_definition_is_unused():
     users = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     referenced = set().union(*(_references(_parse(p)) for p in users))
     unused = [
-        f"{path.name}:{name}"
+        f"{path.name}:{label}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in _public_definitions(_parse(path))
+        for label, name in _public_definitions(_parse(path))
         if name not in referenced
     ]
     assert not unused, f"public definitions used only by tests (or nobody): {unused}"

@@ -89,6 +89,21 @@ class TestBuildPreferences:
         assert counters["verifier_ranked"] == 0
         assert all(p.source == SOURCE_TEACHER for p in pairs)
 
+    def test_teacher_recovers_the_episodes_own_task(self):
+        # a noiseless teacher's recovered action is the optimal action of the
+        # pooled episode's task at that context's latent state
+        env = make_env({"PartialObs": 0.4})
+        bc, pool, _ = trained_bc(env)
+        spec = VerifierSpec.for_env(env, eta_v=0.0, gamma_threshold=1.0)
+        pairs, _, counters = build_preferences(bc, pool, spec, TeacherPolicy(0.0), env, k=5)
+        task_of = {step.context: ep.task_id for ep in pool for step in ep.steps}
+        recovered = [p for p in pairs if p.source == SOURCE_TEACHER]
+        assert len(recovered) == counters["teacher_recovered"] > 0
+        for pair in recovered:
+            task = env.task_spec(task_of[pair.context])
+            state = env.replay(task, pair.context.actions)
+            assert pair.a_plus == env.optimal_action(task, state)
+
     def test_pair_count_bounded_by_contexts(self):
         env = make_env({"PartialObs": 0.4})
         bc, pool, teacher = trained_bc(env)

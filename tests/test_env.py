@@ -245,16 +245,14 @@ class TestPairedViews:
 
 
 class TestTasks:
-    def test_goal_tokens_parse_round_trip(self):
+    @pytest.mark.parametrize("task_id", [-1, 12])  # make_env has tasks 0..11
+    def test_task_spec_refuses_unknown_ids(self, task_id):
         env = make_env()
-        for task_id in range(env.task_count):
-            task = env.task_spec(task_id)
-            parsed = env.parse_goal(env.goal_tokens(task))
-            assert (parsed.start, parsed.subgoals, parsed.terminal) == (
-                task.start,
-                task.subgoals,
-                task.terminal,
-            )
+        for _ in range(2):  # a refused id is never memoized
+            with pytest.raises(ValueError, match="unknown task id"):
+                env.task_spec(task_id)
+            with pytest.raises(ValueError, match="unknown task id"):
+                env.reset(task_id, PerturbationSeed(0))
 
     def test_tasks_deterministic(self):
         env = make_env()

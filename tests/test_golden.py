@@ -38,6 +38,16 @@ output bias), `eval_r2v.rljson` (only `router_prob` and the header),
 `eval_entropy.rljson` and `eval_heuristic.rljson`, whose records kept their
 bytes. None of the 203 r2v escalation decisions changed, and every other
 pinned file, `router_report.csv` included, kept its bytes.
+A fifth deliberate change, a bug fix: when no candidate cleared the verifier
+threshold, build-pairs asked the teacher to recover at a latent state rebuilt
+from the goal tokens, whose task id was -1, so the teacher planned for the
+layout of a task that does not exist. It now plans at the pooled episode's own
+latent state, and this run's teacher-recovered pairs went from 4 to 1 (84
+verifier-ranked pairs either way). That moved `pairs.rljson` and
+`policy_distilled.bin`, the first files the fix changes, which this guard now
+pins too, and every pinned file downstream of them. The files upstream of
+build-pairs kept their bytes. The verifier now reads the rollout's own latent
+state instead of the same rebuilt one; that half alone moves no bit.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -60,17 +70,19 @@ GOLDEN_CONFIG = (
 )
 
 GOLDEN_SHA256 = {
-    "summary.json": "4af3c8545c9ca63cbe19b23ae50f31e1eefec12b5875a5876885aedd8727e715",
-    "metrics.csv": "98a5fc4db9d88d8e039813aad1ea64178d76fb288f064f7d502139f656f990cd",
-    "routing.rljson": "215da59064e5e8def127baed7b7d0ab64f73816bc2461bc9e3bcc2c041499475",
-    "eval_entropy.rljson": "41aab262bb07328aac42e44e10458167bdc878f257e897d6c4b370f9a6617990",
-    "eval_heuristic.rljson": "0c822ac478e270510f28f76169ba9642c70626b5d9685373bb9555611a2dd918",
-    "eval_llm.rljson": "e18b183dccd4e15173c13b5e34cf94841de4702c1aae652d20cc2d0562a12344",
-    "eval_oracle.rljson": "edccd15b8c75ca3474e2fedbe50ac00e9a59816c9e0334b623bac54fcbc74e46",
-    "eval_r2v.rljson": "16dff612013c426463f1b19082edcf6311559aed0070830cc99135ead213ab11",
-    "eval_slm.rljson": "8d0240bbc6402f9e1a7bbb663054af2e5d47e5d463fa658fd83cd445f883d684",
-    "router.bin": "720b8d79190fa689868ba1a7a7ce964dcba2309fadd130b56ac400b2e22d3ba7",
-    "router_report.csv": "aeec308e09e1ed817158d0027427752e90cf2fa995a24ee448ee9fa95f3b00e6",
+    "summary.json": "387408501066f3804bec114d041faafde0d20a9b2fcec1a269fd8cb2b0e7826f",
+    "metrics.csv": "4530be477b1625de10f9c1dd563f35745f277da42f31e166ef3b710446479103",
+    "pairs.rljson": "9ca2f18c3c4ca4b48eb5cae5a911bffb452d7f8747860603ae6f117d1d38ec17",
+    "policy_distilled.bin": "0ce2a2e98273324073eace16a67c6bdab5b0e44dbbc344c8aa7c49c00172d269",
+    "routing.rljson": "8c6a7867c9a32ad1a834eddaecf3070a696f72dd957fa34d1684f0951446fb3a",
+    "eval_entropy.rljson": "1087fc14dc24d0dd8e7434705e81df7ae8eae91c4e2ff5a48e4014c14443ae87",
+    "eval_heuristic.rljson": "daad6ae8cfdff3aafca3a286ec644d672e1c1a4c37e5d923b633988846def837",
+    "eval_llm.rljson": "c489491ec8d6ed4e2b9f96c8c08c227f14d70e01e53cefcc00625fbc70f0dc4e",
+    "eval_oracle.rljson": "6bc65db35ea2717b244cf9f65c6a8f725c2cad400bded32311d0f0f70da4a3aa",
+    "eval_r2v.rljson": "55f5de3f3fff498001c3e3af349ae0c9b9026e923d173bfecb849c755dfd9182",
+    "eval_slm.rljson": "02d7c2cb8754d16734bf5b112c3341fde74e1f68757ef9441c4c244c517b502a",
+    "router.bin": "37b821f35524cd7679a7e77f65cc0f1d4bbc2b70b24822cfd3b80c8dfca9fabf",
+    "router_report.csv": "aa5867832809e1d80808784726b02113c8afafe6b78a3ef3a06f4a091e9ad1bf",
 }
 
 
@@ -81,7 +93,8 @@ def _sha256(path) -> str:
 def test_evaluate_outputs_are_byte_identical(tmp_path):
     cfg = pipeline.load_config(overrides=GOLDEN_CONFIG, environ={})
     pipeline.run_pipeline(cfg, tmp_path, workers=1)
-    names = ["summary.json", "metrics.csv", "routing.rljson", "router.bin", "router_report.csv"]
+    names = ["summary.json", "metrics.csv", "pairs.rljson", "policy_distilled.bin",
+             "routing.rljson", "router.bin", "router_report.csv"]
     names += sorted(p.name for p in tmp_path.glob("eval_*.rljson"))
     got = {name: _sha256(tmp_path / name) for name in names}
     assert got == GOLDEN_SHA256

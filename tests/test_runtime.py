@@ -254,6 +254,22 @@ class TestStepTree:
         distinct = {(ep.task_id, ep.seed.z, s.context.actions) for ep in eps for s in ep.steps}
         assert len(calls) == len(distinct) < sum(len(ep.steps) for ep in eps)
 
+    def test_rollouts_never_replay(self, world, monkeypatch):
+        # the verifier scores each node's own latent state, so no step
+        # rebuilds a state from its action prefix
+        env, teacher, slm, vspec = world
+
+        def refuse(*_):
+            raise AssertionError("a rollout replayed an action prefix")
+
+        monkeypatch.setattr(HazardChainEnv, "replay", refuse)
+        net = RouterNet.init(np.random.default_rng(5))
+        tree = StepTree()
+        for routing in (RoutingPolicy.slm_only(), RoutingPolicy.r2v(net, 0.45, budget_limit=3)):
+            eps = [run_episode(env, t, z, slm, teacher, vspec, routing, tree=tree)
+                   for t, z in self.GRID]
+            assert all(ep.steps for ep in eps)
+
 
 class TestRoutingDataset:
     def test_requires_distilled_stage(self, world):

@@ -26,33 +26,31 @@ def env_and_spec(eta_v=0.0):
 
 def fixed_quality(vec):
     arr = np.asarray(vec, dtype=float)
-    return lambda ctx: arr
+    return lambda state: arr
 
 
-def score_one(spec, ctx, action, rng):
-    return float(score_candidates(spec, ctx, [action], rng)[0])
+def score_one(spec, state, action, rng):
+    return float(score_candidates(spec, state, [action], rng)[0])
 
 
-def choose(spec, ctx, cands, rng):
+def choose(spec, state, cands, rng):
     """The rollout's local choice: verifier argmax over the K candidates."""
-    scores = score_candidates(spec, ctx, [a for a, _ in cands], rng)
+    scores = score_candidates(spec, state, [a for a, _ in cands], rng)
     return cands[int(np.argmax(scores))][0], scores
 
 
 class TestScore:
     def test_noiseless_optimal_clears_threshold(self):
         env, spec = env_and_spec(eta_v=0.0)
-        _, ctx = env.reset(0, PerturbationSeed(0))
-        task = env.task_spec(0)
-        state = env.replay(task, ctx.actions)
-        opt = env.optimal_action(task, state)
-        s = score_one(spec, ctx, opt, seeds.stream("v0"))
+        state, _ = env.reset(0, PerturbationSeed(0))
+        opt = env.optimal_action(env.task_spec(0), state)
+        s = score_one(spec, state, opt, seeds.stream("v0"))
         assert s >= spec.gamma_threshold
 
     def test_noiseless_hazard_below_threshold(self):
         env, spec = env_and_spec(eta_v=0.0)
-        _, ctx = env.reset(0, PerturbationSeed(0))
-        s = score_one(spec, ctx, ACTION_HAZARD, seeds.stream("v1"))
+        state, _ = env.reset(0, PerturbationSeed(0))
+        s = score_one(spec, state, ACTION_HAZARD, seeds.stream("v1"))
         assert s < spec.gamma_threshold
 
     def test_scores_clipped_to_unit_interval(self):
@@ -97,8 +95,8 @@ class TestScore:
 class TestBestOfK:
     def test_single_candidate(self):
         env, spec = env_and_spec()
-        _, ctx = env.reset(0, PerturbationSeed(0))
-        action, scores = choose(spec, ctx, [(1, -0.1)], seeds.stream("b0"))
+        state, _ = env.reset(0, PerturbationSeed(0))
+        action, scores = choose(spec, state, [(1, -0.1)], seeds.stream("b0"))
         assert action == 1 and len(scores) == 1
 
     def test_tie_breaks_lowest_index(self):
@@ -108,12 +106,16 @@ class TestBestOfK:
 
     def test_noiseless_prefers_optimal(self):
         env, spec = env_and_spec(eta_v=0.0)
-        _, ctx = env.reset(1, PerturbationSeed(0))
         task = env.task_spec(1)
-        opt = env.optimal_action(task, env.replay(task, ctx.actions))
+        seed = PerturbationSeed(0)
+        state, _ = env.reset(1, seed)
         cands = [(a, -1.0) for a in range(env.config.action_count)]
-        action, _ = choose(spec, ctx, cands, seeds.stream("b2"))
-        assert action == opt
+        # along the optimal path: every move, each interact and the goal
+        for t in range(task.path_length()):
+            opt = env.optimal_action(task, state)
+            action, _ = choose(spec, state, cands, seeds.stream("b2", t))
+            assert action == opt
+            state, _, _, _ = env.step(state, opt, seed, t)
 
     def test_selection_bound_spot_cell(self):
         # mu = 0.5, K = 5, eta 0: P(chosen in the good set) >= 1 - 0.5^5

@@ -53,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         if row.param:
             p.add_argument(PARAM_FLAGS[row.param], dest="value", required=True,
                            choices=row.over)
-        if row.name == "rollout":
-            p.add_argument("--out", default=None,
-                           help="output file name (default eval_<variant>.rljson)")
 
     p = sub.add_parser("verify-theory",
                        help="run the property/oracle suite and print pass/fail lines")
@@ -73,7 +70,6 @@ def main(argv=None) -> int:
             all_passed = all_passed and passed
         return EXIT_OK if all_passed else EXIT_THEORY
 
-    options = {"out_name": args.out} if args.command == "rollout" else {}
     try:
         cfg = pipeline.load_config(args.config, overrides=args.overrides)
     except ConfigError as exc:
@@ -83,8 +79,7 @@ def main(argv=None) -> int:
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     try:
-        out = pipeline.run_stage(cfg, workdir, args.command, args.value, args.workers,
-                                 **options)
+        out = pipeline.run_stage(cfg, workdir, args.command, args.value, args.workers)
     except StageOrderError as exc:
         print(f"stage-order error: {exc}", file=sys.stderr)
         return EXIT_STAGE_ORDER

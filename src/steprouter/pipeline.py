@@ -209,8 +209,10 @@ def load_config(path: str | None = None, overrides=(), environ=None) -> dict:
     return cfg
 
 
-# counts that stages loop or index over: (block, key, smallest valid value)
+# integers that stages count, index or seed numpy with: (block, key, smallest
+# valid value)
 COUNT_KEYS = (
+    ("env", "task_count", 3),  # split three ways, each part nonempty
     ("policy", "bc_epochs", 1),
     ("policy", "pert_seeds_per_task", 0),
     ("distill", "epochs", 0),
@@ -221,6 +223,8 @@ COUNT_KEYS = (
     ("eval", "eval_seeds_per_task", 1),
     ("eval", "bootstrap_resamples", 1),
     ("eval", "ece_bins", 1),
+    ("eval", "bootstrap_seed", 0),
+    ("split", "seed", 0),
 )
 
 
@@ -239,8 +243,10 @@ def validate_config(cfg: dict) -> None:
     _built("runtime.budget_limit", RoutingPolicy.llm_only, cfg["runtime"]["budget_limit"])
     _built("features.mask", FeatureMask, cfg["features"]["mask"])
     fr = cfg["split"]["fractions"]
-    if len(fr) != 3 or abs(sum(fr) - 1.0) > 1e-9:
-        raise ConfigError("split fractions must be a triple summing to 1")
+    if (not isinstance(fr, list) or len(fr) != 3
+            or not all(type(f) in (int, float) and f >= 0 for f in fr)
+            or abs(sum(fr) - 1.0) > 1e-9):
+        raise ConfigError(f"split.fractions must be three numbers >= 0 summing to 1, got {fr!r}")
     _validate_eval(cfg["eval"], cfg["env"]["task_count"])
 
 
@@ -373,7 +379,7 @@ STAGES = (
     Stage("evaluate", "summary.json", ("train-router", *(f"rollout:{v}" for v in VARIANT_ORDER)),
           ("eval.bootstrap_resamples", "eval.level", "eval.ece_bins", "eval.bootstrap_seed"),
           workers=True),
-    # every grid point runs stages that check their own inputs
+    # every grid checks the inputs it reads, through its stages or itself
     Stage("ablate", "ablate_{}.csv", workers=True, param="kind",
           over=("features", "cvar", "lambda")),
 )
@@ -417,10 +423,10 @@ def artifact_path(workdir: Path, ref: str) -> Path:
     return Path(workdir) / STAGE[name].output.format(value)
 
 
-def require_stage(cfg: dict, workdir: Path, ref: str, path: Path | None = None) -> Path:
-    """The artifact of `ref` (at `path` if given), checked to exist and to
-    hold the inputs_hash that `cfg` gives it."""
-    path = Path(path or artifact_path(workdir, ref))
+def require_stage(cfg: dict, workdir: Path, ref: str) -> Path:
+    """The artifact of `ref`, checked to exist and to hold the inputs_hash
+    that `cfg` gives it."""
+    path = artifact_path(workdir, ref)
     name, _, value = ref.partition(":")
     rerun = f"{name} --{STAGE[name].param} {value}" if value else name
     if not path.exists():
@@ -431,19 +437,15 @@ def require_stage(cfg: dict, workdir: Path, ref: str, path: Path | None = None) 
     return path
 
 
-def require_inputs(cfg: dict, workdir: Path, ref: str, moved: dict | None = None) -> dict:
-    """Input ref -> checked path of every artifact `ref` reads; `moved` gives
-    an input a path other than its own."""
-    moved = moved or {}
-    return {i: require_stage(cfg, workdir, i, moved.get(i)) for i in stage_reads(ref)[0]}
+def require_inputs(cfg: dict, workdir: Path, ref: str) -> dict:
+    """Input ref -> checked path of every artifact `ref` reads."""
+    return {i: require_stage(cfg, workdir, i) for i in stage_reads(ref)[0]}
 
 
-def run_stage(cfg: dict, workdir: Path, name: str, value=None, workers: int = 1,
-              **options) -> Path:
+def run_stage(cfg: dict, workdir: Path, name: str, value=None, workers: int = 1) -> Path:
     """Run the stage `name`; its function is looked up by name at call time."""
     row = STAGE[name]
-    if row.param:
-        options[row.param] = value
+    options = {row.param: value} if row.param else {}
     if row.workers:
         options["workers"] = workers
     return globals()["stage_" + name.replace("-", "_")](cfg, Path(workdir), **options)
@@ -649,30 +651,38 @@ def load_routing_examples(path: Path):
     return decode_records(path, routing_example_from_dict)
 
 
-def stage_train_router(cfg: dict, workdir: Path, out_name: str | None = None) -> Path:
-    path = require_inputs(cfg, workdir, "train-router")["collect-routing"]
+def load_router_rows(path: Path) -> tuple[list, list]:
+    """The train-split and valid-split rows of a routing.rljson file."""
     examples = load_routing_examples(path)
-    train_examples = [ex for ex in examples if ex.split == "train"]
-    valid_examples = [ex for ex in examples if ex.split == "valid"]
-    if not train_examples or not valid_examples:  # derive_splits keeps both nonempty
+    train = [ex for ex in examples if ex.split == "train"]
+    valid = [ex for ex in examples if ex.split == "valid"]
+    if not train or not valid:  # derive_splits keeps both nonempty
         raise RecordFormatError(f"{path}: the router needs train-split and valid-split rows")
+    return train, valid
+
+
+def fit_router(cfg: dict, train: list, valid: list) -> tuple[RouterNet, list[dict]]:
+    """The net trained on the `train` rows, with its Platt map and routing
+    threshold fitted on the `valid` rows, and its training report."""
     spec = make_train_spec(cfg)
-    net, report = train_router(train_examples, spec, seed=1000 * cfg["runtime"]["harness_salt"])
-
-    x_val = np.array([ex.features for ex in valid_examples], dtype=float)
-    y_val = np.array([ex.label for ex in valid_examples], dtype=float)
+    net, report = train_router(train, spec, seed=1000 * cfg["runtime"]["harness_salt"])
+    x_val = np.array([ex.features for ex in valid], dtype=float)
+    y_val = np.array([ex.label for ex in valid], dtype=float)
     fit_temperature(net, x_val, y_val)
-    costs = spec.costs
-    net.tau_route = select_threshold(net, x_val, y_val, costs)
-    tau_h = calibrate_entropy_threshold(valid_examples, costs)
-    theta_v = calibrate_heuristic_threshold(valid_examples, costs)
+    net.tau_route = select_threshold(net, x_val, y_val, spec.costs)
+    return net, report
 
-    out = Path(workdir) / (out_name or ARTIFACTS["train-router"])
-    net.save(out, extra={"stage": "train-router", **_stamp(cfg, "train-router"), "tau_h": tau_h,
-                         "theta_v": theta_v})
-    if out_name is None:
-        write_csv(Path(workdir) / "router_report.csv", report,
-                  ["epoch", "mean_risk", "cvar", "brier", "lam"])
+
+def stage_train_router(cfg: dict, workdir: Path) -> Path:
+    train, valid = load_router_rows(require_inputs(cfg, workdir, "train-router")["collect-routing"])
+    net, report = fit_router(cfg, train, valid)
+    costs = make_cost_spec(cfg)
+    out = artifact_path(workdir, "train-router")
+    net.save(out, extra={"stage": "train-router", **_stamp(cfg, "train-router"),
+                         "tau_h": calibrate_entropy_threshold(valid, costs),
+                         "theta_v": calibrate_heuristic_threshold(valid, costs)})
+    write_csv(Path(workdir) / "router_report.csv", report,
+              ["epoch", "mean_risk", "cvar", "brier", "lam"])
     return out
 
 
@@ -700,9 +710,12 @@ def _build_routing_policy(cfg: dict, variant: str, paths: dict) -> RoutingPolicy
         return RoutingPolicy.entropy_router(header.typed("tau_h", float, int), budget)
     if variant == "heuristic":
         return RoutingPolicy.heuristic_router(header.typed("theta_v", float, int), budget)
-    net, _ = RouterNet.load(paths["train-router"])
+    return _r2v_policy(cfg, RouterNet.load(paths["train-router"])[0])
+
+
+def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
     return RoutingPolicy.r2v(net, net.tau_route, mask=FeatureMask(cfg["features"]["mask"]),
-                             budget_limit=budget)
+                             budget_limit=cfg["runtime"]["budget_limit"])
 
 
 def _rollout_job(args):
@@ -718,44 +731,40 @@ def _rollout_job(args):
             for routing in policies]
 
 
-def _roll_out(workdir: Path, rollouts, workers: int, tree: StepTree | None = None,
-              moved: dict | None = None) -> list[list]:
-    """Roll each (config, variant, output path) of `rollouts` over the eval
-    grid, write each episodes file stamped from its own config, and return
-    each one's episodes in grid order.
-
-    Every rollout steps through `tree` (a private tree per episode when
-    None), so the configs may differ only in what the routing reads: the
-    env, SLM, verifier and grid come from the first. With workers > 1 each
-    grid chunk carries every policy, and each worker fills its own copy of
-    the tree.
-    """
-    cfg = rollouts[0][0]
-    paths = {}
-    for sub, variant, _ in rollouts:
-        paths.update(require_inputs(sub, workdir, f"rollout:{variant}", moved))
-    policies = [_build_routing_policy(sub, variant, paths) for sub, variant, _ in rollouts]
+def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list, workers: int,
+              tree: StepTree | None = None) -> list[list]:
+    """Each of `policies`' episodes over the eval grid of `cfg`, in grid
+    order, stepped through `tree` (a private tree per episode when None).
+    With workers > 1 each grid chunk carries every policy, and each worker
+    fills its own copy of the tree."""
     grid = eval_grid(cfg, workdir)
     n_chunks = max(1, min(workers, len(grid))) if workers > 1 else 1
-    jobs = [(cfg, policies, grid[i::n_chunks], paths["distill"], tree) for i in range(n_chunks)]
+    jobs = [(cfg, policies, grid[i::n_chunks], distill_path, tree) for i in range(n_chunks)]
     results = _parallel_map(_rollout_job, jobs, workers)
-    rolled = []
-    for i, (sub, variant, out) in enumerate(rollouts):
-        by_key = {(ep.task_id, ep.seed.z): ep for block in results for ep in block[i]}
-        episodes = [by_key[key] for key in grid]
+    by_key = [{(ep.task_id, ep.seed.z): ep for block in results for ep in block[i]}
+              for i in range(len(policies))]
+    return [[episodes[key] for key in grid] for episodes in by_key]
+
+
+def _roll_out_files(workdir: Path, rollouts, workers: int, tree: StepTree | None = None):
+    """`_roll_out` of each (config, variant, output path) of `rollouts`, each
+    file written stamped from its own config. The configs may differ only in
+    what the routing reads: the env, SLM, verifier and grid are the first's."""
+    paths = {}
+    for sub, variant, _ in rollouts:
+        paths.update(require_inputs(sub, workdir, f"rollout:{variant}"))
+    policies = [_build_routing_policy(sub, variant, paths) for sub, variant, _ in rollouts]
+    rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies, workers, tree)
+    for (sub, variant, out), episodes in zip(rollouts, rolled):
         write_rljson(out, [episode_to_dict(ep) for ep in episodes],
                      {"schema": "episodes@1", "stage": "rollout", "variant": variant,
                       **_stamp(sub, f"rollout:{variant}")})
-        rolled.append(episodes)
     return rolled
 
 
-def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1,
-                  router_name: str | None = None, out_name: str | None = None) -> Path:
-    workdir = Path(workdir)
-    out = workdir / out_name if out_name else artifact_path(workdir, f"rollout:{variant}")
-    _roll_out(workdir, [(cfg, variant, out)], workers,
-              moved={"train-router": workdir / router_name} if router_name else None)
+def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1) -> Path:
+    out = artifact_path(workdir, f"rollout:{variant}")
+    _roll_out_files(Path(workdir), [(cfg, variant, out)], workers)
     return out
 
 
@@ -787,7 +796,7 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     for group in ([v for v in stale if v != "oracle"], [v for v in stale if v == "oracle"]):
         if group:
             rollouts = [(cfg, v, artifact_path(workdir, f"rollout:{v}")) for v in group]
-            episodes.update(zip(group, _roll_out(workdir, rollouts, workers, tree)))
+            episodes.update(zip(group, _roll_out_files(workdir, rollouts, workers, tree)))
     summary_variants = {v: _metrics_for(cfg, episodes[v]).to_dict() for v in VARIANT_ORDER}
     rows = [{"variant": variant, **m} for variant, m in summary_variants.items()]
     write_csv(workdir / "metrics.csv", rows, ["variant"] + METRIC_COLUMNS)
@@ -806,8 +815,8 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
 
 
 # --- ablations -----------------------------------------------------------------
-# Each grid point runs its stages under a copy of the config holding the
-# point's values, so its artifacts' hashes describe what they hold.
+# A grid point that writes artifacts builds them under a copy of the config
+# holding the point's values, so their hashes describe what they hold.
 
 
 def stage_ablate(cfg: dict, workdir: Path, kind: str, workers: int = 1) -> Path:
@@ -836,22 +845,23 @@ def _ablate_masks(cfg: dict, workdir: Path, workers: int):
     subs = {m.value: _with(cfg, "features", {"mask": m.value}) for m in FeatureMask}
     rollouts = [(sub, "r2v", workdir / f"eval_r2v_mask_{mask}.rljson")
                 for mask, sub in subs.items()]
-    episodes = dict(zip(subs, _roll_out(workdir, rollouts, workers, StepTree())))
+    episodes = dict(zip(subs, _roll_out_files(workdir, rollouts, workers, StepTree())))
     return sweep([{"mask": mask} for mask in subs],
                   lambda point: _metrics_for(subs[point["mask"]], episodes[point["mask"]]))
 
 
 def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
-    def run(point):
-        sub = _with(cfg, "router", point)
-        tag = f"a{point['alpha']}_e{point['epsilon']}".replace(".", "")
-        router_name = f"router_{tag}.bin"
-        stage_train_router(sub, workdir, out_name=router_name)
-        path = stage_rollout(sub, workdir, "r2v", workers=workers, router_name=router_name,
-                             out_name=f"eval_r2v_{tag}.rljson")
-        return _metrics_for(sub, load_episodes(path))
-
-    return sweep([{"alpha": a, "epsilon": e} for a, e in CVAR_ABLATION_GRID], run)
+    # every point fits its router to the same routing rows and rolls r2v over
+    # the same grid, so the rows load once and the rollouts share one step tree
+    paths = {**require_inputs(cfg, workdir, "train-router"),
+             **require_inputs(cfg, workdir, "rollout:slm")}
+    train, valid = load_router_rows(paths["collect-routing"])
+    points = [{"alpha": a, "epsilon": e} for a, e in CVAR_ABLATION_GRID]
+    policies = [_r2v_policy(cfg, fit_router(_with(cfg, "router", point), train, valid)[0])
+                for point in points]
+    rolled = _roll_out(cfg, workdir, paths["distill"], policies, workers, StepTree())
+    episodes = dict(zip(CVAR_ABLATION_GRID, rolled))
+    return sweep(points, lambda p: _metrics_for(cfg, episodes[p["alpha"], p["epsilon"]]))
 
 
 def _ablate_lambda(cfg: dict, workdir: Path, workers: int):

@@ -130,10 +130,15 @@ class TestConfig:
         ("runtime.budget_limit", "2.5"),
         ("verifier.eta_v", "0.5"),
         ("distill.beta", "0"),
+        ("split.seed", "-1"),
+        ("split.seed", "1.5"),
+        ("eval.bootstrap_seed", "-1"),
+        ("split.fractions", "[1.5,-0.25,-0.25]"),
+        ("env.task_count", "2"),
     ])
     def test_values_a_stage_would_crash_on_rejected(self, tmp_path, capsys, key, raw):
-        # each value would fail the stage that reads it, so even gen-tasks,
-        # which reads none of them, refuses it with one line
+        # each value would fail the stage that reads it, so every stage,
+        # gen-tasks included, refuses it with one line
         with pytest.raises(ConfigError, match=key.split(".")[-1]):
             pipeline.load_config(overrides=[f"{key}={raw}"], environ={})
         assert main(["gen-tasks", "--workdir", str(tmp_path),
@@ -154,9 +159,10 @@ class TestConfig:
         assert rc == EXIT_CONFIG
         assert "eval.task_ids" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--budget", "--seeds", "--tasks"])
+    @pytest.mark.parametrize("flag", ["--budget", "--seeds", "--tasks", "--out"])
     def test_removed_rollout_flags_rejected(self, tmp_path, capsys, flag):
-        # each only re-set a config key that --set reaches
+        # each but --out only re-set a config key that --set reaches; --out
+        # wrote a rollout under a name that evaluate never reads
         with pytest.raises(SystemExit) as exc:
             main(["rollout", "--workdir", str(tmp_path), "--variant", "slm", flag, "1"])
         assert exc.value.code == 2  # argparse's usage error

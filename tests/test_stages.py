@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from steprouter import pipeline, runtime
-from steprouter.domain import ConfigError, write_csv
+from steprouter.domain import ConfigError, StageOrderError, write_csv
 from steprouter.features import FeatureMask
 from steprouter.router import RouterNet
 
@@ -227,13 +227,18 @@ SHARED_OUTPUTS = [*(f"eval_{v}.rljson" for v in pipeline.VARIANT_ORDER),
 def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_path, workers):
     cfg, base_wd = small_run
     # reference: one stage_rollout call per variant (as run_pipeline makes
-    # them, which is how small_run was built) and per mask
+    # them, which is how small_run was built) and per mask; each mask rolls
+    # in a scratch copy of the run, and its eval_r2v.rljson moves to the
+    # name the ablation writes
     ref = tmp_path / "per-variant"
     shutil.copytree(base_wd, ref)
+    solo = tmp_path / "solo"
+    shutil.copytree(base_wd, solo)
     rows = []
     for mask in MASKS:
         sub = _mask_cfg(cfg, mask)
-        path = pipeline.stage_rollout(sub, ref, "r2v", out_name=f"eval_r2v_mask_{mask}.rljson")
+        path = pipeline.stage_rollout(sub, solo, "r2v").replace(
+            ref / f"eval_r2v_mask_{mask}.rljson")
         metrics = pipeline._metrics_for(sub, pipeline.load_episodes(path))
         rows.append({"mask": mask, **metrics.to_dict()})
     write_csv(ref / "ablate_features.csv", rows, ["mask"] + pipeline.METRIC_COLUMNS)
@@ -263,3 +268,63 @@ def test_each_ablation_call_builds_its_own_tree(small_run, tmp_path, monkeypatch
     steps = sum(len(ep.steps) for m in MASKS
                 for ep in pipeline.load_episodes(wd / f"eval_r2v_mask_{m}.rljson"))
     assert counts[0] == counts[1] < steps
+
+
+CVAR_POINTS = [{"alpha": a, "epsilon": e} for a, e in pipeline.CVAR_ABLATION_GRID]
+
+
+@pytest.fixture(scope="module")
+def per_point_cvar(small_run, tmp_path_factory):
+    """ablate_cvar.csv as one stage_train_router and one stage_rollout per
+    grid point build it, and the step count of those eight rollouts."""
+    cfg, base_wd = small_run
+    ref = tmp_path_factory.mktemp("per-point") / "run"
+    shutil.copytree(base_wd, ref)
+    rows, steps = [], 0
+    for point in CVAR_POINTS:
+        sub = pipeline._with(cfg, "router", point)
+        pipeline.stage_train_router(sub, ref)
+        episodes = pipeline.load_episodes(pipeline.stage_rollout(sub, ref, "r2v"))
+        steps += sum(len(ep.steps) for ep in episodes)
+        rows.append({**point, **pipeline._metrics_for(sub, episodes).to_dict()})
+    write_csv(ref / "ablate_cvar.csv", rows, ["alpha", "epsilon"] + pipeline.METRIC_COLUMNS)
+    return (ref / "ablate_cvar.csv").read_bytes(), steps
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cvar_ablation_writes_what_per_point_stages_write(small_run, per_point_cvar, tmp_path,
+                                                          monkeypatch, workers):
+    cfg, base_wd = small_run
+    expected, steps = per_point_cvar
+    wd = tmp_path / "run"
+    shutil.copytree(base_wd, wd)
+    (wd / "router.bin").unlink()  # every grid point fits its own router
+    before = {p.name for p in wd.iterdir()}
+    calls = []
+    real_extract = runtime.extract
+    monkeypatch.setattr(runtime, "extract", lambda *a: calls.append(1) or real_extract(*a))
+    out = pipeline.stage_ablate(cfg, wd, "cvar", workers=workers)
+    assert out.read_bytes() == expected
+    assert {p.name for p in wd.iterdir()} - before == {"ablate_cvar.csv"}
+    if workers == 1:  # worker processes count in their own copies
+        assert 0 < len(calls) < steps  # the eight rollouts share one step tree
+
+
+@pytest.mark.parametrize("name,change", [
+    ("tasks.json", None),
+    ("policy_distilled.bin", None),
+    ("routing.rljson", None),
+    ("routing.rljson", ("runtime", "routing_seeds_per_task", 4)),
+])
+def test_cvar_ablation_checks_its_inputs(small_run, tmp_path, name, change):
+    cfg, base_wd = small_run
+    wd = tmp_path / "run"
+    shutil.copytree(base_wd, wd)
+    if change is None:
+        (wd / name).unlink()
+    else:
+        block, key, value = change
+        cfg = pipeline._with(cfg, block, {key: value})
+    with pytest.raises(StageOrderError, match=name):
+        pipeline.stage_ablate(cfg, wd, "cvar", workers=1)
+    assert not (wd / "ablate_cvar.csv").exists()

@@ -2,15 +2,17 @@
 and the one module that reads and writes artifact files.
 
 All containers are immutable value objects after construction and can be
-shared read-only across parallel workers. Episode and routing records
+shared read-only across parallel workers. Episodes and routing seeds
 serialize to line-delimited JSON ("rljson": a header line, then one
-self-describing record per line) so datasets stream and diff cleanly.
+self-describing record per line, its per-step values in columns) so datasets
+stream and diff cleanly.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -22,8 +24,12 @@ import numpy as np
 
 PERTURBATION_FAMILIES = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 
-EPISODE_SCHEMA = "episode@2"
-ROUTING_SCHEMA = "routing-example@1"
+EPISODE_SCHEMA = "episode@3"
+ROUTING_SCHEMA = "routing-seed@1"
+SPLITS = ("train", "valid", "test")
+
+# risk features per step (layout in features.py)
+FEATURE_DIM = 15
 
 
 class ConfigError(ValueError):
@@ -186,6 +192,8 @@ class RoutingExample:
             raise ValueError("routing label must be 0 or 1")
         if self.seed_id < 0:
             raise ValueError("routing example must carry its originating seed id")
+        if self.split not in SPLITS:
+            raise ValueError(f"routing split must be one of {SPLITS}, got {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -300,35 +308,29 @@ def _context_from_dict(d: dict) -> Context:
     )
 
 
-def _step_to_dict(step: StepRecord) -> dict:
-    return {
-        "context": _context_to_dict(step.context),
-        "candidates": [[a, lp] for a, lp in step.candidates],
-        "verifier_scores": list(step.verifier_scores),
-        "chosen_action": step.chosen_action,
-        "executor": step.executor,
-        "features": None if step.features is None else list(step.features),
-        "router_prob": step.router_prob,
-        "decision": step.decision,
-        "budget_remaining": step.budget_remaining,
-    }
-
-
-def _step_from_dict(d: dict) -> StepRecord:
-    return StepRecord(
-        context=_context_from_dict(d["context"]),
-        candidates=tuple((int(a), float(lp)) for a, lp in d["candidates"]),
-        verifier_scores=tuple(float(s) for s in d["verifier_scores"]),
-        chosen_action=int(d["chosen_action"]),
-        executor=d["executor"],
-        features=None if d["features"] is None else tuple(float(v) for v in d["features"]),
-        router_prob=None if d["router_prob"] is None else float(d["router_prob"]),
-        decision=d["decision"],
-        budget_remaining=d["budget_remaining"],
-    )
+# an episode record holds one list per step field, each one entry per step
+_STEP_COLUMNS = ("observations", "actions", "executors", "candidates", "verifier_scores",
+                 "features", "router_probs", "decisions", "budget_remaining")
 
 
 def episode_to_dict(episode: PerturbedEpisode) -> dict:
+    """The episode as one record of per-step columns.
+
+    A step's context is stored as its observation alone: the goal once per
+    episode, and the action prefix and `tokens_seen` rebuilt on decode, so
+    an episode whose contexts do not chain (a goal that changes, a prefix
+    that is not the earlier chosen actions, a `tokens_seen` that is not the
+    running count) raises ValueError.
+    """
+    steps = episode.steps
+    goal = steps[0].context.goal if steps else ()
+    prefix, tokens = (), len(goal)
+    for step in steps:
+        ctx = step.context
+        tokens += len(ctx.observation)
+        if ctx.goal != goal or ctx.actions != prefix or ctx.tokens_seen != tokens:
+            raise ValueError(f"step {len(prefix)}'s context does not follow the steps before it")
+        prefix += (step.chosen_action,)
     return {
         "schema": EPISODE_SCHEMA,
         "task_id": episode.task_id,
@@ -337,17 +339,46 @@ def episode_to_dict(episode: PerturbedEpisode) -> dict:
         "llm_calls": episode.llm_calls,
         "budget_limit": episode.budget_limit,
         "kind": episode.kind,
-        "steps": [_step_to_dict(s) for s in episode.steps],
+        "goal": goal,
+        "observations": [s.context.observation for s in steps],
+        "actions": prefix,
+        "executors": [s.executor for s in steps],
+        "candidates": [s.candidates for s in steps],
+        "verifier_scores": [s.verifier_scores for s in steps],
+        "features": [s.features for s in steps],
+        "router_probs": [s.router_prob for s in steps],
+        "decisions": [s.decision for s in steps],
+        "budget_remaining": [s.budget_remaining for s in steps],
     }
 
 
 def episode_from_dict(d: dict) -> PerturbedEpisode:
     if d.get("schema") != EPISODE_SCHEMA:
         raise RecordFormatError(f"unexpected episode schema {d.get('schema')!r}")
+    columns = [d[k] for k in _STEP_COLUMNS]
+    if len({len(c) for c in columns}) > 1:
+        raise RecordFormatError("episode step columns differ in length")
+    goal = tuple(d["goal"])
+    steps, ctx = [], None
+    for obs, action, executor, cands, scores, feats, p, decision, remaining in zip(*columns):
+        obs = tuple(obs)
+        ctx = (Context(goal, obs, (), len(goal) + len(obs)) if ctx is None
+               else ctx.advanced(steps[-1].chosen_action, obs))
+        steps.append(StepRecord(
+            context=ctx,
+            candidates=tuple((int(a), float(lp)) for a, lp in cands),
+            verifier_scores=tuple(map(float, scores)),
+            chosen_action=int(action),
+            executor=executor,
+            features=None if feats is None else tuple(map(float, feats)),
+            router_prob=None if p is None else float(p),
+            decision=decision,
+            budget_remaining=remaining,
+        ))
     return PerturbedEpisode(
         task_id=int(d["task_id"]),
         seed=PerturbationSeed(int(d["z"])),
-        steps=tuple(_step_from_dict(s) for s in d["steps"]),
+        steps=tuple(steps),
         success=bool(d["success"]),
         llm_calls=int(d["llm_calls"]),
         budget_limit=None if d["budget_limit"] is None else int(d["budget_limit"]),
@@ -355,27 +386,38 @@ def episode_from_dict(d: dict) -> PerturbedEpisode:
     )
 
 
-def routing_example_to_dict(example: RoutingExample) -> dict:
-    return {
-        "schema": ROUTING_SCHEMA,
-        "features": list(example.features),
-        "label": example.label,
-        "seed_id": example.seed_id,
-        "step_index": example.step_index,
-        "split": example.split,
-    }
+def routing_records(examples) -> list[dict]:
+    """One record per routing seed, its rows' features one list per step.
+
+    A seed's rows are consecutive in `examples`; a seed whose rows disagree
+    on split or label, or whose step indices are not 0..n-1, raises
+    ValueError.
+    """
+    records = []
+    for seed_id, group in itertools.groupby(examples, key=lambda ex: ex.seed_id):
+        rows = list(group)
+        first = rows[0]
+        if any((ex.split, ex.label, ex.step_index) != (first.split, first.label, i)
+               for i, ex in enumerate(rows)):
+            raise ValueError(f"routing seed {seed_id}: rows disagree on split or label, "
+                             "or are not steps 0..n-1")
+        records.append({"schema": ROUTING_SCHEMA, "seed_id": seed_id, "split": first.split,
+                        "label": first.label, "features": [ex.features for ex in rows]})
+    return records
 
 
-def routing_example_from_dict(d: dict) -> RoutingExample:
+def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
+    """The rows of one routing-seed record, in step order."""
     if d.get("schema") != ROUTING_SCHEMA:
         raise RecordFormatError(f"unexpected routing schema {d.get('schema')!r}")
-    return RoutingExample(
-        features=tuple(float(v) for v in d["features"]),
-        label=int(d["label"]),
-        seed_id=int(d["seed_id"]),
-        step_index=int(d["step_index"]),
-        split=d["split"],
-    )
+    seed_id, label, split = int(d["seed_id"]), int(d["label"]), d["split"]
+    rows = []
+    for t, features in enumerate(d["features"]):
+        if len(features) != FEATURE_DIM:
+            raise RecordFormatError(f"routing seed {seed_id} step {t} holds "
+                                    f"{len(features)} features, not {FEATURE_DIM}")
+        rows.append(RoutingExample(tuple(map(float, features)), label, seed_id, t, split))
+    return rows
 
 
 # --- artifact files ------------------------------------------------------------
@@ -398,8 +440,11 @@ def _atomic_write(path):
             tmp.unlink()
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _json_line(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True) + "\n").encode()
+    return (_ENCODER.encode(obj) + "\n").encode()
 
 
 def _parse(data: bytes, offset: int, path) -> dict:

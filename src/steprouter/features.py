@@ -25,10 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import Context
+from .domain import FEATURE_DIM, Context
 from .verifier import pseudo_entropy
-
-FEATURE_DIM = 15
 
 _ENTROPY_SLOTS = (0, 1, 2, 9)
 _VERIFIER_SLOTS = (3, 4, 5, 6, 7, 14)

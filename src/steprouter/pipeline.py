@@ -33,8 +33,8 @@ from .domain import (
     episode_from_dict,
     episode_to_dict,
     read_header,
-    routing_example_from_dict,
-    routing_example_to_dict,
+    routing_records,
+    routing_seed_from_dict,
     write_csv,
     write_json,
     write_rljson,
@@ -61,6 +61,7 @@ from .verifier import VerifierSpec
 
 ENV_PREFIX = "STEPROUTER_"
 PAIRS_SCHEMA = "pairs@2"
+EPISODES_SCHEMA = "episodes@2"
 
 DEFAULT_CONFIG: dict = {
     "env": {
@@ -518,7 +519,7 @@ def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     results = _parallel_map(_collect_job, [(cfg, chunk) for chunk in chunks], workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect")
-    write_rljson(out, records, {"schema": "episodes@1", "stage": "collect",
+    write_rljson(out, records, {"schema": EPISODES_SCHEMA, "stage": "collect",
                                 **_stamp(cfg, "collect")})
     return out
 
@@ -626,7 +627,7 @@ def _routing_job(args):
         cfg["runtime"]["routing_seeds_per_task"], k=cfg["runtime"]["k_candidates"],
         tag=f"routing-{split_name}-{salt}", split=split_name, seed_id_offset=offset,
     )
-    return [routing_example_to_dict(ex) for ex in examples]
+    return routing_records(examples)
 
 
 def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
@@ -642,13 +643,13 @@ def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect-routing")
-    write_rljson(out, records, {"schema": "routing@1", "stage": "collect-routing",
+    write_rljson(out, records, {"schema": "routing@2", "stage": "collect-routing",
                                 **_stamp(cfg, "collect-routing")})
     return out
 
 
 def load_routing_examples(path: Path):
-    return decode_records(path, routing_example_from_dict)
+    return [ex for rows in decode_records(path, routing_seed_from_dict) for ex in rows]
 
 
 def load_router_rows(path: Path) -> tuple[list, list]:
@@ -757,7 +758,7 @@ def _roll_out_files(workdir: Path, rollouts, workers: int, tree: StepTree | None
     rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies, workers, tree)
     for (sub, variant, out), episodes in zip(rollouts, rolled):
         write_rljson(out, [episode_to_dict(ep) for ep in episodes],
-                     {"schema": "episodes@1", "stage": "rollout", "variant": variant,
+                     {"schema": EPISODES_SCHEMA, "stage": "rollout", "variant": variant,
                       **_stamp(sub, f"rollout:{variant}")})
     return rolled
 
@@ -850,6 +851,11 @@ def _ablate_masks(cfg: dict, workdir: Path, workers: int):
                   lambda point: _metrics_for(subs[point["mask"]], episodes[point["mask"]]))
 
 
+def _fit_router_job(args):
+    cfg, train, valid = args
+    return fit_router(cfg, train, valid)[0]
+
+
 def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
     # every point fits its router to the same routing rows and rolls r2v over
     # the same grid, so the rows load once and the rollouts share one step tree
@@ -857,8 +863,10 @@ def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
              **require_inputs(cfg, workdir, "rollout:slm")}
     train, valid = load_router_rows(paths["collect-routing"])
     points = [{"alpha": a, "epsilon": e} for a, e in CVAR_ABLATION_GRID]
-    policies = [_r2v_policy(cfg, fit_router(_with(cfg, "router", point), train, valid)[0])
-                for point in points]
+    nets = _parallel_map(_fit_router_job,
+                         [(_with(cfg, "router", point), train, valid) for point in points],
+                         workers)
+    policies = [_r2v_policy(cfg, net) for net in nets]
     rolled = _roll_out(cfg, workdir, paths["distill"], policies, workers, StepTree())
     episodes = dict(zip(CVAR_ABLATION_GRID, rolled))
     return sweep(points, lambda p: _metrics_for(cfg, episodes[p["alpha"], p["epsilon"]]))

@@ -224,7 +224,8 @@ def run_episode(
     the cand and verif streams are set to the states the last visited node
     saved, so every draw matches a rollout of this policy alone. The teacher
     stream, the budget, the feature mask, the decision and the record are
-    this policy's own.
+    this policy's own. Each stream is made on its first use, so an episode
+    that only visits nodes and never escalates makes none.
     """
     # a private tree is never visited again, so it keeps no stream states
     keep_streams = tree is not None
@@ -232,9 +233,7 @@ def run_episode(
     limits = feature_limits(env)
     seed = PerturbationSeed(z)
     base = env.config.rng_seed
-    rng_cand = seeds.stream(base, "cand", task_id, z, salt)
-    rng_ver = seeds.stream(base, "verif", task_id, z, salt)
-    rng_teach = seeds.stream(base, "escalate", task_id, z, salt)
+    rng_cand = rng_ver = rng_teach = None
 
     node = tree.root(env, task_id, seed, k, salt)
     restore = None  # stream states to set before the next new node draws
@@ -243,6 +242,9 @@ def run_episode(
     llm_calls = 0
     for t in range(env.config.horizon):
         if node.children is None:
+            if rng_cand is None:
+                rng_cand = seeds.stream(base, "cand", task_id, z, salt)
+                rng_ver = seeds.stream(base, "verif", task_id, z, salt)
             if restore is not None:
                 rng_cand.bit_generator.state, rng_ver.bit_generator.state = restore
                 restore = None
@@ -254,6 +256,8 @@ def run_episode(
 
         escalate = decision and (remaining is None or remaining > 0)
         if escalate:
+            if rng_teach is None:
+                rng_teach = seeds.stream(base, "escalate", task_id, z, salt)
             action = teacher.act(env, node.state, rng_teach)
             executor = "LLM"
             llm_calls += 1

@@ -240,15 +240,10 @@ def _drop_record_key(key):
     return _edit_record(lambda rec: True, lambda rec: rec.pop(key))
 
 
-def _drop_step_key(key):
-    """Drop `key` from the first step of the first episode that has steps."""
-    return _edit_record(lambda rec: rec["steps"], lambda rec: rec["steps"][0].pop(key))
-
-
 def _episode_schema_1(data: bytes) -> bytes:
-    """Every record tagged with the earlier episode schema, header untouched."""
+    """Every record tagged with an earlier episode schema, header untouched."""
     header, rest = data.split(b"\n", 1)
-    return header + b"\n" + rest.replace(b'"schema": "episode@2"', b'"schema": "episode@1"')
+    return header + b"\n" + rest.replace(b'"schema":"episode@3"', b'"schema":"episode@1"')
 
 
 def _edit_header(edit):
@@ -296,18 +291,21 @@ BAD_ARTIFACTS = {
     "router-header-router@1": ("router.bin", _set_header_field("schema", "router@1"), R2V),
     # every writer writes these keys, so a record without one is malformed,
     # not an SLM-only step, an episode of no kind or a training example
-    "eval_slm-no-decision": ("eval_slm.rljson", _drop_step_key("decision"), ("evaluate",)),
+    "eval_slm-no-decision": ("eval_slm.rljson", _drop_record_key("decisions"), ("evaluate",)),
     "eval_slm-no-kind": ("eval_slm.rljson", _drop_record_key("kind"), ("evaluate",)),
     "episodes-no-kind": ("episodes.rljson", _drop_record_key("kind"), ("train-bc",)),
-    "episodes-no-budget_remaining": ("episodes.rljson", _drop_step_key("budget_remaining"),
+    "episodes-no-budget_remaining": ("episodes.rljson", _drop_record_key("budget_remaining"),
                                      ("train-bc",)),
     "routing-no-split": ("routing.rljson", _drop_record_key("split"), ("train-router",)),
+    "routing-split-typo": ("routing.rljson",
+                           _edit_record(lambda rec: True, lambda rec: rec.update(split="tarin")),
+                           ("train-router",)),
     # the router is calibrated on valid-split rows, never on its training rows
     "routing-no-valid-rows": ("routing.rljson",
-                              lambda b: b.replace(b'"split": "valid"', b'"split": "train"'),
+                              lambda b: b.replace(b'"split":"valid"', b'"split":"train"'),
                               ("train-router",)),
     "routing-no-train-rows": ("routing.rljson",
-                              lambda b: b.replace(b'"split": "train"', b'"split": "valid"'),
+                              lambda b: b.replace(b'"split":"train"', b'"split":"valid"'),
                               ("train-router",)),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),

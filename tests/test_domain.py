@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,10 @@ from steprouter.domain import (
     episode_from_dict,
     episode_to_dict,
     read_rljson,
+    routing_records,
     write_rljson,
 )
-from steprouter.pipeline import load_episodes
+from steprouter.pipeline import load_episodes, load_routing_examples
 
 
 def make_context(t=0):
@@ -95,7 +98,7 @@ class TestSplits:
         assert all_ids == list(range(23))
 
 
-HEADER = {"schema": "episodes@1", "stage": "test"}
+HEADER = {"schema": "episodes@2", "stage": "test"}
 
 
 def line_start(data: bytes, n: int) -> int:
@@ -144,28 +147,30 @@ class TestSerialization:
     def test_garbage_is_rejected(self, tmp_path):
         path = tmp_path / "eps.rljson"
         write_rljson(path, [episode_to_dict(make_episode()),
-                            {"schema": "episode@2", "task_id": 1}], HEADER)
+                            {"schema": "episode@3", "task_id": 1}], HEADER)
         with pytest.raises(RecordFormatError) as err:
             load_episodes(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
         with pytest.raises(RecordFormatError):
             episode_from_dict({**episode_to_dict(make_episode()), "schema": "other@1"})
 
-    def test_context_tokens_seen_below_its_tokens_rejected(self, tmp_path):
-        path = tmp_path / "eps.rljson"
-        rec = episode_to_dict(make_episode())
-        assert rec["steps"][0]["context"]["tokens_seen"] == 3 + 4
-        rec["steps"][0]["context"]["tokens_seen"] = 3 + 4 - 1
-        write_rljson(path, [rec], HEADER)
-        with pytest.raises(RecordFormatError, match="tokens_seen"):
-            load_episodes(path)
+    def test_context_tokens_seen_below_its_tokens_rejected(self):
+        # a context cannot hold fewer tokens than its goal and observation,
+        # and the encoder refuses a count below the episode's running count
+        with pytest.raises(ValueError, match="tokens_seen"):
+            Context(goal=(35, 36, 40), observation=(4, 16, 29, 31), actions=(), tokens_seen=6)
+        ep = make_episode()
+        low = replace(ep.steps[1].context, tokens_seen=3 + 4)
+        with pytest.raises(ValueError, match="step 1"):
+            episode_to_dict(replace(ep, steps=(ep.steps[0], replace(ep.steps[1], context=low),
+                                               ep.steps[2])))
 
     def test_rljson_stream_reports_byte_offset(self, tmp_path):
         path = tmp_path / "records.rljson"
         write_rljson(path, [{"a": 1}, {"b": 2}], HEADER)
         good = list(read_rljson(path))
         assert [rec for _, rec in good] == [{"a": 1}, {"b": 2}]
-        assert good[1][0] == line_start(path.read_bytes(), 1) + len(b'{"a": 1}\n')
+        assert good[1][0] == line_start(path.read_bytes(), 1) + len(b'{"a":1}\n')
         with open(path, "ab") as fh:
             fh.write(b'{"broken": \n')
         with pytest.raises(RecordFormatError) as err:
@@ -176,7 +181,7 @@ class TestSerialization:
         path = tmp_path / "records.rljson"
         write_rljson(path, [{"a": 1}, {"b": 2}], HEADER)
         data = path.read_bytes()
-        assert data.startswith(b'{"count": 2, ')
+        assert data.startswith(b'{"count":2,')
         path.write_bytes(data[: line_start(data, 2)])
         with pytest.raises(RecordFormatError, match="header count is 2, file holds 1"):
             list(read_rljson(path))
@@ -189,6 +194,84 @@ class TestSerialization:
             write_rljson(path, [{"a": 2}, {"b": object()}, {"c": 3}], HEADER)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.rljson"]
+
+
+def make_rows(seed_id=4, n=3, label=1, split="valid"):
+    return [RoutingExample(tuple(0.01 * (t + i) for i in range(15)), label, seed_id, t, split)
+            for t in range(n)]
+
+
+class TestColumnarRecords:
+    """One record per episode or routing seed, per-step values in columns."""
+
+    def test_episode_record_has_no_steps_key(self):
+        rec = episode_to_dict(make_episode())
+        assert "steps" not in rec
+        assert rec["actions"] == (1, 1, 1) and len(rec["observations"]) == 3
+
+    def test_unequal_columns_rejected_at_offset(self, tmp_path):
+        path = tmp_path / "eps.rljson"
+        short = episode_to_dict(make_episode())
+        short["verifier_scores"] = short["verifier_scores"][:-1]
+        write_rljson(path, [episode_to_dict(make_episode()), short], HEADER)
+        with pytest.raises(RecordFormatError, match="differ in length") as err:
+            load_episodes(path)
+        assert err.value.offset == line_start(path.read_bytes(), 2)
+
+    def test_episode_at_2_record_rejected_at_offset(self, tmp_path):
+        path = tmp_path / "eps.rljson"
+        step = {"context": {"goal": [1], "observation": [2], "actions": [], "tokens_seen": 2},
+                "candidates": [], "verifier_scores": [], "chosen_action": 0, "executor": "LLM",
+                "features": None, "router_prob": None, "decision": None,
+                "budget_remaining": None}
+        old = {"schema": "episode@2", "task_id": 0, "z": 1, "success": True, "llm_calls": 1,
+               "budget_limit": None, "kind": "exp", "steps": [step]}
+        write_rljson(path, [episode_to_dict(make_episode()), old], HEADER)
+        with pytest.raises(RecordFormatError, match="episode@2") as err:
+            load_episodes(path)
+        assert err.value.offset == line_start(path.read_bytes(), 2)
+
+    def test_encoder_refuses_a_tampered_context_chain(self):
+        ep = make_episode()
+        s0, s1, s2 = ep.steps
+        tampered = (replace(s1.context, goal=(35, 36, 41)),  # a goal that changes
+                    replace(s1.context, actions=(2,)),  # a prefix of other actions
+                    replace(s1.context, tokens_seen=s1.context.tokens_seen + 1))
+        for ctx in tampered:
+            with pytest.raises(ValueError, match="step 1"):
+                episode_to_dict(replace(ep, steps=(s0, replace(s1, context=ctx), s2)))
+        # a chosen action the next step's prefix does not hold
+        with pytest.raises(ValueError, match="step 2"):
+            episode_to_dict(replace(ep, steps=(s0, replace(s1, chosen_action=3), s2)))
+
+    def test_routing_seed_short_row_rejected_at_offset(self, tmp_path):
+        path = tmp_path / "routing.rljson"
+        records = routing_records(make_rows(seed_id=0) + make_rows(seed_id=1))
+        records[1]["features"][2] = records[1]["features"][2][:-1]
+        write_rljson(path, records, HEADER)
+        with pytest.raises(RecordFormatError, match="14 features") as err:
+            load_routing_examples(path)
+        assert err.value.offset == line_start(path.read_bytes(), 2)
+
+    def test_routing_split_typo_rejected_at_offset(self, tmp_path):
+        with pytest.raises(ValueError, match="split"):
+            RoutingExample((0.0,) * 15, 0, seed_id=0, step_index=0, split="tarin")
+        path = tmp_path / "routing.rljson"
+        records = routing_records(make_rows(seed_id=0) + make_rows(seed_id=1))
+        records[1]["split"] = "tarin"
+        write_rljson(path, records, HEADER)
+        with pytest.raises(RecordFormatError, match="tarin") as err:
+            load_routing_examples(path)
+        assert err.value.offset == line_start(path.read_bytes(), 2)
+
+    def test_routing_writer_refuses_rows_it_cannot_store(self):
+        rows = make_rows()
+        for bad in (replace(rows[1], label=0), replace(rows[1], split="train"),
+                    replace(rows[1], step_index=2)):
+            with pytest.raises(ValueError, match="routing seed 4"):
+                routing_records([rows[0], bad, rows[2]])
+        with pytest.raises(ValueError, match="routing seed 4"):
+            routing_records(rows[1:])
 
 
 class TestInvariants:
@@ -256,7 +339,7 @@ def test_serialization_round_trip_property(scratch_file, success, n_steps, z):
             context=make_context(t),
             candidates=((0, -0.1), (1, -2.0)),
             verifier_scores=(0.5, 0.25),
-            chosen_action=0,
+            chosen_action=1,  # make_context's prefixes hold action 1
             executor="SLM",
         )
         for t in range(n_steps)
@@ -265,3 +348,68 @@ def test_serialization_round_trip_property(scratch_file, success, n_steps, z):
         task_id=1, seed=PerturbationSeed(z), steps=steps, success=success, llm_calls=0
     )
     assert round_trip([ep], scratch_file) == [ep]
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def episodes(draw):
+    """A routed or teacher episode whose contexts chain as a rollout's do."""
+    routed = draw(st.booleans())
+    goal = tuple(draw(st.lists(st.integers(0, 63), min_size=1, max_size=5)))
+    budget = draw(st.none() | st.integers(0, 4)) if routed else None
+    remaining, llm_calls, steps, ctx = budget, 0, [], None
+    for _ in range(draw(st.integers(0, 6))):
+        obs = tuple(draw(st.lists(st.integers(0, 200), max_size=8)))
+        ctx = (Context(goal, obs, (), len(goal) + len(obs)) if ctx is None
+               else ctx.advanced(steps[-1].chosen_action, obs))
+        action = draw(st.integers(0, 5))
+        if not routed:
+            steps.append(StepRecord(ctx, (), (), action, "LLM"))
+            llm_calls += 1
+            continue
+        k = draw(st.integers(2, 5))
+        decision = draw(st.booleans())
+        executor = "LLM" if decision and (remaining is None or remaining > 0) else "SLM"
+        if executor == "LLM":
+            llm_calls += 1
+            remaining = None if remaining is None else remaining - 1
+        steps.append(StepRecord(
+            context=ctx,
+            candidates=tuple(zip(draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)),
+                                 draw(st.lists(FLOATS, min_size=k, max_size=k)))),
+            verifier_scores=tuple(draw(st.lists(UNIT, min_size=k, max_size=k))),
+            chosen_action=action,
+            executor=executor,
+            features=tuple(draw(st.lists(FLOATS, min_size=15, max_size=15))),
+            router_prob=draw(st.none() | UNIT),
+            decision=decision,
+            budget_remaining=remaining,
+        ))
+    return PerturbedEpisode(
+        task_id=draw(st.integers(0, 100)), seed=PerturbationSeed(draw(st.integers(0, 2**64 - 1))),
+        steps=tuple(steps), success=draw(st.booleans()), llm_calls=llm_calls,
+        budget_limit=budget, kind=draw(st.sampled_from(["r2v", "slm", "exp", "pert"])),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(eps=st.lists(episodes(), min_size=1, max_size=4))
+def test_routed_and_teacher_episodes_round_trip(scratch_file, eps):
+    write_rljson(scratch_file, [episode_to_dict(ep) for ep in eps], HEADER)
+    assert load_episodes(scratch_file) == eps
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["train", "valid", "test"]),
+                                st.lists(st.lists(FLOATS, min_size=15, max_size=15),
+                                         min_size=1, max_size=5)),
+                      min_size=1, max_size=5))
+def test_routing_seeds_round_trip(scratch_file, seeds):
+    rows = [RoutingExample(tuple(f), label, seed_id, t, split)
+            for seed_id, (label, split, features) in enumerate(seeds)
+            for t, f in enumerate(features)]
+    write_rljson(scratch_file, routing_records(rows), HEADER)
+    assert load_routing_examples(scratch_file) == rows

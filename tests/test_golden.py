@@ -48,6 +48,16 @@ verifier-ranked pairs either way). That moved `pairs.rljson` and
 pins too, and every pinned file downstream of them. The files upstream of
 build-pairs kept their bytes. The verifier now reads the rollout's own latent
 state instead of the same rebuilt one; that half alone moves no bit.
+A sixth deliberate change, format only: an episode is one record of per-step
+columns (record schema `episode@3`, which stores neither the action prefix
+nor `tokens_seen`), a routing seed is one record of per-step feature rows
+(`routing-seed@1`), and every rljson line and checkpoint header line is
+written without spaces after separators. It moved `pairs.rljson`,
+`policy_distilled.bin`, `routing.rljson`, `router.bin` and the six
+`eval_*.rljson`. Every record each of them holds decodes to an object equal
+to what the earlier code decoded from the earlier file, the checkpoints hold
+the same array bytes under an equal header, and `summary.json`, `metrics.csv`
+and `router_report.csv` kept their bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -72,16 +82,16 @@ GOLDEN_CONFIG = (
 GOLDEN_SHA256 = {
     "summary.json": "387408501066f3804bec114d041faafde0d20a9b2fcec1a269fd8cb2b0e7826f",
     "metrics.csv": "4530be477b1625de10f9c1dd563f35745f277da42f31e166ef3b710446479103",
-    "pairs.rljson": "9ca2f18c3c4ca4b48eb5cae5a911bffb452d7f8747860603ae6f117d1d38ec17",
-    "policy_distilled.bin": "0ce2a2e98273324073eace16a67c6bdab5b0e44dbbc344c8aa7c49c00172d269",
-    "routing.rljson": "8c6a7867c9a32ad1a834eddaecf3070a696f72dd957fa34d1684f0951446fb3a",
-    "eval_entropy.rljson": "1087fc14dc24d0dd8e7434705e81df7ae8eae91c4e2ff5a48e4014c14443ae87",
-    "eval_heuristic.rljson": "daad6ae8cfdff3aafca3a286ec644d672e1c1a4c37e5d923b633988846def837",
-    "eval_llm.rljson": "c489491ec8d6ed4e2b9f96c8c08c227f14d70e01e53cefcc00625fbc70f0dc4e",
-    "eval_oracle.rljson": "6bc65db35ea2717b244cf9f65c6a8f725c2cad400bded32311d0f0f70da4a3aa",
-    "eval_r2v.rljson": "55f5de3f3fff498001c3e3af349ae0c9b9026e923d173bfecb849c755dfd9182",
-    "eval_slm.rljson": "02d7c2cb8754d16734bf5b112c3341fde74e1f68757ef9441c4c244c517b502a",
-    "router.bin": "37b821f35524cd7679a7e77f65cc0f1d4bbc2b70b24822cfd3b80c8dfca9fabf",
+    "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
+    "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
+    "routing.rljson": "d6a93006299f004ba42a98031d091e55565ba93e8e4885e4630161deaf0d5872",
+    "eval_entropy.rljson": "0f311fea6b124ab68933d6a7468ae1b726fa46312efe21d9cd71566188136c75",
+    "eval_heuristic.rljson": "cf3577fb4e0bc1647e80cca48918cad74613120ffc25f82b717bad1c467c471a",
+    "eval_llm.rljson": "a285b6f2661680c8a5701e9c1a754a3796cbcf530fbc58956fddf8aad573387a",
+    "eval_oracle.rljson": "c094b2d64175a9d964ed1937498e896a08b1d01fd81b656d46e7a3c021c60890",
+    "eval_r2v.rljson": "8acd99f5fd4be491d9b18734c06982743b437800e0406b55adff576c1b60d1de",
+    "eval_slm.rljson": "d3c9caca1228bf88244e81829eb970fe1b17acc94cbea63be09befef5e77c57e",
+    "router.bin": "7dccec260130f9fff0fe7da8d12656cec04e53790d3f8da723d5f76b88365b57",
     "router_report.csv": "aa5867832809e1d80808784726b02113c8afafe6b78a3ef3a06f4a091e9ad1bf",
 }
 

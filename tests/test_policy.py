@@ -140,7 +140,7 @@ class TestTeacherCollection:
         paths = [tmp_path / "a.rljson", tmp_path / "b.rljson"]
         for path in paths:
             pool = collect_teacher_trajectories(env, teacher, range(4), 3)
-            write_rljson(path, [episode_to_dict(ep) for ep in pool], {"schema": "episodes@1"})
+            write_rljson(path, [episode_to_dict(ep) for ep in pool], {"schema": "episodes@2"})
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_teacher_steps_are_llm(self):

@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from steprouter import runtime, seeds
-from steprouter.domain import CostSpec, EnvConfig, RoutingExample, episode_to_dict
+from steprouter.domain import (
+    CostSpec,
+    EnvConfig,
+    RoutingExample,
+    episode_from_dict,
+    episode_to_dict,
+)
 from steprouter.env import HazardChainEnv
 from steprouter.features import FeatureMask
 from steprouter.policy import (
@@ -150,15 +158,16 @@ class TestRunEpisode:
         longest = 0
         for task in range(6):
             ep = run_episode(env, task, 5, slm, teacher, vspec, RoutingPolicy.slm_only())
-            steps = [s["context"] for s in episode_to_dict(ep)["steps"]]
-            longest = max(longest, len(steps))
-            seen = len(steps[0]["goal"])
-            for t, ctx in enumerate(steps):
-                assert sorted(ctx) == ["actions", "goal", "observation", "tokens_seen"]
-                assert all(type(tok) is int for tok in ctx["observation"])
-                assert len(ctx["actions"]) == t
-                seen += len(ctx["observation"])
-                assert ctx["tokens_seen"] == seen
+            decoded = episode_from_dict(json.loads(json.dumps(episode_to_dict(ep))))
+            assert decoded == ep
+            longest = max(longest, len(decoded.steps))
+            seen = len(decoded.steps[0].context.goal)
+            for t, step in enumerate(decoded.steps):
+                ctx = step.context
+                assert all(type(tok) is int for tok in ctx.observation)
+                assert ctx.actions == tuple(s.chosen_action for s in decoded.steps[:t])
+                seen += len(ctx.observation)
+                assert ctx.tokens_seen == seen
         assert longest == 20
 
     def test_r2v_records_probability(self, world, zero_router):
@@ -240,6 +249,21 @@ class TestStepTree:
                 redraw_after_hits |= any(a and not b for a, b in zip(hits, hits[1:]))
                 seen.update((task, z, s.context.actions) for s in shared.steps)
         assert later_divergence and redraw_after_hits
+
+    def test_visited_steps_make_no_streams(self, world, monkeypatch):
+        # a pass that only visits nodes and never escalates draws nothing,
+        # so it seeds no cand, verif or escalate stream
+        env, teacher, slm, vspec = world
+        tree = StepTree()
+        first = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only(), tree=tree)
+                 for t, z in self.GRID]
+        calls = []
+        real_stream = seeds.stream
+        monkeypatch.setattr(seeds, "stream", lambda *a: calls.append(a) or real_stream(*a))
+        again = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only(), tree=tree)
+                 for t, z in self.GRID]
+        assert again == first
+        assert calls == []
 
     def test_policies_on_one_grid_share_steps(self, world, monkeypatch):
         env, teacher, slm, vspec = world

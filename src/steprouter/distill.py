@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .domain import Context, PerturbationSeed
+from .domain import Context, PerturbationSeed, require_number
 from .env import HazardChainEnv
 from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, descend, param_digest
 from .router import sigmoid
@@ -54,6 +54,7 @@ class DistillConfig:
             raise ValueError("beta must be positive")
         if self.lambda_cons < 0:
             raise ValueError("lambda_cons must be nonnegative")
+        require_number("lr", self.lr, above=True)
 
 
 def build_preferences(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -49,6 +48,15 @@ class RecordFormatError(ValueError):
 
     def __str__(self) -> str:
         return f"{self.args[0]} (byte offset {self.offset})"
+
+
+def require_number(name: str, value, least: float = 0.0, above: bool = False) -> None:
+    """Raise ValueError unless `value` is a real number >= `least` (> `least`
+    when `above`); a bool is not a number here."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (value > least if above else value >= least)):
+        raise ValueError(f"{name} must be a number {'>' if above else '>='} {least:g}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,6 @@ class RoutingExample:
     features: tuple[float, ...]
     label: int
     seed_id: int
-    step_index: int
     split: str = "train"
 
     def __post_init__(self):
@@ -386,24 +393,14 @@ def episode_from_dict(d: dict) -> PerturbedEpisode:
     )
 
 
-def routing_records(examples) -> list[dict]:
-    """One record per routing seed, its rows' features one list per step.
-
-    A seed's rows are consecutive in `examples`; a seed whose rows disagree
-    on split or label, or whose step indices are not 0..n-1, raises
-    ValueError.
-    """
-    records = []
-    for seed_id, group in itertools.groupby(examples, key=lambda ex: ex.seed_id):
-        rows = list(group)
-        first = rows[0]
-        if any((ex.split, ex.label, ex.step_index) != (first.split, first.label, i)
-               for i, ex in enumerate(rows)):
-            raise ValueError(f"routing seed {seed_id}: rows disagree on split or label, "
-                             "or are not steps 0..n-1")
-        records.append({"schema": ROUTING_SCHEMA, "seed_id": seed_id, "split": first.split,
-                        "label": first.label, "features": [ex.features for ex in rows]})
-    return records
+def routing_record(seed_id: int, split: str, episode: PerturbedEpisode) -> dict:
+    """One routing seed from its SLM-only episode: the features of every step,
+    one list per step, and the episode-failure label they all carry (early
+    steps that looked fine included: labels mark residual episode risk, not
+    step correctness)."""
+    return {"schema": ROUTING_SCHEMA, "seed_id": seed_id, "split": split,
+            "label": 0 if episode.success else 1,
+            "features": [step.features for step in episode.steps]}
 
 
 def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
@@ -416,7 +413,7 @@ def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
         if len(features) != FEATURE_DIM:
             raise RecordFormatError(f"routing seed {seed_id} step {t} holds "
                                     f"{len(features)} features, not {FEATURE_DIM}")
-        rows.append(RoutingExample(tuple(map(float, features)), label, seed_id, t, split))
+        rows.append(RoutingExample(tuple(map(float, features)), label, seed_id, split))
     return rows
 
 

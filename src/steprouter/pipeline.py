@@ -33,7 +33,8 @@ from .domain import (
     episode_from_dict,
     episode_to_dict,
     read_header,
-    routing_records,
+    require_number,
+    routing_record,
     routing_seed_from_dict,
     write_csv,
     write_json,
@@ -156,8 +157,8 @@ def _deep_merge(base: dict, overlay: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _deep_merge(base[key], value, where)
+        if isinstance(base[key], dict):
+            out[key] = _deep_merge(base[key], _object(where, value), where)
         else:
             out[key] = value
     return out
@@ -179,7 +180,15 @@ def _apply_dotted(cfg: dict, dotted: str, raw: str) -> None:
         node = node[key]
     if keys[-1] not in node:
         raise ConfigError(f"unknown config path {dotted!r}")
-    node[keys[-1]] = _parse_value(raw)
+    value = _parse_value(raw)
+    node[keys[-1]] = _object(dotted, value) if isinstance(node[keys[-1]], dict) else value
+
+
+def _object(where: str, value) -> dict:
+    """`value`, which sets a block and so must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
 
 
 def load_config(path: str | None = None, overrides=(), environ=None) -> dict:
@@ -221,6 +230,7 @@ COUNT_KEYS = (
     ("router", "batch_steps", 1),
     ("runtime", "k_candidates", 2),  # candidates are ranked against each other
     ("runtime", "routing_seeds_per_task", 1),
+    ("runtime", "harness_salt", 0),  # seeds the router's training stream
     ("eval", "eval_seeds_per_task", 1),
     ("eval", "bootstrap_resamples", 1),
     ("eval", "ece_bins", 1),
@@ -241,7 +251,9 @@ def validate_config(cfg: dict) -> None:
     make_verifier(cfg, env)
     make_distill_config(cfg)
     make_train_spec(cfg)
-    _built("runtime.budget_limit", RoutingPolicy.llm_only, cfg["runtime"]["budget_limit"])
+    _built("runtime.budget_limit", RoutingPolicy, "llm",
+           budget_limit=cfg["runtime"]["budget_limit"])
+    _built("policy.bc_lr", require_number, "bc_lr", cfg["policy"]["bc_lr"], above=True)
     _built("features.mask", FeatureMask, cfg["features"]["mask"])
     fr = cfg["split"]["fractions"]
     if (not isinstance(fr, list) or len(fr) != 3
@@ -618,16 +630,16 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
 
 
 def _routing_job(args):
-    cfg, policy_path, task_ids, split_name, offset = args
+    cfg, policy_path, task_ids, split_name, first_seed_id = args
     env = make_env(cfg)
     slm = SoftmaxPolicy.load(policy_path)
     salt = cfg["runtime"]["harness_salt"]
-    examples, _ = collect_routing_dataset(
+    episodes = collect_routing_dataset(
         env, slm, make_teacher(cfg), make_verifier(cfg, env), task_ids,
         cfg["runtime"]["routing_seeds_per_task"], k=cfg["runtime"]["k_candidates"],
-        tag=f"routing-{split_name}-{salt}", split=split_name, seed_id_offset=offset,
+        tag=f"routing-{split_name}-{salt}",
     )
-    return routing_records(examples)
+    return [routing_record(first_seed_id + i, split_name, ep) for i, ep in enumerate(episodes)]
 
 
 def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
@@ -659,6 +671,12 @@ def load_router_rows(path: Path) -> tuple[list, list]:
     valid = [ex for ex in examples if ex.split == "valid"]
     if not train or not valid:  # derive_splits keeps both nonempty
         raise RecordFormatError(f"{path}: the router needs train-split and valid-split rows")
+    labels = sorted({ex.label for ex in train})
+    n_seeds = len({ex.seed_id for ex in train})
+    if len(labels) < 2 or n_seeds < 2:  # train_router's whole-seed CVaR batches
+        raise RecordFormatError(f"{path}: the router needs train rows of both labels from two "
+                                f"or more seeds; {len(train)} rows from {n_seeds} seeds hold "
+                                f"labels {labels}")
     return train, valid
 
 
@@ -698,25 +716,24 @@ def eval_grid(cfg: dict, workdir: Path):
 
 
 def _build_routing_policy(cfg: dict, variant: str, paths: dict) -> RoutingPolicy:
-    budget = cfg["runtime"]["budget_limit"]
-    if variant == "slm":
-        return RoutingPolicy.slm_only()
-    if variant == "llm":
-        return RoutingPolicy.llm_only(budget)
-    if variant == "oracle":
-        table = hindsight_table(load_episodes(paths["rollout:slm"]))
-        return RoutingPolicy.oracle_router(table, budget)
-    header = read_header(paths["train-router"])
-    if variant == "entropy":
-        return RoutingPolicy.entropy_router(header.typed("tau_h", float, int), budget)
-    if variant == "heuristic":
-        return RoutingPolicy.heuristic_router(header.typed("theta_v", float, int), budget)
-    return _r2v_policy(cfg, RouterNet.load(paths["train-router"])[0])
+    """`variant`'s policy: r2v from router.bin, the oracle from the slm
+    rollout's outcomes, a baseline with its router.bin header threshold; the
+    slm variant runs without a budget."""
+    if variant == "r2v":
+        return _r2v_policy(cfg, RouterNet.load(paths["train-router"])[0])
+    key = {"entropy": "tau_h", "heuristic": "theta_v"}.get(variant)
+    return RoutingPolicy(
+        variant,
+        threshold=read_header(paths["train-router"]).typed(key, float, int) if key else None,
+        budget_limit=None if variant == "slm" else cfg["runtime"]["budget_limit"],
+        hindsight=(hindsight_table(load_episodes(paths["rollout:slm"]))
+                   if variant == "oracle" else None),
+    )
 
 
 def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
-    return RoutingPolicy.r2v(net, net.tau_route, mask=FeatureMask(cfg["features"]["mask"]),
-                             budget_limit=cfg["runtime"]["budget_limit"])
+    return RoutingPolicy("r2v", net.tau_route, cfg["runtime"]["budget_limit"], net,
+                         FeatureMask(cfg["features"]["mask"]))
 
 
 def _rollout_job(args):

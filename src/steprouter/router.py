@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .domain import CostSpec, CVaRSpec, read_arrays, write_arrays
+from .domain import CostSpec, CVaRSpec, read_arrays, require_number, write_arrays
 
 ROUTER_SCHEMA = "router@2"
 BN_EPS = 1e-5
@@ -339,6 +339,9 @@ class TrainSpec:
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
+        require_number("lr", self.lr, above=True)
+        require_number("weight_decay", self.weight_decay)
+        require_number("dual_lr", self.dual_lr)
 
 
 class _Adam:

@@ -28,7 +28,6 @@ from .domain import (
     CostSpec,
     PerturbationSeed,
     PerturbedEpisode,
-    RoutingExample,
     StepRecord,
 )
 from .env import HazardChainEnv
@@ -42,14 +41,19 @@ VARIANTS = ("slm", "llm", "entropy", "heuristic", "r2v", "oracle")
 
 @dataclass(frozen=True)
 class RoutingPolicy:
-    """One routing variant plus its per-episode LLM budget (None = unlimited)."""
+    """One routing rule: a per-step score held against `threshold`, plus a
+    per-episode LLM budget (None = unlimited).
+
+    `threshold` is the entropy cutoff tau_h, the verifier cutoff theta_v or
+    the router's tau_route; slm, llm and the oracle take none. r2v scores
+    its features through `mask` with `net`; the oracle reads `hindsight`,
+    the SLM-only outcome of each (task, z).
+    """
 
     variant: str
+    threshold: float | None = None
     budget_limit: int | None = None
-    tau_h: float | None = None
-    theta_v: float | None = None
     net: RouterNet | None = None
-    tau_route: float | None = None
     mask: FeatureMask = FeatureMask.FULL
     hindsight: dict | None = None
 
@@ -60,73 +64,29 @@ class RoutingPolicy:
         if budget is not None and (type(budget) is not int or budget < 0):
             raise ValueError("budget must be None (unlimited) or an integer >= 0")
 
-    @classmethod
-    def slm_only(cls) -> "RoutingPolicy":
-        return cls(variant="slm")
 
-    @classmethod
-    def llm_only(cls, budget_limit: int | None = None) -> "RoutingPolicy":
-        return cls(variant="llm", budget_limit=budget_limit)
+def _decide(routing: RoutingPolicy, f_raw, task_id: int, z: int):
+    """(router probability or None, escalation decision) for one step.
 
-    @classmethod
-    def entropy_router(cls, tau_h: float, budget_limit: int | None = None) -> "RoutingPolicy":
-        return cls(variant="entropy", tau_h=tau_h, budget_limit=budget_limit)
-
-    @classmethod
-    def heuristic_router(cls, theta_v: float, budget_limit: int | None = None) -> "RoutingPolicy":
-        return cls(variant="heuristic", theta_v=theta_v, budget_limit=budget_limit)
-
-    @classmethod
-    def r2v(cls, net: RouterNet, tau_route: float,
-            mask: FeatureMask = FeatureMask.FULL,
-            budget_limit: int | None = None) -> "RoutingPolicy":
-        return cls(variant="r2v", net=net, tau_route=tau_route, mask=mask,
-                   budget_limit=budget_limit)
-
-    @classmethod
-    def oracle_router(cls, hindsight: dict, budget_limit: int | None = None) -> "RoutingPolicy":
-        return cls(variant="oracle", hindsight=hindsight, budget_limit=budget_limit)
-
-
-def entropy_decision(features, tau_h: float) -> bool:
-    """Escalate when the normalized policy entropy reaches the threshold."""
-    return bool(features[0] >= tau_h)
-
-
-def heuristic_decision(scores, theta_v: float) -> bool:
-    """Escalate when even the best verifier score falls below the threshold."""
-    if len(scores) < 1:
-        raise ValueError("heuristic rule needs at least one score")
-    return bool(max(scores) < theta_v)
-
-
-def router_decision(p: float, tau_route: float) -> bool:
-    """Hard rule: escalate iff p >= tau (inclusive comparison)."""
-    return bool(p >= tau_route)
-
-
-def oracle_decision(task_id: int, z: int, hindsight: dict) -> bool:
-    """Escalate on every step of episodes whose SLM-only rollout failed."""
-    key = (task_id, z)
-    if key not in hindsight:
-        raise ValueError(f"hindsight table has no entry for task={task_id} z={z}")
-    return not hindsight[key]
-
-
-def _decide(routing: RoutingPolicy, f_masked, scores, task_id, z):
-    """(router probability or None, escalation decision) for one step."""
-    if routing.variant == "slm":
-        return None, False
-    if routing.variant == "llm":
-        return None, True
-    if routing.variant == "entropy":
-        return None, entropy_decision(f_masked, routing.tau_h)
-    if routing.variant == "heuristic":
-        return None, heuristic_decision(scores, routing.theta_v)
-    if routing.variant == "r2v":
-        p = float(routing.net.predict(f_masked)[0])
-        return p, router_decision(p, routing.tau_route)
-    return None, oracle_decision(task_id, z, routing.hindsight)
+    entropy escalates when the normalized policy entropy (slot 0) reaches
+    the threshold, heuristic when even the best verifier score (slot 6)
+    falls below it, r2v when the router's probability on the masked
+    features reaches it (p = 1 at threshold 1 escalates), and the oracle on
+    every step of an episode whose SLM-only rollout failed.
+    """
+    variant, threshold = routing.variant, routing.threshold
+    if variant == "r2v":
+        p = float(routing.net.predict(apply_mask(f_raw, routing.mask))[0])
+        return p, p >= threshold
+    if variant == "entropy":
+        return None, bool(f_raw[0] >= threshold)
+    if variant == "heuristic":
+        return None, bool(f_raw[6] < threshold)
+    if variant == "oracle":
+        if (task_id, z) not in routing.hindsight:
+            raise ValueError(f"hindsight table has no entry for task={task_id} z={z}")
+        return None, not routing.hindsight[task_id, z]
+    return None, variant == "llm"
 
 
 class _Node:
@@ -251,8 +211,7 @@ def run_episode(
             node.expand(slm, vspec, k, limits, rng_cand, rng_ver, keep_streams)
         else:
             restore = node.streams
-        f_masked = apply_mask(node.f_raw, routing.mask)
-        p, decision = _decide(routing, f_masked, node.score_record, task_id, z)
+        p, decision = _decide(routing, node.f_raw, task_id, z)
 
         escalate = decision and (remaining is None or remaining > 0)
         if escalate:
@@ -323,37 +282,18 @@ def collect_routing_dataset(
     seeds_per_task: int,
     k: int = 5,
     tag: str = "routing",
-    split: str = "train",
-    seed_id_offset: int = 0,
-) -> tuple[list[RoutingExample], list[PerturbedEpisode]]:
-    """SLM-only rollouts labeled with the episode outcome (Algorithm-style).
-
-    Every visited context on a failed rollout gets label 1, including early
-    steps that looked fine; labels mark residual episode risk, not step
-    correctness. Refuses policies that skipped the distillation stage.
+) -> list[PerturbedEpisode]:
+    """SLM-only rollouts over the routing grid, in seed-id order; each one
+    becomes a routing record (`domain.routing_record`). Refuses policies
+    that skipped the distillation stage.
     """
     if slm.stage != "distilled":
         raise ValueError(
             f"routing data must come from a distilled policy, got stage={slm.stage!r}"
         )
-    examples: list[RoutingExample] = []
-    episodes: list[PerturbedEpisode] = []
-    policy = RoutingPolicy.slm_only()
-    for seed_id, (task_id, z) in enumerate(routing_grid(env, task_ids, seeds_per_task, tag)):
-        ep = run_episode(env, task_id, z, slm, teacher, vspec, policy, k=k, salt=tag)
-        label = 0 if ep.success else 1
-        for step in ep.steps:
-            examples.append(
-                RoutingExample(
-                    features=step.features,
-                    label=label,
-                    seed_id=seed_id_offset + seed_id,
-                    step_index=step.context.step_index,
-                    split=split,
-                )
-            )
-        episodes.append(ep)
-    return examples, episodes
+    policy = RoutingPolicy("slm")
+    return [run_episode(env, task_id, z, slm, teacher, vspec, policy, k=k, salt=tag)
+            for task_id, z in routing_grid(env, task_ids, seeds_per_task, tag)]
 
 
 def hindsight_table(episodes) -> dict:

@@ -79,12 +79,7 @@ def planted_dataset(n: int, seed: int = 0):
 def planted_examples(f, y, n_seeds: int = 50):
     x = planted_features(f)
     return [
-        RoutingExample(
-            features=tuple(x[i]),
-            label=int(y[i]),
-            seed_id=int(i % n_seeds),
-            step_index=0,
-        )
+        RoutingExample(features=tuple(x[i]), label=int(y[i]), seed_id=int(i % n_seeds))
         for i in range(len(f))
     ]
 
@@ -496,13 +491,10 @@ def planted_seed_world(n_seeds: int = 250, steps_per_seed: int = 30,
     examples = []
     for sid in range(n_seeds):
         q = 0.85 if rng.random() < bad_frac else 0.04
-        for t in range(steps_per_seed):
+        for _ in range(steps_per_seed):
             f = np.zeros(15)
             f[0] = float(np.clip(q + rng.normal(0.0, noise), 0.0, 1.0))
-            examples.append(
-                RoutingExample(tuple(f), int(rng.random() < q), seed_id=sid,
-                               step_index=t)
-            )
+            examples.append(RoutingExample(tuple(f), int(rng.random() < q), seed_id=sid))
     eval_rng = seeds.stream("cvar-knob-eval", seed)
     q_eval = np.where(eval_rng.random(5000) < bad_frac, 0.85, 0.04)
     x_eval = np.zeros((5000, 15))

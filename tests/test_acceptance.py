@@ -14,7 +14,7 @@ import pytest
 from steprouter import pipeline, seeds, theory
 from steprouter.cli import EXIT_OK, EXIT_STAGE_ORDER, main
 from steprouter.distill import DistillConfig, build_preferences, train_recovery
-from steprouter.domain import EnvConfig
+from steprouter.domain import EnvConfig, routing_record, write_rljson
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
     PolicyFeaturizer,
@@ -86,15 +86,9 @@ class TestCriterion09PipelineInvariants:
         violations = 0
         for trial in range(1000):
             budget = int(rng.integers(0, 6))
-            kind = trial % 4
-            if kind == 0:
-                routing = RoutingPolicy.llm_only(budget)
-            elif kind == 1:
-                routing = RoutingPolicy.entropy_router(float(rng.random()), budget)
-            elif kind == 2:
-                routing = RoutingPolicy.heuristic_router(float(rng.random()), budget)
-            else:
-                routing = RoutingPolicy.r2v(net, float(rng.random()), budget_limit=budget)
+            variant = ("llm", "entropy", "heuristic", "r2v")[trial % 4]
+            routing = RoutingPolicy(variant, None if variant == "llm" else float(rng.random()),
+                                    budget, net if variant == "r2v" else None)
             ep = run_episode(env, int(rng.integers(8)), int(rng.integers(10_000)),
                              slm, teacher, vspec, routing, salt=trial)
             violations += ep.llm_calls > budget
@@ -102,12 +96,15 @@ class TestCriterion09PipelineInvariants:
                f"0 violations over 1000 randomized episodes" if not violations
                else f"{violations} violations")
 
-    def test_routing_labels_recount(self, world):
+    def test_routing_labels_recount(self, world, tmp_path):
         env, teacher, pool, bc, vspec = world
         slm = bc.clone(stage="distilled")
-        examples, episodes = collect_routing_dataset(env, slm, teacher, vspec,
-                                                     range(8), 6)
-        ok = True
+        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(8), 6)
+        path = tmp_path / "routing.rljson"
+        write_rljson(path, [routing_record(i, "train", ep) for i, ep in enumerate(episodes)],
+                     {"schema": "routing@2"})
+        examples = pipeline.load_routing_examples(path)
+        ok = all(ep.llm_calls == 0 for ep in episodes)
         for seed_id, ep in enumerate(episodes):
             want = 0 if ep.success else 1
             got = {ex.label for ex in examples if ex.seed_id == seed_id}

@@ -78,10 +78,15 @@ class TestConfig:
         c = pipeline.config_hash(pipeline.load_config(overrides=["router.epochs=3"]))
         assert a == b != c
 
-    def test_config_file_error_exit_code(self, tmp_path):
+    def test_config_file_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{nope")
         assert main(["gen-tasks", "--workdir", str(tmp_path), "--config", str(bad)]) == EXIT_CONFIG
+        # a block the file sets to anything but an object
+        bad.write_text('{"env": 5}')
+        capsys.readouterr()
+        assert main(["gen-tasks", "--workdir", str(tmp_path), "--config", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: env must be a JSON object, got 5\n"
 
     def test_invalid_value_exit_code(self, tmp_path):
         assert main(["gen-tasks", "--workdir", str(tmp_path),
@@ -112,6 +117,7 @@ class TestConfig:
         ("policy.pert_seeds_per_task", "null"),
         ("eval.bootstrap_resamples", "0"),
         ("eval.ece_bins", "0"),
+        ("runtime.harness_salt", "null"),
     ])
     def test_count_keys_rejected(self, tmp_path, capsys, key, raw):
         with pytest.raises(ConfigError, match=key):
@@ -135,6 +141,12 @@ class TestConfig:
         ("eval.bootstrap_seed", "-1"),
         ("split.fractions", "[1.5,-0.25,-0.25]"),
         ("env.task_count", "2"),
+        ("policy.bc_lr", '"x"'),
+        ("distill.lr", "null"),
+        ("router.lr", "0"),
+        ("router.weight_decay", "-1e-4"),
+        ("router.dual_lr", '"x"'),
+        ("env", "5"),
     ])
     def test_values_a_stage_would_crash_on_rejected(self, tmp_path, capsys, key, raw):
         # each value would fail the stage that reads it, so every stage,
@@ -232,6 +244,12 @@ def _edit_record(pick, edit):
     return corrupt
 
 
+def _one_train_seed(data: bytes) -> bytes:
+    """Every train-split record after the first moved to the valid split."""
+    cut = data.index(b'"split":"train"') + 1
+    return data[:cut] + data[cut:].replace(b'"split":"train"', b'"split":"valid"')
+
+
 def _is_pair(rec):
     return rec.get("kind") == "pair"
 
@@ -307,6 +325,10 @@ BAD_ARTIFACTS = {
     "routing-no-train-rows": ("routing.rljson",
                               lambda b: b.replace(b'"split":"train"', b'"split":"valid"'),
                               ("train-router",)),
+    # train_router's CVaR batches need whole seeds of both labels
+    "routing-one-label": ("routing.rljson", lambda b: b.replace(b'"label":0', b'"label":1'),
+                          ("train-router",)),
+    "routing-one-train-seed": ("routing.rljson", _one_train_seed, ("train-router",)),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
     # a header field of the wrong type is as malformed as a missing one

@@ -1,6 +1,7 @@
 """Dead-code guard: every public top-level function or class in
 `src/steprouter`, and every public method of a top-level class, must be used
-by the package or by `perfbench/`.
+by the package or by `perfbench/`; and every name a module imports must be
+used by that module.
 
 A name counts as used when some module (its own included) refers to it
 outside its own `def`/`class` statement: as a bare name, an attribute, an
@@ -60,3 +61,25 @@ def test_no_public_definition_is_unused():
         if name not in referenced
     ]
     assert not unused, f"public definitions used only by tests (or nobody): {unused}"
+
+
+def _imported_names(tree: ast.Module):
+    """(name, line) of every name an import statement binds, `__future__`
+    features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_import_is_unused():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}" for name, line in _imported_names(tree)
+                   if name not in loaded]
+    assert not unused, f"imports that nothing in their module uses: {unused}"

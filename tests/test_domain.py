@@ -19,7 +19,7 @@ from steprouter.domain import (
     episode_from_dict,
     episode_to_dict,
     read_rljson,
-    routing_records,
+    routing_record,
     write_rljson,
 )
 from steprouter.pipeline import load_episodes, load_routing_examples
@@ -196,9 +196,11 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == ["records.rljson"]
 
 
-def make_rows(seed_id=4, n=3, label=1, split="valid"):
-    return [RoutingExample(tuple(0.01 * (t + i) for i in range(15)), label, seed_id, t, split)
-            for t in range(n)]
+def routing_episode(features, success=True):
+    """An SLM-only episode whose steps hold `features`, one row per step."""
+    ep = make_episode(len(features), success=success, llm_steps=())
+    return replace(ep, steps=tuple(replace(step, features=tuple(f))
+                                   for step, f in zip(ep.steps, features)))
 
 
 class TestColumnarRecords:
@@ -246,7 +248,7 @@ class TestColumnarRecords:
 
     def test_routing_seed_short_row_rejected_at_offset(self, tmp_path):
         path = tmp_path / "routing.rljson"
-        records = routing_records(make_rows(seed_id=0) + make_rows(seed_id=1))
+        records = [routing_record(i, "valid", make_episode()) for i in range(2)]
         records[1]["features"][2] = records[1]["features"][2][:-1]
         write_rljson(path, records, HEADER)
         with pytest.raises(RecordFormatError, match="14 features") as err:
@@ -255,23 +257,14 @@ class TestColumnarRecords:
 
     def test_routing_split_typo_rejected_at_offset(self, tmp_path):
         with pytest.raises(ValueError, match="split"):
-            RoutingExample((0.0,) * 15, 0, seed_id=0, step_index=0, split="tarin")
+            RoutingExample((0.0,) * 15, 0, seed_id=0, split="tarin")
         path = tmp_path / "routing.rljson"
-        records = routing_records(make_rows(seed_id=0) + make_rows(seed_id=1))
+        records = [routing_record(i, "valid", make_episode()) for i in range(2)]
         records[1]["split"] = "tarin"
         write_rljson(path, records, HEADER)
         with pytest.raises(RecordFormatError, match="tarin") as err:
             load_routing_examples(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
-
-    def test_routing_writer_refuses_rows_it_cannot_store(self):
-        rows = make_rows()
-        for bad in (replace(rows[1], label=0), replace(rows[1], split="train"),
-                    replace(rows[1], step_index=2)):
-            with pytest.raises(ValueError, match="routing seed 4"):
-                routing_records([rows[0], bad, rows[2]])
-        with pytest.raises(ValueError, match="routing seed 4"):
-            routing_records(rows[1:])
 
 
 class TestInvariants:
@@ -301,7 +294,7 @@ class TestInvariants:
 
     def test_routing_example_label_domain(self):
         with pytest.raises(ValueError):
-            RoutingExample(features=(0.0,) * 15, label=2, seed_id=0, step_index=0)
+            RoutingExample(features=(0.0,) * 15, label=2, seed_id=0)
 
     def test_cost_spec_positive(self):
         with pytest.raises(ValueError):
@@ -408,8 +401,10 @@ def test_routed_and_teacher_episodes_round_trip(scratch_file, eps):
                                          min_size=1, max_size=5)),
                       min_size=1, max_size=5))
 def test_routing_seeds_round_trip(scratch_file, seeds):
-    rows = [RoutingExample(tuple(f), label, seed_id, t, split)
-            for seed_id, (label, split, features) in enumerate(seeds)
-            for t, f in enumerate(features)]
-    write_rljson(scratch_file, routing_records(rows), HEADER)
-    assert load_routing_examples(scratch_file) == rows
+    # one record per SLM-only episode decodes to one row per step: the
+    # step's features under the episode's failure label
+    write_rljson(scratch_file, [routing_record(seed_id, split, routing_episode(f, not label))
+                                for seed_id, (label, split, f) in enumerate(seeds)], HEADER)
+    assert load_routing_examples(scratch_file) == [
+        RoutingExample(tuple(f), label, seed_id, split)
+        for seed_id, (label, split, features) in enumerate(seeds) for f in features]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steprouter import seeds
 from steprouter.domain import Context
@@ -154,6 +156,18 @@ class TestExtractMatchesReference:
             got = extract(ctx, probs, cands, scores, LIMITS)
             want = reference_extract(ctx, probs, cands, scores, LIMITS)
             assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(2, 10))
+def test_best_score_slot_is_the_exact_max(data, k):
+    # the heuristic rule escalates on slot 6, which stands for max(scores)
+    weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6)))
+    cands = data.draw(st.lists(st.tuples(st.integers(0, 5), st.floats(-40.0, 0.0)),
+                               min_size=k, max_size=k))
+    scores = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    f = extract(ctx_at(), weights / weights.sum(), cands, scores, LIMITS)
+    assert f[6] == max(scores)
 
 
 class TestMasks:

@@ -39,8 +39,7 @@ def example_batch(n=64, n_seeds=4, seed=0, p_fail=0.5):
     y = (rng.random(n) < p_fail).astype(int)
     y[0], y[1] = 0, 1
     return [
-        RoutingExample(features=tuple(x[i]), label=int(y[i]),
-                       seed_id=int(i % n_seeds), step_index=0)
+        RoutingExample(features=tuple(x[i]), label=int(y[i]), seed_id=int(i % n_seeds))
         for i in range(n)
     ]
 
@@ -225,9 +224,9 @@ class TestLosses:
     def test_seed_risk_hand_arithmetic(self, zero_router):
         # the zero net predicts exactly 0.5 in train mode too
         examples = [
-            RoutingExample((0.3,) * 15, 1, seed_id=0, step_index=0),
-            RoutingExample((0.1,) * 15, 0, seed_id=0, step_index=1),
-            RoutingExample((0.2,) * 15, 0, seed_id=1, step_index=0),
+            RoutingExample((0.3,) * 15, 1, seed_id=0),
+            RoutingExample((0.1,) * 15, 0, seed_id=0),
+            RoutingExample((0.2,) * 15, 0, seed_id=1),
         ]
         # p = 0.5: base cost 0.5 + 25 = 25.5, plus kappa/2 when y = 1
         seed0, seed1 = (25.5 + 49 + 25.5) / 2, 25.5
@@ -238,8 +237,8 @@ class TestLosses:
         assert "grads" not in out
 
     def test_seed_risk_duplication_invariant(self, zero_router):
-        ex = RoutingExample((0.0,) * 15, 1, seed_id=0, step_index=0)
-        other = RoutingExample((0.0,) * 15, 0, seed_id=1, step_index=0)
+        ex = RoutingExample((0.0,) * 15, 1, seed_id=0)
+        other = RoutingExample((0.0,) * 15, 0, seed_id=1)
         once = seed_objective(zero_router, [ex, other], CANONICAL, alpha=0.5)
         thrice = seed_objective(zero_router, [ex, ex, ex, other], CANONICAL, alpha=0.5)
         assert once["cvar"] == pytest.approx(thrice["cvar"])
@@ -293,7 +292,7 @@ class TestTrainRouter:
 
     def test_requires_both_labels(self):
         examples = [
-            RoutingExample((0.0,) * 15, 1, seed_id=i % 3, step_index=0)
+            RoutingExample((0.0,) * 15, 1, seed_id=i % 3)
             for i in range(9)
         ]
         with pytest.raises(ValueError):
@@ -553,8 +552,12 @@ class TestThresholds:
         costs = [np.mean(route_surrogate((v < t).astype(float), y, CANONICAL)) for t in grid]
         assert tau == grid[int(np.argmin(costs))]
 
-    def test_inclusive_comparison_at_tau_one(self):
-        from steprouter.runtime import router_decision
+    def test_inclusive_comparison_at_tau_one(self, zero_router):
+        from steprouter.runtime import RoutingPolicy, _decide
 
-        assert router_decision(1.0, 1.0) is True
-        assert router_decision(0.999999, 1.0) is False
+        routing = RoutingPolicy("r2v", 1.0, net=zero_router)
+        zero_router.params["b3"][:] = 40.0  # sigmoid(40) rounds to exactly 1.0
+        assert _decide(routing, np.zeros(15), 0, 0) == (1.0, True)
+        zero_router.params["b3"][:] = 13.8  # p = 0.999999
+        p, escalate = _decide(routing, np.zeros(15), 0, 0)
+        assert p < 1.0 and escalate is False

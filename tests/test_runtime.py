@@ -10,9 +10,12 @@ from steprouter.domain import (
     RoutingExample,
     episode_from_dict,
     episode_to_dict,
+    routing_record,
+    write_rljson,
 )
 from steprouter.env import HazardChainEnv
 from steprouter.features import FeatureMask
+from steprouter.pipeline import load_routing_examples
 from steprouter.policy import (
     PolicyFeaturizer,
     TeacherPolicy,
@@ -25,11 +28,10 @@ from steprouter.runtime import (
     StepTree,
     calibrate_entropy_threshold,
     calibrate_heuristic_threshold,
+    _decide,
     collect_routing_dataset,
-    entropy_decision,
-    heuristic_decision,
     hindsight_table,
-    oracle_decision,
+    routing_grid,
     run_episode,
 )
 from steprouter.verifier import VerifierSpec
@@ -53,40 +55,49 @@ def world():
     return env, teacher, slm, vspec
 
 
+def decision(routing, slots=(), task_id=0, z=0):
+    """The decision of `routing` on a feature vector holding `slots`
+    (slot -> value) and zeros elsewhere."""
+    f = np.zeros(15)
+    for slot, value in dict(slots).items():
+        f[slot] = value
+    p, escalate = _decide(routing, f, task_id, z)
+    assert p is None
+    return escalate
+
+
 class TestDecisions:
     def test_entropy_decision(self):
-        f = np.zeros(15)
-        f[0] = 1.0
-        assert entropy_decision(f, 0.5)
-        f[0] = 0.0
-        assert not entropy_decision(f, 0.5)
-        assert not entropy_decision(f, np.inf)
+        assert decision(RoutingPolicy("entropy", 0.5), {0: 1.0}) is True
+        assert decision(RoutingPolicy("entropy", 0.5), {0: 0.5}) is True  # inclusive
+        assert decision(RoutingPolicy("entropy", 0.5), {0: 0.0, 6: 1.0}) is False
+        assert decision(RoutingPolicy("entropy", np.inf), {0: 1.0}) is False
 
     def test_heuristic_decision(self):
-        assert not heuristic_decision([1.0, 1.0], 0.5)
-        assert heuristic_decision([0.0, 0.0], 0.01)
-        with pytest.raises(ValueError):
-            heuristic_decision([], 0.5)
+        # slot 6 is the best verifier score; escalate when it falls below
+        assert decision(RoutingPolicy("heuristic", 0.5), {6: 1.0}) is False
+        assert decision(RoutingPolicy("heuristic", 0.5), {6: 0.5}) is False  # strict
+        assert decision(RoutingPolicy("heuristic", 0.01), {0: 1.0, 6: 0.0}) is True
 
     def test_oracle_decision_semantics(self):
-        table = {(0, 5): True, (0, 6): False}
-        assert oracle_decision(0, 5, table) is False
-        assert oracle_decision(0, 6, table) is True
-        with pytest.raises(ValueError):
-            oracle_decision(1, 5, table)
+        oracle = RoutingPolicy("oracle", hindsight={(0, 5): True, (0, 6): False})
+        assert decision(oracle, task_id=0, z=5) is False
+        assert decision(oracle, task_id=0, z=6) is True
+        with pytest.raises(ValueError, match="no entry for task=1 z=5"):
+            decision(oracle, task_id=1, z=5)
 
 
 class TestRunEpisode:
     def test_slm_only_never_escalates(self, world):
         env, teacher, slm, vspec = world
         for task in range(3):
-            ep = run_episode(env, task, 77, slm, teacher, vspec, RoutingPolicy.slm_only())
+            ep = run_episode(env, task, 77, slm, teacher, vspec, RoutingPolicy("slm"))
             assert ep.llm_calls == 0
             assert all(s.executor == "SLM" for s in ep.steps)
 
     def test_llm_only_all_teacher(self, world):
         env, teacher, slm, vspec = world
-        ep = run_episode(env, 0, 77, slm, teacher, vspec, RoutingPolicy.llm_only())
+        ep = run_episode(env, 0, 77, slm, teacher, vspec, RoutingPolicy("llm"))
         assert ep.llm_calls == len(ep.steps)
         assert all(s.executor == "LLM" for s in ep.steps)
 
@@ -94,7 +105,7 @@ class TestRunEpisode:
         # tau = 0: every step requests escalation; budget 3 gives exactly
         # three teacher steps then local execution
         env, teacher, slm, vspec = world
-        routing = RoutingPolicy.r2v(zero_router, tau_route=0.0, budget_limit=3)
+        routing = RoutingPolicy("r2v", 0.0, 3, zero_router)
         ep = run_episode(env, 1, 123, slm, teacher, vspec, routing)
         assert ep.llm_calls == min(3, len(ep.steps))
         executors = [s.executor for s in ep.steps]
@@ -108,36 +119,29 @@ class TestRunEpisode:
         for trial in range(60):
             budget = int(rng.integers(0, 5))
             variant = ["llm", "entropy", "heuristic", "r2v"][trial % 4]
-            if variant == "llm":
-                routing = RoutingPolicy.llm_only(budget)
-            elif variant == "entropy":
-                routing = RoutingPolicy.entropy_router(float(rng.random()), budget)
-            elif variant == "heuristic":
-                routing = RoutingPolicy.heuristic_router(float(rng.random()), budget)
-            else:
-                routing = RoutingPolicy.r2v(zero_router, float(rng.random()),
-                                            budget_limit=budget)
+            routing = RoutingPolicy(variant, None if variant == "llm" else float(rng.random()),
+                                    budget, zero_router if variant == "r2v" else None)
             ep = run_episode(env, int(rng.integers(6)), int(rng.integers(1000)),
                              slm, teacher, vspec, routing)
             assert ep.llm_calls <= budget
 
     def test_episode_deterministic(self, world):
         env, teacher, slm, vspec = world
-        a = run_episode(env, 2, 999, slm, teacher, vspec, RoutingPolicy.slm_only())
-        b = run_episode(env, 2, 999, slm, teacher, vspec, RoutingPolicy.slm_only())
+        a = run_episode(env, 2, 999, slm, teacher, vspec, RoutingPolicy("slm"))
+        b = run_episode(env, 2, 999, slm, teacher, vspec, RoutingPolicy("slm"))
         assert a == b
 
     def test_salt_changes_streams(self, world):
         env, teacher, slm, vspec = world
         eps_a = [run_episode(env, t, 999, slm, teacher, vspec,
-                             RoutingPolicy.slm_only(), salt=0) for t in range(6)]
+                             RoutingPolicy("slm"), salt=0) for t in range(6)]
         eps_b = [run_episode(env, t, 999, slm, teacher, vspec,
-                             RoutingPolicy.slm_only(), salt=1) for t in range(6)]
+                             RoutingPolicy("slm"), salt=1) for t in range(6)]
         assert any(a != b for a, b in zip(eps_a, eps_b))
 
     def test_entropy_router_infinite_threshold_is_slm(self, world):
         env, teacher, slm, vspec = world
-        routing = RoutingPolicy.entropy_router(np.inf)
+        routing = RoutingPolicy("entropy", np.inf)
         for task in range(3):
             ep = run_episode(env, task, 55, slm, teacher, vspec, routing)
             assert ep.llm_calls == 0
@@ -157,7 +161,7 @@ class TestRunEpisode:
         vspec = VerifierSpec.for_env(env, eta_v=0.2)
         longest = 0
         for task in range(6):
-            ep = run_episode(env, task, 5, slm, teacher, vspec, RoutingPolicy.slm_only())
+            ep = run_episode(env, task, 5, slm, teacher, vspec, RoutingPolicy("slm"))
             decoded = episode_from_dict(json.loads(json.dumps(episode_to_dict(ep))))
             assert decoded == ep
             longest = max(longest, len(decoded.steps))
@@ -172,7 +176,8 @@ class TestRunEpisode:
 
     def test_r2v_records_probability(self, world, zero_router):
         env, teacher, slm, vspec = world
-        ep = run_episode(env, 0, 3, slm, teacher, vspec, RoutingPolicy.r2v(zero_router, 0.5))
+        routing = RoutingPolicy("r2v", 0.5, net=zero_router)
+        ep = run_episode(env, 0, 3, slm, teacher, vspec, routing)
         assert all(s.router_prob is not None for s in ep.steps)
         assert all(s.features is not None and len(s.features) == 15 for s in ep.steps)
 
@@ -184,25 +189,25 @@ class TestOracleRouter:
         table = {key: True for key in grid}
         for task, z in grid:
             ep = run_episode(env, task, z, slm, teacher, vspec,
-                             RoutingPolicy.oracle_router(table))
+                             RoutingPolicy("oracle", hindsight=table))
             assert ep.llm_calls == 0
 
     def test_all_failure_table_behaves_like_llm(self, world):
         env, teacher, slm, vspec = world
         table = {(0, 40): False}
         ep = run_episode(env, 0, 40, slm, teacher, vspec,
-                         RoutingPolicy.oracle_router(table))
+                         RoutingPolicy("oracle", hindsight=table))
         assert ep.llm_calls == len(ep.steps)
 
     def test_mixed_table_escalation_mass(self, world):
         # oracle LLM steps = all steps of failed-pair episodes, recounted
         env, teacher, slm, vspec = world
         grid = [(t, 70 + j) for t in range(4) for j in range(3)]
-        slm_eps = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only())
+        slm_eps = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm"))
                    for t, z in grid]
         table = hindsight_table(slm_eps)
         oracle_eps = [run_episode(env, t, z, slm, teacher, vspec,
-                                  RoutingPolicy.oracle_router(table)) for t, z in grid]
+                                  RoutingPolicy("oracle", hindsight=table)) for t, z in grid]
         for ep in oracle_eps:
             if table[(ep.task_id, ep.seed.z)]:
                 assert ep.llm_calls == 0
@@ -216,16 +221,16 @@ class TestStepTree:
     def policies(self, world):
         env, teacher, slm, vspec = world
         table = hindsight_table(
-            run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only())
+            run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm"))
             for t, z in self.GRID)
         net = RouterNet.init(np.random.default_rng(5))
         return [
-            RoutingPolicy.slm_only(),
-            RoutingPolicy.llm_only(budget_limit=2),
-            RoutingPolicy.entropy_router(0.5, budget_limit=4),
-            RoutingPolicy.heuristic_router(0.55),
-            RoutingPolicy.oracle_router(table),
-            *(RoutingPolicy.r2v(net, 0.45, mask=mask, budget_limit=3)
+            RoutingPolicy("slm"),
+            RoutingPolicy("llm", budget_limit=2),
+            RoutingPolicy("entropy", 0.5, 4),
+            RoutingPolicy("heuristic", 0.55),
+            RoutingPolicy("oracle", hindsight=table),
+            *(RoutingPolicy("r2v", 0.45, 3, net, mask)
               for mask in (FeatureMask.FULL, FeatureMask.VERIFIER_ONLY,
                            FeatureMask.STEP_CONTEXT_ONLY, FeatureMask.NO_ENTROPY)),
         ]
@@ -255,12 +260,12 @@ class TestStepTree:
         # so it seeds no cand, verif or escalate stream
         env, teacher, slm, vspec = world
         tree = StepTree()
-        first = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only(), tree=tree)
+        first = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm"), tree=tree)
                  for t, z in self.GRID]
         calls = []
         real_stream = seeds.stream
         monkeypatch.setattr(seeds, "stream", lambda *a: calls.append(a) or real_stream(*a))
-        again = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy.slm_only(), tree=tree)
+        again = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm"), tree=tree)
                  for t, z in self.GRID]
         assert again == first
         assert calls == []
@@ -289,7 +294,7 @@ class TestStepTree:
         monkeypatch.setattr(HazardChainEnv, "replay", refuse)
         net = RouterNet.init(np.random.default_rng(5))
         tree = StepTree()
-        for routing in (RoutingPolicy.slm_only(), RoutingPolicy.r2v(net, 0.45, budget_limit=3)):
+        for routing in (RoutingPolicy("slm"), RoutingPolicy("r2v", 0.45, 3, net)):
             eps = [run_episode(env, t, z, slm, teacher, vspec, routing, tree=tree)
                    for t, z in self.GRID]
             assert all(ep.steps for ep in eps)
@@ -304,35 +309,34 @@ class TestRoutingDataset:
 
     def test_labels_recount_per_episode(self, world):
         env, teacher, slm, vspec = world
-        examples, episodes = collect_routing_dataset(
-            env, slm, teacher, vspec, range(6), 4
-        )
+        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(6), 4)
         assert all(ep.llm_calls == 0 for ep in episodes)
-        by_seed = {}
-        for ex in examples:
-            by_seed.setdefault(ex.seed_id, set()).add(ex.label)
-        assert all(len(labels) == 1 for labels in by_seed.values())
-        # recount: label equals episode failure of the matching rollout
+        # each record's label is its episode's failure, and it holds one
+        # feature row per step
         for seed_id, ep in enumerate(episodes):
-            labels = {ex.label for ex in examples if ex.seed_id == seed_id}
-            assert labels == {0 if ep.success else 1}
-        assert len(examples) == sum(len(ep.steps) for ep in episodes)
+            rec = routing_record(seed_id, "train", ep)
+            assert rec["label"] == (0 if ep.success else 1)
+            assert rec["features"] == [s.features for s in ep.steps]
 
-    def test_successful_rollout_all_zero(self, world):
+    def test_successful_rollout_all_zero(self, world, tmp_path):
         env, teacher, slm, vspec = world
-        examples, episodes = collect_routing_dataset(env, slm, teacher, vspec,
-                                                     range(6), 4)
+        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(6), 4)
+        path = tmp_path / "routing.rljson"
+        write_rljson(path, [routing_record(i, "valid", ep) for i, ep in enumerate(episodes)],
+                     {"schema": "routing@2"})
+        rows = load_routing_examples(path)
+        assert len(rows) == sum(len(ep.steps) for ep in episodes)
         for seed_id, ep in enumerate(episodes):
-            if ep.success:
-                assert all(ex.label == 0 for ex in examples if ex.seed_id == seed_id)
-            else:
-                assert all(ex.label == 1 for ex in examples if ex.seed_id == seed_id)
+            mine = [ex for ex in rows if ex.seed_id == seed_id]
+            assert [ex.features for ex in mine] == [s.features for s in ep.steps]
+            assert {ex.label for ex in mine} == ({0} if ep.success else {1})
 
     def test_seed_ids_enumerate_grid(self, world):
+        # the episodes come in seed-id order: the i-th is the i-th grid point
         env, teacher, slm, vspec = world
-        examples, episodes = collect_routing_dataset(env, slm, teacher, vspec,
-                                                     range(3), 2, seed_id_offset=10)
-        assert {ex.seed_id for ex in examples} <= set(range(10, 16))
+        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(3), 2, tag="ids")
+        assert [(ep.task_id, ep.seed.z) for ep in episodes] == routing_grid(env, range(3), 2,
+                                                                             "ids")
 
 
 class TestBaselineCalibration:
@@ -343,7 +347,7 @@ class TestBaselineCalibration:
             label = int(rng.random() < 0.5)
             f = np.zeros(15)
             f[0] = 0.8 + 0.1 * rng.random() if label else 0.2 * rng.random()
-            examples.append(RoutingExample(tuple(f), label, seed_id=i, step_index=0))
+            examples.append(RoutingExample(tuple(f), label, seed_id=i))
         tau = calibrate_entropy_threshold(examples, CostSpec(1, 50, 98))
         assert 0.2 <= tau <= 0.8
 
@@ -354,7 +358,7 @@ class TestBaselineCalibration:
             label = int(rng.random() < 0.5)
             f = np.zeros(15)
             f[6] = 0.2 * rng.random() if label else 0.8 + 0.2 * rng.random()
-            examples.append(RoutingExample(tuple(f), label, seed_id=i, step_index=0))
+            examples.append(RoutingExample(tuple(f), label, seed_id=i))
         theta = calibrate_heuristic_threshold(examples, CostSpec(1, 50, 98))
         assert 0.2 <= theta <= 0.8
 
@@ -373,7 +377,7 @@ class TestBaselineCalibration:
         for i, (v, y) in enumerate(zip(values, labels)):
             f = np.zeros(15)
             f[0] = v
-            examples.append(RoutingExample(tuple(f), int(y), seed_id=i, step_index=0))
+            examples.append(RoutingExample(tuple(f), int(y), seed_id=i))
         tau_swept = calibrate_entropy_threshold(examples, costs)
 
         def routed_cost(tau):

@@ -54,7 +54,7 @@ class DistillConfig:
             raise ValueError("beta must be positive")
         if self.lambda_cons < 0:
             raise ValueError("lambda_cons must be nonnegative")
-        require_number("lr", self.lr, above=True)
+        require_number("lr", self.lr, True)
 
 
 def build_preferences(

@@ -50,13 +50,12 @@ class RecordFormatError(ValueError):
         return f"{self.args[0]} (byte offset {self.offset})"
 
 
-def require_number(name: str, value, least: float = 0.0, above: bool = False) -> None:
-    """Raise ValueError unless `value` is a real number >= `least` (> `least`
-    when `above`); a bool is not a number here."""
+def require_number(name: str, value, positive: bool) -> None:
+    """Raise ValueError unless `value` is a real number > 0 (>= 0 unless
+    `positive`); a bool is not a number here."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (value > least if above else value >= least)):
-        raise ValueError(f"{name} must be a number {'>' if above else '>='} {least:g}, "
-                         f"got {value!r}")
+            or not (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be a number {'>' if positive else '>='} 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ from .env import HazardChainEnv
 from .evaluation import RunMetrics, compute_metrics, sweep
 from .features import FeatureMask
 from .policy import PolicyFeaturizer, SoftmaxPolicy, TeacherPolicy, collect_teacher_trajectories, train_bc
-from .router import RouterNet, TrainSpec, fit_temperature, select_threshold, train_router
+from .router import (RouterNet, TrainSpec, fit_temperature, require_trainable, select_threshold,
+                     train_router)
 from .runtime import (
     VARIANTS,
     RoutingPolicy,
@@ -253,7 +254,7 @@ def validate_config(cfg: dict) -> None:
     make_train_spec(cfg)
     _built("runtime.budget_limit", RoutingPolicy, "llm",
            budget_limit=cfg["runtime"]["budget_limit"])
-    _built("policy.bc_lr", require_number, "bc_lr", cfg["policy"]["bc_lr"], above=True)
+    _built("policy.bc_lr", require_number, "bc_lr", cfg["policy"]["bc_lr"], True)
     _built("features.mask", FeatureMask, cfg["features"]["mask"])
     fr = cfg["split"]["fractions"]
     if (not isinstance(fr, list) or len(fr) != 3
@@ -671,12 +672,10 @@ def load_router_rows(path: Path) -> tuple[list, list]:
     valid = [ex for ex in examples if ex.split == "valid"]
     if not train or not valid:  # derive_splits keeps both nonempty
         raise RecordFormatError(f"{path}: the router needs train-split and valid-split rows")
-    labels = sorted({ex.label for ex in train})
-    n_seeds = len({ex.seed_id for ex in train})
-    if len(labels) < 2 or n_seeds < 2:  # train_router's whole-seed CVaR batches
-        raise RecordFormatError(f"{path}: the router needs train rows of both labels from two "
-                                f"or more seeds; {len(train)} rows from {n_seeds} seeds hold "
-                                f"labels {labels}")
+    try:
+        require_trainable([ex.label for ex in train], [ex.seed_id for ex in train])
+    except ValueError as e:
+        raise RecordFormatError(f"{path}: {e}") from None
     return train, valid
 
 

@@ -155,7 +155,7 @@ class RouterNet:
             params={k: arrays[k] for k in _PARAM_NAMES},
             **{k: arrays[k] for k in _STAT_NAMES},
             temperature=header.typed("temperature", float, int),
-            tau_route=header.typed("tau_route", float, int, type(None)),
+            tau_route=header.typed("tau_route", float, int),
             dropout=header.typed("dropout", float, int),
         )
         return net, header
@@ -339,9 +339,9 @@ class TrainSpec:
     def __post_init__(self):
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must lie in [0, 1)")
-        require_number("lr", self.lr, above=True)
-        require_number("weight_decay", self.weight_decay)
-        require_number("dual_lr", self.dual_lr)
+        require_number("lr", self.lr, True)
+        require_number("weight_decay", self.weight_decay, False)
+        require_number("dual_lr", self.dual_lr, False)
 
 
 class _Adam:
@@ -402,6 +402,15 @@ def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, ma
     return result
 
 
+def require_trainable(labels, seed_ids) -> None:
+    """Raise ValueError unless the rows hold both labels and come from two or
+    more seeds, as train_router's whole-seed CVaR batches need."""
+    kinds, n_seeds = sorted({int(y) for y in labels}), len(set(seed_ids))
+    if len(kinds) < 2 or n_seeds < 2:
+        raise ValueError(f"router training needs rows of both labels from two or more "
+                         f"seeds; {len(labels)} rows from {n_seeds} seeds hold labels {kinds}")
+
+
 def train_router(
     examples,
     spec: TrainSpec,
@@ -417,11 +426,8 @@ def train_router(
     x_all = np.array([ex.features for ex in examples], dtype=float)
     y_all = np.array([ex.label for ex in examples], dtype=float)
     seed_ids = np.array([ex.seed_id for ex in examples], dtype=int)
+    require_trainable(y_all, seed_ids)
     uniq = np.unique(seed_ids)
-    if uniq.size < 2:
-        raise ValueError("router training needs at least two seeds")
-    if len(np.unique(y_all)) < 2:
-        raise ValueError("router training needs both labels present")
 
     rng = seeds.stream("router-train", seed)
     net = RouterNet.init(rng, in_dim=x_all.shape[1])

@@ -60,6 +60,14 @@ class RoutingPolicy:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown routing variant {self.variant!r}")
+        if self.variant in ("entropy", "heuristic", "r2v") and (
+                isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float))):
+            raise ValueError(f"the {self.variant} rule needs a number threshold, "
+                             f"got {self.threshold!r}")
+        if self.variant == "r2v" and self.net is None:
+            raise ValueError("the r2v rule needs a router net")
+        if self.variant == "oracle" and self.hindsight is None:
+            raise ValueError("the oracle needs a hindsight table")
         budget = self.budget_limit
         if budget is not None and (type(budget) is not int or budget < 0):
             raise ValueError("budget must be None (unlimited) or an integer >= 0")

@@ -333,6 +333,7 @@ BAD_ARTIFACTS = {
                                ("rollout", "--variant", "entropy")),
     # a header field of the wrong type is as malformed as a missing one
     "router-tau_route-str": ("router.bin", _set_header_field("tau_route", "0.5"), R2V),
+    "router-tau_route-null": ("router.bin", _set_header_field("tau_route", None), R2V),
     "router-temperature-str": ("router.bin", _set_header_field("temperature", "1.0"), R2V),
     "router-dropout-list": ("router.bin", _set_header_field("dropout", [0.2]), R2V),
     "router-tau_h-str": ("router.bin", _set_header_field("tau_h", "0.5"),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,26 @@ class TestDecisions:
         assert decision(oracle, task_id=0, z=6) is True
         with pytest.raises(ValueError, match="no entry for task=1 z=5"):
             decision(oracle, task_id=1, z=5)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"variant": "entropy"}, "needs a number threshold"),
+        ({"variant": "heuristic", "threshold": "0.5"}, "needs a number threshold"),
+        ({"variant": "entropy", "threshold": True}, "needs a number threshold"),
+        ({"variant": "r2v", "threshold": 0.5}, "needs a router net"),
+        ({"variant": "oracle"}, "needs a hindsight table"),
+        ({"variant": "llm", "budget_limit": -1}, "budget must be"),
+        ({"variant": "route"}, "unknown routing variant"),
+    ])
+    def test_policy_refused_when_built(self, kwargs, match):
+        # a rule missing what its decision reads fails here, not on its first step
+        with pytest.raises(ValueError, match=match):
+            RoutingPolicy(**kwargs)
+
+    def test_rethreshold_keeps_the_rule_checked(self):
+        entropy = RoutingPolicy("entropy", 0.5, 3)
+        assert replace(entropy, threshold=0.25) == RoutingPolicy("entropy", 0.25, 3)
+        with pytest.raises(ValueError, match="needs a number threshold"):
+            replace(entropy, threshold=None)
 
 
 class TestRunEpisode:

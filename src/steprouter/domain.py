@@ -77,6 +77,10 @@ class EnvConfig:
     storm_boost: float = 2.2
 
     def __post_init__(self):
+        for name in ("state_count", "action_count", "horizon", "goal_vocab_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.state_count < 5:
             raise ConfigError("state_count must be at least 5")
         if self.action_count < 4:

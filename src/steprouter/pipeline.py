@@ -54,7 +54,6 @@ from .runtime import (
     StepTree,
     calibrate_entropy_threshold,
     calibrate_heuristic_threshold,
-    collect_routing_dataset,
     hindsight_table,
     routing_grid,
     run_episode,
@@ -172,17 +171,19 @@ def _parse_value(raw: str):
         return raw
 
 
-def _apply_dotted(cfg: dict, dotted: str, raw: str) -> None:
+def _apply_dotted(cfg: dict, dotted: str, raw: str) -> dict:
+    """`cfg` with the value of `raw` merged in at `dotted`, as a config file
+    holding only that path would merge it."""
     keys = dotted.split(".")
     node = cfg
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
             raise ConfigError(f"unknown config path {dotted!r}")
         node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError(f"unknown config path {dotted!r}")
-    value = _parse_value(raw)
-    node[keys[-1]] = _object(dotted, value) if isinstance(node[keys[-1]], dict) else value
+    overlay = _parse_value(raw)
+    for key in reversed(keys):
+        overlay = {key: overlay}
+    return _deep_merge(cfg, overlay)
 
 
 def _object(where: str, value) -> dict:
@@ -210,12 +211,12 @@ def load_config(path: str | None = None, overrides=(), environ=None) -> dict:
     for key, value in sorted(environ.items()):
         if key.startswith(ENV_PREFIX):
             dotted = key[len(ENV_PREFIX):].lower().replace("__", ".")
-            _apply_dotted(cfg, dotted, value)
+            cfg = _apply_dotted(cfg, dotted, value)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        _apply_dotted(cfg, dotted, raw)
+        cfg = _apply_dotted(cfg, dotted, raw)
     validate_config(cfg)
     return cfg
 
@@ -520,7 +521,8 @@ def _collect_job(args):
 
 
 def _parallel_map(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
@@ -631,15 +633,11 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
 
 
 def _routing_job(args):
-    cfg, policy_path, task_ids, split_name, first_seed_id = args
-    env = make_env(cfg)
-    slm = SoftmaxPolicy.load(policy_path)
-    salt = cfg["runtime"]["harness_salt"]
-    episodes = collect_routing_dataset(
-        env, slm, make_teacher(cfg), make_verifier(cfg, env), task_ids,
-        cfg["runtime"]["routing_seeds_per_task"], k=cfg["runtime"]["k_candidates"],
-        tag=f"routing-{split_name}-{salt}",
-    )
+    """One task's routing records, in seed-id order; its episodes stay here."""
+    cfg, distill_path, task_id, split_name, first_seed_id = args
+    tag = _stream_tag(cfg, f"routing-{split_name}")
+    grid = routing_grid(make_env(cfg), [task_id], cfg["runtime"]["routing_seeds_per_task"], tag)
+    [episodes] = _rollout_job((cfg, [RoutingPolicy("slm")], grid, tag, distill_path, None))
     return [routing_record(first_seed_id + i, split_name, ep) for i, ep in enumerate(episodes)]
 
 
@@ -651,7 +649,7 @@ def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     offset = 0
     for split_name in ("train", "valid"):
         for tid in split[split_name]:
-            jobs.append((cfg, paths["distill"], [tid], split_name, offset))
+            jobs.append((cfg, paths["distill"], tid, split_name, offset))
             offset += per_task
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
@@ -708,10 +706,12 @@ def eval_grid(cfg: dict, workdir: Path):
     task_ids = cfg["eval"]["task_ids"]
     if task_ids is None:
         task_ids = load_split(cfg, workdir)["test"]
-    env = make_env(cfg)
-    salt = cfg["runtime"]["harness_salt"]
-    return routing_grid(env, task_ids, cfg["eval"]["eval_seeds_per_task"],
-                        f"eval-{salt}")
+    return routing_grid(make_env(cfg), task_ids, cfg["eval"]["eval_seeds_per_task"],
+                        _stream_tag(cfg, "eval"))
+
+
+def _stream_tag(cfg: dict, grid: str) -> str:
+    return f"{grid}-{cfg['runtime']['harness_salt']}"
 
 
 def _build_routing_policy(cfg: dict, variant: str, paths: dict) -> RoutingPolicy:
@@ -736,15 +736,19 @@ def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
 
 
 def _rollout_job(args):
-    cfg, policies, grid_chunk, distill_path, tree = args
-    env = make_env(cfg)
+    """Each of `policies`' episodes over `grid` on the streams tagged `tag`,
+    stepped through `tree` (a private tree per episode when None)."""
+    cfg, policies, grid, tag, distill_path, tree = args
     slm = SoftmaxPolicy.load(distill_path)
+    if slm.stage != "distilled":
+        raise StageOrderError(f"{distill_path} holds a {slm.stage!r}-stage policy, not a "
+                              f"distilled one; rerun `distill`")
+    env = make_env(cfg)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
     k = cfg["runtime"]["k_candidates"]
-    salt = f"eval-{cfg['runtime']['harness_salt']}"
-    return [[run_episode(env, task_id, z, slm, teacher, vspec, routing, k=k, salt=salt, tree=tree)
-             for task_id, z in grid_chunk]
+    return [[run_episode(env, task_id, z, slm, teacher, vspec, routing, k=k, salt=tag, tree=tree)
+             for task_id, z in grid]
             for routing in policies]
 
 
@@ -755,8 +759,9 @@ def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list, work
     With workers > 1 each grid chunk carries every policy, and each worker
     fills its own copy of the tree."""
     grid = eval_grid(cfg, workdir)
-    n_chunks = max(1, min(workers, len(grid))) if workers > 1 else 1
-    jobs = [(cfg, policies, grid[i::n_chunks], distill_path, tree) for i in range(n_chunks)]
+    n_chunks = max(1, min(workers, len(grid)))
+    tag = _stream_tag(cfg, "eval")
+    jobs = [(cfg, policies, grid[i::n_chunks], tag, distill_path, tree) for i in range(n_chunks)]
     results = _parallel_map(_rollout_job, jobs, workers)
     by_key = [{(ep.task_id, ep.seed.z): ep for block in results for ep in block[i]}
               for i in range(len(policies))]

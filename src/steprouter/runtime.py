@@ -281,29 +281,6 @@ def routing_grid(env: HazardChainEnv, task_ids, seeds_per_task: int, tag: str):
     return grid
 
 
-def collect_routing_dataset(
-    env: HazardChainEnv,
-    slm: SoftmaxPolicy,
-    teacher: TeacherPolicy,
-    vspec: VerifierSpec,
-    task_ids,
-    seeds_per_task: int,
-    k: int = 5,
-    tag: str = "routing",
-) -> list[PerturbedEpisode]:
-    """SLM-only rollouts over the routing grid, in seed-id order; each one
-    becomes a routing record (`domain.routing_record`). Refuses policies
-    that skipped the distillation stage.
-    """
-    if slm.stage != "distilled":
-        raise ValueError(
-            f"routing data must come from a distilled policy, got stage={slm.stage!r}"
-        )
-    policy = RoutingPolicy("slm")
-    return [run_episode(env, task_id, z, slm, teacher, vspec, policy, k=k, salt=tag)
-            for task_id, z in routing_grid(env, task_ids, seeds_per_task, tag)]
-
-
 def hindsight_table(episodes) -> dict:
     """(task, z) -> SLM-only success, consumed by the oracle router."""
     return {(ep.task_id, ep.seed.z): ep.success for ep in episodes}

@@ -23,7 +23,7 @@ from steprouter.policy import (
     train_bc,
 )
 from steprouter.router import RouterNet
-from steprouter.runtime import RoutingPolicy, collect_routing_dataset, run_episode
+from steprouter.runtime import RoutingPolicy, routing_grid, run_episode
 from steprouter.verifier import VerifierSpec
 
 
@@ -99,7 +99,10 @@ class TestCriterion09PipelineInvariants:
     def test_routing_labels_recount(self, world, tmp_path):
         env, teacher, pool, bc, vspec = world
         slm = bc.clone(stage="distilled")
-        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(8), 6)
+        # SLM-only rollouts over the routing grid, as collect-routing rolls them
+        episodes = [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm"),
+                                salt="routing")
+                    for t, z in routing_grid(env, range(8), 6, "routing")]
         path = tmp_path / "routing.rljson"
         write_rljson(path, [routing_record(i, "train", ep) for i, ep in enumerate(episodes)],
                      {"schema": "routing@2"})

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -31,6 +32,10 @@ THROUGH_ROUTER = PIPELINE[: PIPELINE.index("train-router") + 1]
 def run_stage(stage, workdir, extra=()):
     return main([stage, "--workdir", str(workdir), "--workers", "1",
                  *[f"--set={o}" for o in (*TINY, *extra)]])
+
+
+# an env block that sets one key and one corruption family
+ENV_BLOCK = '{"horizon":5,"family_intensities":{"Injection":0.5}}'
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,33 @@ class TestConfig:
     def test_set_override_parses_json(self):
         cfg = pipeline.load_config(overrides=["runtime.budget_limit=3"])
         assert cfg["runtime"]["budget_limit"] == 3
+
+    @pytest.mark.parametrize("env_file, environ, overrides", [
+        (ENV_BLOCK, {}, []),
+        (None, {"STEPROUTER_ENV": ENV_BLOCK}, []),
+        (None, {}, [f"env={ENV_BLOCK}"]),
+        (None, {}, ["env.horizon=5", 'env.family_intensities={"Injection":0.5}']),
+    ], ids=["file", "environ", "set", "set-dotted"])
+    def test_block_override_merges_like_a_file(self, tmp_path, env_file, environ, overrides):
+        # a block set by any layer keeps the defaults of the keys it leaves
+        # out, down to a single corruption family
+        path = None
+        if env_file is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(f'{{"env":{env_file}}}')
+        cfg = pipeline.load_config(path, overrides, environ)
+        want = copy.deepcopy(pipeline.DEFAULT_CONFIG)
+        want["env"]["horizon"] = 5
+        want["env"]["family_intensities"]["Injection"] = 0.5
+        assert cfg == want
+
+    @pytest.mark.parametrize("item", ['env={"nonsense":1}',
+                                      'env.family_intensities={"Storm":0.1}',
+                                      "router.epochs.x=1"])
+    def test_unknown_path_in_override_rejected(self, tmp_path, capsys, item):
+        assert main(["gen-tasks", "--workdir", str(tmp_path), "--set", item]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unknown config" in err
 
     def test_config_hash_stable_and_sensitive(self):
         a = pipeline.config_hash(pipeline.load_config())
@@ -147,6 +179,10 @@ class TestConfig:
         ("router.weight_decay", "-1e-4"),
         ("router.dual_lr", '"x"'),
         ("env", "5"),
+        ("env.horizon", "20.5"),
+        ("env.state_count", "12.0"),
+        ("env.action_count", "6.5"),
+        ("env.goal_vocab_size", "64.5"),
     ])
     def test_values_a_stage_would_crash_on_rejected(self, tmp_path, capsys, key, raw):
         # each value would fail the stage that reads it, so every stage,
@@ -353,6 +389,23 @@ BAD_ARTIFACTS = {
     "eval_slm-inputs_hash-null": ("eval_slm.rljson", _set_header_field("inputs_hash", None),
                                   ("rollout", "--variant", "oracle")),
 }
+
+
+@pytest.mark.parametrize("command", [("collect-routing", "--workers", "1"),
+                                     ("rollout", "--variant", "slm", "--workers", "1"),
+                                     ("rollout", "--variant", "slm", "--workers", "2")],
+                         ids=["collect-routing", "rollout", "rollout-2-workers"])
+def test_undistilled_policy_exits_3(finished_run, tmp_path, capsys, command):
+    # routing data and every rollout come from the distilled SLM
+    wd = tmp_path / "run"
+    shutil.copytree(finished_run, wd)
+    path = wd / "policy_distilled.bin"
+    path.write_bytes(_set_header_field("stage", "bc")(path.read_bytes()))
+    capsys.readouterr()
+    rc = main([*command, "--workdir", str(wd), *[f"--set={o}" for o in TINY]])
+    assert rc == EXIT_STAGE_ORDER
+    assert capsys.readouterr().err == (f"stage-order error: {path} holds a 'bc'-stage policy, "
+                                       f"not a distilled one; rerun `distill`\n")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))

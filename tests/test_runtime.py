@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from steprouter import runtime, seeds
+from steprouter import pipeline, runtime, seeds
 from steprouter.domain import (
     CostSpec,
     EnvConfig,
     RoutingExample,
+    StageOrderError,
     episode_from_dict,
     episode_to_dict,
     routing_record,
@@ -30,7 +31,6 @@ from steprouter.runtime import (
     calibrate_entropy_threshold,
     calibrate_heuristic_threshold,
     _decide,
-    collect_routing_dataset,
     hindsight_table,
     routing_grid,
     run_episode,
@@ -321,16 +321,37 @@ class TestStepTree:
             assert all(ep.steps for ep in eps)
 
 
+def slm_rollouts(world, task_ids, seeds_per_task, tag="routing"):
+    """SLM-only episodes over the routing grid, in seed-id order."""
+    env, teacher, slm, vspec = world
+    return [run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm"), salt=tag)
+            for t, z in routing_grid(env, task_ids, seeds_per_task, tag)]
+
+
+# the pipeline config of the `world` fixture
+WORLD_CONFIG = [
+    'env.family_intensities={"ToolFlaky":0.25,"PartialObs":0.45,"Injection":0.2,'
+    '"Distractor":0.2}',
+    "env.rng_seed=11",
+    "env.horizon=16",
+    "env.task_count=6",
+    "verifier.eta_v=0.2",
+    "runtime.routing_seeds_per_task=3",
+]
+
+
 class TestRoutingDataset:
-    def test_requires_distilled_stage(self, world):
-        env, teacher, slm, vspec = world
-        bc_like = slm.clone(stage="bc")
-        with pytest.raises(ValueError):
-            collect_routing_dataset(env, bc_like, teacher, vspec, range(2), 2)
+    def test_requires_distilled_stage(self, world, tmp_path):
+        # the rollout worker refuses an SLM that skipped distillation
+        slm = world[2]
+        path = tmp_path / "policy.bin"
+        slm.clone(stage="bc").save(path)
+        cfg = pipeline.load_config(overrides=WORLD_CONFIG, environ={})
+        with pytest.raises(StageOrderError, match="'bc'-stage policy"):
+            pipeline._routing_job((cfg, path, 0, "train", 0))
 
     def test_labels_recount_per_episode(self, world):
-        env, teacher, slm, vspec = world
-        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(6), 4)
+        episodes = slm_rollouts(world, range(6), 4)
         assert all(ep.llm_calls == 0 for ep in episodes)
         # each record's label is its episode's failure, and it holds one
         # feature row per step
@@ -340,8 +361,7 @@ class TestRoutingDataset:
             assert rec["features"] == [s.features for s in ep.steps]
 
     def test_successful_rollout_all_zero(self, world, tmp_path):
-        env, teacher, slm, vspec = world
-        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(6), 4)
+        episodes = slm_rollouts(world, range(6), 4)
         path = tmp_path / "routing.rljson"
         write_rljson(path, [routing_record(i, "valid", ep) for i, ep in enumerate(episodes)],
                      {"schema": "routing@2"})
@@ -352,12 +372,16 @@ class TestRoutingDataset:
             assert [ex.features for ex in mine] == [s.features for s in ep.steps]
             assert {ex.label for ex in mine} == ({0} if ep.success else {1})
 
-    def test_seed_ids_enumerate_grid(self, world):
-        # the episodes come in seed-id order: the i-th is the i-th grid point
-        env, teacher, slm, vspec = world
-        episodes = collect_routing_dataset(env, slm, teacher, vspec, range(3), 2, tag="ids")
-        assert [(ep.task_id, ep.seed.z) for ep in episodes] == routing_grid(env, range(3), 2,
-                                                                             "ids")
+    def test_seed_ids_enumerate_grid(self, world, tmp_path):
+        # collect-routing's job for one task numbers its task's grid points
+        # from its first seed id, each record built from that point's
+        # SLM-only episode on the split's routing streams
+        path = tmp_path / "policy.bin"
+        world[2].save(path)
+        cfg = pipeline.load_config(overrides=WORLD_CONFIG, environ={})
+        records = pipeline._routing_job((cfg, path, 4, "valid", 30))
+        episodes = slm_rollouts(world, [4], 3, tag="routing-valid-0")
+        assert records == [routing_record(30 + i, "valid", ep) for i, ep in enumerate(episodes)]
 
 
 class TestBaselineCalibration:

@@ -328,3 +328,26 @@ def test_cvar_ablation_checks_its_inputs(small_run, tmp_path, name, change):
     with pytest.raises(StageOrderError, match=name):
         pipeline.stage_ablate(cfg, wd, "cvar", workers=1)
     assert not (wd / "ablate_cvar.csv").exists()
+
+
+@pytest.mark.parametrize("jobs, workers, started", [(2, 4, 2), (3, 4, 3), (4, 3, 3), (1, 4, None)])
+def test_pool_starts_no_more_workers_than_jobs(monkeypatch, jobs, workers, started):
+    # a fork pool starts all its workers at once, needed or not
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    assert pipeline._parallel_map(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
+    assert sizes == ([] if started is None else [started])

@@ -16,29 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .domain import Context, PerturbationSeed, require_number
+from .domain import (SOURCE_TEACHER, SOURCE_VERIFIER, Context, PerturbationSeed, PreferencePair,
+                     require_number)
 from .env import HazardChainEnv
 from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, descend, param_digest
 from .router import sigmoid
 from .verifier import VerifierSpec, score_candidates
 
-SOURCE_VERIFIER = "VerifierRanked"
-SOURCE_TEACHER = "TeacherRecovered"
 CONS_PAIRS_PER_TASK = 4
-
-
-@dataclass(frozen=True)
-class PreferencePair:
-    context: Context
-    a_plus: int
-    a_minus: int
-    source: str
-
-    def __post_init__(self):
-        if self.a_plus == self.a_minus:
-            raise ValueError("preference pair needs distinct actions")
-        if self.source not in (SOURCE_VERIFIER, SOURCE_TEACHER):
-            raise ValueError(f"unknown pair source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +35,8 @@ class DistillConfig:
     grad_tol: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.lambda_cons < 0:
-            raise ValueError("lambda_cons must be nonnegative")
+        require_number("beta", self.beta, True)
+        require_number("lambda_cons", self.lambda_cons, False)
         require_number("lr", self.lr, True)
 
 
@@ -203,8 +186,8 @@ def _batched_jsd(theta, bias, x_a, x_b):
     return rows, p, q, m
 
 
-def _objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
-                        beta, lambda_cons, cons_a, cons_b):
+def objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
+                       beta, lambda_cons, cons_a, cons_b):
     """Combined DPO + consistency objective with its exact gradient."""
     g_theta = np.zeros_like(theta)
     g_bias = np.zeros_like(bias)
@@ -268,7 +251,7 @@ def train_recovery(
     cons_b = featurizer.matrix([b for _, b in view_pairs])
 
     theta, bias, trace = descend(
-        lambda theta, bias: _objective_and_grad(
+        lambda theta, bias: objective_and_grad(
             theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
             config.beta, config.lambda_cons, cons_a, cons_b,
         ),

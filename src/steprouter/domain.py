@@ -1,11 +1,12 @@
-"""Shared data model: configs, contexts, episodes, routing examples, splits,
-and the one module that reads and writes artifact files.
+"""Shared data model: configs, contexts, episodes, routing examples,
+preference pairs, splits, and the one module that reads and writes artifact
+files.
 
 All containers are immutable value objects after construction and can be
-shared read-only across parallel workers. Episodes and routing seeds
-serialize to line-delimited JSON ("rljson": a header line, then one
-self-describing record per line, its per-step values in columns) so datasets
-stream and diff cleanly.
+shared read-only across parallel workers. Episodes, routing seeds and
+preference pairs serialize to line-delimited JSON ("rljson": a header line,
+then one self-describing record per line, its per-step values in columns) so
+datasets stream and diff cleanly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ PERTURBATION_FAMILIES = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 EPISODE_SCHEMA = "episode@3"
 ROUTING_SCHEMA = "routing-seed@1"
 SPLITS = ("train", "valid", "test")
+# where a preference pair's ranking came from
+SOURCE_VERIFIER = "VerifierRanked"
+SOURCE_TEACHER = "TeacherRecovered"
 
 # risk features per step (layout in features.py)
 FEATURE_DIM = 15
@@ -77,10 +81,12 @@ class EnvConfig:
     storm_boost: float = 2.2
 
     def __post_init__(self):
-        for name in ("state_count", "action_count", "horizon", "goal_vocab_size"):
+        for name in ("state_count", "action_count", "horizon", "goal_vocab_size", "rng_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.state_count < 5:
             raise ConfigError("state_count must be at least 5")
         if self.action_count < 4:
@@ -90,10 +96,13 @@ class EnvConfig:
         for fam, inten in self.family_intensities.items():
             if fam not in PERTURBATION_FAMILIES:
                 raise ConfigError(f"unknown perturbation family {fam!r}")
-            if not (0.0 <= inten <= 1.0):
+            require_number(f"intensity for {fam}", inten, False)
+            if inten > 1.0:
                 raise ConfigError(f"intensity for {fam} must lie in [0, 1]")
-        if not (0.0 <= self.storm_fraction <= 1.0):
+        require_number("storm_fraction", self.storm_fraction, False)
+        if self.storm_fraction > 1.0:
             raise ConfigError("storm_fraction must lie in [0, 1]")
+        require_number("storm_boost", self.storm_boost, True)
         if self.storm_boost < 1.0:
             raise ConfigError("storm_boost must be at least 1")
 
@@ -207,6 +216,22 @@ class RoutingExample:
 
 
 @dataclass(frozen=True)
+class PreferencePair:
+    """One recovery-distillation preference: a_plus over a_minus at context."""
+
+    context: Context
+    a_plus: int
+    a_minus: int
+    source: str
+
+    def __post_init__(self):
+        if self.a_plus == self.a_minus:
+            raise ValueError("preference pair needs distinct actions")
+        if self.source not in (SOURCE_VERIFIER, SOURCE_TEACHER):
+            raise ValueError(f"unknown pair source {self.source!r}")
+
+
+@dataclass(frozen=True)
 class CostSpec:
     """Routing surrogate costs: local cost, escalation cost, miss penalty."""
 
@@ -215,8 +240,8 @@ class CostSpec:
     kappa: float = 98.0
 
     def __post_init__(self):
-        if self.c_slm <= 0 or self.c_llm <= 0 or self.kappa <= 0:
-            raise ValueError("all routing costs must be strictly positive")
+        for name in ("c_slm", "c_llm", "kappa"):
+            require_number(name, getattr(self, name), True)
 
 
 @dataclass(frozen=True)
@@ -229,12 +254,12 @@ class CVaRSpec:
     lambda_init: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
+        require_number("alpha", self.alpha, True)
+        if self.alpha > 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be strictly positive")
-        if self.lambda_b < 0 or self.lambda_init < 0:
-            raise ValueError("multiplier weights must be nonnegative")
+        require_number("epsilon", self.epsilon, True)
+        require_number("lambda_b", self.lambda_b, False)
+        require_number("lambda_init", self.lambda_init, False)
 
 
 @dataclass(frozen=True)
@@ -418,6 +443,25 @@ def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
                                     f"{len(features)} features, not {FEATURE_DIM}")
         rows.append(RoutingExample(tuple(map(float, features)), label, seed_id, split))
     return rows
+
+
+def pair_records(pairs, views) -> list[dict]:
+    """The records of a pairs file: one per preference pair, then one per
+    consistency view, a pair of contexts that share one latent state."""
+    return ([{"kind": "pair", "context": _context_to_dict(p.context), "a_plus": p.a_plus,
+              "a_minus": p.a_minus, "source": p.source} for p in pairs]
+            + [{"kind": "cons", "context_a": _context_to_dict(a),
+                "context_b": _context_to_dict(b)} for a, b in views])
+
+
+def pair_record_from_dict(rec: dict) -> PreferencePair | tuple[Context, Context]:
+    """A preference pair from a "pair" record, a view from a "cons" record."""
+    if rec["kind"] == "pair":
+        return PreferencePair(_context_from_dict(rec["context"]), int(rec["a_plus"]),
+                              int(rec["a_minus"]), rec["source"])
+    if rec["kind"] == "cons":
+        return _context_from_dict(rec["context_a"]), _context_from_dict(rec["context_b"])
+    raise ValueError(f"unknown pair record kind {rec['kind']!r}")
 
 
 # --- artifact files ------------------------------------------------------------

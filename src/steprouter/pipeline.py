@@ -20,18 +20,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import DistillConfig, PreferencePair, build_preferences, train_recovery
+from .distill import DistillConfig, build_preferences, train_recovery
 from .domain import (
     ConfigError,
     CostSpec,
     CVaRSpec,
     EnvConfig,
+    PreferencePair,
     RecordFormatError,
     StageOrderError,
     decode_records,
     derive_splits,
     episode_from_dict,
     episode_to_dict,
+    pair_record_from_dict,
+    pair_records,
     read_header,
     require_number,
     routing_record,
@@ -39,8 +42,6 @@ from .domain import (
     write_csv,
     write_json,
     write_rljson,
-    _context_from_dict,
-    _context_to_dict,
 )
 from .env import HazardChainEnv
 from .evaluation import RunMetrics, compute_metrics, sweep
@@ -326,22 +327,12 @@ def make_distill_config(cfg: dict) -> DistillConfig:
     return _built("distill", DistillConfig, **cfg["distill"])
 
 
-def make_cost_spec(cfg: dict) -> CostSpec:
-    r = cfg["router"]
-    return _built("invalid cost spec", CostSpec, c_slm=r["c_slm"], c_llm=r["c_llm"],
-                  kappa=r["kappa"])
-
-
-def make_cvar_spec(cfg: dict) -> CVaRSpec:
-    r = cfg["router"]
-    return _built("invalid CVaR spec", CVaRSpec, alpha=r["alpha"], epsilon=r["epsilon"],
-                  lambda_b=r["lambda_b"], lambda_init=r["lambda_init"])
-
-
 def make_train_spec(cfg: dict) -> TrainSpec:
-    keys = ("lr", "weight_decay", "dual_lr", "epochs", "batch_steps", "dropout")
-    return _built("router", TrainSpec, costs=make_cost_spec(cfg), cvar=make_cvar_spec(cfg),
-                  **{k: cfg["router"][k] for k in keys})
+    """The router block: its costs, its CVaR constraint and the optimizer."""
+    r = dict(cfg["router"])
+    costs = {k: r.pop(k) for k in ("c_slm", "c_llm", "kappa")}
+    cvar = {k: r.pop(k) for k in ("alpha", "epsilon", "lambda_b", "lambda_init")}
+    return _built("router", lambda: TrainSpec(CostSpec(**costs), CVaRSpec(**cvar), **r))
 
 
 # --- the stage table ------------------------------------------------------------
@@ -557,61 +548,44 @@ def stage_train_bc(cfg: dict, workdir: Path) -> Path:
     return out
 
 
+def load_policy(path: Path, writer: str) -> SoftmaxPolicy:
+    """The policy the stage `writer` saved at `path`; a StageOrderError
+    unless it carries that stage's tag."""
+    policy = SoftmaxPolicy.load(path)
+    tag = {"train-bc": "bc", "distill": "distilled"}[writer]
+    if policy.stage != tag:
+        raise StageOrderError(f"{path} holds a {policy.stage!r}-stage policy, not a {tag} one; "
+                              f"rerun `{writer}`")
+    return policy
+
+
 def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
     paths = require_inputs(cfg, workdir, "build-pairs")
     pool = load_episodes(paths["collect"])
-    bc_policy = SoftmaxPolicy.load(paths["train-bc"])
-    if bc_policy.stage != "bc":
-        raise StageOrderError("train-bc artifact does not hold a BC-stage policy")
+    bc_policy = load_policy(paths["train-bc"], "train-bc")
     env = make_env(cfg)
     pairs, views, counters = build_preferences(
         bc_policy, pool, make_verifier(cfg, env), make_teacher(cfg), env,
         k=cfg["runtime"]["k_candidates"],
     )
-    records = [
-        {
-            "kind": "pair",
-            "context": _context_to_dict(p.context),
-            "a_plus": p.a_plus,
-            "a_minus": p.a_minus,
-            "source": p.source,
-        }
-        for p in pairs
-    ]
-    records += [
-        {
-            "kind": "cons",
-            "context_a": _context_to_dict(a),
-            "context_b": _context_to_dict(b),
-        }
-        for a, b in views
-    ]
     out = artifact_path(workdir, "build-pairs")
-    write_rljson(out, records, {"schema": PAIRS_SCHEMA, "stage": "build-pairs",
-                                **_stamp(cfg, "build-pairs"), "counters": counters})
+    write_rljson(out, pair_records(pairs, views),
+                 {"schema": PAIRS_SCHEMA, "stage": "build-pairs",
+                  **_stamp(cfg, "build-pairs"), "counters": counters})
     return out
-
-
-def _pair_from_dict(rec: dict):
-    if rec["kind"] == "pair":
-        return PreferencePair(_context_from_dict(rec["context"]), int(rec["a_plus"]),
-                              int(rec["a_minus"]), rec["source"])
-    if rec["kind"] == "cons":
-        return _context_from_dict(rec["context_a"]), _context_from_dict(rec["context_b"])
-    raise ValueError(f"unknown pair record kind {rec['kind']!r}")
 
 
 def load_pairs(path: Path):
     if read_header(path).get("schema") != PAIRS_SCHEMA:
         raise RecordFormatError(f"{path}: not a {PAIRS_SCHEMA} file")
-    records = decode_records(path, _pair_from_dict)
+    records = decode_records(path, pair_record_from_dict)
     return ([r for r in records if isinstance(r, PreferencePair)],
             [r for r in records if isinstance(r, tuple)])
 
 
 def stage_distill(cfg: dict, workdir: Path) -> Path:
     paths = require_inputs(cfg, workdir, "distill")
-    bc_policy = SoftmaxPolicy.load(paths["train-bc"])
+    bc_policy = load_policy(paths["train-bc"], "train-bc")
     pairs, views = load_pairs(paths["build-pairs"])
     distilled, report = train_recovery(bc_policy, pairs, views, make_distill_config(cfg))
     out = artifact_path(workdir, "distill")
@@ -663,27 +637,30 @@ def load_routing_examples(path: Path):
     return [ex for rows in decode_records(path, routing_seed_from_dict) for ex in rows]
 
 
-def load_router_rows(path: Path) -> tuple[list, list]:
-    """The train-split and valid-split rows of a routing.rljson file."""
+def load_router_rows(path: Path) -> tuple[tuple, tuple]:
+    """The train-split and the valid-split rows of a routing.rljson file, each
+    as (features, float labels, seed ids) arrays."""
     examples = load_routing_examples(path)
-    train = [ex for ex in examples if ex.split == "train"]
-    valid = [ex for ex in examples if ex.split == "valid"]
-    if not train or not valid:  # derive_splits keeps both nonempty
+    columns = (np.array([ex.features for ex in examples], dtype=float),
+               np.array([ex.label for ex in examples], dtype=float),
+               np.array([ex.seed_id for ex in examples], dtype=int))
+    split = np.array([ex.split for ex in examples], dtype=str)
+    train, valid = (tuple(c[split == name] for c in columns) for name in ("train", "valid"))
+    if not train[1].size or not valid[1].size:  # derive_splits keeps both nonempty
         raise RecordFormatError(f"{path}: the router needs train-split and valid-split rows")
     try:
-        require_trainable([ex.label for ex in train], [ex.seed_id for ex in train])
+        require_trainable(train[1], train[2])
     except ValueError as e:
         raise RecordFormatError(f"{path}: {e}") from None
     return train, valid
 
 
-def fit_router(cfg: dict, train: list, valid: list) -> tuple[RouterNet, list[dict]]:
+def fit_router(cfg: dict, train: tuple, valid: tuple) -> tuple[RouterNet, list[dict]]:
     """The net trained on the `train` rows, with its Platt map and routing
     threshold fitted on the `valid` rows, and its training report."""
     spec = make_train_spec(cfg)
-    net, report = train_router(train, spec, seed=1000 * cfg["runtime"]["harness_salt"])
-    x_val = np.array([ex.features for ex in valid], dtype=float)
-    y_val = np.array([ex.label for ex in valid], dtype=float)
+    net, report = train_router(*train, spec, seed=1000 * cfg["runtime"]["harness_salt"])
+    x_val, y_val, _ = valid
     fit_temperature(net, x_val, y_val)
     net.tau_route = select_threshold(net, x_val, y_val, spec.costs)
     return net, report
@@ -692,11 +669,12 @@ def fit_router(cfg: dict, train: list, valid: list) -> tuple[RouterNet, list[dic
 def stage_train_router(cfg: dict, workdir: Path) -> Path:
     train, valid = load_router_rows(require_inputs(cfg, workdir, "train-router")["collect-routing"])
     net, report = fit_router(cfg, train, valid)
-    costs = make_cost_spec(cfg)
+    costs = make_train_spec(cfg).costs
+    x_val, y_val, _ = valid
     out = artifact_path(workdir, "train-router")
     net.save(out, extra={"stage": "train-router", **_stamp(cfg, "train-router"),
-                         "tau_h": calibrate_entropy_threshold(valid, costs),
-                         "theta_v": calibrate_heuristic_threshold(valid, costs)})
+                         "tau_h": calibrate_entropy_threshold(x_val, y_val, costs),
+                         "theta_v": calibrate_heuristic_threshold(x_val, y_val, costs)})
     write_csv(Path(workdir) / "router_report.csv", report,
               ["epoch", "mean_risk", "cvar", "brier", "lam"])
     return out
@@ -739,10 +717,7 @@ def _rollout_job(args):
     """Each of `policies`' episodes over `grid` on the streams tagged `tag`,
     stepped through `tree` (a private tree per episode when None)."""
     cfg, policies, grid, tag, distill_path, tree = args
-    slm = SoftmaxPolicy.load(distill_path)
-    if slm.stage != "distilled":
-        raise StageOrderError(f"{distill_path} holds a {slm.stage!r}-stage policy, not a "
-                              f"distilled one; rerun `distill`")
+    slm = load_policy(distill_path, "distill")
     env = make_env(cfg)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)

@@ -23,6 +23,7 @@ from .domain import (
     RecordFormatError,
     StepRecord,
     read_arrays,
+    require_number,
     write_arrays,
 )
 from .env import MAX_SUBGOALS, HazardChainEnv
@@ -178,7 +179,8 @@ class TeacherPolicy:
     error_rate: float = 0.02
 
     def __post_init__(self):
-        if not (0.0 <= self.error_rate < 1.0):
+        require_number("error_rate", self.error_rate, False)
+        if self.error_rate >= 1.0:
             raise ValueError("teacher error rate must lie in [0, 1)")
 
     def act(self, env: HazardChainEnv, state, rng: np.random.Generator) -> int:

@@ -337,7 +337,8 @@ class TrainSpec:
     dropout: float = 0.2
 
     def __post_init__(self):
-        if not (0.0 <= self.dropout < 1.0):
+        require_number("dropout", self.dropout, False)
+        if self.dropout >= 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         require_number("lr", self.lr, True)
         require_number("weight_decay", self.weight_decay, False)
@@ -411,21 +412,15 @@ def require_trainable(labels, seed_ids) -> None:
                          f"seeds; {len(labels)} rows from {n_seeds} seeds hold labels {kinds}")
 
 
-def train_router(
-    examples,
-    spec: TrainSpec,
-    seed: int = 0,
-) -> tuple[RouterNet, list[dict]]:
-    """Alternating primal descent / dual ascent on the CVaR Lagrangian.
+def train_router(x_all: np.ndarray, y_all: np.ndarray, seed_ids: np.ndarray, spec: TrainSpec,
+                 seed: int = 0) -> tuple[RouterNet, list[dict]]:
+    """Alternating primal descent / dual ascent on the CVaR Lagrangian, over
+    float feature rows `x_all`, their float 0/1 labels and integer seed ids.
 
     Minibatches are composed of whole seeds so the per-seed risk is computable
     inside every batch. Returns the net and a per-epoch training report
     (batch-averaged mean risk, CVaR, Brier, and the multiplier).
     """
-    examples = list(examples)
-    x_all = np.array([ex.features for ex in examples], dtype=float)
-    y_all = np.array([ex.label for ex in examples], dtype=float)
-    seed_ids = np.array([ex.seed_id for ex in examples], dtype=int)
     require_trainable(y_all, seed_ids)
     uniq = np.unique(seed_ids)
 
@@ -439,7 +434,7 @@ def train_router(
     dual = _Adam({"u": ()})
     log_lam = math.log(max(spec.cvar.lambda_init, 1e-8))
 
-    batches_per_epoch = max(1, math.ceil(len(examples) / spec.batch_steps))
+    batches_per_epoch = max(1, math.ceil(len(y_all) / spec.batch_steps))
     total_steps = max(1, spec.epochs * batches_per_epoch)
     step_count = 0
     report: list[dict] = []

@@ -286,15 +286,11 @@ def hindsight_table(episodes) -> dict:
     return {(ep.task_id, ep.seed.z): ep.success for ep in episodes}
 
 
-def calibrate_entropy_threshold(examples, costs: CostSpec) -> float:
-    """Validation-calibrated entropy cutoff for the entropy baseline."""
-    values = [ex.features[0] for ex in examples]
-    labels = [ex.label for ex in examples]
-    return sweep_threshold(values, labels, costs)
+def calibrate_entropy_threshold(x, y, costs: CostSpec) -> float:
+    """Validation-calibrated entropy cutoff (slot 0) for the entropy baseline."""
+    return sweep_threshold(x[:, 0], y, costs)
 
 
-def calibrate_heuristic_threshold(examples, costs: CostSpec) -> float:
-    """Validation-calibrated best-score cutoff for the heuristic baseline."""
-    values = [ex.features[6] for ex in examples]  # slot 6 = verifier best score
-    labels = [ex.label for ex in examples]
-    return sweep_threshold(values, labels, costs, escalate_when_ge=False)
+def calibrate_heuristic_threshold(x, y, costs: CostSpec) -> float:
+    """Validation-calibrated best-score cutoff (slot 6) for the heuristic baseline."""
+    return sweep_threshold(x[:, 6], y, costs, escalate_when_ge=False)

@@ -22,16 +22,15 @@ import numpy as np
 from . import seeds
 from .distill import (
     DistillConfig,
-    PreferencePair,
-    _objective_and_grad,
     build_preferences,
     dpo_margin,
     jsd,
+    objective_and_grad,
     replay_contexts,
     total_variation,
     train_recovery,
 )
-from .domain import Context, CostSpec, CVaRSpec, EnvConfig, RoutingExample
+from .domain import Context, CostSpec, CVaRSpec, EnvConfig, PreferencePair
 from .env import HazardChainEnv, LatentState
 from .policy import (
     FrozenReference,
@@ -76,14 +75,6 @@ def planted_dataset(n: int, seed: int = 0):
     return f, q, y
 
 
-def planted_examples(f, y, n_seeds: int = 50):
-    x = planted_features(f)
-    return [
-        RoutingExample(features=tuple(x[i]), label=int(y[i]), seed_id=int(i % n_seeds))
-        for i in range(len(f))
-    ]
-
-
 def calibration_train_spec(epochs: int = 20) -> TrainSpec:
     """Cost scale for calibration studies: ratio 50 and interior threshold kept,
     absolute scale small so the Brier term dominates the linear cost surrogate
@@ -100,7 +91,8 @@ def train_planted_router(
 ) -> tuple[RouterNet, float]:
     """Train on the planted model and report E|r - q*| on a fresh sample."""
     f, _, y = planted_dataset(n, seed=seed)
-    net, _ = train_router(planted_examples(f, y, n_seeds), calibration_train_spec(epochs), seed=seed)
+    net, _ = train_router(planted_features(f), y.astype(float), np.arange(n) % n_seeds,
+                          calibration_train_spec(epochs), seed=seed)
     f_val, _, y_val = planted_dataset(max(2000, n // 5), seed=seed + 1)
     fit_temperature(net, planted_features(f_val), y_val)
     f_test, q_test, _ = planted_dataset(max(2000, n // 10), seed=seed + 2)
@@ -423,12 +415,12 @@ def distill_gradient_error(n_points: int = 20, seed: int = 12) -> float:
         ref_margin = ref_logits[rows, plus] - ref_logits[rows, minus]
         theta = rng.normal(size=(dim, n_act))
         bias = rng.normal(size=n_act)
-        _, g_theta, g_bias = _objective_and_grad(
+        _, g_theta, g_bias = objective_and_grad(
             theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
         )
 
         def loss():
-            return _objective_and_grad(
+            return objective_and_grad(
                 theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
             )[0]
 
@@ -486,20 +478,21 @@ def planted_seed_world(n_seeds: int = 250, steps_per_seed: int = 30,
                        seed: int = 0):
     """Seed-structured planted routing data: a small fraction of seeds carry
     high failure risk, so the alpha-tail of per-seed risks is informative and
-    the CVaR constraint sits near its feasibility boundary."""
+    the CVaR constraint sits near its feasibility boundary. Returns the
+    training rows as (features, labels, seed ids) and the evaluation features."""
     rng = seeds.stream("cvar-knob", seed)
-    examples = []
+    x = np.zeros((n_seeds * steps_per_seed, 15))
+    y = np.zeros(n_seeds * steps_per_seed)
     for sid in range(n_seeds):
         q = 0.85 if rng.random() < bad_frac else 0.04
-        for _ in range(steps_per_seed):
-            f = np.zeros(15)
-            f[0] = float(np.clip(q + rng.normal(0.0, noise), 0.0, 1.0))
-            examples.append(RoutingExample(tuple(f), int(rng.random() < q), seed_id=sid))
+        for row in range(sid * steps_per_seed, (sid + 1) * steps_per_seed):
+            x[row, 0] = np.clip(q + rng.normal(0.0, noise), 0.0, 1.0)
+            y[row] = rng.random() < q
     eval_rng = seeds.stream("cvar-knob-eval", seed)
     q_eval = np.where(eval_rng.random(5000) < bad_frac, 0.85, 0.04)
     x_eval = np.zeros((5000, 15))
     x_eval[:, 0] = np.clip(q_eval + eval_rng.normal(0.0, noise, 5000), 0.0, 1.0)
-    return examples, x_eval
+    return (x, y, np.repeat(np.arange(n_seeds), steps_per_seed)), x_eval
 
 
 CVAR_KNOB_CELLS = ((0.05, 0.02), (0.20, 0.10), (0.20, 0.15))
@@ -514,7 +507,7 @@ def check_cvar_knob(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
     canonical scale the constraint is violated by orders of magnitude and the
     epsilon knob is inert.
     """
-    examples, x_eval = planted_seed_world()
+    rows, x_eval = planted_seed_world()
     costs = CostSpec(0.02, 1.0, 1.96)
     tau = bayes_threshold(costs)
     means = []
@@ -524,7 +517,7 @@ def check_cvar_knob(tol: float, trained: list[RouterNet]) -> tuple[bool, str]:
         for s in (0, 1, 2):
             spec = TrainSpec(costs=costs, cvar=CVaRSpec(alpha=alpha, epsilon=eps),
                              epochs=40)
-            net, _ = train_router(examples, spec, seed=s)
+            net, _ = train_router(*rows, spec, seed=s)
             rates.append(float(np.mean(net.predict(x_eval) >= tau)))
         means.append(float(np.mean(rates)))
         details.append(f"({alpha},{eps}): {means[-1]:.4f}")

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .domain import require_number
 from .env import ACTION_HAZARD, HazardChainEnv, LatentState
 
 BASE_OPTIMAL = 0.62
@@ -63,9 +64,11 @@ class VerifierSpec:
     gamma_threshold: float = 0.55
 
     def __post_init__(self):
-        if not (0.0 <= self.eta_v < 0.5):
+        require_number("eta_v", self.eta_v, False)
+        if self.eta_v >= 0.5:
             raise ValueError("eta_v must lie in [0, 0.5)")
-        if not (0.0 <= self.gamma_threshold <= 1.0):
+        require_number("gamma_threshold", self.gamma_threshold, False)
+        if self.gamma_threshold > 1.0:
             raise ValueError("gamma_threshold must lie in [0, 1]")
 
     @classmethod

@@ -46,6 +46,19 @@ def finished_run(tmp_path_factory):
     return wd
 
 
+def _refused_in_one_line(tmp_path, capsys, key, raw):
+    """Loading `key=raw` raises a ConfigError naming the key, and gen-tasks
+    exits 2 with one `config error:` line."""
+    with pytest.raises(ConfigError, match=key.split(".")[-1]):
+        pipeline.load_config(overrides=[f"{key}={raw}"], environ={})
+    assert main(["gen-tasks", "--workdir", str(tmp_path),
+                 "--set", f"{key}={raw}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
 class TestConfig:
     def test_defaults_load(self):
         cfg = pipeline.load_config()
@@ -187,14 +200,35 @@ class TestConfig:
     def test_values_a_stage_would_crash_on_rejected(self, tmp_path, capsys, key, raw):
         # each value would fail the stage that reads it, so every stage,
         # gen-tasks included, refuses it with one line
-        with pytest.raises(ConfigError, match=key.split(".")[-1]):
-            pipeline.load_config(overrides=[f"{key}={raw}"], environ={})
-        assert main(["gen-tasks", "--workdir", str(tmp_path),
-                     "--set", f"{key}={raw}"]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        _refused_in_one_line(tmp_path, capsys, key, raw)
+
+    @pytest.mark.parametrize("key,raw", [
+        ("env.rng_seed", "null"),
+        ("env.rng_seed", "1.5"),
+        ("env.rng_seed", "abc"),
+        ("env.rng_seed", "true"),
+        ("env.rng_seed", "-1"),
+        ("router.c_slm", "true"),
+        ("router.c_llm", "true"),
+        ("router.kappa", "true"),
+        ("router.alpha", "true"),
+        ("router.epsilon", "true"),
+        ("router.lambda_b", "true"),
+        ("router.lambda_init", "false"),
+        ("router.dropout", "false"),
+        ("distill.beta", "true"),
+        ("distill.lambda_cons", "true"),
+        ("verifier.eta_v", "false"),
+        ("verifier.gamma_threshold", "true"),
+        ("policy.teacher_error_rate", "false"),
+        ("env.storm_fraction", "true"),
+        ("env.storm_boost", "true"),
+        ("env.family_intensities.Injection", "true"),
+    ])
+    def test_booleans_and_non_integer_seeds_rejected(self, tmp_path, capsys, key, raw):
+        # a stage would take a boolean as 1 or 0, and seeds.mix would fold
+        # a float seed or hash a string one
+        _refused_in_one_line(tmp_path, capsys, key, raw)
 
     def test_eval_task_ids_accepted(self):
         cfg = pipeline.load_config(overrides=["eval.task_ids=[0,23]"], environ={})
@@ -406,6 +440,20 @@ def test_undistilled_policy_exits_3(finished_run, tmp_path, capsys, command):
     assert rc == EXIT_STAGE_ORDER
     assert capsys.readouterr().err == (f"stage-order error: {path} holds a 'bc'-stage policy, "
                                        f"not a distilled one; rerun `distill`\n")
+
+
+@pytest.mark.parametrize("command", ["build-pairs", "distill"])
+def test_non_bc_policy_exits_3(finished_run, tmp_path, capsys, command):
+    # preference pairs and recovery distillation start from the BC policy
+    wd = tmp_path / "run"
+    shutil.copytree(finished_run, wd)
+    path = wd / "policy_bc.bin"
+    path.write_bytes(_set_header_field("stage", "distilled")(path.read_bytes()))
+    capsys.readouterr()
+    rc = main([command, "--workdir", str(wd), *[f"--set={o}" for o in TINY]])
+    assert rc == EXIT_STAGE_ORDER
+    assert capsys.readouterr().err == (f"stage-order error: {path} holds a 'distilled'-stage "
+                                       f"policy, not a bc one; rerun `train-bc`\n")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))

@@ -1,7 +1,8 @@
 """Dead-code guard: every public top-level function or class in
 `src/steprouter`, and every public method of a top-level class, must be used
-by the package or by `perfbench/`; and every name a module imports must be
-used by that module.
+by the package or by `perfbench/`; every name a module imports must be
+used by that module; and no module imports another module's private
+(underscore) name.
 
 A name counts as used when some module (its own included) refers to it
 outside its own `def`/`class` statement: as a bare name, an attribute, an
@@ -83,3 +84,9 @@ def test_no_import_is_unused():
         unused += [f"{path.name}:{line}:{name}" for name, line in _imported_names(tree)
                    if name not in loaded]
     assert not unused, f"imports that nothing in their module uses: {unused}"
+
+
+def test_no_module_imports_a_private_name():
+    private = [f"{path.name}:{line}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name, line in _imported_names(_parse(path)) if name.startswith("_")]
+    assert not private, f"imports of another module's private name: {private}"

@@ -6,17 +6,20 @@ import pytest
 from steprouter import seeds
 from steprouter.distill import (
     DistillConfig,
-    PreferencePair,
-    SOURCE_TEACHER,
-    SOURCE_VERIFIER,
-    _objective_and_grad,
     build_preferences,
     dpo_margin,
     jsd,
+    objective_and_grad,
     total_variation,
     train_recovery,
 )
-from steprouter.domain import Context, EnvConfig
+from steprouter.domain import (
+    SOURCE_TEACHER,
+    SOURCE_VERIFIER,
+    Context,
+    EnvConfig,
+    PreferencePair,
+)
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
     PolicyFeaturizer,
@@ -60,7 +63,7 @@ def objective(policy, ref, pairs, views, beta=1.0, lambda_cons=0.0):
     ref_margin = ref_logits[rows, plus] - ref_logits[rows, minus]
     cons_a = feat.matrix([a for a, _ in views])
     cons_b = feat.matrix([b for _, b in views])
-    loss, _, _ = _objective_and_grad(
+    loss, _, _ = objective_and_grad(
         policy.theta, policy.bias, ref, pair_x, plus, minus, ref_margin, beta,
         lambda_cons, cons_a, cons_b,
     )

@@ -34,14 +34,12 @@ CANONICAL = CostSpec(1.0, 50.0, 98.0)
 
 
 def example_batch(n=64, n_seeds=4, seed=0, p_fail=0.5):
+    """(features, float labels, seed ids) of n rows, both labels present."""
     rng = seeds.stream("router-batch", seed)
     x = rng.normal(size=(n, 15))
-    y = (rng.random(n) < p_fail).astype(int)
-    y[0], y[1] = 0, 1
-    return [
-        RoutingExample(features=tuple(x[i]), label=int(y[i]), seed_id=int(i % n_seeds))
-        for i in range(n)
-    ]
+    y = (rng.random(n) < p_fail).astype(float)
+    y[0], y[1] = 0.0, 1.0
+    return x, y, np.arange(n) % n_seeds
 
 
 def seed_objective(net, examples, costs, alpha, want_grads=False):
@@ -286,60 +284,53 @@ class TestCVaR:
 
 class TestTrainRouter:
     def test_requires_two_seeds(self):
-        examples = example_batch(n=10, n_seeds=1)
+        rows = example_batch(n=10, n_seeds=1)
         with pytest.raises(ValueError):
-            train_router(examples, TrainSpec(epochs=1))
+            train_router(*rows, TrainSpec(epochs=1))
 
     def test_requires_both_labels(self):
-        examples = [
-            RoutingExample((0.0,) * 15, 1, seed_id=i % 3)
-            for i in range(9)
-        ]
         with pytest.raises(ValueError):
-            train_router(examples, TrainSpec(epochs=1))
+            train_router(np.zeros((9, 15)), np.ones(9), np.arange(9) % 3, TrainSpec(epochs=1))
 
     def test_huge_epsilon_decays_lambda(self):
-        examples = example_batch(n=400, n_seeds=8)
+        rows = example_batch(n=400, n_seeds=8)
         spec = TrainSpec(
             epochs=50,
             cvar=CVaRSpec(alpha=0.2, epsilon=1e6, lambda_init=1.0),
             batch_steps=100,
         )
-        _, report = train_router(examples, spec, seed=1)
+        _, report = train_router(*rows, spec, seed=1)
         lams = [row["lam"] for row in report]
         assert lams[-1] < 0.2
         assert all(b <= a for a, b in zip(lams, lams[1:]))
 
     def test_zero_like_epsilon_grows_lambda(self):
-        examples = example_batch(n=400, n_seeds=8)
+        rows = example_batch(n=400, n_seeds=8)
         spec = TrainSpec(
             epochs=8,
             cvar=CVaRSpec(alpha=0.2, epsilon=1e-9, lambda_init=1.0),
             batch_steps=100,
         )
-        _, report = train_router(examples, spec, seed=1)
+        _, report = train_router(*rows, spec, seed=1)
         lams = [row["lam"] for row in report]
         assert all(b > a for a, b in zip(lams[:5], lams[1:6]))
 
     def test_dual_feasibility_lambda_nonnegative(self):
-        examples = example_batch(n=200, n_seeds=5)
-        _, report = train_router(examples, TrainSpec(epochs=6, batch_steps=64), seed=2)
+        rows = example_batch(n=200, n_seeds=5)
+        _, report = train_router(*rows, TrainSpec(epochs=6, batch_steps=64), seed=2)
         assert all(row["lam"] >= 0.0 for row in report)
 
     def test_deterministic_given_seed(self):
-        examples = example_batch(n=200, n_seeds=5)
-        net1, _ = train_router(examples, TrainSpec(epochs=3, batch_steps=64), seed=3)
-        net2, _ = train_router(examples, TrainSpec(epochs=3, batch_steps=64), seed=3)
+        rows = example_batch(n=200, n_seeds=5)
+        net1, _ = train_router(*rows, TrainSpec(epochs=3, batch_steps=64), seed=3)
+        net2, _ = train_router(*rows, TrainSpec(epochs=3, batch_steps=64), seed=3)
         f = seeds.stream("det").normal(size=(6, 15))
         assert np.array_equal(net1.predict(f), net2.predict(f))
 
     def test_whole_seed_batching(self):
         # every batch must contain complete seeds: verified through the
         # objective helper on a crafted two-seed batch
-        examples = example_batch(n=64, n_seeds=2)
-        x = np.array([e.features for e in examples])
-        y = np.array([e.label for e in examples], float)
-        sid = np.array([e.seed_id for e in examples])
+        x, y, sid = example_batch(n=64, n_seeds=2)
         net = RouterNet.init(seeds.stream("wsb"))
         masks = make_dropout_masks(net, len(x), seeds.stream("wsb2"))
         out = batch_objective(net, x, y, sid, 2, CANONICAL,
@@ -417,10 +408,10 @@ class TestStepBuffers:
     def test_train_router_memory_bounded_by_chunk(self):
         # 2,000 rows in chunks of at most 249: buffers sized by the data set
         # would alone take about ten (2000, 128) float64 arrays
-        examples = example_batch(n=2000, n_seeds=40)
+        rows = example_batch(n=2000, n_seeds=40)
         tracemalloc.start()
         try:
-            train_router(examples, TrainSpec(epochs=2, batch_steps=200), seed=0)
+            train_router(*rows, TrainSpec(epochs=2, batch_steps=200), seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

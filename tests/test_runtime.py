@@ -8,7 +8,6 @@ from steprouter import pipeline, runtime, seeds
 from steprouter.domain import (
     CostSpec,
     EnvConfig,
-    RoutingExample,
     StageOrderError,
     episode_from_dict,
     episode_to_dict,
@@ -386,25 +385,21 @@ class TestRoutingDataset:
 
 class TestBaselineCalibration:
     def test_entropy_threshold_prefers_low_cut_when_entropy_marks_failures(self):
-        examples = []
+        x, y = np.zeros((300, 15)), np.zeros(300)
         rng = seeds.stream("cal-ent")
         for i in range(300):
-            label = int(rng.random() < 0.5)
-            f = np.zeros(15)
-            f[0] = 0.8 + 0.1 * rng.random() if label else 0.2 * rng.random()
-            examples.append(RoutingExample(tuple(f), label, seed_id=i))
-        tau = calibrate_entropy_threshold(examples, CostSpec(1, 50, 98))
+            y[i] = rng.random() < 0.5
+            x[i, 0] = 0.8 + 0.1 * rng.random() if y[i] else 0.2 * rng.random()
+        tau = calibrate_entropy_threshold(x, y, CostSpec(1, 50, 98))
         assert 0.2 <= tau <= 0.8
 
     def test_heuristic_threshold_separates_scores(self):
-        examples = []
+        x, y = np.zeros((300, 15)), np.zeros(300)
         rng = seeds.stream("cal-heur")
         for i in range(300):
-            label = int(rng.random() < 0.5)
-            f = np.zeros(15)
-            f[6] = 0.2 * rng.random() if label else 0.8 + 0.2 * rng.random()
-            examples.append(RoutingExample(tuple(f), label, seed_id=i))
-        theta = calibrate_heuristic_threshold(examples, CostSpec(1, 50, 98))
+            y[i] = rng.random() < 0.5
+            x[i, 6] = 0.2 * rng.random() if y[i] else 0.8 + 0.2 * rng.random()
+        theta = calibrate_heuristic_threshold(x, y, CostSpec(1, 50, 98))
         assert 0.2 <= theta <= 0.8
 
     def test_swept_entropy_cut_beats_fixed_half(self):
@@ -418,12 +413,9 @@ class TestBaselineCalibration:
         labels = (values > 0.75).astype(float)
         flip = rng.random(4000) < 0.05
         labels[flip] = 1 - labels[flip]
-        examples = []
-        for i, (v, y) in enumerate(zip(values, labels)):
-            f = np.zeros(15)
-            f[0] = v
-            examples.append(RoutingExample(tuple(f), int(y), seed_id=i))
-        tau_swept = calibrate_entropy_threshold(examples, costs)
+        x = np.zeros((4000, 15))
+        x[:, 0] = values
+        tau_swept = calibrate_entropy_threshold(x, labels, costs)
 
         def routed_cost(tau):
             d = (values >= tau).astype(float)

@@ -484,7 +484,13 @@ def _atomic_write(path):
             tmp.unlink()
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# a NaN or an infinity is no JSON number: lines never hold one, and a read
+# refuses the NaN/Infinity/-Infinity constants Python's json would accept
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
 def _json_line(obj) -> bytes:
@@ -493,7 +499,7 @@ def _json_line(obj) -> bytes:
 
 def _parse(data: bytes, offset: int, path) -> dict:
     try:
-        rec = json.loads(data)
+        rec = json.loads(data, parse_constant=_refuse_constant)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise RecordFormatError(f"{path}: malformed record: {getattr(exc, 'msg', exc)}",
                                 offset + getattr(exc, "pos", 0)) from exc

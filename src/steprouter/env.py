@@ -140,33 +140,39 @@ def apply_perturbation(
     z: int,
     t: int,
     tokens: TokenMap,
+    zt: int | None = None,
 ) -> tuple[int, ...]:
-    """Apply one corruption family; randomness is pure in (z, t, family, idx)."""
+    """Apply one corruption family; randomness is pure in (z, t, family, idx).
+
+    Each draw is seeds.unit_uniform(z, t, family[, index]), or for a
+    Distractor filler seeds.mix(z, t, "filler", i), continued from
+    zt = seeds.mix(z, t); a caller that applies several families at one
+    (z, t) passes zt, folded once.
+    """
     obs = tuple(obs)
     if op.intensity <= 0.0:
         return obs
+    if zt is None:
+        zt = seeds.mix(z, t)
     fam = op.family
-    if fam == "ToolFlaky":
-        if seeds.unit_uniform(z, t, fam) < op.intensity:
-            return (tokens.error,) * len(obs)
-        return obs
+    h = seeds.fold(zt, fam)
     if fam == "PartialObs":
         return tuple(
-            tokens.mask if seeds.unit_uniform(z, t, fam, i) < op.intensity else tok
+            tokens.mask if seeds.fold_uniform(h, i) < op.intensity else tok
             for i, tok in enumerate(obs)
         )
+    if not seeds.fold_uniform(h) < op.intensity:
+        return obs
+    if fam == "ToolFlaky":
+        return (tokens.error,) * len(obs)
     if fam == "Injection":
-        if seeds.unit_uniform(z, t, fam) < op.intensity:
-            return obs + (tokens.inject, tokens.inject, tokens.lure)
-        return obs
+        return obs + (tokens.inject, tokens.inject, tokens.lure)
     if fam == "Distractor":
-        if seeds.unit_uniform(z, t, fam) < op.intensity:
-            fillers = tuple(
-                tokens.filler_base + seeds.mix(z, t, "filler", i) % tokens.n_fillers
-                for i in range(2)
-            )
-            return obs + (tokens.distract,) + fillers
-        return obs
+        fillers = seeds.fold(zt, "filler")
+        return obs + (tokens.distract,) + tuple(
+            tokens.filler_base + seeds.fold(fillers, i) % tokens.n_fillers
+            for i in range(2)
+        )
     raise ValueError(fam)
 
 
@@ -342,9 +348,15 @@ class HazardChainEnv:
 
     def corrupt(self, obs: tuple[int, ...], z: int, t: int) -> tuple[int, ...]:
         """Chain the nonzero-intensity families in fixed order (composite
-        perturbation), at the seed's effective intensity."""
-        for op in self.perturbation_ops(z):
-            obs = apply_perturbation(obs, op, z, t, self.tokens)
+        perturbation), at the seed's effective intensity. The (z, t) prefix
+        of every draw key is folded once per call, and each family continues
+        from it."""
+        ops = self.perturbation_ops(z)
+        if not ops:
+            return obs
+        zt = seeds.mix(z, t)
+        for op in ops:
+            obs = apply_perturbation(obs, op, z, t, self.tokens, zt)
         return obs
 
     # --- public episode interface ---------------------------------------------

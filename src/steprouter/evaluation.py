@@ -31,7 +31,7 @@ def ece(predictions, labels, bins: int = 15) -> float:
     y = np.asarray(labels, dtype=float)
     if p.size == 0:
         raise ValueError("ECE of an empty set is undefined")
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both comparisons
         raise ValueError("predictions must lie in [0, 1]")
     idx = np.minimum((p * bins).astype(int), bins - 1)
     total = 0.0
@@ -59,6 +59,8 @@ def _average_ranks(values) -> np.ndarray:
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC with tie correction (ties share average ranks)."""
     s = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("AUROC scores must be finite")
     y = np.asarray(labels, dtype=int)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())

@@ -82,13 +82,16 @@ def extract(
 
     # row 0: clipped candidate log-probs, row 1: verifier scores; mean and std
     # spelled out as ndarray.mean/std compute them
-    rows = np.array([[lp for _, lp in candidates], scores], dtype=float)
-    np.clip(rows[0], limits.logprob_floor, 0.0, out=rows[0])
+    rows = np.empty((2, k))
+    rows[0] = [lp for _, lp in candidates]
+    rows[1] = scores
+    np.maximum(rows[0], limits.logprob_floor, out=rows[0])
+    np.minimum(rows[0], 0.0, out=rows[0])  # clipped to [logprob_floor, 0]
     mean = np.add.reduce(rows, axis=1, keepdims=True) / k
     dev = rows - mean
     std = np.sqrt(np.add.reduce(dev * dev, axis=1) / k)
-    hi = rows[1].max()
-    lo = rows[1].min()
+    hi = np.maximum.reduce(rows[1])
+    lo = np.minimum.reduce(rows[1])
 
     tally: dict[int, int] = {}
     for a, _ in candidates:

@@ -692,19 +692,22 @@ def _stream_tag(cfg: dict, grid: str) -> str:
     return f"{grid}-{cfg['runtime']['harness_salt']}"
 
 
-def _build_routing_policy(cfg: dict, variant: str, paths: dict) -> RoutingPolicy:
+def _build_routing_policy(cfg: dict, variant: str, paths: dict,
+                          slm_episodes=None) -> RoutingPolicy:
     """`variant`'s policy: r2v from router.bin, the oracle from the slm
-    rollout's outcomes, a baseline with its router.bin header threshold; the
-    slm variant runs without a budget."""
+    rollout's outcomes (`slm_episodes` when the caller holds them, else
+    decoded from the file), a baseline with its router.bin header
+    threshold; the slm variant runs without a budget."""
     if variant == "r2v":
         return _r2v_policy(cfg, RouterNet.load(paths["train-router"])[0])
     key = {"entropy": "tau_h", "heuristic": "theta_v"}.get(variant)
+    if variant == "oracle" and slm_episodes is None:
+        slm_episodes = load_episodes(paths["rollout:slm"])
     return RoutingPolicy(
         variant,
         threshold=read_header(paths["train-router"]).typed(key, float, int) if key else None,
         budget_limit=None if variant == "slm" else cfg["runtime"]["budget_limit"],
-        hindsight=(hindsight_table(load_episodes(paths["rollout:slm"]))
-                   if variant == "oracle" else None),
+        hindsight=hindsight_table(slm_episodes) if variant == "oracle" else None,
     )
 
 
@@ -743,14 +746,18 @@ def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list, work
     return [[episodes[key] for key in grid] for episodes in by_key]
 
 
-def _roll_out_files(workdir: Path, rollouts, workers: int, tree: StepTree | None = None):
+def _roll_out_files(workdir: Path, rollouts, workers: int, tree: StepTree | None = None,
+                    slm_episodes=None):
     """`_roll_out` of each (config, variant, output path) of `rollouts`, each
     file written stamped from its own config. The configs may differ only in
-    what the routing reads: the env, SLM, verifier and grid are the first's."""
+    what the routing reads: the env, SLM, verifier and grid are the first's.
+    An oracle reads its hindsight from `slm_episodes` when given, the
+    episodes of the fresh slm rollout file."""
     paths = {}
     for sub, variant, _ in rollouts:
         paths.update(require_inputs(sub, workdir, f"rollout:{variant}"))
-    policies = [_build_routing_policy(sub, variant, paths) for sub, variant, _ in rollouts]
+    policies = [_build_routing_policy(sub, variant, paths, slm_episodes)
+                for sub, variant, _ in rollouts]
     rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies, workers, tree)
     for (sub, variant, out), episodes in zip(rollouts, rolled):
         write_rljson(out, [episode_to_dict(ep) for ep in episodes],
@@ -789,11 +796,13 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
         except StageOrderError:
             stale.append(variant)
     tree = StepTree()
-    # the oracle reads the slm outcomes, so it rolls after they are written
+    # the oracle reads the slm outcomes, so it rolls after they are written;
+    # it takes them from memory, once require_inputs has found the file fresh
     for group in ([v for v in stale if v != "oracle"], [v for v in stale if v == "oracle"]):
         if group:
             rollouts = [(cfg, v, artifact_path(workdir, f"rollout:{v}")) for v in group]
-            episodes.update(zip(group, _roll_out_files(workdir, rollouts, workers, tree)))
+            episodes.update(zip(group, _roll_out_files(workdir, rollouts, workers, tree,
+                                                       episodes.get("slm"))))
     summary_variants = {v: _metrics_for(cfg, episodes[v]).to_dict() for v in VARIANT_ORDER}
     rows = [{"variant": variant, **m} for variant, m in summary_variants.items()]
     write_csv(workdir / "metrics.csv", rows, ["variant"] + METRIC_COLUMNS)

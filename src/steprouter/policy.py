@@ -83,16 +83,31 @@ def param_digest(theta: np.ndarray, bias: np.ndarray) -> str:
 def probabilities(logp: np.ndarray) -> np.ndarray:
     """The distribution behind a log-distribution, renormalized after exp."""
     p = np.exp(logp)
-    return p / p.sum()
+    return p / np.add.reduce(p)
+
+
+# the tolerance Generator.choice allows on the sum of its p
+_P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def draw_candidates(logp: np.ndarray, probs: np.ndarray, k: int,
                     rng: np.random.Generator):
-    """K i.i.d. draws from probs, each paired with its log-probability."""
+    """K i.i.d. draws from probs, each paired with its log-probability.
+
+    Inverse-CDF draws, as `rng.choice(len(probs), size=k, p=probs)` makes
+    them: the normalized cumulative sum searched with k uniforms. The draws
+    and the generator state after them are the same as choice's. A probs
+    that choice would refuse (a negative or NaN entry, or a sum off 1 by
+    more than its tolerance) raises ValueError.
+    """
     if k < 1:
         raise ValueError("need at least one candidate")
-    draws = rng.choice(len(probs), size=k, p=probs)
-    return [(int(a), float(logp[a])) for a in draws]
+    cdf = probs.cumsum()
+    if not abs(cdf[-1] - 1.0) <= _P_SUM_ATOL or np.minimum.reduce(probs) < 0.0:
+        raise ValueError("candidate probabilities must be non-negative and sum to 1")
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(rng.random(k), side="right")
+    return list(zip(draws.tolist(), logp[draws].tolist()))
 
 
 @dataclass
@@ -118,8 +133,8 @@ class SoftmaxPolicy:
 
     def log_distribution(self, ctx: Context) -> np.ndarray:
         z = self.logits(ctx)
-        z = z - z.max()
-        return z - np.log(np.exp(z).sum())
+        z = z - np.maximum.reduce(z)
+        return z - np.log(np.add.reduce(np.exp(z)))
 
     def action_distribution(self, ctx: Context) -> np.ndarray:
         return probabilities(self.log_distribution(ctx))

@@ -16,8 +16,10 @@ ceil(alpha*n) values (alpha is the tail mass), with the subgradient flowing
 through the selected tail seeds.
 
 The hidden layers carry no bias, since batch norm would subtract it again and
-its beta carries the shift (Ioffe & Szegedy, 2015); eval mode folds each batch
-norm into a per-unit scale and shift on every call.
+its beta carries the shift (Ioffe & Szegedy, 2015). Eval mode folds each batch
+norm into a per-unit scale and shift: `RouterNet.predict` on every call, so it
+follows every update of the net, and a `RouterSnapshot` once, for the routing
+policy that scores one step at a time through it.
 """
 
 from __future__ import annotations
@@ -122,13 +124,9 @@ class RouterNet:
         )
 
     def logits_eval(self, x: np.ndarray) -> np.ndarray:
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        p = self.params
-        for i, mean, var in (("1", self.run_mean1, self.run_var1),
-                             ("2", self.run_mean2, self.run_var2)):
-            scale = p["g" + i] / np.sqrt(var + BN_EPS)
-            h = gelu(h @ p["w" + i] * scale + (p["be" + i] - mean * scale))
-        return (h @ p["w3"] + p["b3"]).ravel()
+        """Eval-mode logits, batch norm folded from the running statistics on
+        each call."""
+        return RouterSnapshot.of(self).logits(np.atleast_2d(np.asarray(x, dtype=float)))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with the post-hoc temperature applied."""
@@ -159,6 +157,58 @@ class RouterNet:
             dropout=header.typed("dropout", float, int),
         )
         return net, header
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class RouterSnapshot:
+    """A RouterNet in eval mode, batch norm folded: (w, scale, shift) per
+    hidden layer, the output layer's w3 and b3, and the temperature, each
+    array a read-only copy, so later edits of the net do not reach it.
+
+    `RouterNet.logits_eval` folds one on every call. A routing policy folds
+    one when it is built and scores each step's row with `prob`, which gives
+    float(net.predict(x)[0]) bit for bit: the same products and per-layer
+    sequence, then the two formulas of `sigmoid` on the one logit.
+    """
+
+    layers: tuple
+    w3: np.ndarray
+    b3: np.ndarray
+    temperature: float
+
+    @classmethod
+    def of(cls, net: RouterNet) -> "RouterSnapshot":
+        p = net.params
+        layers = []
+        for i, mean, var in (("1", net.run_mean1, net.run_var1),
+                             ("2", net.run_mean2, net.run_var2)):
+            scale = p["g" + i] / np.sqrt(var + BN_EPS)
+            layers.append(tuple(map(_read_only, (p["w" + i], scale,
+                                                 p["be" + i] - mean * scale))))
+        return cls(tuple(layers), _read_only(p["w3"]), _read_only(p["b3"]), net.temperature)
+
+    def logits(self, h: np.ndarray) -> np.ndarray:
+        """Logits of the (n, in_dim) rows h."""
+        for w, scale, shift in self.layers:
+            h = gelu(h @ w * scale + shift)
+        return (h @ self.w3 + self.b3).ravel()
+
+    def prob(self, x: np.ndarray) -> float:
+        """Probability of one feature row, temperature applied."""
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        if not np.isfinite(x).all():
+            raise ValueError("router input must be finite")
+        z = self.logits(x)[0] / self.temperature
+        if z >= 0:
+            return float(1.0 / (1.0 + np.exp(-z)))
+        ex = np.exp(z)
+        return float(ex / (1.0 + ex))
 
 
 class StepBuffers:

@@ -18,7 +18,7 @@ no way to construct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .domain import (
 from .env import HazardChainEnv
 from .features import FeatureLimits, FeatureMask, apply_mask, extract
 from .policy import SoftmaxPolicy, TeacherPolicy, draw_candidates, probabilities
-from .router import RouterNet, sweep_threshold
+from .router import RouterNet, RouterSnapshot, sweep_threshold
 from .verifier import VerifierSpec, score_candidates
 
 VARIANTS = ("slm", "llm", "entropy", "heuristic", "r2v", "oracle")
@@ -46,8 +46,10 @@ class RoutingPolicy:
 
     `threshold` is the entropy cutoff tau_h, the verifier cutoff theta_v or
     the router's tau_route; slm, llm and the oracle take none. r2v scores
-    its features through `mask` with `net`; the oracle reads `hindsight`,
-    the SLM-only outcome of each (task, z).
+    its features through `mask` with `snapshot`, the eval-mode
+    `RouterSnapshot` of `net` taken when the policy is built, so an edit of
+    the net after that does not reach the policy's decisions. The oracle
+    reads `hindsight`, the SLM-only outcome of each (task, z).
     """
 
     variant: str
@@ -56,6 +58,8 @@ class RoutingPolicy:
     net: RouterNet | None = None
     mask: FeatureMask = FeatureMask.FULL
     hindsight: dict | None = None
+    snapshot: RouterSnapshot | None = field(init=False, default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -64,8 +68,10 @@ class RoutingPolicy:
                 isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float))):
             raise ValueError(f"the {self.variant} rule needs a number threshold, "
                              f"got {self.threshold!r}")
-        if self.variant == "r2v" and self.net is None:
-            raise ValueError("the r2v rule needs a router net")
+        if self.variant == "r2v":
+            if self.net is None:
+                raise ValueError("the r2v rule needs a router net")
+            object.__setattr__(self, "snapshot", RouterSnapshot.of(self.net))
         if self.variant == "oracle" and self.hindsight is None:
             raise ValueError("the oracle needs a hindsight table")
         budget = self.budget_limit
@@ -80,11 +86,13 @@ def _decide(routing: RoutingPolicy, f_raw, task_id: int, z: int):
     the threshold, heuristic when even the best verifier score (slot 6)
     falls below it, r2v when the router's probability on the masked
     features reaches it (p = 1 at threshold 1 escalates), and the oracle on
-    every step of an episode whose SLM-only rollout failed.
+    every step of an episode whose SLM-only rollout failed. r2v scores the
+    one row through the policy's snapshot, which gives what
+    `routing.net.predict` gave when the policy was built, bit for bit.
     """
     variant, threshold = routing.variant, routing.threshold
     if variant == "r2v":
-        p = float(routing.net.predict(apply_mask(f_raw, routing.mask))[0])
+        p = routing.snapshot.prob(apply_mask(f_raw, routing.mask))
         return p, p >= threshold
     if variant == "entropy":
         return None, bool(f_raw[0] >= threshold)

@@ -16,7 +16,7 @@ exact, not merely approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -62,6 +62,7 @@ class VerifierSpec:
     quality: Callable[[LatentState], np.ndarray]
     eta_v: float = 0.05
     gamma_threshold: float = 0.55
+    jitter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_number("eta_v", self.eta_v, False)
@@ -70,6 +71,7 @@ class VerifierSpec:
         require_number("gamma_threshold", self.gamma_threshold, False)
         if self.gamma_threshold > 1.0:
             raise ValueError("gamma_threshold must lie in [0, 1]")
+        object.__setattr__(self, "jitter", jitter_width(self.eta_v))
 
     @classmethod
     def for_env(cls, env: HazardChainEnv, eta_v: float = 0.05,
@@ -87,10 +89,11 @@ def score_candidates(
     K scalar draws would and yields the same values.
     """
     base = np.asarray(spec.quality(state), dtype=float)[list(actions)]
-    w = jitter_width(spec.eta_v)
+    w = spec.jitter
     if w != 0.0:
-        base = base + rng.uniform(-w, w, size=len(base))
-    return np.clip(base, 0.0, 1.0)
+        base += rng.uniform(-w, w, size=len(base))
+    np.maximum(base, 0.0, out=base)
+    return np.minimum(base, 1.0, out=base)  # the clip to [0, 1]
 
 
 def pseudo_entropy(scores) -> float:
@@ -102,8 +105,7 @@ def pseudo_entropy(scores) -> float:
     s = np.asarray(scores, dtype=float)
     if s.size < 2:
         raise ValueError("pseudo-entropy needs at least two scores")
-    z = s - s.max()
-    p = np.exp(z)
-    p /= p.sum()
-    h = -float(np.sum(p * np.log(p)))
+    p = np.exp(s - np.maximum.reduce(s))
+    p /= np.add.reduce(p)
+    h = -float(np.add.reduce(p * np.log(p)))
     return h / math.log(s.size)

@@ -18,6 +18,7 @@ from steprouter.domain import (
     derive_splits,
     episode_from_dict,
     episode_to_dict,
+    read_header,
     read_rljson,
     routing_record,
     write_rljson,
@@ -185,6 +186,30 @@ class TestSerialization:
         path.write_bytes(data[: line_start(data, 2)])
         with pytest.raises(RecordFormatError, match="header count is 2, file holds 1"):
             list(read_rljson(path))
+
+    @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_record_refused_at_its_offset(self, tmp_path, constant):
+        # Python's json reads these constants; no artifact may hold one
+        path = tmp_path / "records.rljson"
+        write_rljson(path, [{"a": 1}, {"router_probs": [0.5, 0.25]}], HEADER)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"0.25", constant))
+        with pytest.raises(RecordFormatError, match="non-finite") as err:
+            list(read_rljson(path))
+        assert err.value.offset == line_start(data, 2)
+        path.write_bytes(data.replace(b'"count":2', b'"count":' + constant))
+        with pytest.raises(RecordFormatError, match="non-finite") as err:
+            read_header(path)
+        assert err.value.offset == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_never_written(self, tmp_path, value):
+        path = tmp_path / "records.rljson"
+        with pytest.raises(ValueError):
+            write_rljson(path, [{"a": [0.5, value]}], HEADER)
+        with pytest.raises(ValueError):
+            write_rljson(path, [], {**HEADER, "temperature": value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "records.rljson"

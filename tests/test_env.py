@@ -322,3 +322,52 @@ class TestMemos:
                 inten = min(1.0, cfg.intensity(fam) * seed_severity(cfg, z))
                 expected = apply_perturbation(expected, PerturbationOp(fam, inten), z, t, tokens)
             assert out == expected
+
+
+def reference_perturbation(obs, op, z, t, tokens):
+    """One family with every draw keyed in full, token by token, through
+    seeds.unit_uniform and seeds.mix: the definition the folded prefixes of
+    apply_perturbation and corrupt must keep."""
+    obs = tuple(obs)
+    if op.intensity <= 0.0:
+        return obs
+    fam = op.family
+    if fam == "PartialObs":
+        return tuple(tokens.mask if seeds.unit_uniform(z, t, fam, i) < op.intensity else tok
+                     for i, tok in enumerate(obs))
+    if seeds.unit_uniform(z, t, fam) >= op.intensity:
+        return obs
+    if fam == "ToolFlaky":
+        return (tokens.error,) * len(obs)
+    if fam == "Injection":
+        return obs + (tokens.inject, tokens.inject, tokens.lure)
+    return obs + (tokens.distract,) + tuple(
+        tokens.filler_base + seeds.mix(z, t, "filler", i) % tokens.n_fillers for i in range(2))
+
+
+class TestFoldedDraws:
+    """Corruption folds the (z, t) prefix once; its output equals the
+    per-token reference for every family and intensity."""
+
+    ZS = [0, 1, 5, 99, 12345, 1 << 40, (1 << 64) - 1, -3]
+    OBS = [(5, 6, 7, 8), (TOKENS.invalid, 4, 16, 29, 31), (9,)]
+
+    @pytest.mark.parametrize("fam", PERTURBATION_FAMILIES)
+    @pytest.mark.parametrize("intensity", [0.0, 0.15, 0.5, 0.85, 1.0])
+    def test_apply_perturbation_matches_reference(self, fam, intensity):
+        op = PerturbationOp(fam, intensity)
+        for z, t, obs in itertools.product(self.ZS, range(21), self.OBS):
+            want = reference_perturbation(obs, op, z, t, TOKENS)
+            assert apply_perturbation(obs, op, z, t, TOKENS) == want
+            assert apply_perturbation(obs, op, z, t, TOKENS, seeds.mix(z, t)) == want
+
+    @pytest.mark.parametrize("base", [0.0, 0.4, 1.0])
+    def test_corrupt_matches_reference_chain(self, base):
+        intensities = {fam: base for fam in PERTURBATION_FAMILIES}
+        env = make_env(intensities, storm_fraction=0.5)
+        for z, t, obs in itertools.product(self.ZS, range(21), self.OBS):
+            want = obs
+            for fam in PERTURBATION_FAMILIES:
+                inten = min(1.0, base * seed_severity(env.config, z))
+                want = reference_perturbation(want, PerturbationOp(fam, inten), z, t, env.tokens)
+            assert env.corrupt(obs, z, t) == want

@@ -116,10 +116,22 @@ class TestEce:
         with pytest.raises(ValueError):
             ece(np.array([1.2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.nan, 0.5], [0.5, np.inf]])
+    def test_rejects_non_finite(self, p):
+        # NaN fails no range comparison; it used to score as perfect calibration
+        with pytest.raises(ValueError, match="lie in"):
+            ece(np.array(p), np.array([1.0, 0.0]))
+
 
 class TestAuroc:
     def test_perfect_separation(self):
         assert auroc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
+
+    @pytest.mark.parametrize("s", [[np.nan, 0.2, 0.7], [np.inf, 0.2, 0.7]])
+    def test_rejects_non_finite(self, s):
+        # argsort ranks NaN highest, which read as a perfect ranking
+        with pytest.raises(ValueError, match="finite"):
+            auroc(s, [1, 0, 0])
 
     def test_constant_scores_half(self):
         assert auroc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == pytest.approx(0.5)

@@ -13,6 +13,8 @@ from steprouter.policy import (
     bc_dataset,
     bc_loss_and_grad,
     collect_teacher_trajectories,
+    draw_candidates,
+    probabilities,
     train_bc,
 )
 
@@ -118,6 +120,50 @@ class TestSampling:
         p = 1.0 / env.config.action_count
         sigma = math.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(counts / n - p) <= 3 * sigma)
+
+
+class TestDrawCandidates:
+    """Inverse-CDF draws equal Generator.choice's, state after included."""
+
+    @staticmethod
+    def random_log_distribution(rng, n):
+        logits = rng.normal(size=n) * rng.uniform(0.1, 60.0)
+        zeros = rng.random(n) < 0.3
+        zeros[int(rng.integers(n))] = False  # one action keeps mass
+        logits[zeros] = -np.inf  # probability exactly 0
+        z = logits - logits.max()
+        return z - np.log(np.exp(z).sum())
+
+    def test_matches_choice_and_its_generator_state(self):
+        rng = seeds.stream("draw-reference")
+        zero_entries = 0
+        for _ in range(5000):
+            logp = self.random_log_distribution(rng, int(rng.integers(2, 10)))
+            probs = probabilities(logp)
+            zero_entries += int((probs == 0.0).any())
+            k = int(rng.integers(1, 12))
+            key = int(rng.integers(1 << 62))
+            ref, got = np.random.default_rng(key), np.random.default_rng(key)
+            want = ref.choice(len(probs), size=k, p=probs)
+            cands = draw_candidates(logp, probs, k, got)
+            assert [a for a, _ in cands] == want.tolist()
+            assert [lp for _, lp in cands] == [float(logp[a]) for a in want]
+            assert got.bit_generator.state == ref.bit_generator.state
+        assert zero_entries > 1000
+
+    @pytest.mark.parametrize("probs", [
+        [0.5, 0.6, -0.1],  # a negative entry, sum 1
+        [0.5, np.nan, 0.5],
+        [0.5, np.inf, 0.5],
+        [0.5, 0.5 + 1e-7, 0.0],  # sum off 1 beyond choice's tolerance
+        [0.0, 0.0, 0.0],
+    ])
+    def test_refuses_what_choice_refuses(self, probs):
+        p = np.array(probs)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, size=2, p=p)
+        with pytest.raises(ValueError):
+            draw_candidates(np.zeros(3), p, 2, np.random.default_rng(0))
 
 
 class TestTeacherCollection:

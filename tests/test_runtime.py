@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_golden import GOLDEN_CONFIG
 
 from steprouter import pipeline, runtime, seeds
 from steprouter.domain import (
@@ -15,7 +16,7 @@ from steprouter.domain import (
     write_rljson,
 )
 from steprouter.env import HazardChainEnv
-from steprouter.features import FeatureMask
+from steprouter.features import FeatureMask, apply_mask
 from steprouter.pipeline import load_routing_examples
 from steprouter.policy import (
     PolicyFeaturizer,
@@ -105,6 +106,68 @@ class TestDecisions:
         assert replace(entropy, threshold=0.25) == RoutingPolicy("entropy", 0.25, 3)
         with pytest.raises(ValueError, match="needs a number threshold"):
             replace(entropy, threshold=None)
+
+
+class TestRouterSnapshot:
+    """r2v scores one row through the snapshot its policy took when built,
+    bit-equal to the net's own predict at that time."""
+
+    @staticmethod
+    def fitted_net(key=0):
+        # running statistics, an output bias and a temperature away from init
+        net = RouterNet.init(seeds.stream("snapshot-net", key))
+        rng = seeds.stream("snapshot-stats", key)
+        net.run_mean1, net.run_var1 = rng.normal(size=128) * 0.5, 0.3 + 2.0 * rng.random(128)
+        net.run_mean2, net.run_var2 = rng.normal(size=64) * 0.5, 0.3 + 2.0 * rng.random(64)
+        net.params["b3"] = net.params["b3"] - 0.4
+        net.temperature = 1.7
+        return net
+
+    def test_score_equals_predict_on_random_rows(self):
+        net = self.fitted_net()
+        routing = RoutingPolicy("r2v", 0.5, net=net)
+        rng = seeds.stream("snapshot-rows")
+        escalated = 0
+        for _ in range(5000):
+            row = rng.normal(size=15) * rng.uniform(0.05, 30.0)
+            want = float(net.predict(row)[0])
+            assert routing.snapshot.prob(row) == want
+            assert _decide(routing, row, 0, 0) == (want, want >= 0.5)
+            escalated += want >= 0.5
+        assert 0 < escalated < 5000
+        with pytest.raises(ValueError, match="finite"):
+            routing.snapshot.prob(np.full(15, np.nan))
+
+    def test_score_equals_predict_on_the_golden_routing_rows(self, tmp_path):
+        cfg = pipeline.load_config(overrides=GOLDEN_CONFIG, environ={})
+        pipeline.run_pipeline(cfg, tmp_path, workers=1, through="train-router")
+        net, _ = RouterNet.load(tmp_path / "router.bin")
+        train, valid = pipeline.load_router_rows(tmp_path / "routing.rljson")
+        rows = np.concatenate([train[0], valid[0]])
+        for mask in FeatureMask:
+            routing = RoutingPolicy("r2v", net.tau_route, net=net, mask=mask)
+            for row in rows:
+                want = float(net.predict(apply_mask(row, mask))[0])
+                assert _decide(routing, row, 0, 0) == (want, want >= net.tau_route)
+
+    def test_net_edits_after_build_do_not_reach_the_policy(self):
+        net = self.fitted_net(1)
+        routing = RoutingPolicy("r2v", 0.5, net=net)
+        rows = seeds.stream("snapshot-edit").normal(size=(50, 15)) * 3.0
+        before = [_decide(routing, row, 0, 0) for row in rows]
+        net.params["w1"] *= -1.0
+        net.run_var2[:] = 4.0
+        net.params["b3"][:] = 2.0
+        net.temperature = 0.5
+        assert [_decide(routing, row, 0, 0) for row in rows] == before
+        # a policy built from the edited net, as replace() builds one, sees the edits
+        rebuilt = replace(routing, threshold=0.25)
+        after = [rebuilt.snapshot.prob(row) for row in rows]
+        assert after == [float(net.predict(row)[0]) for row in rows]
+        assert after != [p for p, _ in before]
+        for array in (routing.snapshot.w3, *routing.snapshot.layers[0]):
+            with pytest.raises(ValueError):
+                array[0] = 0.0  # the snapshot's arrays are read-only
 
 
 class TestRunEpisode:

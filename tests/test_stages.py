@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from steprouter import pipeline, runtime
-from steprouter.domain import ConfigError, StageOrderError, write_csv
+from steprouter.domain import ConfigError, RecordFormatError, StageOrderError, write_csv
 from steprouter.features import FeatureMask
 from steprouter.router import RouterNet
 
@@ -268,6 +268,39 @@ def test_each_ablation_call_builds_its_own_tree(small_run, tmp_path, monkeypatch
     steps = sum(len(ep.steps) for m in MASKS
                 for ep in pipeline.load_episodes(wd / f"eval_r2v_mask_{m}.rljson"))
     assert counts[0] == counts[1] < steps
+
+
+@pytest.mark.parametrize("stale", [("oracle",), pipeline.VARIANT_ORDER])
+def test_evaluate_takes_the_oracle_hindsight_from_memory(small_run, tmp_path, monkeypatch,
+                                                         stale):
+    # the slm episodes are decoded at most once, by evaluate's own load of a
+    # fresh eval_slm.rljson, never again to build the oracle's table
+    cfg, base_wd = small_run
+    wd = tmp_path / "run"
+    shutil.copytree(base_wd, wd)
+    for variant in stale:
+        (wd / f"eval_{variant}.rljson").unlink()
+    loads = []
+    real_load = pipeline.load_episodes
+    monkeypatch.setattr(pipeline, "load_episodes",
+                        lambda path: loads.append(path.name) or real_load(path))
+    pipeline.stage_evaluate(cfg, wd, workers=1)
+    assert loads.count("eval_slm.rljson") == (0 if "slm" in stale else 1)
+    for name in ("eval_oracle.rljson", "summary.json"):
+        assert (wd / name).read_bytes() == (base_wd / name).read_bytes(), name
+
+
+def test_standalone_oracle_rollout_checks_the_slm_file(small_run, tmp_path):
+    # rollout --variant oracle still decodes eval_slm.rljson itself, so a
+    # malformed slm record stops it
+    cfg, base_wd = small_run
+    wd = tmp_path / "run"
+    shutil.copytree(base_wd, wd)
+    slm = wd / "eval_slm.rljson"
+    head, body = slm.read_bytes().split(b"\n", 1)
+    slm.write_bytes(head + b"\n" + body.replace(b'"success":', b'"success":"x",', 1))
+    with pytest.raises(RecordFormatError):
+        pipeline.stage_rollout(cfg, wd, "oracle")
 
 
 CVAR_POINTS = [{"alpha": a, "epsilon": e} for a, e in pipeline.CVAR_ABLATION_GRID]

@@ -484,8 +484,9 @@ def _atomic_write(path):
             tmp.unlink()
 
 
-# a NaN or an infinity is no JSON number: lines never hold one, and a read
-# refuses the NaN/Infinity/-Infinity constants Python's json would accept
+# a NaN or an infinity is no JSON number: no artifact line or .json file holds
+# one, and a read refuses the NaN/Infinity/-Infinity constants Python's json
+# would accept
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
@@ -538,7 +539,8 @@ def read_header(path) -> dict:
 
 def write_json(path, payload: dict) -> None:
     with _atomic_write(path) as fh:
-        fh.write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+        fh.write((json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+                  + "\n").encode())
 
 
 def write_csv(path, rows: list[dict], columns: list[str]) -> None:

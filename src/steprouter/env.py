@@ -137,23 +137,18 @@ class TaskSpec:
 def apply_perturbation(
     obs: tuple[int, ...],
     op: PerturbationOp,
-    z: int,
-    t: int,
+    zt: int,
     tokens: TokenMap,
-    zt: int | None = None,
 ) -> tuple[int, ...]:
-    """Apply one corruption family; randomness is pure in (z, t, family, idx).
+    """Apply one corruption family at the step whose key prefix is
+    zt = seeds.mix(z, t); randomness is pure in (z, t, family, idx).
 
     Each draw is seeds.unit_uniform(z, t, family[, index]), or for a
-    Distractor filler seeds.mix(z, t, "filler", i), continued from
-    zt = seeds.mix(z, t); a caller that applies several families at one
-    (z, t) passes zt, folded once.
+    Distractor filler seeds.mix(z, t, "filler", i), continued from zt.
     """
     obs = tuple(obs)
     if op.intensity <= 0.0:
         return obs
-    if zt is None:
-        zt = seeds.mix(z, t)
     fam = op.family
     h = seeds.fold(zt, fam)
     if fam == "PartialObs":
@@ -356,7 +351,7 @@ class HazardChainEnv:
             return obs
         zt = seeds.mix(z, t)
         for op in ops:
-            obs = apply_perturbation(obs, op, z, t, self.tokens, zt)
+            obs = apply_perturbation(obs, op, zt, self.tokens)
         return obs
 
     # --- public episode interface ---------------------------------------------

@@ -17,9 +17,9 @@ through the selected tail seeds.
 
 The hidden layers carry no bias, since batch norm would subtract it again and
 its beta carries the shift (Ioffe & Szegedy, 2015). Eval mode folds each batch
-norm into a per-unit scale and shift: `RouterNet.predict` on every call, so it
-follows every update of the net, and a `RouterSnapshot` once, for the routing
-policy that scores one step at a time through it.
+norm into a per-unit scale and shift, in a `RouterSnapshot`: `RouterNet.predict`
+folds one on every call, so it follows every update of the net, and an r2v
+routing policy folds one when it is built and scores every step through it.
 """
 
 from __future__ import annotations
@@ -129,11 +129,9 @@ class RouterNet:
         return RouterSnapshot.of(self).logits(np.atleast_2d(np.asarray(x, dtype=float)))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode probabilities with the post-hoc temperature applied."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("router input must be finite")
-        return sigmoid(self.logits_eval(x) / self.temperature)
+        """Eval-mode probabilities with the post-hoc temperature applied,
+        batch norm folded from the running statistics on each call."""
+        return RouterSnapshot.of(self).predict(x)
 
     def save(self, path, extra: dict | None = None) -> None:
         header = {
@@ -168,13 +166,13 @@ def _read_only(a) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RouterSnapshot:
     """A RouterNet in eval mode, batch norm folded: (w, scale, shift) per
-    hidden layer, the output layer's w3 and b3, and the temperature, each
-    array a read-only copy, so later edits of the net do not reach it.
+    hidden layer, the output layer's w3 and b3, and the temperature.
 
-    `RouterNet.logits_eval` folds one on every call. A routing policy folds
-    one when it is built and scores each step's row with `prob`, which gives
-    float(net.predict(x)[0]) bit for bit: the same products and per-layer
-    sequence, then the two formulas of `sigmoid` on the one logit.
+    `RouterNet.predict` and `logits_eval` fold one over the net's own weight
+    arrays on every call, so they follow every update of the net. A routing
+    policy keeps `RouterSnapshot.of(net).frozen()`, whose arrays are
+    read-only copies that later edits of the net do not reach, and scores
+    each step's row with its `prob`.
     """
 
     layers: tuple
@@ -189,9 +187,13 @@ class RouterSnapshot:
         for i, mean, var in (("1", net.run_mean1, net.run_var1),
                              ("2", net.run_mean2, net.run_var2)):
             scale = p["g" + i] / np.sqrt(var + BN_EPS)
-            layers.append(tuple(map(_read_only, (p["w" + i], scale,
-                                                 p["be" + i] - mean * scale))))
-        return cls(tuple(layers), _read_only(p["w3"]), _read_only(p["b3"]), net.temperature)
+            layers.append((p["w" + i], scale, p["be" + i] - mean * scale))
+        return cls(tuple(layers), p["w3"], p["b3"], net.temperature)
+
+    def frozen(self) -> "RouterSnapshot":
+        """This snapshot with every array a read-only copy."""
+        return RouterSnapshot(tuple(tuple(map(_read_only, layer)) for layer in self.layers),
+                              _read_only(self.w3), _read_only(self.b3), self.temperature)
 
     def logits(self, h: np.ndarray) -> np.ndarray:
         """Logits of the (n, in_dim) rows h."""
@@ -199,16 +201,25 @@ class RouterSnapshot:
             h = gelu(h @ w * scale + shift)
         return (h @ self.w3 + self.b3).ravel()
 
-    def prob(self, x: np.ndarray) -> float:
-        """Probability of one feature row, temperature applied."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        if not np.isfinite(x).all():
-            raise ValueError("router input must be finite")
-        z = self.logits(x)[0] / self.temperature
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Probabilities of the rows x, temperature applied."""
+        return sigmoid(self._scaled_logits(x))
+
+    def prob(self, row: np.ndarray) -> float:
+        """float(predict(row)[0]) for one feature row, bit for bit: the
+        branch of `sigmoid` its one logit takes, on a numpy scalar. Skipping
+        the array masks takes about 5 % off an r2v rollout's wall time."""
+        z = self._scaled_logits(row)[0]
         if z >= 0:
             return float(1.0 / (1.0 + np.exp(-z)))
         ex = np.exp(z)
         return float(ex / (1.0 + ex))
+
+    def _scaled_logits(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if not np.isfinite(x).all():
+            raise ValueError("router input must be finite")
+        return self.logits(x) / self.temperature
 
 
 class StepBuffers:

@@ -47,9 +47,10 @@ class RoutingPolicy:
     `threshold` is the entropy cutoff tau_h, the verifier cutoff theta_v or
     the router's tau_route; slm, llm and the oracle take none. r2v scores
     its features through `mask` with `snapshot`, the eval-mode
-    `RouterSnapshot` of `net` taken when the policy is built, so an edit of
-    the net after that does not reach the policy's decisions. The oracle
-    reads `hindsight`, the SLM-only outcome of each (task, z).
+    `RouterSnapshot` of `net` taken when the policy is built, its arrays
+    read-only copies, so an edit of the net after that does not reach the
+    policy's decisions. The oracle reads `hindsight`, the SLM-only outcome
+    of each (task, z).
     """
 
     variant: str
@@ -71,7 +72,7 @@ class RoutingPolicy:
         if self.variant == "r2v":
             if self.net is None:
                 raise ValueError("the r2v rule needs a router net")
-            object.__setattr__(self, "snapshot", RouterSnapshot.of(self.net))
+            object.__setattr__(self, "snapshot", RouterSnapshot.of(self.net).frozen())
         if self.variant == "oracle" and self.hindsight is None:
             raise ValueError("the oracle needs a hindsight table")
         budget = self.budget_limit

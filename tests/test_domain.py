@@ -21,6 +21,7 @@ from steprouter.domain import (
     read_header,
     read_rljson,
     routing_record,
+    write_json,
     write_rljson,
 )
 from steprouter.pipeline import load_episodes, load_routing_examples
@@ -209,6 +210,8 @@ class TestSerialization:
             write_rljson(path, [{"a": [0.5, value]}], HEADER)
         with pytest.raises(ValueError):
             write_rljson(path, [], {**HEADER, "temperature": value})
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "summary.json", {"variants": {"r2v": {"ece": value}}})
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_old_file(self, tmp_path):

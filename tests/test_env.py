@@ -37,50 +37,53 @@ class TestPerturbations:
     def test_zero_intensity_is_identity(self):
         obs = (5, 6, 7, 8)
         for fam in ("ToolFlaky", "PartialObs", "Injection", "Distractor"):
-            assert apply_perturbation(obs, PerturbationOp(fam, 0.0), 3, 1, TOKENS) == obs
+            op = PerturbationOp(fam, 0.0)
+            assert apply_perturbation(obs, op, seeds.mix(3, 1), TOKENS) == obs
 
     def test_toolflaky_saturation(self):
         obs = (5, 6, 7)
         for z, t in itertools.product(range(20), range(10)):
-            out = apply_perturbation(obs, PerturbationOp("ToolFlaky", 1.0), z, t, TOKENS)
+            op = PerturbationOp("ToolFlaky", 1.0)
+            out = apply_perturbation(obs, op, seeds.mix(z, t), TOKENS)
             assert out == (TOKENS.error,) * 3
 
     def test_partialobs_full_masking(self):
         obs = (5, 6, 7, 8)
-        out = apply_perturbation(obs, PerturbationOp("PartialObs", 1.0), 11, 2, TOKENS)
+        out = apply_perturbation(obs, PerturbationOp("PartialObs", 1.0), seeds.mix(11, 2), TOKENS)
         assert out == (TOKENS.mask,) * 4
 
     def test_partialobs_monte_carlo_rate(self):
         # empirical mask rate at intensity 0.5 over 1e4 (z, t) pairs
         obs = tuple(range(10, 20))
+        op = PerturbationOp("PartialObs", 0.5)
         hits = total = 0
         for z in range(100):
             for t in range(100):
-                out = apply_perturbation(obs, PerturbationOp("PartialObs", 0.5), z, t, TOKENS)
+                out = apply_perturbation(obs, op, seeds.mix(z, t), TOKENS)
                 hits += sum(tok == TOKENS.mask for tok in out)
                 total += len(obs)
         assert 0.48 <= hits / total <= 0.52
 
     def test_injection_appends_lure_block(self):
         obs = (5, 6)
-        out = apply_perturbation(obs, PerturbationOp("Injection", 1.0), 7, 3, TOKENS)
+        out = apply_perturbation(obs, PerturbationOp("Injection", 1.0), seeds.mix(7, 3), TOKENS)
         assert out[:2] == obs
         assert out[2:] == (TOKENS.inject, TOKENS.inject, TOKENS.lure)
 
     def test_distractor_appends_filler_block(self):
         obs = (5, 6)
-        out = apply_perturbation(obs, PerturbationOp("Distractor", 1.0), 7, 3, TOKENS)
+        out = apply_perturbation(obs, PerturbationOp("Distractor", 1.0), seeds.mix(7, 3), TOKENS)
         assert out[:3] == obs + (TOKENS.distract,)
         assert all(tok >= TOKENS.filler_base for tok in out[3:])
 
     def test_pure_function_of_seed_and_step(self):
         obs = (5, 6, 7, 8, 9)
         op = PerturbationOp("PartialObs", 0.5)
-        assert apply_perturbation(obs, op, 5, 2, TOKENS) == apply_perturbation(
-            obs, op, 5, 2, TOKENS
+        assert apply_perturbation(obs, op, seeds.mix(5, 2), TOKENS) == apply_perturbation(
+            obs, op, seeds.mix(5, 2), TOKENS
         )
         # different steps draw independently
-        outs = {apply_perturbation(obs, op, 5, t, TOKENS) for t in range(50)}
+        outs = {apply_perturbation(obs, op, seeds.mix(5, t), TOKENS) for t in range(50)}
         assert len(outs) > 1
 
     def test_plan_reproducibility(self):
@@ -320,7 +323,8 @@ class TestMemos:
             for fam in PERTURBATION_FAMILIES:
                 cfg = forward.config
                 inten = min(1.0, cfg.intensity(fam) * seed_severity(cfg, z))
-                expected = apply_perturbation(expected, PerturbationOp(fam, inten), z, t, tokens)
+                expected = apply_perturbation(expected, PerturbationOp(fam, inten),
+                                              seeds.mix(z, t), tokens)
             assert out == expected
 
 
@@ -358,8 +362,7 @@ class TestFoldedDraws:
         op = PerturbationOp(fam, intensity)
         for z, t, obs in itertools.product(self.ZS, range(21), self.OBS):
             want = reference_perturbation(obs, op, z, t, TOKENS)
-            assert apply_perturbation(obs, op, z, t, TOKENS) == want
-            assert apply_perturbation(obs, op, z, t, TOKENS, seeds.mix(z, t)) == want
+            assert apply_perturbation(obs, op, seeds.mix(z, t), TOKENS) == want
 
     @pytest.mark.parametrize("base", [0.0, 0.4, 1.0])
     def test_corrupt_matches_reference_chain(self, base):

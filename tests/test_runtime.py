@@ -24,7 +24,7 @@ from steprouter.policy import (
     collect_teacher_trajectories,
     train_bc,
 )
-from steprouter.router import RouterNet
+from steprouter.router import RouterNet, RouterSnapshot
 from steprouter.runtime import (
     RoutingPolicy,
     StepTree,
@@ -168,6 +168,9 @@ class TestRouterSnapshot:
         for array in (routing.snapshot.w3, *routing.snapshot.layers[0]):
             with pytest.raises(ValueError):
                 array[0] = 0.0  # the snapshot's arrays are read-only
+        # the fold predict makes on every call reads the net's own weights
+        per_call = RouterSnapshot.of(net)
+        assert per_call.w3 is net.params["w3"] and per_call.layers[0][0] is net.params["w1"]
 
 
 class TestRunEpisode:

@@ -35,6 +35,14 @@ EXIT_THEORY = 4
 PARAM_FLAGS = {"variant": "--variant", "kind": "--grid"}
 
 
+def worker_count(text: str) -> int:
+    """A `--workers` value: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steprouter",
@@ -47,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="BLOCK.KEY=VALUE", help="config override (repeatable)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--workers", type=worker_count, default=os.cpu_count() or 1,
                        help="parallel workers for rollout-style stages")
         p.set_defaults(value=None)
         if row.param:

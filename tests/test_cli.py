@@ -1,8 +1,10 @@
+import base64
 import copy
 import dataclasses
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -241,6 +243,15 @@ class TestConfig:
         assert rc == EXIT_CONFIG
         assert "eval.task_ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_worker_count_below_one_rejected(self, tmp_path, capsys, count):
+        # a count below one is a usage error, never a quiet serial run
+        with pytest.raises(SystemExit) as exc:
+            main(["collect", "--workdir", str(tmp_path), "--workers", count])
+        assert exc.value.code == 2  # argparse's usage error
+        assert f"argument --workers: must be at least 1, got {count}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--budget", "--seeds", "--tasks", "--out"])
     def test_removed_rollout_flags_rejected(self, tmp_path, capsys, flag):
         # each but --out only re-set a config key that --set reaches; --out
@@ -328,10 +339,21 @@ def _drop_record_key(key):
     return _edit_record(lambda rec: True, lambda rec: rec.pop(key))
 
 
-def _episode_schema_1(data: bytes) -> bytes:
-    """Every record tagged with an earlier episode schema, header untouched."""
-    header, rest = data.split(b"\n", 1)
-    return header + b"\n" + rest.replace(b'"schema":"episode@3"', b'"schema":"episode@1"')
+def _retag(schema: str, earlier: str):
+    """Every record tagged with an earlier record schema, header untouched."""
+    def corrupt(data: bytes) -> bytes:
+        header, rest = data.split(b"\n", 1)
+        return header + b"\n" + rest.replace(f'"schema":"{schema}"'.encode(),
+                                              f'"schema":"{earlier}"'.encode())
+    return corrupt
+
+
+def _edit_block(key, edit):
+    """Rewrite the bytes of packed float column `key` in the first record
+    whose block is not empty."""
+    def rewrite(rec):
+        rec[key] = base64.b64encode(edit(base64.b64decode(rec[key]))).decode()
+    return _edit_record(lambda rec: rec.get(key), rewrite)
 
 
 def _edit_header(edit):
@@ -373,7 +395,26 @@ BAD_ARTIFACTS = {
                           _edit_record(_is_pair, lambda rec: rec.update(kind="pari")),
                           ("distill",)),
     # an earlier record format is named as such, never read as the present one
-    "eval_slm-episode@1": ("eval_slm.rljson", _episode_schema_1, ("evaluate",)),
+    "eval_slm-episode@1": ("eval_slm.rljson", _retag("episode@4", "episode@1"), ("evaluate",)),
+    "eval_slm-episode@3": ("eval_slm.rljson", _retag("episode@4", "episode@3"), ("evaluate",)),
+    "routing-seed@1": ("routing.rljson", _retag("routing-seed@2", "routing-seed@1"),
+                       ("train-router",)),
+    # a packed float column must be base64 of exactly the floats its record
+    # promises, each finite
+    "routing-features-not-base64": ("routing.rljson",
+                                    _edit_record(lambda rec: True, lambda rec: rec.update(
+                                        features="#" + rec["features"][1:])),
+                                    ("train-router",)),
+    "eval_slm-verifier_scores-float-short": ("eval_slm.rljson",
+                                             _edit_block("verifier_scores", lambda b: b[:-8]),
+                                             ("evaluate",)),
+    "eval_slm-candidate_logps-byte-short": ("eval_slm.rljson",
+                                            _edit_block("candidate_logps", lambda b: b[:-1]),
+                                            ("evaluate",)),
+    "eval_slm-features-nan": ("eval_slm.rljson",
+                              _edit_block("features",
+                                          lambda b: struct.pack("<d", float("nan")) + b[8:]),
+                              ("evaluate",)),
     "pairs-header-pairs@1": ("pairs.rljson", _set_header_field("schema", "pairs@1"),
                              ("distill",)),
     "router-header-router@1": ("router.bin", _set_header_field("schema", "router@1"), R2V),

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import base64
+import struct
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from steprouter.domain import (
     derive_splits,
     episode_from_dict,
     episode_to_dict,
+    pack_floats,
     read_header,
     read_rljson,
     routing_record,
+    routing_seed_from_dict,
+    unpack_floats,
     write_json,
     write_rljson,
 )
@@ -149,7 +154,7 @@ class TestSerialization:
     def test_garbage_is_rejected(self, tmp_path):
         path = tmp_path / "eps.rljson"
         write_rljson(path, [episode_to_dict(make_episode()),
-                            {"schema": "episode@3", "task_id": 1}], HEADER)
+                            {"schema": "episode@4", "task_id": 1}], HEADER)
         with pytest.raises(RecordFormatError) as err:
             load_episodes(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
@@ -214,6 +219,40 @@ class TestSerialization:
             write_json(tmp_path / "summary.json", {"variants": {"r2v": {"ece": value}}})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("column", ["candidate_logps", "verifier_scores", "features",
+                                        "routing features"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_never_packed(self, value, column):
+        ep = make_episode()
+        step = ep.steps[1]
+        if column == "candidate_logps":
+            step = replace(step, candidates=((1, -0.5), (2, value)))
+        elif column == "verifier_scores":
+            # StepRecord refuses a score outside [0, 1], so the packer's own
+            # check is reached only past it
+            with pytest.raises(ValueError, match="verifier scores"):
+                replace(step, verifier_scores=(0.7, value))
+            step = replace(step)
+            object.__setattr__(step, "verifier_scores", (0.7, value))
+        else:
+            step = replace(step, features=(value,) + step.features[1:])
+        ep = replace(ep, steps=(ep.steps[0], step, ep.steps[2]))
+        with pytest.raises(ValueError, match="non-finite"):
+            routing_record(0, "train", ep) if column == "routing features" else episode_to_dict(ep)
+        with pytest.raises(ValueError, match="non-finite"):
+            pack_floats([0.5, value])
+
+    @pytest.mark.parametrize("block, count, message", [
+        (pack_floats([0.5, 0.25])[:-4] + "*" * 4, 2, "base64"),
+        (base64.b64encode(struct.pack("<2d", 0.5, 0.25)[:-1]).decode(), 2, "15 bytes, not 16"),
+        (pack_floats([0.5]), 2, "8 bytes, not 16"),
+        (base64.b64encode(struct.pack("<2d", 0.5, float("nan"))).decode(), 2, "non-finite"),
+        (base64.b64encode(struct.pack("<2d", -float("inf"), 0.5)).decode(), 2, "non-finite"),
+    ], ids=["not-base64", "byte-short", "float-short", "nan", "-inf"])
+    def test_bad_packed_block_refused(self, block, count, message):
+        with pytest.raises(ValueError, match=message):
+            unpack_floats(block, count)
+
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "records.rljson"
         write_rljson(path, [{"a": 1}], HEADER)
@@ -240,13 +279,20 @@ class TestColumnarRecords:
         assert rec["actions"] == (1, 1, 1) and len(rec["observations"]) == 3
 
     def test_unequal_columns_rejected_at_offset(self, tmp_path):
+        # a JSON column or a packed block one entry short of the episode's
+        # steps and candidates
         path = tmp_path / "eps.rljson"
-        short = episode_to_dict(make_episode())
-        short["verifier_scores"] = short["verifier_scores"][:-1]
-        write_rljson(path, [episode_to_dict(make_episode()), short], HEADER)
-        with pytest.raises(RecordFormatError, match="differ in length") as err:
-            load_episodes(path)
-        assert err.value.offset == line_start(path.read_bytes(), 2)
+        short_column = episode_to_dict(make_episode())
+        short_column["decisions"] = short_column["decisions"][:-1]
+        short_block = episode_to_dict(make_episode())
+        short_block["verifier_scores"] = pack_floats(
+            unpack_floats(short_block["verifier_scores"], 6)[:-1])
+        for short, message in ((short_column, "differ in length"),
+                               (short_block, "40 bytes, not 48")):
+            write_rljson(path, [episode_to_dict(make_episode()), short], HEADER)
+            with pytest.raises(RecordFormatError, match=message) as err:
+                load_episodes(path)
+            assert err.value.offset == line_start(path.read_bytes(), 2)
 
     def test_episode_at_2_record_rejected_at_offset(self, tmp_path):
         path = tmp_path / "eps.rljson"
@@ -277,9 +323,9 @@ class TestColumnarRecords:
     def test_routing_seed_short_row_rejected_at_offset(self, tmp_path):
         path = tmp_path / "routing.rljson"
         records = [routing_record(i, "valid", make_episode()) for i in range(2)]
-        records[1]["features"][2] = records[1]["features"][2][:-1]
+        records[1]["features"] = pack_floats(unpack_floats(records[1]["features"], 45)[:-1])
         write_rljson(path, records, HEADER)
-        with pytest.raises(RecordFormatError, match="14 features") as err:
+        with pytest.raises(RecordFormatError, match="352 bytes, not 360") as err:
             load_routing_examples(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
 
@@ -371,14 +417,29 @@ def test_serialization_round_trip_property(scratch_file, success, n_steps, z):
     assert round_trip([ep], scratch_file) == [ep]
 
 
-FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-UNIT = st.floats(min_value=0.0, max_value=1.0)
+# finite floats, with the edges a packed column must keep bit for bit drawn often
+EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308]
+FLOATS = st.sampled_from(EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.sampled_from([-0.0, 5e-324, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+def float_bits(obj) -> list[bytes]:
+    """Every float an episode, step or routing example holds, as its eight
+    bytes, in field order: equal lists mean equal bits (-0.0 included)."""
+    if isinstance(obj, float):
+        return [struct.pack("<d", obj)]
+    if isinstance(obj, (tuple, list)):
+        return [b for item in obj for b in float_bits(item)]
+    if is_dataclass(obj):
+        return [b for f in fields(obj) for b in float_bits(getattr(obj, f.name))]
+    return []
 
 
 @st.composite
 def episodes(draw):
     """A routed or teacher episode whose contexts chain as a rollout's do."""
     routed = draw(st.booleans())
+    featured = routed and draw(st.booleans())
     goal = tuple(draw(st.lists(st.integers(0, 63), min_size=1, max_size=5)))
     budget = draw(st.none() | st.integers(0, 4)) if routed else None
     remaining, llm_calls, steps, ctx = budget, 0, [], None
@@ -391,7 +452,7 @@ def episodes(draw):
             steps.append(StepRecord(ctx, (), (), action, "LLM"))
             llm_calls += 1
             continue
-        k = draw(st.integers(2, 5))
+        k = draw(st.integers(0, 5))
         decision = draw(st.booleans())
         executor = "LLM" if decision and (remaining is None or remaining > 0) else "SLM"
         if executor == "LLM":
@@ -404,7 +465,8 @@ def episodes(draw):
             verifier_scores=tuple(draw(st.lists(UNIT, min_size=k, max_size=k))),
             chosen_action=action,
             executor=executor,
-            features=tuple(draw(st.lists(FLOATS, min_size=15, max_size=15))),
+            features=(tuple(draw(st.lists(FLOATS, min_size=15, max_size=15))) if featured
+                      else None),
             router_prob=draw(st.none() | UNIT),
             decision=decision,
             budget_remaining=remaining,
@@ -419,8 +481,22 @@ def episodes(draw):
 @settings(max_examples=50, deadline=None)
 @given(eps=st.lists(episodes(), min_size=1, max_size=4))
 def test_routed_and_teacher_episodes_round_trip(scratch_file, eps):
+    # in memory and through the file, every float keeps its bits
+    for ep in eps:
+        decoded = episode_from_dict(episode_to_dict(ep))
+        assert decoded == ep and float_bits(decoded) == float_bits(ep)
     write_rljson(scratch_file, [episode_to_dict(ep) for ep in eps], HEADER)
-    assert load_episodes(scratch_file) == eps
+    loaded = load_episodes(scratch_file)
+    assert loaded == eps and float_bits(loaded) == float_bits(eps)
+
+
+def test_mixed_featured_steps_refused():
+    ep = make_episode()
+    with pytest.raises(ValueError, match="all hold features or none"):
+        episode_to_dict(replace(ep, steps=(ep.steps[0], replace(ep.steps[1], features=None),
+                                           ep.steps[2])))
+    teacher = replace(ep, steps=tuple(replace(s, features=None) for s in ep.steps))
+    assert episode_to_dict(teacher)["features"] is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -430,9 +506,14 @@ def test_routed_and_teacher_episodes_round_trip(scratch_file, eps):
                       min_size=1, max_size=5))
 def test_routing_seeds_round_trip(scratch_file, seeds):
     # one record per SLM-only episode decodes to one row per step: the
-    # step's features under the episode's failure label
-    write_rljson(scratch_file, [routing_record(seed_id, split, routing_episode(f, not label))
-                                for seed_id, (label, split, f) in enumerate(seeds)], HEADER)
-    assert load_routing_examples(scratch_file) == [
-        RoutingExample(tuple(f), label, seed_id, split)
-        for seed_id, (label, split, features) in enumerate(seeds) for f in features]
+    # step's features under the episode's failure label, bit for bit
+    records = [routing_record(seed_id, split, routing_episode(f, not label))
+               for seed_id, (label, split, f) in enumerate(seeds)]
+    expected = [[RoutingExample(tuple(f), label, seed_id, split) for f in features]
+                for seed_id, (label, split, features) in enumerate(seeds)]
+    decoded = [routing_seed_from_dict(rec) for rec in records]
+    assert decoded == expected and float_bits(decoded) == float_bits(expected)
+    write_rljson(scratch_file, records, HEADER)
+    flat = [row for rows in expected for row in rows]
+    loaded = load_routing_examples(scratch_file)
+    assert loaded == flat and float_bits(loaded) == float_bits(flat)

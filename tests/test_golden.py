@@ -58,6 +58,14 @@ written without spaces after separators. It moved `pairs.rljson`,
 to what the earlier code decoded from the earlier file, the checkpoints hold
 the same array bytes under an equal header, and `summary.json`, `metrics.csv`
 and `router_report.csv` kept their bytes.
+A seventh deliberate change, format only: the fixed-width float columns of
+a record are packed, each one base64 string of little-endian float64 bytes
+(record schemas `episode@4`, whose candidates hold actions alone beside
+packed `candidate_logps`, `verifier_scores` and `features` blocks, and
+`routing-seed@2`, whose features are one packed block). It moved
+`routing.rljson` and the six `eval_*.rljson`. Every record each of them holds
+decodes to an object equal to what the earlier code decoded from the earlier
+file, every header is unchanged, and every other pinned file kept its bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -84,13 +92,13 @@ GOLDEN_SHA256 = {
     "metrics.csv": "4530be477b1625de10f9c1dd563f35745f277da42f31e166ef3b710446479103",
     "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
     "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
-    "routing.rljson": "d6a93006299f004ba42a98031d091e55565ba93e8e4885e4630161deaf0d5872",
-    "eval_entropy.rljson": "0f311fea6b124ab68933d6a7468ae1b726fa46312efe21d9cd71566188136c75",
-    "eval_heuristic.rljson": "cf3577fb4e0bc1647e80cca48918cad74613120ffc25f82b717bad1c467c471a",
-    "eval_llm.rljson": "a285b6f2661680c8a5701e9c1a754a3796cbcf530fbc58956fddf8aad573387a",
-    "eval_oracle.rljson": "c094b2d64175a9d964ed1937498e896a08b1d01fd81b656d46e7a3c021c60890",
-    "eval_r2v.rljson": "8acd99f5fd4be491d9b18734c06982743b437800e0406b55adff576c1b60d1de",
-    "eval_slm.rljson": "d3c9caca1228bf88244e81829eb970fe1b17acc94cbea63be09befef5e77c57e",
+    "routing.rljson": "82680534f9d28649d4fe3ee8ca799322bac9361fdf3bb4573e4cd1d5ffe2fa34",
+    "eval_entropy.rljson": "4a347892cab79c0be9ac29c4bee122b69baf8a3d738be5657bdcb1359a7824e7",
+    "eval_heuristic.rljson": "dd124ecd9d7f566b16515ef02ba1071d541b28f7a31156db47c310d36db4e6e1",
+    "eval_llm.rljson": "4340203f81584766df092bd9caa19000e75092cbd74952da6e7f014d8402b9e1",
+    "eval_oracle.rljson": "c4fa4af65477b6fae218457e9a4d6678bc0dab01cf424783a92fe51f26569d53",
+    "eval_r2v.rljson": "78f3528e092d16c7836cba40d19b01123262fb19a09cab7d2221ce563f98ad1f",
+    "eval_slm.rljson": "36e5df25d2b3097da171005349085d4d361503e29908b95cb533af37343cdb8d",
     "router.bin": "7dccec260130f9fff0fe7da8d12656cec04e53790d3f8da723d5f76b88365b57",
     "router_report.csv": "aa5867832809e1d80808784726b02113c8afafe6b78a3ef3a06f4a091e9ad1bf",
 }

@@ -7,12 +7,14 @@ from test_golden import GOLDEN_CONFIG
 
 from steprouter import pipeline, runtime, seeds
 from steprouter.domain import (
+    FEATURE_DIM,
     CostSpec,
     EnvConfig,
     StageOrderError,
     episode_from_dict,
     episode_to_dict,
     routing_record,
+    unpack_floats,
     write_rljson,
 )
 from steprouter.env import HazardChainEnv
@@ -423,7 +425,8 @@ class TestRoutingDataset:
         for seed_id, ep in enumerate(episodes):
             rec = routing_record(seed_id, "train", ep)
             assert rec["label"] == (0 if ep.success else 1)
-            assert rec["features"] == [s.features for s in ep.steps]
+            rows = unpack_floats(rec["features"], FEATURE_DIM * len(ep.steps))
+            assert rows == [v for s in ep.steps for v in s.features]
 
     def test_successful_rollout_all_zero(self, world, tmp_path):
         episodes = slm_rollouts(world, range(6), 4)

@@ -67,9 +67,9 @@ def build_preferences(
         for step in ep.steps:
             ctx = step.context
             state = env.replay(env.task_spec(ep.task_id), ctx.actions)
-            cands = bc_policy.sample_candidates(ctx, k, rng_cand)
-            actions = [a for a, _ in cands]
-            scores = score_candidates(spec, state, actions, rng_score)
+            drawn, _ = bc_policy.sample_candidates([ctx], k, [rng_cand])
+            scores = score_candidates(spec, [state], drawn, [rng_score])[0]
+            actions = drawn[0].tolist()
             best = int(np.argmax(scores))
             worst = int(np.argmin(scores))
             if scores[best] >= spec.gamma_threshold:

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import FEATURE_DIM, Context
+from .domain import FEATURE_DIM
 from .verifier import pseudo_entropy
 
 _ENTROPY_SLOTS = (0, 1, 2, 9)
@@ -55,74 +55,89 @@ class FeatureLimits:
 
 
 def extract(
-    ctx: Context,
-    action_probs,
-    candidates,
-    scores,
+    contexts,
+    action_probs: np.ndarray,
+    cand_actions: np.ndarray,
+    cand_logps: np.ndarray,
+    scores: np.ndarray,
     limits: FeatureLimits,
 ) -> np.ndarray:
-    """Deterministic feature vector for one step; layout as documented above.
+    """Feature rows, one per step, in the layout documented above: step i
+    has context contexts[i], the action distribution action_probs[i] its K
+    candidates cand_actions[i] were drawn from, their log-probabilities
+    cand_logps[i] and their verifier scores scores[i].
 
-    `action_probs` is the distribution the candidates were drawn from; the
-    rollout loop computes it once per step and passes it here. Candidate
-    log-probs and verifier scores are stacked into one (2, K) array and
-    reduced along rows, bit-equal to reducing each 1-D array. Candidate
-    actions are tallied in ascending action order, the order the consistency
-    and semantic-entropy sums must keep to stay bit-identical.
+    Every statistic is a reduction along one step's own contiguous row, so
+    each row is bit-equal to extracting that step alone. An entropy sums
+    only a row's positive entries, in column order: distinct candidate
+    actions in ascending action order, positive action probabilities in
+    action order. Rows that keep different numbers of entries are summed in
+    separate groups, since padding a row with zero terms regroups numpy's
+    pairwise sum.
     """
-    k = len(candidates)
+    k = cand_actions.shape[1]
     if k < 2:
         raise ValueError("feature extraction needs K >= 2 candidates")
-    if k != len(scores):
+    if scores.shape != cand_actions.shape or cand_logps.shape != cand_actions.shape:
         raise ValueError("candidates and scores must align")
     probs = np.asarray(action_probs, dtype=float)
+    n, n_actions = probs.shape
+    f = np.empty((n, FEATURE_DIM))
 
-    nz = probs[probs > 0.0]
-    entropy = min(1.0, -float(np.add.reduce(nz * np.log(nz))) / math.log(len(probs)))
+    present = probs > 0.0
+    plogp = probs * np.log(np.where(present, probs, 1.0))
+    np.minimum(-_row_sums(plogp, present) / math.log(n_actions), 1.0, out=f[:, 0])
 
-    # row 0: clipped candidate log-probs, row 1: verifier scores; mean and std
-    # spelled out as ndarray.mean/std compute them
-    rows = np.empty((2, k))
-    rows[0] = [lp for _, lp in candidates]
-    rows[1] = scores
-    np.maximum(rows[0], limits.logprob_floor, out=rows[0])
-    np.minimum(rows[0], 0.0, out=rows[0])  # clipped to [logprob_floor, 0]
-    mean = np.add.reduce(rows, axis=1, keepdims=True) / k
+    # [:, 0]: clipped candidate log-probs, [:, 1]: verifier scores; mean and
+    # std spelled out as ndarray.mean/std compute them
+    rows = np.empty((n, 2, k))
+    np.maximum(cand_logps, limits.logprob_floor, out=rows[:, 0])
+    np.minimum(rows[:, 0], 0.0, out=rows[:, 0])  # clipped to [logprob_floor, 0]
+    rows[:, 1] = scores
+    mean = np.add.reduce(rows, axis=2, keepdims=True) / k
     dev = rows - mean
-    std = np.sqrt(np.add.reduce(dev * dev, axis=1) / k)
-    hi = np.maximum.reduce(rows[1])
-    lo = np.minimum.reduce(rows[1])
+    std = np.sqrt(np.add.reduce(dev * dev, axis=2) / k)
+    hi = np.maximum.reduce(rows[:, 1], axis=1)
+    lo = np.minimum.reduce(rows[:, 1], axis=1)
+    f[:, 1], f[:, 2], f[:, 3], f[:, 4] = mean[:, 0, 0], std[:, 0], mean[:, 1, 0], std[:, 1]
+    f[:, 5], f[:, 6], f[:, 7] = hi - lo, hi, lo
 
-    tally: dict[int, int] = {}
-    for a, _ in candidates:
-        tally[a] = tally.get(a, 0) + 1
-    counts = [tally[a] for a in sorted(tally)]
-    q = np.array(counts, dtype=float) / k
-    semantic_entropy = min(1.0, -float(np.add.reduce(q * np.log(q))) / math.log(k))
+    # candidate tallies per action, in ascending action order
+    offsets = n_actions * np.arange(n)[:, None]
+    counts = np.bincount((cand_actions + offsets).ravel(),
+                         minlength=n * n_actions).reshape(n, n_actions)
+    f[:, 8] = np.maximum.reduce(counts, axis=1) / k
+    q = counts / k
+    tallied = counts > 0
+    qlogq = q * np.log(np.where(tallied, q, 1.0))
+    np.minimum(-_row_sums(qlogq, tallied) / math.log(k), 1.0, out=f[:, 9])
 
-    t = ctx.step_index
-    f = np.array(
-        [
-            entropy,
-            mean[0, 0],
-            std[0],
-            mean[1, 0],
-            std[1],
-            hi - lo,
-            hi,
-            lo,
-            max(counts) / k,
-            semantic_entropy,
-            t / limits.horizon,
-            t / limits.horizon_max,
-            min(1.0, ctx.tokens_seen / limits.max_context_tokens),
-            min(1.0, len(ctx.goal) / limits.max_goal_len),
-            pseudo_entropy(rows[1]),
-        ]
-    )
+    t = np.array([ctx.step_index for ctx in contexts])
+    f[:, 10] = t / limits.horizon
+    f[:, 11] = t / limits.horizon_max
+    np.minimum(np.array([ctx.tokens_seen for ctx in contexts]) / limits.max_context_tokens,
+               1.0, out=f[:, 12])
+    np.minimum(np.array([len(ctx.goal) for ctx in contexts]) / limits.max_goal_len,
+               1.0, out=f[:, 13])
+    f[:, 14] = pseudo_entropy(rows[:, 1])
     if not np.isfinite(f).all():
         raise ValueError("non-finite feature extracted")
     return f
+
+
+def _row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row, np.add.reduce over the entries of `terms` where `keep`
+    holds, in column order, bit-equal to reducing a 1-D array of just those
+    entries."""
+    if keep.all():
+        return np.add.reduce(terms, axis=1)
+    width = np.add.reduce(keep, axis=1)
+    packed = np.take_along_axis(terms, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    out = np.empty(len(terms))
+    for w in np.unique(width).tolist():
+        rows = width == w
+        out[rows] = np.add.reduce(packed[rows, :w], axis=1)
+    return out
 
 
 def _only(*slots) -> np.ndarray:
@@ -143,9 +158,10 @@ _ZEROED = {
 
 
 def apply_mask(features, mask: FeatureMask) -> np.ndarray:
-    """Inference-time ablation of feature groups; idempotent for every variant."""
+    """Inference-time ablation of feature groups along the last axis, so of
+    one row or a block of rows; idempotent for every variant."""
     f = np.array(features, dtype=float, copy=True)
-    f[_ZEROED[mask]] = 0.0
+    f[..., _ZEROED[mask]] = 0.0
     if mask is FeatureMask.PSEUDO_ENTROPY:
-        f[0] = f[14]
+        f[..., 0] = f[..., 14]
     return f

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,7 +56,7 @@ from .runtime import (
     calibrate_heuristic_threshold,
     hindsight_table,
     routing_grid,
-    run_episode,
+    run_episodes,
 )
 from .verifier import VerifierSpec
 
@@ -411,13 +410,22 @@ def stage_reads(ref: str) -> tuple[tuple, tuple]:
 
 def inputs_hash(cfg: dict, ref: str) -> str:
     """The hash of the config values `ref` reads and of its inputs' own
-    inputs_hash: what its artifact header holds when built under `cfg`."""
-    inputs, keys = stage_reads(ref)
-    return config_hash({
-        "stage": ref,
-        "keys": {key: functools.reduce(dict.__getitem__, key.split("."), cfg) for key in keys},
-        "inputs": {i: inputs_hash(cfg, i) for i in inputs},
-    })
+    inputs_hash: what its artifact header holds when built under `cfg`.
+    Each ref reached through the inputs is hashed once per call."""
+    known: dict = {}
+
+    def walk(r: str) -> str:
+        if r not in known:
+            inputs, keys = stage_reads(r)
+            known[r] = config_hash({
+                "stage": r,
+                "keys": {key: functools.reduce(dict.__getitem__, key.split("."), cfg)
+                         for key in keys},
+                "inputs": {i: walk(i) for i in inputs},
+            })
+        return known[r]
+
+    return walk(ref)
 
 
 def _stamp(cfg: dict, ref: str) -> dict:
@@ -515,6 +523,9 @@ def _parallel_map(fn, jobs, workers: int):
     workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers <= 1:
         return [fn(job) for job in jobs]
+    # imported here: the module costs every import of the pipeline 12-16 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
@@ -607,24 +618,31 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
 
 
 def _routing_job(args):
-    """One task's routing records, in seed-id order; its episodes stay here."""
-    cfg, distill_path, task_id, split_name, first_seed_id = args
+    """The routing records of a run of grid points of one split, numbered
+    from `first_seed_id` in grid order; its episodes stay here."""
+    cfg, distill_path, split_name, grid, first_seed_id = args
     tag = _stream_tag(cfg, f"routing-{split_name}")
-    grid = routing_grid(make_env(cfg), [task_id], cfg["runtime"]["routing_seeds_per_task"], tag)
     [episodes] = _rollout_job((cfg, [RoutingPolicy("slm")], grid, tag, distill_path, None))
     return [routing_record(first_seed_id + i, split_name, ep) for i, ep in enumerate(episodes)]
 
 
 def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
+    """SLM-only rollouts over the train and the valid split's routing grids,
+    numbered by seed id across both. Each split's grid is cut into one
+    contiguous run per worker, so a job steps its run of episodes together."""
     paths = require_inputs(cfg, workdir, "collect-routing")
     split = read_header(paths["gen-tasks"])["split"]
-    per_task = cfg["runtime"]["routing_seeds_per_task"]
+    env = make_env(cfg)
     jobs = []
     offset = 0
     for split_name in ("train", "valid"):
-        for tid in split[split_name]:
-            jobs.append((cfg, paths["distill"], tid, split_name, offset))
-            offset += per_task
+        grid = routing_grid(env, split[split_name], cfg["runtime"]["routing_seeds_per_task"],
+                            _stream_tag(cfg, f"routing-{split_name}"))
+        n_jobs = max(1, min(workers, len(grid)))
+        cuts = [len(grid) * j // n_jobs for j in range(n_jobs + 1)]
+        jobs += [(cfg, paths["distill"], split_name, grid[a:b], offset + a)
+                 for a, b in zip(cuts, cuts[1:])]
+        offset += len(grid)
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect-routing")
@@ -718,22 +736,22 @@ def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
 
 def _rollout_job(args):
     """Each of `policies`' episodes over `grid` on the streams tagged `tag`,
-    stepped through `tree` (a private tree per episode when None)."""
+    the grid stepped in lockstep once per policy through `tree` (a private
+    tree per policy when None)."""
     cfg, policies, grid, tag, distill_path, tree = args
     slm = load_policy(distill_path, "distill")
     env = make_env(cfg)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
     k = cfg["runtime"]["k_candidates"]
-    return [[run_episode(env, task_id, z, slm, teacher, vspec, routing, k=k, salt=tag, tree=tree)
-             for task_id, z in grid]
+    return [run_episodes(env, grid, slm, teacher, vspec, routing, k=k, salt=tag, tree=tree)
             for routing in policies]
 
 
 def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list, workers: int,
               tree: StepTree | None = None) -> list[list]:
     """Each of `policies`' episodes over the eval grid of `cfg`, in grid
-    order, stepped through `tree` (a private tree per episode when None).
+    order, stepped through `tree` (a private tree per policy when None).
     With workers > 1 each grid chunk carries every policy, and each worker
     fills its own copy of the tree."""
     grid = eval_grid(cfg, workdir)

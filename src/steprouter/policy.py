@@ -81,33 +81,41 @@ def param_digest(theta: np.ndarray, bias: np.ndarray) -> str:
 
 
 def probabilities(logp: np.ndarray) -> np.ndarray:
-    """The distribution behind a log-distribution, renormalized after exp."""
+    """The distribution behind each row of log-probabilities, renormalized
+    after exp."""
     p = np.exp(logp)
-    return p / np.add.reduce(p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    return p
 
 
 # the tolerance Generator.choice allows on the sum of its p
 _P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def draw_candidates(logp: np.ndarray, probs: np.ndarray, k: int,
-                    rng: np.random.Generator):
-    """K i.i.d. draws from probs, each paired with its log-probability.
+def draw_candidates(logp: np.ndarray, probs: np.ndarray, k: int, rngs):
+    """K i.i.d. draws from each row of probs, with their log-probabilities:
+    (actions, logps), both of shape (rows, k).
 
-    Inverse-CDF draws, as `rng.choice(len(probs), size=k, p=probs)` makes
-    them: the normalized cumulative sum searched with k uniforms. The draws
-    and the generator state after them are the same as choice's. A probs
-    that choice would refuse (a negative or NaN entry, or a sum off 1 by
-    more than its tolerance) raises ValueError.
+    Row i draws from `rngs[i]` alone, by inverse CDF as
+    `rng.choice(len(p), size=k, p=p)` makes them: the normalized cumulative
+    sum searched with k uniforms. The draws and each generator's state after
+    them are the same as choice's. Counting the cdf entries at or below a
+    uniform is `searchsorted(side="right")` on a sorted row. A row that
+    choice would refuse (a negative or NaN entry, or a sum off 1 by more
+    than its tolerance) raises ValueError.
     """
     if k < 1:
         raise ValueError("need at least one candidate")
-    cdf = probs.cumsum()
-    if not abs(cdf[-1] - 1.0) <= _P_SUM_ATOL or np.minimum.reduce(probs) < 0.0:
+    cdf = probs.cumsum(axis=1)
+    total = cdf[:, -1:]
+    if not (np.abs(total - 1.0) <= _P_SUM_ATOL).all() or np.minimum.reduce(probs, axis=None) < 0.0:
         raise ValueError("candidate probabilities must be non-negative and sum to 1")
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(rng.random(k), side="right")
-    return list(zip(draws.tolist(), logp[draws].tolist()))
+    cdf /= total
+    u = np.empty((len(rngs), k))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    draws = (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
+    return draws, np.take_along_axis(logp, draws, axis=1)
 
 
 @dataclass
@@ -128,21 +136,28 @@ class SoftmaxPolicy:
             stage=stage,
         )
 
-    def logits(self, ctx: Context) -> np.ndarray:
-        return self.featurizer(ctx) @ self.theta + self.bias
+    def log_distribution(self, contexts) -> np.ndarray:
+        """Log-probabilities over actions, one row per context. Each row's
+        logits are that context's own `featurizer(ctx) @ theta` (a gemv; one
+        gemm over the rows would round differently); the softmax then runs
+        along each row."""
+        x = self.featurizer.matrix(contexts)
+        z = np.empty((len(x), self.bias.size))
+        for row, out in zip(x, z):
+            np.matmul(row, self.theta, out=out)
+        z += self.bias
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
+        return z
 
-    def log_distribution(self, ctx: Context) -> np.ndarray:
-        z = self.logits(ctx)
-        z = z - np.maximum.reduce(z)
-        return z - np.log(np.add.reduce(np.exp(z)))
+    def action_distribution(self, contexts) -> np.ndarray:
+        return probabilities(self.log_distribution(contexts))
 
-    def action_distribution(self, ctx: Context) -> np.ndarray:
-        return probabilities(self.log_distribution(ctx))
-
-    def sample_candidates(self, ctx: Context, k: int, rng: np.random.Generator):
-        """K i.i.d. draws with their log-probabilities."""
-        logp = self.log_distribution(ctx)
-        return draw_candidates(logp, probabilities(logp), k, rng)
+    def sample_candidates(self, contexts, k: int, rngs):
+        """K i.i.d. draws per context with their log-probabilities, context i
+        drawing from rngs[i]; see `draw_candidates`."""
+        logp = self.log_distribution(contexts)
+        return draw_candidates(logp, probabilities(logp), k, rngs)
 
     def param_hash(self) -> str:
         return param_digest(self.theta, self.bias)

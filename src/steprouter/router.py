@@ -18,8 +18,10 @@ through the selected tail seeds.
 The hidden layers carry no bias, since batch norm would subtract it again and
 its beta carries the shift (Ioffe & Szegedy, 2015). Eval mode folds each batch
 norm into a per-unit scale and shift, in a `RouterSnapshot`: `RouterNet.predict`
-folds one on every call, so it follows every update of the net, and an r2v
-routing policy folds one when it is built and scores every step through it.
+folds one on every call, so it follows every update of the net, and scores
+its rows in one gemm; an r2v routing policy folds one when it is built and
+scores every step's rows through it, each row by its own gemv, so that a
+row's probability is what a one-row `predict` gives it.
 """
 
 from __future__ import annotations
@@ -130,7 +132,10 @@ class RouterNet:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with the post-hoc temperature applied,
-        batch norm folded from the running statistics on each call."""
+        batch norm folded from the running statistics on each call. The rows
+        go through one gemm per layer: the batch path of training and
+        validation. Rollouts score through `RouterSnapshot.probs`, one gemv
+        per row, which a gemm does not match in the last place."""
         return RouterSnapshot.of(self).predict(x)
 
     def save(self, path, extra: dict | None = None) -> None:
@@ -172,7 +177,14 @@ class RouterSnapshot:
     arrays on every call, so they follow every update of the net. A routing
     policy keeps `RouterSnapshot.of(net).frozen()`, whose arrays are
     read-only copies that later edits of the net do not reach, and scores
-    each step's row with its `prob`.
+    each step's rows with its `probs`.
+
+    The two scoring paths differ in their matmuls. `predict` multiplies all
+    n rows in one (n, d) @ (d, h) gemm, the fast path for training and
+    validation sets. `probs` multiplies each row alone, as a one-row
+    `predict` does, since a gemm rounds differently in the last place from
+    the gemv of one row: a routing decision must not depend on which other
+    episodes share its step.
     """
 
     layers: tuple
@@ -205,15 +217,24 @@ class RouterSnapshot:
         """Probabilities of the rows x, temperature applied."""
         return sigmoid(self._scaled_logits(x))
 
-    def prob(self, row: np.ndarray) -> float:
-        """float(predict(row)[0]) for one feature row, bit for bit: the
-        branch of `sigmoid` its one logit takes, on a numpy scalar. Skipping
-        the array masks takes about 5 % off an r2v rollout's wall time."""
-        z = self._scaled_logits(row)[0]
-        if z >= 0:
-            return float(1.0 / (1.0 + np.exp(-z)))
-        ex = np.exp(z)
-        return float(ex / (1.0 + ex))
+    def probs(self, rows: np.ndarray) -> np.ndarray:
+        """Probabilities of the (n, in_dim) feature rows, each row scored as
+        `predict` scores it alone: every layer's matmul runs one (1, d) row
+        at a time (a gemv), and only the elementwise steps see the block, so
+        row i is bit-equal to `predict(rows[i])[0]`."""
+        h = np.asarray(rows, dtype=float)
+        if not np.isfinite(h).all():
+            raise ValueError("router input must be finite")
+        for w, scale, shift in self.layers:
+            h = gelu(self._row_by_row(h, w) * scale + shift)
+        return sigmoid((self._row_by_row(h, self.w3) + self.b3).ravel() / self.temperature)
+
+    @staticmethod
+    def _row_by_row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+        out = np.empty((len(h), w.shape[1]))
+        for i in range(len(h)):
+            np.matmul(h[i:i + 1], w, out=out[i:i + 1])
+        return out
 
     def _scaled_logits(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -11,6 +11,19 @@ policies rolled over one grid share it through a `StepTree`: each distinct
 prefix is sampled, scored, featurized and stepped once, and every policy
 still gets the episode it would get rolled alone.
 
+`run_episodes` is the one rollout engine. It steps every episode of a grid
+in lockstep and batches each step's array work across episodes: the policy
+log-distributions, candidate draws, verifier scores and features of every
+node expanded at that step, then the router scores of every r2v row. The
+per-call overhead of numpy on arrays of 5 to 128 elements, not arithmetic,
+was the cost of a step, and the batch pays it once per step instead of once
+per episode. The bits hold because no batched op mixes rows: every matmul
+is still one row's gemv (one gemm over the rows would round differently),
+every other op is elementwise or reduces along one row's own contiguous
+axis, each episode draws from its own streams, and an entropy over a row's
+positive entries sums exactly those entries. So each episode is what it is
+rolled alone, and `run_episode` is the engine on a one-point grid.
+
 The hindsight oracle is structurally offline: it needs a table of SLM-only
 episode outcomes over the same (task, seed) grid, which the online loop has
 no way to construct.
@@ -80,30 +93,35 @@ class RoutingPolicy:
             raise ValueError("budget must be None (unlimited) or an integer >= 0")
 
 
-def _decide(routing: RoutingPolicy, f_raw, task_id: int, z: int):
-    """(router probability or None, escalation decision) for one step.
+def _decide(routing: RoutingPolicy, f_raw: np.ndarray, keys):
+    """(router probabilities or Nones, escalation decisions) for one step of
+    the episodes at the (task, z) `keys`, whose raw features are the rows of
+    `f_raw`.
 
     entropy escalates when the normalized policy entropy (slot 0) reaches
     the threshold, heuristic when even the best verifier score (slot 6)
     falls below it, r2v when the router's probability on the masked
     features reaches it (p = 1 at threshold 1 escalates), and the oracle on
     every step of an episode whose SLM-only rollout failed. r2v scores the
-    one row through the policy's snapshot, which gives what
-    `routing.net.predict` gave when the policy was built, bit for bit.
+    rows through the policy's snapshot, each row by its own gemv, which
+    gives what `routing.net.predict` gave the row alone when the policy was
+    built, bit for bit.
     """
     variant, threshold = routing.variant, routing.threshold
     if variant == "r2v":
-        p = routing.snapshot.prob(apply_mask(f_raw, routing.mask))
-        return p, p >= threshold
+        probs = routing.snapshot.probs(apply_mask(f_raw, routing.mask)).tolist()
+        return probs, [p >= threshold for p in probs]
+    unscored = [None] * len(keys)
     if variant == "entropy":
-        return None, bool(f_raw[0] >= threshold)
+        return unscored, (f_raw[:, 0] >= threshold).tolist()
     if variant == "heuristic":
-        return None, bool(f_raw[6] < threshold)
+        return unscored, (f_raw[:, 6] < threshold).tolist()
     if variant == "oracle":
-        if (task_id, z) not in routing.hindsight:
-            raise ValueError(f"hindsight table has no entry for task={task_id} z={z}")
-        return None, not routing.hindsight[task_id, z]
-    return None, variant == "llm"
+        for task_id, z in keys:
+            if (task_id, z) not in routing.hindsight:
+                raise ValueError(f"hindsight table has no entry for task={task_id} z={z}")
+        return unscored, [not routing.hindsight[key] for key in keys]
+    return unscored, [variant == "llm"] * len(keys)
 
 
 class _Node:
@@ -111,11 +129,11 @@ class _Node:
 
     `state` and `ctx` are where the prefix leads; `terminal` and `success`
     are what `env.step` returned on the last action (False at the root). The
-    first policy to step from the node fills the rest: the local proposal
-    (verifier argmax), the verifier scores and raw features with the tuple
-    forms a StepRecord stores, in a shared tree the states of the cand and
-    verif streams after the step's draws, and `children`, one node per
-    executed action.
+    first step that reaches the node expands it (`_expand`): the local
+    proposal (verifier argmax), the verifier scores and raw features with
+    the tuple forms a StepRecord stores, in a shared tree the states of the
+    cand and verif streams after the step's draws, and `children`, one node
+    per executed action.
     """
 
     __slots__ = ("state", "ctx", "terminal", "success", "slm_action", "f_raw",
@@ -128,22 +146,6 @@ class _Node:
         self.success = success
         self.children = None  # None until the node's step is computed
 
-    def expand(self, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
-               limits: FeatureLimits, rng_cand, rng_ver, keep_streams: bool) -> None:
-        """Sample K candidates, score them and extract the raw features."""
-        logp = slm.log_distribution(self.ctx)
-        probs = probabilities(logp)
-        cands = draw_candidates(logp, probs, k, rng_cand)
-        scores = score_candidates(vspec, self.state, [a for a, _ in cands], rng_ver)
-        self.f_raw = extract(self.ctx, probs, cands, scores, limits)
-        self.slm_action = cands[int(np.argmax(scores))][0]
-        self.candidates = tuple(cands)
-        self.score_record = tuple(scores.tolist())
-        self.feature_record = tuple(self.f_raw.tolist())
-        if keep_streams:
-            self.streams = (rng_cand.bit_generator.state, rng_ver.bit_generator.state)
-        self.children = {}
-
     def child(self, env: HazardChainEnv, action: int, seed: PerturbationSeed,
               t: int) -> "_Node":
         """The node `action` leads to, stepping the env the first time."""
@@ -155,12 +157,41 @@ class _Node:
         return node
 
 
+def _expand(runs, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
+            limits: FeatureLimits, keep_streams: bool) -> None:
+    """Expand the current node of each of `runs` in one batch: per node, K
+    candidates drawn from its run's cand stream, their verifier scores from
+    its verif stream and the raw features. Every array op is a per-row gemv,
+    an elementwise ufunc or a reduction along a row, so each node gets what
+    it would get expanded alone."""
+    nodes = [run.node for run in runs]
+    contexts = [node.ctx for node in nodes]
+    logp = slm.log_distribution(contexts)
+    probs = probabilities(logp)
+    actions, logps = draw_candidates(logp, probs, k, [run.rng_cand for run in runs])
+    scores = score_candidates(vspec, [node.state for node in nodes], actions,
+                              [run.rng_ver for run in runs])
+    f_raw = extract(contexts, probs, actions, logps, scores, limits)
+    best = np.argmax(scores, axis=1).tolist()
+    rows = zip(nodes, runs, f_raw, best, actions.tolist(), logps.tolist(), scores.tolist(),
+               f_raw.tolist())
+    for node, run, f_row, b, action_row, logp_row, score_row, feature_row in rows:
+        node.f_raw = f_row
+        node.slm_action = action_row[b]
+        node.candidates = tuple(zip(action_row, logp_row))
+        node.score_record = tuple(score_row)
+        node.feature_record = tuple(feature_row)
+        if keep_streams:
+            node.streams = (run.rng_cand.bit_generator.state, run.rng_ver.bit_generator.state)
+        node.children = {}
+
+
 class StepTree:
     """The routing-independent half of the steps of one grid of rollouts.
 
     Candidates, verifier scores, risk features and env transitions are a
     pure function of (task, z, action prefix), not of the routing policy, so
-    policies rolled over the same grid share them: `run_episode` computes a
+    policies rolled over the same grid share them: `run_episodes` computes a
     step the first time any policy reaches its prefix and reads it back
     after that. A tree serves one env, SLM and verifier; its roots are keyed
     by (task, z, k, salt). The caller owns it and drops it when its grid is
@@ -179,6 +210,138 @@ class StepTree:
         return node
 
 
+class _Run:
+    """One episode in progress: its node, budget, streams and steps so far."""
+
+    __slots__ = ("task_id", "seed", "node", "remaining", "steps", "llm_calls",
+                 "rng_cand", "rng_ver", "rng_teach", "restore")
+
+    def __init__(self, task_id: int, seed: PerturbationSeed, node: _Node, budget):
+        self.task_id = task_id
+        self.seed = seed
+        self.node = node
+        self.remaining = budget
+        self.steps = []
+        self.llm_calls = 0
+        self.rng_cand = self.rng_ver = self.rng_teach = None
+        self.restore = None  # stream states to set before the next new node draws
+
+
+def run_episodes(
+    env: HazardChainEnv,
+    grid,
+    slm: SoftmaxPolicy,
+    teacher: TeacherPolicy,
+    vspec: VerifierSpec,
+    routing: RoutingPolicy,
+    k: int = 5,
+    salt: int | str = 0,
+    tree: StepTree | None = None,
+) -> list[PerturbedEpisode]:
+    """One routed rollout per (task, z) of `grid`, in grid order; each a
+    pure function of (config, task, z, salt).
+
+    The episodes advance in lockstep, one step at a time. Each step reads
+    its prefix's node in `tree` (a private tree when None), and the nodes
+    no step has reached before are expanded together (`_expand`): policy
+    log-distributions, probabilities, candidate draws, verifier scores and
+    features for every new node in one batch. The r2v rows of the step are
+    then scored in one batch too. The rest stays per episode: its own cand,
+    verif and teacher streams, each made on the episode's first use of it,
+    its budget, the teacher's action, its StepRecord and `env.step`. A
+    visited node draws nothing; before the first new node after a run of
+    visited ones, the cand and verif streams are set to the states the last
+    visited node saved, so every draw matches a rollout of this policy
+    alone. An episode that only visits nodes and never escalates makes no
+    stream.
+
+    Why the bits hold: every matmul is one row's own (the policy's
+    `featurizer(ctx) @ theta`, each router layer's (1, d) @ (d, h)); every
+    other array op that sees the block is an elementwise ufunc or a
+    reduction along one row's contiguous axis, which give what the one-row
+    call gives; candidate draws count the cdf entries at or below each
+    uniform, which is `searchsorted(side="right")` on a sorted row; and an
+    entropy sums only a row's positive entries, grouped by their number.
+
+    A grid that repeats a (task, z) is refused: two episodes on one
+    unexpanded node would expand it twice.
+    """
+    if len(set(grid)) != len(grid):
+        raise ValueError("the grid repeats a (task, z) point")
+    # a private tree is never visited again, so it keeps no stream states
+    keep_streams = tree is not None
+    tree = StepTree() if tree is None else tree
+    limits = feature_limits(env)
+    base = env.config.rng_seed
+    runs = []
+    for task_id, z in grid:
+        seed = PerturbationSeed(z)
+        runs.append(_Run(task_id, seed, tree.root(env, task_id, seed, k, salt),
+                         routing.budget_limit))
+    active = runs
+    for t in range(env.config.horizon):
+        if not active:
+            break
+        fresh = []
+        for run in active:
+            node = run.node
+            if node.children is not None:
+                run.restore = node.streams
+                continue
+            if run.rng_cand is None:
+                run.rng_cand = seeds.stream(base, "cand", run.task_id, run.seed.z, salt)
+                run.rng_ver = seeds.stream(base, "verif", run.task_id, run.seed.z, salt)
+            if run.restore is not None:
+                run.rng_cand.bit_generator.state, run.rng_ver.bit_generator.state = run.restore
+                run.restore = None
+            fresh.append(run)
+        if fresh:
+            _expand(fresh, slm, vspec, k, limits, keep_streams)
+        nodes = [run.node for run in active]
+        probs, decisions = _decide(routing, np.stack([node.f_raw for node in nodes]),
+                                   [(run.task_id, run.seed.z) for run in active])
+        for run, node, p, decision in zip(active, nodes, probs, decisions):
+            escalate = decision and (run.remaining is None or run.remaining > 0)
+            if escalate:
+                if run.rng_teach is None:
+                    run.rng_teach = seeds.stream(base, "escalate", run.task_id, run.seed.z, salt)
+                action = teacher.act(env, node.state, run.rng_teach)
+                executor = "LLM"
+                run.llm_calls += 1
+                if run.remaining is not None:
+                    run.remaining -= 1
+            else:
+                action = node.slm_action
+                executor = "SLM"
+            run.steps.append(
+                StepRecord(
+                    context=node.ctx,
+                    candidates=node.candidates,
+                    verifier_scores=node.score_record,
+                    chosen_action=action,
+                    executor=executor,
+                    features=node.feature_record,
+                    router_prob=p,
+                    decision=decision,
+                    budget_remaining=run.remaining,
+                )
+            )
+            run.node = node.child(env, action, run.seed, t)
+        active = [run for run in active if not run.node.terminal]
+    return [
+        PerturbedEpisode(
+            task_id=run.task_id,
+            seed=run.seed,
+            steps=tuple(run.steps),
+            success=run.node.success,
+            llm_calls=run.llm_calls,
+            budget_limit=routing.budget_limit,
+            kind=routing.variant,
+        )
+        for run in runs
+    ]
+
+
 def run_episode(
     env: HazardChainEnv,
     task_id: int,
@@ -191,83 +354,9 @@ def run_episode(
     salt: int | str = 0,
     tree: StepTree | None = None,
 ) -> PerturbedEpisode:
-    """One routed rollout; a pure function of (config, task, z, salt).
-
-    Each step reads its prefix's node in `tree` (a private tree when None),
-    computing it on the first visit: one featurize + matmul + softmax, whose
-    `probs` feed the features and whose K candidate draws come from the same
-    log-distribution, then verifier scores and raw features. A visited node
-    draws nothing; before the first new node after a run of visited ones,
-    the cand and verif streams are set to the states the last visited node
-    saved, so every draw matches a rollout of this policy alone. The teacher
-    stream, the budget, the feature mask, the decision and the record are
-    this policy's own. Each stream is made on its first use, so an episode
-    that only visits nodes and never escalates makes none.
-    """
-    # a private tree is never visited again, so it keeps no stream states
-    keep_streams = tree is not None
-    tree = StepTree() if tree is None else tree
-    limits = feature_limits(env)
-    seed = PerturbationSeed(z)
-    base = env.config.rng_seed
-    rng_cand = rng_ver = rng_teach = None
-
-    node = tree.root(env, task_id, seed, k, salt)
-    restore = None  # stream states to set before the next new node draws
-    remaining = routing.budget_limit
-    steps = []
-    llm_calls = 0
-    for t in range(env.config.horizon):
-        if node.children is None:
-            if rng_cand is None:
-                rng_cand = seeds.stream(base, "cand", task_id, z, salt)
-                rng_ver = seeds.stream(base, "verif", task_id, z, salt)
-            if restore is not None:
-                rng_cand.bit_generator.state, rng_ver.bit_generator.state = restore
-                restore = None
-            node.expand(slm, vspec, k, limits, rng_cand, rng_ver, keep_streams)
-        else:
-            restore = node.streams
-        p, decision = _decide(routing, node.f_raw, task_id, z)
-
-        escalate = decision and (remaining is None or remaining > 0)
-        if escalate:
-            if rng_teach is None:
-                rng_teach = seeds.stream(base, "escalate", task_id, z, salt)
-            action = teacher.act(env, node.state, rng_teach)
-            executor = "LLM"
-            llm_calls += 1
-            if remaining is not None:
-                remaining -= 1
-        else:
-            action = node.slm_action
-            executor = "SLM"
-
-        steps.append(
-            StepRecord(
-                context=node.ctx,
-                candidates=node.candidates,
-                verifier_scores=node.score_record,
-                chosen_action=action,
-                executor=executor,
-                features=node.feature_record,
-                router_prob=p,
-                decision=decision,
-                budget_remaining=remaining,
-            )
-        )
-        node = node.child(env, action, seed, t)
-        if node.terminal:
-            break
-    return PerturbedEpisode(
-        task_id=task_id,
-        seed=seed,
-        steps=tuple(steps),
-        success=node.success,
-        llm_calls=llm_calls,
-        budget_limit=routing.budget_limit,
-        kind=routing.variant,
-    )
+    """One routed rollout: `run_episodes` over the one grid point (task, z)."""
+    [episode] = run_episodes(env, [(task_id, z)], slm, teacher, vspec, routing, k, salt, tree)
+    return episode
 
 
 def feature_limits(env: HazardChainEnv) -> FeatureLimits:

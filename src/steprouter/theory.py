@@ -306,7 +306,7 @@ def surrogate_risk_and_jsd(env: HazardChainEnv, policy: SoftmaxPolicy, task_id: 
     dists = {}
     for z in z_list:
         ctxs = contexts[z]
-        probs = [policy.action_distribution(c) for c in ctxs]
+        probs = policy.action_distribution(ctxs)
         risks[z] = float(sum(1.0 - probs[t][optimal[t]] for t in range(len(ctxs))))
         dists[z] = probs
     pair_jsd = {}

@@ -80,32 +80,36 @@ class VerifierSpec:
                    gamma_threshold=gamma_threshold)
 
 
-def score_candidates(
-    spec: VerifierSpec, state: LatentState, actions, rng: np.random.Generator
-) -> np.ndarray:
-    """Scores for a candidate list; one independent jitter draw per candidate.
+def score_candidates(spec: VerifierSpec, states, actions, rngs) -> np.ndarray:
+    """Scores of a (rows, K) block of candidate actions, row i at states[i];
+    one independent jitter draw per candidate, row i's from rngs[i].
 
-    The K draws come from one vector call, which consumes the rng exactly as
-    K scalar draws would and yields the same values.
+    Each row's K draws come from one vector call, which consumes its rng
+    exactly as K scalar draws would and yields the same values; the jitter
+    and the clip to [0, 1] are elementwise.
     """
-    base = np.asarray(spec.quality(state), dtype=float)[list(actions)]
+    actions = np.asarray(actions)
+    base = np.empty(actions.shape)
+    for row, state, acts in zip(base, states, actions):
+        row[:] = np.asarray(spec.quality(state), dtype=float)[acts]
     w = spec.jitter
     if w != 0.0:
-        base += rng.uniform(-w, w, size=len(base))
+        base += np.array([rng.uniform(-w, w, size=actions.shape[1]) for rng in rngs])
     np.maximum(base, 0.0, out=base)
     return np.minimum(base, 1.0, out=base)  # the clip to [0, 1]
 
 
-def pseudo_entropy(scores) -> float:
-    """Normalized entropy of the softmax over verifier scores, in [0, 1].
+def pseudo_entropy(scores) -> np.ndarray:
+    """Normalized entropy of the softmax over each row of verifier scores
+    (the last axis), in [0, 1].
 
     Serves as the black-box uncertainty proxy when policy log-probabilities
     are unavailable.
     """
     s = np.asarray(scores, dtype=float)
-    if s.size < 2:
+    if s.shape[-1] < 2:
         raise ValueError("pseudo-entropy needs at least two scores")
-    p = np.exp(s - np.maximum.reduce(s))
-    p /= np.add.reduce(p)
-    h = -float(np.add.reduce(p * np.log(p)))
-    return h / math.log(s.size)
+    p = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    h = -np.add.reduce(p * np.log(p), axis=-1)
+    return h / math.log(s.shape[-1])

@@ -33,7 +33,7 @@ class TestActionDistribution:
     def test_zero_parameters_uniform(self):
         env = make_env()
         policy = SoftmaxPolicy.zeros(PolicyFeaturizer.for_env(env))
-        probs = policy.action_distribution(sample_context(env))
+        [probs] = policy.action_distribution([sample_context(env)])
         assert np.allclose(probs, 1.0 / env.config.action_count, atol=1e-12)
 
     def test_normalization_tight(self):
@@ -46,7 +46,7 @@ class TestActionDistribution:
             feat,
         )
         for task in range(4):
-            probs = policy.action_distribution(sample_context(env, task))
+            [probs] = policy.action_distribution([sample_context(env, task)])
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(np.isfinite(np.log(probs + 1e-300)))
 
@@ -60,7 +60,7 @@ class TestActionDistribution:
             rng.normal(size=feat.action_count) * 1e-4,
             feat,
         )
-        probs = policy.action_distribution(sample_context(env))
+        [probs] = policy.action_distribution([sample_context(env)])
         assert np.max(np.abs(probs - 1.0 / env.config.action_count)) < 1e-3
 
     def test_matches_logsumexp_oracle(self):
@@ -77,7 +77,26 @@ class TestActionDistribution:
             ctx = sample_context(env, trial % 4, trial)
             logits = feat(ctx) @ policy.theta + policy.bias
             expected = np.exp(logits) / np.exp(logits).sum()
-            assert np.allclose(policy.action_distribution(ctx), expected, atol=1e-9)
+            assert np.allclose(policy.action_distribution([ctx])[0], expected, atol=1e-9)
+
+
+class TestDistributionRows:
+    def test_rows_equal_one_row_calls(self):
+        # each row's logits are its own gemv, and the softmax runs along it
+        env = make_env({"PartialObs": 0.5, "Distractor": 0.3})
+        rng = seeds.stream("rows-test")
+        feat = PolicyFeaturizer.for_env(env)
+        policy = SoftmaxPolicy(rng.normal(size=(feat.dim, feat.action_count)) * 4,
+                               rng.normal(size=feat.action_count), feat)
+        contexts = [sample_context(env, t % 8, z) for t in range(8) for z in range(5)]
+        block = policy.log_distribution(contexts)
+        probs = policy.action_distribution(contexts)
+        for i, ctx in enumerate(contexts):
+            z = feat(ctx) @ policy.theta + policy.bias
+            z = z - np.max(z)
+            assert (z - np.log(np.sum(np.exp(z)))).tobytes() == block[i].tobytes()
+            assert policy.log_distribution([ctx]).tobytes() == block[i:i + 1].tobytes()
+            assert policy.action_distribution([ctx]).tobytes() == probs[i:i + 1].tobytes()
 
 
 class TestSampling:
@@ -86,13 +105,14 @@ class TestSampling:
         feat = PolicyFeaturizer.for_env(env)
         policy = SoftmaxPolicy.zeros(feat)
         policy.bias[2] = 50.0
-        cands = policy.sample_candidates(sample_context(env), 5, seeds.stream("s1"))
-        assert all(a == 2 for a, _ in cands)
+        actions, _ = policy.sample_candidates([sample_context(env)], 5, [seeds.stream("s1")])
+        assert actions.tolist() == [[2] * 5]
 
     def test_k_one_singleton(self):
         env = make_env()
         policy = SoftmaxPolicy.zeros(PolicyFeaturizer.for_env(env))
-        assert len(policy.sample_candidates(sample_context(env), 1, seeds.stream("s2"))) == 1
+        actions, logps = policy.sample_candidates([sample_context(env)], 1, [seeds.stream("s2")])
+        assert actions.shape == logps.shape == (1, 1)
 
     def test_logprobs_match_distribution(self):
         env = make_env()
@@ -104,8 +124,9 @@ class TestSampling:
             feat,
         )
         ctx = sample_context(env)
-        logp = np.log(policy.action_distribution(ctx))
-        for a, lp in policy.sample_candidates(ctx, 8, seeds.stream("s4")):
+        logp = np.log(policy.action_distribution([ctx])[0])
+        actions, logps = policy.sample_candidates([ctx], 8, [seeds.stream("s4")])
+        for a, lp in zip(actions[0], logps[0]):
             assert lp == pytest.approx(logp[a], abs=1e-9)
 
     def test_uniform_frequency_binomial_ci(self):
@@ -115,7 +136,7 @@ class TestSampling:
         ctx = sample_context(env)
         rng = seeds.stream("s5")
         n = 100_000
-        draws = [a for a, _ in policy.sample_candidates(ctx, n, rng)]
+        [draws], _ = policy.sample_candidates([ctx], n, [rng])
         counts = np.bincount(draws, minlength=env.config.action_count)
         p = 1.0 / env.config.action_count
         sigma = math.sqrt(p * (1 - p) / n)
@@ -145,11 +166,35 @@ class TestDrawCandidates:
             key = int(rng.integers(1 << 62))
             ref, got = np.random.default_rng(key), np.random.default_rng(key)
             want = ref.choice(len(probs), size=k, p=probs)
-            cands = draw_candidates(logp, probs, k, got)
-            assert [a for a, _ in cands] == want.tolist()
-            assert [lp for _, lp in cands] == [float(logp[a]) for a in want]
+            actions, logps = draw_candidates(logp[None], probs[None], k, [got])
+            assert actions[0].tolist() == want.tolist()
+            assert logps[0].tolist() == [float(logp[a]) for a in want]
             assert got.bit_generator.state == ref.bit_generator.state
         assert zero_entries > 1000
+
+    def test_rows_draw_as_alone(self):
+        # row i draws from its own generator: a block of rows gives the
+        # draws, log-probs and generator states that one call per row gives
+        rng = seeds.stream("draw-rows")
+        zero_rows = 0
+        for _ in range(300):
+            n, width = int(rng.integers(1, 13)), int(rng.integers(2, 12))
+            logp = np.stack([self.random_log_distribution(rng, width) for _ in range(n)])
+            probs = probabilities(logp)
+            zero_rows += int((probs == 0.0).any(axis=1).sum())
+            k = int(rng.integers(1, 16))
+            keys = rng.integers(1 << 62, size=n).tolist()
+            block_rngs = [np.random.default_rng(key) for key in keys]
+            actions, logps = draw_candidates(logp, probs, k, block_rngs)
+            for i, key in enumerate(keys):
+                alone = np.random.default_rng(key)
+                one = slice(i, i + 1)
+                assert probabilities(logp[i]).tobytes() == probs[i].tobytes()
+                got = draw_candidates(logp[one], probs[one], k, [alone])
+                assert got[0].tobytes() == actions[one].tobytes()
+                assert got[1].tobytes() == logps[one].tobytes()
+                assert alone.bit_generator.state == block_rngs[i].bit_generator.state
+        assert zero_rows > 100
 
     @pytest.mark.parametrize("probs", [
         [0.5, 0.6, -0.1],  # a negative entry, sum 1
@@ -163,7 +208,7 @@ class TestDrawCandidates:
         with pytest.raises(ValueError):
             np.random.default_rng(0).choice(3, size=2, p=p)
         with pytest.raises(ValueError):
-            draw_candidates(np.zeros(3), p, 2, np.random.default_rng(0))
+            draw_candidates(np.zeros((1, 3)), p[None], 2, [np.random.default_rng(0)])
 
 
 class TestTeacherCollection:
@@ -218,7 +263,7 @@ class TestBehavioralCloning:
             task_id=0, seed=pool[0].seed, steps=one_step, success=True, llm_calls=1
         )
         policy, _ = train_bc([tiny], feat, epochs=400, lr=8.0)
-        probs = policy.action_distribution(one_step[0].context)
+        [probs] = policy.action_distribution([one_step[0].context])
         assert probs[one_step[0].chosen_action] >= 0.99
 
     def test_loss_trace_non_increasing(self):

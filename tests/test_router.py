@@ -550,8 +550,8 @@ class TestThresholds:
         # built, so each output bias is set before its policy is built
         zero_router.params["b3"][:] = 40.0  # sigmoid(40) rounds to exactly 1.0
         routing = RoutingPolicy("r2v", 1.0, net=zero_router)
-        assert _decide(routing, np.zeros(15), 0, 0) == (1.0, True)
+        assert _decide(routing, np.zeros((1, 15)), [(0, 0)]) == ([1.0], [True])
         zero_router.params["b3"][:] = 13.8  # p = 0.999999
         routing = RoutingPolicy("r2v", 1.0, net=zero_router)
-        p, escalate = _decide(routing, np.zeros(15), 0, 0)
+        [p], [escalate] = _decide(routing, np.zeros((1, 15)), [(0, 0)])
         assert p < 1.0 and escalate is False

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import GOLDEN_CONFIG
 
 from steprouter import pipeline, runtime, seeds
@@ -34,8 +36,10 @@ from steprouter.runtime import (
     calibrate_heuristic_threshold,
     _decide,
     hindsight_table,
+    VARIANTS,
     routing_grid,
     run_episode,
+    run_episodes,
 )
 from steprouter.verifier import VerifierSpec
 
@@ -64,7 +68,7 @@ def decision(routing, slots=(), task_id=0, z=0):
     f = np.zeros(15)
     for slot, value in dict(slots).items():
         f[slot] = value
-    p, escalate = _decide(routing, f, task_id, z)
+    [p], [escalate] = _decide(routing, f[None], [(task_id, z)])
     assert p is None
     return escalate
 
@@ -111,8 +115,9 @@ class TestDecisions:
 
 
 class TestRouterSnapshot:
-    """r2v scores one row through the snapshot its policy took when built,
-    bit-equal to the net's own predict at that time."""
+    """r2v scores a step's rows through the snapshot its policy took when
+    built, each row bit-equal to the net's own predict of that row alone at
+    that time."""
 
     @staticmethod
     def fitted_net(key=0):
@@ -129,16 +134,21 @@ class TestRouterSnapshot:
         net = self.fitted_net()
         routing = RoutingPolicy("r2v", 0.5, net=net)
         rng = seeds.stream("snapshot-rows")
-        escalated = 0
-        for _ in range(5000):
-            row = rng.normal(size=15) * rng.uniform(0.05, 30.0)
-            want = float(net.predict(row)[0])
-            assert routing.snapshot.prob(row) == want
-            assert _decide(routing, row, 0, 0) == (want, want >= 0.5)
-            escalated += want >= 0.5
-        assert 0 < escalated < 5000
+        escalated = total = 0
+        for n in [1, 2, 5, 12, 37] * 30:
+            rows = rng.normal(size=(n, 15)) * rng.uniform(0.05, 30.0, size=(n, 1))
+            want = [float(net.predict(row)[0]) for row in rows]
+            assert routing.snapshot.probs(rows).tolist() == want
+            keys = [(0, z) for z in range(n)]
+            assert _decide(routing, rows, keys) == (want, [p >= 0.5 for p in want])
+            escalated += sum(p >= 0.5 for p in want)
+            total += n
+        assert 0 < escalated < total
+        # one gemm over the rows, predict's batch path, is not what a row
+        # scored alone gets on every row
+        assert net.predict(rows).tolist() != want
         with pytest.raises(ValueError, match="finite"):
-            routing.snapshot.prob(np.full(15, np.nan))
+            routing.snapshot.probs(np.full((3, 15), np.nan))
 
     def test_score_equals_predict_on_the_golden_routing_rows(self, tmp_path):
         cfg = pipeline.load_config(overrides=GOLDEN_CONFIG, environ={})
@@ -146,27 +156,28 @@ class TestRouterSnapshot:
         net, _ = RouterNet.load(tmp_path / "router.bin")
         train, valid = pipeline.load_router_rows(tmp_path / "routing.rljson")
         rows = np.concatenate([train[0], valid[0]])
+        keys = [(0, z) for z in range(len(rows))]
         for mask in FeatureMask:
             routing = RoutingPolicy("r2v", net.tau_route, net=net, mask=mask)
-            for row in rows:
-                want = float(net.predict(apply_mask(row, mask))[0])
-                assert _decide(routing, row, 0, 0) == (want, want >= net.tau_route)
+            want = [float(net.predict(apply_mask(row, mask))[0]) for row in rows]
+            assert _decide(routing, rows, keys) == (want, [p >= net.tau_route for p in want])
 
     def test_net_edits_after_build_do_not_reach_the_policy(self):
         net = self.fitted_net(1)
         routing = RoutingPolicy("r2v", 0.5, net=net)
         rows = seeds.stream("snapshot-edit").normal(size=(50, 15)) * 3.0
-        before = [_decide(routing, row, 0, 0) for row in rows]
+        keys = [(0, z) for z in range(len(rows))]
+        before = _decide(routing, rows, keys)
         net.params["w1"] *= -1.0
         net.run_var2[:] = 4.0
         net.params["b3"][:] = 2.0
         net.temperature = 0.5
-        assert [_decide(routing, row, 0, 0) for row in rows] == before
+        assert _decide(routing, rows, keys) == before
         # a policy built from the edited net, as replace() builds one, sees the edits
         rebuilt = replace(routing, threshold=0.25)
-        after = [rebuilt.snapshot.prob(row) for row in rows]
+        after = rebuilt.snapshot.probs(rows).tolist()
         assert after == [float(net.predict(row)[0]) for row in rows]
-        assert after != [p for p, _ in before]
+        assert after != before[0]
         for array in (routing.snapshot.w3, *routing.snapshot.layers[0]):
             with pytest.raises(ValueError):
                 array[0] = 0.0  # the snapshot's arrays are read-only
@@ -363,13 +374,14 @@ class TestStepTree:
         policies = self.policies(world)
         calls = []
         real_extract = runtime.extract
+        # count the rows extracted, one per expanded node
         monkeypatch.setattr(runtime, "extract",
-                            lambda *a: calls.append(1) or real_extract(*a))
+                            lambda *a: calls.append(len(a[0])) or real_extract(*a))
         tree = StepTree()
-        eps = [run_episode(env, t, z, slm, teacher, vspec, routing, tree=tree)
-               for t, z in self.GRID for routing in policies]
+        eps = [ep for routing in policies
+               for ep in run_episodes(env, self.GRID, slm, teacher, vspec, routing, tree=tree)]
         distinct = {(ep.task_id, ep.seed.z, s.context.actions) for ep in eps for s in ep.steps}
-        assert len(calls) == len(distinct) < sum(len(ep.steps) for ep in eps)
+        assert sum(calls) == len(distinct) < sum(len(ep.steps) for ep in eps)
 
     def test_rollouts_never_replay(self, world, monkeypatch):
         # the verifier scores each node's own latent state, so no step
@@ -386,6 +398,80 @@ class TestStepTree:
             eps = [run_episode(env, t, z, slm, teacher, vspec, routing, tree=tree)
                    for t, z in self.GRID]
             assert all(ep.steps for ep in eps)
+
+
+class TestLockstep:
+    """run_episodes steps a grid's episodes together; each equals the
+    episode run_episode rolls for its point alone, field for field."""
+
+    GRID = [(t, 500 + 7 * t + j) for t in range(6) for j in range(4)]
+
+    # thresholds at which each rule escalates on many steps of GRID
+    THRESHOLDS = {"entropy": 0.3, "heuristic": 0.7, "r2v": 0.3}
+
+    @staticmethod
+    def policy(world, variant, budget, threshold, grid=GRID):
+        env, teacher, slm, vspec = world
+        if variant == "oracle":
+            table = hindsight_table(
+                run_episode(env, t, z, slm, teacher, vspec, RoutingPolicy("slm")) for t, z in grid)
+            return RoutingPolicy("oracle", budget_limit=budget, hindsight=table)
+        if variant == "r2v":
+            net = TestRouterSnapshot.fitted_net(2)
+            return RoutingPolicy("r2v", threshold, budget, net, FeatureMask.NO_ENTROPY)
+        if variant in ("entropy", "heuristic"):
+            return RoutingPolicy(variant, threshold, budget)
+        return RoutingPolicy(variant, budget_limit=None if variant == "slm" else budget)
+
+    @staticmethod
+    def assert_solo(world, grid, routing, episodes):
+        env, teacher, slm, vspec = world
+        assert len(episodes) == len(grid)
+        for (task, z), ep in zip(grid, episodes):
+            solo = run_episode(env, task, z, slm, teacher, vspec, routing)
+            assert (ep.task_id, ep.seed.z) == (task, z)
+            assert ep == solo
+            assert episode_to_dict(ep) == episode_to_dict(solo)  # floats bit for bit
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_grid_equals_solo_episodes(self, world, variant, shared):
+        # budget 2 clips every variant that escalates on more steps than that
+        env, teacher, slm, vspec = world
+        routing = self.policy(world, variant, 2, self.THRESHOLDS.get(variant))
+        tree = None
+        if shared:
+            # an earlier policy leaves visited nodes, so the grid restores
+            # streams before it draws past them
+            tree = StepTree()
+            run_episodes(env, self.GRID[::2], slm, teacher, vspec,
+                         RoutingPolicy("heuristic", 0.58, 1), tree=tree)
+        episodes = run_episodes(env, self.GRID, slm, teacher, vspec, routing, tree=tree)
+        self.assert_solo(world, self.GRID, routing, episodes)
+        clipped = [s for ep in episodes for s in ep.steps if s.decision and s.executor == "SLM"]
+        assert (len(clipped) > 0) == (variant != "slm")
+
+    @settings(max_examples=25, deadline=None)
+    @given(points=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3000)),
+                           min_size=1, max_size=12, unique=True),
+           variant=st.sampled_from(VARIANTS),
+           budget=st.one_of(st.none(), st.integers(0, 4)),
+           threshold=st.floats(0.0, 1.0),
+           warm=st.integers(0, 12))
+    def test_random_grids_equal_solo_episodes(self, world, points, variant, budget,
+                                              threshold, warm):
+        env, teacher, slm, vspec = world
+        routing = self.policy(world, variant, budget, threshold, points)
+        tree = StepTree()
+        run_episodes(env, points[:warm], slm, teacher, vspec, RoutingPolicy("slm"), tree=tree)
+        episodes = run_episodes(env, points, slm, teacher, vspec, routing, tree=tree)
+        self.assert_solo(world, points, routing, episodes)
+
+    def test_repeated_point_refused(self, world):
+        env, teacher, slm, vspec = world
+        with pytest.raises(ValueError, match="repeats"):
+            run_episodes(env, [(0, 5), (1, 5), (0, 5)], slm, teacher, vspec,
+                         RoutingPolicy("slm"))
 
 
 def slm_rollouts(world, task_ids, seeds_per_task, tag="routing"):
@@ -415,7 +501,7 @@ class TestRoutingDataset:
         slm.clone(stage="bc").save(path)
         cfg = pipeline.load_config(overrides=WORLD_CONFIG, environ={})
         with pytest.raises(StageOrderError, match="'bc'-stage policy"):
-            pipeline._routing_job((cfg, path, 0, "train", 0))
+            pipeline._routing_job((cfg, path, "train", [(0, 1), (0, 2)], 0))
 
     def test_labels_recount_per_episode(self, world):
         episodes = slm_rollouts(world, range(6), 4)
@@ -441,15 +527,19 @@ class TestRoutingDataset:
             assert {ex.label for ex in mine} == ({0} if ep.success else {1})
 
     def test_seed_ids_enumerate_grid(self, world, tmp_path):
-        # collect-routing's job for one task numbers its task's grid points
-        # from its first seed id, each record built from that point's
-        # SLM-only episode on the split's routing streams
+        # collect-routing's job for a run of a split's grid numbers its grid
+        # points from its first seed id, each record built from that point's
+        # SLM-only episode on the split's routing streams, whatever else
+        # shares the job
         path = tmp_path / "policy.bin"
         world[2].save(path)
         cfg = pipeline.load_config(overrides=WORLD_CONFIG, environ={})
-        records = pipeline._routing_job((cfg, path, 4, "valid", 30))
-        episodes = slm_rollouts(world, [4], 3, tag="routing-valid-0")
-        assert records == [routing_record(30 + i, "valid", ep) for i, ep in enumerate(episodes)]
+        tag = "routing-valid-0"
+        grid = routing_grid(world[0], [1, 4], 3, tag)
+        episodes = slm_rollouts(world, [1, 4], 3, tag=tag)
+        want = [routing_record(30 + i, "valid", ep) for i, ep in enumerate(episodes)]
+        assert pipeline._routing_job((cfg, path, "valid", grid, 30)) == want
+        assert pipeline._routing_job((cfg, path, "valid", grid[2:5], 32)) == want[2:5]
 
 
 class TestBaselineCalibration:

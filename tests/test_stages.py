@@ -11,10 +11,14 @@ train-router reads no `eval` key, so the test changes `eval.ece_bins` under
 it too.
 """
 
+import concurrent.futures
 import copy
+import functools
 import json
 import math
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -164,6 +168,42 @@ def test_declared_reads_are_complete(small_run, tmp_path, monkeypatch, ref):
         f"{ref} output depends on a config key its row does not declare")
 
 
+def _plain_inputs_hash(cfg, ref):
+    """inputs_hash written as the plain recursion: every input hashed anew
+    wherever the recursion reaches it."""
+    inputs, keys = pipeline.stage_reads(ref)
+    return pipeline.config_hash({
+        "stage": ref,
+        "keys": {key: functools.reduce(dict.__getitem__, key.split("."), cfg) for key in keys},
+        "inputs": {i: _plain_inputs_hash(cfg, i) for i in inputs},
+    })
+
+
+def test_inputs_hash_hashes_each_ref_once(monkeypatch):
+    cfg = pipeline.load_config(overrides=pipeline.HIGH_RISK_OVERRIDES, environ={})
+    want = {ref: _plain_inputs_hash(cfg, ref) for ref in REFS}
+    calls = []
+    real_hash = pipeline.config_hash
+    monkeypatch.setattr(pipeline, "config_hash", lambda c: calls.append(c["stage"]) or real_hash(c))
+    for ref in REFS:
+        calls.clear()
+        assert pipeline.inputs_hash(cfg, ref) == want[ref], ref
+        assert len(calls) == len(set(calls)), ref
+    assert sorted(calls) == sorted(REFS)  # evaluate reaches every other ref
+
+
+def test_pipeline_import_leaves_the_process_pool_out():
+    # every CLI call imports the pipeline; only a run with workers > 1
+    # needs the process pool module
+    code = ("import sys, steprouter.pipeline; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(pipeline.Path(pipeline.__file__).parents[1])},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_harness_salt_reaches_only_the_stages_that_read_it():
     # the five configs of the Pareto battery (acceptance criterion 11)
     cfgs = [pipeline.load_config(overrides=[*pipeline.HIGH_RISK_OVERRIDES,
@@ -257,14 +297,15 @@ def test_each_ablation_call_builds_its_own_tree(small_run, tmp_path, monkeypatch
     cfg, base_wd = small_run
     wd = tmp_path / "run"
     shutil.copytree(base_wd, wd)
-    calls = []
+    calls = []  # rows extracted, one per expanded node
     real_extract = runtime.extract
-    monkeypatch.setattr(runtime, "extract", lambda *a: calls.append(1) or real_extract(*a))
+    monkeypatch.setattr(runtime, "extract",
+                        lambda *a: calls.append(len(a[0])) or real_extract(*a))
     counts = []
     for _ in range(2):
         calls.clear()
         pipeline.stage_ablate(cfg, wd, "features", workers=1)
-        counts.append(len(calls))
+        counts.append(sum(calls))
     steps = sum(len(ep.steps) for m in MASKS
                 for ep in pipeline.load_episodes(wd / f"eval_r2v_mask_{m}.rljson"))
     assert counts[0] == counts[1] < steps
@@ -333,14 +374,15 @@ def test_cvar_ablation_writes_what_per_point_stages_write(small_run, per_point_c
     shutil.copytree(base_wd, wd)
     (wd / "router.bin").unlink()  # every grid point fits its own router
     before = {p.name for p in wd.iterdir()}
-    calls = []
+    calls = []  # rows extracted, one per expanded node
     real_extract = runtime.extract
-    monkeypatch.setattr(runtime, "extract", lambda *a: calls.append(1) or real_extract(*a))
+    monkeypatch.setattr(runtime, "extract",
+                        lambda *a: calls.append(len(a[0])) or real_extract(*a))
     out = pipeline.stage_ablate(cfg, wd, "cvar", workers=workers)
     assert out.read_bytes() == expected
     assert {p.name for p in wd.iterdir()} - before == {"ablate_cvar.csv"}
     if workers == 1:  # worker processes count in their own copies
-        assert 0 < len(calls) < steps  # the eight rollouts share one step tree
+        assert 0 < sum(calls) < steps  # the eight rollouts share one step tree
 
 
 @pytest.mark.parametrize("name,change", [
@@ -381,6 +423,7 @@ def test_pool_starts_no_more_workers_than_jobs(monkeypatch, jobs, workers, start
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    # _parallel_map imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert pipeline._parallel_map(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
     assert sizes == ([] if started is None else [started])

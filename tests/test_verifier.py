@@ -30,12 +30,12 @@ def fixed_quality(vec):
 
 
 def score_one(spec, state, action, rng):
-    return float(score_candidates(spec, state, [action], rng)[0])
+    return float(score_candidates(spec, [state], [[action]], [rng])[0, 0])
 
 
 def choose(spec, state, cands, rng):
     """The rollout's local choice: verifier argmax over the K candidates."""
-    scores = score_candidates(spec, state, [a for a, _ in cands], rng)
+    [scores] = score_candidates(spec, [state], [[a for a, _ in cands]], [rng])
     return cands[int(np.argmax(scores))][0], scores
 
 
@@ -86,10 +86,28 @@ class TestScore:
 
     def test_score_candidates_matches_sequential_scores(self):
         spec = VerifierSpec(quality=fixed_quality([0.6, 0.5, 0.4]), eta_v=0.2)
-        batch = score_candidates(spec, None, [0, 1, 2, 0], seeds.stream("v4"))
+        [batch] = score_candidates(spec, [None], [[0, 1, 2, 0]], [seeds.stream("v4")])
         rng = seeds.stream("v4")
         sequential = [score_one(spec, None, a, rng) for a in [0, 1, 2, 0]]
         assert batch.tolist() == sequential  # one vector draw == K scalar draws
+
+    def test_rows_score_as_alone(self):
+        # row i reads states[i] and draws from rngs[i] only: a block of rows
+        # equals one call per row, bit for bit, and leaves each stream where
+        # its own call leaves it
+        env, spec = env_and_spec(eta_v=0.2)
+        rng = seeds.stream("v-rows")
+        for k in (2, 5, 9):
+            states = [env.reset(int(t), PerturbationSeed(int(z)))[0]
+                      for t, z in zip(rng.integers(4, size=7), rng.integers(1000, size=7))]
+            actions = rng.integers(env.config.action_count, size=(7, k))
+            block_rngs = [seeds.stream("v-row", i) for i in range(7)]
+            block = score_candidates(spec, states, actions, block_rngs)
+            for i, state in enumerate(states):
+                alone = seeds.stream("v-row", i)
+                [row] = score_candidates(spec, [state], actions[i:i + 1], [alone])
+                assert row.tobytes() == block[i].tobytes()
+                assert alone.bit_generator.state == block_rngs[i].bit_generator.state
 
 
 class TestBestOfK:
@@ -153,6 +171,13 @@ class TestPseudoEntropy:
     def test_rejects_single_score(self):
         with pytest.raises(ValueError):
             pseudo_entropy([0.5])
+
+    def test_rows_equal_one_row_calls(self):
+        rng = seeds.stream("pseudo-rows")
+        for k in (2, 5, 8, 13):
+            block = rng.uniform(0.0, 1.0, size=(11, k))
+            got = pseudo_entropy(block)
+            assert [v.tobytes() for v in got] == [pseudo_entropy(row).tobytes() for row in block]
 
     @settings(max_examples=200, deadline=None)
     @given(

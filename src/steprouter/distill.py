@@ -52,7 +52,10 @@ def build_preferences(
 
     At most one pair per context; contexts whose candidates collapse onto a
     single action (or where the teacher agrees with the best candidate) are
-    skipped and counted.
+    skipped and counted. Every pooled step is sampled and scored in one
+    block whose rows all draw from the one candidate and the one score
+    stream, in pool order, so each step gets the draws a loop over the
+    steps would give it.
     """
     if bc_policy.stage != "bc":
         raise ValueError("preference pairs must be generated by the BC policy")
@@ -61,34 +64,29 @@ def build_preferences(
     rng_cand = seeds.stream(env.config.rng_seed, "pairs", "candidates")
     rng_score = seeds.stream(env.config.rng_seed, "pairs", "scores")
     rng_teacher = seeds.stream(env.config.rng_seed, "pairs", "teacher")
+    contexts = [step.context for ep in pool for step in ep.steps]
+    states = [env.replay(env.task_spec(ep.task_id), step.context.actions)
+              for ep in pool for step in ep.steps]
+    drawn, _ = bc_policy.sample_candidates(contexts, k, [rng_cand] * len(contexts))
+    scores = score_candidates(spec, states, drawn, [rng_score] * len(contexts))
     pairs: list[PreferencePair] = []
     counters = {"verifier_ranked": 0, "teacher_recovered": 0, "skipped": 0}
-    for ep in pool:
-        for step in ep.steps:
-            ctx = step.context
-            state = env.replay(env.task_spec(ep.task_id), ctx.actions)
-            drawn, _ = bc_policy.sample_candidates([ctx], k, [rng_cand])
-            scores = score_candidates(spec, [state], drawn, [rng_score])[0]
-            actions = drawn[0].tolist()
-            best = int(np.argmax(scores))
-            worst = int(np.argmin(scores))
-            if scores[best] >= spec.gamma_threshold:
-                if actions[best] == actions[worst]:
-                    counters["skipped"] += 1
-                    continue
-                pairs.append(
-                    PreferencePair(ctx, actions[best], actions[worst], SOURCE_VERIFIER)
-                )
-                counters["verifier_ranked"] += 1
-            else:
-                recovered = teacher.act(env, state, rng_teacher)
-                if recovered == actions[best]:
-                    counters["skipped"] += 1
-                    continue
-                pairs.append(
-                    PreferencePair(ctx, recovered, actions[best], SOURCE_TEACHER)
-                )
-                counters["teacher_recovered"] += 1
+    rows = zip(contexts, states, drawn.tolist(), scores,
+               np.argmax(scores, axis=1).tolist(), np.argmin(scores, axis=1).tolist())
+    for ctx, state, actions, row, best, worst in rows:
+        if row[best] >= spec.gamma_threshold:
+            if actions[best] == actions[worst]:
+                counters["skipped"] += 1
+                continue
+            pairs.append(PreferencePair(ctx, actions[best], actions[worst], SOURCE_VERIFIER))
+            counters["verifier_ranked"] += 1
+        else:
+            recovered = teacher.act(env, state, rng_teacher)
+            if recovered == actions[best]:
+                counters["skipped"] += 1
+                continue
+            pairs.append(PreferencePair(ctx, recovered, actions[best], SOURCE_TEACHER))
+            counters["teacher_recovered"] += 1
     views = build_consistency_views(pool, env)
     return pairs, views, counters
 

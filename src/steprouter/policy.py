@@ -55,21 +55,23 @@ class PolicyFeaturizer:
         )
 
     def __call__(self, ctx: Context) -> np.ndarray:
-        x = np.zeros(self.dim)
-        for tok in ctx.observation:
-            if 0 <= tok < self.vocab_size:
-                x[tok] = 1.0
-            if self.prog_base <= tok <= self.prog_base + MAX_SUBGOALS:
-                x[self.vocab_size] = (tok - self.prog_base) / MAX_SUBGOALS
-        x[self.vocab_size + 1] = ctx.step_index / self.horizon
-        if ctx.actions:
-            last = ctx.actions[-1]
-            if 0 <= last < self.action_count:
-                x[self.vocab_size + 2 + last] = 1.0
-        return x
+        return self.matrix([ctx])[0]
 
     def matrix(self, contexts) -> np.ndarray:
-        return np.stack([self(c) for c in contexts]) if contexts else np.zeros((0, self.dim))
+        """One feature row per context."""
+        x = np.zeros((len(contexts), self.dim))
+        for row, ctx in zip(x, contexts):
+            for tok in ctx.observation:
+                if 0 <= tok < self.vocab_size:
+                    row[tok] = 1.0
+                if self.prog_base <= tok <= self.prog_base + MAX_SUBGOALS:
+                    row[self.vocab_size] = (tok - self.prog_base) / MAX_SUBGOALS
+            row[self.vocab_size + 1] = ctx.step_index / self.horizon
+            if ctx.actions:
+                last = ctx.actions[-1]
+                if 0 <= last < self.action_count:
+                    row[self.vocab_size + 2 + last] = 1.0
+        return x
 
 
 def param_digest(theta: np.ndarray, bias: np.ndarray) -> str:
@@ -108,14 +110,16 @@ def draw_candidates(logp: np.ndarray, probs: np.ndarray, k: int, rngs):
         raise ValueError("need at least one candidate")
     cdf = probs.cumsum(axis=1)
     total = cdf[:, -1:]
-    if not (np.abs(total - 1.0) <= _P_SUM_ATOL).all() or np.minimum.reduce(probs, axis=None) < 0.0:
+    # the largest distance of a row sum from 1, NaN when a row sum is NaN
+    off = np.maximum.reduce(np.abs(total - 1.0), axis=None, initial=0.0)
+    if not off <= _P_SUM_ATOL or np.minimum.reduce(probs, axis=None, initial=0.0) < 0.0:
         raise ValueError("candidate probabilities must be non-negative and sum to 1")
     cdf /= total
     u = np.empty((len(rngs), k))
     for row, rng in zip(u, rngs):
         rng.random(out=row)
     draws = (cdf[:, None, :] <= u[:, :, None]).sum(axis=2)
-    return draws, np.take_along_axis(logp, draws, axis=1)
+    return draws, logp[np.arange(len(draws))[:, None], draws]
 
 
 @dataclass

@@ -14,15 +14,21 @@ still gets the episode it would get rolled alone.
 `run_episodes` is the one rollout engine. It steps every episode of a grid
 in lockstep and batches each step's array work across episodes: the policy
 log-distributions, candidate draws, verifier scores and features of every
-node expanded at that step, then the router scores of every r2v row. The
-per-call overhead of numpy on arrays of 5 to 128 elements, not arithmetic,
-was the cost of a step, and the batch pays it once per step instead of once
-per episode. The bits hold because no batched op mixes rows: every matmul
-is still one row's gemv (one gemm over the rows would round differently),
-every other op is elementwise or reduces along one row's own contiguous
-axis, each episode draws from its own streams, and an entropy over a row's
-positive entries sums exactly those entries. So each episode is what it is
-rolled alone, and `run_episode` is the engine on a one-point grid.
+node expanded at that step, then the router scores of every r2v row. On
+arrays of 5 to 128 elements numpy's per-call overhead, not arithmetic, is
+the cost of a step, and a batch pays it once per step, not once per
+episode. The bits hold because no batched op mixes rows:
+- every matmul is still one row's gemv (a gemm over the rows would round
+  differently in the last place);
+- every other op is elementwise or reduces along one row's own contiguous
+  axis, which gives what the one-row call gives;
+- each episode draws from its own streams, and the candidate draws count
+  the cdf entries at or below each uniform, `searchsorted(side="right")`
+  on a sorted row;
+- an entropy over a row's positive entries sums exactly those entries,
+  since zero padding would regroup numpy's pairwise sum.
+So each episode is what it is rolled alone, and `run_episode` is the engine
+on a one-point grid.
 
 The hindsight oracle is structurally offline: it needs a table of SLM-only
 episode outcomes over the same (task, seed) grid, which the online loop has
@@ -161,9 +167,7 @@ def _expand(runs, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
             limits: FeatureLimits, keep_streams: bool) -> None:
     """Expand the current node of each of `runs` in one batch: per node, K
     candidates drawn from its run's cand stream, their verifier scores from
-    its verif stream and the raw features. Every array op is a per-row gemv,
-    an elementwise ufunc or a reduction along a row, so each node gets what
-    it would get expanded alone."""
+    its verif stream and the raw features."""
     nodes = [run.node for run in runs]
     contexts = [node.ctx for node in nodes]
     logp = slm.log_distribution(contexts)
@@ -253,15 +257,7 @@ def run_episodes(
     visited ones, the cand and verif streams are set to the states the last
     visited node saved, so every draw matches a rollout of this policy
     alone. An episode that only visits nodes and never escalates makes no
-    stream.
-
-    Why the bits hold: every matmul is one row's own (the policy's
-    `featurizer(ctx) @ theta`, each router layer's (1, d) @ (d, h)); every
-    other array op that sees the block is an elementwise ufunc or a
-    reduction along one row's contiguous axis, which give what the one-row
-    call gives; candidate draws count the cdf entries at or below each
-    uniform, which is `searchsorted(side="right")` on a sorted row; and an
-    entropy sums only a row's positive entries, grouped by their number.
+    stream. The module docstring says why batching keeps every bit.
 
     A grid that repeats a (task, z) is refused: two episodes on one
     unexpanded node would expand it twice.

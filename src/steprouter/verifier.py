@@ -85,16 +85,17 @@ def score_candidates(spec: VerifierSpec, states, actions, rngs) -> np.ndarray:
     one independent jitter draw per candidate, row i's from rngs[i].
 
     Each row's K draws come from one vector call, which consumes its rng
-    exactly as K scalar draws would and yields the same values; the jitter
-    and the clip to [0, 1] are elementwise.
+    exactly as K scalar draws would and yields the same values; rows that
+    share a generator draw from it in row order. The clip to [0, 1] is
+    elementwise.
     """
     actions = np.asarray(actions)
     base = np.empty(actions.shape)
-    for row, state, acts in zip(base, states, actions):
-        row[:] = np.asarray(spec.quality(state), dtype=float)[acts]
     w = spec.jitter
-    if w != 0.0:
-        base += np.array([rng.uniform(-w, w, size=actions.shape[1]) for rng in rngs])
+    for row, state, acts, rng in zip(base, states, actions, rngs):
+        row[:] = np.asarray(spec.quality(state), dtype=float)[acts]
+        if w != 0.0:
+            row += rng.uniform(-w, w, size=len(row))
     np.maximum(base, 0.0, out=base)
     return np.minimum(base, 1.0, out=base)  # the clip to [0, 1]
 

@@ -28,7 +28,7 @@ from steprouter.policy import (
     collect_teacher_trajectories,
     train_bc,
 )
-from steprouter.verifier import VerifierSpec
+from steprouter.verifier import VerifierSpec, score_candidates
 
 
 def make_env(intensities=None, **kw):
@@ -129,6 +129,40 @@ class TestBuildPreferences:
         spec = VerifierSpec.for_env(env, eta_v=0.2)
         pairs, _, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
         assert all(p.a_plus != p.a_minus for p in pairs)
+
+
+    def test_one_block_equals_a_loop_over_steps(self):
+        # the pool's steps are sampled and scored in one block on the shared
+        # streams; a loop that samples and scores one step at a time on the
+        # same streams builds the same pairs and counters
+        env = make_env({"PartialObs": 0.5})
+        bc, pool, teacher = trained_bc(env)
+        spec = VerifierSpec.for_env(env, eta_v=0.2)
+        rng_cand = seeds.stream(env.config.rng_seed, "pairs", "candidates")
+        rng_score = seeds.stream(env.config.rng_seed, "pairs", "scores")
+        rng_teacher = seeds.stream(env.config.rng_seed, "pairs", "teacher")
+        want, counters = [], {"verifier_ranked": 0, "teacher_recovered": 0, "skipped": 0}
+        for ep in pool:
+            for step in ep.steps:
+                ctx = step.context
+                state = env.replay(env.task_spec(ep.task_id), ctx.actions)
+                [actions], _ = bc.sample_candidates([ctx], 5, [rng_cand])
+                [scores] = score_candidates(spec, [state], actions[None], [rng_score])
+                best, worst = int(np.argmax(scores)), int(np.argmin(scores))
+                if scores[best] >= spec.gamma_threshold:
+                    plus, minus, kind = actions[best], actions[worst], "verifier_ranked"
+                else:
+                    plus, minus = teacher.act(env, state, rng_teacher), actions[best]
+                    kind = "teacher_recovered"
+                if plus == minus:
+                    kind = "skipped"
+                else:
+                    source = SOURCE_VERIFIER if kind == "verifier_ranked" else SOURCE_TEACHER
+                    want.append(PreferencePair(ctx, int(plus), int(minus), source))
+                counters[kind] += 1
+        pairs, _, got = build_preferences(bc, pool, spec, teacher, env, k=5)
+        assert got == counters and counters["verifier_ranked"] and counters["teacher_recovered"]
+        assert pairs == want
 
 
 class TestDpoLoss:

@@ -88,7 +88,15 @@ class TestDistributionRows:
         feat = PolicyFeaturizer.for_env(env)
         policy = SoftmaxPolicy(rng.normal(size=(feat.dim, feat.action_count)) * 4,
                                rng.normal(size=feat.action_count), feat)
-        contexts = [sample_context(env, t % 8, z) for t in range(8) for z in range(5)]
+        contexts = []  # mid-episode contexts: a gemm over their rows rounds differently
+        for task in range(8):
+            seed = PerturbationSeed(task)
+            state, ctx = env.reset(task, seed)
+            for t in range(6):
+                contexts.append(ctx)
+                action = int(rng.integers(feat.action_count))
+                state, obs, _, _ = env.step(state, action, seed, t)
+                ctx = ctx.advanced(action, obs)
         block = policy.log_distribution(contexts)
         probs = policy.action_distribution(contexts)
         for i, ctx in enumerate(contexts):

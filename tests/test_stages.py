@@ -14,6 +14,7 @@ it too.
 import concurrent.futures
 import copy
 import functools
+import itertools
 import json
 import math
 import shutil
@@ -309,6 +310,32 @@ def test_each_ablation_call_builds_its_own_tree(small_run, tmp_path, monkeypatch
     steps = sum(len(ep.steps) for m in MASKS
                 for ep in pipeline.load_episodes(wd / f"eval_r2v_mask_{m}.rljson"))
     assert counts[0] == counts[1] < steps
+
+
+@pytest.mark.parametrize("workers", [2, 3, 64])
+def test_collect_routing_cuts_each_split_into_one_run_per_worker(small_run, tmp_path,
+                                                                 monkeypatch, workers):
+    # each job numbers its records from its first point's seed id, so the
+    # file holds the bytes that one job per split writes
+    cfg, base_wd = small_run
+    wd = tmp_path / "run"
+    shutil.copytree(base_wd, wd)
+    jobs = []
+    monkeypatch.setattr(pipeline, "_parallel_map",
+                        lambda fn, todo, n: jobs.extend(todo) or [fn(job) for job in todo])
+    pipeline.stage_collect_routing(cfg, wd, workers=workers)
+    assert (wd / "routing.rljson").read_bytes() == (base_wd / "routing.rljson").read_bytes()
+    split = pipeline.load_split(cfg, wd)
+    per_task = cfg["runtime"]["routing_seeds_per_task"]
+    first = 0
+    for name in ("train", "valid"):
+        runs = [(grid, start) for _, _, split_name, grid, start in jobs if split_name == name]
+        size = per_task * len(split[name])
+        assert len(runs) == min(workers, size)
+        assert [start for _, start in runs] == list(
+            itertools.accumulate([len(grid) for grid, _ in runs[:-1]], initial=first))
+        assert sum(len(grid) for grid, _ in runs) == size
+        first += size
 
 
 @pytest.mark.parametrize("stale", [("oracle",), pipeline.VARIANT_ORDER])

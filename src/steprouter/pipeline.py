@@ -523,7 +523,8 @@ def _parallel_map(fn, jobs, workers: int):
     workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers <= 1:
         return [fn(job) for job in jobs]
-    # imported here: the module costs every import of the pipeline 12-16 ms
+    # imported only here: concurrent.futures.process adds 12-16 ms to an import
+    # of this module, which every CLI call makes
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -32,7 +32,10 @@ MAX_SUBGOALS = 3
 
 @dataclass(frozen=True)
 class TokenMap:
-    """Reserved token ids 0-3, then position/target/hint/progress/goal blocks."""
+    """Reserved token ids 0-3, then position/target/hint/progress/goal blocks,
+    the lure, the invalid-action marker and the fillers. The ids past the
+    reserved ones follow from `state_count` and `vocab_size`, and are
+    computed once, at construction: corruption reads them on every step."""
 
     state_count: int
     vocab_size: int
@@ -41,52 +44,29 @@ class TokenMap:
     error: int = 1
     inject: int = 2
     distract: int = 3
-
-    @property
-    def pos_base(self) -> int:
-        return 4
-
-    @property
-    def next_base(self) -> int:
-        return 4 + self.state_count
-
-    @property
-    def hint_left(self) -> int:
-        return 4 + 2 * self.state_count
-
-    @property
-    def hint_right(self) -> int:
-        return self.hint_left + 1
-
-    @property
-    def hint_here(self) -> int:
-        return self.hint_left + 2
-
-    @property
-    def prog_base(self) -> int:
-        return self.hint_left + 3
-
-    @property
-    def goal_base(self) -> int:
-        return self.prog_base + MAX_SUBGOALS + 1
-
-    @property
-    def lure(self) -> int:
-        return self.goal_base + self.state_count
-
-    @property
-    def invalid(self) -> int:
-        return self.lure + 1
-
-    @property
-    def filler_base(self) -> int:
-        return self.invalid + 1
-
-    @property
-    def n_fillers(self) -> int:
-        return self.vocab_size - self.filler_base
+    pos_base: int = field(init=False)
+    next_base: int = field(init=False)
+    hint_left: int = field(init=False)
+    hint_right: int = field(init=False)
+    hint_here: int = field(init=False)
+    prog_base: int = field(init=False)
+    goal_base: int = field(init=False)
+    lure: int = field(init=False)
+    invalid: int = field(init=False)
+    filler_base: int = field(init=False)
+    n_fillers: int = field(init=False)
 
     def __post_init__(self):
+        hint_left = 4 + 2 * self.state_count
+        goal_base = hint_left + 3 + MAX_SUBGOALS + 1
+        filler_base = goal_base + self.state_count + 2
+        for name, value in (("pos_base", 4), ("next_base", 4 + self.state_count),
+                            ("hint_left", hint_left), ("hint_right", hint_left + 1),
+                            ("hint_here", hint_left + 2), ("prog_base", hint_left + 3),
+                            ("goal_base", goal_base), ("lure", goal_base + self.state_count),
+                            ("invalid", filler_base - 1), ("filler_base", filler_base),
+                            ("n_fillers", self.vocab_size - filler_base)):
+            object.__setattr__(self, name, value)
         if self.n_fillers < 4:
             raise ConfigError(
                 f"goal_vocab_size={self.vocab_size} too small for "

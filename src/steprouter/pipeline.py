@@ -737,36 +737,56 @@ def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
 
 def _rollout_job(args):
     """Each of `policies`' episodes over `grid` on the streams tagged `tag`,
-    the grid stepped in lockstep once per policy through `tree` (a private
-    tree per policy when None)."""
-    cfg, policies, grid, tag, distill_path, tree = args
+    the grid stepped in lockstep once per policy through this process's step
+    tree under `tree_key` (a private tree per policy when None)."""
+    cfg, policies, grid, tag, distill_path, tree_key = args
     slm = load_policy(distill_path, "distill")
     env = make_env(cfg)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
     k = cfg["runtime"]["k_candidates"]
+    tree = None if tree_key is None else _step_tree(tree_key)
     return [run_episodes(env, grid, slm, teacher, vspec, routing, k=k, salt=tag, tree=tree)
             for routing in policies]
 
 
-def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list, workers: int,
-              tree: StepTree | None = None) -> list[list]:
+# (key, tree) of the eval-grid rollouts this process made last
+_tree: tuple = (None, None)
+
+
+def _step_tree(key) -> StepTree:
+    """The process's one step tree, kept while the rollouts it serves keep
+    `key`; a new key drops the old tree."""
+    global _tree
+    if _tree[0] != key:
+        _tree = (key, StepTree())
+    return _tree[1]
+
+
+def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list,
+              workers: int) -> list[list]:
     """Each of `policies`' episodes over the eval grid of `cfg`, in grid
-    order, stepped through `tree` (a private tree per policy when None).
-    With workers > 1 each grid chunk carries every policy, and each worker
-    fills its own copy of the tree."""
+    order, stepped through the process's step tree for this run directory:
+    its key is the resolved directory, the slm rollout's inputs_hash and the
+    sha256 of the distilled policy's bytes, what decides a node's candidates,
+    scores, features and transition. So the rollouts, evaluate and the
+    ablations of one run share their routing-independent steps, and two run
+    directories never share a tree. With workers > 1 each grid chunk carries
+    every policy, and each worker process fills its own copy of the tree."""
     grid = eval_grid(cfg, workdir)
+    tree_key = (str(Path(workdir).resolve()), inputs_hash(cfg, "rollout:slm"),
+                hashlib.sha256(Path(distill_path).read_bytes()).hexdigest())
     n_chunks = max(1, min(workers, len(grid)))
     tag = _stream_tag(cfg, "eval")
-    jobs = [(cfg, policies, grid[i::n_chunks], tag, distill_path, tree) for i in range(n_chunks)]
+    jobs = [(cfg, policies, grid[i::n_chunks], tag, distill_path, tree_key)
+            for i in range(n_chunks)]
     results = _parallel_map(_rollout_job, jobs, workers)
     by_key = [{(ep.task_id, ep.seed.z): ep for block in results for ep in block[i]}
               for i in range(len(policies))]
     return [[episodes[key] for key in grid] for episodes in by_key]
 
 
-def _roll_out_files(workdir: Path, rollouts, workers: int, tree: StepTree | None = None,
-                    slm_episodes=None):
+def _roll_out_files(workdir: Path, rollouts, workers: int, slm_episodes=None):
     """`_roll_out` of each (config, variant, output path) of `rollouts`, each
     file written stamped from its own config. The configs may differ only in
     what the routing reads: the env, SLM, verifier and grid are the first's.
@@ -777,7 +797,7 @@ def _roll_out_files(workdir: Path, rollouts, workers: int, tree: StepTree | None
         paths.update(require_inputs(sub, workdir, f"rollout:{variant}"))
     policies = [_build_routing_policy(sub, variant, paths, slm_episodes)
                 for sub, variant, _ in rollouts]
-    rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies, workers, tree)
+    rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies, workers)
     for (sub, variant, out), episodes in zip(rollouts, rolled):
         write_rljson(out, [episode_to_dict(ep) for ep in episodes],
                      {"schema": EPISODES_SCHEMA, "stage": "rollout", "variant": variant,
@@ -804,7 +824,8 @@ def _metrics_for(cfg: dict, episodes):
 
 def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     """Metrics of every variant; the variants whose rollout is missing or
-    stale roll out again together, through one step tree."""
+    stale roll out again together, through the run directory's step tree
+    (`_roll_out`)."""
     workdir = Path(workdir)
     router_header = read_header(require_stage(cfg, workdir, "train-router"))
     episodes = {}
@@ -814,13 +835,12 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
             episodes[variant] = load_episodes(require_stage(cfg, workdir, f"rollout:{variant}"))
         except StageOrderError:
             stale.append(variant)
-    tree = StepTree()
     # the oracle reads the slm outcomes, so it rolls after they are written;
     # it takes them from memory, once require_inputs has found the file fresh
     for group in ([v for v in stale if v != "oracle"], [v for v in stale if v == "oracle"]):
         if group:
             rollouts = [(cfg, v, artifact_path(workdir, f"rollout:{v}")) for v in group]
-            episodes.update(zip(group, _roll_out_files(workdir, rollouts, workers, tree,
+            episodes.update(zip(group, _roll_out_files(workdir, rollouts, workers,
                                                        episodes.get("slm"))))
     summary_variants = {v: _metrics_for(cfg, episodes[v]).to_dict() for v in VARIANT_ORDER}
     rows = [{"variant": variant, **m} for variant, m in summary_variants.items()]
@@ -866,11 +886,10 @@ def _with(cfg: dict, block: str, point: dict) -> dict:
 
 
 def _ablate_masks(cfg: dict, workdir: Path, workers: int):
-    # every mask rolls r2v over the same grid, so they share one step tree
     subs = {m.value: _with(cfg, "features", {"mask": m.value}) for m in FeatureMask}
     rollouts = [(sub, "r2v", workdir / f"eval_r2v_mask_{mask}.rljson")
                 for mask, sub in subs.items()]
-    episodes = dict(zip(subs, _roll_out_files(workdir, rollouts, workers, StepTree())))
+    episodes = dict(zip(subs, _roll_out_files(workdir, rollouts, workers)))
     return sweep([{"mask": mask} for mask in subs],
                   lambda point: _metrics_for(subs[point["mask"]], episodes[point["mask"]]))
 
@@ -881,8 +900,7 @@ def _fit_router_job(args):
 
 
 def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
-    # every point fits its router to the same routing rows and rolls r2v over
-    # the same grid, so the rows load once and the rollouts share one step tree
+    # every point fits its router to the same routing rows, so they load once
     paths = {**require_inputs(cfg, workdir, "train-router"),
              **require_inputs(cfg, workdir, "rollout:slm")}
     train, valid = load_router_rows(paths["collect-routing"])
@@ -891,7 +909,7 @@ def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
                          [(_with(cfg, "router", point), train, valid) for point in points],
                          workers)
     policies = [_r2v_policy(cfg, net) for net in nets]
-    rolled = _roll_out(cfg, workdir, paths["distill"], policies, workers, StepTree())
+    rolled = _roll_out(cfg, workdir, paths["distill"], policies, workers)
     episodes = dict(zip(CVAR_ABLATION_GRID, rolled))
     return sweep(points, lambda p: _metrics_for(cfg, episodes[p["alpha"], p["epsilon"]]))
 

@@ -198,8 +198,9 @@ class StepTree:
     policies rolled over the same grid share them: `run_episodes` computes a
     step the first time any policy reaches its prefix and reads it back
     after that. A tree serves one env, SLM and verifier; its roots are keyed
-    by (task, z, k, salt). The caller owns it and drops it when its grid is
-    done.
+    by (task, z, k, salt). The pipeline keeps one tree per run directory and
+    process, under the key `pipeline._roll_out` names, and drops it when a
+    rollout with another key comes.
     """
 
     def __init__(self):

@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -264,20 +265,36 @@ SHARED_OUTPUTS = [*(f"eval_{v}.rljson" for v in pipeline.VARIANT_ORDER),
                   "ablate_features.csv", "summary.json"]
 
 
+def _own_copy(base_wd, wd):
+    """`wd`, a fresh copy of the run at `base_wd`: another run directory, so
+    its rollouts start from an empty step tree."""
+    shutil.copytree(base_wd, wd)
+    return wd
+
+
+@pytest.fixture
+def expanded(monkeypatch):
+    """Rows extracted in this process, one per step-tree node expanded."""
+    calls = []
+    real_extract = runtime.extract
+    monkeypatch.setattr(runtime, "extract",
+                        lambda *a: calls.append(len(a[0])) or real_extract(*a))
+    return calls
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_path, workers):
     cfg, base_wd = small_run
     # reference: one stage_rollout call per variant (as run_pipeline makes
     # them, which is how small_run was built) and per mask; each mask rolls
-    # in a scratch copy of the run, and its eval_r2v.rljson moves to the
-    # name the ablation writes
+    # in its own copy of the run, and its eval_r2v.rljson moves to the name
+    # the ablation writes
     ref = tmp_path / "per-variant"
     shutil.copytree(base_wd, ref)
-    solo = tmp_path / "solo"
-    shutil.copytree(base_wd, solo)
     rows = []
     for mask in MASKS:
         sub = _mask_cfg(cfg, mask)
+        solo = _own_copy(base_wd, tmp_path / f"solo-{mask}")
         path = pipeline.stage_rollout(sub, solo, "r2v").replace(
             ref / f"eval_r2v_mask_{mask}.rljson")
         metrics = pipeline._metrics_for(sub, pipeline.load_episodes(path))
@@ -294,22 +311,80 @@ def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_pa
         assert (shared / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def test_each_ablation_call_builds_its_own_tree(small_run, tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_run_directory_writes_what_each_call_writes_in_its_own_copy(small_run, tmp_path,
+                                                                        workers):
+    # the six rollout calls, evaluate and the features ablation share one
+    # step tree in one run directory, and each writes what it writes alone
     cfg, base_wd = small_run
-    wd = tmp_path / "run"
-    shutil.copytree(base_wd, wd)
-    calls = []  # rows extracted, one per expanded node
-    real_extract = runtime.extract
-    monkeypatch.setattr(runtime, "extract",
-                        lambda *a: calls.append(len(a[0])) or real_extract(*a))
+    ref = _own_copy(base_wd, tmp_path / "ref")
+    for variant in pipeline.VARIANT_ORDER:
+        solo = _own_copy(base_wd, tmp_path / f"solo-{variant}")
+        pipeline.stage_rollout(cfg, solo, variant, workers=workers).replace(
+            ref / f"eval_{variant}.rljson")
+    pipeline.stage_evaluate(cfg, ref, workers=workers)
+    solo = _own_copy(base_wd, tmp_path / "solo-ablate")
+    pipeline.stage_ablate(cfg, solo, "features", workers=workers)
+    for path in [*solo.glob("eval_r2v_mask_*.rljson"), solo / "ablate_features.csv"]:
+        path.replace(ref / path.name)
+
+    shared = _own_copy(base_wd, tmp_path / "shared")
+    for variant in pipeline.VARIANT_ORDER:
+        pipeline.stage_rollout(cfg, shared, variant, workers=workers)
+    pipeline.stage_evaluate(cfg, shared, workers=workers)
+    pipeline.stage_ablate(cfg, shared, "features", workers=workers)
+    for name in SHARED_OUTPUTS + ["metrics.csv"]:
+        assert (shared / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_a_run_directory_keeps_one_step_tree(small_run, tmp_path, expanded):
+    # a second call in the same run directory expands nothing; a copy of the
+    # run at another path starts afresh, and the first tree is then freed
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    moved = _own_copy(base_wd, tmp_path / "moved")
     counts = []
-    for _ in range(2):
-        calls.clear()
-        pipeline.stage_ablate(cfg, wd, "features", workers=1)
-        counts.append(sum(calls))
+    for where in (wd, wd, moved):
+        if where is moved:
+            first = weakref.ref(pipeline._tree[1])
+        expanded.clear()
+        pipeline.stage_ablate(cfg, where, "features", workers=1)
+        counts.append(sum(expanded))
     steps = sum(len(ep.steps) for m in MASKS
                 for ep in pipeline.load_episodes(wd / f"eval_r2v_mask_{m}.rljson"))
-    assert counts[0] == counts[1] < steps
+    assert 0 < counts[0] == counts[2] < steps
+    assert counts[1] == 0
+    assert first() is None
+
+
+@pytest.mark.parametrize("change", ["verifier.eta_v", "runtime.k_candidates",
+                                    "policy_distilled.bin"])
+def test_other_rollout_inputs_get_a_fresh_tree(small_run, tmp_path, expanded, change):
+    # after the change, the rollout in the run directory expands what it
+    # expands in a fresh copy, and writes the same bytes
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    pipeline.stage_rollout(cfg, wd, "slm")
+    if change == "policy_distilled.bin":  # other parameters, the same header
+        path = wd / change
+        header = pipeline.read_header(path)
+        other = pipeline.load_policy(path, "distill").clone()
+        other.theta += 0.5
+        other.save(path, extra={k: header[k]
+                                for k in ("config_hash", "inputs_hash", "reference_hash")})
+    else:
+        block, key = change.split(".")
+        cfg = pipeline._with(cfg, block, {key: PERTURB[change]})
+        pipeline.stage_build_pairs(cfg, wd)
+        pipeline.stage_distill(cfg, wd)
+    fresh = _own_copy(wd, tmp_path / "fresh")
+    counts = []
+    for where in (wd, fresh):
+        expanded.clear()
+        pipeline.stage_rollout(cfg, where, "slm")
+        counts.append(sum(expanded))
+    assert counts[0] == counts[1] > 0
+    assert (wd / "eval_slm.rljson").read_bytes() == (fresh / "eval_slm.rljson").read_bytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 64])
@@ -377,15 +452,16 @@ CVAR_POINTS = [{"alpha": a, "epsilon": e} for a, e in pipeline.CVAR_ABLATION_GRI
 @pytest.fixture(scope="module")
 def per_point_cvar(small_run, tmp_path_factory):
     """ablate_cvar.csv as one stage_train_router and one stage_rollout per
-    grid point build it, and the step count of those eight rollouts."""
+    grid point build it, each point in its own copy of the run, and the step
+    count of those eight rollouts."""
     cfg, base_wd = small_run
-    ref = tmp_path_factory.mktemp("per-point") / "run"
-    shutil.copytree(base_wd, ref)
+    ref = tmp_path_factory.mktemp("per-point")
     rows, steps = [], 0
-    for point in CVAR_POINTS:
+    for i, point in enumerate(CVAR_POINTS):
         sub = pipeline._with(cfg, "router", point)
-        pipeline.stage_train_router(sub, ref)
-        episodes = pipeline.load_episodes(pipeline.stage_rollout(sub, ref, "r2v"))
+        wd = _own_copy(base_wd, ref / f"point-{i}")
+        pipeline.stage_train_router(sub, wd)
+        episodes = pipeline.load_episodes(pipeline.stage_rollout(sub, wd, "r2v"))
         steps += sum(len(ep.steps) for ep in episodes)
         rows.append({**point, **pipeline._metrics_for(sub, episodes).to_dict()})
     write_csv(ref / "ablate_cvar.csv", rows, ["alpha", "epsilon"] + pipeline.METRIC_COLUMNS)
@@ -394,22 +470,18 @@ def per_point_cvar(small_run, tmp_path_factory):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cvar_ablation_writes_what_per_point_stages_write(small_run, per_point_cvar, tmp_path,
-                                                          monkeypatch, workers):
+                                                          expanded, workers):
     cfg, base_wd = small_run
     expected, steps = per_point_cvar
     wd = tmp_path / "run"
     shutil.copytree(base_wd, wd)
     (wd / "router.bin").unlink()  # every grid point fits its own router
     before = {p.name for p in wd.iterdir()}
-    calls = []  # rows extracted, one per expanded node
-    real_extract = runtime.extract
-    monkeypatch.setattr(runtime, "extract",
-                        lambda *a: calls.append(len(a[0])) or real_extract(*a))
     out = pipeline.stage_ablate(cfg, wd, "cvar", workers=workers)
     assert out.read_bytes() == expected
     assert {p.name for p in wd.iterdir()} - before == {"ablate_cvar.csv"}
     if workers == 1:  # worker processes count in their own copies
-        assert 0 < sum(calls) < steps  # the eight rollouts share one step tree
+        assert 0 < sum(expanded) < steps  # the eight rollouts share one step tree
 
 
 @pytest.mark.parametrize("name,change", [

@@ -766,16 +766,16 @@ def _step_tree(key) -> StepTree:
 def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list,
               workers: int) -> list[list]:
     """Each of `policies`' episodes over the eval grid of `cfg`, in grid
-    order, stepped through the process's step tree for this run directory:
-    its key is the resolved directory, the slm rollout's inputs_hash and the
-    sha256 of the distilled policy's bytes, what decides a node's candidates,
-    scores, features and transition. So the rollouts, evaluate and the
-    ablations of one run share their routing-independent steps, and two run
-    directories never share a tree. With workers > 1 each grid chunk carries
-    every policy, and each worker process fills its own copy of the tree."""
+    order, through the process's step tree for this run directory, keyed by
+    what decides a node: the resolved directory, the slm rollout's
+    inputs_hash and the distilled policy's parameter hash (checked when
+    `_rollout_job` loads it, before the tree is read). So the rollouts,
+    evaluate and the ablations of one run share their routing-independent
+    steps. With workers > 1 each grid chunk carries every policy, and each
+    worker process fills its own copy of the tree."""
     grid = eval_grid(cfg, workdir)
     tree_key = (str(Path(workdir).resolve()), inputs_hash(cfg, "rollout:slm"),
-                hashlib.sha256(Path(distill_path).read_bytes()).hexdigest())
+                read_header(distill_path).typed("hash", str))
     n_chunks = max(1, min(workers, len(grid)))
     tag = _stream_tag(cfg, "eval")
     jobs = [(cfg, policies, grid[i::n_chunks], tag, distill_path, tree_key)

@@ -365,7 +365,7 @@ def test_other_rollout_inputs_get_a_fresh_tree(small_run, tmp_path, expanded, ch
     cfg, base_wd = small_run
     wd = _own_copy(base_wd, tmp_path / "run")
     pipeline.stage_rollout(cfg, wd, "slm")
-    if change == "policy_distilled.bin":  # other parameters, the same header
+    if change == "policy_distilled.bin":  # other parameters, the same stage stamp
         path = wd / change
         header = pipeline.read_header(path)
         other = pipeline.load_policy(path, "distill").clone()

@@ -64,9 +64,9 @@ def build_preferences(
     rng_cand = seeds.stream(env.config.rng_seed, "pairs", "candidates")
     rng_score = seeds.stream(env.config.rng_seed, "pairs", "scores")
     rng_teacher = seeds.stream(env.config.rng_seed, "pairs", "teacher")
-    contexts = [step.context for ep in pool for step in ep.steps]
-    states = [env.replay(env.task_spec(ep.task_id), step.context.actions)
-              for ep in pool for step in ep.steps]
+    pooled = [(ep.task_id, ctx) for ep in pool for ctx in ep.contexts()]
+    contexts = [ctx for _, ctx in pooled]
+    states = [env.replay(env.task_spec(task_id), ctx.actions) for task_id, ctx in pooled]
     drawn, _ = bc_policy.sample_candidates(contexts, k, [rng_cand] * len(contexts))
     scores = score_candidates(spec, states, drawn, [rng_score] * len(contexts))
     pairs: list[PreferencePair] = []
@@ -110,7 +110,7 @@ def build_consistency_views(pool, env: HazardChainEnv):
         zs = sorted(pert_seeds_by_task.get(task_id, []))
         if len(zs) < 2:
             continue
-        actions = [s.chosen_action for s in clean_ep.steps]
+        actions = clean_ep.actions
         contexts = {z: replay_contexts(env, task_id, actions, z) for z in zs}
         z_pairs = [(zs[i], zs[(i + 1) % len(zs)]) for i in range(len(zs))]
         for z_a, z_b in z_pairs[:CONS_PAIRS_PER_TASK]:

@@ -9,6 +9,11 @@ then one self-describing record per line, its per-step values in columns) so
 datasets stream and diff cleanly. A fixed-width float column is one base64
 string of little-endian float64 bytes (`pack_floats`), which keeps every bit
 and writes in a fraction of the time and bytes decimal text takes.
+
+An episode in memory is the columns of its record, its float columns
+read-only float64 arrays, so encoding and decoding it packs and unpacks
+columns and builds no per-step object; `PerturbedEpisode.steps` gives one
+step's values as a `StepView` when a reader asks for it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import io
 import json
 import math
 import os
-import struct
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -149,56 +155,108 @@ class PerturbationSeed:
             raise ValueError("perturbation seed must be unsigned")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One executed step: candidates, verifier scores, routing state.
-
-    Teacher demonstration steps carry empty candidate/score lists; routed
-    steps record everything the router saw, making the record the unit of
-    evaluation and audit. Its context holds only this step's observation.
-    """
-
-    context: Context
-    candidates: tuple[tuple[int, float], ...]
-    verifier_scores: tuple[float, ...]
-    chosen_action: int
-    executor: str
-    features: tuple[float, ...] | None = None
-    router_prob: float | None = None
-    decision: bool | None = None
-    budget_remaining: int | None = None
-
-    def __post_init__(self):
-        if len(self.candidates) != len(self.verifier_scores):
-            raise ValueError("candidate and score lists must have equal length")
-        if any(not (0.0 <= s <= 1.0) for s in self.verifier_scores):
-            raise ValueError("verifier scores must lie in [0, 1]")
-        if self.executor not in ("SLM", "LLM"):
-            raise ValueError("executor must be 'SLM' or 'LLM'")
-        if self.router_prob is not None and not (0.0 <= self.router_prob <= 1.0):
-            raise ValueError("router probability must lie in [0, 1]")
+# one step of an episode, built from its columns when `PerturbedEpisode.steps`
+# is read; a teacher step has no candidates and no routing state
+StepView = namedtuple("StepView", ("context", "candidates", "verifier_scores", "chosen_action",
+                                   "executor", "features", "router_prob", "decision",
+                                   "budget_remaining"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbedEpisode:
-    """One rollout under a perturbation seed with a binary outcome."""
+    """One rollout under a perturbation seed with a binary outcome, its steps
+    held as the columns of its `episode@4` record.
+
+    Step t saw `observations[t]`, after the goal and the actions before it;
+    it weighed `candidates[t]`, whose log-probs and verifier scores are
+    `candidate_logps[a:b]` and `verifier_scores[a:b]` for (a, b) =
+    `offsets[t:t + 2]`; it ran `actions[t]` on `executors[t]`. `features` is
+    one (T, 15) row per step, or None (teacher steps); `router_probs`,
+    `decisions` and `budget_remaining` hold None on steps that no router,
+    rule or budget saw. The float columns are read-only float64 copies.
+    Construction checks whole columns once: equal lengths, one log-prob and
+    one score per candidate, scores and router probabilities in [0, 1],
+    executors, the `llm_calls` recount and the budget. Contexts are derived
+    from the columns, so they always chain. Two episodes are equal when
+    their records are, so packed floats compare bit for bit.
+    """
 
     task_id: int
     seed: PerturbationSeed
-    steps: tuple[StepRecord, ...]
     success: bool
     llm_calls: int
-    budget_limit: int | None = None
-    kind: str = ""
+    budget_limit: int | None
+    kind: str
+    goal: tuple[int, ...]
+    observations: tuple[tuple[int, ...], ...]
+    actions: tuple[int, ...]
+    executors: tuple[str, ...]
+    candidates: tuple[tuple[int, ...], ...]
+    candidate_logps: np.ndarray
+    verifier_scores: np.ndarray
+    features: np.ndarray | None
+    router_probs: tuple[float | None, ...]
+    decisions: tuple[bool | None, ...]
+    budget_remaining: tuple[int | None, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        recount = sum(1 for s in self.steps if s.executor == "LLM")
+        for name in ("candidate_logps", "verifier_scores", "features"):
+            if getattr(self, name) is not None:
+                column = np.array(getattr(self, name), dtype=np.float64)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+        object.__setattr__(self, "offsets", (0, *accumulate(map(len, self.candidates))))
+        n, k, scores = len(self.actions), self.offsets[-1], self.verifier_scores
+        if any(len(column) != n for column in (self.observations, self.executors, self.candidates,
+                                               self.router_probs, self.decisions,
+                                               self.budget_remaining)):
+            raise ValueError("episode step columns differ in length")
+        if self.candidate_logps.shape != (k,) or scores.shape != (k,):
+            raise ValueError(f"{k} candidates need as many log-probs and verifier scores, got "
+                             f"{self.candidate_logps.shape} and {scores.shape}")
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
+            raise ValueError("verifier scores must lie in [0, 1]")
+        if self.features is not None and self.features.shape != (n, FEATURE_DIM):
+            raise ValueError(f"an episode's {n} steps must all hold {FEATURE_DIM} features or "
+                             f"none, got an array of shape {self.features.shape}")
+        if not {"SLM", "LLM"}.issuperset(self.executors):
+            raise ValueError("executor must be 'SLM' or 'LLM'")
+        if any(p is not None and not 0.0 <= p <= 1.0 for p in self.router_probs):
+            raise ValueError("router probability must lie in [0, 1]")
+        recount = self.executors.count("LLM")
         if recount != self.llm_calls:
             raise ValueError(
                 f"llm_calls={self.llm_calls} but {recount} steps ran on the LLM"
             )
         if self.budget_limit is not None and self.llm_calls > self.budget_limit:
             raise ValueError("llm_calls exceeds the budget limit")
+
+    def __eq__(self, other):
+        if not isinstance(other, PerturbedEpisode):
+            return NotImplemented
+        return episode_to_dict(self) == episode_to_dict(other)
+
+    def contexts(self) -> list[Context]:
+        """Each step's context: the goal, the step's observation, the actions
+        before it and the running count of goal and observation tokens."""
+        out, tokens = [], len(self.goal)
+        for t, observation in enumerate(self.observations):
+            tokens += len(observation)
+            out.append(Context(self.goal, observation, self.actions[:t], tokens))
+        return out
+
+    @property
+    def steps(self) -> tuple:
+        """The steps as `StepView`s, built from the columns on every read."""
+        logps, scores = self.candidate_logps.tolist(), self.verifier_scores.tolist()
+        bounds = list(zip(self.offsets, self.offsets[1:]))
+        features = ([None] * len(self.actions) if self.features is None
+                    else map(tuple, self.features.tolist()))
+        return tuple(map(StepView, self.contexts(),
+                         [tuple(zip(c, logps[a:b])) for c, (a, b) in zip(self.candidates, bounds)],
+                         [tuple(scores[a:b]) for a, b in bounds], self.actions, self.executors,
+                         features, self.router_probs, self.decisions, self.budget_remaining))
 
 
 @dataclass(frozen=True)
@@ -348,75 +406,39 @@ def _context_from_dict(d: dict) -> Context:
 
 
 def pack_floats(values) -> str:
-    """A sequence of finite floats as one base64 string of little-endian
-    float64 bytes; a NaN or an infinity raises ValueError."""
-    raw = struct.pack(f"<{len(values)}d", *values)
-    if not np.isfinite(np.frombuffer(raw, dtype="<f8")).all():
+    """A sequence or array of finite floats, in C order, as one base64 string
+    of little-endian float64 bytes; a NaN or an infinity raises ValueError."""
+    column = np.ascontiguousarray(values, dtype="<f8")
+    if not np.isfinite(column).all():
         raise ValueError("non-finite number in a packed float column")
-    return base64.b64encode(raw).decode("ascii")
+    return base64.b64encode(column.tobytes()).decode("ascii")
 
 
-def unpack_floats(text: str, count: int) -> list[float]:
-    """The `count` floats of a `pack_floats` string; text that is not base64,
-    a block of any other length and a non-finite value raise ValueError."""
+def unpack_floats(text: str, count: int) -> np.ndarray:
+    """The `count` floats of a `pack_floats` string, as a read-only float64
+    array; text that is not base64, a block of any other length and a
+    non-finite value raise ValueError."""
     raw = base64.b64decode(text, validate=True)
     if len(raw) != 8 * count:
         raise ValueError(f"packed float column holds {len(raw)} bytes, not {8 * count}")
     values = np.frombuffer(raw, dtype="<f8")
     if not np.isfinite(values).all():
         raise ValueError("non-finite number in a packed float column")
-    return values.tolist()
-
-
-def _pack_features(steps) -> str:
-    """The features of `steps` as one packed block of T x FEATURE_DIM floats."""
-    for t, step in enumerate(steps):
-        if step.features is None or len(step.features) != FEATURE_DIM:
-            raise ValueError(f"step {t} does not hold {FEATURE_DIM} features")
-    return pack_floats([v for step in steps for v in step.features])
-
-
-def _unpack_features(text: str, n_rows: int) -> list[tuple[float, ...]]:
-    """The `n_rows` feature rows of a `_pack_features` block."""
-    flat = unpack_floats(text, FEATURE_DIM * n_rows)
-    return [tuple(flat[i:i + FEATURE_DIM]) for i in range(0, len(flat), FEATURE_DIM)]
-
-
-# an episode record holds one JSON list per step field, each one entry per
-# step; its float columns are packed blocks beside them
-_STEP_COLUMNS = ("observations", "actions", "executors", "candidates", "router_probs",
-                 "decisions", "budget_remaining")
+    return values
 
 
 def episode_to_dict(episode: PerturbedEpisode) -> dict:
-    """The episode as one record of per-step columns.
+    """The episode's columns as one record.
 
     A step's context is stored as its observation alone: the goal once per
-    episode, and the action prefix and `tokens_seen` rebuilt on decode, so
-    an episode whose contexts do not chain (a goal that changes, a prefix
-    that is not the earlier chosen actions, a `tokens_seen` that is not the
-    running count) raises ValueError.
-
+    episode, and the action prefix and `tokens_seen` rebuilt on decode.
     `candidates` holds each step's candidate actions. `candidate_logps` and
     `verifier_scores` are each one `pack_floats` block of the sum of K_t
     floats in step order, split on read by the length of each step's action
     list (a teacher step has K = 0). `features` is one block of T x 15
-    floats, or null when no step has features; an episode that mixes steps
-    with and without features raises ValueError. Every packed value is a
+    floats, or null when the episode holds none. Every packed value is a
     little-endian float64 and must be finite.
     """
-    steps = episode.steps
-    goal = steps[0].context.goal if steps else ()
-    prefix, tokens = (), len(goal)
-    for step in steps:
-        ctx = step.context
-        tokens += len(ctx.observation)
-        if ctx.goal != goal or ctx.actions != prefix or ctx.tokens_seen != tokens:
-            raise ValueError(f"step {len(prefix)}'s context does not follow the steps before it")
-        prefix += (step.chosen_action,)
-    featured = sum(s.features is not None for s in steps)
-    if 0 < featured < len(steps):
-        raise ValueError("an episode's steps must all hold features or none")
     return {
         "schema": EPISODE_SCHEMA,
         "task_id": episode.task_id,
@@ -425,59 +447,44 @@ def episode_to_dict(episode: PerturbedEpisode) -> dict:
         "llm_calls": episode.llm_calls,
         "budget_limit": episode.budget_limit,
         "kind": episode.kind,
-        "goal": goal,
-        "observations": [s.context.observation for s in steps],
-        "actions": prefix,
-        "executors": [s.executor for s in steps],
-        "candidates": [[a for a, _ in s.candidates] for s in steps],
-        "candidate_logps": pack_floats([lp for s in steps for _, lp in s.candidates]),
-        "verifier_scores": pack_floats([v for s in steps for v in s.verifier_scores]),
-        "features": _pack_features(steps) if featured else None,
-        "router_probs": [s.router_prob for s in steps],
-        "decisions": [s.decision for s in steps],
-        "budget_remaining": [s.budget_remaining for s in steps],
+        "goal": episode.goal,
+        "observations": episode.observations,
+        "actions": episode.actions,
+        "executors": episode.executors,
+        "candidates": episode.candidates,
+        "candidate_logps": pack_floats(episode.candidate_logps),
+        "verifier_scores": pack_floats(episode.verifier_scores),
+        "features": None if episode.features is None else pack_floats(episode.features),
+        "router_probs": episode.router_probs,
+        "decisions": episode.decisions,
+        "budget_remaining": episode.budget_remaining,
     }
 
 
 def episode_from_dict(d: dict) -> PerturbedEpisode:
     if d.get("schema") != EPISODE_SCHEMA:
         raise RecordFormatError(f"unexpected episode schema {d.get('schema')!r}")
-    columns = [d[k] for k in _STEP_COLUMNS]
-    if len({len(c) for c in columns}) > 1:
-        raise RecordFormatError("episode step columns differ in length")
-    n_candidates = sum(len(cands) for cands in d["candidates"])
-    logps = unpack_floats(d["candidate_logps"], n_candidates)
-    scores = unpack_floats(d["verifier_scores"], n_candidates)
-    n_steps = len(columns[0])
-    features = ([None] * n_steps if d["features"] is None
-                else _unpack_features(d["features"], n_steps))
-    goal = tuple(d["goal"])
-    steps, ctx, pos = [], None, 0
-    for obs, action, executor, cands, p, decision, remaining, feats in zip(*columns, features):
-        obs = tuple(obs)
-        ctx = (Context(goal, obs, (), len(goal) + len(obs)) if ctx is None
-               else ctx.advanced(steps[-1].chosen_action, obs))
-        end = pos + len(cands)
-        steps.append(StepRecord(
-            context=ctx,
-            candidates=tuple(zip(map(int, cands), logps[pos:end])),
-            verifier_scores=tuple(scores[pos:end]),
-            chosen_action=int(action),
-            executor=executor,
-            features=feats,
-            router_prob=None if p is None else float(p),
-            decision=decision,
-            budget_remaining=remaining,
-        ))
-        pos = end
+    candidates = tuple(tuple(map(int, cands)) for cands in d["candidates"])
+    n_candidates = sum(map(len, candidates))
     return PerturbedEpisode(
         task_id=int(d["task_id"]),
         seed=PerturbationSeed(int(d["z"])),
-        steps=tuple(steps),
         success=bool(d["success"]),
         llm_calls=int(d["llm_calls"]),
         budget_limit=None if d["budget_limit"] is None else int(d["budget_limit"]),
         kind=d["kind"],
+        goal=tuple(d["goal"]),
+        observations=tuple(map(tuple, d["observations"])),
+        actions=tuple(map(int, d["actions"])),
+        executors=tuple(d["executors"]),
+        candidates=candidates,
+        candidate_logps=unpack_floats(d["candidate_logps"], n_candidates),
+        verifier_scores=unpack_floats(d["verifier_scores"], n_candidates),
+        features=(None if d["features"] is None else unpack_floats(
+            d["features"], FEATURE_DIM * len(d["actions"])).reshape(-1, FEATURE_DIM)),
+        router_probs=tuple(None if p is None else float(p) for p in d["router_probs"]),
+        decisions=tuple(d["decisions"]),
+        budget_remaining=tuple(d["budget_remaining"]),
     )
 
 
@@ -491,9 +498,11 @@ def routing_record(seed_id: int, split: str, episode: PerturbedEpisode) -> dict:
     in step order, and the episode-failure label they all carry (early steps
     that looked fine included: labels mark residual episode risk, not step
     correctness)."""
+    if episode.features is None:
+        raise ValueError("a routing seed needs an episode whose steps hold features")
     return {"schema": ROUTING_SCHEMA, "seed_id": seed_id, "split": split,
             "label": 0 if episode.success else 1,
-            "features": _pack_features(episode.steps)}
+            "features": pack_floats(episode.features)}
 
 
 def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
@@ -502,8 +511,9 @@ def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
         raise RecordFormatError(f"unexpected routing schema {d.get('schema')!r}")
     seed_id, label, split = int(d["seed_id"]), int(d["label"]), d["split"]
     # a block that is not whole rows is refused against its nearest row count
-    rows = _unpack_features(d["features"], round(len(d["features"]) / _ROW_CHARS))
-    return [RoutingExample(features, label, seed_id, split) for features in rows]
+    rows = unpack_floats(d["features"], FEATURE_DIM * round(len(d["features"]) / _ROW_CHARS))
+    return [RoutingExample(tuple(features), label, seed_id, split)
+            for features in rows.reshape(-1, FEATURE_DIM).tolist()]
 
 
 def pair_records(pairs, views) -> list[dict]:

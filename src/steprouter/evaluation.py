@@ -108,16 +108,14 @@ def compute_metrics(
     if not episodes:
         raise ValueError("cannot evaluate an empty episode set")
     successes = np.array([1.0 if ep.success else 0.0 for ep in episodes])
-    total_steps = sum(len(ep.steps) for ep in episodes)
+    total_steps = sum(len(ep.actions) for ep in episodes)
     total_llm = sum(ep.llm_calls for ep in episodes)
 
     probs, labels = [], []
     for ep in episodes:
-        fail = 0.0 if ep.success else 1.0
-        for step in ep.steps:
-            if step.router_prob is not None:
-                probs.append(step.router_prob)
-                labels.append(fail)
+        scored = [p for p in ep.router_probs if p is not None]
+        probs += scored
+        labels += [0.0 if ep.success else 1.0] * len(scored)
     ece_v = brier_v = auroc_v = None
     if probs:
         p = np.asarray(probs)

@@ -738,29 +738,29 @@ def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
 def _rollout_job(args):
     """Each of `policies`' episodes over `grid` on the streams tagged `tag`,
     the grid stepped in lockstep once per policy through this process's step
-    tree under `tree_key` (a private tree per policy when None)."""
+    tree and env under `tree_key` (a private tree per policy when None)."""
     cfg, policies, grid, tag, distill_path, tree_key = args
     slm = load_policy(distill_path, "distill")
-    env = make_env(cfg)
+    tree, env = (None, make_env(cfg)) if tree_key is None else _step_tree(tree_key, cfg)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
     k = cfg["runtime"]["k_candidates"]
-    tree = None if tree_key is None else _step_tree(tree_key)
     return [run_episodes(env, grid, slm, teacher, vspec, routing, k=k, salt=tag, tree=tree)
             for routing in policies]
 
 
-# (key, tree) of the eval-grid rollouts this process made last
-_tree: tuple = (None, None)
+# (key, tree, env) of the eval-grid rollouts this process made last
+_tree: tuple = (None, None, None)
 
 
-def _step_tree(key) -> StepTree:
-    """The process's one step tree, kept while the rollouts it serves keep
-    `key`; a new key drops the old tree."""
+def _step_tree(key, cfg: dict) -> tuple[StepTree, HazardChainEnv]:
+    """The process's one step tree and its env (which samples each task spec
+    once), kept while the rollouts they serve keep `key`, whose inputs hash
+    covers `cfg`'s env block; a new key drops both."""
     global _tree
     if _tree[0] != key:
-        _tree = (key, StepTree())
-    return _tree[1]
+        _tree = (key, StepTree(), make_env(cfg))
+    return _tree[1:]
 
 
 def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list,

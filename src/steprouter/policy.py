@@ -21,7 +21,6 @@ from .domain import (
     PerturbedEpisode,
     PerturbationSeed,
     RecordFormatError,
-    StepRecord,
     read_arrays,
     require_number,
     write_arrays,
@@ -236,31 +235,22 @@ def run_teacher_episode(
     seed = PerturbationSeed(z)
     rng = seeds.stream(env.config.rng_seed, "teacher", task_id, z)
     state, ctx = env.reset(task_id, seed)
-    steps = []
+    obs, observations, actions = ctx.observation, [], []
     success = False
     for t in range(env.config.horizon):
+        observations.append(obs)
         action = teacher.act(env, state, rng)
         state, obs, terminal, success = env.step(state, action, seed, t)
-        steps.append(
-            StepRecord(
-                context=ctx,
-                candidates=(),
-                verifier_scores=(),
-                chosen_action=action,
-                executor="LLM",
-            )
-        )
-        ctx = ctx.advanced(action, obs)
+        actions.append(action)
         if terminal:
             break
+    n = len(actions)
     return PerturbedEpisode(
-        task_id=task_id,
-        seed=seed,
-        steps=tuple(steps),
-        success=success,
-        llm_calls=len(steps),
-        kind=kind,
-    )
+        task_id=task_id, seed=seed, success=success, llm_calls=n, budget_limit=None, kind=kind,
+        goal=ctx.goal, observations=tuple(observations), actions=tuple(actions),
+        executors=("LLM",) * n, candidates=((),) * n, candidate_logps=(), verifier_scores=(),
+        features=None, router_probs=(None,) * n, decisions=(None,) * n,
+        budget_remaining=(None,) * n)
 
 
 def collect_teacher_trajectories(
@@ -287,10 +277,9 @@ def bc_dataset(pool, featurizer: PolicyFeaturizer):
     for ep in pool:
         if not ep.success:
             continue
-        for step in ep.steps:
-            contexts.append(step.context)
-            actions.append(step.chosen_action)
-            sources.append((ep.task_id, ep.seed.z))
+        contexts += ep.contexts()
+        actions += ep.actions
+        sources += [(ep.task_id, ep.seed.z)] * len(ep.actions)
     return featurizer.matrix(contexts), np.array(actions, dtype=int), sources
 
 

@@ -30,6 +30,10 @@ episode. The bits hold because no batched op mixes rows:
 So each episode is what it is rolled alone, and `run_episode` is the engine
 on a one-point grid.
 
+An episode is built as columns, not per-step objects: each step appends one
+row of values to its `_Run`, and the rows become the columns of a
+`PerturbedEpisode` when the grid is done. Nodes keep views of batch arrays.
+
 The hindsight oracle is structurally offline: it needs a table of SLM-only
 episode outcomes over the same (task, seed) grid, which the online loop has
 no way to construct.
@@ -42,13 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .domain import (
-    Context,
-    CostSpec,
-    PerturbationSeed,
-    PerturbedEpisode,
-    StepRecord,
-)
+from .domain import Context, CostSpec, PerturbationSeed, PerturbedEpisode
 from .env import HazardChainEnv
 from .features import FeatureLimits, FeatureMask, apply_mask, extract
 from .policy import SoftmaxPolicy, TeacherPolicy, draw_candidates, probabilities
@@ -136,14 +134,14 @@ class _Node:
     `state` and `ctx` are where the prefix leads; `terminal` and `success`
     are what `env.step` returned on the last action (False at the root). The
     first step that reaches the node expands it (`_expand`): the local
-    proposal (verifier argmax), the verifier scores and raw features with
-    the tuple forms a StepRecord stores, in a shared tree the states of the
-    cand and verif streams after the step's draws, and `children`, one node
-    per executed action.
+    proposal (verifier argmax), the candidate actions, views of its batch's
+    log-prob, score and raw feature rows, in a shared tree the `_saved`
+    states of the cand and verif streams after the step's draws, and
+    `children`, one node per executed action.
     """
 
-    __slots__ = ("state", "ctx", "terminal", "success", "slm_action", "f_raw",
-                 "candidates", "score_record", "feature_record", "streams", "children")
+    __slots__ = ("state", "ctx", "terminal", "success", "slm_action", "candidates", "logps",
+                 "scores", "f_raw", "streams", "children")
 
     def __init__(self, state, ctx: Context, terminal: bool = False, success: bool = False):
         self.state = state
@@ -163,6 +161,18 @@ class _Node:
         return node
 
 
+def _saved(rng: np.random.Generator) -> tuple:
+    """The (state, inc, has_uint32, uinteger) of a PCG64 generator."""
+    s = rng.bit_generator.state
+    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
+
+
+def _restore(rng: np.random.Generator, saved: tuple) -> None:
+    state, inc, has_uint32, uinteger = saved
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": has_uint32, "uinteger": uinteger}
+
+
 def _expand(runs, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
             limits: FeatureLimits, keep_streams: bool) -> None:
     """Expand the current node of each of `runs` in one batch: per node, K
@@ -177,16 +187,13 @@ def _expand(runs, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
                               [run.rng_ver for run in runs])
     f_raw = extract(contexts, probs, actions, logps, scores, limits)
     best = np.argmax(scores, axis=1).tolist()
-    rows = zip(nodes, runs, f_raw, best, actions.tolist(), logps.tolist(), scores.tolist(),
-               f_raw.tolist())
-    for node, run, f_row, b, action_row, logp_row, score_row, feature_row in rows:
-        node.f_raw = f_row
+    rows = zip(nodes, runs, best, actions.tolist(), logps, scores, f_raw)
+    for node, run, b, action_row, logp_row, score_row, f_row in rows:
         node.slm_action = action_row[b]
-        node.candidates = tuple(zip(action_row, logp_row))
-        node.score_record = tuple(score_row)
-        node.feature_record = tuple(feature_row)
+        node.candidates = tuple(action_row)
+        node.logps, node.scores, node.f_raw = logp_row, score_row, f_row
         if keep_streams:
-            node.streams = (run.rng_cand.bit_generator.state, run.rng_ver.bit_generator.state)
+            node.streams = (_saved(run.rng_cand), _saved(run.rng_ver))
         node.children = {}
 
 
@@ -199,8 +206,8 @@ class StepTree:
     step the first time any policy reaches its prefix and reads it back
     after that. A tree serves one env, SLM and verifier; its roots are keyed
     by (task, z, k, salt). The pipeline keeps one tree per run directory and
-    process, under the key `pipeline._roll_out` names, and drops it when a
-    rollout with another key comes.
+    process, beside the env it serves, under the key `pipeline._roll_out`
+    names, and drops both when a rollout with another key comes.
     """
 
     def __init__(self):
@@ -216,20 +223,33 @@ class StepTree:
 
 
 class _Run:
-    """One episode in progress: its node, budget, streams and steps so far."""
+    """One episode in progress: its node, budget, streams and its steps so
+    far, each one row of its step columns in `PerturbedEpisode` field order
+    (observation, action, executor, candidate actions, the node's log-prob,
+    score and feature rows, router probability, decision, budget left)."""
 
-    __slots__ = ("task_id", "seed", "node", "remaining", "steps", "llm_calls",
+    __slots__ = ("task_id", "seed", "goal", "node", "remaining", "rows", "llm_calls",
                  "rng_cand", "rng_ver", "rng_teach", "restore")
 
     def __init__(self, task_id: int, seed: PerturbationSeed, node: _Node, budget):
         self.task_id = task_id
         self.seed = seed
+        self.goal = node.ctx.goal
         self.node = node
         self.remaining = budget
-        self.steps = []
+        self.rows = []
         self.llm_calls = 0
         self.rng_cand = self.rng_ver = self.rng_teach = None
         self.restore = None  # stream states to set before the next new node draws
+
+    def episode(self, routing: RoutingPolicy) -> PerturbedEpisode:
+        """The finished episode: its rows, handed over, turned into columns."""
+        rows, self.rows = self.rows, None
+        obs, actions, executors, cands, logps, scores, features, probs, decisions, left = zip(*rows)
+        return PerturbedEpisode(self.task_id, self.seed, self.node.success, self.llm_calls,
+                                routing.budget_limit, routing.variant, self.goal, obs, actions,
+                                executors, cands, np.concatenate(logps), np.concatenate(scores),
+                                np.stack(features), probs, decisions, left)
 
 
 def run_episodes(
@@ -253,12 +273,14 @@ def run_episodes(
     features for every new node in one batch. The r2v rows of the step are
     then scored in one batch too. The rest stays per episode: its own cand,
     verif and teacher streams, each made on the episode's first use of it,
-    its budget, the teacher's action, its StepRecord and `env.step`. A
-    visited node draws nothing; before the first new node after a run of
-    visited ones, the cand and verif streams are set to the states the last
-    visited node saved, so every draw matches a rollout of this policy
-    alone. An episode that only visits nodes and never escalates makes no
-    stream. The module docstring says why batching keeps every bit.
+    its budget, the teacher's action, one row of its columns and
+    `env.step`. A private tree keeps no roots, so its nodes are freed as the
+    episodes step past them. A visited node draws nothing; before the first
+    new node after a run of visited ones, the cand and verif streams are set
+    to the states the last visited node saved, so every draw matches a
+    rollout of this policy alone. An episode that only visits nodes and
+    never escalates makes no stream. The module docstring says why batching
+    keeps every bit.
 
     A grid that repeats a (task, z) is refused: two episodes on one
     unexpanded node would expand it twice.
@@ -267,14 +289,14 @@ def run_episodes(
         raise ValueError("the grid repeats a (task, z) point")
     # a private tree is never visited again, so it keeps no stream states
     keep_streams = tree is not None
-    tree = StepTree() if tree is None else tree
     limits = feature_limits(env)
     base = env.config.rng_seed
     runs = []
     for task_id, z in grid:
         seed = PerturbationSeed(z)
-        runs.append(_Run(task_id, seed, tree.root(env, task_id, seed, k, salt),
-                         routing.budget_limit))
+        root = (_Node(*env.reset(task_id, seed)) if tree is None
+                else tree.root(env, task_id, seed, k, salt))
+        runs.append(_Run(task_id, seed, root, routing.budget_limit))
     active = runs
     for t in range(env.config.horizon):
         if not active:
@@ -289,7 +311,8 @@ def run_episodes(
                 run.rng_cand = seeds.stream(base, "cand", run.task_id, run.seed.z, salt)
                 run.rng_ver = seeds.stream(base, "verif", run.task_id, run.seed.z, salt)
             if run.restore is not None:
-                run.rng_cand.bit_generator.state, run.rng_ver.bit_generator.state = run.restore
+                _restore(run.rng_cand, run.restore[0])
+                _restore(run.rng_ver, run.restore[1])
                 run.restore = None
             fresh.append(run)
         if fresh:
@@ -310,33 +333,11 @@ def run_episodes(
             else:
                 action = node.slm_action
                 executor = "SLM"
-            run.steps.append(
-                StepRecord(
-                    context=node.ctx,
-                    candidates=node.candidates,
-                    verifier_scores=node.score_record,
-                    chosen_action=action,
-                    executor=executor,
-                    features=node.feature_record,
-                    router_prob=p,
-                    decision=decision,
-                    budget_remaining=run.remaining,
-                )
-            )
+            run.rows.append((node.ctx.observation, action, executor, node.candidates, node.logps,
+                             node.scores, node.f_raw, p, decision, run.remaining))
             run.node = node.child(env, action, run.seed, t)
         active = [run for run in active if not run.node.terminal]
-    return [
-        PerturbedEpisode(
-            task_id=run.task_id,
-            seed=run.seed,
-            steps=tuple(run.steps),
-            success=run.node.success,
-            llm_calls=run.llm_calls,
-            budget_limit=routing.budget_limit,
-            kind=routing.variant,
-        )
-        for run in runs
-    ]
+    return [run.episode(routing) for run in runs]
 
 
 def run_episode(

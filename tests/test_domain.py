@@ -16,7 +16,7 @@ from steprouter.domain import (
     PerturbedEpisode,
     RecordFormatError,
     RoutingExample,
-    StepRecord,
+    StepView,
     derive_splits,
     episode_from_dict,
     episode_to_dict,
@@ -42,30 +42,38 @@ def make_context(t=0):
 
 
 def make_episode(n_steps=3, success=True, llm_steps=(1,), budget=None):
-    steps = []
-    for t in range(n_steps):
-        steps.append(
-            StepRecord(
-                context=make_context(t),
-                candidates=((1, -0.5), (2, -1.25)),
-                verifier_scores=(0.7, 0.4),
-                chosen_action=1,
-                executor="LLM" if t in llm_steps else "SLM",
-                features=tuple(float(v) / 20 for v in range(15)),
-                router_prob=0.25,
-                decision=t in llm_steps,
-                budget_remaining=None,
-            )
-        )
+    """An r2v episode whose step t saw make_context(t): two candidates a
+    step, 15 features, router probability 0.25."""
     return PerturbedEpisode(
         task_id=3,
         seed=PerturbationSeed(987654321),
-        steps=tuple(steps),
         success=success,
         llm_calls=len(llm_steps),
         budget_limit=budget,
         kind="r2v",
+        goal=(35, 36, 40),
+        observations=tuple(make_context(t).observation for t in range(n_steps)),
+        actions=(1,) * n_steps,
+        executors=tuple("LLM" if t in llm_steps else "SLM" for t in range(n_steps)),
+        candidates=((1, 2),) * n_steps,
+        candidate_logps=[-0.5, -1.25] * n_steps,
+        verifier_scores=[0.7, 0.4] * n_steps,
+        features=np.tile(np.arange(15) / 20, (n_steps, 1)),
+        router_probs=(0.25,) * n_steps,
+        decisions=tuple(t in llm_steps for t in range(n_steps)),
+        budget_remaining=(None,) * n_steps,
     )
+
+
+def teacher_episode(n_steps=2):
+    """A demonstration: every step on the LLM, no candidates, no routing state."""
+    return PerturbedEpisode(
+        task_id=0, seed=PerturbationSeed(1), success=True, llm_calls=n_steps,
+        budget_limit=None, kind="exp", goal=(35,), observations=((4,),) * n_steps,
+        actions=(2,) * n_steps, executors=("LLM",) * n_steps, candidates=((),) * n_steps,
+        candidate_logps=(), verifier_scores=(), features=None,
+        router_probs=(None,) * n_steps, decisions=(None,) * n_steps,
+        budget_remaining=(None,) * n_steps)
 
 
 class TestSplits:
@@ -136,9 +144,7 @@ class TestSerialization:
         assert second.read_bytes() == first.read_bytes()
 
     def test_empty_steps_round_trip(self, tmp_path):
-        ep = PerturbedEpisode(
-            task_id=0, seed=PerturbationSeed(1), steps=(), success=True, llm_calls=0
-        )
+        ep = teacher_episode(n_steps=0)
         assert round_trip([ep], tmp_path / "eps.rljson") == [ep]
 
     def test_truncated_stream_errors_with_offset(self, tmp_path):
@@ -163,14 +169,13 @@ class TestSerialization:
 
     def test_context_tokens_seen_below_its_tokens_rejected(self):
         # a context cannot hold fewer tokens than its goal and observation,
-        # and the encoder refuses a count below the episode's running count
+        # and an episode's contexts, derived from its columns, hold the
+        # running count and chain: each prefix is the actions before it
         with pytest.raises(ValueError, match="tokens_seen"):
             Context(goal=(35, 36, 40), observation=(4, 16, 29, 31), actions=(), tokens_seen=6)
         ep = make_episode()
-        low = replace(ep.steps[1].context, tokens_seen=3 + 4)
-        with pytest.raises(ValueError, match="step 1"):
-            episode_to_dict(replace(ep, steps=(ep.steps[0], replace(ep.steps[1], context=low),
-                                               ep.steps[2])))
+        assert ep.contexts() == [make_context(t) for t in range(3)]
+        assert [s.context for s in ep.steps] == ep.contexts()
 
     def test_rljson_stream_reports_byte_offset(self, tmp_path):
         path = tmp_path / "records.rljson"
@@ -224,19 +229,18 @@ class TestSerialization:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_never_packed(self, value, column):
         ep = make_episode()
-        step = ep.steps[1]
         if column == "candidate_logps":
-            step = replace(step, candidates=((1, -0.5), (2, value)))
+            ep = replace(ep, candidate_logps=[-0.5, -1.25, -0.5, value, -0.5, -1.25])
         elif column == "verifier_scores":
-            # StepRecord refuses a score outside [0, 1], so the packer's own
+            # the episode refuses a score outside [0, 1], so the packer's own
             # check is reached only past it
             with pytest.raises(ValueError, match="verifier scores"):
-                replace(step, verifier_scores=(0.7, value))
-            step = replace(step)
-            object.__setattr__(step, "verifier_scores", (0.7, value))
+                replace(ep, verifier_scores=[0.7, 0.4, 0.7, value, 0.7, 0.4])
+            object.__setattr__(ep, "verifier_scores", np.array([0.7, 0.4, 0.7, value, 0.7, 0.4]))
         else:
-            step = replace(step, features=(value,) + step.features[1:])
-        ep = replace(ep, steps=(ep.steps[0], step, ep.steps[2]))
+            features = np.array(ep.features)
+            features[1, 0] = value
+            ep = replace(ep, features=features)
         with pytest.raises(ValueError, match="non-finite"):
             routing_record(0, "train", ep) if column == "routing features" else episode_to_dict(ep)
         with pytest.raises(ValueError, match="non-finite"):
@@ -266,8 +270,7 @@ class TestSerialization:
 def routing_episode(features, success=True):
     """An SLM-only episode whose steps hold `features`, one row per step."""
     ep = make_episode(len(features), success=success, llm_steps=())
-    return replace(ep, steps=tuple(replace(step, features=tuple(f))
-                                   for step, f in zip(ep.steps, features)))
+    return replace(ep, features=features)
 
 
 class TestColumnarRecords:
@@ -307,19 +310,6 @@ class TestColumnarRecords:
             load_episodes(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
 
-    def test_encoder_refuses_a_tampered_context_chain(self):
-        ep = make_episode()
-        s0, s1, s2 = ep.steps
-        tampered = (replace(s1.context, goal=(35, 36, 41)),  # a goal that changes
-                    replace(s1.context, actions=(2,)),  # a prefix of other actions
-                    replace(s1.context, tokens_seen=s1.context.tokens_seen + 1))
-        for ctx in tampered:
-            with pytest.raises(ValueError, match="step 1"):
-                episode_to_dict(replace(ep, steps=(s0, replace(s1, context=ctx), s2)))
-        # a chosen action the next step's prefix does not hold
-        with pytest.raises(ValueError, match="step 2"):
-            episode_to_dict(replace(ep, steps=(s0, replace(s1, chosen_action=3), s2)))
-
     def test_routing_seed_short_row_rejected_at_offset(self, tmp_path):
         path = tmp_path / "routing.rljson"
         records = [routing_record(i, "valid", make_episode()) for i in range(2)]
@@ -343,28 +333,38 @@ class TestColumnarRecords:
 
 class TestInvariants:
     def test_llm_call_recount_enforced(self):
-        with pytest.raises(ValueError):
-            PerturbedEpisode(
-                task_id=0,
-                seed=PerturbationSeed(1),
-                steps=make_episode(llm_steps=(0, 1)).steps,
-                success=True,
-                llm_calls=1,
-            )
+        with pytest.raises(ValueError, match="llm_calls=1 but 2 steps"):
+            replace(make_episode(llm_steps=(0, 1)), llm_calls=1)
 
     def test_budget_cap_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds the budget"):
             make_episode(llm_steps=(0, 1), budget=1)
 
-    def test_step_record_validates_scores(self):
-        with pytest.raises(ValueError):
-            StepRecord(
-                context=make_context(),
-                candidates=((0, -1.0),),
-                verifier_scores=(1.5,),
-                chosen_action=0,
-                executor="SLM",
-            )
+    @pytest.mark.parametrize("column, value, message", [
+        ("verifier_scores", [0.7, 0.4, 0.7, 1.5, 0.7, 0.4], "verifier scores"),
+        ("verifier_scores", [0.7, 0.4, -0.25, 0.4, 0.7, 0.4], "verifier scores"),
+        ("verifier_scores", [0.7, 0.4, 0.7, float("nan"), 0.7, 0.4], "verifier scores"),
+        ("verifier_scores", [0.7, 0.4, 0.7, 0.4, 0.7], "6 candidates need"),
+        ("candidate_logps", [-0.5] * 7, "6 candidates need"),
+        ("candidates", ((1, 2), (1,), (1, 2)), "5 candidates need"),
+        ("executors", ("SLM", "GPU", "SLM"), "executor must be"),
+        ("router_probs", (0.25, 1.5, 0.25), "router probability"),
+        ("router_probs", (0.25, -0.5, None), "router probability"),
+        ("router_probs", (0.25, float("nan"), 0.25), "router probability"),
+        ("observations", ((4,), (5,)), "differ in length"),
+        ("decisions", (True, False), "differ in length"),
+        ("budget_remaining", (None,) * 4, "differ in length"),
+        ("features", [[0.5] * 15] * 2, "must all hold 15 features or none"),
+        ("features", [[0.5] * 14] * 3, "must all hold 15 features or none"),
+    ], ids=["score-above-1", "score-below-0", "score-nan", "scores-short", "logps-long",
+            "candidates-short", "executor", "prob-above-1", "prob-below-0", "prob-nan",
+            "observations-short", "decisions-short", "budget-long", "features-rows",
+            "features-width"])
+    def test_episode_columns_checked(self, column, value, message):
+        # every check a step made on its own values is made once per
+        # episode, on the whole column
+        with pytest.raises(ValueError, match=message):
+            replace(make_episode(), **{column: value})
 
     def test_routing_example_label_domain(self):
         with pytest.raises(ValueError):
@@ -401,19 +401,8 @@ def scratch_file(tmp_path_factory):
     z=st.integers(min_value=0, max_value=2**63),
 )
 def test_serialization_round_trip_property(scratch_file, success, n_steps, z):
-    steps = tuple(
-        StepRecord(
-            context=make_context(t),
-            candidates=((0, -0.1), (1, -2.0)),
-            verifier_scores=(0.5, 0.25),
-            chosen_action=1,  # make_context's prefixes hold action 1
-            executor="SLM",
-        )
-        for t in range(n_steps)
-    )
-    ep = PerturbedEpisode(
-        task_id=1, seed=PerturbationSeed(z), steps=steps, success=success, llm_calls=0
-    )
+    ep = replace(make_episode(n_steps, success=success, llm_steps=()), seed=PerturbationSeed(z),
+                 features=None, router_probs=(None,) * n_steps, decisions=(None,) * n_steps)
     assert round_trip([ep], scratch_file) == [ep]
 
 
@@ -428,6 +417,8 @@ def float_bits(obj) -> list[bytes]:
     bytes, in field order: equal lists mean equal bits (-0.0 included)."""
     if isinstance(obj, float):
         return [struct.pack("<d", obj)]
+    if isinstance(obj, np.ndarray):
+        return float_bits(obj.ravel().tolist())
     if isinstance(obj, (tuple, list)):
         return [b for item in obj for b in float_bits(item)]
     if is_dataclass(obj):
@@ -437,66 +428,95 @@ def float_bits(obj) -> list[bytes]:
 
 @st.composite
 def episodes(draw):
-    """A routed or teacher episode whose contexts chain as a rollout's do."""
+    """Random valid columns: a routed or a teacher episode."""
     routed = draw(st.booleans())
-    featured = routed and draw(st.booleans())
-    goal = tuple(draw(st.lists(st.integers(0, 63), min_size=1, max_size=5)))
+    n = draw(st.integers(0, 6))
     budget = draw(st.none() | st.integers(0, 4)) if routed else None
-    remaining, llm_calls, steps, ctx = budget, 0, [], None
-    for _ in range(draw(st.integers(0, 6))):
-        obs = tuple(draw(st.lists(st.integers(0, 200), max_size=8)))
-        ctx = (Context(goal, obs, (), len(goal) + len(obs)) if ctx is None
-               else ctx.advanced(steps[-1].chosen_action, obs))
-        action = draw(st.integers(0, 5))
-        if not routed:
-            steps.append(StepRecord(ctx, (), (), action, "LLM"))
-            llm_calls += 1
-            continue
-        k = draw(st.integers(0, 5))
+    executors, decisions, remaining = [], [], []
+    left = budget
+    for _ in range(n):
         decision = draw(st.booleans())
-        executor = "LLM" if decision and (remaining is None or remaining > 0) else "SLM"
-        if executor == "LLM":
-            llm_calls += 1
-            remaining = None if remaining is None else remaining - 1
-        steps.append(StepRecord(
-            context=ctx,
-            candidates=tuple(zip(draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)),
-                                 draw(st.lists(FLOATS, min_size=k, max_size=k)))),
-            verifier_scores=tuple(draw(st.lists(UNIT, min_size=k, max_size=k))),
-            chosen_action=action,
-            executor=executor,
-            features=(tuple(draw(st.lists(FLOATS, min_size=15, max_size=15))) if featured
-                      else None),
-            router_prob=draw(st.none() | UNIT),
-            decision=decision,
-            budget_remaining=remaining,
-        ))
+        escalate = not routed or decision and (left is None or left > 0)
+        if routed and escalate and left is not None:
+            left -= 1
+        executors.append("LLM" if escalate else "SLM")
+        decisions.append(decision if routed else None)
+        remaining.append(left)
+    ks = [draw(st.integers(0, 5)) if routed else 0 for _ in range(n)]
+    total = sum(ks)
     return PerturbedEpisode(
         task_id=draw(st.integers(0, 100)), seed=PerturbationSeed(draw(st.integers(0, 2**64 - 1))),
-        steps=tuple(steps), success=draw(st.booleans()), llm_calls=llm_calls,
-        budget_limit=budget, kind=draw(st.sampled_from(["r2v", "slm", "exp", "pert"])),
+        success=draw(st.booleans()), llm_calls=executors.count("LLM"), budget_limit=budget,
+        kind=draw(st.sampled_from(["r2v", "slm", "exp", "pert"])),
+        goal=tuple(draw(st.lists(st.integers(0, 63), min_size=1, max_size=5))),
+        observations=tuple(tuple(draw(st.lists(st.integers(0, 200), max_size=8)))
+                           for _ in range(n)),
+        actions=tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))),
+        executors=tuple(executors),
+        candidates=tuple(tuple(draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)))
+                         for k in ks),
+        candidate_logps=draw(st.lists(FLOATS, min_size=total, max_size=total)),
+        verifier_scores=draw(st.lists(UNIT, min_size=total, max_size=total)),
+        features=(np.reshape(draw(st.lists(FLOATS, min_size=15 * n, max_size=15 * n)), (n, 15))
+                  if routed and draw(st.booleans()) else None),
+        router_probs=tuple(draw(st.lists(st.none() | UNIT, min_size=n, max_size=n))
+                           if routed else [None] * n),
+        decisions=tuple(decisions),
+        budget_remaining=tuple(remaining) if routed else (None,) * n,
     )
 
 
 @settings(max_examples=50, deadline=None)
 @given(eps=st.lists(episodes(), min_size=1, max_size=4))
 def test_routed_and_teacher_episodes_round_trip(scratch_file, eps):
-    # in memory and through the file, every float keeps its bits
+    # in memory and through the file, every float keeps its bits, a decoded
+    # record encodes to the same record, and every step view is equal
     for ep in eps:
         decoded = episode_from_dict(episode_to_dict(ep))
         assert decoded == ep and float_bits(decoded) == float_bits(ep)
+        assert episode_to_dict(decoded) == episode_to_dict(ep)
+        assert list(decoded.steps) == list(ep.steps)
+        assert float_bits(list(decoded.steps)) == float_bits(list(ep.steps))
     write_rljson(scratch_file, [episode_to_dict(ep) for ep in eps], HEADER)
     loaded = load_episodes(scratch_file)
     assert loaded == eps and float_bits(loaded) == float_bits(eps)
 
 
 def test_mixed_featured_steps_refused():
+    # features are one row per step or none at all: a block short of the
+    # steps is refused, and a teacher episode encodes null
     ep = make_episode()
-    with pytest.raises(ValueError, match="all hold features or none"):
-        episode_to_dict(replace(ep, steps=(ep.steps[0], replace(ep.steps[1], features=None),
-                                           ep.steps[2])))
-    teacher = replace(ep, steps=tuple(replace(s, features=None) for s in ep.steps))
-    assert episode_to_dict(teacher)["features"] is None
+    with pytest.raises(ValueError, match="all hold 15 features or none"):
+        replace(ep, features=ep.features[:2])
+    assert episode_to_dict(teacher_episode())["features"] is None
+    with pytest.raises(ValueError, match="needs an episode whose steps hold features"):
+        routing_record(0, "train", teacher_episode())
+
+
+def test_step_views_read_the_columns():
+    # a step view is the step's values, built from the columns when read;
+    # the sequence supports len, negative indices and slices
+    ep = make_episode(llm_steps=(1,))
+    assert len(ep.steps) == 3 and ep.steps[-1] == ep.steps[2]
+    assert ep.steps[1] == StepView(
+        context=make_context(1), candidates=((1, -0.5), (2, -1.25)), verifier_scores=(0.7, 0.4),
+        chosen_action=1, executor="LLM", features=tuple(float(v) / 20 for v in range(15)),
+        router_prob=0.25, decision=True, budget_remaining=None)
+    assert ep.steps[1:] == (ep.steps[1], ep.steps[2])
+    with pytest.raises(IndexError):
+        ep.steps[3]
+    [step] = teacher_episode(1).steps
+    assert (step.candidates, step.verifier_scores, step.features) == ((), (), None)
+
+
+def test_float_columns_are_read_only():
+    ep = make_episode()
+    for column in (ep.candidate_logps, ep.verifier_scores, ep.features):
+        assert column.dtype == np.float64 and not column.flags.writeable
+    source = np.array([[0.5] * 15] * 3)
+    held = replace(ep, features=source).features
+    source[0, 0] = 9.0
+    assert held[0, 0] == 0.5
 
 
 @settings(max_examples=50, deadline=None)

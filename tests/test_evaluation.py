@@ -4,37 +4,32 @@ import numpy as np
 import pytest
 
 from steprouter import seeds
-from steprouter.domain import Context, PerturbationSeed, PerturbedEpisode, StepRecord
+from steprouter.domain import PerturbationSeed, PerturbedEpisode
 from steprouter.evaluation import (
     _average_ranks, auroc, bootstrap_ci, compute_metrics, ece, sweep,
 )
 
 
 def episode(success, executors, probs=None, task=0, z=0):
-    steps = []
-    for t, executor in enumerate(executors):
-        ctx = Context(
-            goal=(35,),
-            observation=(4,),
-            actions=tuple(0 for _ in range(t)),
-            tokens_seen=1 + (t + 1),
-        )
-        steps.append(
-            StepRecord(
-                context=ctx,
-                candidates=((0, -1.0), (1, -1.5)),
-                verifier_scores=(0.5, 0.4),
-                chosen_action=0,
-                executor=executor,
-                router_prob=None if probs is None else probs[t],
-            )
-        )
+    n = len(executors)
     return PerturbedEpisode(
         task_id=task,
         seed=PerturbationSeed(z),
-        steps=tuple(steps),
         success=success,
         llm_calls=sum(e == "LLM" for e in executors),
+        budget_limit=None,
+        kind="r2v",
+        goal=(35,),
+        observations=((4,),) * n,
+        actions=(0,) * n,
+        executors=tuple(executors),
+        candidates=((0, 1),) * n,
+        candidate_logps=[-1.0, -1.5] * n,
+        verifier_scores=[0.5, 0.4] * n,
+        features=None,
+        router_probs=(None,) * n if probs is None else tuple(probs),
+        decisions=(None,) * n,
+        budget_remaining=(None,) * n,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,15 +265,14 @@ class TestBehavioralCloning:
         env = make_env()
         feat = PolicyFeaturizer.for_env(env)
         pool = collect_teacher_trajectories(env, TeacherPolicy(0.0), [0], 0)
-        one_step = pool[0].steps[:1]
-        from steprouter.domain import PerturbedEpisode
-
-        tiny = PerturbedEpisode(
-            task_id=0, seed=pool[0].seed, steps=one_step, success=True, llm_calls=1
-        )
+        ep = pool[0]
+        tiny = replace(ep, observations=ep.observations[:1], actions=ep.actions[:1],
+                       executors=("LLM",), candidates=((),), router_probs=(None,),
+                       decisions=(None,), budget_remaining=(None,), success=True, llm_calls=1)
+        [step] = tiny.steps
         policy, _ = train_bc([tiny], feat, epochs=400, lr=8.0)
-        [probs] = policy.action_distribution([one_step[0].context])
-        assert probs[one_step[0].chosen_action] >= 0.99
+        [probs] = policy.action_distribution([step.context])
+        assert probs[step.chosen_action] >= 0.99
 
     def test_loss_trace_non_increasing(self):
         env = make_env({"PartialObs": 0.5})
@@ -313,17 +313,7 @@ class TestBehavioralCloning:
         env = make_env()
         feat = PolicyFeaturizer.for_env(env)
         pool = collect_teacher_trajectories(env, TeacherPolicy(0.0), range(2), 0)
-        failed_pool = [
-            type(ep)(
-                task_id=ep.task_id,
-                seed=ep.seed,
-                steps=ep.steps,
-                success=False,
-                llm_calls=ep.llm_calls,
-                kind=ep.kind,
-            )
-            for ep in pool
-        ]
+        failed_pool = [replace(ep, success=False) for ep in pool]
         with pytest.raises(ValueError):
             train_bc(failed_pool, feat)
 

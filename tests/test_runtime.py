@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN_CONFIG
 
-from steprouter import pipeline, runtime, seeds
+from steprouter import domain, pipeline, runtime, seeds
 from steprouter.domain import (
     FEATURE_DIM,
     CostSpec,
@@ -20,6 +20,7 @@ from steprouter.domain import (
     write_rljson,
 )
 from steprouter.env import HazardChainEnv
+from steprouter.evaluation import compute_metrics
 from steprouter.features import FeatureMask, apply_mask
 from steprouter.pipeline import load_routing_examples
 from steprouter.policy import (
@@ -400,6 +401,34 @@ class TestStepTree:
             assert all(ep.steps for ep in eps)
 
 
+class TestColumns:
+    """The engine, the codec, routing records and metrics work on whole
+    columns: no step view is built on their path."""
+
+    GRID = [(t, 700 + 5 * t + j) for t in range(6) for j in range(3)]
+
+    def test_no_step_view_on_the_hot_path(self, world, monkeypatch, zero_router):
+        env, teacher, slm, vspec = world
+        built = []
+        real_view = domain.StepView
+        monkeypatch.setattr(domain, "StepView", lambda *a: built.append(a) or real_view(*a))
+        tree = StepTree()
+        for routing in (RoutingPolicy("slm"), RoutingPolicy("llm", budget_limit=2),
+                        RoutingPolicy("entropy", 0.5, 3),
+                        RoutingPolicy("r2v", 0.5, 3, zero_router)):
+            episodes = run_episodes(env, self.GRID, slm, teacher, vspec, routing, tree=tree)
+            records = [episode_to_dict(ep) for ep in episodes]
+            decoded = [episode_from_dict(json.loads(json.dumps(rec))) for rec in records]
+            assert decoded == episodes
+            for i, ep in enumerate(decoded):
+                routing_record(i, "train", ep)
+            compute_metrics(episodes)
+        assert built == []
+        assert not hasattr(domain, "StepRecord")
+        # the counter does see the views when a reader asks for them
+        assert len(decoded[0].steps) == len(built) > 0
+
+
 class TestLockstep:
     """run_episodes steps a grid's episodes together; each equals the
     episode run_episode rolls for its point alone, field for field."""
@@ -512,7 +541,7 @@ class TestRoutingDataset:
             rec = routing_record(seed_id, "train", ep)
             assert rec["label"] == (0 if ep.success else 1)
             rows = unpack_floats(rec["features"], FEATURE_DIM * len(ep.steps))
-            assert rows == [v for s in ep.steps for v in s.features]
+            assert rows.tolist() == [v for s in ep.steps for v in s.features]
 
     def test_successful_rollout_all_zero(self, world, tmp_path):
         episodes = slm_rollouts(world, range(6), 4)

@@ -13,11 +13,13 @@ it too.
 
 import concurrent.futures
 import copy
+import dataclasses
 import functools
 import itertools
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -26,8 +28,10 @@ import weakref
 import numpy as np
 import pytest
 
+from steprouter import env as env_module
 from steprouter import pipeline, runtime
-from steprouter.domain import ConfigError, RecordFormatError, StageOrderError, write_csv
+from steprouter.domain import (ConfigError, RecordFormatError, StageOrderError, episode_to_dict,
+                               read_header, write_csv, write_rljson)
 from steprouter.features import FeatureMask
 from steprouter.router import RouterNet
 
@@ -355,6 +359,78 @@ def test_a_run_directory_keeps_one_step_tree(small_run, tmp_path, expanded):
     assert 0 < counts[0] == counts[2] < steps
     assert counts[1] == 0
     assert first() is None
+
+
+def test_a_run_directory_keeps_one_env(small_run, tmp_path, monkeypatch):
+    # the env lives beside the step tree: the rollouts of one run directory
+    # sample each eval task's spec once, and another directory gets its own
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    moved = _own_copy(base_wd, tmp_path / "moved")
+    sampled = []
+    real_sample = env_module.sample_task_spec
+    monkeypatch.setattr(env_module, "sample_task_spec",
+                        lambda config, task_id: sampled.append(task_id) or real_sample(config,
+                                                                                       task_id))
+    runs = []
+    for where in (wd, wd, moved):
+        sampled.clear()
+        for variant in ("slm", "llm"):
+            pipeline.stage_rollout(cfg, where, variant)
+        pipeline.stage_ablate(cfg, where, "features", workers=1)
+        runs.append((sorted(sampled), pipeline._tree[2]))
+    (first, env), (second, same_env), (third, other_env) = runs
+    assert first == sorted(set(first)) == sorted(set(cfg["eval"]["task_ids"]))
+    assert second == [] and third == first
+    assert same_env is env and other_env is not env
+
+
+def float_bits(obj) -> list[bytes]:
+    """Every float a step view holds, as its eight bytes, in field order."""
+    if isinstance(obj, float):
+        return [struct.pack("<d", obj)]
+    if isinstance(obj, (tuple, list)):
+        return [b for item in obj for b in float_bits(item)]
+    if dataclasses.is_dataclass(obj):
+        return [b for f in dataclasses.fields(obj) for b in float_bits(getattr(obj, f.name))]
+    return []
+
+
+def test_step_views_of_a_file_equal_the_engines(small_run, tmp_path):
+    # ep.steps[t] of a decoded eval file is ep.steps[t] of the episode the
+    # engine held when it wrote the file, field for field, float bits too
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    groups = [[v for v in pipeline.VARIANT_ORDER if v != "oracle"], ["oracle"]]
+    rolled = {}
+    for group in groups:
+        rollouts = [(cfg, v, pipeline.artifact_path(wd, f"rollout:{v}")) for v in group]
+        rolled.update(zip(group, pipeline._roll_out_files(wd, rollouts, 1, rolled.get("slm"))))
+    for variant, episodes in rolled.items():
+        decoded = pipeline.load_episodes(wd / f"eval_{variant}.rljson")
+        assert decoded == episodes, variant
+        for mine, theirs in zip(episodes, decoded):
+            assert len(mine.steps) == len(theirs.steps) > 0
+            for t in range(len(mine.steps)):
+                assert mine.steps[t] == theirs.steps[t], (variant, t)
+                assert float_bits(mine.steps[t]) == float_bits(theirs.steps[t])
+        assert (wd / f"eval_{variant}.rljson").read_bytes() == (
+            base_wd / f"eval_{variant}.rljson").read_bytes()
+
+
+def test_every_episode_record_re_encodes_to_its_bytes(small_run, tmp_path):
+    # each line of the demonstrations, the six eval files and the eight mask
+    # files decodes and encodes back to the same bytes
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    pipeline.stage_ablate(cfg, wd, "features", workers=1)
+    names = ["episodes.rljson", *(f"eval_{v}.rljson" for v in pipeline.VARIANT_ORDER),
+             *(f"eval_r2v_mask_{m}.rljson" for m in MASKS)]
+    for name in names:
+        again = tmp_path / name
+        write_rljson(again, [episode_to_dict(ep) for ep in pipeline.load_episodes(wd / name)],
+                     read_header(wd / name))
+        assert again.read_bytes() == (wd / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("change", ["verifier.eta_v", "runtime.k_candidates",

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="BLOCK.KEY=VALUE", help="config override (repeatable)")
         p.add_argument("--workers", type=worker_count, default=os.cpu_count() or 1,
-                       help="parallel workers for rollout-style stages")
+                       help="processes for collect-routing and ablate; other stages ignore it")
         p.set_defaults(value=None)
         if row.param:
             p.add_argument(PARAM_FLAGS[row.param], dest="value", required=True,

@@ -345,7 +345,9 @@ class Stage:
     the parameter value) and reads the artifacts of `inputs` ("rollout:slm"
     names one variant's rollout) and the config `keys` (a block name stands
     for the whole block). A stage with a `param` runs once per value in
-    `over`; `extra` maps a value to the (inputs, keys) it adds.
+    `over`; `extra` maps a value to the (inputs, keys) it adds. A stage with
+    `workers` takes the `--workers` count for its process pool; every other
+    stage runs in the calling process.
     """
 
     name: str
@@ -366,7 +368,7 @@ _ROUTER = ("train-router",)
 STAGES = (
     Stage("gen-tasks", "tasks.json", keys=("env", "split")),
     Stage("collect", "episodes.rljson", ("gen-tasks",),
-          ("env", "policy.teacher_error_rate", "policy.pert_seeds_per_task"), workers=True),
+          ("env", "policy.teacher_error_rate", "policy.pert_seeds_per_task")),
     Stage("train-bc", "policy_bc.bin", ("collect",), ("env", "policy.bc_epochs", "policy.bc_lr")),
     Stage("build-pairs", "pairs.rljson", ("collect", "train-bc"),
           ("env", "policy.teacher_error_rate", "verifier", "runtime.k_candidates")),
@@ -376,14 +378,13 @@ STAGES = (
     Stage("train-router", "router.bin", ("collect-routing",),
           ("router", "runtime.harness_salt")),
     Stage("rollout", "eval_{}.rljson", ("gen-tasks", "distill"),
-          _ROLLOUT_KEYS + ("eval.task_ids", "eval.eval_seeds_per_task"), workers=True,
+          _ROLLOUT_KEYS + ("eval.task_ids", "eval.eval_seeds_per_task"),
           param="variant", over=VARIANT_ORDER,
           extra={"llm": ((), _BUDGET), "entropy": (_ROUTER, _BUDGET),
                  "heuristic": (_ROUTER, _BUDGET), "r2v": (_ROUTER, _BUDGET + ("features.mask",)),
                  "oracle": (("rollout:slm",), _BUDGET)}),
     Stage("evaluate", "summary.json", ("train-router", *(f"rollout:{v}" for v in VARIANT_ORDER)),
-          ("eval.bootstrap_resamples", "eval.level", "eval.ece_bins", "eval.bootstrap_seed"),
-          workers=True),
+          ("eval.bootstrap_resamples", "eval.level", "eval.ece_bins", "eval.bootstrap_seed")),
     # every grid checks the inputs it reads, through its stages or itself
     Stage("ablate", "ablate_{}.csv", workers=True, param="kind",
           over=("features", "cvar", "lambda")),
@@ -509,16 +510,6 @@ def load_split(cfg: dict, workdir: Path) -> dict:
     return read_header(require_stage(cfg, workdir, "gen-tasks"))["split"]
 
 
-def _collect_job(args):
-    cfg, task_ids = args
-    env = make_env(cfg)
-    teacher = make_teacher(cfg)
-    pool = collect_teacher_trajectories(
-        env, teacher, task_ids, cfg["policy"]["pert_seeds_per_task"]
-    )
-    return [episode_to_dict(ep) for ep in pool]
-
-
 def _parallel_map(fn, jobs, workers: int):
     workers = min(workers, len(jobs))  # a fork pool starts all its workers at once
     if workers <= 1:
@@ -532,13 +523,13 @@ def _parallel_map(fn, jobs, workers: int):
 
 
 def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
-    train_ids = load_split(cfg, workdir)["train"]
-    chunks = [[tid] for tid in train_ids]
-    results = _parallel_map(_collect_job, [(cfg, chunk) for chunk in chunks], workers)
-    records = [rec for block in results for rec in block]
+    """Teacher demonstrations of the train split; `workers` is ignored."""
+    pool = collect_teacher_trajectories(make_env(cfg), make_teacher(cfg),
+                                        load_split(cfg, workdir)["train"],
+                                        cfg["policy"]["pert_seeds_per_task"])
     out = artifact_path(workdir, "collect")
-    write_rljson(out, records, {"schema": EPISODES_SCHEMA, "stage": "collect",
-                                **_stamp(cfg, "collect")})
+    write_rljson(out, [episode_to_dict(ep) for ep in pool],
+                 {"schema": EPISODES_SCHEMA, "stage": "collect", **_stamp(cfg, "collect")})
     return out
 
 
@@ -623,7 +614,8 @@ def _routing_job(args):
     from `first_seed_id` in grid order; its episodes stay here."""
     cfg, distill_path, split_name, grid, first_seed_id = args
     tag = _stream_tag(cfg, f"routing-{split_name}")
-    [episodes] = _rollout_job((cfg, [RoutingPolicy("slm")], grid, tag, distill_path, None))
+    [episodes] = _run_grid(cfg, distill_path, grid, tag, [RoutingPolicy("slm")], None,
+                           make_env(cfg))
     return [routing_record(first_seed_id + i, split_name, ep) for i, ep in enumerate(episodes)]
 
 
@@ -735,13 +727,12 @@ def _r2v_policy(cfg: dict, net: RouterNet) -> RoutingPolicy:
                          FeatureMask(cfg["features"]["mask"]))
 
 
-def _rollout_job(args):
+def _run_grid(cfg: dict, distill_path: Path, grid, tag: str, policies: list,
+              tree: StepTree | None, env: HazardChainEnv) -> list[list]:
     """Each of `policies`' episodes over `grid` on the streams tagged `tag`,
-    the grid stepped in lockstep once per policy through this process's step
-    tree and env under `tree_key` (a private tree per policy when None)."""
-    cfg, policies, grid, tag, distill_path, tree_key = args
+    the grid stepped in lockstep once per policy through `tree` (a private
+    tree per policy when None) and `env`."""
     slm = load_policy(distill_path, "distill")
-    tree, env = (None, make_env(cfg)) if tree_key is None else _step_tree(tree_key, cfg)
     teacher = make_teacher(cfg)
     vspec = make_verifier(cfg, env)
     k = cfg["runtime"]["k_candidates"]
@@ -763,30 +754,21 @@ def _step_tree(key, cfg: dict) -> tuple[StepTree, HazardChainEnv]:
     return _tree[1:]
 
 
-def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list,
-              workers: int) -> list[list]:
+def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list) -> list[list]:
     """Each of `policies`' episodes over the eval grid of `cfg`, in grid
     order, through the process's step tree for this run directory, keyed by
     what decides a node: the resolved directory, the slm rollout's
     inputs_hash and the distilled policy's parameter hash (checked when
-    `_rollout_job` loads it, before the tree is read). So the rollouts,
+    `_run_grid` loads it, before the tree is read). So the rollouts,
     evaluate and the ablations of one run share their routing-independent
-    steps. With workers > 1 each grid chunk carries every policy, and each
-    worker process fills its own copy of the tree."""
-    grid = eval_grid(cfg, workdir)
+    steps."""
     tree_key = (str(Path(workdir).resolve()), inputs_hash(cfg, "rollout:slm"),
                 read_header(distill_path).typed("hash", str))
-    n_chunks = max(1, min(workers, len(grid)))
-    tag = _stream_tag(cfg, "eval")
-    jobs = [(cfg, policies, grid[i::n_chunks], tag, distill_path, tree_key)
-            for i in range(n_chunks)]
-    results = _parallel_map(_rollout_job, jobs, workers)
-    by_key = [{(ep.task_id, ep.seed.z): ep for block in results for ep in block[i]}
-              for i in range(len(policies))]
-    return [[episodes[key] for key in grid] for episodes in by_key]
+    return _run_grid(cfg, distill_path, eval_grid(cfg, workdir), _stream_tag(cfg, "eval"),
+                     policies, *_step_tree(tree_key, cfg))
 
 
-def _roll_out_files(workdir: Path, rollouts, workers: int, slm_episodes=None):
+def _roll_out_files(workdir: Path, rollouts, slm_episodes=None):
     """`_roll_out` of each (config, variant, output path) of `rollouts`, each
     file written stamped from its own config. The configs may differ only in
     what the routing reads: the env, SLM, verifier and grid are the first's.
@@ -797,7 +779,7 @@ def _roll_out_files(workdir: Path, rollouts, workers: int, slm_episodes=None):
         paths.update(require_inputs(sub, workdir, f"rollout:{variant}"))
     policies = [_build_routing_policy(sub, variant, paths, slm_episodes)
                 for sub, variant, _ in rollouts]
-    rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies, workers)
+    rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies)
     for (sub, variant, out), episodes in zip(rollouts, rolled):
         write_rljson(out, [episode_to_dict(ep) for ep in episodes],
                      {"schema": EPISODES_SCHEMA, "stage": "rollout", "variant": variant,
@@ -806,8 +788,9 @@ def _roll_out_files(workdir: Path, rollouts, workers: int, slm_episodes=None):
 
 
 def stage_rollout(cfg: dict, workdir: Path, variant: str, workers: int = 1) -> Path:
+    """`workers` is ignored: rollouts run here, in this process's step tree."""
     out = artifact_path(workdir, f"rollout:{variant}")
-    _roll_out_files(Path(workdir), [(cfg, variant, out)], workers)
+    _roll_out_files(Path(workdir), [(cfg, variant, out)])
     return out
 
 
@@ -825,7 +808,7 @@ def _metrics_for(cfg: dict, episodes):
 def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     """Metrics of every variant; the variants whose rollout is missing or
     stale roll out again together, through the run directory's step tree
-    (`_roll_out`)."""
+    (`_roll_out`). `workers` is ignored, as in `stage_rollout`."""
     workdir = Path(workdir)
     router_header = read_header(require_stage(cfg, workdir, "train-router"))
     episodes = {}
@@ -840,8 +823,7 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     for group in ([v for v in stale if v != "oracle"], [v for v in stale if v == "oracle"]):
         if group:
             rollouts = [(cfg, v, artifact_path(workdir, f"rollout:{v}")) for v in group]
-            episodes.update(zip(group, _roll_out_files(workdir, rollouts, workers,
-                                                       episodes.get("slm"))))
+            episodes.update(zip(group, _roll_out_files(workdir, rollouts, episodes.get("slm"))))
     summary_variants = {v: _metrics_for(cfg, episodes[v]).to_dict() for v in VARIANT_ORDER}
     rows = [{"variant": variant, **m} for variant, m in summary_variants.items()]
     write_csv(workdir / "metrics.csv", rows, ["variant"] + METRIC_COLUMNS)
@@ -867,7 +849,7 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
 def stage_ablate(cfg: dict, workdir: Path, kind: str, workers: int = 1) -> Path:
     workdir = Path(workdir)
     if kind == "features":
-        rows = _ablate_masks(cfg, workdir, workers)
+        rows = _ablate_masks(cfg, workdir)
     elif kind == "cvar":
         rows = _ablate_cvar(cfg, workdir, workers)
     elif kind == "lambda":
@@ -885,11 +867,11 @@ def _with(cfg: dict, block: str, point: dict) -> dict:
     return out
 
 
-def _ablate_masks(cfg: dict, workdir: Path, workers: int):
+def _ablate_masks(cfg: dict, workdir: Path):
     subs = {m.value: _with(cfg, "features", {"mask": m.value}) for m in FeatureMask}
     rollouts = [(sub, "r2v", workdir / f"eval_r2v_mask_{mask}.rljson")
                 for mask, sub in subs.items()]
-    episodes = dict(zip(subs, _roll_out_files(workdir, rollouts, workers)))
+    episodes = dict(zip(subs, _roll_out_files(workdir, rollouts)))
     return sweep([{"mask": mask} for mask in subs],
                   lambda point: _metrics_for(subs[point["mask"]], episodes[point["mask"]]))
 
@@ -909,7 +891,7 @@ def _ablate_cvar(cfg: dict, workdir: Path, workers: int):
                          [(_with(cfg, "router", point), train, valid) for point in points],
                          workers)
     policies = [_r2v_policy(cfg, net) for net in nets]
-    rolled = _roll_out(cfg, workdir, paths["distill"], policies, workers)
+    rolled = _roll_out(cfg, workdir, paths["distill"], policies)
     episodes = dict(zip(CVAR_ABLATION_GRID, rolled))
     return sweep(points, lambda p: _metrics_for(cfg, episodes[p["alpha"], p["epsilon"]]))
 
@@ -919,7 +901,7 @@ def _ablate_lambda(cfg: dict, workdir: Path, workers: int):
         sub = _with(cfg, "distill", point)
         sub_wd = workdir / f"lambda_{str(point['lambda_cons']).replace('.', '')}"
         run_pipeline(sub, sub_wd, workers=workers, through="train-router")
-        return _metrics_for(sub, load_episodes(stage_rollout(sub, sub_wd, "r2v", workers)))
+        return _metrics_for(sub, load_episodes(stage_rollout(sub, sub_wd, "r2v")))
 
     return sweep([{"lambda_cons": lam} for lam in LAMBDA_CONS_GRID], run)
 

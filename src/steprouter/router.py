@@ -128,7 +128,7 @@ class RouterNet:
     def logits_eval(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits, batch norm folded from the running statistics on
         each call."""
-        return RouterSnapshot.of(self).logits(np.atleast_2d(np.asarray(x, dtype=float)))
+        return RouterSnapshot.of(self).logits(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode probabilities with the post-hoc temperature applied,
@@ -207,40 +207,33 @@ class RouterSnapshot:
         return RouterSnapshot(tuple(tuple(map(_read_only, layer)) for layer in self.layers),
                               _read_only(self.w3), _read_only(self.b3), self.temperature)
 
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        """Logits of the (n, in_dim) rows h."""
+    def logits(self, x: np.ndarray, matmul=np.matmul) -> np.ndarray:
+        """Logits of the rows x (one row or (n, in_dim)), each layer's product
+        taken by `matmul`."""
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        if not np.isfinite(h).all():
+            raise ValueError("router input must be finite")
         for w, scale, shift in self.layers:
-            h = gelu(h @ w * scale + shift)
-        return (h @ self.w3 + self.b3).ravel()
+            h = gelu(matmul(h, w) * scale + shift)
+        return (matmul(h, self.w3) + self.b3).ravel()
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Probabilities of the rows x, temperature applied."""
-        return sigmoid(self._scaled_logits(x))
+        return sigmoid(self.logits(x) / self.temperature)
 
     def probs(self, rows: np.ndarray) -> np.ndarray:
         """Probabilities of the (n, in_dim) feature rows, each row scored as
         `predict` scores it alone: every layer's matmul runs one (1, d) row
         at a time (a gemv), and only the elementwise steps see the block, so
         row i is bit-equal to `predict(rows[i])[0]`."""
-        h = np.asarray(rows, dtype=float)
-        if not np.isfinite(h).all():
-            raise ValueError("router input must be finite")
-        for w, scale, shift in self.layers:
-            h = gelu(self._row_by_row(h, w) * scale + shift)
-        return sigmoid((self._row_by_row(h, self.w3) + self.b3).ravel() / self.temperature)
+        return sigmoid(self.logits(rows, _row_by_row) / self.temperature)
 
-    @staticmethod
-    def _row_by_row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.empty((len(h), w.shape[1]))
-        for i in range(len(h)):
-            np.matmul(h[i:i + 1], w, out=out[i:i + 1])
-        return out
 
-    def _scaled_logits(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if not np.isfinite(x).all():
-            raise ValueError("router input must be finite")
-        return self.logits(x) / self.temperature
+def _row_by_row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    out = np.empty((len(h), w.shape[1]))
+    for i in range(len(h)):
+        np.matmul(h[i:i + 1], w, out=out[i:i + 1])
+    return out
 
 
 class StepBuffers:

@@ -467,9 +467,8 @@ BAD_ARTIFACTS = {
 
 
 @pytest.mark.parametrize("command", [("collect-routing", "--workers", "1"),
-                                     ("rollout", "--variant", "slm", "--workers", "1"),
-                                     ("rollout", "--variant", "slm", "--workers", "2")],
-                         ids=["collect-routing", "rollout", "rollout-2-workers"])
+                                     ("rollout", "--variant", "slm", "--workers", "1")],
+                         ids=["collect-routing", "rollout"])
 def test_undistilled_policy_exits_3(finished_run, tmp_path, capsys, command):
     # routing data and every rollout come from the distilled SLM
     wd = tmp_path / "run"

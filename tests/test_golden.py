@@ -66,6 +66,7 @@ packed `candidate_logps`, `verifier_scores` and `features` blocks, and
 `routing.rljson` and the six `eval_*.rljson`. Every record each of them holds
 decodes to an object equal to what the earlier code decoded from the earlier
 file, every header is unchanged, and every other pinned file kept its bytes.
+`tasks.json` and `episodes.rljson` are pinned since collect became one call.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -88,6 +89,8 @@ GOLDEN_CONFIG = (
 )
 
 GOLDEN_SHA256 = {
+    "tasks.json": "0c3656dbd1a140ff466400e94c013fcbc5f3ca9bb18487b4e755bb1c8e8c7893",
+    "episodes.rljson": "ba3632c70b7f0fc2a4fbf2dd62536c4efbaaba5fe1cf832a15298287bc7e2c00",
     "summary.json": "387408501066f3804bec114d041faafde0d20a9b2fcec1a269fd8cb2b0e7826f",
     "metrics.csv": "4530be477b1625de10f9c1dd563f35745f277da42f31e166ef3b710446479103",
     "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
@@ -111,8 +114,8 @@ def _sha256(path) -> str:
 def test_evaluate_outputs_are_byte_identical(tmp_path):
     cfg = pipeline.load_config(overrides=GOLDEN_CONFIG, environ={})
     pipeline.run_pipeline(cfg, tmp_path, workers=1)
-    names = ["summary.json", "metrics.csv", "pairs.rljson", "policy_distilled.bin",
-             "routing.rljson", "router.bin", "router_report.csv"]
+    names = ["tasks.json", "episodes.rljson", "summary.json", "metrics.csv", "pairs.rljson",
+             "policy_distilled.bin", "routing.rljson", "router.bin", "router_report.csv"]
     names += sorted(p.name for p in tmp_path.glob("eval_*.rljson"))
     got = {name: _sha256(tmp_path / name) for name in names}
     assert got == GOLDEN_SHA256

@@ -286,8 +286,7 @@ def expanded(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_path, workers):
+def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_path):
     cfg, base_wd = small_run
     # reference: one stage_rollout call per variant (as run_pipeline makes
     # them, which is how small_run was built) and per mask; each mask rolls
@@ -309,34 +308,31 @@ def test_shared_rollouts_write_what_per_variant_rollouts_write(small_run, tmp_pa
     shutil.copytree(base_wd, shared)
     for path in shared.glob("eval_*.rljson"):
         path.unlink()
-    pipeline.stage_evaluate(cfg, shared, workers=workers)
-    pipeline.stage_ablate(cfg, shared, "features", workers=workers)
+    pipeline.stage_evaluate(cfg, shared)
+    pipeline.stage_ablate(cfg, shared, "features")
     for name in SHARED_OUTPUTS:
         assert (shared / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_one_run_directory_writes_what_each_call_writes_in_its_own_copy(small_run, tmp_path,
-                                                                        workers):
+def test_one_run_directory_writes_what_each_call_writes_in_its_own_copy(small_run, tmp_path):
     # the six rollout calls, evaluate and the features ablation share one
     # step tree in one run directory, and each writes what it writes alone
     cfg, base_wd = small_run
     ref = _own_copy(base_wd, tmp_path / "ref")
     for variant in pipeline.VARIANT_ORDER:
         solo = _own_copy(base_wd, tmp_path / f"solo-{variant}")
-        pipeline.stage_rollout(cfg, solo, variant, workers=workers).replace(
-            ref / f"eval_{variant}.rljson")
-    pipeline.stage_evaluate(cfg, ref, workers=workers)
+        pipeline.stage_rollout(cfg, solo, variant).replace(ref / f"eval_{variant}.rljson")
+    pipeline.stage_evaluate(cfg, ref)
     solo = _own_copy(base_wd, tmp_path / "solo-ablate")
-    pipeline.stage_ablate(cfg, solo, "features", workers=workers)
+    pipeline.stage_ablate(cfg, solo, "features")
     for path in [*solo.glob("eval_r2v_mask_*.rljson"), solo / "ablate_features.csv"]:
         path.replace(ref / path.name)
 
     shared = _own_copy(base_wd, tmp_path / "shared")
     for variant in pipeline.VARIANT_ORDER:
-        pipeline.stage_rollout(cfg, shared, variant, workers=workers)
-    pipeline.stage_evaluate(cfg, shared, workers=workers)
-    pipeline.stage_ablate(cfg, shared, "features", workers=workers)
+        pipeline.stage_rollout(cfg, shared, variant)
+    pipeline.stage_evaluate(cfg, shared)
+    pipeline.stage_ablate(cfg, shared, "features")
     for name in SHARED_OUTPUTS + ["metrics.csv"]:
         assert (shared / name).read_bytes() == (ref / name).read_bytes(), name
 
@@ -359,6 +355,19 @@ def test_a_run_directory_keeps_one_step_tree(small_run, tmp_path, expanded):
     assert 0 < counts[0] == counts[2] < steps
     assert counts[1] == 0
     assert first() is None
+
+
+def test_rollouts_share_the_tree_whatever_the_worker_count(small_run, tmp_path, expanded):
+    # --workers reaches no eval-grid rollout: a second call in the same run
+    # directory expands nothing at workers 2 too
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    counts = []
+    for _ in range(2):
+        expanded.clear()
+        pipeline.stage_rollout(cfg, wd, "slm", workers=2)
+        counts.append(sum(expanded))
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def test_a_run_directory_keeps_one_env(small_run, tmp_path, monkeypatch):
@@ -405,7 +414,7 @@ def test_step_views_of_a_file_equal_the_engines(small_run, tmp_path):
     rolled = {}
     for group in groups:
         rollouts = [(cfg, v, pipeline.artifact_path(wd, f"rollout:{v}")) for v in group]
-        rolled.update(zip(group, pipeline._roll_out_files(wd, rollouts, 1, rolled.get("slm"))))
+        rolled.update(zip(group, pipeline._roll_out_files(wd, rollouts, rolled.get("slm"))))
     for variant, episodes in rolled.items():
         decoded = pipeline.load_episodes(wd / f"eval_{variant}.rljson")
         assert decoded == episodes, variant
@@ -556,8 +565,7 @@ def test_cvar_ablation_writes_what_per_point_stages_write(small_run, per_point_c
     out = pipeline.stage_ablate(cfg, wd, "cvar", workers=workers)
     assert out.read_bytes() == expected
     assert {p.name for p in wd.iterdir()} - before == {"ablate_cvar.csv"}
-    if workers == 1:  # worker processes count in their own copies
-        assert 0 < sum(expanded) < steps  # the eight rollouts share one step tree
+    assert 0 < sum(expanded) < steps  # the eight rollouts share one step tree, in this process
 
 
 @pytest.mark.parametrize("name,change", [

@@ -660,7 +660,7 @@ def load_router_rows(path: Path) -> tuple[tuple, tuple]:
     if not train[1].size or not valid[1].size:  # derive_splits keeps both nonempty
         raise RecordFormatError(f"{path}: the router needs train-split and valid-split rows")
     try:
-        require_trainable(train[1], train[2])
+        require_trainable(*train)
     except ValueError as e:
         raise RecordFormatError(f"{path}: {e}") from None
     return train, valid

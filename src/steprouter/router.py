@@ -15,6 +15,15 @@ lam >= 0 holds structurally. Empirical CVaR is the mean of the worst
 ceil(alpha*n) values (alpha is the tail mass), with the subgradient flowing
 through the selected tail seeds.
 
+Training is mixed precision (Micikevicius et al., 2018, "Mixed Precision
+Training"): each step's batch math (activations, dropout masks, deltas and
+batch gradients) runs in `TRAIN_DTYPE`, float32, on float32 copies of the
+weights made once per step, because every layer of the step is memory-bound
+numpy and float32 halves the bytes it moves. The master weights, the Adam
+moments, the batch-norm running statistics, the loss terms and d loss /
+d logit stay float64, as does everything after training: eval mode, the
+Platt fit, the threshold sweeps and the checkpoint.
+
 The hidden layers carry no bias, since batch norm would subtract it again and
 its beta carries the shift (Ioffe & Szegedy, 2015). Eval mode folds each batch
 norm into a per-unit scale and shift, in a `RouterSnapshot`: `RouterNet.predict`
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from . import seeds
 from .domain import CostSpec, CVaRSpec, read_arrays, require_number, write_arrays
 
 ROUTER_SCHEMA = "router@2"
+TRAIN_DTYPE = np.float32
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
@@ -237,23 +247,27 @@ def _row_by_row(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class StepBuffers:
-    """Named float64 arrays that train-mode steps write into.
+    """Named arrays of one dtype that train-mode steps write into; the dtype
+    is the precision the step computes in.
 
     `take(name, n, width)` returns an (n, width) view of the first n * width
     elements of the named buffer and allocates only when a batch is larger
     than any before it. A training loop that keeps one instance allocates no
     batch-sized arrays once its largest batch has been seen; a fresh instance
-    per call gives fresh arrays.
+    per call gives fresh arrays. A fresh `StepBuffers()` is float64, the
+    precision the gradient checks compare; `train_router` keeps one of
+    `TRAIN_DTYPE`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype=np.float64) -> None:
+        self.dtype = np.dtype(dtype)
         self._flat: dict[str, np.ndarray] = {}
 
     def take(self, name: str, n: int, width: int) -> np.ndarray:
         size = n * width
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
+            flat = self._flat[name] = np.empty(size, dtype=self.dtype)
         return flat[:size].reshape(n, width)
 
 
@@ -261,8 +275,8 @@ def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
                        buffers: StepBuffers | None = None):
     """Inverted-dropout masks, values in {0, 1/(1-rate)}.
 
-    Both masks come from one draw of n*h1 then n*h2 uniforms, the same
-    stream as two draws of shape (n, h1) and (n, h2).
+    Both masks come from one draw of n*h1 then n*h2 uniforms in the dtype of
+    `buffers`, the same stream as two draws of shape (n, h1) and (n, h2).
     """
     rate = net.dropout
     h1 = net.params["g1"].size
@@ -271,7 +285,7 @@ def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
     if rate <= 0.0:
         flat.fill(1.0)
     else:
-        rng.random(out=flat)
+        rng.random(out=flat, dtype=flat.dtype)
         np.greater_equal(flat, rate, out=flat)
         flat /= 1.0 - rate
     return flat[: n * h1].reshape(n, h1), flat[n * h1:].reshape(n, h2)
@@ -351,11 +365,13 @@ def backward(net: RouterNet, cache: dict, dlogit: np.ndarray,
 
 
 def update_running_stats(net: RouterNet, cache: dict) -> None:
+    """Move the float64 running statistics toward the step's batch mean and
+    variance, upcast from the step's dtype."""
     m = BN_MOMENTUM
-    net.run_mean1 = (1 - m) * net.run_mean1 + m * cache["mu1"]
-    net.run_var1 = (1 - m) * net.run_var1 + m * cache["var1"]
-    net.run_mean2 = (1 - m) * net.run_mean2 + m * cache["mu2"]
-    net.run_var2 = (1 - m) * net.run_var2 + m * cache["var2"]
+    net.run_mean1 = (1 - m) * net.run_mean1 + m * cache["mu1"].astype(float)
+    net.run_var1 = (1 - m) * net.run_var1 + m * cache["var1"].astype(float)
+    net.run_mean2 = (1 - m) * net.run_mean2 + m * cache["mu2"].astype(float)
+    net.run_var2 = (1 - m) * net.run_var2 + m * cache["var2"].astype(float)
 
 
 # --- losses -------------------------------------------------------------------
@@ -431,6 +447,7 @@ class _Adam:
         self.t += 1
         out = {}
         for k, g in grads.items():
+            g = g.astype(float)  # the moments stay float64 whatever the step's dtype
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
             mhat = self.m[k] / (1 - self.beta1**self.t)
@@ -445,11 +462,15 @@ def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, ma
 
     seed_index maps each row to a local seed slot in [0, n_seeds); returns the
     loss, its components, and (optionally) parameter gradients. The forward
-    and backward write into `buffers` (fresh ones when None).
+    and backward write into `buffers` (fresh float64 ones when None) and run
+    in its dtype, on copies of the parameters in that dtype; the loss terms
+    and d loss / d logit are float64.
     """
     buffers = buffers or StepBuffers()
-    logit, cache = logits_train(net, x, masks, buffers)
-    p = sigmoid(logit)
+    work = replace(net, params={k: v.astype(buffers.dtype, copy=False)
+                                for k, v in net.params.items()})
+    logit, cache = logits_train(work, x, masks, buffers)
+    p = sigmoid(logit.astype(float, copy=False))
     losses = route_surrogate(p, y, costs)
     counts = np.bincount(seed_index, minlength=n_seeds).astype(float)
     risks = np.bincount(seed_index, weights=losses, minlength=n_seeds) / counts
@@ -474,17 +495,25 @@ def batch_objective(net, x, y, seed_index, n_seeds, costs, cv: CVaRSpec, lam, ma
     dldp = seed_w[seed_index] * (costs.c_llm - costs.c_slm - costs.kappa * y)
     dldp = dldp + cv.lambda_b * 2.0 * (p - y) / len(y)
     dlogit = dldp * p * (1.0 - p)
-    result["grads"] = backward(net, cache, dlogit, buffers)
+    result["grads"] = backward(work, cache, dlogit.astype(buffers.dtype, copy=False), buffers)
     return result
 
 
-def require_trainable(labels, seed_ids) -> None:
+def require_trainable(features, labels, seed_ids) -> None:
     """Raise ValueError unless the rows hold both labels and come from two or
-    more seeds, as train_router's whole-seed CVaR batches need."""
+    more seeds, as train_router's whole-seed CVaR batches need, and every
+    feature is finite in `TRAIN_DTYPE`, the precision of the training step."""
     kinds, n_seeds = sorted({int(y) for y in labels}), len(set(seed_ids))
     if len(kinds) < 2 or n_seeds < 2:
         raise ValueError(f"router training needs rows of both labels from two or more "
                          f"seeds; {len(labels)} rows from {n_seeds} seeds hold labels {kinds}")
+    with np.errstate(over="ignore"):  # a value too large for the dtype becomes inf
+        held = np.isfinite(np.asarray(features, dtype=TRAIN_DTYPE)).all(axis=1)
+    if not held.all():
+        i = int(np.argmin(held))
+        raise ValueError(f"router training runs in {np.dtype(TRAIN_DTYPE).name}, which cannot "
+                         f"hold row {i} (seed {seed_ids[i]}): a feature of magnitude "
+                         f"{np.abs(features[i]).max():g}")
 
 
 def train_router(x_all: np.ndarray, y_all: np.ndarray, seed_ids: np.ndarray, spec: TrainSpec,
@@ -496,7 +525,8 @@ def train_router(x_all: np.ndarray, y_all: np.ndarray, seed_ids: np.ndarray, spe
     inside every batch. Returns the net and a per-epoch training report
     (batch-averaged mean risk, CVaR, Brier, and the multiplier).
     """
-    require_trainable(y_all, seed_ids)
+    require_trainable(x_all, y_all, seed_ids)
+    x_all = np.asarray(x_all, dtype=TRAIN_DTYPE)
     uniq = np.unique(seed_ids)
 
     rng = seeds.stream("router-train", seed)
@@ -504,7 +534,7 @@ def train_router(x_all: np.ndarray, y_all: np.ndarray, seed_ids: np.ndarray, spe
     net.dropout = spec.dropout
 
     rows_by_seed = {int(s): np.flatnonzero(seed_ids == s) for s in uniq}
-    buffers = StepBuffers()  # sized by the largest chunk, not the data set
+    buffers = StepBuffers(TRAIN_DTYPE)  # sized by the largest chunk, not the data set
     primal = _Adam({k: v.shape for k, v in net.params.items()})
     dual = _Adam({"u": ()})
     log_lam = math.log(max(spec.cvar.lambda_init, 1e-8))

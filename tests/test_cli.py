@@ -440,6 +440,11 @@ BAD_ARTIFACTS = {
     "routing-one-label": ("routing.rljson", lambda b: b.replace(b'"label":0', b'"label":1'),
                           ("train-router",)),
     "routing-one-train-seed": ("routing.rljson", _one_train_seed, ("train-router",)),
+    # the router trains in float32, which cannot hold every finite float64
+    "routing-feature-beyond-float32": ("routing.rljson",
+                                       _edit_block("features",
+                                                   lambda b: struct.pack("<d", 1e39) + b[8:]),
+                                       ("train-router",)),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
     # a header field of the wrong type is as malformed as a missing one

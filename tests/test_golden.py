@@ -67,6 +67,15 @@ packed `candidate_logps`, `verifier_scores` and `features` blocks, and
 decodes to an object equal to what the earlier code decoded from the earlier
 file, every header is unchanged, and every other pinned file kept its bytes.
 `tasks.json` and `episodes.rljson` are pinned since collect became one call.
+An eighth deliberate change: the router's training step runs in float32 on
+float32 copies of the float64 master weights (mixed precision), with its
+dropout masks drawn as float32 uniforms; the optimizer state, the batch-norm
+running statistics and the loss terms stay float64. It moved `router.bin`
+(still `router@2`, float64 arrays; temperature 5.225 -> 4.994, and
+`tau_route`, `tau_h` and `theta_v` unchanged), `router_report.csv`,
+`eval_r2v.rljson`, `summary.json` and `metrics.csv` (r2v's ECE, Brier and
+AUROC). None of the 218 r2v escalation decisions changed, the largest
+`router_prob` shift was 2.6e-3, and every other pinned file kept its bytes.
 
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
@@ -91,8 +100,8 @@ GOLDEN_CONFIG = (
 GOLDEN_SHA256 = {
     "tasks.json": "0c3656dbd1a140ff466400e94c013fcbc5f3ca9bb18487b4e755bb1c8e8c7893",
     "episodes.rljson": "ba3632c70b7f0fc2a4fbf2dd62536c4efbaaba5fe1cf832a15298287bc7e2c00",
-    "summary.json": "387408501066f3804bec114d041faafde0d20a9b2fcec1a269fd8cb2b0e7826f",
-    "metrics.csv": "4530be477b1625de10f9c1dd563f35745f277da42f31e166ef3b710446479103",
+    "summary.json": "d657af43d3564fb4071a9bfa48ec34275afcac3eac06fe54322fd1dd69eaa978",
+    "metrics.csv": "a6ab80dbcc6d1ad6024e6a697e93c9ca0aa5ef835185856ff217d62f9d0dc636",
     "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
     "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
     "routing.rljson": "82680534f9d28649d4fe3ee8ca799322bac9361fdf3bb4573e4cd1d5ffe2fa34",
@@ -100,10 +109,10 @@ GOLDEN_SHA256 = {
     "eval_heuristic.rljson": "dd124ecd9d7f566b16515ef02ba1071d541b28f7a31156db47c310d36db4e6e1",
     "eval_llm.rljson": "4340203f81584766df092bd9caa19000e75092cbd74952da6e7f014d8402b9e1",
     "eval_oracle.rljson": "c4fa4af65477b6fae218457e9a4d6678bc0dab01cf424783a92fe51f26569d53",
-    "eval_r2v.rljson": "78f3528e092d16c7836cba40d19b01123262fb19a09cab7d2221ce563f98ad1f",
+    "eval_r2v.rljson": "731bd22eafcc0f6c7e94cdb1457f93166f150819a733d54f158379e933bddefd",
     "eval_slm.rljson": "36e5df25d2b3097da171005349085d4d361503e29908b95cb533af37343cdb8d",
-    "router.bin": "7dccec260130f9fff0fe7da8d12656cec04e53790d3f8da723d5f76b88365b57",
-    "router_report.csv": "aa5867832809e1d80808784726b02113c8afafe6b78a3ef3a06f4a091e9ad1bf",
+    "router.bin": "980a0072cbe66e7e2f759e99d18ca94350176639a4512209461329876bcb2fee",
+    "router_report.csv": "66f1347abe51938be6aa98183c9fe4101d7f8b9937c867ed2183d5f190ae67a2",
 }
 
 

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from steprouter import seeds
+from steprouter import router, seeds
 from steprouter.domain import CostSpec, CVaRSpec, RoutingExample
 from steprouter.router import (
+    TRAIN_DTYPE,
     RouterNet,
     StepBuffers,
     TrainSpec,
@@ -22,6 +24,7 @@ from steprouter.router import (
     gelu_parts,
     logits_train,
     make_dropout_masks,
+    require_trainable,
     route_surrogate,
     select_threshold,
     sigmoid,
@@ -407,7 +410,7 @@ class TestStepBuffers:
 
     def test_train_router_memory_bounded_by_chunk(self):
         # 2,000 rows in chunks of at most 249: buffers sized by the data set
-        # would alone take about ten (2000, 128) float64 arrays
+        # would alone take about ten (2000, 128) float32 arrays
         rows = example_batch(n=2000, n_seeds=40)
         tracemalloc.start()
         try:
@@ -415,7 +418,7 @@ class TestStepBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2000 * 128 * 8
+        assert peak < 2 * 2000 * 128 * 4
 
     def test_buffers_grow_only_for_larger_batches(self):
         buffers = StepBuffers()
@@ -423,6 +426,74 @@ class TestStepBuffers:
         small = buffers.take("a", 3, 4)
         assert small.shape == (3, 4) and np.shares_memory(big, small)
         assert not np.shares_memory(buffers.take("a", 11, 4), big)
+
+
+class TestTrainPrecision:
+    """train_router steps in TRAIN_DTYPE (float32) on copies of the float64
+    master weights; the step must stand for the float64 step it replaces."""
+
+    @staticmethod
+    def rel_err(a, b):
+        return np.linalg.norm(np.asarray(a, dtype=float) - b) / np.linalg.norm(b)
+
+    def test_float32_step_matches_float64(self):
+        rng = seeds.stream("precision-net")
+        net = RouterNet.init(rng)
+        for k in ("g1", "be1", "g2", "be2", "b3"):  # away from the identity batch norm
+            net.params[k] = net.params[k] + 0.3 * rng.normal(size=net.params[k].shape)
+        n = 1024
+        x = rng.normal(size=(n, 15))
+        y = (rng.random(n) < 0.4).astype(float)
+        sid = np.arange(n) % 16
+        keep = rng.random((n, 128 + 64)) >= 0.2
+        masks = (keep[:, :128] / 0.8, keep[:, 128:] / 0.8)  # exact in float32 too
+        masks32 = tuple(m.astype(np.float32) for m in masks)
+        args = (sid, 16, CANONICAL, CVaRSpec(alpha=0.25, lambda_b=1.0), 0.7)
+
+        ref = batch_objective(net, x, y, *args, masks)
+        out = batch_objective(net, x.astype(np.float32), y, *args, masks32,
+                              buffers=StepBuffers(np.float32))
+        net32 = replace(net, params={k: v.astype(np.float32) for k, v in net.params.items()})
+        logit32, _ = logits_train(net32, x.astype(np.float32), masks32,
+                                  StepBuffers(np.float32))
+        logit64, _ = logits_train(net, x, masks)
+        assert logit32.dtype == np.float32
+        assert self.rel_err(logit32, logit64) < 1e-4
+        for k in ("loss", "mean_risk", "cvar", "brier"):
+            assert abs(out[k] - ref[k]) < 1e-4 * abs(ref[k]), k
+        assert list(out["grads"]) == list(ref["grads"])
+        for k, g in ref["grads"].items():
+            assert out["grads"][k].dtype == np.float32, k
+            assert self.rel_err(out["grads"][k], g) < 1e-4, k
+
+    def test_train_router_steps_in_float32_keeps_float64_state(self, monkeypatch):
+        seen = []
+
+        def spy(net, x, y, seed_index, n_seeds, costs, cv, lam, masks, buffers=None):
+            out = batch_objective(net, x, y, seed_index, n_seeds, costs, cv, lam, masks,
+                                  buffers=buffers)
+            seen.append({x.dtype, *(m.dtype for m in masks),
+                         *(out["cache"][k].dtype for k in ("xhat1", "z1", "s1", "h1", "h2")),
+                         *(g.dtype for g in out["grads"].values())})
+            return out
+
+        monkeypatch.setattr(router, "batch_objective", spy)
+        net, _ = train_router(*example_batch(n=300, n_seeds=6), TrainSpec(epochs=2, batch_steps=100))
+        assert TRAIN_DTYPE == np.float32
+        assert seen and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+        assert all(v.dtype == np.float64 for v in net.params.values())
+        assert all(getattr(net, k).dtype == np.float64
+                   for k in ("run_mean1", "run_var1", "run_mean2", "run_var2"))
+
+    def test_rows_beyond_float32_refused(self):
+        x, y, sid = example_batch(n=40, n_seeds=4)
+        x[7, 3] = -1e39  # finite in float64, not in float32
+        with pytest.raises(ValueError, match=r"float32.*row 7 \(seed 3\).*1e\+39"):
+            require_trainable(x, y, sid)
+        with pytest.raises(ValueError, match="row 7"):
+            train_router(x, y, sid, TrainSpec(epochs=1))
+        x[7, 3] = -3e38  # the largest float32 is about 3.4e38
+        require_trainable(x, y, sid)
 
 
 def planted_platt(name, n=20000, a=0.6, b=-1.2):

@@ -673,8 +673,12 @@ def decode_records(path, decode) -> list:
 
 def write_arrays(path, header: dict, arrays: dict) -> None:
     """Checkpoint: a JSON header line naming each array's shape, then the
-    arrays as little-endian float64 bytes in name order."""
+    arrays as little-endian float64 bytes in name order. An array holding a
+    NaN or an infinity raises RecordFormatError before any byte is written."""
     names = sorted(arrays)
+    for k in names:
+        if not np.isfinite(arrays[k]).all():
+            raise RecordFormatError(f"{path}: array {k} holds a non-finite value")
     with _atomic_write(path) as fh:
         fh.write(_json_line({**header, "arrays": {k: list(np.shape(arrays[k])) for k in names}}))
         for k in names:
@@ -685,7 +689,8 @@ def read_arrays(path, schema: str, names) -> tuple[dict, dict]:
     """(header, name -> array) of a `write_arrays` checkpoint.
 
     The schema tag, the array names and shapes and the exact body length are
-    checked before any body byte is interpreted.
+    checked before any body byte is interpreted; an array holding a NaN or an
+    infinity is refused at its offset.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -706,5 +711,8 @@ def read_arrays(path, schema: str, names) -> tuple[dict, dict]:
     for k in sorted(shapes):
         n = math.prod(shapes[k])
         arrays[k] = np.frombuffer(body, dtype="<f8", count=n, offset=pos).reshape(shapes[k]).copy()
+        if not np.isfinite(arrays[k]).all():
+            raise RecordFormatError(f"{path}: array {k} holds a non-finite value",
+                                    len(first) + pos)
         pos += 8 * n
     return header, arrays

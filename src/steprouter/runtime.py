@@ -9,7 +9,11 @@ the teacher acts directly (its action is not re-ranked by the verifier).
 Everything before the decision depends on (task, z, action prefix) alone, so
 policies rolled over one grid share it through a `StepTree`: each distinct
 prefix is sampled, scored, featurized and stepped once, and every policy
-still gets the episode it would get rolled alone.
+still gets the episode it would get rolled alone, by one invariant: a run's
+cand and verif streams stand at t*K draws when it expands a node at step t.
+Every expansion draws exactly K uniforms per stream (at zero jitter the
+verif stream draws none and is never read), so a run past visited nodes
+jumps its streams there with PCG64's `advance`.
 
 `run_episodes` is the one rollout engine. It steps every episode of a grid
 in lockstep and batches each step's array work across episodes: the policy
@@ -135,13 +139,13 @@ class _Node:
     are what `env.step` returned on the last action (False at the root). The
     first step that reaches the node expands it (`_expand`): the local
     proposal (verifier argmax), the candidate actions, views of its batch's
-    log-prob, score and raw feature rows, in a shared tree the `_saved`
-    states of the cand and verif streams after the step's draws, and
-    `children`, one node per executed action.
+    log-prob, score and raw feature rows, and `children`, one node per
+    executed action. A node is a pure function of its prefix, since the
+    streams that expand a node at step t stand at t*K draws.
     """
 
     __slots__ = ("state", "ctx", "terminal", "success", "slm_action", "candidates", "logps",
-                 "scores", "f_raw", "streams", "children")
+                 "scores", "f_raw", "children")
 
     def __init__(self, state, ctx: Context, terminal: bool = False, success: bool = False):
         self.state = state
@@ -161,20 +165,8 @@ class _Node:
         return node
 
 
-def _saved(rng: np.random.Generator) -> tuple:
-    """The (state, inc, has_uint32, uinteger) of a PCG64 generator."""
-    s = rng.bit_generator.state
-    return s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"]
-
-
-def _restore(rng: np.random.Generator, saved: tuple) -> None:
-    state, inc, has_uint32, uinteger = saved
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": has_uint32, "uinteger": uinteger}
-
-
 def _expand(runs, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
-            limits: FeatureLimits, keep_streams: bool) -> None:
+            limits: FeatureLimits) -> None:
     """Expand the current node of each of `runs` in one batch: per node, K
     candidates drawn from its run's cand stream, their verifier scores from
     its verif stream and the raw features."""
@@ -187,13 +179,11 @@ def _expand(runs, slm: SoftmaxPolicy, vspec: VerifierSpec, k: int,
                               [run.rng_ver for run in runs])
     f_raw = extract(contexts, probs, actions, logps, scores, limits)
     best = np.argmax(scores, axis=1).tolist()
-    rows = zip(nodes, runs, best, actions.tolist(), logps, scores, f_raw)
-    for node, run, b, action_row, logp_row, score_row, f_row in rows:
+    rows = zip(nodes, best, actions.tolist(), logps, scores, f_raw)
+    for node, b, action_row, logp_row, score_row, f_row in rows:
         node.slm_action = action_row[b]
         node.candidates = tuple(action_row)
         node.logps, node.scores, node.f_raw = logp_row, score_row, f_row
-        if keep_streams:
-            node.streams = (_saved(run.rng_cand), _saved(run.rng_ver))
         node.children = {}
 
 
@@ -204,10 +194,12 @@ class StepTree:
     pure function of (task, z, action prefix), not of the routing policy, so
     policies rolled over the same grid share them: `run_episodes` computes a
     step the first time any policy reaches its prefix and reads it back
-    after that. A tree serves one env, SLM and verifier; its roots are keyed
-    by (task, z, k, salt). The pipeline keeps one tree per run directory and
-    process, beside the env it serves, under the key `pipeline._roll_out`
-    names, and drops both when a rollout with another key comes.
+    after that. Its nodes hold no stream state: a run at step t stands at
+    t*K draws, whatever policy drew before it. A tree serves one env, SLM
+    and verifier; its roots are keyed by (task, z, k, salt). The pipeline
+    keeps one tree per run directory and process, beside the env it serves,
+    under the key `pipeline._roll_out` names, and drops both when a rollout
+    with another key comes.
     """
 
     def __init__(self):
@@ -223,13 +215,14 @@ class StepTree:
 
 
 class _Run:
-    """One episode in progress: its node, budget, streams and its steps so
-    far, each one row of its step columns in `PerturbedEpisode` field order
+    """One episode in progress: its node, budget, streams, the number of
+    steps its cand and verif streams have `drawn` for, and its steps so far,
+    each one row of its step columns in `PerturbedEpisode` field order
     (observation, action, executor, candidate actions, the node's log-prob,
     score and feature rows, router probability, decision, budget left)."""
 
     __slots__ = ("task_id", "seed", "goal", "node", "remaining", "rows", "llm_calls",
-                 "rng_cand", "rng_ver", "rng_teach", "restore")
+                 "rng_cand", "rng_ver", "rng_teach", "drawn")
 
     def __init__(self, task_id: int, seed: PerturbationSeed, node: _Node, budget):
         self.task_id = task_id
@@ -240,7 +233,7 @@ class _Run:
         self.rows = []
         self.llm_calls = 0
         self.rng_cand = self.rng_ver = self.rng_teach = None
-        self.restore = None  # stream states to set before the next new node draws
+        self.drawn = 0
 
     def episode(self, routing: RoutingPolicy) -> PerturbedEpisode:
         """The finished episode: its rows, handed over, turned into columns."""
@@ -275,20 +268,17 @@ def run_episodes(
     verif and teacher streams, each made on the episode's first use of it,
     its budget, the teacher's action, one row of its columns and
     `env.step`. A private tree keeps no roots, so its nodes are freed as the
-    episodes step past them. A visited node draws nothing; before the first
-    new node after a run of visited ones, the cand and verif streams are set
-    to the states the last visited node saved, so every draw matches a
-    rollout of this policy alone. An episode that only visits nodes and
-    never escalates makes no stream. The module docstring says why batching
-    keeps every bit.
+    episodes step past them. A visited node draws nothing; a run that
+    expands a node at step t first advances its cand and verif streams to
+    t*K draws, so every draw matches a rollout of this policy alone. An
+    episode that only visits nodes and never escalates makes no stream. The
+    module docstring says why batching keeps every bit.
 
     A grid that repeats a (task, z) is refused: two episodes on one
     unexpanded node would expand it twice.
     """
     if len(set(grid)) != len(grid):
         raise ValueError("the grid repeats a (task, z) point")
-    # a private tree is never visited again, so it keeps no stream states
-    keep_streams = tree is not None
     limits = feature_limits(env)
     base = env.config.rng_seed
     runs = []
@@ -303,20 +293,18 @@ def run_episodes(
             break
         fresh = []
         for run in active:
-            node = run.node
-            if node.children is not None:
-                run.restore = node.streams
+            if run.node.children is not None:
                 continue
             if run.rng_cand is None:
                 run.rng_cand = seeds.stream(base, "cand", run.task_id, run.seed.z, salt)
                 run.rng_ver = seeds.stream(base, "verif", run.task_id, run.seed.z, salt)
-            if run.restore is not None:
-                _restore(run.rng_cand, run.restore[0])
-                _restore(run.rng_ver, run.restore[1])
-                run.restore = None
+            if t > run.drawn:
+                run.rng_cand.bit_generator.advance((t - run.drawn) * k)
+                run.rng_ver.bit_generator.advance((t - run.drawn) * k)
+            run.drawn = t + 1
             fresh.append(run)
         if fresh:
-            _expand(fresh, slm, vspec, k, limits, keep_streams)
+            _expand(fresh, slm, vspec, k, limits)
         nodes = [run.node for run in active]
         probs, decisions = _decide(routing, np.stack([node.f_raw for node in nodes]),
                                    [(run.task_id, run.seed.z) for run in active])

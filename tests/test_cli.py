@@ -2,6 +2,7 @@ import base64
 import copy
 import dataclasses
 import json
+import math
 import os
 import shutil
 import struct
@@ -348,12 +349,22 @@ def _retag(schema: str, earlier: str):
     return corrupt
 
 
-def _edit_block(key, edit):
+def _edit_block(key, edit, split=None):
     """Rewrite the bytes of packed float column `key` in the first record
-    whose block is not empty."""
+    whose block is not empty (and whose split is `split`, when given)."""
     def rewrite(rec):
         rec[key] = base64.b64encode(edit(base64.b64decode(rec[key]))).decode()
-    return _edit_record(lambda rec: rec.get(key), rewrite)
+    return _edit_record(lambda rec: rec.get(key) and split in (None, rec.get("split")), rewrite)
+
+
+def _set_array_value(name, value):
+    """Set the first float of checkpoint array `name` to `value`."""
+    def corrupt(data: bytes) -> bytes:
+        first, body = data.split(b"\n", 1)
+        shapes = json.loads(first)["arrays"]
+        pos = 8 * sum(math.prod(shapes[k]) for k in shapes if k < name)
+        return first + b"\n" + body[:pos] + struct.pack("<d", value) + body[pos + 8:]
+    return corrupt
 
 
 def _edit_header(edit):
@@ -375,8 +386,9 @@ def _set_header_field(key, value):
 
 R2V = ("rollout", "--variant", "r2v")
 
-# (artifact, corruption, command that reads it): a torn, padded or malformed
-# artifact must stop the command with exit 3 and one line, never run on
+# (artifact, corruption, command that reads it[, the file the error names
+# when not the artifact]): a torn, padded or malformed artifact must stop the
+# command with exit 3 and one line, never run on
 BAD_ARTIFACTS = {
     "router-short-8": ("router.bin", lambda b: b[:-8], R2V),
     "router-padded-16": ("router.bin", lambda b: b + bytes(16), R2V),
@@ -445,6 +457,14 @@ BAD_ARTIFACTS = {
                                        _edit_block("features",
                                                    lambda b: struct.pack("<d", 1e39) + b[8:]),
                                        ("train-router",)),
+    # a feature float32 holds can still overflow the float32 batch variance;
+    # the net it trains is refused when written, so the error names router.bin
+    "routing-train-feature-1e20": ("routing.rljson",
+                                   _edit_block("features",
+                                               lambda b: struct.pack("<d", 1e20) + b[8:],
+                                               split="train"),
+                                   ("train-router",), "router.bin"),
+    "router-w3-nan": ("router.bin", _set_array_value("w3", float("nan")), R2V),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
     # a header field of the wrong type is as malformed as a missing one
@@ -503,7 +523,7 @@ def test_non_bc_policy_exits_3(finished_run, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
 def test_bad_artifact_exits_3(finished_run, tmp_path, capsys, case):
-    name, corrupt, command = BAD_ARTIFACTS[case]
+    name, corrupt, command, *named = BAD_ARTIFACTS[case]
     wd = tmp_path / "run"
     shutil.copytree(finished_run, wd)
     path = wd / name
@@ -513,7 +533,8 @@ def test_bad_artifact_exits_3(finished_run, tmp_path, capsys, case):
                *[f"--set={o}" for o in TINY]])
     err = capsys.readouterr().err
     assert rc == EXIT_STAGE_ORDER
-    assert len(err.splitlines()) == 1 and err.startswith(f"artifact error: {path}: ")
+    named_path = wd / named[0] if named else path
+    assert len(err.splitlines()) == 1 and err.startswith(f"artifact error: {named_path}: ")
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import base64
+import re
 import struct
 from dataclasses import fields, is_dataclass, replace
 
@@ -21,11 +22,13 @@ from steprouter.domain import (
     episode_from_dict,
     episode_to_dict,
     pack_floats,
+    read_arrays,
     read_header,
     read_rljson,
     routing_record,
     routing_seed_from_dict,
     unpack_floats,
+    write_arrays,
     write_json,
     write_rljson,
 )
@@ -537,3 +540,20 @@ def test_routing_seeds_round_trip(scratch_file, seeds):
     flat = [row for rows in expected for row in rows]
     loaded = load_routing_examples(scratch_file)
     assert loaded == flat and float_bits(loaded) == float_bits(flat)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_arrays_must_be_finite(tmp_path, bad):
+    # a non-finite array is never written, and one in a file is never read
+    path = tmp_path / "net.bin"
+    arrays = {"a": np.zeros(3), "b": np.array([[1.0, bad]])}
+    with pytest.raises(RecordFormatError, match=re.escape(f"{path}: array b holds")):
+        write_arrays(path, {"schema": "toy@1"}, arrays)
+    assert not path.exists()
+    write_arrays(path, {"schema": "toy@1"}, {"a": np.zeros(3), "b": np.ones((1, 2))})
+    data = path.read_bytes()
+    body = len(data) - 8 * 5
+    path.write_bytes(data[:body + 8 * 4] + struct.pack("<d", bad))
+    with pytest.raises(RecordFormatError, match="array b holds a non-finite value") as err:
+        read_arrays(path, "toy@1", ("a", "b"))
+    assert err.value.offset == body + 8 * 3

@@ -77,6 +77,11 @@ running statistics and the loss terms stay float64. It moved `router.bin`
 AUROC). None of the 218 r2v escalation decisions changed, the largest
 `router_prob` shift was 2.6e-3, and every other pinned file kept its bytes.
 
+The features and cvar ablations of the same run are pinned too: their eight
+masked r2v rollouts leave prefixes that an earlier policy visited, at steps
+past the first, more often than any other rollout, so they guard the draw
+positions of the shared step tree.
+
 The digests hold for numpy 2.4 with OpenBLAS on x86-64; another BLAS build
 may round a matmul differently in the last place.
 """
@@ -115,6 +120,26 @@ GOLDEN_SHA256 = {
     "router_report.csv": "66f1347abe51938be6aa98183c9fe4101d7f8b9937c867ed2183d5f190ae67a2",
 }
 
+GOLDEN_ABLATION_SHA256 = {
+    "ablate_features.csv": "e21cda3117389076a7e099d6ffaaded129b46c027594c84e2f5fd0271f61769a",
+    "ablate_cvar.csv": "5fb1b6903992f8e1bbdcf6cdd9657e0a0e1f4942dcce2ecf19cfbebdfceff07b",
+    "eval_r2v_mask_EntropyOnly.rljson":
+        "a351a0c66afaa62644c155a0a5fff22a13a709a7f372403a6f1d551b46550dcf",
+    "eval_r2v_mask_Full.rljson": "731bd22eafcc0f6c7e94cdb1457f93166f150819a733d54f158379e933bddefd",
+    "eval_r2v_mask_LogProbOnly.rljson":
+        "7bf6ab1dd8f5c7c1fbb4ac93e702db43d5253d91e0c1d83d88127e7186244ef4",
+    "eval_r2v_mask_NoEntropy.rljson":
+        "e03f81d057d2c295ccb6ecf7a9423d2a599d634ecf28c34c575bbc4898a1b62a",
+    "eval_r2v_mask_NoVerifier.rljson":
+        "fc3f7ec1aa0c66a0079d8b3579af64be8c669cd99b4b9e15803ffa69f22de79e",
+    "eval_r2v_mask_PseudoEntropy.rljson":
+        "20611cc8ea7b91c977eb6838ec684c73d6fe6c083f3b05c4b286a447f54effd2",
+    "eval_r2v_mask_StepContextOnly.rljson":
+        "13c37924a1a0ff98773d971e7e85e4f7503cda6b81f313df86660e9b1d8b2cb4",
+    "eval_r2v_mask_VerifierOnly.rljson":
+        "95e627a3056634e60e83d2399b1581721e25e01e6a45d126097de14f2f51acd3",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -128,3 +153,7 @@ def test_evaluate_outputs_are_byte_identical(tmp_path):
     names += sorted(p.name for p in tmp_path.glob("eval_*.rljson"))
     got = {name: _sha256(tmp_path / name) for name in names}
     assert got == GOLDEN_SHA256
+    for kind in ("features", "cvar"):
+        pipeline.run_stage(cfg, tmp_path, "ablate", kind, 1)
+    got = {name: _sha256(tmp_path / name) for name in GOLDEN_ABLATION_SHA256}
+    assert got == GOLDEN_ABLATION_SHA256

@@ -205,6 +205,19 @@ class TestDrawCandidates:
                 assert alone.bit_generator.state == block_rngs[i].bit_generator.state
         assert zero_rows > 100
 
+    def test_each_row_draws_exactly_k(self):
+        # the step tree positions a run's cand stream by depth alone: t*K
+        # draws after t expansions, whatever the row's distribution
+        rng = seeds.stream("draw-count")
+        for k in (1, 5, 9):
+            logp = np.stack([self.random_log_distribution(rng, 6) for _ in range(4)])
+            rngs = [seeds.stream("draw-count", i) for i in range(4)]
+            draw_candidates(logp, probabilities(logp), k, rngs)
+            for i, got in enumerate(rngs):
+                fresh = seeds.stream("draw-count", i)
+                fresh.bit_generator.advance(k)
+                assert got.bit_generator.state == fresh.bit_generator.state
+
     @pytest.mark.parametrize("probs", [
         [0.5, 0.6, -0.1],  # a negative entry, sum 1
         [0.5, np.nan, 0.5],

@@ -63,6 +63,13 @@ def world():
     return env, teacher, slm, vspec
 
 
+@pytest.fixture(scope="module")
+def exact_world(world):
+    """`world` with a noiseless verifier, which draws nothing from its stream."""
+    env, teacher, slm, _ = world
+    return env, teacher, slm, VerifierSpec.for_env(env, eta_v=0.0)
+
+
 def decision(routing, slots=(), task_id=0, z=0):
     """The decision of `routing` on a feature vector holding `slots`
     (slot -> value) and zeros elsewhere."""
@@ -336,6 +343,12 @@ class TestStepTree:
         ]
 
     def test_shared_tree_equals_solo_rollouts(self, world):
+        self.check_shared_tree_equals_solo(world)
+
+    def test_shared_tree_equals_solo_rollouts_exact_verifier(self, exact_world):
+        self.check_shared_tree_equals_solo(exact_world)
+
+    def check_shared_tree_equals_solo(self, world):
         env, teacher, slm, vspec = world
         policies = self.policies(world)
         tree = StepTree()
@@ -348,7 +361,7 @@ class TestStepTree:
                 assert episode_to_dict(shared) == episode_to_dict(solo), (routing.variant, task, z)
                 # a node is one action prefix; a step on a prefix no earlier
                 # policy reached, right after one it did reach, diverged at
-                # t > 0 and re-drew from the restored streams
+                # t > 0 and drew from streams advanced past the visited steps
                 hits = [(task, z, s.context.actions) in seen for s in shared.steps]
                 later_divergence |= not all(hits) and hits[0]
                 redraw_after_hits |= any(a and not b for a, b in zip(hits, hits[1:]))
@@ -465,13 +478,20 @@ class TestLockstep:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_grid_equals_solo_episodes(self, world, variant, shared):
+        self.check_grid_equals_solo(world, variant, shared)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_shared_grid_equals_solo_episodes_exact_verifier(self, exact_world, variant):
+        self.check_grid_equals_solo(exact_world, variant, shared=True)
+
+    def check_grid_equals_solo(self, world, variant, shared):
         # budget 2 clips every variant that escalates on more steps than that
         env, teacher, slm, vspec = world
         routing = self.policy(world, variant, 2, self.THRESHOLDS.get(variant))
         tree = None
         if shared:
-            # an earlier policy leaves visited nodes, so the grid restores
-            # streams before it draws past them
+            # an earlier policy leaves visited nodes, so the grid advances
+            # its streams past them before it draws
             tree = StepTree()
             run_episodes(env, self.GRID[::2], slm, teacher, vspec,
                          RoutingPolicy("heuristic", 0.58, 1), tree=tree)

@@ -110,6 +110,23 @@ class TestScore:
                 assert alone.bit_generator.state == block_rngs[i].bit_generator.state
 
 
+    @pytest.mark.parametrize("eta_v", [0.0, 0.2])
+    def test_each_row_draws_k_or_nothing(self, eta_v):
+        # the step tree positions a run's verif stream by depth alone: K
+        # draws per expansion, and none at zero jitter, which reads nothing
+        env, spec = env_and_spec(eta_v=eta_v)
+        states = [env.reset(t, PerturbationSeed(40 + t))[0] for t in range(3)]
+        for k in (1, 5, 9):
+            actions = np.arange(3 * k).reshape(3, k) % env.config.action_count
+            rngs = [seeds.stream("v-count", i) for i in range(3)]
+            score_candidates(spec, states, actions, rngs)
+            for i, got in enumerate(rngs):
+                fresh = seeds.stream("v-count", i)
+                if eta_v > 0:
+                    fresh.bit_generator.advance(k)
+                assert got.bit_generator.state == fresh.bit_generator.state
+
+
 class TestBestOfK:
     def test_single_candidate(self):
         env, spec = env_and_spec()

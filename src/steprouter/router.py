@@ -24,6 +24,14 @@ moments, the batch-norm running statistics, the loss terms and d loss /
 d logit stay float64, as does everything after training: eval mode, the
 Platt fit, the threshold sweeps and the checkpoint.
 
+The first batch norm, the widest layer, normalizes from the moments of its
+15 inputs: the batch mean and variance of x @ w1 are mean(x) @ w1 and
+colsum(w1 * (cov(x) @ w1)), so its forward is one gemm on the centred
+input and its backward one more, with no per-row statistics pass and no
+(n, 128) normalized array kept; those moments are float64. The dropout
+masks come from one draw of 16-bit integers, so the keep probability is
+1 - rate quantised to a multiple of 2**-16.
+
 The hidden layers carry no bias, since batch norm would subtract it again and
 its beta carries the shift (Ioffe & Szegedy, 2015). Eval mode folds each batch
 norm into a per-unit scale and shift, in a `RouterSnapshot`: `RouterNet.predict`
@@ -273,10 +281,14 @@ class StepBuffers:
 
 def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
                        buffers: StepBuffers | None = None):
-    """Inverted-dropout masks, values in {0, 1/(1-rate)}.
+    """Inverted-dropout masks, values in {0, 1/(1-rate)} in the dtype of
+    `buffers`.
 
-    Both masks come from one draw of n*h1 then n*h2 uniforms in the dtype of
-    `buffers`, the same stream as two draws of shape (n, h1) and (n, h2).
+    Both masks come from one draw of n*(h1+h2) uniform 16-bit integers, the
+    same stream as a draw of n*h1 then one of n*h2 (n*h1 is even, so no
+    buffered half of a 32-bit draw is lost between them). A unit is kept
+    where its integer is at least round(rate * 2**16), so the keep
+    probability is 1 - rate quantised to a multiple of 2**-16.
     """
     rate = net.dropout
     h1 = net.params["g1"].size
@@ -285,8 +297,8 @@ def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
     if rate <= 0.0:
         flat.fill(1.0)
     else:
-        rng.random(out=flat, dtype=flat.dtype)
-        np.greater_equal(flat, rate, out=flat)
+        draw = rng.integers(0, 1 << 16, flat.size, dtype=np.uint16)
+        np.greater_equal(draw, round(rate * 2**16), out=flat)
         flat /= 1.0 - rate
     return flat[: n * h1].reshape(n, h1), flat[n * h1:].reshape(n, h2)
 
@@ -294,6 +306,14 @@ def make_dropout_masks(net: RouterNet, n: int, rng: np.random.Generator,
 def logits_train(net: RouterNet, x: np.ndarray, masks,
                  buffers: StepBuffers | None = None) -> tuple[np.ndarray, dict]:
     """Train-mode forward: batch-stat normalization + dropout.
+
+    Layer 1 normalizes from the moments of its input, so it runs no per-row
+    statistics pass: with the chunk centred in float64, xc = x - mean(x),
+    and its covariance S = xc^T xc / n, the pre-activation x @ w1 has batch
+    mean mean(x) @ w1 and biased variance colsum(w1 * (S @ w1)), and
+    z1 = xc @ (w1 * g1 / std1) + be1 is one gemm in the step's dtype. Its
+    mean, variance and std are float64 whatever that dtype. Layer 2 centres
+    its pre-activation in place and scales it into z2 in one pass.
 
     Pure in (params, x, masks): finite differences through this path are what
     the gradient check compares against. The (n, width) arrays of the cache
@@ -303,70 +323,100 @@ def logits_train(net: RouterNet, x: np.ndarray, masks,
     p = net.params
     m1, m2 = masks
     n = len(x)
-    cache: dict = {"x": x, "m1": m1, "m2": m2}
-    h = x
-    for i, mask in (("1", m1), ("2", m2)):
-        width = p["g" + i].size
-        xhat, z, s, act = (buffers.take(k + i, n, width) for k in ("xhat", "z", "s", "h"))
-        np.matmul(h, p["w" + i], out=xhat)  # the pre-activation, centred and scaled in place
-        mu = xhat.mean(axis=0)
-        xhat -= mu
-        var = np.square(xhat, out=z).mean(axis=0)  # z is scratch until the affine step
-        std = np.sqrt(var + BN_EPS)
-        xhat /= std
-        np.multiply(p["g" + i], xhat, out=z)
-        z += p["be" + i]
-        gelu_parts(z, s=s, act=act)
-        act *= mask
-        cache.update({"mu" + i: mu, "var" + i: var, "std" + i: std, "xhat" + i: xhat,
-                      "z" + i: z, "s" + i: s, "h" + i: act})
-        h = act
+    ones = np.ones(n, dtype=buffers.dtype)
+    cache: dict = {"ones": ones, "m1": m1, "m2": m2}
 
-    logit = (h @ p["w3"] + p["b3"]).ravel()
+    xc64 = x.astype(float)
+    mx = xc64.mean(axis=0)
+    xc64 -= mx
+    w1 = p["w1"].astype(float)
+    sw1 = (xc64.T @ xc64 / n) @ w1
+    var1 = (w1 * sw1).sum(axis=0)
+    std1 = np.sqrt(var1 + BN_EPS)
+    xc = buffers.take("xc", n, x.shape[1])
+    xc[...] = xc64
+    z1, s1, h1 = (buffers.take(k + "1", n, w1.shape[1]) for k in ("z", "s", "h"))
+    np.matmul(xc, (w1 * (p["g1"] / std1)).astype(buffers.dtype), out=z1)
+    z1 += p["be1"]
+    gelu_parts(z1, s=s1, act=h1)
+    h1 *= m1
+    cache.update({"xc": xc, "sw1": sw1, "mu1": mx @ w1, "var1": var1, "std1": std1,
+                  "z1": z1, "s1": s1, "h1": h1})
+
+    ac2, z2, s2, h2 = (buffers.take(k + "2", n, p["g2"].size) for k in ("a", "z", "s", "h"))
+    np.matmul(h1, p["w2"], out=ac2)  # the pre-activation, centred in place
+    mu2 = ones @ ac2 / n
+    ac2 -= mu2
+    var2 = ones @ np.square(ac2, out=z2) / n  # z2 is scratch until the affine step
+    std2 = np.sqrt(var2 + BN_EPS)
+    np.multiply(ac2, p["g2"] / std2, out=z2)
+    z2 += p["be2"]
+    gelu_parts(z2, s=s2, act=h2)
+    h2 *= m2
+    cache.update({"mu2": mu2, "var2": var2, "std2": std2, "a2": ac2,
+                  "z2": z2, "s2": s2, "h2": h2})
+
+    logit = (h2 @ p["w3"] + p["b3"]).ravel()
     return logit, cache
 
 
-def _bn_backward(d, xhat, std, gamma, tmp):
-    """Batch-norm backward in place: d enters as d loss / dz and leaves as
-    d loss / d pre-activation; tmp is scratch. Returns (dgamma, dbeta).
+def _bn_backward(d, ac, std, gamma, ones, tmp):
+    """Batch-norm backward in place, given the centred pre-activation ac and
+    a vector of n ones: d enters as d loss / dz and leaves as d loss / d
+    pre-activation; tmp is scratch. Returns (dgamma, dbeta).
 
-    With dxhat = gamma * d, the batch means the textbook form takes are
-    mean(dxhat) = gamma * dbeta / n and mean(dxhat * xhat) = gamma * dgamma / n,
-    so d leaves as gamma / std * (d - dbeta / n - xhat * dgamma / n)."""
-    dgamma = np.multiply(d, xhat, out=tmp).sum(axis=0)
-    dbeta = d.sum(axis=0)
+    With xhat = ac / std and dxhat = gamma * d, the batch means the textbook
+    form takes are mean(dxhat) = gamma * dbeta / n and mean(dxhat * xhat) =
+    gamma * dgamma / n, so d leaves as
+    gamma / std * (d - dbeta / n - ac * dgamma / (n * std))."""
+    dgamma = ones @ np.multiply(d, ac, out=tmp) / std
+    dbeta = ones @ d
     n = len(d)
     d -= dbeta / n
-    d -= np.multiply(xhat, dgamma / n, out=tmp)
+    d -= np.multiply(ac, dgamma / (n * std), out=tmp)
     d *= gamma / std
     return dgamma, dbeta
 
 
 def backward(net: RouterNet, cache: dict, dlogit: np.ndarray,
              buffers: StepBuffers | None = None) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss wrt all parameters given d loss / d logit."""
+    """Gradients of a scalar loss wrt all parameters given d loss / d logit.
+
+    Layer 1's come from M = xc^T d1 (one gemm), with d1 = d loss / dz1:
+    dbe1 = colsum(d1), dg1 = colsum(w1 * M) / std1 and
+    dw1 = g1 / std1 * (M - (S @ w1) * dg1 / std1), taken in float64 and
+    returned in the step's dtype like every other gradient."""
     buffers = buffers or StepBuffers()
     p = net.params
+    ones = cache["ones"]
     dlogit = dlogit.reshape(-1, 1)
     n = len(dlogit)
+    width1, width2 = p["g1"].size, p["g2"].size
     grads = {"w3": cache["h2"].T @ dlogit, "b3": dlogit.sum(axis=0)}
 
-    d, w_out = dlogit, p["w3"]
-    for i in ("2", "1"):
-        d_next = np.matmul(d, w_out.T, out=buffers.take("d" + i, n, w_out.shape[0]))
-        d_next *= cache["m" + i]
-        tmp = buffers.take("tmp", n, w_out.shape[0])
-        gelu_grad(cache["z" + i], cache["s" + i], d_next, tmp)
-        grads["g" + i], grads["be" + i] = _bn_backward(
-            d_next, cache["xhat" + i], cache["std" + i], p["g" + i], tmp)
-        grads["w" + i] = cache["h1" if i == "2" else "x"].T @ d_next
-        d, w_out = d_next, p["w" + i]
+    d2 = np.multiply(dlogit, p["w3"].T, out=buffers.take("d2", n, width2))
+    d2 *= cache["m2"]
+    tmp = buffers.take("tmp", n, width2)
+    gelu_grad(cache["z2"], cache["s2"], d2, tmp)
+    grads["g2"], grads["be2"] = _bn_backward(d2, cache["a2"], cache["std2"], p["g2"], ones, tmp)
+    grads["w2"] = cache["h1"].T @ d2
+
+    d1 = np.matmul(d2, p["w2"].T, out=buffers.take("d1", n, width1))
+    d1 *= cache["m1"]
+    gelu_grad(cache["z1"], cache["s1"], d1, buffers.take("tmp", n, width1))
+    m = (cache["xc"].T @ d1).astype(float)
+    w1, std1 = p["w1"].astype(float), cache["std1"]
+    dg1 = (w1 * m).sum(axis=0) / std1
+    grads["g1"] = dg1.astype(d1.dtype)
+    grads["be1"] = ones @ d1
+    grads["w1"] = (p["g1"] / std1 * (m - cache["sw1"] * (dg1 / std1))).astype(d1.dtype)
     return grads
 
 
 def update_running_stats(net: RouterNet, cache: dict) -> None:
     """Move the float64 running statistics toward the step's batch mean and
-    variance, upcast from the step's dtype."""
+    variance: layer 1's are float64 already, layer 2's are upcast from the
+    step's dtype."""
     m = BN_MOMENTUM
     net.run_mean1 = (1 - m) * net.run_mean1 + m * cache["mu1"].astype(float)
     net.run_var1 = (1 - m) * net.run_var1 + m * cache["var1"].astype(float)

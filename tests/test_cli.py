@@ -11,11 +11,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from steprouter import pipeline, theory
 from steprouter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE_ORDER, main
 from steprouter.domain import ConfigError
+from steprouter.router import RouterNet
 
 TINY = [
     "env.task_count=8",
@@ -386,9 +388,8 @@ def _set_header_field(key, value):
 
 R2V = ("rollout", "--variant", "r2v")
 
-# (artifact, corruption, command that reads it[, the file the error names
-# when not the artifact]): a torn, padded or malformed artifact must stop the
-# command with exit 3 and one line, never run on
+# (artifact, corruption, command that reads it): a torn, padded or malformed
+# artifact must stop the command with exit 3 and one line, never run on
 BAD_ARTIFACTS = {
     "router-short-8": ("router.bin", lambda b: b[:-8], R2V),
     "router-padded-16": ("router.bin", lambda b: b + bytes(16), R2V),
@@ -457,13 +458,6 @@ BAD_ARTIFACTS = {
                                        _edit_block("features",
                                                    lambda b: struct.pack("<d", 1e39) + b[8:]),
                                        ("train-router",)),
-    # a feature float32 holds can still overflow the float32 batch variance;
-    # the net it trains is refused when written, so the error names router.bin
-    "routing-train-feature-1e20": ("routing.rljson",
-                                   _edit_block("features",
-                                               lambda b: struct.pack("<d", 1e20) + b[8:],
-                                               split="train"),
-                                   ("train-router",), "router.bin"),
     "router-w3-nan": ("router.bin", _set_array_value("w3", float("nan")), R2V),
     "router-header-no-tau_h": ("router.bin", _drop_header_field("tau_h"),
                                ("rollout", "--variant", "entropy")),
@@ -521,9 +515,26 @@ def test_non_bc_policy_exits_3(finished_run, tmp_path, capsys, command):
                                        f"policy, not a bc one; rerun `train-bc`\n")
 
 
+def test_large_train_feature_trains_finite_router(finished_run, tmp_path):
+    # float32 holds 1e20, and the first batch norm takes its variance, about
+    # 1e40, from the float64 input moments, so the net trains and is written
+    wd = tmp_path / "run"
+    shutil.copytree(finished_run, wd)
+    path = wd / "routing.rljson"
+    edit = _edit_block("features", lambda b: struct.pack("<d", 1e20) + b[8:], split="train")
+    path.write_bytes(edit(path.read_bytes()))
+    rc = main(["train-router", "--workdir", str(wd), "--workers", "1",
+               *[f"--set={o}" for o in TINY]])
+    assert rc == EXIT_OK
+    net, _ = RouterNet.load(wd / "router.bin")
+    arrays = [*net.params.values(), net.run_mean1, net.run_var1, net.run_mean2, net.run_var2]
+    assert all(np.isfinite(a).all() for a in arrays)
+    assert net.run_var1.max() > 1e30  # the 1e20 column reached the running variance
+
+
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
 def test_bad_artifact_exits_3(finished_run, tmp_path, capsys, case):
-    name, corrupt, command, *named = BAD_ARTIFACTS[case]
+    name, corrupt, command = BAD_ARTIFACTS[case]
     wd = tmp_path / "run"
     shutil.copytree(finished_run, wd)
     path = wd / name
@@ -533,8 +544,7 @@ def test_bad_artifact_exits_3(finished_run, tmp_path, capsys, case):
                *[f"--set={o}" for o in TINY]])
     err = capsys.readouterr().err
     assert rc == EXIT_STAGE_ORDER
-    named_path = wd / named[0] if named else path
-    assert len(err.splitlines()) == 1 and err.startswith(f"artifact error: {named_path}: ")
+    assert len(err.splitlines()) == 1 and err.startswith(f"artifact error: {path}: ")
     assert "Traceback" not in err
 
 

@@ -76,6 +76,18 @@ running statistics and the loss terms stay float64. It moved `router.bin`
 `eval_r2v.rljson`, `summary.json` and `metrics.csv` (r2v's ECE, Brier and
 AUROC). None of the 218 r2v escalation decisions changed, the largest
 `router_prob` shift was 2.6e-3, and every other pinned file kept its bytes.
+A ninth deliberate change: the first batch norm takes its batch mean and
+variance from the float64 moments of the 15 input columns instead of
+per-row statistics of its float32 pre-activation, and the dropout masks
+are drawn as 16-bit integers, so the keep probability is 1 - rate
+quantised to 2^-16 (0.8000031 for rate 0.2). It moved `router.bin`
+(temperature 4.994 -> 5.024; `tau_route`, `tau_h` and `theta_v`
+unchanged), `router_report.csv`, `eval_r2v.rljson`, `summary.json` and
+`metrics.csv`, and, since every ablation trains its own router, both
+ablation tables and the eight masked r2v rollouts. None of the 218 r2v
+escalation decisions changed (r2v escalates on none at either tree), the
+largest `router_prob` shift was 1.8e-3, no success rate or LLM rate of any
+table moved, and every other pinned file kept its bytes.
 
 The features and cvar ablations of the same run are pinned too: their eight
 masked r2v rollouts leave prefixes that an earlier policy visited, at steps
@@ -105,8 +117,8 @@ GOLDEN_CONFIG = (
 GOLDEN_SHA256 = {
     "tasks.json": "0c3656dbd1a140ff466400e94c013fcbc5f3ca9bb18487b4e755bb1c8e8c7893",
     "episodes.rljson": "ba3632c70b7f0fc2a4fbf2dd62536c4efbaaba5fe1cf832a15298287bc7e2c00",
-    "summary.json": "d657af43d3564fb4071a9bfa48ec34275afcac3eac06fe54322fd1dd69eaa978",
-    "metrics.csv": "a6ab80dbcc6d1ad6024e6a697e93c9ca0aa5ef835185856ff217d62f9d0dc636",
+    "summary.json": "948f1de40d168119d7b9b1fe39592cdb293fb21a4d6c495e41d2fd4e06e07329",
+    "metrics.csv": "e0c4336f13a529794802c9e90ca6f293cc4950e440353bd968f4f3ad2003d8e9",
     "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
     "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
     "routing.rljson": "82680534f9d28649d4fe3ee8ca799322bac9361fdf3bb4573e4cd1d5ffe2fa34",
@@ -114,30 +126,30 @@ GOLDEN_SHA256 = {
     "eval_heuristic.rljson": "dd124ecd9d7f566b16515ef02ba1071d541b28f7a31156db47c310d36db4e6e1",
     "eval_llm.rljson": "4340203f81584766df092bd9caa19000e75092cbd74952da6e7f014d8402b9e1",
     "eval_oracle.rljson": "c4fa4af65477b6fae218457e9a4d6678bc0dab01cf424783a92fe51f26569d53",
-    "eval_r2v.rljson": "731bd22eafcc0f6c7e94cdb1457f93166f150819a733d54f158379e933bddefd",
+    "eval_r2v.rljson": "838463182b087c072264a563c2d8668df1d9bade02f340c445f0f690f899e06e",
     "eval_slm.rljson": "36e5df25d2b3097da171005349085d4d361503e29908b95cb533af37343cdb8d",
-    "router.bin": "980a0072cbe66e7e2f759e99d18ca94350176639a4512209461329876bcb2fee",
-    "router_report.csv": "66f1347abe51938be6aa98183c9fe4101d7f8b9937c867ed2183d5f190ae67a2",
+    "router.bin": "e62eb653b4e6874e9caa73ed5067ac451920e925a0d391c48de9b64594a785c5",
+    "router_report.csv": "83410e7b91bac78014f73c64a2accfa7afda9384384281e5fd2d57f553201cf0",
 }
 
 GOLDEN_ABLATION_SHA256 = {
-    "ablate_features.csv": "e21cda3117389076a7e099d6ffaaded129b46c027594c84e2f5fd0271f61769a",
-    "ablate_cvar.csv": "5fb1b6903992f8e1bbdcf6cdd9657e0a0e1f4942dcce2ecf19cfbebdfceff07b",
+    "ablate_features.csv": "67632286743629c90a522c23959447dc21f152f2ca65c26860d279be94edaeee",
+    "ablate_cvar.csv": "84a8acb1c5ae9dd534ed10ce10e96a416834b038cf641f2ec6dcd8d613d35ca0",
     "eval_r2v_mask_EntropyOnly.rljson":
-        "a351a0c66afaa62644c155a0a5fff22a13a709a7f372403a6f1d551b46550dcf",
-    "eval_r2v_mask_Full.rljson": "731bd22eafcc0f6c7e94cdb1457f93166f150819a733d54f158379e933bddefd",
+        "d2ec49a54bd504e42f33751599b01e6a61b9a321e0648de154bd40828bae40de",
+    "eval_r2v_mask_Full.rljson": "838463182b087c072264a563c2d8668df1d9bade02f340c445f0f690f899e06e",
     "eval_r2v_mask_LogProbOnly.rljson":
-        "7bf6ab1dd8f5c7c1fbb4ac93e702db43d5253d91e0c1d83d88127e7186244ef4",
+        "29914ddab453f7fb00950ab132f3da416f752ee9c23c3cc38076c1d40f8f594f",
     "eval_r2v_mask_NoEntropy.rljson":
-        "e03f81d057d2c295ccb6ecf7a9423d2a599d634ecf28c34c575bbc4898a1b62a",
+        "a1ab63f1b0e1aa4c5905d6928794665982ad157217c129102761f3f6c1385de2",
     "eval_r2v_mask_NoVerifier.rljson":
-        "fc3f7ec1aa0c66a0079d8b3579af64be8c669cd99b4b9e15803ffa69f22de79e",
+        "0eaada40647f09407f2a418a3ce56c6c521ab5005f2484ea3f9b63f2e4e7986d",
     "eval_r2v_mask_PseudoEntropy.rljson":
-        "20611cc8ea7b91c977eb6838ec684c73d6fe6c083f3b05c4b286a447f54effd2",
+        "db967d579a99316836b5f1d17c5939148370b985db6c3f8ac1f2d88f5eb8c6c9",
     "eval_r2v_mask_StepContextOnly.rljson":
-        "13c37924a1a0ff98773d971e7e85e4f7503cda6b81f313df86660e9b1d8b2cb4",
+        "a3344609334b47bb4d8a35f0db84ea9c4c011d6d5bac876ac4f99e76d9db46b4",
     "eval_r2v_mask_VerifierOnly.rljson":
-        "95e627a3056634e60e83d2399b1581721e25e01e6a45d126097de14f2f51acd3",
+        "c4ef696f2d8f7f17dff3afb8f5642c70b8570636a69adbe197dc3f459f35c0ed",
 }
 
 

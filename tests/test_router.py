@@ -183,19 +183,103 @@ class TestGelu:
 
 class TestBatchNormBackward:
     def test_matches_the_two_mean_formula(self):
-        # the textbook form: dxhat = gamma * d, then
+        # the textbook form: xhat = ac / std, dxhat = gamma * d, then
         # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
         rng = seeds.stream("bn-backward")
         for n in (2, 37, 1000):
-            d, xhat = rng.normal(size=(n, 128)), rng.normal(size=(n, 128))
+            d, ac = rng.normal(size=(n, 128)), rng.normal(size=(n, 128))
+            ac -= ac.mean(axis=0)
             std, gamma = 0.1 + rng.random(128), rng.normal(size=128)
-            dxhat = gamma * d
+            xhat, dxhat = ac / std, gamma * d
             want = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
             got = d.copy()
-            dgamma, dbeta = _bn_backward(got, xhat, std, gamma, np.empty_like(d))
+            dgamma, dbeta = _bn_backward(got, ac, std, gamma, np.ones(n), np.empty_like(d))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             np.testing.assert_allclose(dgamma, (d * xhat).sum(axis=0), rtol=1e-12, atol=0)
             np.testing.assert_allclose(dbeta, d.sum(axis=0), rtol=1e-12, atol=0)
+
+
+_C, _A = math.sqrt(2.0 / math.pi), 0.044715
+
+
+def _textbook_step(p, x, m1, m2, dlogit):
+    """Train-mode forward and backward with per-row batch norm as Ioffe &
+    Szegedy (2015) write it: (logit, batch means, batch variances, grads).
+
+    It runs in long double, so that its own rounding (dw1 = x^T da sums rows
+    of offsets near 1e3 against a da that sums to zero) stays far below the
+    tolerance the float64 step is held to."""
+    p = {k: v.astype(np.longdouble) for k, v in p.items()}
+    x, dlogit = x.astype(np.longdouble), dlogit.astype(np.longdouble)
+    grads, stats, saved, h = {}, {}, [], x
+    for i, mask in (("1", m1), ("2", m2)):
+        a = h @ p["w" + i]
+        mu = a.mean(axis=0)
+        var = ((a - mu) ** 2).mean(axis=0)
+        std = np.sqrt(var + router.BN_EPS)
+        xhat = (a - mu) / std
+        z = p["g" + i] * xhat + p["be" + i]
+        saved.append((h, xhat, std, z, mask))
+        stats["mu" + i], stats["var" + i] = mu, var
+        h = 0.5 * z * (1.0 + np.tanh(_C * (z + _A * z**3))) * mask
+    logit = h @ p["w3"][:, 0] + p["b3"][0]
+    grads["w3"], grads["b3"] = h.T @ dlogit[:, None], np.array([dlogit.sum()])
+    dh = dlogit[:, None] * p["w3"][:, 0]
+    for i, (h_in, xhat, std, z, mask) in zip(("2", "1"), saved[::-1]):
+        t = np.tanh(_C * (z + _A * z**3))
+        dz = dh * mask * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * _C * (1.0 + 3.0 * _A * z * z))
+        grads["g" + i], grads["be" + i] = (dz * xhat).sum(axis=0), dz.sum(axis=0)
+        dxhat = dz * p["g" + i]
+        da = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+        grads["w" + i] = h_in.T @ da
+        dh = da @ p["w" + i].T
+    return logit, stats, grads
+
+
+class TestTrainModeOracle:
+    """In float64, the train-mode step, layer 1 normalized from the moments
+    of its input, equals the textbook per-row batch norm.
+
+    Each array is held to 1e-10 of its largest entry. Elementwise, an entry
+    of dw1 far smaller than its array carries the rounding of the large
+    input columns: against the long-double textbook the float64 per-row form
+    itself errs by 2.4e-8 there, and the moment form by 2.7e-9."""
+
+    @staticmethod
+    def assert_close(got, want, name):
+        want = np.asarray(want, dtype=float)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
+
+    def test_matches_textbook_batch_norm(self):
+        rng = seeds.stream("bn-oracle")
+        net = RouterNet.init(rng)
+        for k in ("g1", "be1", "g2", "be2", "b3"):  # away from the identity batch norm
+            net.params[k] = net.params[k] + 0.5 * rng.normal(size=net.params[k].shape)
+        n = 300
+        offsets = 1e3 * (1.0 + 0.1 * rng.normal(size=15))
+        x = offsets + np.logspace(-2, 3, 15) * rng.normal(size=(n, 15))
+        keep = rng.random((n, 192)) >= 0.2
+        m1, m2 = keep[:, :128] / 0.8, keep[:, 128:] / 0.8
+        dlogit = rng.normal(size=n)
+        logit, stats, want = _textbook_step(net.params, x, m1, m2, dlogit)
+
+        got_logit, cache = logits_train(net, x, (m1, m2))
+        self.assert_close(got_logit, logit, "logit")
+        got = router.backward(net, cache, dlogit)
+        assert list(got) == ["w3", "b3", "g2", "be2", "w2", "g1", "be1", "w1"]
+        for k, g in want.items():
+            self.assert_close(got[k], g, k)
+
+        before = {k: 1.0 + rng.random(128 if k.endswith("1") else 64) for k in
+                  ("run_mean1", "run_var1", "run_mean2", "run_var2")}
+        for k, v in before.items():
+            setattr(net, k, v.copy())
+        update_running_stats(net, cache)
+        m = router.BN_MOMENTUM
+        for i in ("1", "2"):
+            for run, batch in (("run_mean", "mu"), ("run_var", "var")):
+                self.assert_close(getattr(net, run + i),
+                                  (1 - m) * before[run + i] + m * stats[batch + i], run + i)
 
 
 class TestLosses:
@@ -402,11 +486,30 @@ class TestStepBuffers:
 
     def test_masks_match_two_separate_draws(self):
         net = RouterNet.init(seeds.stream("buffers-net"))
-        m1, m2 = make_dropout_masks(net, 50, seeds.stream("buffers-draw"), StepBuffers())
+        n = 2000  # enough draws that some equal the cut, which keeps its unit
+        m1, m2 = make_dropout_masks(net, n, seeds.stream("buffers-draw"), StepBuffers())
         rng = seeds.stream("buffers-draw")
-        keep = 1.0 - net.dropout
-        assert np.array_equal(m1, (rng.random((50, 128)) >= net.dropout) / keep)
-        assert np.array_equal(m2, (rng.random((50, 64)) >= net.dropout) / keep)
+        cut, keep = round(net.dropout * 2**16), 1.0 - net.dropout
+        for m, width in ((m1, 128), (m2, 64)):
+            draw = rng.integers(0, 1 << 16, n * width, dtype=np.uint16).reshape(n, width)
+            assert (draw == cut).any()
+            assert np.array_equal(m, (draw >= cut) / keep)
+
+    def test_rate_zero_keeps_every_unit(self):
+        net = replace(RouterNet.init(seeds.stream("buffers-net")), dropout=0.0)
+        m1, m2 = make_dropout_masks(net, 30, seeds.stream("buffers-draw"), StepBuffers(np.float32))
+        assert m1.dtype == m2.dtype == np.float32
+        assert (m1 == 1.0).all() and (m2 == 1.0).all()
+
+    @pytest.mark.parametrize("rate", [0.05, 0.2, 0.5])
+    def test_keep_fraction_near_one_minus_rate(self, rate):
+        net = replace(RouterNet.init(seeds.stream("buffers-net")), dropout=rate)
+        n = 2000
+        m1, m2 = make_dropout_masks(net, n, seeds.stream("buffers-keep"), StepBuffers(np.float32))
+        kept = np.concatenate([m1.ravel(), m2.ravel()])
+        assert set(np.unique(kept)) == {0.0, np.float32(1.0 / (1.0 - rate))}
+        sigma = math.sqrt(rate * (1.0 - rate) / kept.size)
+        assert abs(np.mean(kept > 0) - (1.0 - rate)) <= 5.0 * sigma
 
     def test_train_router_memory_bounded_by_chunk(self):
         # 2,000 rows in chunks of at most 249: buffers sized by the data set
@@ -473,7 +576,7 @@ class TestTrainPrecision:
             out = batch_objective(net, x, y, seed_index, n_seeds, costs, cv, lam, masks,
                                   buffers=buffers)
             seen.append({x.dtype, *(m.dtype for m in masks),
-                         *(out["cache"][k].dtype for k in ("xhat1", "z1", "s1", "h1", "h2")),
+                         *(out["cache"][k].dtype for k in ("xc", "z1", "s1", "h1", "a2", "h2")),
                          *(g.dtype for g in out["grads"].values())})
             return out
 

@@ -4,11 +4,12 @@ files.
 
 All containers are immutable value objects after construction and can be
 shared read-only across parallel workers. Episodes, routing seeds and
-preference pairs serialize to line-delimited JSON ("rljson": a header line,
-then one self-describing record per line, its per-step values in columns) so
-datasets stream and diff cleanly. A fixed-width float column is one base64
-string of little-endian float64 bytes (`pack_floats`), which keeps every bit
-and writes in a fraction of the time and bytes decimal text takes.
+preference pairs serialize to line-delimited JSON ("rljson": a header line
+naming the record `schema`, then one record per line holding each fact
+once, its per-step values in columns) so datasets stream and diff cleanly.
+A fixed-width float column is one base64 string of little-endian float64
+bytes (`pack_floats`), which keeps every bit and writes in a fraction of
+the time and bytes decimal text takes.
 
 An episode in memory is the columns of its record, its float columns
 read-only float64 arrays, so encoding and decoding it packs and unpacks
@@ -27,15 +28,16 @@ import os
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 PERTURBATION_FAMILIES = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 
-EPISODE_SCHEMA = "episode@4"
-ROUTING_SCHEMA = "routing-seed@2"
+EPISODE_SCHEMA = "episode@5"
+ROUTING_SCHEMA = "routing-seed@3"
+PAIRS_SCHEMA = "pairs@2"
 SPLITS = ("train", "valid", "test")
 # where a preference pair's ranking came from
 SOURCE_VERIFIER = "VerifierRanked"
@@ -165,26 +167,26 @@ StepView = namedtuple("StepView", ("context", "candidates", "verifier_scores", "
 @dataclass(frozen=True, eq=False)
 class PerturbedEpisode:
     """One rollout under a perturbation seed with a binary outcome, its steps
-    held as the columns of its `episode@4` record.
+    held as the columns of its `episode@5` record.
 
     Step t saw `observations[t]`, after the goal and the actions before it;
     it weighed `candidates[t]`, whose log-probs and verifier scores are
     `candidate_logps[a:b]` and `verifier_scores[a:b]` for (a, b) =
     `offsets[t:t + 2]`; it ran `actions[t]` on `executors[t]`. `features` is
-    one (T, 15) row per step, or None (teacher steps); `router_probs`,
-    `decisions` and `budget_remaining` hold None on steps that no router,
-    rule or budget saw. The float columns are read-only float64 copies.
+    one (T, 15) row per step, or None (teacher steps); `router_probs` and
+    `decisions` hold None on steps that no router or rule saw. `llm_calls`
+    and each step's budget left are counted from `executors` and
+    `budget_limit`. The float columns are read-only float64 copies.
     Construction checks whole columns once: equal lengths, one log-prob and
     one score per candidate, scores and router probabilities in [0, 1],
-    executors, the `llm_calls` recount and the budget. Contexts are derived
-    from the columns, so they always chain. Two episodes are equal when
-    their records are, so packed floats compare bit for bit.
+    executors and the budget. Contexts are derived from the columns, so they
+    always chain. Two episodes are equal when their records are, so packed
+    floats compare bit for bit.
     """
 
     task_id: int
     seed: PerturbationSeed
     success: bool
-    llm_calls: int
     budget_limit: int | None
     kind: str
     goal: tuple[int, ...]
@@ -197,7 +199,6 @@ class PerturbedEpisode:
     features: np.ndarray | None
     router_probs: tuple[float | None, ...]
     decisions: tuple[bool | None, ...]
-    budget_remaining: tuple[int | None, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -209,8 +210,7 @@ class PerturbedEpisode:
         object.__setattr__(self, "offsets", (0, *accumulate(map(len, self.candidates))))
         n, k, scores = len(self.actions), self.offsets[-1], self.verifier_scores
         if any(len(column) != n for column in (self.observations, self.executors, self.candidates,
-                                               self.router_probs, self.decisions,
-                                               self.budget_remaining)):
+                                               self.router_probs, self.decisions)):
             raise ValueError("episode step columns differ in length")
         if self.candidate_logps.shape != (k,) or scores.shape != (k,):
             raise ValueError(f"{k} candidates need as many log-probs and verifier scores, got "
@@ -224,11 +224,6 @@ class PerturbedEpisode:
             raise ValueError("executor must be 'SLM' or 'LLM'")
         if any(p is not None and not 0.0 <= p <= 1.0 for p in self.router_probs):
             raise ValueError("router probability must lie in [0, 1]")
-        recount = self.executors.count("LLM")
-        if recount != self.llm_calls:
-            raise ValueError(
-                f"llm_calls={self.llm_calls} but {recount} steps ran on the LLM"
-            )
         if self.budget_limit is not None and self.llm_calls > self.budget_limit:
             raise ValueError("llm_calls exceeds the budget limit")
 
@@ -236,6 +231,11 @@ class PerturbedEpisode:
         if not isinstance(other, PerturbedEpisode):
             return NotImplemented
         return episode_to_dict(self) == episode_to_dict(other)
+
+    @property
+    def llm_calls(self) -> int:
+        """The number of steps the LLM ran."""
+        return self.executors.count("LLM")
 
     def contexts(self) -> list[Context]:
         """Each step's context: the goal, the step's observation, the actions
@@ -251,12 +251,14 @@ class PerturbedEpisode:
         """The steps as `StepView`s, built from the columns on every read."""
         logps, scores = self.candidate_logps.tolist(), self.verifier_scores.tolist()
         bounds = list(zip(self.offsets, self.offsets[1:]))
-        features = ([None] * len(self.actions) if self.features is None
-                    else map(tuple, self.features.tolist()))
+        n = len(self.actions)
+        features = [None] * n if self.features is None else map(tuple, self.features.tolist())
+        left = [None] * n if self.budget_limit is None else [
+            self.budget_limit - used for used in accumulate(e == "LLM" for e in self.executors)]
         return tuple(map(StepView, self.contexts(),
                          [tuple(zip(c, logps[a:b])) for c, (a, b) in zip(self.candidates, bounds)],
                          [tuple(scores[a:b]) for a, b in bounds], self.actions, self.executors,
-                         features, self.router_probs, self.decisions, self.budget_remaining))
+                         features, self.router_probs, self.decisions, left))
 
 
 @dataclass(frozen=True)
@@ -386,6 +388,11 @@ def derive_splits(
 
 # --- serialization -----------------------------------------------------------
 
+def _require_types(what: str, values, *types) -> None:
+    """Raise ValueError unless each value's type is one of `types` (a bool is no int)."""
+    if not set(types).issuperset(map(type, values)):
+        raise ValueError(f"{what} must be " + " or ".join(t.__name__ for t in types))
+
 
 def _context_to_dict(ctx: Context) -> dict:
     return {
@@ -397,11 +404,13 @@ def _context_to_dict(ctx: Context) -> dict:
 
 
 def _context_from_dict(d: dict) -> Context:
+    _require_types("a context token, action or count",
+                   chain(d["goal"], d["observation"], d["actions"], (d["tokens_seen"],)), int)
     return Context(
         goal=tuple(d["goal"]),
         observation=tuple(d["observation"]),
         actions=tuple(d["actions"]),
-        tokens_seen=int(d["tokens_seen"]),
+        tokens_seen=d["tokens_seen"],
     )
 
 
@@ -440,11 +449,9 @@ def episode_to_dict(episode: PerturbedEpisode) -> dict:
     little-endian float64 and must be finite.
     """
     return {
-        "schema": EPISODE_SCHEMA,
         "task_id": episode.task_id,
         "z": episode.seed.z,
         "success": episode.success,
-        "llm_calls": episode.llm_calls,
         "budget_limit": episode.budget_limit,
         "kind": episode.kind,
         "goal": episode.goal,
@@ -457,34 +464,37 @@ def episode_to_dict(episode: PerturbedEpisode) -> dict:
         "features": None if episode.features is None else pack_floats(episode.features),
         "router_probs": episode.router_probs,
         "decisions": episode.decisions,
-        "budget_remaining": episode.budget_remaining,
     }
 
 
 def episode_from_dict(d: dict) -> PerturbedEpisode:
-    if d.get("schema") != EPISODE_SCHEMA:
-        raise RecordFormatError(f"unexpected episode schema {d.get('schema')!r}")
-    candidates = tuple(tuple(map(int, cands)) for cands in d["candidates"])
+    """The episode of one record, each value of the JSON type its writer wrote."""
+    observations = tuple(map(tuple, d["observations"]))
+    candidates = tuple(map(tuple, d["candidates"]))
+    _require_types("an id, token, action or candidate", chain(
+        (d["task_id"], d["z"]), d["goal"], d["actions"], *observations, *candidates), int)
+    _require_types("success", (d["success"],), bool)
+    _require_types("budget_limit", (d["budget_limit"],), int, type(None))
+    _require_types("a decision", d["decisions"], bool, type(None))
+    _require_types("a router probability", d["router_probs"], float, int, type(None))
     n_candidates = sum(map(len, candidates))
     return PerturbedEpisode(
-        task_id=int(d["task_id"]),
-        seed=PerturbationSeed(int(d["z"])),
-        success=bool(d["success"]),
-        llm_calls=int(d["llm_calls"]),
-        budget_limit=None if d["budget_limit"] is None else int(d["budget_limit"]),
+        task_id=d["task_id"],
+        seed=PerturbationSeed(d["z"]),
+        success=d["success"],
+        budget_limit=d["budget_limit"],
         kind=d["kind"],
         goal=tuple(d["goal"]),
-        observations=tuple(map(tuple, d["observations"])),
-        actions=tuple(map(int, d["actions"])),
+        observations=observations,
+        actions=tuple(d["actions"]),
         executors=tuple(d["executors"]),
         candidates=candidates,
         candidate_logps=unpack_floats(d["candidate_logps"], n_candidates),
         verifier_scores=unpack_floats(d["verifier_scores"], n_candidates),
         features=(None if d["features"] is None else unpack_floats(
             d["features"], FEATURE_DIM * len(d["actions"])).reshape(-1, FEATURE_DIM)),
-        router_probs=tuple(None if p is None else float(p) for p in d["router_probs"]),
+        router_probs=tuple(d["router_probs"]),
         decisions=tuple(d["decisions"]),
-        budget_remaining=tuple(d["budget_remaining"]),
     )
 
 
@@ -500,16 +510,15 @@ def routing_record(seed_id: int, split: str, episode: PerturbedEpisode) -> dict:
     correctness)."""
     if episode.features is None:
         raise ValueError("a routing seed needs an episode whose steps hold features")
-    return {"schema": ROUTING_SCHEMA, "seed_id": seed_id, "split": split,
+    return {"seed_id": seed_id, "split": split,
             "label": 0 if episode.success else 1,
             "features": pack_floats(episode.features)}
 
 
 def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
     """The rows of one routing-seed record, in step order."""
-    if d.get("schema") != ROUTING_SCHEMA:
-        raise RecordFormatError(f"unexpected routing schema {d.get('schema')!r}")
-    seed_id, label, split = int(d["seed_id"]), int(d["label"]), d["split"]
+    seed_id, label, split = d["seed_id"], d["label"], d["split"]
+    _require_types("seed_id and label", (seed_id, label), int)
     # a block that is not whole rows is refused against its nearest row count
     rows = unpack_floats(d["features"], FEATURE_DIM * round(len(d["features"]) / _ROW_CHARS))
     return [RoutingExample(tuple(features), label, seed_id, split)
@@ -528,8 +537,9 @@ def pair_records(pairs, views) -> list[dict]:
 def pair_record_from_dict(rec: dict) -> PreferencePair | tuple[Context, Context]:
     """A preference pair from a "pair" record, a view from a "cons" record."""
     if rec["kind"] == "pair":
-        return PreferencePair(_context_from_dict(rec["context"]), int(rec["a_plus"]),
-                              int(rec["a_minus"]), rec["source"])
+        _require_types("a_plus and a_minus", (rec["a_plus"], rec["a_minus"]), int)
+        return PreferencePair(_context_from_dict(rec["context"]), rec["a_plus"],
+                              rec["a_minus"], rec["source"])
     if rec["kind"] == "cons":
         return _context_from_dict(rec["context_a"]), _context_from_dict(rec["context_b"])
     raise ValueError(f"unknown pair record kind {rec['kind']!r}")
@@ -638,15 +648,20 @@ def write_rljson(path, records, header: dict) -> None:
             fh.write(_json_line(rec))
 
 
-def read_rljson(path):
-    """Yield (byte_offset, dict) per record; the header line is not yielded.
+def read_rljson(path, schema: str):
+    """Yield (byte_offset, dict) per record; the header line, which must name
+    the record format `schema`, is not yielded.
 
-    A malformed line raises RecordFormatError at its offset, and so does a
-    record count that differs from the header's `count`.
+    Another header schema, a malformed line and a record count that differs
+    from the header's `count` raise RecordFormatError at their offset.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
-        count = _parse(first, 0, path).get("count")
+        header = _parse(first, 0, path)
+        if header.get("schema") != schema:
+            raise RecordFormatError(f"{path}: header schema is {header.get('schema')!r}, "
+                                    f"not {schema}")
+        count = header.get("count")
         offset, seen = len(first), 0
         for raw in fh:
             line = raw.rstrip(b"\n")
@@ -659,11 +674,11 @@ def read_rljson(path):
                                 offset)
 
 
-def decode_records(path, decode) -> list:
-    """`decode` applied to every record of an rljson file; a record it
-    rejects raises RecordFormatError at that record's offset."""
+def decode_records(path, schema: str, decode) -> list:
+    """`decode` applied to every `schema` record of an rljson file; a record
+    it rejects raises RecordFormatError at that record's offset."""
     out = []
-    for offset, rec in read_rljson(path):
+    for offset, rec in read_rljson(path, schema):
         try:
             out.append(decode(rec))
         except (KeyError, TypeError, ValueError) as exc:

@@ -21,6 +21,9 @@ import numpy as np
 
 from .distill import DistillConfig, build_preferences, train_recovery
 from .domain import (
+    EPISODE_SCHEMA,
+    PAIRS_SCHEMA,
+    ROUTING_SCHEMA,
     ConfigError,
     CostSpec,
     CVaRSpec,
@@ -61,8 +64,6 @@ from .runtime import (
 from .verifier import VerifierSpec
 
 ENV_PREFIX = "STEPROUTER_"
-PAIRS_SCHEMA = "pairs@2"
-EPISODES_SCHEMA = "episodes@2"
 
 DEFAULT_CONFIG: dict = {
     "env": {
@@ -529,12 +530,12 @@ def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
                                         cfg["policy"]["pert_seeds_per_task"])
     out = artifact_path(workdir, "collect")
     write_rljson(out, [episode_to_dict(ep) for ep in pool],
-                 {"schema": EPISODES_SCHEMA, "stage": "collect", **_stamp(cfg, "collect")})
+                 {"schema": EPISODE_SCHEMA, "stage": "collect", **_stamp(cfg, "collect")})
     return out
 
 
 def load_episodes(path: Path):
-    return decode_records(path, episode_from_dict)
+    return decode_records(path, EPISODE_SCHEMA, episode_from_dict)
 
 
 def stage_train_bc(cfg: dict, workdir: Path) -> Path:
@@ -579,9 +580,7 @@ def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
 
 
 def load_pairs(path: Path):
-    if read_header(path).get("schema") != PAIRS_SCHEMA:
-        raise RecordFormatError(f"{path}: not a {PAIRS_SCHEMA} file")
-    records = decode_records(path, pair_record_from_dict)
+    records = decode_records(path, PAIRS_SCHEMA, pair_record_from_dict)
     return ([r for r in records if isinstance(r, PreferencePair)],
             [r for r in records if isinstance(r, tuple)])
 
@@ -639,13 +638,14 @@ def stage_collect_routing(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     results = _parallel_map(_routing_job, jobs, workers)
     records = [rec for block in results for rec in block]
     out = artifact_path(workdir, "collect-routing")
-    write_rljson(out, records, {"schema": "routing@2", "stage": "collect-routing",
+    write_rljson(out, records, {"schema": ROUTING_SCHEMA, "stage": "collect-routing",
                                 **_stamp(cfg, "collect-routing")})
     return out
 
 
 def load_routing_examples(path: Path):
-    return [ex for rows in decode_records(path, routing_seed_from_dict) for ex in rows]
+    return [ex for rows in decode_records(path, ROUTING_SCHEMA, routing_seed_from_dict)
+            for ex in rows]
 
 
 def load_router_rows(path: Path) -> tuple[tuple, tuple]:
@@ -782,7 +782,7 @@ def _roll_out_files(workdir: Path, rollouts, slm_episodes=None):
     rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies)
     for (sub, variant, out), episodes in zip(rollouts, rolled):
         write_rljson(out, [episode_to_dict(ep) for ep in episodes],
-                     {"schema": EPISODES_SCHEMA, "stage": "rollout", "variant": variant,
+                     {"schema": EPISODE_SCHEMA, "stage": "rollout", "variant": variant,
                       **_stamp(sub, f"rollout:{variant}")})
     return rolled
 

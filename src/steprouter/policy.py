@@ -246,11 +246,10 @@ def run_teacher_episode(
             break
     n = len(actions)
     return PerturbedEpisode(
-        task_id=task_id, seed=seed, success=success, llm_calls=n, budget_limit=None, kind=kind,
+        task_id=task_id, seed=seed, success=success, budget_limit=None, kind=kind,
         goal=ctx.goal, observations=tuple(observations), actions=tuple(actions),
         executors=("LLM",) * n, candidates=((),) * n, candidate_logps=(), verifier_scores=(),
-        features=None, router_probs=(None,) * n, decisions=(None,) * n,
-        budget_remaining=(None,) * n)
+        features=None, router_probs=(None,) * n, decisions=(None,) * n)
 
 
 def collect_teacher_trajectories(

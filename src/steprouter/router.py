@@ -428,19 +428,17 @@ def update_running_stats(net: RouterNet, cache: dict) -> None:
 
 
 def route_surrogate(p, y, costs: CostSpec):
-    """Cost surrogate c_slm*(1-p) + c_llm*p + kappa*y*(1-p); accepts arrays."""
+    """Cost surrogate c_slm*(1-p) + c_llm*p + kappa*y*(1-p), elementwise."""
     p = np.asarray(p, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = costs.c_slm * (1.0 - p) + costs.c_llm * p + costs.kappa * y * (1.0 - p)
-    return float(out) if out.ndim == 0 else out
+    return costs.c_slm * (1.0 - p) + costs.c_llm * p + costs.kappa * y * (1.0 - p)
 
 
 def brier(p, y):
     """Squared error between predicted probability and binary label."""
     p = np.asarray(p, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = (p - y) ** 2
-    return float(out) if out.ndim == 0 else out
+    return (p - y) ** 2
 
 
 def brier_mean(p, y) -> float:

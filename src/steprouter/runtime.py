@@ -215,13 +215,13 @@ class StepTree:
 
 
 class _Run:
-    """One episode in progress: its node, budget, streams, the number of
-    steps its cand and verif streams have `drawn` for, and its steps so far,
-    each one row of its step columns in `PerturbedEpisode` field order
-    (observation, action, executor, candidate actions, the node's log-prob,
-    score and feature rows, router probability, decision, budget left)."""
+    """One episode in progress: its node, the budget it has left, streams,
+    the number of steps its cand and verif streams have `drawn` for, and its
+    steps so far, each one row of its step columns in `PerturbedEpisode`
+    field order (observation, action, executor, candidate actions, the
+    node's log-prob, score and feature rows, router probability, decision)."""
 
-    __slots__ = ("task_id", "seed", "goal", "node", "remaining", "rows", "llm_calls",
+    __slots__ = ("task_id", "seed", "goal", "node", "remaining", "rows",
                  "rng_cand", "rng_ver", "rng_teach", "drawn")
 
     def __init__(self, task_id: int, seed: PerturbationSeed, node: _Node, budget):
@@ -231,18 +231,17 @@ class _Run:
         self.node = node
         self.remaining = budget
         self.rows = []
-        self.llm_calls = 0
         self.rng_cand = self.rng_ver = self.rng_teach = None
         self.drawn = 0
 
     def episode(self, routing: RoutingPolicy) -> PerturbedEpisode:
         """The finished episode: its rows, handed over, turned into columns."""
         rows, self.rows = self.rows, None
-        obs, actions, executors, cands, logps, scores, features, probs, decisions, left = zip(*rows)
-        return PerturbedEpisode(self.task_id, self.seed, self.node.success, self.llm_calls,
-                                routing.budget_limit, routing.variant, self.goal, obs, actions,
-                                executors, cands, np.concatenate(logps), np.concatenate(scores),
-                                np.stack(features), probs, decisions, left)
+        obs, actions, executors, cands, logps, scores, features, probs, decisions = zip(*rows)
+        return PerturbedEpisode(self.task_id, self.seed, self.node.success, routing.budget_limit,
+                                routing.variant, self.goal, obs, actions, executors, cands,
+                                np.concatenate(logps), np.concatenate(scores),
+                                np.stack(features), probs, decisions)
 
 
 def run_episodes(
@@ -315,14 +314,13 @@ def run_episodes(
                     run.rng_teach = seeds.stream(base, "escalate", run.task_id, run.seed.z, salt)
                 action = teacher.act(env, node.state, run.rng_teach)
                 executor = "LLM"
-                run.llm_calls += 1
                 if run.remaining is not None:
                     run.remaining -= 1
             else:
                 action = node.slm_action
                 executor = "SLM"
             run.rows.append((node.ctx.observation, action, executor, node.candidates, node.logps,
-                             node.scores, node.f_raw, p, decision, run.remaining))
+                             node.scores, node.f_raw, p, decision))
             run.node = node.child(env, action, run.seed, t)
         active = [run for run in active if not run.node.terminal]
     return [run.episode(routing) for run in runs]

@@ -14,7 +14,7 @@ import pytest
 from steprouter import pipeline, seeds, theory
 from steprouter.cli import EXIT_OK, EXIT_STAGE_ORDER, main
 from steprouter.distill import DistillConfig, build_preferences, train_recovery
-from steprouter.domain import EnvConfig, routing_record, write_rljson
+from steprouter.domain import ROUTING_SCHEMA, EnvConfig, routing_record, write_rljson
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
     PolicyFeaturizer,
@@ -105,7 +105,7 @@ class TestCriterion09PipelineInvariants:
                     for t, z in routing_grid(env, range(8), 6, "routing")]
         path = tmp_path / "routing.rljson"
         write_rljson(path, [routing_record(i, "train", ep) for i, ep in enumerate(episodes)],
-                     {"schema": "routing@2"})
+                     {"schema": ROUTING_SCHEMA})
         examples = pipeline.load_routing_examples(path)
         ok = all(ep.llm_calls == 0 for ep in episodes)
         for seed_id, ep in enumerate(episodes):

@@ -16,7 +16,7 @@ import pytest
 
 from steprouter import pipeline, theory
 from steprouter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE_ORDER, main
-from steprouter.domain import ConfigError
+from steprouter.domain import EPISODE_SCHEMA, PAIRS_SCHEMA, ROUTING_SCHEMA, ConfigError
 from steprouter.router import RouterNet
 
 TINY = [
@@ -342,13 +342,13 @@ def _drop_record_key(key):
     return _edit_record(lambda rec: True, lambda rec: rec.pop(key))
 
 
-def _retag(schema: str, earlier: str):
-    """Every record tagged with an earlier record schema, header untouched."""
-    def corrupt(data: bytes) -> bytes:
-        header, rest = data.split(b"\n", 1)
-        return header + b"\n" + rest.replace(f'"schema":"{schema}"'.encode(),
-                                              f'"schema":"{earlier}"'.encode())
-    return corrupt
+def _retype(entries, retype):
+    """Replace the first of the list `entries(rec)` with `retype` of it, in
+    the first record where that list is not empty."""
+    def edit(rec):
+        column = entries(rec)
+        column[0] = retype(column[0])
+    return _edit_record(lambda rec: bool(entries(rec)), edit)
 
 
 def _edit_block(key, edit, split=None):
@@ -407,11 +407,38 @@ BAD_ARTIFACTS = {
     "pair-unknown-kind": ("pairs.rljson",
                           _edit_record(_is_pair, lambda rec: rec.update(kind="pari")),
                           ("distill",)),
-    # an earlier record format is named as such, never read as the present one
-    "eval_slm-episode@1": ("eval_slm.rljson", _retag("episode@4", "episode@1"), ("evaluate",)),
-    "eval_slm-episode@3": ("eval_slm.rljson", _retag("episode@4", "episode@3"), ("evaluate",)),
-    "routing-seed@1": ("routing.rljson", _retag("routing-seed@2", "routing-seed@1"),
+    # the header names the record format: an earlier format, the file-level
+    # name an earlier header used or another kind of record is refused, never
+    # read as the present one
+    "eval_slm-episode@1": ("eval_slm.rljson", _set_header_field("schema", "episode@1"),
+                           ("evaluate",)),
+    "eval_slm-episode@3": ("eval_slm.rljson", _set_header_field("schema", "episode@3"),
+                           ("evaluate",)),
+    "eval_slm-episodes@2": ("eval_slm.rljson", _set_header_field("schema", "episodes@2"),
+                            ("evaluate",)),
+    "routing-seed@1": ("routing.rljson", _set_header_field("schema", "routing-seed@1"),
                        ("train-router",)),
+    "routing-routing@2": ("routing.rljson", _set_header_field("schema", "routing@2"),
+                          ("train-router",)),
+    "episodes-header-routing": ("episodes.rljson", _set_header_field("schema", ROUTING_SCHEMA),
+                                ("train-bc",)),
+    "eval_slm-header-pairs": ("eval_slm.rljson", _set_header_field("schema", PAIRS_SCHEMA),
+                              ("evaluate",)),
+    "pairs-header-episode": ("pairs.rljson", _set_header_field("schema", EPISODE_SCHEMA),
+                             ("distill",)),
+    "routing-header-episode": ("routing.rljson", _set_header_field("schema", EPISODE_SCHEMA),
+                               ("train-router",)),
+    # a record value is taken as written, never coerced to its column's type
+    "episodes-observation-token-str": ("episodes.rljson",
+                                       _retype(lambda rec: rec["observations"][0], str),
+                                       ("train-bc",)),
+    "episodes-action-true": ("episodes.rljson", _retype(lambda rec: rec["actions"],
+                                                        lambda a: True), ("train-bc",)),
+    "pairs-observation-token-str": ("pairs.rljson",
+                                    _retype(lambda rec: rec["context"]["observation"]
+                                            if _is_pair(rec) else [], str), ("distill",)),
+    "eval_slm-decision-maybe": ("eval_slm.rljson", _retype(lambda rec: rec["decisions"],
+                                                           lambda d: "maybe"), ("evaluate",)),
     # a packed float column must be base64 of exactly the floats its record
     # promises, each finite
     "routing-features-not-base64": ("routing.rljson",
@@ -436,8 +463,6 @@ BAD_ARTIFACTS = {
     "eval_slm-no-decision": ("eval_slm.rljson", _drop_record_key("decisions"), ("evaluate",)),
     "eval_slm-no-kind": ("eval_slm.rljson", _drop_record_key("kind"), ("evaluate",)),
     "episodes-no-kind": ("episodes.rljson", _drop_record_key("kind"), ("train-bc",)),
-    "episodes-no-budget_remaining": ("episodes.rljson", _drop_record_key("budget_remaining"),
-                                     ("train-bc",)),
     "routing-no-split": ("routing.rljson", _drop_record_key("split"), ("train-router",)),
     "routing-split-typo": ("routing.rljson",
                            _edit_record(lambda rec: True, lambda rec: rec.update(split="tarin")),

@@ -1,4 +1,5 @@
 import base64
+import json
 import re
 import struct
 from dataclasses import fields, is_dataclass, replace
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steprouter.domain import (
+    EPISODE_SCHEMA,
+    ROUTING_SCHEMA,
     Context,
     CostSpec,
     CVaRSpec,
     EnvConfig,
     PerturbationSeed,
     PerturbedEpisode,
+    PreferencePair,
     RecordFormatError,
     RoutingExample,
     StepView,
@@ -22,6 +26,8 @@ from steprouter.domain import (
     episode_from_dict,
     episode_to_dict,
     pack_floats,
+    pair_record_from_dict,
+    pair_records,
     read_arrays,
     read_header,
     read_rljson,
@@ -51,7 +57,6 @@ def make_episode(n_steps=3, success=True, llm_steps=(1,), budget=None):
         task_id=3,
         seed=PerturbationSeed(987654321),
         success=success,
-        llm_calls=len(llm_steps),
         budget_limit=budget,
         kind="r2v",
         goal=(35, 36, 40),
@@ -64,19 +69,16 @@ def make_episode(n_steps=3, success=True, llm_steps=(1,), budget=None):
         features=np.tile(np.arange(15) / 20, (n_steps, 1)),
         router_probs=(0.25,) * n_steps,
         decisions=tuple(t in llm_steps for t in range(n_steps)),
-        budget_remaining=(None,) * n_steps,
     )
 
 
 def teacher_episode(n_steps=2):
     """A demonstration: every step on the LLM, no candidates, no routing state."""
     return PerturbedEpisode(
-        task_id=0, seed=PerturbationSeed(1), success=True, llm_calls=n_steps,
-        budget_limit=None, kind="exp", goal=(35,), observations=((4,),) * n_steps,
+        task_id=0, seed=PerturbationSeed(1), success=True, budget_limit=None, kind="exp", goal=(35,), observations=((4,),) * n_steps,
         actions=(2,) * n_steps, executors=("LLM",) * n_steps, candidates=((),) * n_steps,
         candidate_logps=(), verifier_scores=(), features=None,
-        router_probs=(None,) * n_steps, decisions=(None,) * n_steps,
-        budget_remaining=(None,) * n_steps)
+        router_probs=(None,) * n_steps, decisions=(None,) * n_steps)
 
 
 class TestSplits:
@@ -116,7 +118,8 @@ class TestSplits:
         assert all_ids == list(range(23))
 
 
-HEADER = {"schema": "episodes@2", "stage": "test"}
+HEADER = {"schema": EPISODE_SCHEMA, "stage": "test"}
+ROUTING_HEADER = {"schema": ROUTING_SCHEMA, "stage": "test"}
 
 
 def line_start(data: bytes, n: int) -> int:
@@ -131,7 +134,7 @@ def round_trip(episodes, path):
     """Episodes through the artifact path: to_dict, write_rljson, read_rljson,
     from_dict."""
     write_rljson(path, [episode_to_dict(ep) for ep in episodes], HEADER)
-    return [episode_from_dict(rec) for _, rec in read_rljson(path)]
+    return [episode_from_dict(rec) for _, rec in read_rljson(path, EPISODE_SCHEMA)]
 
 
 class TestSerialization:
@@ -162,13 +165,22 @@ class TestSerialization:
 
     def test_garbage_is_rejected(self, tmp_path):
         path = tmp_path / "eps.rljson"
-        write_rljson(path, [episode_to_dict(make_episode()),
-                            {"schema": "episode@4", "task_id": 1}], HEADER)
+        write_rljson(path, [episode_to_dict(make_episode()), {"task_id": 1}], HEADER)
         with pytest.raises(RecordFormatError) as err:
             load_episodes(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
-        with pytest.raises(RecordFormatError):
-            episode_from_dict({**episode_to_dict(make_episode()), "schema": "other@1"})
+
+    @pytest.mark.parametrize("schema", ["episodes@2", "episode@4", ROUTING_SCHEMA, None])
+    def test_header_schema_checked(self, tmp_path, schema):
+        # the header names the record format once; a file whose header names
+        # another (or none) is refused before any record is read
+        path = tmp_path / "eps.rljson"
+        write_rljson(path, [episode_to_dict(make_episode())], {"schema": schema, "stage": "test"})
+        with pytest.raises(RecordFormatError, match=f"header schema is {schema!r}, not "
+                                                    f"{EPISODE_SCHEMA}") as err:
+            load_episodes(path)
+        assert err.value.offset == 0
+        assert "schema" not in episode_to_dict(make_episode())
 
     def test_context_tokens_seen_below_its_tokens_rejected(self):
         # a context cannot hold fewer tokens than its goal and observation,
@@ -183,13 +195,13 @@ class TestSerialization:
     def test_rljson_stream_reports_byte_offset(self, tmp_path):
         path = tmp_path / "records.rljson"
         write_rljson(path, [{"a": 1}, {"b": 2}], HEADER)
-        good = list(read_rljson(path))
+        good = list(read_rljson(path, EPISODE_SCHEMA))
         assert [rec for _, rec in good] == [{"a": 1}, {"b": 2}]
         assert good[1][0] == line_start(path.read_bytes(), 1) + len(b'{"a":1}\n')
         with open(path, "ab") as fh:
             fh.write(b'{"broken": \n')
         with pytest.raises(RecordFormatError) as err:
-            list(read_rljson(path))
+            list(read_rljson(path, EPISODE_SCHEMA))
         assert err.value.offset >= good[1][0]
 
     def test_header_count_checked(self, tmp_path):
@@ -199,7 +211,7 @@ class TestSerialization:
         assert data.startswith(b'{"count":2,')
         path.write_bytes(data[: line_start(data, 2)])
         with pytest.raises(RecordFormatError, match="header count is 2, file holds 1"):
-            list(read_rljson(path))
+            list(read_rljson(path, EPISODE_SCHEMA))
 
     @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
     def test_non_finite_record_refused_at_its_offset(self, tmp_path, constant):
@@ -209,7 +221,7 @@ class TestSerialization:
         data = path.read_bytes()
         path.write_bytes(data.replace(b"0.25", constant))
         with pytest.raises(RecordFormatError, match="non-finite") as err:
-            list(read_rljson(path))
+            list(read_rljson(path, EPISODE_SCHEMA))
         assert err.value.offset == line_start(data, 2)
         path.write_bytes(data.replace(b'"count":2', b'"count":' + constant))
         with pytest.raises(RecordFormatError, match="non-finite") as err:
@@ -309,7 +321,7 @@ class TestColumnarRecords:
         old = {"schema": "episode@2", "task_id": 0, "z": 1, "success": True, "llm_calls": 1,
                "budget_limit": None, "kind": "exp", "steps": [step]}
         write_rljson(path, [episode_to_dict(make_episode()), old], HEADER)
-        with pytest.raises(RecordFormatError, match="episode@2") as err:
+        with pytest.raises(RecordFormatError, match="KeyError") as err:
             load_episodes(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
 
@@ -317,7 +329,7 @@ class TestColumnarRecords:
         path = tmp_path / "routing.rljson"
         records = [routing_record(i, "valid", make_episode()) for i in range(2)]
         records[1]["features"] = pack_floats(unpack_floats(records[1]["features"], 45)[:-1])
-        write_rljson(path, records, HEADER)
+        write_rljson(path, records, ROUTING_HEADER)
         with pytest.raises(RecordFormatError, match="352 bytes, not 360") as err:
             load_routing_examples(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
@@ -328,16 +340,21 @@ class TestColumnarRecords:
         path = tmp_path / "routing.rljson"
         records = [routing_record(i, "valid", make_episode()) for i in range(2)]
         records[1]["split"] = "tarin"
-        write_rljson(path, records, HEADER)
+        write_rljson(path, records, ROUTING_HEADER)
         with pytest.raises(RecordFormatError, match="tarin") as err:
             load_routing_examples(path)
         assert err.value.offset == line_start(path.read_bytes(), 2)
 
 
 class TestInvariants:
-    def test_llm_call_recount_enforced(self):
-        with pytest.raises(ValueError, match="llm_calls=1 but 2 steps"):
-            replace(make_episode(llm_steps=(0, 1)), llm_calls=1)
+    def test_llm_calls_counts_llm_executors(self):
+        # the count is read from the executor column, so no record can hold
+        # one that disagrees with it
+        for llm_steps in ((), (1,), (0, 2), (0, 1, 2)):
+            ep = make_episode(llm_steps=llm_steps)
+            assert ep.llm_calls == ep.executors.count("LLM") == len(llm_steps)
+            assert "llm_calls" not in episode_to_dict(ep)
+        assert teacher_episode(4).llm_calls == 4
 
     def test_budget_cap_enforced(self):
         with pytest.raises(ValueError, match="exceeds the budget"):
@@ -356,12 +373,11 @@ class TestInvariants:
         ("router_probs", (0.25, float("nan"), 0.25), "router probability"),
         ("observations", ((4,), (5,)), "differ in length"),
         ("decisions", (True, False), "differ in length"),
-        ("budget_remaining", (None,) * 4, "differ in length"),
         ("features", [[0.5] * 15] * 2, "must all hold 15 features or none"),
         ("features", [[0.5] * 14] * 3, "must all hold 15 features or none"),
     ], ids=["score-above-1", "score-below-0", "score-nan", "scores-short", "logps-long",
             "candidates-short", "executor", "prob-above-1", "prob-below-0", "prob-nan",
-            "observations-short", "decisions-short", "budget-long", "features-rows",
+            "observations-short", "decisions-short", "features-rows",
             "features-width"])
     def test_episode_columns_checked(self, column, value, message):
         # every check a step made on its own values is made once per
@@ -435,7 +451,7 @@ def episodes(draw):
     routed = draw(st.booleans())
     n = draw(st.integers(0, 6))
     budget = draw(st.none() | st.integers(0, 4)) if routed else None
-    executors, decisions, remaining = [], [], []
+    executors, decisions = [], []
     left = budget
     for _ in range(n):
         decision = draw(st.booleans())
@@ -444,12 +460,11 @@ def episodes(draw):
             left -= 1
         executors.append("LLM" if escalate else "SLM")
         decisions.append(decision if routed else None)
-        remaining.append(left)
     ks = [draw(st.integers(0, 5)) if routed else 0 for _ in range(n)]
     total = sum(ks)
     return PerturbedEpisode(
         task_id=draw(st.integers(0, 100)), seed=PerturbationSeed(draw(st.integers(0, 2**64 - 1))),
-        success=draw(st.booleans()), llm_calls=executors.count("LLM"), budget_limit=budget,
+        success=draw(st.booleans()), budget_limit=budget,
         kind=draw(st.sampled_from(["r2v", "slm", "exp", "pert"])),
         goal=tuple(draw(st.lists(st.integers(0, 63), min_size=1, max_size=5))),
         observations=tuple(tuple(draw(st.lists(st.integers(0, 200), max_size=8)))
@@ -465,7 +480,6 @@ def episodes(draw):
         router_probs=tuple(draw(st.lists(st.none() | UNIT, min_size=n, max_size=n))
                            if routed else [None] * n),
         decisions=tuple(decisions),
-        budget_remaining=tuple(remaining) if routed else (None,) * n,
     )
 
 
@@ -512,6 +526,78 @@ def test_step_views_read_the_columns():
     assert (step.candidates, step.verifier_scores, step.features) == ((), (), None)
 
 
+def test_budget_remaining_derived_from_executors():
+    # the budget left after each step is the limit less the LLM steps so
+    # far, read from the columns; an unlimited episode has none
+    ep = make_episode(n_steps=4, llm_steps=(0, 2), budget=3)
+    assert [s.budget_remaining for s in ep.steps] == [2, 2, 1, 1]
+    assert [s.budget_remaining for s in make_episode(llm_steps=(0,)).steps] == [None] * 3
+    assert [s.budget_remaining for s in make_episode(llm_steps=(), budget=0).steps] == [0] * 3
+    assert "budget_remaining" not in episode_to_dict(ep)
+
+
+def _as_json(rec: dict) -> dict:
+    return json.loads(json.dumps(rec))
+
+
+def _set(path, value):
+    """An edit that sets the value at `path` (keys and indices) of a record."""
+    def edit(rec):
+        *head, last = path
+        for key in head:
+            rec = rec[key]
+        rec[last] = value
+    return edit
+
+
+def _pair_record():
+    [rec] = pair_records([PreferencePair(make_context(1), 1, 2, "VerifierRanked")], [])
+    return rec
+
+
+RECORDS = {
+    "episode": (lambda: episode_to_dict(make_episode(budget=2)), episode_from_dict),
+    "routing": (lambda: routing_record(4, "train", make_episode()), routing_seed_from_dict),
+    "pair": (_pair_record, pair_record_from_dict),
+}
+
+# a record value of another JSON type than its writer writes
+MISTYPED = {
+    "episode-observation-token-str": ("episode", ("observations", 1, 0), "5"),
+    "episode-observation-token-bool": ("episode", ("observations", 0, 1), True),
+    "episode-goal-token-float": ("episode", ("goal", 0), 35.0),
+    "episode-action-bool": ("episode", ("actions", 0), True),
+    "episode-candidate-str": ("episode", ("candidates", 2, 1), "2"),
+    "episode-task_id-float": ("episode", ("task_id",), 3.0),
+    "episode-z-bool": ("episode", ("z",), True),
+    "episode-success-int": ("episode", ("success",), 1),
+    "episode-budget_limit-bool": ("episode", ("budget_limit",), True),
+    "episode-decision-str": ("episode", ("decisions", 1), "maybe"),
+    "episode-router_prob-str": ("episode", ("router_probs", 0), "0.25"),
+    "episode-router_prob-bool": ("episode", ("router_probs", 0), True),
+    "routing-seed_id-bool": ("routing", ("seed_id",), True),
+    "routing-label-bool": ("routing", ("label",), True),
+    "routing-label-float": ("routing", ("label",), 1.0),
+    "pair-observation-token-str": ("pair", ("context", "observation", 0), "x"),
+    "pair-action-bool": ("pair", ("context", "actions", 0), True),
+    "pair-tokens_seen-float": ("pair", ("context", "tokens_seen"), 11.0),
+    "pair-a_plus-bool": ("pair", ("a_plus",), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_record_values_taken_as_written(case):
+    # a decoder coerces nothing: the record as written decodes, and one
+    # value of another JSON type is refused
+    kind, path, value = MISTYPED[case]
+    build, decode = RECORDS[kind]
+    rec = _as_json(build())
+    decode(rec)
+    _set(path, value)(rec)
+    with pytest.raises(ValueError, match="must be (int|bool|float)"):
+        decode(rec)
+
+
 def test_float_columns_are_read_only():
     ep = make_episode()
     for column in (ep.candidate_logps, ep.verifier_scores, ep.features):
@@ -536,7 +622,7 @@ def test_routing_seeds_round_trip(scratch_file, seeds):
                 for seed_id, (label, split, features) in enumerate(seeds)]
     decoded = [routing_seed_from_dict(rec) for rec in records]
     assert decoded == expected and float_bits(decoded) == float_bits(expected)
-    write_rljson(scratch_file, records, HEADER)
+    write_rljson(scratch_file, records, ROUTING_HEADER)
     flat = [row for rows in expected for row in rows]
     loaded = load_routing_examples(scratch_file)
     assert loaded == flat and float_bits(loaded) == float_bits(flat)

@@ -16,7 +16,6 @@ def episode(success, executors, probs=None, task=0, z=0):
         task_id=task,
         seed=PerturbationSeed(z),
         success=success,
-        llm_calls=sum(e == "LLM" for e in executors),
         budget_limit=None,
         kind="r2v",
         goal=(35,),
@@ -29,7 +28,6 @@ def episode(success, executors, probs=None, task=0, z=0):
         features=None,
         router_probs=(None,) * n if probs is None else tuple(probs),
         decisions=(None,) * n,
-        budget_remaining=(None,) * n,
     )
 
 

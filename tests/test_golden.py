@@ -88,6 +88,18 @@ ablation tables and the eight masked r2v rollouts. None of the 218 r2v
 escalation decisions changed (r2v escalates on none at either tree), the
 largest `router_prob` shift was 1.8e-3, no success rate or LLM rate of any
 table moved, and every other pinned file kept its bytes.
+A tenth deliberate change, format only: each fact of an rljson file is
+stored once. The header's `schema` names the record format (`episode@5`,
+`routing-seed@3`, `pairs@2`, in place of the header names `episodes@2` and
+`routing@2` and a `schema` key in every record), and an episode record no
+longer stores `llm_calls` or `budget_remaining`, which its executors and
+budget limit determine. It moved `episodes.rljson`, `routing.rljson`, the
+six `eval_*.rljson` and the eight masked r2v rollouts. Every record each of
+them holds decodes to the fields the earlier code decoded from the earlier
+file, the earlier stored `llm_calls` and `budget_remaining` equal the
+derived ones (also under `runtime.budget_limit=3`), every header is equal
+but its `schema`, and every other pinned file, `pairs.rljson` and both
+ablation tables included, kept its bytes.
 
 The features and cvar ablations of the same run are pinned too: their eight
 masked r2v rollouts leave prefixes that an earlier policy visited, at steps
@@ -116,18 +128,18 @@ GOLDEN_CONFIG = (
 
 GOLDEN_SHA256 = {
     "tasks.json": "0c3656dbd1a140ff466400e94c013fcbc5f3ca9bb18487b4e755bb1c8e8c7893",
-    "episodes.rljson": "ba3632c70b7f0fc2a4fbf2dd62536c4efbaaba5fe1cf832a15298287bc7e2c00",
+    "episodes.rljson": "1789283c3b82dc7cd5ba99a8cd9c76dddb7403b366bde89f487ae54716d63547",
     "summary.json": "948f1de40d168119d7b9b1fe39592cdb293fb21a4d6c495e41d2fd4e06e07329",
     "metrics.csv": "e0c4336f13a529794802c9e90ca6f293cc4950e440353bd968f4f3ad2003d8e9",
     "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
     "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
-    "routing.rljson": "82680534f9d28649d4fe3ee8ca799322bac9361fdf3bb4573e4cd1d5ffe2fa34",
-    "eval_entropy.rljson": "4a347892cab79c0be9ac29c4bee122b69baf8a3d738be5657bdcb1359a7824e7",
-    "eval_heuristic.rljson": "dd124ecd9d7f566b16515ef02ba1071d541b28f7a31156db47c310d36db4e6e1",
-    "eval_llm.rljson": "4340203f81584766df092bd9caa19000e75092cbd74952da6e7f014d8402b9e1",
-    "eval_oracle.rljson": "c4fa4af65477b6fae218457e9a4d6678bc0dab01cf424783a92fe51f26569d53",
-    "eval_r2v.rljson": "838463182b087c072264a563c2d8668df1d9bade02f340c445f0f690f899e06e",
-    "eval_slm.rljson": "36e5df25d2b3097da171005349085d4d361503e29908b95cb533af37343cdb8d",
+    "routing.rljson": "ec22789e6b73d8228d14fc23bece6c271be6c3c9a65343f67d5476ca0839b863",
+    "eval_entropy.rljson": "08dc12c36cf93943233248bf6d286bc5460b1b487c32ab234ee01884924627b8",
+    "eval_heuristic.rljson": "bb155f83eef088b40bb8c3305ff9a2a3692098d7f91d6f21c0bcb0225bf0811e",
+    "eval_llm.rljson": "f04c2243f577e3cc08756d16e871234f75d9c5e2eb103097e8c0ebd6567cc72e",
+    "eval_oracle.rljson": "ae62ea4ed34b051a372f5b3e3d5ccf65d2855c3814dfaa16966660edc9562acb",
+    "eval_r2v.rljson": "9d4497864934687e106b25212f956d3dfa4668122cb08e57d454ce71a067632b",
+    "eval_slm.rljson": "76e56b49a15c01b792a7f5cad6c6626618db9b37d837a4996ffe293e19635c34",
     "router.bin": "e62eb653b4e6874e9caa73ed5067ac451920e925a0d391c48de9b64594a785c5",
     "router_report.csv": "83410e7b91bac78014f73c64a2accfa7afda9384384281e5fd2d57f553201cf0",
 }
@@ -136,20 +148,20 @@ GOLDEN_ABLATION_SHA256 = {
     "ablate_features.csv": "67632286743629c90a522c23959447dc21f152f2ca65c26860d279be94edaeee",
     "ablate_cvar.csv": "84a8acb1c5ae9dd534ed10ce10e96a416834b038cf641f2ec6dcd8d613d35ca0",
     "eval_r2v_mask_EntropyOnly.rljson":
-        "d2ec49a54bd504e42f33751599b01e6a61b9a321e0648de154bd40828bae40de",
-    "eval_r2v_mask_Full.rljson": "838463182b087c072264a563c2d8668df1d9bade02f340c445f0f690f899e06e",
+        "fb050e4689a06b61945372d977b46a73520ab349ab5574547551665598e0513c",
+    "eval_r2v_mask_Full.rljson": "9d4497864934687e106b25212f956d3dfa4668122cb08e57d454ce71a067632b",
     "eval_r2v_mask_LogProbOnly.rljson":
-        "29914ddab453f7fb00950ab132f3da416f752ee9c23c3cc38076c1d40f8f594f",
+        "5074e6bbfbcbf7915763798113e277fb056f8ad09f2dd1fe9d3723092af00e48",
     "eval_r2v_mask_NoEntropy.rljson":
-        "a1ab63f1b0e1aa4c5905d6928794665982ad157217c129102761f3f6c1385de2",
+        "3316d2242a93afd49b1d76db22e74e11ac74013a32b11996261bb711d3c701c0",
     "eval_r2v_mask_NoVerifier.rljson":
-        "0eaada40647f09407f2a418a3ce56c6c521ab5005f2484ea3f9b63f2e4e7986d",
+        "5afa626c42dad51c0237ddca2ad49a3a29707b305462bbf6b49d97b38253daaa",
     "eval_r2v_mask_PseudoEntropy.rljson":
-        "db967d579a99316836b5f1d17c5939148370b985db6c3f8ac1f2d88f5eb8c6c9",
+        "eb8e4c099a37534aa34252e05a7972ce085ff5bfaffa3a07146631b54aae5698",
     "eval_r2v_mask_StepContextOnly.rljson":
-        "a3344609334b47bb4d8a35f0db84ea9c4c011d6d5bac876ac4f99e76d9db46b4",
+        "2a24c196040abaf2793a78d8bc00a7ecbf4ef7bbef8fd1f13b308c0d9bfd5288",
     "eval_r2v_mask_VerifierOnly.rljson":
-        "c4ef696f2d8f7f17dff3afb8f5642c70b8570636a69adbe197dc3f459f35c0ed",
+        "d427101bdb4ed5ab696517fba9eb0c2cf0a099a682678df773449cd281e5022e",
 }
 
 

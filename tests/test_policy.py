@@ -246,14 +246,14 @@ class TestTeacherCollection:
         assert sum(1 for ep in pool if ep.kind == "exp") == 8
 
     def test_collection_byte_identical(self, tmp_path):
-        from steprouter.domain import episode_to_dict, write_rljson
+        from steprouter.domain import EPISODE_SCHEMA, episode_to_dict, write_rljson
 
         env = make_env({"PartialObs": 0.4, "ToolFlaky": 0.2})
         teacher = TeacherPolicy(0.05)
         paths = [tmp_path / "a.rljson", tmp_path / "b.rljson"]
         for path in paths:
             pool = collect_teacher_trajectories(env, teacher, range(4), 3)
-            write_rljson(path, [episode_to_dict(ep) for ep in pool], {"schema": "episodes@2"})
+            write_rljson(path, [episode_to_dict(ep) for ep in pool], {"schema": EPISODE_SCHEMA})
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_teacher_steps_are_llm(self):
@@ -281,7 +281,7 @@ class TestBehavioralCloning:
         ep = pool[0]
         tiny = replace(ep, observations=ep.observations[:1], actions=ep.actions[:1],
                        executors=("LLM",), candidates=((),), router_probs=(None,),
-                       decisions=(None,), budget_remaining=(None,), success=True, llm_calls=1)
+                       decisions=(None,), success=True)
         [step] = tiny.steps
         policy, _ = train_bc([tiny], feat, epochs=400, lr=8.0)
         [probs] = policy.action_distribution([step.context])

@@ -289,6 +289,39 @@ class TestRunEpisode:
         assert all(s.features is not None and len(s.features) == 15 for s in ep.steps)
 
 
+class TestBudgetColumns:
+    GRID = [(t, 500 + 7 * t + j) for t in range(4) for j in range(2)]
+
+    @pytest.mark.parametrize("budget", [None, 0, 1, 3])
+    def test_budget_read_from_columns(self, world, zero_router, budget):
+        # the budget left after each step, derived from the executor column,
+        # matches a step-by-step count of the gate: no LLM step runs with
+        # nothing left, and a wanted escalation that ran locally was clipped
+        # by a spent budget, so clipped escalations read from the columns
+        env, teacher, slm, vspec = world
+        table = hindsight_table(run_episodes(env, self.GRID, slm, teacher, vspec,
+                                             RoutingPolicy("slm")))
+        policies = [RoutingPolicy("slm", budget_limit=budget),
+                    RoutingPolicy("llm", budget_limit=budget),
+                    RoutingPolicy("entropy", 0.3, budget), RoutingPolicy("heuristic", 0.6, budget),
+                    RoutingPolicy("r2v", 0.5, budget, zero_router),
+                    RoutingPolicy("oracle", budget_limit=budget, hindsight=table)]
+        assert sorted(routing.variant for routing in policies) == sorted(VARIANTS)
+        clipped = 0
+        for routing in policies:
+            for ep in run_episodes(env, self.GRID, slm, teacher, vspec, routing):
+                left = budget
+                for step in ep.steps:
+                    assert (step.executor == "LLM") == (step.decision and left != 0)
+                    if step.executor == "LLM" and left is not None:
+                        left -= 1
+                    assert step.budget_remaining == left
+                    if step.decision and step.executor == "SLM":
+                        assert step.budget_remaining == 0
+                        clipped += 1
+        assert (clipped > 0) == (budget is not None)
+
+
 class TestOracleRouter:
     def test_all_success_table_behaves_like_slm(self, world):
         env, teacher, slm, vspec = world
@@ -567,7 +600,7 @@ class TestRoutingDataset:
         episodes = slm_rollouts(world, range(6), 4)
         path = tmp_path / "routing.rljson"
         write_rljson(path, [routing_record(i, "valid", ep) for i, ep in enumerate(episodes)],
-                     {"schema": "routing@2"})
+                     {"schema": domain.ROUTING_SCHEMA})
         rows = load_routing_examples(path)
         assert len(rows) == sum(len(ep.steps) for ep in episodes)
         for seed_id, ep in enumerate(episodes):

@@ -19,7 +19,8 @@ from . import seeds
 from .domain import (SOURCE_TEACHER, SOURCE_VERIFIER, Context, PerturbationSeed, PreferencePair,
                      require_number)
 from .env import HazardChainEnv
-from .policy import FrozenReference, SoftmaxPolicy, TeacherPolicy, descend, param_digest
+from .policy import (FrozenReference, SoftmaxPolicy, TeacherPolicy, descend, param_digest,
+                     row_max)
 from .router import sigmoid
 from .verifier import VerifierSpec, score_candidates
 
@@ -64,9 +65,8 @@ def build_preferences(
     rng_cand = seeds.stream(env.config.rng_seed, "pairs", "candidates")
     rng_score = seeds.stream(env.config.rng_seed, "pairs", "scores")
     rng_teacher = seeds.stream(env.config.rng_seed, "pairs", "teacher")
-    pooled = [(ep.task_id, ctx) for ep in pool for ctx in ep.contexts()]
-    contexts = [ctx for _, ctx in pooled]
-    states = [env.replay(env.task_spec(task_id), ctx.actions) for task_id, ctx in pooled]
+    contexts = [ctx for ep in pool for ctx in ep.contexts()]
+    states = [state for ep in pool for state in episode_states(env, ep)]
     drawn, _ = bc_policy.sample_candidates(contexts, k, [rng_cand] * len(contexts))
     scores = score_candidates(spec, states, drawn, [rng_score] * len(contexts))
     pairs: list[PreferencePair] = []
@@ -89,6 +89,19 @@ def build_preferences(
             counters["teacher_recovered"] += 1
     views = build_consistency_views(pool, env)
     return pairs, views, counters
+
+
+def episode_states(env: HazardChainEnv, episode) -> list:
+    """The latent state before each step of an episode, equal to `env.replay`
+    of that step's action prefix: the start state advanced one transition
+    per step."""
+    task = env.task_spec(episode.task_id)
+    state = env.replay(task, ())
+    states = []
+    for action in episode.actions:
+        states.append(state)
+        state, _ = env.transition(task, state, int(action))
+    return states
 
 
 def build_consistency_views(pool, env: HazardChainEnv):
@@ -171,54 +184,57 @@ def total_variation(p, q) -> float:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - row_max(z)[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _batched_jsd(theta, bias, x_a, x_b):
-    p = _softmax_rows(x_a @ theta + bias)
-    q = _softmax_rows(x_b @ theta + bias)
-    m = 0.5 * (p + q)
-    rows = 0.5 * np.sum(p * np.log(p / m), axis=1) + 0.5 * np.sum(q * np.log(q / m), axis=1)
-    return rows, p, q, m
-
-
-def objective_and_grad(theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
+def recovery_objective(theta, bias, pair_x, plus_idx, minus_idx, ref_margin,
                        beta, lambda_cons, cons_a, cons_b):
-    """Combined DPO + consistency objective with its exact gradient."""
-    g_theta = np.zeros_like(theta)
-    g_bias = np.zeros_like(bias)
+    """Combined DPO + consistency objective at (theta, bias): (loss, grad),
+    where `grad()` returns its exact gradient (g_theta, g_bias) from this
+    forward pass."""
     total = 0.0
-
     n_pairs = len(plus_idx)
     if n_pairs:
         logits = pair_x @ theta + bias
         rows = np.arange(n_pairs)
         u = beta * ((logits[rows, plus_idx] - logits[rows, minus_idx]) - ref_margin)
         total += float(np.logaddexp(0.0, -u).mean())
-        # d/du of mean -log sigmoid(u) is -sigmoid(-u)/n
-        coef = -sigmoid(-u) * beta / n_pairs
-        dlogits = np.zeros_like(logits)
-        np.add.at(dlogits, (rows, plus_idx), coef)
-        np.add.at(dlogits, (rows, minus_idx), -coef)
-        g_theta += pair_x.T @ dlogits
-        g_bias += dlogits.sum(axis=0)
 
     n_views = len(cons_a)
-    if lambda_cons > 0.0 and n_views:
-        rows_jsd, p, q, m = _batched_jsd(theta, bias, cons_a, cons_b)
+    consistency = lambda_cons > 0.0 and n_views > 0
+    if consistency:
+        p = _softmax_rows(cons_a @ theta + bias)
+        q = _softmax_rows(cons_b @ theta + bias)
+        m = 0.5 * (p + q)
+        log_pm, log_qm = np.log(p / m), np.log(q / m)
+        rows_jsd = 0.5 * np.sum(p * log_pm, axis=1) + 0.5 * np.sum(q * log_qm, axis=1)
         total += lambda_cons * float(rows_jsd.mean())
-        # dJSD/dP_a = 0.5 log(P_a / M_a); chain through both softmax heads
-        gp = 0.5 * np.log(p / m)
-        gq = 0.5 * np.log(q / m)
-        dlogit_p = p * (gp - np.sum(gp * p, axis=1, keepdims=True))
-        dlogit_q = q * (gq - np.sum(gq * q, axis=1, keepdims=True))
-        scale = lambda_cons / n_views
-        g_theta += scale * (cons_a.T @ dlogit_p + cons_b.T @ dlogit_q)
-        g_bias += scale * (dlogit_p.sum(axis=0) + dlogit_q.sum(axis=0))
 
-    return total, g_theta, g_bias
+    def grad():
+        g_theta = np.zeros_like(theta)
+        g_bias = np.zeros_like(bias)
+        if n_pairs:
+            # d/du of mean -log sigmoid(u) is -sigmoid(-u)/n
+            coef = -sigmoid(-u) * beta / n_pairs
+            dlogits = np.zeros_like(logits)
+            np.add.at(dlogits, (rows, plus_idx), coef)
+            np.add.at(dlogits, (rows, minus_idx), -coef)
+            g_theta += pair_x.T @ dlogits
+            g_bias += dlogits.sum(axis=0)
+        if consistency:
+            # dJSD/dP_a = 0.5 log(P_a / M_a); chain through both softmax heads
+            gp = 0.5 * log_pm
+            gq = 0.5 * log_qm
+            dlogit_p = p * (gp - np.sum(gp * p, axis=1, keepdims=True))
+            dlogit_q = q * (gq - np.sum(gq * q, axis=1, keepdims=True))
+            scale = lambda_cons / n_views
+            g_theta += scale * (cons_a.T @ dlogit_p + cons_b.T @ dlogit_q)
+            g_bias += scale * (dlogit_p.sum(axis=0) + dlogit_q.sum(axis=0))
+        return g_theta, g_bias
+
+    return total, grad
 
 
 def train_recovery(
@@ -230,7 +246,8 @@ def train_recovery(
     """Minimize DPO + lambda_cons * JSD from theta_BC with a frozen reference.
 
     The combined objective is non-increasing per epoch (backtracking line
-    search) and the reference hash is asserted unchanged afterwards.
+    search, with gradients taken only at accepted points) and the reference
+    hash is asserted unchanged afterwards.
     """
     ref = bc_policy.frozen_reference()
     policy = bc_policy.clone(stage="distilled")
@@ -249,8 +266,8 @@ def train_recovery(
     cons_b = featurizer.matrix([b for _, b in view_pairs])
 
     theta, bias, trace = descend(
-        lambda theta, bias: objective_and_grad(
-            theta, bias, ref, pair_x, plus_idx, minus_idx, ref_margin,
+        lambda theta, bias: recovery_objective(
+            theta, bias, pair_x, plus_idx, minus_idx, ref_margin,
             config.beta, config.lambda_cons, cons_a, cons_b,
         ),
         policy.theta, policy.bias, config.epochs, config.lr, halvings=60,

@@ -474,6 +474,7 @@ def episode_from_dict(d: dict) -> PerturbedEpisode:
     _require_types("an id, token, action or candidate", chain(
         (d["task_id"], d["z"]), d["goal"], d["actions"], *observations, *candidates), int)
     _require_types("success", (d["success"],), bool)
+    _require_types("kind", (d["kind"],), str)
     _require_types("budget_limit", (d["budget_limit"],), int, type(None))
     _require_types("a decision", d["decisions"], bool, type(None))
     _require_types("a router probability", d["router_probs"], float, int, type(None))

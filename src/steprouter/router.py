@@ -707,16 +707,17 @@ def sweep_threshold(values, labels, costs: CostSpec,
                     escalate_when_ge: bool = True) -> float:
     """Grid-search tau in {0.01..0.99} minimizing the hard routing surrogate
     of escalating where value >= tau (or value < tau when escalate_when_ge is
-    False). Ties break toward the lowest threshold.
+    False). Ties break toward the lowest threshold. All 99 thresholds are
+    compared at once, one row of decisions per tau: each entry takes the
+    surrogate of its example escalated or kept, and each row's mean is
+    summed as `np.mean` sums one row alone.
     """
     v = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=float)
     grid = np.arange(1, 100) / 100.0
-    cost_per_tau = []
-    for tau in grid:
-        d = (v >= tau) if escalate_when_ge else (v < tau)
-        cost_per_tau.append(float(np.mean(route_surrogate(d.astype(float), y, costs))))
-    return float(grid[int(np.argmin(cost_per_tau))])
+    d = (v >= grid[:, None]) if escalate_when_ge else (v < grid[:, None])
+    cost = np.where(d, route_surrogate(1.0, y, costs), route_surrogate(0.0, y, costs))
+    return float(grid[int(np.argmin(cost.mean(axis=1)))])
 
 
 def select_threshold(net: RouterNet, x_val, y_val, costs: CostSpec) -> float:

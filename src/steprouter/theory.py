@@ -25,7 +25,7 @@ from .distill import (
     build_preferences,
     dpo_margin,
     jsd,
-    objective_and_grad,
+    recovery_objective,
     replay_contexts,
     total_variation,
     train_recovery,
@@ -33,7 +33,6 @@ from .distill import (
 from .domain import Context, CostSpec, CVaRSpec, EnvConfig, PreferencePair
 from .env import HazardChainEnv, LatentState
 from .policy import (
-    FrozenReference,
     PolicyFeaturizer,
     SoftmaxPolicy,
     TeacherPolicy,
@@ -384,7 +383,7 @@ def bc_gradient_error(n_points: int = 20, seed: int = 11) -> float:
     for _ in range(n_points):
         theta = rng.normal(size=(dim, n_act))
         bias = rng.normal(size=n_act)
-        _, g_theta, g_bias = bc_loss_and_grad(theta, bias, x, y)
+        g_theta, g_bias = bc_loss_and_grad(theta, bias, x, y)[1]()
 
         def loss():
             return bc_loss_and_grad(theta, bias, x, y)[0]
@@ -409,22 +408,19 @@ def distill_gradient_error(n_points: int = 20, seed: int = 12) -> float:
     for _ in range(n_points):
         ref_theta = rng.normal(size=(dim, n_act))
         ref_bias = rng.normal(size=n_act)
-        ref = FrozenReference(ref_theta, ref_bias, "unused")
         ref_logits = pair_x @ ref_theta + ref_bias
         rows = np.arange(n_pairs)
         ref_margin = ref_logits[rows, plus] - ref_logits[rows, minus]
         theta = rng.normal(size=(dim, n_act))
         bias = rng.normal(size=n_act)
-        _, g_theta, g_bias = objective_and_grad(
-            theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
-        )
 
-        def loss():
-            return objective_and_grad(
-                theta, bias, ref, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
-            )[0]
+        def objective():
+            return recovery_objective(
+                theta, bias, pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b,
+            )
 
-        worst = max(worst, _fd_arrays(loss, (theta, bias), (g_theta, g_bias)))
+        g_theta, g_bias = objective()[1]()
+        worst = max(worst, _fd_arrays(lambda: objective()[0], (theta, bias), (g_theta, g_bias)))
     return worst
 
 

@@ -439,6 +439,12 @@ BAD_ARTIFACTS = {
                                             if _is_pair(rec) else [], str), ("distill",)),
     "eval_slm-decision-maybe": ("eval_slm.rljson", _retype(lambda rec: rec["decisions"],
                                                            lambda d: "maybe"), ("evaluate",)),
+    "eval_slm-kind-int": ("eval_slm.rljson",
+                          _edit_record(lambda rec: True, lambda rec: rec.update(kind=5)),
+                          ("evaluate",)),
+    "eval_slm-kind-null": ("eval_slm.rljson",
+                           _edit_record(lambda rec: True, lambda rec: rec.update(kind=None)),
+                           ("evaluate",)),
     # a packed float column must be base64 of exactly the floats its record
     # promises, each finite
     "routing-features-not-base64": ("routing.rljson",

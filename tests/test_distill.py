@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from steprouter import seeds
+from steprouter import distill, seeds
 from steprouter.distill import (
     DistillConfig,
     build_preferences,
     dpo_margin,
     jsd,
-    objective_and_grad,
+    recovery_objective,
     total_variation,
     train_recovery,
 )
@@ -63,8 +63,8 @@ def objective(policy, ref, pairs, views, beta=1.0, lambda_cons=0.0):
     ref_margin = ref_logits[rows, plus] - ref_logits[rows, minus]
     cons_a = feat.matrix([a for a, _ in views])
     cons_b = feat.matrix([b for _, b in views])
-    loss, _, _ = objective_and_grad(
-        policy.theta, policy.bias, ref, pair_x, plus, minus, ref_margin, beta,
+    loss, _ = recovery_objective(
+        policy.theta, policy.bias, pair_x, plus, minus, ref_margin, beta,
         lambda_cons, cons_a, cons_b,
     )
     return loss
@@ -130,6 +130,25 @@ class TestBuildPreferences:
         pairs, _, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
         assert all(p.a_plus != p.a_minus for p in pairs)
 
+
+    def test_states_equal_a_replay_of_every_context(self, monkeypatch):
+        # each pooled episode is advanced one transition per step; the states
+        # scored are the replays of every pooled context's action prefix
+        env = make_env({"PartialObs": 0.5, "ToolFlaky": 0.3})
+        bc, pool, teacher = trained_bc(env)
+        scored = []
+
+        def recording(spec, states, *args):
+            scored.extend(states)
+            return score_candidates(spec, states, *args)
+
+        monkeypatch.setattr(distill, "score_candidates", recording)
+        build_preferences(bc, pool, VerifierSpec.for_env(env), teacher, env, k=5)
+        replays = [env.replay(env.task_spec(ep.task_id), ctx.actions)
+                   for ep in pool for ctx in ep.contexts()]
+        assert scored == replays
+        assert len({len(ep.actions) for ep in pool}) > 1
+        assert len({state.task_id for state in scored}) == env.task_count
 
     def test_one_block_equals_a_loop_over_steps(self):
         # the pool's steps are sampled and scored in one block on the shared

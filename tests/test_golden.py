@@ -67,6 +67,9 @@ packed `candidate_logps`, `verifier_scores` and `features` blocks, and
 decodes to an object equal to what the earlier code decoded from the earlier
 file, every header is unchanged, and every other pinned file kept its bytes.
 `tasks.json` and `episodes.rljson` are pinned since collect became one call.
+`policy_bc.bin` and `distill_report.json` (distill's loss trace and
+`final_loss`) are pinned since the line searches of train-bc and distill
+stopped taking gradients at rejected trial points; both kept their bytes.
 An eighth deliberate change: the router's training step runs in float32 on
 float32 copies of the float64 master weights (mixed precision), with its
 dropout masks drawn as float32 uniforms; the optimizer state, the batch-norm
@@ -132,6 +135,8 @@ GOLDEN_SHA256 = {
     "summary.json": "948f1de40d168119d7b9b1fe39592cdb293fb21a4d6c495e41d2fd4e06e07329",
     "metrics.csv": "e0c4336f13a529794802c9e90ca6f293cc4950e440353bd968f4f3ad2003d8e9",
     "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
+    "policy_bc.bin": "9c891be06a9709ed5f3270e8add737abc01a83df21636d1612a631b1ea3dc62c",
+    "distill_report.json": "a3f90b4f39cf848723a681d1cc57f2036839f47d15dc36abd01de7e39bcec9ca",
     "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
     "routing.rljson": "ec22789e6b73d8228d14fc23bece6c271be6c3c9a65343f67d5476ca0839b863",
     "eval_entropy.rljson": "08dc12c36cf93943233248bf6d286bc5460b1b487c32ab234ee01884924627b8",
@@ -173,7 +178,8 @@ def test_evaluate_outputs_are_byte_identical(tmp_path):
     cfg = pipeline.load_config(overrides=GOLDEN_CONFIG, environ={})
     pipeline.run_pipeline(cfg, tmp_path, workers=1)
     names = ["tasks.json", "episodes.rljson", "summary.json", "metrics.csv", "pairs.rljson",
-             "policy_distilled.bin", "routing.rljson", "router.bin", "router_report.csv"]
+             "policy_bc.bin", "distill_report.json", "policy_distilled.bin", "routing.rljson",
+             "router.bin", "router_report.csv"]
     names += sorted(p.name for p in tmp_path.glob("eval_*.rljson"))
     got = {name: _sha256(tmp_path / name) for name in names}
     assert got == GOLDEN_SHA256

@@ -3,8 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steprouter import seeds
+from steprouter.distill import recovery_objective
 from steprouter.domain import EnvConfig, PerturbationSeed
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
@@ -14,6 +17,7 @@ from steprouter.policy import (
     bc_dataset,
     bc_loss_and_grad,
     collect_teacher_trajectories,
+    descend,
     draw_candidates,
     probabilities,
     train_bc,
@@ -269,7 +273,7 @@ class TestBehavioralCloning:
         feat = PolicyFeaturizer.for_env(env)
         pool = collect_teacher_trajectories(env, TeacherPolicy(0.0), range(4), 2)
         x, y, _ = bc_dataset(pool, feat)
-        loss, _, _ = bc_loss_and_grad(
+        loss, _ = bc_loss_and_grad(
             np.zeros((feat.dim, feat.action_count)), np.zeros(feat.action_count), x, y
         )
         assert loss == pytest.approx(math.log(env.config.action_count), abs=1e-12)
@@ -301,14 +305,14 @@ class TestBehavioralCloning:
         y = rng.integers(0, n_act, size=n)
         theta = rng.normal(size=(dim, n_act))
         bias = rng.normal(size=n_act)
-        _, g_theta, g_bias = bc_loss_and_grad(theta, bias, x, y)
+        g_theta, g_bias = bc_loss_and_grad(theta, bias, x, y)[1]()
         h = 1e-6
         for i in range(dim):
             for j in range(n_act):
                 theta[i, j] += h
-                up, _, _ = bc_loss_and_grad(theta, bias, x, y)
+                up, _ = bc_loss_and_grad(theta, bias, x, y)
                 theta[i, j] -= 2 * h
-                dn, _, _ = bc_loss_and_grad(theta, bias, x, y)
+                dn, _ = bc_loss_and_grad(theta, bias, x, y)
                 theta[i, j] += h
                 fd = (up - dn) / (2 * h)
                 assert abs(fd - g_theta[i, j]) <= 1e-5 * max(1.0, abs(fd))
@@ -329,6 +333,100 @@ class TestBehavioralCloning:
         failed_pool = [replace(ep, success=False) for ep in pool]
         with pytest.raises(ValueError):
             train_bc(failed_pool, feat)
+
+
+def eager_descend(objective, theta, bias, epochs, lr, halvings, grad_tol=0.0):
+    """The line search with a gradient at every trial point, accepted or
+    not: (theta, bias, trace, accepted epochs)."""
+    loss, grad = objective(theta, bias)
+    g_theta, g_bias = grad()
+    trace, accepted_epochs = [loss], 0
+    for _ in range(epochs):
+        step = lr
+        accepted = False
+        for _ in range(halvings):
+            theta2 = theta - step * g_theta
+            bias2 = bias - step * g_bias
+            loss2, grad2 = objective(theta2, bias2)
+            g_theta2, g_bias2 = grad2()
+            if loss2 <= loss:
+                theta, bias, loss = theta2, bias2, loss2
+                g_theta, g_bias = g_theta2, g_bias2
+                accepted = True
+                break
+            step /= 2.0
+        trace.append(loss)
+        if not accepted:
+            break
+        accepted_epochs += 1
+        if np.sqrt((g_theta**2).sum() + (g_bias**2).sum()) < grad_tol:
+            break
+    return theta, bias, trace, accepted_epochs
+
+
+def random_problem(kind, seed):
+    """(objective, theta0, bias0): a BC or a DPO + consistency objective on
+    random data, the start drawn at random too."""
+    rng = seeds.stream("descend-problem", kind, seed)
+    dim, n_act = 6, 4
+    if kind == "bc":
+        x = rng.normal(size=(30, dim))
+        y = rng.integers(0, n_act, size=30)
+        objective = lambda theta, bias: bc_loss_and_grad(theta, bias, x, y)  # noqa: E731
+    else:
+        pair_x = rng.normal(size=(20, dim))
+        plus = rng.integers(0, n_act, size=20)
+        minus = (plus + rng.integers(1, n_act, size=20)) % n_act
+        margin = rng.normal(size=20)
+        cons_a, cons_b = rng.normal(size=(12, dim)), rng.normal(size=(12, dim))
+        objective = lambda theta, bias: recovery_objective(  # noqa: E731
+            theta, bias, pair_x, plus, minus, margin, 0.5, 0.7, cons_a, cons_b)
+    return objective, rng.normal(size=(dim, n_act)), rng.normal(size=n_act)
+
+
+def lazy_against_eager(kind, seed, epochs, lr, halvings, grad_tol):
+    """Run `descend` and the eager loop on one problem; assert bit-equal
+    results and one gradient at the start plus one per accepted epoch.
+    Returns (trace, accepted epochs)."""
+    objective, theta0, bias0 = random_problem(kind, seed)
+    grads = []
+
+    def counted(theta, bias):
+        loss, grad = objective(theta, bias)
+        return loss, lambda: grads.append(1) or grad()
+
+    theta, bias, trace = descend(counted, theta0, bias0, epochs, lr, halvings, grad_tol)
+    want_theta, want_bias, want_trace, accepted = eager_descend(
+        objective, theta0, bias0, epochs, lr, halvings, grad_tol)
+    assert theta.tobytes() == want_theta.tobytes()
+    assert bias.tobytes() == want_bias.tobytes()
+    assert trace == want_trace
+    assert len(grads) == 1 + accepted
+    return trace, accepted
+
+
+class TestDescend:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["bc", "distill"]), seed=st.integers(0, 2**16),
+           epochs=st.integers(0, 12), lr=st.sampled_from([0.5, 4.0, 64.0, 256.0]),
+           halvings=st.integers(1, 8), grad_tol=st.sampled_from([0.0, 1e-3, 0.05, 1e3]))
+    @example(kind="bc", seed=1, epochs=6, lr=256.0, halvings=1, grad_tol=0.0)
+    @example(kind="distill", seed=2, epochs=6, lr=4.0, halvings=4, grad_tol=1e3)
+    def test_lazy_gradients_equal_eager(self, kind, seed, epochs, lr, halvings, grad_tol):
+        lazy_against_eager(kind, seed, epochs, lr, halvings, grad_tol)
+
+    @pytest.mark.parametrize("kind", ["bc", "distill"])
+    def test_an_epoch_without_descent_stops(self, kind):
+        # a step of 256 with no halving overshoots: the epoch takes no step,
+        # its trace entry repeats the loss, and its gradient is never taken
+        trace, accepted = lazy_against_eager(kind, 1, 6, 256.0, 1, 0.0)
+        assert accepted == 0 and trace[0] == trace[1] and len(trace) == 2
+
+    @pytest.mark.parametrize("kind", ["bc", "distill"])
+    def test_gradient_tolerance_stops(self, kind):
+        # a tolerance above every gradient norm stops after the first step
+        trace, accepted = lazy_against_eager(kind, 2, 6, 4.0, 8, 1e3)
+        assert accepted == 1 and len(trace) == 2 and trace[1] < trace[0]
 
 
 class TestCheckpoint:

@@ -707,6 +707,29 @@ class TestThresholds:
         tau = sweep_threshold(p, y, CostSpec(1, 50, 98))
         assert tau == pytest.approx(0.51)
 
+    @pytest.mark.parametrize("escalate_when_ge", [True, False], ids=["ge", "lt"])
+    @pytest.mark.parametrize("case", ["on-grid", "ties", "label-0", "label-1", "uniform"])
+    def test_sweep_equals_a_loop_over_thresholds(self, case, escalate_when_ge):
+        # the one-pass sweep picks the threshold a loop that costs each tau
+        # alone picks, lowest tau on ties included
+        rng = seeds.stream("sweep-loop", case, escalate_when_ge)
+        grid = np.arange(1, 100) / 100.0
+        n = 375
+        if case == "on-grid":  # every value sits exactly on a threshold
+            v = grid[rng.integers(0, 99, size=n)]
+        elif case == "ties":  # few distinct values: whole runs of tau cost the same
+            v = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+        else:
+            v = rng.uniform(size=n)
+        y = {"label-0": np.zeros(n), "label-1": np.ones(n)}.get(
+            case, (rng.random(n) < v).astype(float))
+        for costs in (CANONICAL, CostSpec(0.002, 0.1, 0.196)):
+            loop = [float(np.mean(route_surrogate(
+                ((v >= t) if escalate_when_ge else (v < t)).astype(float), y, costs)))
+                for t in grid]
+            want = float(grid[int(np.argmin(loop))])
+            assert sweep_threshold(v, y, costs, escalate_when_ge) == want
+
     def test_sweep_below_direction_matches_grid_oracle(self):
         # escalate_when_ge=False escalates where v < tau (the heuristic baseline)
         rng = seeds.stream("sweep-dir")

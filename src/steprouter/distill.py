@@ -189,6 +189,13 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _log_ratio(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """log(a / m) where a > 0, and 0 where a softmax entry saturated to 0,
+    which `a * log(a / m)` then weighs by 0, as `jsd` skips it."""
+    positive = a > 0.0
+    return np.log(np.divide(a, m, out=np.ones_like(a), where=positive))
+
+
 def recovery_objective(theta, bias, pair_x, plus_idx, minus_idx, ref_margin,
                        beta, lambda_cons, cons_a, cons_b):
     """Combined DPO + consistency objective at (theta, bias): (loss, grad),
@@ -208,7 +215,7 @@ def recovery_objective(theta, bias, pair_x, plus_idx, minus_idx, ref_margin,
         p = _softmax_rows(cons_a @ theta + bias)
         q = _softmax_rows(cons_b @ theta + bias)
         m = 0.5 * (p + q)
-        log_pm, log_qm = np.log(p / m), np.log(q / m)
+        log_pm, log_qm = _log_ratio(p, m), _log_ratio(q, m)
         rows_jsd = 0.5 * np.sum(p * log_pm, axis=1) + 0.5 * np.sum(q * log_qm, axis=1)
         total += lambda_cons * float(rows_jsd.mean())
 

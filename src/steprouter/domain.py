@@ -14,7 +14,10 @@ the time and bytes decimal text takes.
 An episode in memory is the columns of its record, its float columns
 read-only float64 arrays, so encoding and decoding it packs and unpacks
 columns and builds no per-step object; `PerturbedEpisode.steps` gives one
-step's values as a `StepView` when a reader asks for it.
+step's values as a `StepView` when a reader asks for it. An episode has two
+record formats: `episode@5` holds every column, and `routed-episode@1` only
+the columns that evaluation reads, for the rollouts whose steps a rule
+routes.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 PERTURBATION_FAMILIES = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 
 EPISODE_SCHEMA = "episode@5"
+ROUTED_EPISODE_SCHEMA = "routed-episode@1"
 ROUTING_SCHEMA = "routing-seed@3"
 PAIRS_SCHEMA = "pairs@2"
 SPLITS = ("train", "valid", "test")
@@ -164,10 +168,15 @@ StepView = namedtuple("StepView", ("context", "candidates", "verifier_scores", "
                                    "budget_remaining"))
 
 
+# the columns of an episode that describe its step-tree nodes: what each step
+# saw and weighed, all a function of (config, task, z, action prefix)
+NODE_COLUMNS = ("observations", "candidates", "candidate_logps", "verifier_scores", "features")
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbedEpisode:
     """One rollout under a perturbation seed with a binary outcome, its steps
-    held as the columns of its `episode@5` record.
+    held as the columns of its record.
 
     Step t saw `observations[t]`, after the goal and the actions before it;
     it weighed `candidates[t]`, whose log-probs and verifier scores are
@@ -177,11 +186,15 @@ class PerturbedEpisode:
     `decisions` hold None on steps that no router or rule saw. `llm_calls`
     and each step's budget left are counted from `executors` and
     `budget_limit`. The float columns are read-only float64 copies.
-    Construction checks whole columns once: equal lengths, one log-prob and
-    one score per candidate, scores and router probabilities in [0, 1],
-    executors and the budget. Contexts are derived from the columns, so they
-    always chain. Two episodes are equal when their records are, so packed
-    floats compare bit for bit.
+
+    An episode decoded from a `routed-episode@1` record holds none of the
+    `NODE_COLUMNS` (each is None, as are `offsets`), and its steps hold None
+    where they would read one. Construction checks whole columns once: the
+    node columns all present (features may be None) or all None, equal
+    lengths, one log-prob and one score per candidate, scores and router
+    probabilities in [0, 1], executors and the budget. Contexts are derived
+    from the columns, so they always chain. Two episodes are equal when
+    their records and kinds are, so packed floats compare bit for bit.
     """
 
     task_id: int
@@ -190,27 +203,44 @@ class PerturbedEpisode:
     budget_limit: int | None
     kind: str
     goal: tuple[int, ...]
-    observations: tuple[tuple[int, ...], ...]
+    observations: tuple[tuple[int, ...], ...] | None
     actions: tuple[int, ...]
     executors: tuple[str, ...]
-    candidates: tuple[tuple[int, ...], ...]
-    candidate_logps: np.ndarray
-    verifier_scores: np.ndarray
+    candidates: tuple[tuple[int, ...], ...] | None
+    candidate_logps: np.ndarray | None
+    verifier_scores: np.ndarray | None
     features: np.ndarray | None
     router_probs: tuple[float | None, ...]
     decisions: tuple[bool | None, ...]
-    offsets: tuple[int, ...] = field(init=False, repr=False)
+    offsets: tuple[int, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        held = self.observations is not None
+        if any((getattr(self, name) is not None) != held for name in NODE_COLUMNS[1:4]) or (
+                not held and self.features is not None):
+            raise ValueError("an episode holds all of its node columns or none")
         for name in ("candidate_logps", "verifier_scores", "features"):
             if getattr(self, name) is not None:
                 column = np.array(getattr(self, name), dtype=np.float64)
                 column.flags.writeable = False
                 object.__setattr__(self, name, column)
-        object.__setattr__(self, "offsets", (0, *accumulate(map(len, self.candidates))))
-        n, k, scores = len(self.actions), self.offsets[-1], self.verifier_scores
-        if any(len(column) != n for column in (self.observations, self.executors, self.candidates,
-                                               self.router_probs, self.decisions)):
+        n = len(self.actions)
+        if any(len(column) != n for column in (self.executors, self.router_probs, self.decisions)):
+            raise ValueError("episode step columns differ in length")
+        object.__setattr__(self, "offsets", (0, *accumulate(map(len, self.candidates)))
+                           if held else None)
+        if held:
+            self._check_nodes(n)
+        if not {"SLM", "LLM"}.issuperset(self.executors):
+            raise ValueError("executor must be 'SLM' or 'LLM'")
+        if any(p is not None and not 0.0 <= p <= 1.0 for p in self.router_probs):
+            raise ValueError("router probability must lie in [0, 1]")
+        if self.budget_limit is not None and self.llm_calls > self.budget_limit:
+            raise ValueError("llm_calls exceeds the budget limit")
+
+    def _check_nodes(self, n: int) -> None:
+        k, scores = self.offsets[-1], self.verifier_scores
+        if len(self.observations) != n or len(self.candidates) != n:
             raise ValueError("episode step columns differ in length")
         if self.candidate_logps.shape != (k,) or scores.shape != (k,):
             raise ValueError(f"{k} candidates need as many log-probs and verifier scores, got "
@@ -220,17 +250,11 @@ class PerturbedEpisode:
         if self.features is not None and self.features.shape != (n, FEATURE_DIM):
             raise ValueError(f"an episode's {n} steps must all hold {FEATURE_DIM} features or "
                              f"none, got an array of shape {self.features.shape}")
-        if not {"SLM", "LLM"}.issuperset(self.executors):
-            raise ValueError("executor must be 'SLM' or 'LLM'")
-        if any(p is not None and not 0.0 <= p <= 1.0 for p in self.router_probs):
-            raise ValueError("router probability must lie in [0, 1]")
-        if self.budget_limit is not None and self.llm_calls > self.budget_limit:
-            raise ValueError("llm_calls exceeds the budget limit")
 
     def __eq__(self, other):
         if not isinstance(other, PerturbedEpisode):
             return NotImplemented
-        return episode_to_dict(self) == episode_to_dict(other)
+        return _record(self) == _record(other)
 
     @property
     def llm_calls(self) -> int:
@@ -248,16 +272,22 @@ class PerturbedEpisode:
 
     @property
     def steps(self) -> tuple:
-        """The steps as `StepView`s, built from the columns on every read."""
-        logps, scores = self.candidate_logps.tolist(), self.verifier_scores.tolist()
-        bounds = list(zip(self.offsets, self.offsets[1:]))
+        """The steps as `StepView`s, built from the columns on every read;
+        without node columns, a step's context, candidates, scores and
+        features are None."""
         n = len(self.actions)
-        features = [None] * n if self.features is None else map(tuple, self.features.tolist())
-        left = [None] * n if self.budget_limit is None else [
+        contexts = candidates = scores = features = (None,) * n
+        if self.observations is not None:
+            logps, flat = self.candidate_logps.tolist(), self.verifier_scores.tolist()
+            bounds = list(zip(self.offsets, self.offsets[1:]))
+            contexts = self.contexts()
+            candidates = [tuple(zip(c, logps[a:b])) for c, (a, b) in zip(self.candidates, bounds)]
+            scores = [tuple(flat[a:b]) for a, b in bounds]
+            if self.features is not None:
+                features = map(tuple, self.features.tolist())
+        left = (None,) * n if self.budget_limit is None else [
             self.budget_limit - used for used in accumulate(e == "LLM" for e in self.executors)]
-        return tuple(map(StepView, self.contexts(),
-                         [tuple(zip(c, logps[a:b])) for c, (a, b) in zip(self.candidates, bounds)],
-                         [tuple(scores[a:b]) for a, b in bounds], self.actions, self.executors,
+        return tuple(map(StepView, contexts, candidates, scores, self.actions, self.executors,
                          features, self.router_probs, self.decisions, left))
 
 
@@ -436,8 +466,28 @@ def unpack_floats(text: str, count: int) -> np.ndarray:
     return values
 
 
+def routed_episode_to_dict(episode: PerturbedEpisode) -> dict:
+    """The `routed-episode@1` record of an episode: its id, seed, outcome,
+    budget, goal and the per-step actions, executors, router probabilities
+    and decisions, which is all that evaluation reads. The `NODE_COLUMNS`
+    are left out, each a function of (config, task, z, action prefix), and
+    so is `kind`, which the file header's `variant` gives."""
+    return {
+        "task_id": episode.task_id,
+        "z": episode.seed.z,
+        "success": episode.success,
+        "budget_limit": episode.budget_limit,
+        "goal": episode.goal,
+        "actions": episode.actions,
+        "executors": episode.executors,
+        "router_probs": episode.router_probs,
+        "decisions": episode.decisions,
+    }
+
+
 def episode_to_dict(episode: PerturbedEpisode) -> dict:
-    """The episode's columns as one record.
+    """The `episode@5` record of an episode: the routed record's columns,
+    its `kind` and its node columns.
 
     A step's context is stored as its observation alone: the goal once per
     episode, and the action prefix and `tokens_seen` rebuilt on decode.
@@ -449,53 +499,63 @@ def episode_to_dict(episode: PerturbedEpisode) -> dict:
     little-endian float64 and must be finite.
     """
     return {
-        "task_id": episode.task_id,
-        "z": episode.seed.z,
-        "success": episode.success,
-        "budget_limit": episode.budget_limit,
+        **routed_episode_to_dict(episode),
         "kind": episode.kind,
-        "goal": episode.goal,
         "observations": episode.observations,
-        "actions": episode.actions,
-        "executors": episode.executors,
         "candidates": episode.candidates,
         "candidate_logps": pack_floats(episode.candidate_logps),
         "verifier_scores": pack_floats(episode.verifier_scores),
         "features": None if episode.features is None else pack_floats(episode.features),
-        "router_probs": episode.router_probs,
-        "decisions": episode.decisions,
     }
 
 
-def episode_from_dict(d: dict) -> PerturbedEpisode:
-    """The episode of one record, each value of the JSON type its writer wrote."""
-    observations = tuple(map(tuple, d["observations"]))
-    candidates = tuple(map(tuple, d["candidates"]))
-    _require_types("an id, token, action or candidate", chain(
-        (d["task_id"], d["z"]), d["goal"], d["actions"], *observations, *candidates), int)
+def _record(episode: PerturbedEpisode) -> dict:
+    """The columns an episode holds, with its kind, as its record stores them."""
+    if episode.observations is None:
+        return {**routed_episode_to_dict(episode), "kind": episode.kind}
+    return episode_to_dict(episode)
+
+
+def _routed_columns(d: dict) -> dict:
+    """The fields of a routed record's columns, each value of the JSON type
+    its writer wrote."""
+    _require_types("an id, token or action", chain((d["task_id"], d["z"]), d["goal"],
+                                                   d["actions"]), int)
     _require_types("success", (d["success"],), bool)
-    _require_types("kind", (d["kind"],), str)
     _require_types("budget_limit", (d["budget_limit"],), int, type(None))
     _require_types("a decision", d["decisions"], bool, type(None))
     _require_types("a router probability", d["router_probs"], float, int, type(None))
+    return dict(task_id=d["task_id"], seed=PerturbationSeed(d["z"]), success=d["success"],
+                budget_limit=d["budget_limit"], goal=tuple(d["goal"]),
+                actions=tuple(d["actions"]), executors=tuple(d["executors"]),
+                router_probs=tuple(d["router_probs"]), decisions=tuple(d["decisions"]))
+
+
+def routed_episode_from_dict(d: dict, kind: str) -> PerturbedEpisode:
+    """The episode of one `routed-episode@1` record of a `kind` file, without
+    node columns."""
+    return PerturbedEpisode(kind=kind, **_routed_columns(d),
+                            **dict.fromkeys(NODE_COLUMNS))
+
+
+def episode_from_dict(d: dict) -> PerturbedEpisode:
+    """The episode of one `episode@5` record, each value of the JSON type its
+    writer wrote."""
+    observations = tuple(map(tuple, d["observations"]))
+    candidates = tuple(map(tuple, d["candidates"]))
+    _require_types("a token or candidate", chain(*observations, *candidates), int)
+    _require_types("kind", (d["kind"],), str)
+    columns = _routed_columns(d)
     n_candidates = sum(map(len, candidates))
     return PerturbedEpisode(
-        task_id=d["task_id"],
-        seed=PerturbationSeed(d["z"]),
-        success=d["success"],
-        budget_limit=d["budget_limit"],
         kind=d["kind"],
-        goal=tuple(d["goal"]),
         observations=observations,
-        actions=tuple(d["actions"]),
-        executors=tuple(d["executors"]),
         candidates=candidates,
         candidate_logps=unpack_floats(d["candidate_logps"], n_candidates),
         verifier_scores=unpack_floats(d["verifier_scores"], n_candidates),
         features=(None if d["features"] is None else unpack_floats(
-            d["features"], FEATURE_DIM * len(d["actions"])).reshape(-1, FEATURE_DIM)),
-        router_probs=tuple(d["router_probs"]),
-        decisions=tuple(d["decisions"]),
+            d["features"], FEATURE_DIM * len(columns["actions"])).reshape(-1, FEATURE_DIM)),
+        **columns,
     )
 
 

@@ -23,6 +23,7 @@ from .distill import DistillConfig, build_preferences, train_recovery
 from .domain import (
     EPISODE_SCHEMA,
     PAIRS_SCHEMA,
+    ROUTED_EPISODE_SCHEMA,
     ROUTING_SCHEMA,
     ConfigError,
     CostSpec,
@@ -39,6 +40,8 @@ from .domain import (
     pair_records,
     read_header,
     require_number,
+    routed_episode_from_dict,
+    routed_episode_to_dict,
     routing_record,
     routing_seed_from_dict,
     write_csv,
@@ -534,12 +537,20 @@ def stage_collect(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     return out
 
 
-def load_episodes(path: Path):
+def load_episodes(path: Path, schema: str | None = None):
+    """The episodes of an episode file, decoded by its header's record
+    schema, which must be `schema` when one is given; a routed record takes
+    its kind from the header's `variant`."""
+    header = read_header(path)
+    schema = schema or header.get("schema")
+    if schema == ROUTED_EPISODE_SCHEMA:
+        kind = header.typed("variant", str)
+        return decode_records(path, schema, lambda d: routed_episode_from_dict(d, kind))
     return decode_records(path, EPISODE_SCHEMA, episode_from_dict)
 
 
 def stage_train_bc(cfg: dict, workdir: Path) -> Path:
-    pool = load_episodes(require_inputs(cfg, workdir, "train-bc")["collect"])
+    pool = load_episodes(require_inputs(cfg, workdir, "train-bc")["collect"], EPISODE_SCHEMA)
     env = make_env(cfg)
     policy, trace = train_bc(
         pool,
@@ -565,7 +576,7 @@ def load_policy(path: Path, writer: str) -> SoftmaxPolicy:
 
 def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
     paths = require_inputs(cfg, workdir, "build-pairs")
-    pool = load_episodes(paths["collect"])
+    pool = load_episodes(paths["collect"], EPISODE_SCHEMA)
     bc_policy = load_policy(paths["train-bc"], "train-bc")
     env = make_env(cfg)
     pairs, views, counters = build_preferences(
@@ -713,7 +724,7 @@ def _build_routing_policy(cfg: dict, variant: str, paths: dict,
         return _r2v_policy(cfg, RouterNet.load(paths["train-router"])[0])
     key = {"entropy": "tau_h", "heuristic": "theta_v"}.get(variant)
     if variant == "oracle" and slm_episodes is None:
-        slm_episodes = load_episodes(paths["rollout:slm"])
+        slm_episodes = load_episodes(paths["rollout:slm"], EPISODE_SCHEMA)
     return RoutingPolicy(
         variant,
         threshold=read_header(paths["train-router"]).typed(key, float, int) if key else None,
@@ -768,12 +779,19 @@ def _roll_out(cfg: dict, workdir: Path, distill_path: Path, policies: list) -> l
                      policies, *_step_tree(tree_key, cfg))
 
 
+def rollout_schema(variant: str) -> str:
+    """The record schema of `variant`'s rollout file. The slm rollout, which
+    no rule routes, keeps every column, so its steps' features stay on file;
+    a routed rollout keeps the columns evaluation reads."""
+    return EPISODE_SCHEMA if variant == "slm" else ROUTED_EPISODE_SCHEMA
+
+
 def _roll_out_files(workdir: Path, rollouts, slm_episodes=None):
     """`_roll_out` of each (config, variant, output path) of `rollouts`, each
-    file written stamped from its own config. The configs may differ only in
-    what the routing reads: the env, SLM, verifier and grid are the first's.
-    An oracle reads its hindsight from `slm_episodes` when given, the
-    episodes of the fresh slm rollout file."""
+    file written stamped from its own config in its variant's record schema.
+    The configs may differ only in what the routing reads: the env, SLM,
+    verifier and grid are the first's. An oracle reads its hindsight from
+    `slm_episodes` when given, the episodes of the fresh slm rollout file."""
     paths = {}
     for sub, variant, _ in rollouts:
         paths.update(require_inputs(sub, workdir, f"rollout:{variant}"))
@@ -781,8 +799,10 @@ def _roll_out_files(workdir: Path, rollouts, slm_episodes=None):
                 for sub, variant, _ in rollouts]
     rolled = _roll_out(rollouts[0][0], workdir, paths["distill"], policies)
     for (sub, variant, out), episodes in zip(rollouts, rolled):
-        write_rljson(out, [episode_to_dict(ep) for ep in episodes],
-                     {"schema": EPISODE_SCHEMA, "stage": "rollout", "variant": variant,
+        schema = rollout_schema(variant)
+        encode = episode_to_dict if schema == EPISODE_SCHEMA else routed_episode_to_dict
+        write_rljson(out, [encode(ep) for ep in episodes],
+                     {"schema": schema, "stage": "rollout", "variant": variant,
                       **_stamp(sub, f"rollout:{variant}")})
     return rolled
 
@@ -815,7 +835,8 @@ def stage_evaluate(cfg: dict, workdir: Path, workers: int = 1) -> Path:
     stale = []
     for variant in VARIANT_ORDER:
         try:
-            episodes[variant] = load_episodes(require_stage(cfg, workdir, f"rollout:{variant}"))
+            episodes[variant] = load_episodes(require_stage(cfg, workdir, f"rollout:{variant}"),
+                                              rollout_schema(variant))
         except StageOrderError:
             stale.append(variant)
     # the oracle reads the slm outcomes, so it rolls after they are written;

@@ -20,7 +20,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "steprouter"
 FILE_METHODS = {"open", "readline", "read_text", "read_bytes", "write_text",
                 "write_bytes", "frombuffer", "fromfile"}
 CONFIG_INPUT = {("pipeline.py", "load_config"), ("pipeline.py", "_parse_value")}
-RLJSON_SCHEMA = re.compile(r"(episode|routing)[\w-]*@\d+|pairs@\d+")
+RLJSON_SCHEMA = re.compile(r"(routed-)?(episode|routing)[\w-]*@\d+|pairs@\d+")
 
 
 def _file_call(func) -> str | None:
@@ -70,5 +70,5 @@ def test_only_domain_names_rljson_schemas():
     found = [f"{path.name}: {literal}" for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "domain.py" for literal in schema_literals(path)]
     assert not found, f"rljson schema named outside domain.py: {found}"
-    assert set(schema_literals(PACKAGE / "domain.py")) >= {"episode@5", "routing-seed@3",
-                                                           "pairs@2"}
+    assert set(schema_literals(PACKAGE / "domain.py")) >= {"episode@5", "routed-episode@1",
+                                                           "routing-seed@3", "pairs@2"}

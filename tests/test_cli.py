@@ -16,7 +16,8 @@ import pytest
 
 from steprouter import pipeline, theory
 from steprouter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE_ORDER, main
-from steprouter.domain import EPISODE_SCHEMA, PAIRS_SCHEMA, ROUTING_SCHEMA, ConfigError
+from steprouter.domain import (EPISODE_SCHEMA, PAIRS_SCHEMA, ROUTED_EPISODE_SCHEMA,
+                               ROUTING_SCHEMA, ConfigError)
 from steprouter.router import RouterNet
 
 TINY = [
@@ -426,6 +427,18 @@ BAD_ARTIFACTS = {
                               ("evaluate",)),
     "pairs-header-episode": ("pairs.rljson", _set_header_field("schema", EPISODE_SCHEMA),
                              ("distill",)),
+    # a routed rollout's file holds only what evaluate reads; the slm
+    # rollout's and the demonstrations hold every column, and each reader
+    # takes only the format its file is written in
+    "eval_r2v-header-episode": ("eval_r2v.rljson", _set_header_field("schema", EPISODE_SCHEMA),
+                                ("evaluate",)),
+    "eval_slm-header-routed": ("eval_slm.rljson",
+                               _set_header_field("schema", ROUTED_EPISODE_SCHEMA), ("evaluate",)),
+    "episodes-header-routed": ("episodes.rljson",
+                               _set_header_field("schema", ROUTED_EPISODE_SCHEMA), ("train-bc",)),
+    "eval_r2v-no-executors": ("eval_r2v.rljson", _drop_record_key("executors"), ("evaluate",)),
+    "eval_r2v-decision-int": ("eval_r2v.rljson", _retype(lambda rec: rec["decisions"],
+                                                         lambda d: 1), ("evaluate",)),
     "routing-header-episode": ("routing.rljson", _set_header_field("schema", EPISODE_SCHEMA),
                                ("train-router",)),
     # a record value is taken as written, never coerced to its column's type

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,39 @@ class TestConsistencyLoss:
             q = rng.dirichlet(np.ones(dim))
             v = jsd(p, q)
             assert -1e-12 <= v <= math.log(2) + 1e-12
+
+    def test_saturated_softmax_gives_the_jsd_loss(self):
+        # one large step from a random start drives entries of both heads'
+        # softmax to exactly 0; the objective there is finite, raises no
+        # RuntimeWarning and equals the DPO term plus lambda times the mean
+        # scalar jsd, which skips zero entries
+        rng = seeds.stream("saturated-jsd")
+        n_feat, n_act, n_pairs, n_views, beta, lam = 6, 4, 5, 7, 2.0, 0.5
+        theta, bias = rng.normal(size=(n_feat, n_act)), rng.normal(size=n_act)
+        pair_x = rng.normal(size=(n_pairs, n_feat))
+        plus = rng.integers(0, n_act, n_pairs)
+        minus = (plus + 1 + rng.integers(0, n_act - 1, n_pairs)) % n_act
+        ref_margin = rng.normal(size=n_pairs)
+        cons_a, cons_b = rng.normal(size=(n_views, n_feat)), rng.normal(size=(n_views, n_feat))
+        args = (pair_x, plus, minus, ref_margin, beta, lam, cons_a, cons_b)
+        g_theta, g_bias = recovery_objective(theta, bias, *args)[1]()
+        theta, bias = theta - 1e4 * g_theta, bias - 1e4 * g_bias
+
+        def softmax(z):
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            return e / e.sum(axis=1, keepdims=True)
+
+        p, q = softmax(cons_a @ theta + bias), softmax(cons_b @ theta + bias)
+        assert (p == 0.0).any() and (q == 0.0).any()
+        logits = pair_x @ theta + bias
+        rows = np.arange(n_pairs)
+        u = beta * (logits[rows, plus] - logits[rows, minus] - ref_margin)
+        want = np.logaddexp(0.0, -u).mean() + lam * np.mean([jsd(a, b) for a, b in zip(p, q)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = recovery_objective(theta, bias, *args)
+            assert all(np.isfinite(g).all() for g in grad())
+        assert math.isfinite(loss) and loss == pytest.approx(want, rel=1e-12)
 
     def test_tv_jsd_inequality_sample(self):
         rng = seeds.stream("tv-jsd-sample")

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from steprouter.domain import (
     EPISODE_SCHEMA,
+    NODE_COLUMNS,
+    ROUTED_EPISODE_SCHEMA,
     ROUTING_SCHEMA,
     Context,
     CostSpec,
@@ -31,6 +33,8 @@ from steprouter.domain import (
     read_arrays,
     read_header,
     read_rljson,
+    routed_episode_from_dict,
+    routed_episode_to_dict,
     routing_record,
     routing_seed_from_dict,
     unpack_floats,
@@ -119,6 +123,7 @@ class TestSplits:
 
 
 HEADER = {"schema": EPISODE_SCHEMA, "stage": "test"}
+ROUTED_HEADER = {"schema": ROUTED_EPISODE_SCHEMA, "stage": "test", "variant": "r2v"}
 ROUTING_HEADER = {"schema": ROUTING_SCHEMA, "stage": "test"}
 
 
@@ -499,6 +504,74 @@ def test_routed_and_teacher_episodes_round_trip(scratch_file, eps):
     assert loaded == eps and float_bits(loaded) == float_bits(eps)
 
 
+def routed(episode, kind="r2v"):
+    """The episode a routed record of `episode` decodes to in a `kind` file."""
+    return routed_episode_from_dict(_as_json(routed_episode_to_dict(episode)), kind)
+
+
+def as_routed(step):
+    """A step view without what a routed record leaves out."""
+    return step._replace(context=None, candidates=None, verifier_scores=None, features=None)
+
+
+@settings(max_examples=50, deadline=None)
+@given(eps=st.lists(episodes(), min_size=1, max_size=4))
+def test_routed_records_round_trip(scratch_file, eps):
+    # a routed record keeps the routed columns bit for bit and no node
+    # column; a decoded step is the episode's step with None where the
+    # record holds nothing, and through the file an episode takes its kind
+    # from the header and encodes back to the same record
+    for ep in eps:
+        decoded = routed(ep, ep.kind)
+        assert routed_episode_to_dict(decoded) == routed_episode_to_dict(ep)
+        assert float_bits(decoded.router_probs) == float_bits(ep.router_probs)
+        assert decoded.kind == ep.kind and decoded.llm_calls == ep.llm_calls
+        assert all(getattr(decoded, column) is None for column in NODE_COLUMNS)
+        assert list(decoded.steps) == [as_routed(step) for step in ep.steps]
+        assert len(decoded.steps) == len(ep.actions)
+        assert decoded == routed(decoded, ep.kind) and decoded != ep
+    write_rljson(scratch_file, [routed_episode_to_dict(ep) for ep in eps], ROUTED_HEADER)
+    loaded = load_episodes(scratch_file)
+    assert loaded == [routed(ep) for ep in eps]
+    assert float_bits([ep.router_probs for ep in loaded]) == float_bits(
+        [ep.router_probs for ep in eps])
+
+
+def test_node_columns_held_all_or_none():
+    # an episode holds its observations, candidates and candidate floats
+    # together (features may be None), or none of the five node columns
+    ep = make_episode()
+    for column in NODE_COLUMNS[:4]:
+        with pytest.raises(ValueError, match="all of its node columns or none"):
+            replace(ep, **{column: None})
+    thin = routed(ep)
+    for column in NODE_COLUMNS:
+        with pytest.raises(ValueError, match="all of its node columns or none"):
+            replace(thin, **{column: getattr(ep, column)})
+    assert replace(ep, features=None).features is None
+    assert thin.offsets is None and [s.chosen_action for s in thin.steps] == list(ep.actions)
+
+
+def test_load_episodes_requires_the_given_schema(tmp_path):
+    # a reader that names a record format refuses the other one at offset 0;
+    # a routed file takes its episodes' kind from the header's variant
+    full, thin = tmp_path / "full.rljson", tmp_path / "thin.rljson"
+    write_rljson(full, [episode_to_dict(make_episode())], {**HEADER, "variant": "r2v"})
+    write_rljson(thin, [routed_episode_to_dict(make_episode())], ROUTED_HEADER)
+    assert load_episodes(full, EPISODE_SCHEMA) == [make_episode()]
+    assert load_episodes(thin, ROUTED_EPISODE_SCHEMA) == [routed(make_episode())]
+    for path, schema, found in ((full, ROUTED_EPISODE_SCHEMA, EPISODE_SCHEMA),
+                                (thin, EPISODE_SCHEMA, ROUTED_EPISODE_SCHEMA)):
+        with pytest.raises(RecordFormatError, match=f"header schema is {found!r}, "
+                                                    f"not {schema}") as err:
+            load_episodes(path, schema)
+        assert err.value.offset == 0
+    write_rljson(thin, [routed_episode_to_dict(make_episode())], {**ROUTED_HEADER,
+                                                                  "variant": None})
+    with pytest.raises(RecordFormatError, match="header field 'variant' is None"):
+        load_episodes(thin)
+
+
 def test_mixed_featured_steps_refused():
     # features are one row per step or none at all: a block short of the
     # steps is refused, and a teacher episode encodes null
@@ -559,6 +632,8 @@ RECORDS = {
     "episode": (lambda: episode_to_dict(make_episode(budget=2)), episode_from_dict),
     "routing": (lambda: routing_record(4, "train", make_episode()), routing_seed_from_dict),
     "pair": (_pair_record, pair_record_from_dict),
+    "routed": (lambda: routed_episode_to_dict(make_episode(budget=2)),
+               lambda rec: routed_episode_from_dict(rec, "r2v")),
 }
 
 # a record value of another JSON type than its writer writes
@@ -575,6 +650,11 @@ MISTYPED = {
     "episode-decision-str": ("episode", ("decisions", 1), "maybe"),
     "episode-router_prob-str": ("episode", ("router_probs", 0), "0.25"),
     "episode-router_prob-bool": ("episode", ("router_probs", 0), True),
+    "routed-action-bool": ("routed", ("actions", 2), True),
+    "routed-success-int": ("routed", ("success",), 0),
+    "routed-budget_limit-float": ("routed", ("budget_limit",), 2.0),
+    "routed-decision-int": ("routed", ("decisions", 0), 1),
+    "routed-router_prob-str": ("routed", ("router_probs", 1), "0.25"),
     "routing-seed_id-bool": ("routing", ("seed_id",), True),
     "routing-label-bool": ("routing", ("label",), True),
     "routing-label-float": ("routing", ("label",), 1.0),

@@ -103,6 +103,18 @@ file, the earlier stored `llm_calls` and `budget_remaining` equal the
 derived ones (also under `runtime.budget_limit=3`), every header is equal
 but its `schema`, and every other pinned file, `pairs.rljson` and both
 ablation tables included, kept its bytes.
+An eleventh deliberate change, format only: the rollouts whose steps a rule
+routes (llm, entropy, heuristic, r2v and oracle) and the eight masked r2v
+rollouts write `routed-episode@1` records, which keep `task_id`, `z`,
+`success`, `budget_limit`, `goal`, `actions`, `executors`, `router_probs`
+and `decisions` and leave out the five node columns (observations,
+candidates, candidate log-probs, verifier scores and features) and `kind`,
+which equals the header's `variant`. It moved the five routed
+`eval_*.rljson` and the eight masked r2v rollouts. Every record each of
+them holds equals the earlier record with those six columns dropped, every
+earlier `kind` equals its header's `variant`, every header is equal but its
+`schema`, and every other pinned file, `eval_slm.rljson` included, kept its
+bytes.
 
 The features and cvar ablations of the same run are pinned too: their eight
 masked r2v rollouts leave prefixes that an earlier policy visited, at steps
@@ -139,11 +151,11 @@ GOLDEN_SHA256 = {
     "distill_report.json": "a3f90b4f39cf848723a681d1cc57f2036839f47d15dc36abd01de7e39bcec9ca",
     "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
     "routing.rljson": "ec22789e6b73d8228d14fc23bece6c271be6c3c9a65343f67d5476ca0839b863",
-    "eval_entropy.rljson": "08dc12c36cf93943233248bf6d286bc5460b1b487c32ab234ee01884924627b8",
-    "eval_heuristic.rljson": "bb155f83eef088b40bb8c3305ff9a2a3692098d7f91d6f21c0bcb0225bf0811e",
-    "eval_llm.rljson": "f04c2243f577e3cc08756d16e871234f75d9c5e2eb103097e8c0ebd6567cc72e",
-    "eval_oracle.rljson": "ae62ea4ed34b051a372f5b3e3d5ccf65d2855c3814dfaa16966660edc9562acb",
-    "eval_r2v.rljson": "9d4497864934687e106b25212f956d3dfa4668122cb08e57d454ce71a067632b",
+    "eval_entropy.rljson": "22519833aea781294329c24ff6cc9d849a702e1b4dcd55b63d008f3e534ae620",
+    "eval_heuristic.rljson": "79267cc1a3ae5737f5b9b0fc8f7109dc5d6ad700feaa094ea4999b811c3baf13",
+    "eval_llm.rljson": "f04bc3d1fa47757e76675abbd4c427964aed69e3c6d4f246d842064b4e520199",
+    "eval_oracle.rljson": "b7f1869d5d13dd4eed9f7b6ad56a7e045c6480a9646659e3993328a25c459149",
+    "eval_r2v.rljson": "9ab416aac12290a8fbdd6b2cbc97ea482d4f6b26fba250ef3a32fcf5de2be0f4",
     "eval_slm.rljson": "76e56b49a15c01b792a7f5cad6c6626618db9b37d837a4996ffe293e19635c34",
     "router.bin": "e62eb653b4e6874e9caa73ed5067ac451920e925a0d391c48de9b64594a785c5",
     "router_report.csv": "83410e7b91bac78014f73c64a2accfa7afda9384384281e5fd2d57f553201cf0",
@@ -153,20 +165,20 @@ GOLDEN_ABLATION_SHA256 = {
     "ablate_features.csv": "67632286743629c90a522c23959447dc21f152f2ca65c26860d279be94edaeee",
     "ablate_cvar.csv": "84a8acb1c5ae9dd534ed10ce10e96a416834b038cf641f2ec6dcd8d613d35ca0",
     "eval_r2v_mask_EntropyOnly.rljson":
-        "fb050e4689a06b61945372d977b46a73520ab349ab5574547551665598e0513c",
-    "eval_r2v_mask_Full.rljson": "9d4497864934687e106b25212f956d3dfa4668122cb08e57d454ce71a067632b",
+        "fa64c2cefb37110679fc5bfc932d8ab074ed12a0f4a9cc93e26e5eb5d0a56f7d",
+    "eval_r2v_mask_Full.rljson": "9ab416aac12290a8fbdd6b2cbc97ea482d4f6b26fba250ef3a32fcf5de2be0f4",
     "eval_r2v_mask_LogProbOnly.rljson":
-        "5074e6bbfbcbf7915763798113e277fb056f8ad09f2dd1fe9d3723092af00e48",
+        "3d97c94a279bde954976f714639d40ceb7cfbccab674472e5b941b7bb4d7350b",
     "eval_r2v_mask_NoEntropy.rljson":
-        "3316d2242a93afd49b1d76db22e74e11ac74013a32b11996261bb711d3c701c0",
+        "5c469cbdcace4675a76a02e5ad29c51bb4bd53a19703e2b3378fac135e3d2ad6",
     "eval_r2v_mask_NoVerifier.rljson":
-        "5afa626c42dad51c0237ddca2ad49a3a29707b305462bbf6b49d97b38253daaa",
+        "d097ed1fa763b28d8f2c53612c1dbb75f3abea5362110aff41398953ed58192d",
     "eval_r2v_mask_PseudoEntropy.rljson":
-        "eb8e4c099a37534aa34252e05a7972ce085ff5bfaffa3a07146631b54aae5698",
+        "e3e558c123e40ea4b89a0ebb18016c53b5dcd55d6acef573795eeac94c8b1fb1",
     "eval_r2v_mask_StepContextOnly.rljson":
-        "2a24c196040abaf2793a78d8bc00a7ecbf4ef7bbef8fd1f13b308c0d9bfd5288",
+        "6c0266447b1f39d8a980484388464c4624badca09dd9ee924b30fdfefa820f43",
     "eval_r2v_mask_VerifierOnly.rljson":
-        "d427101bdb4ed5ab696517fba9eb0c2cf0a099a682678df773449cd281e5022e",
+        "c18d959f5a11f7aa1a6bfe47d1fe02a9e8b19857956bba1496063f78d2e3c4e5",
 }
 
 

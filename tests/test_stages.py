@@ -30,8 +30,9 @@ import pytest
 
 from steprouter import env as env_module
 from steprouter import pipeline, runtime
-from steprouter.domain import (ConfigError, RecordFormatError, StageOrderError, episode_to_dict,
-                               read_header, write_csv, write_rljson)
+from steprouter.domain import (EPISODE_SCHEMA, ConfigError, RecordFormatError, StageOrderError,
+                               episode_to_dict, read_header, routed_episode_to_dict, write_csv,
+                               write_rljson)
 from steprouter.features import FeatureMask
 from steprouter.router import RouterNet
 
@@ -405,31 +406,80 @@ def float_bits(obj) -> list[bytes]:
     return []
 
 
-def test_step_views_of_a_file_equal_the_engines(small_run, tmp_path):
-    # ep.steps[t] of a decoded eval file is ep.steps[t] of the episode the
-    # engine held when it wrote the file, field for field, float bits too
-    cfg, base_wd = small_run
-    wd = _own_copy(base_wd, tmp_path / "run")
+def kept(episode):
+    """What a routed rollout file keeps of an episode: its routed record and
+    its kind."""
+    return routed_episode_to_dict(episode), episode.kind
+
+
+def as_filed(step, variant: str):
+    """A step view as the file of `variant`'s rollout keeps it: a routed
+    file holds no context, candidates, scores or features."""
+    if variant == "slm":
+        return step
+    return step._replace(context=None, candidates=None, verifier_scores=None, features=None)
+
+
+def _roll_out_all(cfg, wd):
+    """The six variants' episodes as the engine held them when it wrote
+    their eval files into `wd`."""
     groups = [[v for v in pipeline.VARIANT_ORDER if v != "oracle"], ["oracle"]]
     rolled = {}
     for group in groups:
         rollouts = [(cfg, v, pipeline.artifact_path(wd, f"rollout:{v}")) for v in group]
         rolled.update(zip(group, pipeline._roll_out_files(wd, rollouts, rolled.get("slm"))))
+    return rolled
+
+
+def test_step_views_of_a_file_equal_the_engines(small_run, tmp_path):
+    # ep.steps[t] of a decoded eval file is ep.steps[t] of the episode the
+    # engine held when it wrote the file, field for field, float bits too,
+    # on every field the file keeps; a routed file's steps hold None in the
+    # others
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    rolled = _roll_out_all(cfg, wd)
     for variant, episodes in rolled.items():
         decoded = pipeline.load_episodes(wd / f"eval_{variant}.rljson")
-        assert decoded == episodes, variant
-        for mine, theirs in zip(episodes, decoded):
+        if variant == "slm":
+            assert decoded == episodes
+        for mine, theirs in zip(episodes, decoded, strict=True):
             assert len(mine.steps) == len(theirs.steps) > 0
             for t in range(len(mine.steps)):
-                assert mine.steps[t] == theirs.steps[t], (variant, t)
-                assert float_bits(mine.steps[t]) == float_bits(theirs.steps[t])
+                assert as_filed(mine.steps[t], variant) == theirs.steps[t], (variant, t)
+                assert float_bits(as_filed(mine.steps[t], variant)) == float_bits(theirs.steps[t])
         assert (wd / f"eval_{variant}.rljson").read_bytes() == (
             base_wd / f"eval_{variant}.rljson").read_bytes()
 
 
+def test_routed_files_decode_to_the_engines_kept_columns(small_run, tmp_path):
+    # each routed variant's file and each mask's file decodes to the
+    # engine's episodes on the columns it keeps, with no node column, one
+    # step view per action and the metrics of the engine's episodes
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    rolled = {f"eval_{v}.rljson": episodes for v, episodes in _roll_out_all(cfg, wd).items()}
+    masks = [(_mask_cfg(cfg, m), "r2v", wd / f"eval_r2v_mask_{m}.rljson") for m in MASKS]
+    rolled.update(zip((out.name for _, _, out in masks), pipeline._roll_out_files(wd, masks)))
+    assert len(rolled) == len(pipeline.VARIANT_ORDER) + len(MASKS)
+    for name, episodes in rolled.items():
+        variant = "r2v" if "mask" in name else name[len("eval_"):-len(".rljson")]
+        assert read_header(wd / name)["schema"] == pipeline.rollout_schema(variant)
+        decoded = pipeline.load_episodes(wd / name)
+        assert [kept(ep) for ep in decoded] == [kept(ep) for ep in episodes], name
+        assert all(len(ep.steps) == len(ep.actions) for ep in decoded), name
+        if variant != "slm":
+            assert all(getattr(ep, column) is None for ep in decoded
+                       for column in ("observations", "candidates", "candidate_logps",
+                                      "verifier_scores", "features", "offsets")), name
+        assert (pipeline._metrics_for(cfg, decoded).to_dict()
+                == pipeline._metrics_for(cfg, episodes).to_dict()), name
+
+
 def test_every_episode_record_re_encodes_to_its_bytes(small_run, tmp_path):
     # each line of the demonstrations, the six eval files and the eight mask
-    # files decodes and encodes back to the same bytes
+    # files decodes and encodes back to the same bytes, in its header's
+    # record format
     cfg, base_wd = small_run
     wd = _own_copy(base_wd, tmp_path / "run")
     pipeline.stage_ablate(cfg, wd, "features", workers=1)
@@ -437,8 +487,9 @@ def test_every_episode_record_re_encodes_to_its_bytes(small_run, tmp_path):
              *(f"eval_r2v_mask_{m}.rljson" for m in MASKS)]
     for name in names:
         again = tmp_path / name
-        write_rljson(again, [episode_to_dict(ep) for ep in pipeline.load_episodes(wd / name)],
-                     read_header(wd / name))
+        header = read_header(wd / name)
+        encode = episode_to_dict if header["schema"] == EPISODE_SCHEMA else routed_episode_to_dict
+        write_rljson(again, [encode(ep) for ep in pipeline.load_episodes(wd / name)], header)
         assert again.read_bytes() == (wd / name).read_bytes(), name
 
 
@@ -510,8 +561,12 @@ def test_evaluate_takes_the_oracle_hindsight_from_memory(small_run, tmp_path, mo
         (wd / f"eval_{variant}.rljson").unlink()
     loads = []
     real_load = pipeline.load_episodes
-    monkeypatch.setattr(pipeline, "load_episodes",
-                        lambda path: loads.append(path.name) or real_load(path))
+
+    def load(path, *schema):
+        loads.append(path.name)
+        return real_load(path, *schema)
+
+    monkeypatch.setattr(pipeline, "load_episodes", load)
     pipeline.stage_evaluate(cfg, wd, workers=1)
     assert loads.count("eval_slm.rljson") == (0 if "slm" in stale else 1)
     for name in ("eval_oracle.rljson", "summary.json"):

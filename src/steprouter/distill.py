@@ -7,6 +7,8 @@ clears the verifier threshold the pair is (best, worst); otherwise the teacher
 acts at that state and the pair is (teacher action, best candidate).
 Consistency pairs replay the clean expert action sequence under two distinct
 perturbation seeds, so both contexts share one latent state by construction.
+They are a function of the demonstrations and the env, so distill builds them
+from `episodes.rljson`, where each stored pair's context is a step too.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def build_preferences(
     env: HazardChainEnv,
     k: int = 5,
 ):
-    """Construct (preference pairs, consistency view pairs, counters) from the pool.
+    """Construct (preference pairs, counters) from the pool; each pair names
+    the index of the pooled episode whose step its context is.
 
     At most one pair per context; contexts whose candidates collapse onto a
     single action (or where the teacher agrees with the best candidate) are
@@ -66,29 +69,29 @@ def build_preferences(
     rng_score = seeds.stream(env.config.rng_seed, "pairs", "scores")
     rng_teacher = seeds.stream(env.config.rng_seed, "pairs", "teacher")
     contexts = [ctx for ep in pool for ctx in ep.contexts()]
+    episodes = [e for e, ep in enumerate(pool) for _ in ep.actions]
     states = [state for ep in pool for state in episode_states(env, ep)]
     drawn, _ = bc_policy.sample_candidates(contexts, k, [rng_cand] * len(contexts))
     scores = score_candidates(spec, states, drawn, [rng_score] * len(contexts))
     pairs: list[PreferencePair] = []
     counters = {"verifier_ranked": 0, "teacher_recovered": 0, "skipped": 0}
-    rows = zip(contexts, states, drawn.tolist(), scores,
+    rows = zip(contexts, episodes, states, drawn.tolist(), scores,
                np.argmax(scores, axis=1).tolist(), np.argmin(scores, axis=1).tolist())
-    for ctx, state, actions, row, best, worst in rows:
+    for ctx, e, state, actions, row, best, worst in rows:
         if row[best] >= spec.gamma_threshold:
             if actions[best] == actions[worst]:
                 counters["skipped"] += 1
                 continue
-            pairs.append(PreferencePair(ctx, actions[best], actions[worst], SOURCE_VERIFIER))
+            pairs.append(PreferencePair(ctx, actions[best], actions[worst], SOURCE_VERIFIER, e))
             counters["verifier_ranked"] += 1
         else:
             recovered = teacher.act(env, state, rng_teacher)
             if recovered == actions[best]:
                 counters["skipped"] += 1
                 continue
-            pairs.append(PreferencePair(ctx, recovered, actions[best], SOURCE_TEACHER))
+            pairs.append(PreferencePair(ctx, recovered, actions[best], SOURCE_TEACHER, e))
             counters["teacher_recovered"] += 1
-    views = build_consistency_views(pool, env)
-    return pairs, views, counters
+    return pairs, counters
 
 
 def episode_states(env: HazardChainEnv, episode) -> list:

@@ -17,7 +17,7 @@ columns and builds no per-step object; `PerturbedEpisode.steps` gives one
 step's values as a `StepView` when a reader asks for it. An episode has two
 record formats: `episode@5` holds every column, and `routed-episode@1` only
 the columns that evaluation reads, for the rollouts whose steps a rule
-routes.
+routes. A `pairs@3` record names its context as a step of an episode.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ PERTURBATION_FAMILIES = ("ToolFlaky", "PartialObs", "Injection", "Distractor")
 EPISODE_SCHEMA = "episode@5"
 ROUTED_EPISODE_SCHEMA = "routed-episode@1"
 ROUTING_SCHEMA = "routing-seed@3"
-PAIRS_SCHEMA = "pairs@2"
+PAIRS_SCHEMA = "pairs@3"
 SPLITS = ("train", "valid", "test")
 # where a preference pair's ranking came from
 SOURCE_VERIFIER = "VerifierRanked"
@@ -311,12 +311,14 @@ class RoutingExample:
 
 @dataclass(frozen=True)
 class PreferencePair:
-    """One recovery-distillation preference: a_plus over a_minus at context."""
+    """One recovery-distillation preference: a_plus over a_minus at context,
+    step `context.step_index` of pool episode `episode` (None outside a pool)."""
 
     context: Context
     a_plus: int
     a_minus: int
     source: str
+    episode: int | None = None
 
     def __post_init__(self):
         if self.a_plus == self.a_minus:
@@ -422,26 +424,6 @@ def _require_types(what: str, values, *types) -> None:
     """Raise ValueError unless each value's type is one of `types` (a bool is no int)."""
     if not set(types).issuperset(map(type, values)):
         raise ValueError(f"{what} must be " + " or ".join(t.__name__ for t in types))
-
-
-def _context_to_dict(ctx: Context) -> dict:
-    return {
-        "goal": list(ctx.goal),
-        "observation": list(ctx.observation),
-        "actions": list(ctx.actions),
-        "tokens_seen": ctx.tokens_seen,
-    }
-
-
-def _context_from_dict(d: dict) -> Context:
-    _require_types("a context token, action or count",
-                   chain(d["goal"], d["observation"], d["actions"], (d["tokens_seen"],)), int)
-    return Context(
-        goal=tuple(d["goal"]),
-        observation=tuple(d["observation"]),
-        actions=tuple(d["actions"]),
-        tokens_seen=d["tokens_seen"],
-    )
 
 
 def pack_floats(values) -> str:
@@ -586,24 +568,25 @@ def routing_seed_from_dict(d: dict) -> list[RoutingExample]:
             for features in rows.reshape(-1, FEATURE_DIM).tolist()]
 
 
-def pair_records(pairs, views) -> list[dict]:
-    """The records of a pairs file: one per preference pair, then one per
-    consistency view, a pair of contexts that share one latent state."""
-    return ([{"kind": "pair", "context": _context_to_dict(p.context), "a_plus": p.a_plus,
-              "a_minus": p.a_minus, "source": p.source} for p in pairs]
-            + [{"kind": "cons", "context_a": _context_to_dict(a),
-                "context_b": _context_to_dict(b)} for a, b in views])
+def pair_record(pair: PreferencePair) -> dict:
+    """The `pairs@3` record of a pooled preference pair: its context named
+    as step `step` of pool episode `episode`, and its ranking."""
+    return {"episode": pair.episode, "step": pair.context.step_index, "a_plus": pair.a_plus,
+            "a_minus": pair.a_minus, "source": pair.source}
 
 
-def pair_record_from_dict(rec: dict) -> PreferencePair | tuple[Context, Context]:
-    """A preference pair from a "pair" record, a view from a "cons" record."""
-    if rec["kind"] == "pair":
-        _require_types("a_plus and a_minus", (rec["a_plus"], rec["a_minus"]), int)
-        return PreferencePair(_context_from_dict(rec["context"]), rec["a_plus"],
-                              rec["a_minus"], rec["source"])
-    if rec["kind"] == "cons":
-        return _context_from_dict(rec["context_a"]), _context_from_dict(rec["context_b"])
-    raise ValueError(f"unknown pair record kind {rec['kind']!r}")
+def pair_from_dict(d: dict, pool, action_count: int | None = None) -> PreferencePair:
+    """The preference pair of a `pairs@3` record, its context step `step` of
+    `pool[episode]`. A reference to no step of the pool, and an action
+    outside [0, action_count) when a count is given, raise ValueError."""
+    e, t, plus, minus = d["episode"], d["step"], d["a_plus"], d["a_minus"]
+    _require_types("episode, step, a_plus and a_minus", (e, t, plus, minus), int)
+    # the signs are checked here, since pool[-1] would be the last episode
+    if not (0 <= e < len(pool) and 0 <= t < len(pool[e].actions)):
+        raise ValueError(f"the pool of {len(pool)} episodes holds no step {t} of an episode {e}")
+    if action_count is not None and not (0 <= plus < action_count and 0 <= minus < action_count):
+        raise ValueError(f"actions {plus} and {minus} are not both among {action_count}")
+    return PreferencePair(pool[e].contexts()[t], plus, minus, d["source"], e)
 
 
 # --- artifact files ------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distill import DistillConfig, build_preferences, train_recovery
+from .distill import DistillConfig, build_consistency_views, build_preferences, train_recovery
 from .domain import (
     EPISODE_SCHEMA,
     PAIRS_SCHEMA,
@@ -29,15 +29,14 @@ from .domain import (
     CostSpec,
     CVaRSpec,
     EnvConfig,
-    PreferencePair,
     RecordFormatError,
     StageOrderError,
     decode_records,
     derive_splits,
     episode_from_dict,
     episode_to_dict,
-    pair_record_from_dict,
-    pair_records,
+    pair_from_dict,
+    pair_record,
     read_header,
     require_number,
     routed_episode_from_dict,
@@ -376,7 +375,8 @@ STAGES = (
     Stage("train-bc", "policy_bc.bin", ("collect",), ("env", "policy.bc_epochs", "policy.bc_lr")),
     Stage("build-pairs", "pairs.rljson", ("collect", "train-bc"),
           ("env", "policy.teacher_error_rate", "verifier", "runtime.k_candidates")),
-    Stage("distill", "policy_distilled.bin", ("train-bc", "build-pairs"), ("distill",)),
+    Stage("distill", "policy_distilled.bin", ("collect", "train-bc", "build-pairs"),
+          ("env", "distill")),
     Stage("collect-routing", "routing.rljson", ("gen-tasks", "distill"),
           _ROLLOUT_KEYS + ("runtime.routing_seeds_per_task",), workers=True),
     Stage("train-router", "router.bin", ("collect-routing",),
@@ -579,27 +579,34 @@ def stage_build_pairs(cfg: dict, workdir: Path) -> Path:
     pool = load_episodes(paths["collect"], EPISODE_SCHEMA)
     bc_policy = load_policy(paths["train-bc"], "train-bc")
     env = make_env(cfg)
-    pairs, views, counters = build_preferences(
+    pairs, counters = build_preferences(
         bc_policy, pool, make_verifier(cfg, env), make_teacher(cfg), env,
         k=cfg["runtime"]["k_candidates"],
     )
     out = artifact_path(workdir, "build-pairs")
-    write_rljson(out, pair_records(pairs, views),
+    write_rljson(out, [pair_record(p) for p in pairs],
                  {"schema": PAIRS_SCHEMA, "stage": "build-pairs",
                   **_stamp(cfg, "build-pairs"), "counters": counters})
     return out
 
 
-def load_pairs(path: Path):
-    records = decode_records(path, PAIRS_SCHEMA, pair_record_from_dict)
-    return ([r for r in records if isinstance(r, PreferencePair)],
-            [r for r in records if isinstance(r, tuple)])
+def load_pairs(path: Path, pool=None, action_count: int | None = None):
+    """The pairs of a pairs file, their contexts resolved in `pool` (by default
+    the episodes file beside it); a record naming no step of the pool, or an
+    action outside [0, action_count) when a count is given, is refused."""
+    if pool is None:
+        pool = load_episodes(Path(path).with_name(ARTIFACTS["collect"]), EPISODE_SCHEMA)
+    return decode_records(path, PAIRS_SCHEMA, lambda d: pair_from_dict(d, pool, action_count))
 
 
 def stage_distill(cfg: dict, workdir: Path) -> Path:
     paths = require_inputs(cfg, workdir, "distill")
     bc_policy = load_policy(paths["train-bc"], "train-bc")
-    pairs, views = load_pairs(paths["build-pairs"])
+    counters = read_header(paths["build-pairs"]).typed("counters", dict)
+    pool = load_episodes(paths["collect"], EPISODE_SCHEMA)
+    env = make_env(cfg)
+    pairs = load_pairs(paths["build-pairs"], pool, env.config.action_count)
+    views = build_consistency_views(pool, env)
     distilled, report = train_recovery(bc_policy, pairs, views, make_distill_config(cfg))
     out = artifact_path(workdir, "distill")
     distilled.save(out, extra={**_stamp(cfg, "distill"),
@@ -610,7 +617,7 @@ def stage_distill(cfg: dict, workdir: Path) -> Path:
             "schema": "distill-report@1",
             "config_hash": config_hash(cfg),
             "pair_count": report["pair_count"],
-            "pair_counts_by_source": read_header(paths["build-pairs"]).get("counters", {}),
+            "pair_counts_by_source": counters,
             "view_count": report["view_count"],
             "final_loss": report["final_loss"],
             "reference_hash": report["reference_hash"],

@@ -22,6 +22,7 @@ import numpy as np
 from . import seeds
 from .distill import (
     DistillConfig,
+    build_consistency_views,
     build_preferences,
     dpo_margin,
     jsd,
@@ -280,7 +281,8 @@ def distilled_pair_for_transfer(seed: int):
     pool = collect_teacher_trajectories(env, teacher, range(env.task_count), 5)
     bc, _ = train_bc(pool, featurizer, epochs=60, lr=4.0)
     vspec = VerifierSpec.for_env(env, eta_v=0.05)
-    pairs, views, _ = build_preferences(bc, pool, vspec, teacher, env, k=5)
+    pairs, _ = build_preferences(bc, pool, vspec, teacher, env, k=5)
+    views = build_consistency_views(pool, env)
     with_cons, _ = train_recovery(bc, pairs, views, DistillConfig(lambda_cons=0.2, epochs=60))
     without_cons, _ = train_recovery(bc, pairs, views, DistillConfig(lambda_cons=0.0, epochs=60))
     return env, teacher, with_cons, without_cons

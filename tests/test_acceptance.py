@@ -13,7 +13,8 @@ import pytest
 
 from steprouter import pipeline, seeds, theory
 from steprouter.cli import EXIT_OK, EXIT_STAGE_ORDER, main
-from steprouter.distill import DistillConfig, build_preferences, train_recovery
+from steprouter.distill import (DistillConfig, build_consistency_views, build_preferences,
+                                train_recovery)
 from steprouter.domain import ROUTING_SCHEMA, EnvConfig, routing_record, write_rljson
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
@@ -64,7 +65,8 @@ class TestCriterion09PipelineInvariants:
     def test_frozen_reference_hash(self, world):
         env, teacher, pool, bc, vspec = world
         before = bc.param_hash()
-        pairs, views, _ = build_preferences(bc, pool, vspec, teacher, env, k=5)
+        pairs, _ = build_preferences(bc, pool, vspec, teacher, env, k=5)
+        views = build_consistency_views(pool, env)
         _, rep = train_recovery(bc, pairs, views, DistillConfig(beta=2.0, epochs=30))
         passed = bc.param_hash() == before == rep["reference_hash"]
         report("9a frozen-reference-hash", passed,

@@ -71,4 +71,4 @@ def test_only_domain_names_rljson_schemas():
              if path.name != "domain.py" for literal in schema_literals(path)]
     assert not found, f"rljson schema named outside domain.py: {found}"
     assert set(schema_literals(PACKAGE / "domain.py")) >= {"episode@5", "routed-episode@1",
-                                                           "routing-seed@3", "pairs@2"}
+                                                           "routing-seed@3", "pairs@3"}

@@ -335,12 +335,12 @@ def _one_train_seed(data: bytes) -> bytes:
     return data[:cut] + data[cut:].replace(b'"split":"train"', b'"split":"valid"')
 
 
-def _is_pair(rec):
-    return rec.get("kind") == "pair"
-
-
 def _drop_record_key(key):
     return _edit_record(lambda rec: True, lambda rec: rec.pop(key))
+
+
+def _set_record_field(key, value):
+    return _edit_record(lambda rec: True, lambda rec: rec.update({key: value}))
 
 
 def _retype(entries, retype):
@@ -403,11 +403,21 @@ BAD_ARTIFACTS = {
     "routing-no-label": ("routing.rljson",
                          _edit_record(lambda rec: True, lambda rec: rec.pop("label")),
                          ("train-router",)),
-    "pair-no-a_plus": ("pairs.rljson", _edit_record(_is_pair, lambda rec: rec.pop("a_plus")),
-                       ("distill",)),
-    "pair-unknown-kind": ("pairs.rljson",
-                          _edit_record(_is_pair, lambda rec: rec.update(kind="pari")),
-                          ("distill",)),
+    "pair-no-a_plus": ("pairs.rljson", _drop_record_key("a_plus"), ("distill",)),
+    "pair-source-unknown": ("pairs.rljson", _set_record_field("source", "Verifier"),
+                            ("distill",)),
+    # a pair names its context as (episode, step) of episodes.rljson; a
+    # reference to no step there, or to an action past the env's, is refused
+    "pair-episode-negative": ("pairs.rljson", _set_record_field("episode", -1), ("distill",)),
+    "pair-episode-past-pool": ("pairs.rljson", _set_record_field("episode", 10**6),
+                               ("distill",)),
+    "pair-step-negative": ("pairs.rljson", _set_record_field("step", -1), ("distill",)),
+    "pair-step-past-episode": ("pairs.rljson", _set_record_field("step", 10**6), ("distill",)),
+    "pair-step-bool": ("pairs.rljson", _set_record_field("step", True), ("distill",)),
+    "pair-a_plus-past-actions": ("pairs.rljson", _set_record_field("a_plus", 10**6),
+                                 ("distill",)),
+    # distill reports the pair counts build-pairs wrote
+    "pairs-no-counters": ("pairs.rljson", _drop_header_field("counters"), ("distill",)),
     # the header names the record format: an earlier format, the file-level
     # name an earlier header used or another kind of record is refused, never
     # read as the present one
@@ -447,9 +457,7 @@ BAD_ARTIFACTS = {
                                        ("train-bc",)),
     "episodes-action-true": ("episodes.rljson", _retype(lambda rec: rec["actions"],
                                                         lambda a: True), ("train-bc",)),
-    "pairs-observation-token-str": ("pairs.rljson",
-                                    _retype(lambda rec: rec["context"]["observation"]
-                                            if _is_pair(rec) else [], str), ("distill",)),
+    "pairs-episode-str": ("pairs.rljson", _set_record_field("episode", "0"), ("distill",)),
     "eval_slm-decision-maybe": ("eval_slm.rljson", _retype(lambda rec: rec["decisions"],
                                                            lambda d: "maybe"), ("evaluate",)),
     "eval_slm-kind-int": ("eval_slm.rljson",
@@ -475,6 +483,8 @@ BAD_ARTIFACTS = {
                                           lambda b: struct.pack("<d", float("nan")) + b[8:]),
                               ("evaluate",)),
     "pairs-header-pairs@1": ("pairs.rljson", _set_header_field("schema", "pairs@1"),
+                             ("distill",)),
+    "pairs-header-pairs@2": ("pairs.rljson", _set_header_field("schema", "pairs@2"),
                              ("distill",)),
     "router-header-router@1": ("router.bin", _set_header_field("schema", "router@1"), R2V),
     # every writer writes these keys, so a record without one is malformed,

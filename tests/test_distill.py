@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from steprouter import distill, seeds
 from steprouter.distill import (
     DistillConfig,
+    build_consistency_views,
     build_preferences,
     dpo_margin,
     jsd,
@@ -20,6 +22,8 @@ from steprouter.domain import (
     Context,
     EnvConfig,
     PreferencePair,
+    pair_from_dict,
+    pair_record,
 )
 from steprouter.env import HazardChainEnv
 from steprouter.policy import (
@@ -81,7 +85,7 @@ class TestBuildPreferences:
         env = make_env({"PartialObs": 0.4})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.0, gamma_threshold=0.0)
-        pairs, views, counters = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, counters = build_preferences(bc, pool, spec, teacher, env, k=5)
         assert counters["teacher_recovered"] == 0
         assert all(p.source == SOURCE_VERIFIER for p in pairs)
 
@@ -89,7 +93,7 @@ class TestBuildPreferences:
         env = make_env({"PartialObs": 0.4})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.0, gamma_threshold=1.0)
-        pairs, _, counters = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, counters = build_preferences(bc, pool, spec, teacher, env, k=5)
         assert counters["verifier_ranked"] == 0
         assert all(p.source == SOURCE_TEACHER for p in pairs)
 
@@ -99,7 +103,7 @@ class TestBuildPreferences:
         env = make_env({"PartialObs": 0.4})
         bc, pool, _ = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.0, gamma_threshold=1.0)
-        pairs, _, counters = build_preferences(bc, pool, spec, TeacherPolicy(0.0), env, k=5)
+        pairs, counters = build_preferences(bc, pool, spec, TeacherPolicy(0.0), env, k=5)
         task_of = {step.context: ep.task_id for ep in pool for step in ep.steps}
         recovered = [p for p in pairs if p.source == SOURCE_TEACHER]
         assert len(recovered) == counters["teacher_recovered"] > 0
@@ -112,7 +116,7 @@ class TestBuildPreferences:
         env = make_env({"PartialObs": 0.4})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.1)
-        pairs, _, counters = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, counters = build_preferences(bc, pool, spec, teacher, env, k=5)
         n_contexts = sum(len(ep.steps) for ep in pool)
         assert len(pairs) <= n_contexts
         assert len(pairs) + counters["skipped"] == n_contexts
@@ -128,7 +132,7 @@ class TestBuildPreferences:
         env = make_env({"PartialObs": 0.5})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.2)
-        pairs, _, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
         assert all(p.a_plus != p.a_minus for p in pairs)
 
 
@@ -162,7 +166,7 @@ class TestBuildPreferences:
         rng_score = seeds.stream(env.config.rng_seed, "pairs", "scores")
         rng_teacher = seeds.stream(env.config.rng_seed, "pairs", "teacher")
         want, counters = [], {"verifier_ranked": 0, "teacher_recovered": 0, "skipped": 0}
-        for ep in pool:
+        for e, ep in enumerate(pool):
             for step in ep.steps:
                 ctx = step.context
                 state = env.replay(env.task_spec(ep.task_id), ctx.actions)
@@ -178,11 +182,26 @@ class TestBuildPreferences:
                     kind = "skipped"
                 else:
                     source = SOURCE_VERIFIER if kind == "verifier_ranked" else SOURCE_TEACHER
-                    want.append(PreferencePair(ctx, int(plus), int(minus), source))
+                    want.append(PreferencePair(ctx, int(plus), int(minus), source, e))
                 counters[kind] += 1
-        pairs, _, got = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, got = build_preferences(bc, pool, spec, teacher, env, k=5)
         assert got == counters and counters["verifier_ranked"] and counters["teacher_recovered"]
         assert pairs == want
+
+
+    def test_pair_records_resolve_to_the_pairs(self):
+        # a stored pair names its context as (episode, step) of the pool;
+        # resolving its record against the pool gives back the pair built
+        env = make_env({"PartialObs": 0.5})
+        bc, pool, teacher = trained_bc(env)
+        spec = VerifierSpec.for_env(env, eta_v=0.2)
+        pairs, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        records = json.loads(json.dumps([pair_record(p) for p in pairs]))
+        assert {p.source for p in pairs} == {SOURCE_VERIFIER, SOURCE_TEACHER}
+        assert all(set(rec) == {"episode", "step", "a_plus", "a_minus", "source"}
+                   for rec in records)
+        decoded = [pair_from_dict(rec, pool, env.config.action_count) for rec in records]
+        assert decoded == pairs  # context, actions, source and episode
 
 
 class TestDpoLoss:
@@ -299,7 +318,8 @@ class TestTrainRecovery:
         env = make_env({"PartialObs": 0.6, "ToolFlaky": 0.3})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.1)
-        pairs, views, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        views = build_consistency_views(pool, env)
         assert views
         policy, _ = train_recovery(
             bc, pairs, views, DistillConfig(beta=2.0, lambda_cons=1e3, epochs=120, lr=4.0)
@@ -310,7 +330,8 @@ class TestTrainRecovery:
         env = make_env({"PartialObs": 0.4})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.1)
-        pairs, views, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        views = build_consistency_views(pool, env)
         before = bc.param_hash()
         _, report = train_recovery(bc, pairs, views, DistillConfig(epochs=30))
         assert bc.param_hash() == before
@@ -320,7 +341,8 @@ class TestTrainRecovery:
         env = make_env({"PartialObs": 0.4})
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.1)
-        pairs, views, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        views = build_consistency_views(pool, env)
         _, report = train_recovery(bc, pairs, views, DistillConfig(epochs=40))
         trace = report["loss_trace"]
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
@@ -329,7 +351,8 @@ class TestTrainRecovery:
         env = make_env()
         bc, pool, teacher = trained_bc(env)
         spec = VerifierSpec.for_env(env, eta_v=0.0)
-        pairs, views, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        pairs, _ = build_preferences(bc, pool, spec, teacher, env, k=5)
+        views = build_consistency_views(pool, env)
         policy, _ = train_recovery(bc, pairs, views, DistillConfig(epochs=5))
         assert policy.stage == "distilled"
         assert bc.stage == "bc"

@@ -28,8 +28,8 @@ from steprouter.domain import (
     episode_from_dict,
     episode_to_dict,
     pack_floats,
-    pair_record_from_dict,
-    pair_records,
+    pair_from_dict,
+    pair_record,
     read_arrays,
     read_header,
     read_rljson,
@@ -623,15 +623,46 @@ def _set(path, value):
     return edit
 
 
+# the demonstrations a pair record indexes: episodes of 3 and 2 steps
+PAIR_POOL = [make_episode(), teacher_episode()]
+
+
 def _pair_record():
-    [rec] = pair_records([PreferencePair(make_context(1), 1, 2, "VerifierRanked")], [])
-    return rec
+    return pair_record(PreferencePair(make_context(1), 1, 2, "VerifierRanked", 0))
+
+
+def test_pair_record_names_a_step_of_the_pool():
+    # the record holds (episode, step) in place of the context, which the
+    # pool gives back
+    rec = _as_json(_pair_record())
+    assert rec == {"episode": 0, "step": 1, "a_plus": 1, "a_minus": 2,
+                   "source": "VerifierRanked"}
+    assert pair_from_dict(rec, PAIR_POOL, 3) == PreferencePair(make_context(1), 1, 2,
+                                                               "VerifierRanked", 0)
+    assert pair_from_dict({**rec, "episode": 1, "step": 1}, PAIR_POOL).context == (
+        PAIR_POOL[1].contexts()[1])
+
+
+@pytest.mark.parametrize("episode, step", [(-1, 0), (2, 0), (0, -1), (0, 3), (1, 2)])
+def test_pair_record_refuses_a_step_the_pool_lacks(episode, step):
+    # a negative index is refused, never read from the end of the pool
+    rec = {**_pair_record(), "episode": episode, "step": step}
+    with pytest.raises(ValueError, match="holds no step"):
+        pair_from_dict(rec, PAIR_POOL)
+
+
+@pytest.mark.parametrize("a_plus, a_minus", [(3, 1), (1, -1)])
+def test_pair_record_refuses_an_action_past_the_count(a_plus, a_minus):
+    rec = {**_pair_record(), "a_plus": a_plus, "a_minus": a_minus}
+    pair_from_dict(rec, PAIR_POOL)
+    with pytest.raises(ValueError, match="not both among 3"):
+        pair_from_dict(rec, PAIR_POOL, 3)
 
 
 RECORDS = {
     "episode": (lambda: episode_to_dict(make_episode(budget=2)), episode_from_dict),
     "routing": (lambda: routing_record(4, "train", make_episode()), routing_seed_from_dict),
-    "pair": (_pair_record, pair_record_from_dict),
+    "pair": (_pair_record, lambda rec: pair_from_dict(rec, PAIR_POOL)),
     "routed": (lambda: routed_episode_to_dict(make_episode(budget=2)),
                lambda rec: routed_episode_from_dict(rec, "r2v")),
 }
@@ -658,9 +689,11 @@ MISTYPED = {
     "routing-seed_id-bool": ("routing", ("seed_id",), True),
     "routing-label-bool": ("routing", ("label",), True),
     "routing-label-float": ("routing", ("label",), 1.0),
-    "pair-observation-token-str": ("pair", ("context", "observation", 0), "x"),
-    "pair-action-bool": ("pair", ("context", "actions", 0), True),
-    "pair-tokens_seen-float": ("pair", ("context", "tokens_seen"), 11.0),
+    "pair-episode-str": ("pair", ("episode",), "0"),
+    "pair-episode-bool": ("pair", ("episode",), False),
+    "pair-step-float": ("pair", ("step",), 1.0),
+    "pair-step-bool": ("pair", ("step",), True),
+    "pair-action-bool": ("pair", ("a_minus",), True),
     "pair-a_plus-bool": ("pair", ("a_plus",), True),
 }
 

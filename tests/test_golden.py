@@ -115,6 +115,18 @@ them holds equals the earlier record with those six columns dropped, every
 earlier `kind` equals its header's `variant`, every header is equal but its
 `schema`, and every other pinned file, `eval_slm.rljson` included, kept its
 bytes.
+A twelfth deliberate change, format only: a `pairs@3` record holds one
+preference pair, its context named as (episode, step) of `episodes.rljson`
+in place of the context written out, and the consistency views, which
+distill now builds from `episodes.rljson` and the env, are no longer
+stored. distill reads `episodes.rljson` and the `env` block, so its
+`inputs_hash` moved. That moved `pairs.rljson` (60,756 to 6,379 bytes) and
+the header `inputs_hash` of `policy_distilled.bin`, `routing.rljson`,
+`router.bin`, the six `eval_*.rljson` and the eight masked r2v rollouts;
+each of those holds the earlier body bytes under an otherwise equal header.
+Every pair decodes to the earlier pair, and `distill_report.json`,
+`summary.json`, `metrics.csv`, `router_report.csv` and both ablation tables
+kept their bytes.
 
 The features and cvar ablations of the same run are pinned too: their eight
 masked r2v rollouts leave prefixes that an earlier policy visited, at steps
@@ -146,18 +158,18 @@ GOLDEN_SHA256 = {
     "episodes.rljson": "1789283c3b82dc7cd5ba99a8cd9c76dddb7403b366bde89f487ae54716d63547",
     "summary.json": "948f1de40d168119d7b9b1fe39592cdb293fb21a4d6c495e41d2fd4e06e07329",
     "metrics.csv": "e0c4336f13a529794802c9e90ca6f293cc4950e440353bd968f4f3ad2003d8e9",
-    "pairs.rljson": "827347111705dc99b586af02e9fdf28cceb54440ff387b85a6c9245b11dbcee9",
+    "pairs.rljson": "f795124d1a384eb4e0453fa2a4ae907672cd2eb682146e1aa5b46da84913f3f2",
     "policy_bc.bin": "9c891be06a9709ed5f3270e8add737abc01a83df21636d1612a631b1ea3dc62c",
     "distill_report.json": "a3f90b4f39cf848723a681d1cc57f2036839f47d15dc36abd01de7e39bcec9ca",
-    "policy_distilled.bin": "7b06de0e1f04542869f7b1a0e0078cce76d8bd3438ca0029ebf31034bb521d64",
-    "routing.rljson": "ec22789e6b73d8228d14fc23bece6c271be6c3c9a65343f67d5476ca0839b863",
-    "eval_entropy.rljson": "22519833aea781294329c24ff6cc9d849a702e1b4dcd55b63d008f3e534ae620",
-    "eval_heuristic.rljson": "79267cc1a3ae5737f5b9b0fc8f7109dc5d6ad700feaa094ea4999b811c3baf13",
-    "eval_llm.rljson": "f04bc3d1fa47757e76675abbd4c427964aed69e3c6d4f246d842064b4e520199",
-    "eval_oracle.rljson": "b7f1869d5d13dd4eed9f7b6ad56a7e045c6480a9646659e3993328a25c459149",
-    "eval_r2v.rljson": "9ab416aac12290a8fbdd6b2cbc97ea482d4f6b26fba250ef3a32fcf5de2be0f4",
-    "eval_slm.rljson": "76e56b49a15c01b792a7f5cad6c6626618db9b37d837a4996ffe293e19635c34",
-    "router.bin": "e62eb653b4e6874e9caa73ed5067ac451920e925a0d391c48de9b64594a785c5",
+    "policy_distilled.bin": "5b2696dc8e65f2df4d0231436c5c296804801008ac772f4d3febc2efd1471a9b",
+    "routing.rljson": "3272c053a4748ec74db5ab91f452172535d6ba65b096936037f6e55df90c4e81",
+    "eval_entropy.rljson": "0fbfcb063ab8399c5c51534d3388d567f9df1ac0917fc1168c3d28cad4d2c606",
+    "eval_heuristic.rljson": "aed9c74c073ec926e0aa21eb3b144d456352e87069e3c07c716727441b9e6005",
+    "eval_llm.rljson": "9a28d9136bb35a73c71327b900906a8850e9652923adcb7adb6d2549c259646b",
+    "eval_oracle.rljson": "a14c0ec123ecbad8c4e1a17a7dd06c6d99532dc0a879447bdb149903df352e0e",
+    "eval_r2v.rljson": "1f7cdba0d390bed0a2487fc13cf4a46b2c0ba19be5199f2ceceddb4a3c7bdc57",
+    "eval_slm.rljson": "2912edba79cebed2a90b456aaf416921885bbf3cf0ef6e7a17d23e12a7a495ab",
+    "router.bin": "a7cf9da2c5e9fdf33832196b44b1415abb6a59d7d981a246e14f3705af301f6a",
     "router_report.csv": "83410e7b91bac78014f73c64a2accfa7afda9384384281e5fd2d57f553201cf0",
 }
 
@@ -165,20 +177,20 @@ GOLDEN_ABLATION_SHA256 = {
     "ablate_features.csv": "67632286743629c90a522c23959447dc21f152f2ca65c26860d279be94edaeee",
     "ablate_cvar.csv": "84a8acb1c5ae9dd534ed10ce10e96a416834b038cf641f2ec6dcd8d613d35ca0",
     "eval_r2v_mask_EntropyOnly.rljson":
-        "fa64c2cefb37110679fc5bfc932d8ab074ed12a0f4a9cc93e26e5eb5d0a56f7d",
-    "eval_r2v_mask_Full.rljson": "9ab416aac12290a8fbdd6b2cbc97ea482d4f6b26fba250ef3a32fcf5de2be0f4",
+        "749c02adfd45da0a45859d4e7abfb4712303faf496681666f64a5ed160f4303e",
+    "eval_r2v_mask_Full.rljson": "1f7cdba0d390bed0a2487fc13cf4a46b2c0ba19be5199f2ceceddb4a3c7bdc57",
     "eval_r2v_mask_LogProbOnly.rljson":
-        "3d97c94a279bde954976f714639d40ceb7cfbccab674472e5b941b7bb4d7350b",
+        "29eced2bf14f28c87e7f6bb0922de41a240e32506d8305c3974e72add146278c",
     "eval_r2v_mask_NoEntropy.rljson":
-        "5c469cbdcace4675a76a02e5ad29c51bb4bd53a19703e2b3378fac135e3d2ad6",
+        "a224706528fda9ac4089f2549f6fbefff7a82bb5b1f392eb79e209fa1d0e188f",
     "eval_r2v_mask_NoVerifier.rljson":
-        "d097ed1fa763b28d8f2c53612c1dbb75f3abea5362110aff41398953ed58192d",
+        "2f34cf7b4034eda26e005266e201c5ea8302763c937000f41ba18e7b6a5fd066",
     "eval_r2v_mask_PseudoEntropy.rljson":
-        "e3e558c123e40ea4b89a0ebb18016c53b5dcd55d6acef573795eeac94c8b1fb1",
+        "3d2439fb1eedb7416c8ac993788352727d7342086b8a334eaf083874bc19b379",
     "eval_r2v_mask_StepContextOnly.rljson":
-        "6c0266447b1f39d8a980484388464c4624badca09dd9ee924b30fdfefa820f43",
+        "7196513cc14b3f429f14fbd93af12f6f1358937040e24e4e76eff6d0ceb8f9ed",
     "eval_r2v_mask_VerifierOnly.rljson":
-        "c18d959f5a11f7aa1a6bfe47d1fe02a9e8b19857956bba1496063f78d2e3c4e5",
+        "6fb0b69e6b3931746d5c4bdefd443c2246111b1496d00d835e77202789e34928",
 }
 
 

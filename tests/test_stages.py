@@ -493,6 +493,21 @@ def test_every_episode_record_re_encodes_to_its_bytes(small_run, tmp_path):
         assert again.read_bytes() == (wd / name).read_bytes(), name
 
 
+def test_stored_pairs_resolve_to_the_pairs_built(small_run, tmp_path, monkeypatch):
+    # build-pairs stores each pair as (episode, step) of episodes.rljson, and
+    # load_pairs resolves it against the episodes file beside it to the pair
+    # build_preferences built
+    cfg, base_wd = small_run
+    wd = _own_copy(base_wd, tmp_path / "run")
+    built = []
+    real = pipeline.build_preferences
+    monkeypatch.setattr(pipeline, "build_preferences",
+                        lambda *args, **kw: built.append(real(*args, **kw)) or built[-1])
+    pipeline.stage_build_pairs(cfg, wd)
+    [(pairs, _)] = built
+    assert pairs and pipeline.load_pairs(wd / "pairs.rljson") == pairs
+
+
 @pytest.mark.parametrize("change", ["verifier.eta_v", "runtime.k_candidates",
                                     "policy_distilled.bin"])
 def test_other_rollout_inputs_get_a_fresh_tree(small_run, tmp_path, expanded, change):
